@@ -18,7 +18,7 @@ import numpy as np
 from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
 from .errors import SincountError, ValidationError
-from .likelihood import Bl, Ml
+from .likelihood import Bl, Ml, approach_frequencies
 from .signal_model import (scenario_from_dict, standard_scenario, synthesize,
                            with_snr_db)
 
@@ -198,8 +198,8 @@ def cmd_theory(args, doc, sha):
     rows = []
     for snr in _snr_grid(args, doc):
         scen = with_snr_db(scenario, snr)
-        freqs = scen.all_frequencies + approach.delta_omega
-        dists = theory.component_dists(scen, mode="ql", frequencies=freqs)
+        dists = theory.component_dists(
+            scen, mode="ql", frequencies=approach_frequencies(scen, approach))
         for spec in specs:
             rep = theory.abridged_for(dists, spec,
                                       params_per_signal=approach.params_per_signal)
@@ -259,7 +259,11 @@ def cmd_bl_interval(args, doc, sha):
     grid = _delta_grid(doc)
     trials = _trials(args, doc, default=20000)
     ml_trials = int(doc.get("ml_trials", 2000))
-    ml_reports = montecarlo.estimate(scenario, specs, Ml(), ml_trials, seed)
+    approach = build_approach(doc) if "approach" in doc else Ml()
+    if not isinstance(approach, Ml):
+        raise ValidationError(
+            "approach.kind: bl-interval takes its reference from the ml approach")
+    ml_reports = montecarlo.estimate(scenario, specs, approach, ml_trials, seed)
     columns = ("criterion", "ml_reference_pe", "width", "saturated")
     rows = []
     for spec, ml_rep in zip(specs, ml_reports):

@@ -13,14 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import gammainc, gammaln, ive, ndtr
+from scipy.special import chndtr, gammainc, gammaln, ive, ndtr
 
 from .errors import QuadratureError, ValidationError
-
-_TERM_RATIO_CUT = 1e-14
-_NORMAL_APPROX_LAMBDA = 1e6
 
 
 @dataclass(frozen=True)
@@ -49,82 +45,44 @@ class Dist:
         return out
 
 
-def _pois_window(half_lam):
-    """Index range of Poisson(half_lam) terms with weight above the ratio cut."""
-    j0 = int(half_lam)
-    spread = int(10.0 * math.sqrt(half_lam) + 40.0)
-    return max(0, j0 - spread), j0 + spread
-
-
 def _ncx2_cdf(x, m, lam):
     """CDF of noncentral chi-square with 2m dof, noncentrality lam.
 
-    Poisson-weighted mixture of central gamma CDFs (Marcum-Q series):
-    sum_j pois(j; lam/2) P(m + j, x/2), truncated by term ratio.
+    The central law (every noise-only index) is the regularized lower
+    incomplete gamma function; otherwise the compiled cephes kernel.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     pos = x > 0
-    if not np.any(pos):
-        return out
-    xp = x[pos] / 2.0
-    if lam <= 1e-300:
-        out[pos] = gammainc(m, xp)
-        return out
-    if lam > _NORMAL_APPROX_LAMBDA:
-        mean = 2 * m + lam
-        sd = math.sqrt(2.0 * (2 * m + 2.0 * lam))
-        out[pos] = ndtr((x[pos] - mean) / sd)
-        return out
-    h = lam / 2.0
-    jlo, jhi = _pois_window(h)
-    js = np.arange(jlo, jhi + 1)
-    logw = js * math.log(h) - h - gammaln(js + 1)
-    w = np.exp(logw)
-    keep = w > w.max() * _TERM_RATIO_CUT
-    js, w = js[keep], w[keep]
-    acc = np.zeros(xp.shape)
-    # chunked so the (terms, points) intermediate stays small
-    for start in range(0, js.size, 64):
-        jb = js[start:start + 64]
-        wb = w[start:start + 64]
-        acc += wb @ gammainc(m + jb[:, None], xp[None, :])
-    out[pos] = np.minimum(acc, 1.0)
+    out[pos] = gammainc(m, x[pos] / 2.0) if lam <= 1e-300 else chndtr(x[pos], 2 * m, lam)
     return out
 
 
 def _ncx2_pdf(x, m, lam):
-    """PDF companion of _ncx2_cdf (2m dof)."""
+    """PDF companion of _ncx2_cdf (2m dof):
+    (x/lam)^((m-1)/2) exp(-(x + lam)/2) I_{m-1}(sqrt(lam x)) / 2."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
-    if m == 1 and lam <= _NORMAL_APPROX_LAMBDA:
+    if m == 1:
         out[x == 0] = 0.5 * math.exp(-lam / 2.0)
-    pos = x > 0
-    if not np.any(pos):
-        return out
-    xp = x[pos]
-    if lam <= 1e-300:
-        out[pos] = np.exp((m - 1) * np.log(xp) - xp / 2.0 - m * math.log(2.0) - gammaln(m))
-        return out
-    if lam > _NORMAL_APPROX_LAMBDA:
-        mean = 2 * m + lam
-        sd = math.sqrt(2.0 * (2 * m + 2.0 * lam))
-        z = (xp - mean) / sd
-        out[pos] = np.exp(-0.5 * z * z) / (sd * math.sqrt(2 * math.pi))
-        return out
-    s = np.sqrt(lam * xp)
-    log_pref = 0.5 * (m - 1) * (np.log(xp) - math.log(lam))
-    out[pos] = 0.5 * np.exp(log_pref - (xp + lam) / 2.0 + s) * ive(m - 1, s)
+    s = np.sqrt(lam * np.maximum(x, 0.0))
+    # below s = 1e-8 the leading term of the Bessel series is exact in double
+    # precision (up to 66 dof); it covers lam = 0, and ive would underflow there
+    head = (x > 0) & (s < 1e-8)
+    xh = x[head]
+    out[head] = np.exp((m - 1) * np.log(xh) - (xh + lam) / 2.0 - m * math.log(2.0) - gammaln(m))
+    body = s >= 1e-8
+    xb = x[body]
+    log_pref = 0.5 * (m - 1) * np.log(xb / lam)
+    # -(x + lam)/2 + sqrt(lam x), written without the cancellation at large lam
+    out[body] = 0.5 * np.exp(log_pref - 0.5 * (np.sqrt(xb) - math.sqrt(lam)) ** 2) * ive(m - 1, s[body])
     return out
 
 
 def _ncx2_support(m, lam):
-    mean = 2 * m + lam
-    sd = math.sqrt(2.0 * (2 * m + 2.0 * lam))
-    t = mean + 12.0 * sd + 20.0
-    for _ in range(80):
-        if _ncx2_cdf(np.array([t]), m, lam)[0] >= 1.0 - 1e-12:
-            return float(t)
+    """mean + 12 sd + 20, widened until 1 - cdf < 1e-12."""
+    t = 2 * m + lam + 12.0 * math.sqrt(2.0 * (2 * m + 2.0 * lam)) + 20.0
+    while _ncx2_cdf(np.array([t]), m, lam)[0] < 1.0 - 1e-12:
         t *= 1.5
     return float(t)
 
@@ -161,29 +119,19 @@ def nc_chisq2_sum(n_terms, lam):
     return Dist(cdf=cdf, pdf=pdf, support_hint=_ncx2_support(m, lam), sampler=sampler)
 
 
-def ml_component_cdf(dbar_sq, xi, signal_present, gauss_denominator="2d2"):
+def ml_component_cdf(dbar_sq, xi, signal_present):
     """Law of one squared max-over-band residual under the ML approach.
 
-    For a signal index the CDF is Phi((x - d2)/denom) * exp(-(xi/pi) exp(-x/2));
+    For a signal index the CDF is Phi((x - d2)/(2 d2)) * exp(-(xi/pi) exp(-x/2));
     for a noise index the Gaussian factor is dropped.  The closed form is
     truncated at zero, which leaves an atom there of size cdf(0+).
-
-    gauss_denominator selects denom: "2d2" uses 2*d2 as printed in the source
-    formula, "2d" uses 2*sqrt(d2) (the variance-matched alternative).
     """
     if not (xi > 0) or not math.isfinite(xi):
         raise ValidationError(f"xi must be positive and finite, got {xi}")
     if signal_present:
-        if dbar_sq is None or not math.isfinite(dbar_sq) or dbar_sq < 0:
-            raise ValidationError(f"dbar_sq must be finite and >= 0, got {dbar_sq}")
-        if gauss_denominator == "2d2":
-            denom = 2.0 * dbar_sq
-        elif gauss_denominator == "2d":
-            denom = 2.0 * math.sqrt(dbar_sq)
-        else:
-            raise ValidationError(f"unknown gauss_denominator {gauss_denominator!r}")
-        if denom <= 0:
-            raise ValidationError("dbar_sq must be positive when a signal is present")
+        if dbar_sq is None or not math.isfinite(dbar_sq) or dbar_sq <= 0:
+            raise ValidationError(f"dbar_sq must be finite and > 0, got {dbar_sq}")
+        denom = 2.0 * dbar_sq
     c = xi / math.pi
 
     def gumbel(x):
@@ -288,14 +236,35 @@ def convolve_cdfs(a, b):
     return Dist(cdf=cdf, pdf=pdf, support_hint=total, atom0=atom)
 
 
+_QUAD_SEEDS = 8         # equal panels whose halves make the first level
+_QUAD_LEVELS = 25       # levels before giving up
+_QUAD_MAX_ACTIVE = 8192  # panels refined at once before giving up
+_HALF_NODES, _HALF_WEIGHTS = _panel_nodes(16, 2)
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """An integral with its achieved error estimate and the number of
+    integrand points evaluated; unpacks as (value, error)."""
+
+    value: float
+    error: float
+    evaluations: int
+
+    def __iter__(self):
+        return iter((self.value, self.error))
+
+
 def integrate_semiinfinite(f, tol=1e-8, support_hint=None, return_error=False):
     """Integral of f over [0, inf) for integrands that die beyond a finite point.
 
     The truncation point comes from support_hint when the caller knows it
     (e.g. a Dist support), otherwise from doubling probes; the finite integral
-    uses adaptive Gauss-Kronrod quadrature.  With return_error the result is
+    uses panelled Gauss-Legendre quadrature with local refinement.  With
+    return_error the result is a Quadrature, which unpacks as
     (value, error estimate).
     """
+    evaluations = 0
     if support_hint is not None and support_hint > 0:
         t = float(support_hint)
     else:
@@ -304,24 +273,52 @@ def integrate_semiinfinite(f, tol=1e-8, support_hint=None, return_error=False):
         while t < 1e12:
             ys = t + t * probe_nodes
             segment = float(np.sum(np.abs(f(ys)) * probe_wts) * t)
+            evaluations += ys.size + 1
             if segment < tol / 100.0 and abs(float(np.max(np.abs(f(np.array([t], dtype=float)))))) < tol:
                 break
             t *= 2.0
-    value, err = _quad_truncated(f, 0.0, t, tol)
+    result = _quad_truncated(f, 0.0, t, tol)
     if return_error:
-        return value, err
-    return value
+        return Quadrature(result.value, result.error, result.evaluations + evaluations)
+    return result.value
 
 
 def _quad_truncated(f, lo, hi, tol):
-    """Adaptive quadrature on [lo, hi]; returns (value, error estimate)."""
+    """Panelled Gauss-Legendre quadrature on [lo, hi] with local halving.
 
-    def scalar_f(u):
-        return float(np.asarray(f(np.array([u], dtype=float)))[0])
-
-    value, err = quad(scalar_f, lo, hi, epsabs=tol, epsrel=1e-10, limit=400)
-    if err > max(tol, abs(value) * 1e-6) * 10.0:
-        raise QuadratureError(
-            f"quadrature error {err:.2e} exceeds tolerance {tol:.2e}",
-            estimate=value, achieved_error=err)
-    return value, err
+    Each panel's rule is compared with the same rule on its two halves.  A
+    panel whose difference is within its width's share of tol keeps the
+    halves' value; the others are halved again.  The new nodes of a level
+    go to f in one array call.  Returns a Quadrature whose error is the sum
+    of the differences; raises QuadratureError when the sum stays above tol.
+    """
+    span = hi - lo
+    width = np.full(_QUAD_SEEDS, span / _QUAD_SEEDS)
+    starts = lo + width * np.arange(_QUAD_SEEDS)
+    # no coarse values yet: the first level only seeds those of its halves
+    coarse = np.full(width.size, np.nan)
+    value = err = 0.0
+    evaluations = 0
+    for _ in range(_QUAD_LEVELS):
+        xs = starts[:, None] + width[:, None] * _HALF_NODES
+        vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+        evaluations += vals.size
+        halves = (vals * _HALF_WEIGHTS * width[:, None]).reshape(width.size, 2, -1).sum(axis=2)
+        fine = halves.sum(axis=1)
+        diff = np.abs(fine - coarse)
+        if err + diff.sum() <= tol:
+            return Quadrature(value + float(fine.sum()), err + float(diff.sum()), evaluations)
+        done = diff <= tol * width / span
+        value += float(fine[done].sum())
+        err += float(diff[done].sum())
+        redo = ~done
+        if 2 * np.count_nonzero(redo) > _QUAD_MAX_ACTIVE:
+            break
+        width = np.repeat(width[redo] / 2.0, 2)
+        starts = np.column_stack([starts[redo], starts[redo] + width[::2]]).ravel()
+        coarse = halves[redo].ravel()
+    estimate = value + float(fine[redo].sum())
+    achieved = err + float(diff[redo].sum())
+    raise QuadratureError(
+        f"quadrature error {achieved:.2e} exceeds tolerance {tol:.2e}",
+        estimate=estimate, achieved_error=achieved)

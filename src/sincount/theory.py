@@ -10,6 +10,7 @@ robustness analysis.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -55,12 +56,15 @@ class ComponentDistSet:
 
 @dataclass(frozen=True)
 class AbridgedReport:
-    """Abridged error probability with its integration error estimate."""
+    """Abridged error probability with its integration error estimate and
+    the number of integrand points the quadrature evaluated (0 for the
+    closed-form GIC rule)."""
 
     p_a: float
     criterion: str
     mode: str
     error: float
+    evaluations: int = 0
 
 
 def residual_means(scenario, eval_frequencies):
@@ -183,7 +187,7 @@ def abridged_gic(dist_set, threshold, nu0=None):
         f_up = float(dist_set.dists[nu0].cdf(t_arr)[0])
         p_a = 1.0 - f_up if nu0 == 1 else 1.0 - f_up + f_up * f_lo
     return AbridgedReport(p_a=min(max(p_a, 0.0), 1.0), criterion="gic",
-                          mode=dist_set.mode, error=1e-12)
+                          mode=dist_set.mode, error=0.0)
 
 
 def _cdf_product(dists, indices):
@@ -218,9 +222,9 @@ def abridged_pmep_ir(dist_set, kappa_ir, nu0=None):
         def integrand(x):
             return w_lo(x) * others(x / kap)
 
-        val, err = integrate_semiinfinite(integrand, tol=tol, support_hint=hint,
-                                          return_error=True)
-        p_a = 1.0 - val
+        quads = [integrate_semiinfinite(integrand, tol=tol, support_hint=hint,
+                                        return_error=True)]
+        p_a = 1.0 - quads[0].value
     elif nu0 == 1:
         others = _cdf_product(dists, [i for i in range(dist_set.n) if i != nu0])
         w_up = dists[nu0].pdf
@@ -228,9 +232,9 @@ def abridged_pmep_ir(dist_set, kappa_ir, nu0=None):
         def integrand(y):
             return w_up(y) * others(y / kap)
 
-        val, err = integrate_semiinfinite(integrand, tol=tol, support_hint=hint,
-                                          return_error=True)
-        p_a = val
+        quads = [integrate_semiinfinite(integrand, tol=tol, support_hint=hint,
+                                        return_error=True)]
+        p_a = quads[0].value
     else:
         rest = [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)]
         f_max = _cdf_product(dists, rest)
@@ -243,14 +247,13 @@ def abridged_pmep_ir(dist_set, kappa_ir, nu0=None):
         def integrand2(x):
             return w_up(x) * f_max(x / kap) * (f_lo(x / kap) - f_lo(x))
 
-        v1, e1 = integrate_semiinfinite(integrand1, tol=tol, support_hint=hint,
+        quads = [integrate_semiinfinite(f, tol=tol, support_hint=hint,
                                         return_error=True)
-        v2, e2 = integrate_semiinfinite(integrand2, tol=tol, support_hint=hint,
-                                        return_error=True)
-        p_a = 1.0 - v1 + v2
-        err = e1 + e2
+                 for f in (integrand1, integrand2)]
+        p_a = 1.0 - quads[0].value + quads[1].value
     return AbridgedReport(p_a=min(max(p_a, 0.0), 1.0), criterion="pmep-ir",
-                          mode=dist_set.mode, error=float(err))
+                          mode=dist_set.mode, error=sum(q.error for q in quads),
+                          evaluations=sum(q.evaluations for q in quads))
 
 
 def _lower_sum_dist(dist_set, nu0):
@@ -265,7 +268,8 @@ def _pmep_i_interior(w_up, w_lo, f_sum, a_coef, b_coef, t_up, t_lo):
 
     Integrates W_up(y) W_lo(x) [F_sum(x/A) - F_sum(y/B - x)] over the region
     x > y A / (B (A + 1)) (where the two F_sum arguments cross), by tensor
-    Gauss-Legendre with mesh-refinement error control.
+    Gauss-Legendre with mesh-refinement error control.  Returns the value,
+    its error estimate and the number of tensor nodes evaluated.
     """
 
     def run(n_nodes):
@@ -283,11 +287,13 @@ def _pmep_i_interior(w_up, w_lo, f_sum, a_coef, b_coef, t_up, t_lo):
 
     n = 192
     coarse = run(n)
+    evaluations = n * n
     for _ in range(3):
         fine = run(int(n * 1.5))
+        evaluations += int(n * 1.5) ** 2
         err = abs(fine - coarse)
         if err < 0.5 * _PA_ERROR_TOL:
-            return fine, err
+            return fine, err, evaluations
         coarse, n = fine, int(n * 1.5)
     raise QuadratureError(
         "inverse-penalty double integral did not converge",
@@ -315,12 +321,12 @@ def abridged_pmep_i(dist_set, kappa_i, nu0=None):
         def integrand(x):
             return w_lo(x) * f_up(b_coef * x)
 
-        val, err = integrate_semiinfinite(integrand, tol=tol,
-                                          support_hint=dists[0].support_hint,
-                                          return_error=True)
-        return AbridgedReport(p_a=min(max(1.0 - val, 0.0), 1.0),
+        quad = integrate_semiinfinite(integrand, tol=tol,
+                                      support_hint=dists[0].support_hint,
+                                      return_error=True)
+        return AbridgedReport(p_a=min(max(1.0 - quad.value, 0.0), 1.0),
                               criterion="pmep-i", mode=dist_set.mode,
-                              error=float(err))
+                              error=quad.error, evaluations=quad.evaluations)
     a_coef = (nu0 / (nu0 - 1.0)) ** (1.0 / kap) - 1.0
     f_sum = _lower_sum_dist(dist_set, nu0)
     w_lo = dists[nu0 - 1].pdf
@@ -329,22 +335,22 @@ def abridged_pmep_i(dist_set, kappa_i, nu0=None):
         def integrand(x):
             return w_lo(x) * f_sum.cdf(x / a_coef)
 
-        val, err = integrate_semiinfinite(
+        quad = integrate_semiinfinite(
             integrand, tol=tol,
             support_hint=max(dists[nu0 - 1].support_hint,
                              f_sum.support_hint * a_coef),
             return_error=True)
-        return AbridgedReport(p_a=min(max(1.0 - val, 0.0), 1.0),
+        return AbridgedReport(p_a=min(max(1.0 - quad.value, 0.0), 1.0),
                               criterion="pmep-i", mode=dist_set.mode,
-                              error=float(err))
+                              error=quad.error, evaluations=quad.evaluations)
     b_coef = ((nu0 + 1.0) / nu0) ** (1.0 / kap) - 1.0
     t_up = dists[nu0].support_hint
     t_lo = dists[nu0 - 1].support_hint + f_sum.support_hint * a_coef
-    val, err = _pmep_i_interior(dists[nu0].pdf, w_lo, f_sum.cdf,
-                                a_coef, b_coef, t_up, t_lo)
+    val, err, evaluations = _pmep_i_interior(dists[nu0].pdf, w_lo, f_sum.cdf,
+                                             a_coef, b_coef, t_up, t_lo)
     return AbridgedReport(p_a=min(max(1.0 - val, 0.0), 1.0),
                           criterion="pmep-i", mode=dist_set.mode,
-                          error=float(err))
+                          error=float(err), evaluations=evaluations)
 
 
 def abridged_for(dist_set, spec, params_per_signal=2, nu0=None):
@@ -354,8 +360,7 @@ def abridged_for(dist_set, spec, params_per_signal=2, nu0=None):
     """
     if isinstance(spec, (Gic, Aic)):
         report = abridged_gic(dist_set, spec.threshold(params_per_signal), nu0=nu0)
-        return AbridgedReport(p_a=report.p_a, criterion=spec.name,
-                              mode=report.mode, error=report.error)
+        return dataclasses.replace(report, criterion=spec.name)
     if isinstance(spec, PmepIr):
         return abridged_pmep_ir(dist_set, spec.kappa_ir, nu0=nu0)
     if isinstance(spec, PmepI):

@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+import sincount as sc
+from sincount import cli
 from sincount.cli import config_sha, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "synth.csv")
@@ -101,6 +103,56 @@ def test_theory_subcommand(config_path, capsys):
     # frozen known-frequency abridged values at -4 dB
     assert float(rows[0][3]) == pytest.approx(0.0278246232, abs=1e-8)
     assert float(rows[1][3]) == pytest.approx(0.0342676445, abs=1e-6)
+
+
+def test_theory_explicit_bl_frequencies_match_offset(config_path, capsys):
+    nominal = sc.standard_scenario(-4.0).all_frequencies
+    tables = []
+    for approach in ({"kind": "bl", "frequencies": [float(f) + 0.004 for f in nominal]},
+                     {"kind": "bl", "delta_omega": 0.004}):
+        doc = dict(BASE_CONFIG, criteria=[{"name": "gic"}], approach=approach)
+        rc, out, _ = run(["theory", "--config", config_path(doc)], capsys)
+        assert rc == 0
+        tables.append(out.splitlines()[2:])
+    assert tables[0] == tables[1]
+    # the offset moves p_a away from the known-frequency value
+    assert float(tables[0][0].split(",")[3]) != pytest.approx(0.0278246232, abs=1e-5)
+
+
+BL_INTERVAL_CONFIG = dict(BASE_CONFIG, criteria=[{"name": "gic"}],
+                          delta_omega_grid=[0.0, 0.002], ml_trials=100)
+
+
+@pytest.mark.parametrize("approach,expect", [
+    (None, sc.Ml()),
+    ({"kind": "ml", "grid_points": 64, "refine_tol": 1e-4},
+     sc.Ml(grid_points=64, refine_tol=1e-4)),
+])
+def test_bl_interval_ml_reference_uses_configured_approach(
+        approach, expect, config_path, capsys, monkeypatch):
+    doc = {k: v for k, v in BL_INTERVAL_CONFIG.items() if k != "approach"}
+    if approach is not None:
+        doc["approach"] = approach
+    seen = []
+    estimate = cli.montecarlo.estimate
+
+    def spy(scenario, specs, approach, trials, seed):
+        seen.append(approach)
+        return estimate(scenario, specs, approach, trials, seed)
+
+    monkeypatch.setattr(cli.montecarlo, "estimate", spy)
+    rc, out, _ = run(["bl-interval", "--config", config_path(doc)], capsys)
+    assert rc == 0
+    assert seen == [expect]
+    assert out.splitlines()[1] == "criterion,ml_reference_pe,width,saturated"
+
+
+@pytest.mark.parametrize("kind", ["known", "bl"])
+def test_bl_interval_non_ml_approach_exits_2(kind, config_path, capsys):
+    doc = dict(BL_INTERVAL_CONFIG, approach={"kind": kind})
+    rc, _, err = run(["bl-interval", "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert "approach.kind" in err
 
 
 def test_consistency_subcommand_with_direct_weights(config_path, capsys):

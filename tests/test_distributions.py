@@ -2,14 +2,79 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.special import gammainc, gammaln, logsumexp, xlogy
 
 from sincount.distributions import (convolve_cdfs, integrate_semiinfinite,
                                     ml_component_cdf, nc_chisq2, nc_chisq2_sum)
-from sincount.errors import ValidationError
+from sincount.errors import QuadratureError, ValidationError
 
 GRID = np.linspace(0.0, 40.0, 401)
+
+
+def series_cdf(x, m, lam):
+    """Oracle: noncentral chi-square CDF (2m dof) as the Poisson mixture of
+    central gamma CDFs, sum_j pois(j; lam/2) P(m + j, x/2).
+
+    The weights are normalized to sum to one: at large lam the rounding of
+    j*log(lam/2) - gammaln(j + 1) otherwise biases every weight alike.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape)
+    pos = x > 0
+    xp, h = x[pos] / 2.0, lam / 2.0
+    if h == 0:
+        out[pos] = gammainc(m, xp)
+        return out
+    spread = int(10.0 * math.sqrt(h) + 40.0)
+    js = np.arange(max(0, int(h) - spread), int(h) + spread + 1)
+    logw = js * math.log(h) - gammaln(js + 1)
+    w = np.exp(logw - logw.max())
+    keep = w > 1e-14
+    js, w = js[keep], w[keep] / w[keep].sum()
+    acc = np.zeros(xp.shape)
+    # chunked so the (terms, points) intermediate stays small
+    for start in range(0, js.size, 64):
+        acc += w[start:start + 64] @ gammainc(m + js[start:start + 64, None], xp[None, :])
+    out[pos] = np.minimum(acc, 1.0)
+    return out
+
+
+def log_poisson(k, mu):
+    """log pois(k; mu) for a scalar mu.  Where k and mu exceed 30 it takes
+    the saddle-point form of Loader (2000), -stirlerr(k) - bd0(k, mu) -
+    log(2 pi k)/2, which keeps its relative accuracy when k and mu are in
+    the millions."""
+    k = np.asarray(k, dtype=float)
+    direct = xlogy(k, mu) - mu - gammaln(k + 1)
+    if mu <= 30:
+        return direct
+    kb = np.maximum(k, 31.0)
+    k2 = kb * kb
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k2)) / k2) / k2) / kb
+    e = (kb - mu) / mu
+    bd0 = mu * ((1 + e) * np.log1p(e) - e)
+    return np.where(k > 30, -stirlerr - bd0 - 0.5 * np.log(2 * math.pi * kb), direct)
+
+
+def mixture_pdf(x, m, lam):
+    """Oracle: noncentral chi-square PDF (2m dof) as the Poisson mixture of
+    central densities, chi2_pdf(x; 2n) = pois(n - 1; x/2)/2, over the terms
+    around both the prior and the posterior mode of the mixing index."""
+    out = []
+    for xv in np.atleast_1d(x):
+        h, jpost = lam / 2.0, math.sqrt(lam * xv) / 2.0
+        pad = 12.0 * math.sqrt(max(h, jpost)) + 40.0
+        js = np.arange(max(0, int(min(h, jpost) - pad)), int(max(h, jpost) + pad) + 1)
+        terms = log_poisson(m + js - 1, xv / 2.0) + log_poisson(js, h)
+        out.append(0.5 * math.exp(logsumexp(terms)))
+    return np.array(out)
+
+
+def law_points(m, lam, z_max, n):
+    mean, sd = 2.0 * m + lam, math.sqrt(4.0 * m + 4.0 * lam)
+    return np.maximum(mean + sd * np.linspace(-z_max, z_max, n), 1e-3)
 
 
 def test_central_cdf_closed_form():
@@ -109,6 +174,76 @@ def test_ml_sampler_matches_cdf():
     for q in (5.0, 10.0, 20.0):
         frac = float(np.mean(draws <= q))
         assert frac == pytest.approx(d.cdf(q), abs=0.01)
+
+
+LAMBDAS = st.floats(min_value=0.0, max_value=5e6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 4]), LAMBDAS)
+@example(1, 5e4)
+@example(4, 5e6)
+def test_ncx2_cdf_matches_poisson_series(m, lam):
+    xs = law_points(m, lam, 8.0, 9)
+    got = nc_chisq2_sum(m, lam).cdf(xs)
+    tol = 1e-12 if lam <= 5e4 else 1e-8
+    assert np.max(np.abs(got - series_cdf(xs, m, lam))) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 4]), LAMBDAS)
+@example(1, 5e6)
+@example(1, 2.2250738585072014e-308)
+@example(4, 8.1e-202)  # ive(3, sqrt(lam x)) underflows here
+def test_ncx2_pdf_matches_poisson_mixture(m, lam):
+    xs = law_points(m, lam, 6.0, 9)
+    np.testing.assert_allclose(nc_chisq2_sum(m, lam).pdf(xs),
+                               mixture_pdf(xs, m, lam), rtol=1e-8, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2, 4]), LAMBDAS)
+@example(1, 5e6)
+def test_ncx2_cdf_monotone_in_unit_interval(m, lam):
+    d = nc_chisq2_sum(m, lam)
+    vals = d.cdf(np.linspace(0.0, d.support_hint, 2049))
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals[0] == 0.0 and vals[-1] <= 1.0
+
+
+def test_integrate_semiinfinite_evaluates_arrays():
+    sizes = []
+
+    def integrand(x):
+        sizes.append(x.size)
+        return np.exp(-x)
+
+    res = integrate_semiinfinite(integrand, tol=1e-10, support_hint=60.0,
+                                 return_error=True)
+    val, err = res
+    assert val == pytest.approx(1.0, abs=1e-10)
+    assert err <= 1e-10
+    assert min(sizes) >= 32 and len(sizes) <= 4
+    assert res.evaluations == sum(sizes)
+
+
+def test_peaked_integrand_on_wide_support_stays_cheap():
+    # +-6 sd of this density cover 0.3% of a support four times its own
+    d = nc_chisq2(5e6)
+    res = integrate_semiinfinite(d.pdf, tol=1e-9, support_hint=4 * d.support_hint,
+                                 return_error=True)
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert res.error <= 1e-9
+    assert res.evaluations < 2000
+
+
+def test_quadrature_error_when_refinement_cannot_converge():
+    # a unit step at a non-dyadic point needs panels narrower than the level cap allows
+    with pytest.raises(QuadratureError) as info:
+        integrate_semiinfinite(lambda x: (x < 1.0 / 3.0).astype(float), tol=1e-12,
+                               support_hint=1.0)
+    assert info.value.estimate == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert info.value.achieved_error > 1e-12
 
 
 def test_integrate_semiinfinite_exponential():

@@ -61,20 +61,24 @@ def test_component_dists_ql_defaults(scen_m4, dists_m4):
 def test_abridged_gic_frozen_value(dists_m4):
     rep = sc.abridged_gic(dists_m4, threshold=8.0)
     assert rep.p_a == pytest.approx(GIC_PA_M4, abs=1e-8)
-    assert rep.error < 1e-6
+    # closed form: no integrand, no integration error
+    assert rep.error == 0.0 and rep.evaluations == 0
     assert rep.criterion == "gic"
 
 
 def test_abridged_pmep_ir_frozen_value(dists_m4):
     rep = sc.abridged_pmep_ir(dists_m4, kappa_ir=0.25)
     assert rep.p_a == pytest.approx(IR_PA_M4, abs=1e-6)
-    assert rep.error < 1e-6
+    # two integrals, each within the quadrature tolerance 1e-9
+    assert 0.0 < rep.error <= 2e-9
+    assert rep.evaluations > 0
 
 
 def test_abridged_pmep_i_frozen_value(dists_m4):
     rep = sc.abridged_pmep_i(dists_m4, kappa_i=3.0)
     assert rep.p_a == pytest.approx(I_PA_M4, abs=1e-6)
     assert rep.error < 1e-6
+    assert rep.evaluations >= 192 * 192  # tensor nodes of the interior rule
 
 
 def test_abridged_kappa_validation(dists_m4):
