@@ -11,16 +11,11 @@ from .criteria import (CRITERIA, Aic, Eef, Gic, PmepI, PmepIr, SelectionResult,
 from .distributions import (Dist, convolve_cdfs, integrate_semiinfinite,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from .errors import (DegenerateStatsError, ModelViolationError,
-                     NumericDomainError, QuadratureError, SelectionError,
-                     SincountError, ValidationError)
-from .linalg import (GramSystem, cholesky_residuals,
-                     gram_schmidt_noniterative, quadratic_form_increments,
-                     schur_complement)
-from .likelihood import (KNOWN_FREQ, Bl, FrequencyPlan, Ml, SufficientStats,
-                         amp_phase_mle, approach_frequencies, basis_matrix,
-                         bl_frequencies, loglik_increments, ml_frequency_search,
-                         noise_level_mle, observation_logliks, profile_loglik,
-                         sufficient_stats)
+                     QuadratureError, SelectionError, SincountError,
+                     ValidationError)
+from .likelihood import (KNOWN_FREQ, Bl, FrequencyPlan, Ml,
+                         approach_frequencies, basis_matrix, bl_frequencies,
+                         noise_level_mle, observation_logliks)
 from .montecarlo import (McReport, PairedComparison, batch_samples,
                          collect_logliks, estimate, paired_compare,
                          scenario_fingerprint, trial_seed)
@@ -42,15 +37,11 @@ __all__ = [
     "decision_values", "argmin_order", "select_order",
     "Dist", "nc_chisq2", "nc_chisq2_sum", "ml_component_cdf", "convolve_cdfs",
     "integrate_semiinfinite",
-    "SincountError", "ValidationError", "NumericDomainError",
-    "DegenerateStatsError", "QuadratureError", "ModelViolationError",
-    "SelectionError",
-    "GramSystem", "schur_complement", "gram_schmidt_noniterative",
-    "quadratic_form_increments", "cholesky_residuals",
-    "Bl", "Ml", "KNOWN_FREQ", "FrequencyPlan", "SufficientStats",
-    "basis_matrix", "sufficient_stats", "amp_phase_mle", "noise_level_mle",
-    "profile_loglik", "loglik_increments", "ml_frequency_search",
-    "bl_frequencies", "approach_frequencies", "observation_logliks",
+    "SincountError", "ValidationError", "DegenerateStatsError",
+    "QuadratureError", "ModelViolationError", "SelectionError",
+    "Bl", "Ml", "KNOWN_FREQ", "FrequencyPlan", "basis_matrix",
+    "noise_level_mle", "bl_frequencies", "approach_frequencies",
+    "observation_logliks",
     "McReport", "PairedComparison", "trial_seed", "batch_samples",
     "collect_logliks", "estimate", "paired_compare", "scenario_fingerprint",
     "SinusoidComponent", "CandidateTemplate", "Observation", "Scenario",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SelectionError, ValidationError
+from .errors import SelectionError, SincountError, ValidationError
 from .likelihood import Bl, Ml, observation_logliks
 
 
@@ -163,7 +163,7 @@ def select_order(spec, observation, approach, scenario):
         raise ValidationError("approach must be an Ml or Bl instance")
     try:
         logliks, increments, freqs = observation_logliks(observation, scenario, approach)
-    except Exception as exc:
+    except (SincountError, np.linalg.LinAlgError) as exc:
         raise SelectionError(
             f"could not build log-likelihoods: {exc}",
             diagnostics={"approach": approach.label}) from exc

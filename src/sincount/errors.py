@@ -9,14 +9,6 @@ class ValidationError(SincountError):
     """Invalid user input (bad scenario, out-of-band frequency, bad config)."""
 
 
-class NumericDomainError(SincountError):
-    """A numeric kernel left its valid domain (non-PD matrix, bad index)."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
-
 class DegenerateStatsError(SincountError):
     """Sufficient statistics are numerically singular."""
 

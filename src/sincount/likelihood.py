@@ -1,16 +1,20 @@
-"""Sufficient statistics and profile log-likelihoods per candidate order.
+"""Profile log-likelihoods per candidate order.
 
 For a candidate order nu the model is linear in the quadrature amplitudes
-once frequencies are fixed: the sufficient statistics are the projections
-X of the data onto the 2*nu basis functions f_i(t){sin,cos}(w_i t + Psi_i(t))
-together with their Gram matrix C.  Columns interleave as
-(sin_1, cos_1, sin_2, cos_2, ...), matching the odd/sine, even/cosine
-convention of the quadrature amplitude vector.
+once frequencies are fixed: the statistics are the projections X of the
+data onto the 2*nu basis functions f_i(t){sin,cos}(w_i t + Psi_i(t)) and
+their Gram matrix C.  Columns interleave as (sin_1, cos_1, sin_2, cos_2,
+...), matching the odd/sine, even/cosine convention of the quadrature
+amplitude vector.
 
-The residual recursion (Cholesky forward solve) turns X into per-index
-statistics l whose squares sum pairwise to the likelihood increments V_i,
-so every candidate order's profile log-likelihood is available from one
-full-order factorization: L_nu = sum_{i<=nu} V_i / 2.
+One Cholesky factorization C = L L^T whitens the basis (the non-iterative
+Gram-Schmidt): the forward solve l = L^{-1} X gives per-index statistics
+whose squares sum pairwise to the likelihood increments V_i, so every
+candidate order's profile log-likelihood X^T C^{-1} X / 2 (in units of
+sigma0^2 when the noise level is known) comes from one full-order
+factorization: L_nu = sum_{i<=nu} V_i / 2.  FrequencyPlan holds that
+factorization for fixed frequencies; the greedy ML search grows an
+orthonormal basis one slot at a time.
 """
 
 from __future__ import annotations
@@ -19,34 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateStatsError, ValidationError
-from .signal_model import slot_waveforms, time_grid
+from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Projections X, their Gram matrix C, and the context that built them."""
-
-    order: int
-    x_vec: np.ndarray
-    cov: np.ndarray
-    frequencies: np.ndarray
-    sigma0: float
-    noise_known: bool = True
-
-    def __post_init__(self):
-        for name in ("x_vec", "cov", "frequencies"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.x_vec.shape[0] != 2 * self.order or self.cov.shape != (2 * self.order,) * 2:
-            raise ValidationError("stats dimensions do not match order")
 
 
 def basis_matrix(scenario, frequencies):
@@ -57,9 +41,8 @@ def basis_matrix(scenario, frequencies):
             f"{len(frequencies)} frequencies exceed max_order {scenario.max_order}")
     cols = []
     for i, freq in enumerate(frequencies):
-        c, s = slot_waveforms(slots[i], float(freq), scenario.n_samples)
-        cols.append(s)
-        cols.append(c)
+        c, s = modulated_pair(slots[i], float(freq), scenario.n_samples)
+        cols += [s, c]
     return np.column_stack(cols)
 
 
@@ -92,40 +75,6 @@ def _chol_or_degenerate(gram, frequencies):
         pair=pair)
 
 
-def sufficient_stats(observation, frequencies, scenario):
-    """Build the statistics (X, C) for the given per-slot frequencies."""
-    frequencies = np.asarray(frequencies, dtype=float)
-    _check_in_band(scenario, frequencies)
-    basis = basis_matrix(scenario, frequencies)
-    gram = basis.T @ basis
-    _chol_or_degenerate(gram, frequencies)
-    x_vec = basis.T @ observation.samples
-    return SufficientStats(
-        order=len(frequencies),
-        x_vec=x_vec,
-        cov=gram,
-        frequencies=frequencies,
-        sigma0=scenario.noise_level,
-        noise_known=scenario.noise_known,
-    )
-
-
-def amp_phase_mle(stats):
-    """Quadrature-amplitude MLE Q = C^{-1} X and per-signal (a, phi).
-
-    Returns (q_hat, amplitudes, phases) with phases mapped to [0, 2*pi).
-    """
-    try:
-        q_hat = np.linalg.solve(stats.cov, stats.x_vec)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateStatsError("covariance is singular") from exc
-    q_sin = q_hat[0::2]
-    q_cos = q_hat[1::2]
-    amps = np.hypot(q_sin, q_cos)
-    phases = np.mod(np.arctan2(q_sin, q_cos), 2.0 * math.pi)
-    return q_hat, amps, phases
-
-
 def noise_level_mle(observation, fitted_signal):
     """Residual-power statistic (sum (x - s)^2 / 2) / (N_s / (4 pi)).
 
@@ -141,42 +90,6 @@ def noise_level_mle(observation, fitted_signal):
     return float((np.sum((x - s) ** 2) / 2.0) / (n / (4.0 * math.pi)))
 
 
-def profile_loglik(stats, noise_known=None):
-    """Profile log-likelihood L_nu = X^T C^{-1} X / (2 sigma0^2).
-
-    The unknown-noise variant drops the sigma0 scaling (the sigma-free
-    quadratic form).  stats=None encodes the empty model: L_0 = 0.
-    """
-    if stats is None or stats.order == 0:
-        return 0.0
-    if noise_known is None:
-        noise_known = stats.noise_known
-    try:
-        sol = np.linalg.solve(stats.cov, stats.x_vec)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateStatsError("covariance is singular") from exc
-    quad = float(stats.x_vec @ sol)
-    if noise_known:
-        return quad / (2.0 * stats.sigma0**2)
-    return quad / 2.0
-
-
-def loglik_increments(stats):
-    """Residual statistics l and increments V_i from one full-order solve.
-
-    Returns (l, v): l has length 2*order (interleaved sine/cosine residuals,
-    unit variance under the noise model), v[i] = l[2i]^2 + l[2i+1]^2, and
-    L_nu = sum_{i<=nu} v[i] / 2 for every nu up to stats.order.
-    """
-    chol = _chol_or_degenerate(stats.cov, stats.frequencies)
-    scale = stats.sigma0 if stats.noise_known else 1.0
-    if scale <= 0:
-        scale = 1.0
-    l = solve_triangular(chol, stats.x_vec, lower=True) / scale
-    v = l[0::2] ** 2 + l[1::2] ** 2
-    return l, v
-
-
 @dataclass(frozen=True)
 class FrequencyPlan:
     """Precomputed design for fixed frequencies, for batched evaluation."""
@@ -184,7 +97,6 @@ class FrequencyPlan:
     scenario: object
     frequencies: np.ndarray
     basis: np.ndarray
-    gram: np.ndarray
     chol: np.ndarray
 
     @classmethod
@@ -192,10 +104,9 @@ class FrequencyPlan:
         frequencies = np.asarray(frequencies, dtype=float)
         _check_in_band(scenario, frequencies)
         basis = basis_matrix(scenario, frequencies)
-        gram = basis.T @ basis
-        chol = _chol_or_degenerate(gram, frequencies)
+        chol = _chol_or_degenerate(basis.T @ basis, frequencies)
         return cls(scenario=scenario, frequencies=frequencies, basis=basis,
-                   gram=gram, chol=chol)
+                   chol=chol)
 
     def residuals_batch(self, samples):
         """l statistics for a batch of observations (rows)."""
@@ -215,6 +126,21 @@ class FrequencyPlan:
     def logliks_batch(self, samples):
         """L_nu for nu = 1..order, per trial: half the running sum of V."""
         return 0.5 * np.cumsum(self.increments_batch(samples), axis=1)
+
+    def amp_phase(self, samples):
+        """Quadrature-amplitude MLE Q = C^{-1} X and per-signal (a, phi).
+
+        samples is one observation row or a batch of rows; returns
+        (q_hat, amplitudes, phases) with a leading trial axis for a batch and
+        phases mapped to [0, 2*pi).
+        """
+        x = np.asarray(samples, dtype=float) @ self.basis
+        q_hat = cho_solve((self.chol, True), x.T).T
+        q_sin = q_hat[..., 0::2]
+        q_cos = q_hat[..., 1::2]
+        amps = np.hypot(q_sin, q_cos)
+        phases = np.mod(np.arctan2(q_sin, q_cos), 2.0 * math.pi)
+        return q_hat, amps, phases
 
 
 def bl_frequencies(bands, rule, values=None, delta=None, nominal=None):
@@ -251,15 +177,7 @@ def _grid_quadrature_increment(x, slot, omegas, q_basis, sigma_sq):
     candidate (sin, cos) pair is residualized against it and V is the
     2x2-solved quadratic form, scaled by sigma_sq when the noise is known.
     """
-    t = time_grid(x.shape[0])
-    arg = np.outer(omegas, t)
-    if slot.phase_envelope is not None:
-        arg = arg + slot.phase_envelope[None, :]
-    sines = np.sin(arg)
-    cosines = np.cos(arg)
-    if slot.amplitude_envelope is not None:
-        sines = sines * slot.amplitude_envelope[None, :]
-        cosines = cosines * slot.amplitude_envelope[None, :]
+    cosines, sines = modulated_pair(slot, omegas, x.shape[0])
     if q_basis.shape[1]:
         sines = sines - (sines @ q_basis) @ q_basis.T
         cosines = cosines - (cosines @ q_basis) @ q_basis.T
@@ -275,7 +193,7 @@ def _grid_quadrature_increment(x, slot, omegas, q_basis, sigma_sq):
 
 
 def _orthonormal_extend(q_basis, slot, omega, n_samples):
-    c, s = slot_waveforms(slot, float(omega), n_samples)
+    c, s = modulated_pair(slot, float(omega), n_samples)
     cols = []
     for vec in (s, c):
         v = vec.copy()
@@ -292,7 +210,7 @@ def _orthonormal_extend(q_basis, slot, omega, n_samples):
 
 
 def ml_search_increments(observation, order, scenario, grid_points=256,
-                         refine_tol=1e-6, bands=None):
+                         refine_tol=1e-6):
     """Greedy sequential ML frequency search.
 
     For each slot in turn the incremental statistic V is maximized over a
@@ -302,20 +220,15 @@ def ml_search_increments(observation, order, scenario, grid_points=256,
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     slots = scenario.candidate_slots()
-    if bands is None:
-        bands = scenario.bands
-    bands = list(bands)
-    if order > len(bands):
-        raise ValidationError(f"order {order} exceeds available bands {len(bands)}")
+    if order > len(slots):
+        raise ValidationError(f"order {order} exceeds max_order {len(slots)}")
     x = np.asarray(getattr(observation, "samples", observation), dtype=float)
     sigma_sq = scenario.noise_level**2 if (scenario.noise_known and scenario.noise_level > 0) else 1.0
     q_basis = np.zeros((scenario.n_samples, 0))
     freqs = np.zeros(order)
     incs = np.zeros(order)
     for i in range(order):
-        lo, hi = bands[i]
-        if not (lo < hi):
-            raise ValidationError(f"band {i + 1} is empty")
+        lo, hi = slots[i].band
         pad = (hi - lo) * 1e-9
         grid = np.linspace(lo + pad, hi - pad, grid_points)
         vals = _grid_quadrature_increment(x, slots[i], grid, q_basis, sigma_sq)
@@ -335,15 +248,6 @@ def ml_search_increments(observation, order, scenario, grid_points=256,
             freqs[i], incs[i] = float(grid[j]), float(vals[j])
         q_basis = _orthonormal_extend(q_basis, slots[i], freqs[i], scenario.n_samples)
     return freqs, incs
-
-
-def ml_frequency_search(observation, order, bands, scenario, grid_points=256,
-                        refine_tol=1e-6):
-    """Frequencies maximizing the incremental statistics (greedy, refined)."""
-    freqs, _ = ml_search_increments(
-        observation, order, scenario, grid_points=grid_points,
-        refine_tol=refine_tol, bands=bands)
-    return freqs
 
 
 @dataclass(frozen=True)
@@ -399,14 +303,18 @@ def approach_frequencies(scenario, approach):
 def observation_logliks(observation, scenario, approach):
     """Profile log-likelihoods L_1..L_maxorder under the given approach.
 
-    Returns (logliks, increments, frequencies).
+    observation is an Observation or a bare 1-d sample row.  Returns
+    (logliks, increments, frequencies).
     """
+    x = np.asarray(getattr(observation, "samples", observation), dtype=float)
+    if x.shape != (scenario.n_samples,):
+        raise ValidationError(
+            f"observation has shape {x.shape}, expected ({scenario.n_samples},)")
     if isinstance(approach, Ml):
         freqs, incs = ml_search_increments(
-            observation, scenario.max_order, scenario,
+            x, scenario.max_order, scenario,
             grid_points=approach.grid_points, refine_tol=approach.refine_tol)
-        return 0.5 * np.cumsum(incs), incs, freqs
-    freqs = approach_frequencies(scenario, approach)
-    stats = sufficient_stats(observation, freqs, scenario)
-    _, incs = loglik_increments(stats)
+    else:
+        freqs = approach_frequencies(scenario, approach)
+        incs = FrequencyPlan.build(scenario, freqs).increments_batch(x)[0]
     return 0.5 * np.cumsum(incs), incs, freqs

@@ -18,7 +18,7 @@ from scipy.stats import binomtest
 
 from .criteria import argmin_order, decision_values
 from .errors import DegenerateStatsError, ValidationError
-from .likelihood import Bl, Ml, FrequencyPlan, approach_frequencies, ml_search_increments
+from .likelihood import Bl, Ml, FrequencyPlan, approach_frequencies, observation_logliks
 from .signal_model import clean_signal, scenario_to_dict
 
 _CHUNK = 65536
@@ -80,32 +80,27 @@ def collect_logliks(scenario, approach, trials, master_seed):
         samples = batch_samples(scenario, master_seed, start, count)
         for k in range(count):
             try:
-                _, incs = ml_search_increments(
-                    samples[k], n_orders, scenario,
-                    grid_points=approach.grid_points,
-                    refine_tol=approach.refine_tol)
+                out[start + k] = observation_logliks(samples[k], scenario, approach)[0]
             except DegenerateStatsError:
                 out[start + k] = np.nan
-                continue
-            out[start + k] = 0.5 * np.cumsum(incs)
     return out
 
 
 def _wilson(p, n):
+    """95% Wilson score interval (Wilson 1927) for a proportion p of n trials;
+    unlike the normal interval it keeps a positive width at p = 0 and p = 1."""
     if n == 0:
         return (0.0, 1.0)
     z2 = _Z95**2
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
     half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
-    return (max(center - half, 0.0), min(center + half, 1.0))
-
-
-def _normal_ci(p, n):
-    if n == 0:
-        return (0.0, 1.0)
-    half = _Z95 * math.sqrt(p * (1.0 - p) / n)
-    return (max(p - half, 0.0), min(p + half, 1.0))
+    # the bounds are the roots of denom*x^2 - (2p + z^2/n)*x + p^2, so
+    # lower * upper = p^2 / denom, and the same holds for 1 - p; taking each
+    # bound from its product keeps it exact at p = 0 and p = 1, where
+    # center -/+ half cancels to rounding noise
+    return (p * p / (denom * (center + half)),
+            1.0 - (1.0 - p) ** 2 / (denom * (1.0 - center + half)))
 
 
 def scenario_fingerprint(scenario):
@@ -115,17 +110,16 @@ def scenario_fingerprint(scenario):
 
 @dataclass(frozen=True)
 class McReport:
-    """Error-probability estimates of one criterion on one trial set."""
+    """Error-probability estimates of one criterion on one trial set;
+    p_e_ci and p_a_ci are 95% Wilson score intervals."""
 
     criterion: object
     approach_label: str
     trials: int
     p_e: float
     p_e_ci: tuple
-    p_e_wilson: tuple
     p_a: float
     p_a_ci: tuple
-    p_a_wilson: tuple
     offsets: np.ndarray
     histogram: np.ndarray
     ratio_gt1_eq1: float
@@ -144,10 +138,8 @@ class McReport:
             "trials": self.trials,
             "p_e": self.p_e,
             "p_e_ci": list(self.p_e_ci),
-            "p_e_wilson": list(self.p_e_wilson),
             "p_a": self.p_a,
             "p_a_ci": list(self.p_a_ci),
-            "p_a_wilson": list(self.p_a_wilson),
             "histogram": {int(o): int(c) for o, c in zip(self.offsets, self.histogram)},
             "ratio_gt1_eq1": None if math.isnan(self.ratio_gt1_eq1) else self.ratio_gt1_eq1,
             "master_seed": self.master_seed,
@@ -195,11 +187,9 @@ def estimate(scenario, specs, approach, trials, master_seed):
             approach_label=approach.label,
             trials=n_eff,
             p_e=p_e,
-            p_e_ci=_normal_ci(p_e, n_eff),
-            p_e_wilson=_wilson(p_e, n_eff),
+            p_e_ci=_wilson(p_e, n_eff),
             p_a=p_a,
-            p_a_ci=_normal_ci(p_a, n_eff),
-            p_a_wilson=_wilson(p_a, n_eff),
+            p_a_ci=_wilson(p_a, n_eff),
             offsets=offsets,
             histogram=counts,
             ratio_gt1_eq1=ratio,

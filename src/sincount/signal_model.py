@@ -173,13 +173,14 @@ def time_grid(n_samples):
     return np.arange(1, n_samples + 1, dtype=float)
 
 
-def slot_waveforms(slot, frequency, n_samples):
-    """Unit-amplitude quadrature pair for a candidate slot at a frequency.
+def modulated_pair(slot, omegas, n_samples, phase=0.0):
+    """Quadrature pair of a slot's waveform over a scalar or an array of frequencies.
 
-    Returns (c, s) with c(t) = f(t) cos(w t + Psi(t)), s(t) = f(t) sin(w t + Psi(t)).
+    Returns (c, s) with c(t) = f(t) cos(w t - phase + Psi(t)) and
+    s(t) = f(t) sin(w t - phase + Psi(t)), each of shape
+    np.shape(omegas) + (n_samples,); a slot without envelopes has f = 1, Psi = 0.
     """
-    t = time_grid(n_samples)
-    arg = frequency * t
+    arg = np.multiply.outer(omegas, time_grid(n_samples)) - phase
     if slot.phase_envelope is not None:
         arg = arg + slot.phase_envelope
     c = np.cos(arg)
@@ -190,23 +191,16 @@ def slot_waveforms(slot, frequency, n_samples):
     return c, s
 
 
-def component_waveform(component, n_samples):
-    """Noiseless waveform a f(t) cos(w t - phi + Psi(t)) of one component."""
-    t = time_grid(n_samples)
-    arg = component.frequency * t - component.phase
-    if component.phase_envelope is not None:
-        arg = arg + component.phase_envelope
-    w = component.amplitude * np.cos(arg)
-    if component.amplitude_envelope is not None:
-        w = w * component.amplitude_envelope
-    return w
+def _component_wave(component, n_samples):
+    return component.amplitude * modulated_pair(
+        component, component.frequency, n_samples, component.phase)[0]
 
 
 def clean_signal(scenario):
-    """Sum of all component waveforms (no noise)."""
+    """Sum of the component waveforms a f(t) cos(w t - phi + Psi(t)) (no noise)."""
     out = np.zeros(scenario.n_samples)
     for comp in scenario.components:
-        out += component_waveform(comp, scenario.n_samples)
+        out += _component_wave(comp, scenario.n_samples)
     return out
 
 
@@ -248,7 +242,7 @@ def signal_gram(components, n_samples):
                 raise ValidationError(
                     f"envelope length {env.shape[0]} != n_samples {n_samples}"
                 )
-    waves = np.column_stack([component_waveform(c, n_samples) for c in components])
+    waves = np.column_stack([_component_wave(c, n_samples) for c in components])
     return waves.T @ waves
 
 

@@ -23,8 +23,8 @@ from .distributions import (convolve_cdfs, integrate_semiinfinite,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from .errors import ModelViolationError, QuadratureError, ValidationError
 from .likelihood import FrequencyPlan
-from .signal_model import (clean_signal, component_waveform, max_offdiag_ratio,
-                           signal_gram, slot_waveforms, time_grid)
+from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
+                           signal_gram, time_grid)
 
 _LAMBDA_FLOOR = 1e-12
 _ORTHOGONALITY_TOL = 0.05
@@ -86,34 +86,6 @@ def residual_means(scenario, eval_frequencies):
     return means, lambdas
 
 
-def _unit_energy(slot, freq, n_samples, phase=0.0):
-    t = time_grid(n_samples)
-    arg = freq * t - phase
-    if slot.phase_envelope is not None:
-        arg = arg + slot.phase_envelope
-    wave = np.cos(arg)
-    if slot.amplitude_envelope is not None:
-        wave = wave * slot.amplitude_envelope
-    return float(np.sum(wave**2))
-
-
-def _xi_pair(slot, freq, band, n_samples, energy):
-    """Effective band-search sizes (xi_c, xi_s) for one slot.
-
-    xi = band width * sqrt(sum_t [t f(t) trig(w t + Psi(t))]^2 / E); the
-    cosine-component xi uses the sine integrand and vice versa.
-    """
-    t = time_grid(n_samples)
-    arg = freq * t
-    if slot.phase_envelope is not None:
-        arg = arg + slot.phase_envelope
-    f = slot.amplitude_envelope if slot.amplitude_envelope is not None else 1.0
-    width = band[1] - band[0]
-    xi_c = width * math.sqrt(float(np.sum((t * f * np.sin(arg)) ** 2)) / energy)
-    xi_s = width * math.sqrt(float(np.sum((t * f * np.cos(arg)) ** 2)) / energy)
-    return xi_c, xi_s
-
-
 def component_dists(scenario, mode="ql", frequencies=None,
                     orthogonality_tol=_ORTHOGONALITY_TOL):
     """Per-index increment laws for the QL (fixed-frequency) or ML approach.
@@ -140,16 +112,21 @@ def component_dists(scenario, mode="ql", frequencies=None,
             f"signals are not orthogonal to tolerance: max cross-energy ratio "
             f"{ratio:.3g} > {orthogonality_tol:g}")
     means, _ = residual_means(scenario, scenario.all_frequencies)
-    slots = scenario.candidate_slots()
-    bands = scenario.bands
-    freqs = scenario.all_frequencies
+    n_samples = scenario.n_samples
+    t = time_grid(n_samples)
     dists = []
-    for i in range(scenario.max_order):
+    for i, slot in enumerate(scenario.candidate_slots()):
         signal_present = i < scenario.nu0
         phase = scenario.components[i].phase if signal_present else 0.0
-        energy = _unit_energy(slots[i], freqs[i], scenario.n_samples, phase)
-        xi_c, xi_s = _xi_pair(slots[i], freqs[i], bands[i],
-                              scenario.n_samples, energy)
+        wave, _ = modulated_pair(slot, slot.frequency, n_samples, phase)
+        energy = float(np.sum(wave**2))
+        # effective band-search sizes: xi = band width *
+        # sqrt(sum_t [t f(t) trig(w t + Psi(t))]^2 / E), where the cosine
+        # component's xi takes the sine integrand and vice versa
+        c, s = modulated_pair(slot, slot.frequency, n_samples)
+        width = slot.band[1] - slot.band[0]
+        xi_c = width * math.sqrt(float(np.sum((t * s) ** 2)) / energy)
+        xi_s = width * math.sqrt(float(np.sum((t * c) ** 2)) / energy)
         if signal_present:
             d_s_sq = 1.0 + means[2 * i] ** 2
             d_c_sq = 1.0 + means[2 * i + 1] ** 2

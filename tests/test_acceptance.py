@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sincount as sc
-from sincount.likelihood import FrequencyPlan
+from sincount.likelihood import FrequencyPlan, _chol_or_degenerate
 
 SNR_GRID = (-4.0, 0.0, 4.0)
 MC_TRIALS = 100000
@@ -40,38 +40,41 @@ def mc_runs(scen):
     return runs
 
 
+def production_plan(vectors):
+    """FrequencyPlan over basis columns A_1..A_n (the rows of `vectors`),
+    factorized by the production Cholesky; unit known noise, so the
+    residuals are L^{-1} x unscaled."""
+    freqs = np.arange(vectors.shape[0], dtype=float)
+    return FrequencyPlan(scenario=sc.standard_scenario(0.0), frequencies=freqs,
+                         basis=vectors.T,
+                         chol=_chol_or_degenerate(vectors @ vectors.T, freqs))
+
+
 def test_criterion_01_gram_schmidt_equivalence():
     rng = np.random.default_rng(101)
 
     def classical(vectors):
         n = vectors.shape[0]
         basis = np.zeros_like(vectors)
-        coeff = np.zeros((n, n))
         for m in range(n):
             acc = vectors[m].copy()
-            row = np.zeros(n)
-            row[m] = 1.0
             for i in range(m):
-                proj = basis[i] @ vectors[m]
-                acc -= proj * basis[i]
-                row -= proj * coeff[i]
-            norm = np.linalg.norm(acc)
-            basis[m] = acc / norm
-            coeff[m] = row / norm
-        return coeff
+                acc -= (basis[i] @ vectors[m]) * basis[i]
+            basis[m] = acc / np.linalg.norm(acc)
+        return basis
 
     start = time.time()
     worst = 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 11))
         vectors = rng.standard_normal((dim, dim + 3))
-        system = sc.GramSystem(gram=vectors @ vectors.T, vectors=vectors)
-        direct = sc.gram_schmidt_noniterative(system)
+        # the whitened unit samples are the orthonormal vectors L^{-1} A
+        direct = production_plan(vectors).residuals_batch(np.eye(dim + 3)).T
         worst = max(worst, float(np.max(np.abs(direct - classical(vectors)))))
     elapsed = time.time() - start
-    verdict(1, "non-iterative Gram-Schmidt matches the iterative form",
+    verdict(1, "Cholesky whitening matches the iterative Gram-Schmidt form",
             worst < 1e-9 and elapsed < 1.0,
-            f"max coefficient deviation {worst:.3g}, {elapsed:.2f}s")
+            f"max orthonormal-vector deviation {worst:.3g}, {elapsed:.2f}s")
 
 
 def test_criterion_02_quadratic_form_telescoping():
@@ -82,8 +85,9 @@ def test_criterion_02_quadratic_form_telescoping():
         dim = int(rng.integers(2, 13))
         vectors = rng.standard_normal((dim, dim + 3))
         cov = vectors @ vectors.T
-        x = rng.standard_normal(dim)
-        increments, _ = sc.quadratic_form_increments(x, cov)
+        samples = rng.standard_normal(dim + 3)
+        x = vectors @ samples
+        increments = production_plan(vectors).residuals_batch(samples)[0] ** 2
         total = x @ np.linalg.solve(cov, x)
         worst = max(worst, abs(np.sum(increments) - total) / abs(total))
     elapsed = time.time() - start

@@ -99,6 +99,15 @@ def test_select_order_wraps_failures(scen_0):
     assert info.value.diagnostics["approach"] == "known"
 
 
+def test_select_order_propagates_programming_errors(scen_0, monkeypatch):
+    def broken(*args):
+        raise TypeError("not a package error")
+
+    monkeypatch.setattr(sc.criteria, "observation_logliks", broken)
+    with pytest.raises(TypeError, match="not a package error"):
+        sc.select_order(sc.Gic(), sc.synthesize(scen_0, 1), sc.KNOWN_FREQ, scen_0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=2,
                 max_size=8))

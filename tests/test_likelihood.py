@@ -27,22 +27,25 @@ def one_tone_scenario(phase=0.0, amplitude=1.0, extra=1):
 
 def test_basis_ordering_sine_before_cosine():
     scen = one_tone_scenario(phase=0.0, extra=0)
-    obs = sc.Observation(samples=clean_signal(scen), seed=0)
-    stats = sc.sufficient_stats(obs, [W13], scen)
+    basis = FrequencyPlan.build(scen, [W13]).basis
+    x_vec = clean_signal(scen) @ basis
     # cos tone: the sine projection (first slot coordinate) vanishes,
     # the cosine projection equals N_s/2
-    assert stats.x_vec[0] == pytest.approx(0.0, abs=1e-9)
-    assert stats.x_vec[1] == pytest.approx(32.0, rel=1e-12)
-    np.testing.assert_allclose(stats.cov, 32.0 * np.eye(2), atol=1e-9)
+    assert x_vec[0] == pytest.approx(0.0, abs=1e-9)
+    assert x_vec[1] == pytest.approx(32.0, rel=1e-12)
+    np.testing.assert_allclose(basis.T @ basis, 32.0 * np.eye(2), atol=1e-9)
 
 
 def test_amp_phase_mle_recovers_parameters():
     scen = one_tone_scenario(phase=1.25, amplitude=1.7, extra=0)
-    obs = sc.Observation(samples=clean_signal(scen), seed=0)
-    stats = sc.sufficient_stats(obs, [W13], scen)
-    _, amps, phases = sc.amp_phase_mle(stats)
+    plan = FrequencyPlan.build(scen, [W13])
+    _, amps, phases = plan.amp_phase(clean_signal(scen))
     assert amps[0] == pytest.approx(1.7, rel=1e-10)
     assert phases[0] == pytest.approx(1.25, abs=1e-10)
+    # a batch of rows gives the same estimates row by row
+    q_batch, amps_batch, _ = plan.amp_phase(np.stack([clean_signal(scen)] * 2))
+    assert q_batch.shape == (2, 2)
+    np.testing.assert_allclose(amps_batch[1], amps, rtol=1e-12)
 
 
 def test_noise_level_mle_formula():
@@ -53,46 +56,43 @@ def test_noise_level_mle_formula():
     assert got == pytest.approx(2 * math.pi * np.sum(x**2) / 64, rel=1e-12)
 
 
-def test_profile_loglik_empty_model():
-    assert sc.profile_loglik(None) == 0.0
-
-
 def test_profile_loglik_noise_scaling(scen_m4):
     obs = sc.synthesize(scen_m4, 9)
     doc = sc.scenario_to_dict(scen_m4)
     doc["noise_level"] = 2.0
     loud = sc.scenario_from_dict(doc)
-    stats_known = sc.sufficient_stats(obs, scen_m4.all_frequencies, loud)
-    l_known = sc.profile_loglik(stats_known)
-    l_free = sc.profile_loglik(stats_known, noise_known=False)
+    free = sc.scenario_from_dict({**doc, "noise_known": False})
+    l_known = FrequencyPlan.build(loud, loud.all_frequencies).logliks_batch(obs.samples)
+    l_free = FrequencyPlan.build(free, free.all_frequencies).logliks_batch(obs.samples)
     # unknown-noise profile drops the 1/sigma0^2 factor
-    assert l_free == pytest.approx(l_known * 4.0, rel=1e-12)
+    np.testing.assert_allclose(l_free, l_known * 4.0, rtol=1e-12)
 
 
 def test_increments_telescope_to_profile(scen_m4):
     obs = sc.synthesize(scen_m4, 17)
-    stats = sc.sufficient_stats(obs, scen_m4.all_frequencies, scen_m4)
-    l, v = sc.loglik_increments(stats)
+    plan = FrequencyPlan.build(scen_m4, scen_m4.all_frequencies)
+    l = plan.residuals_batch(obs.samples)[0]
+    v = plan.increments_batch(obs.samples)[0]
     assert l.shape == (10,)
     np.testing.assert_allclose(v, l[0::2] ** 2 + l[1::2] ** 2, rtol=1e-12)
-    assert 0.5 * np.sum(v) == pytest.approx(sc.profile_loglik(stats),
-                                            rel=1e-9)
     # leading partial sums equal the lower-order profile likelihoods
+    # X^T C^{-1} X / (2 sigma0^2), each solved on its own sub-basis
     for nu in range(1, 6):
-        sub = sc.sufficient_stats(obs, scen_m4.all_frequencies[:nu], scen_m4)
-        assert 0.5 * np.sum(v[:nu]) == pytest.approx(
-            sc.profile_loglik(sub), rel=1e-9)
+        basis = sc.basis_matrix(scen_m4, scen_m4.all_frequencies[:nu])
+        x_vec = basis.T @ obs.samples
+        profile = x_vec @ np.linalg.solve(basis.T @ basis, x_vec) / 2.0
+        assert 0.5 * np.sum(v[:nu]) == pytest.approx(profile, rel=1e-9)
 
 
 def test_frequency_plan_matches_stats_path(scen_m4):
+    # a batch of rows gives the per-observation ladders row by row
     plan = FrequencyPlan.build(scen_m4, scen_m4.all_frequencies)
     rows = np.stack([sc.synthesize(scen_m4, s).samples for s in range(8)])
     batch = plan.logliks_batch(rows)
     for k in range(8):
         obs = sc.Observation(samples=rows[k], seed=k)
-        stats = sc.sufficient_stats(obs, scen_m4.all_frequencies, scen_m4)
-        _, v = sc.loglik_increments(stats)
-        np.testing.assert_allclose(batch[k], 0.5 * np.cumsum(v), rtol=1e-9)
+        lls, _, _ = sc.observation_logliks(obs, scen_m4, sc.KNOWN_FREQ)
+        np.testing.assert_allclose(batch[k], lls, rtol=1e-9)
 
 
 def test_degenerate_frequencies_raise():
@@ -104,16 +104,15 @@ def test_degenerate_frequencies_raise():
                        max_order=2, extra_candidates=(extra,))
     obs = sc.synthesize(scen, 1)
     with pytest.raises(DegenerateStatsError) as info:
-        sc.sufficient_stats(obs, [W13, W13 + 1e-12], scen)
+        FrequencyPlan.build(scen, [W13, W13 + 1e-12])
     assert info.value.pair == (1, 2)
 
 
 def test_out_of_band_frequency_rejected(scen_m4):
-    obs = sc.synthesize(scen_m4, 1)
     freqs = np.array(scen_m4.all_frequencies)
     freqs[2] += 1.0
     with pytest.raises(ValidationError):
-        sc.sufficient_stats(obs, freqs, scen_m4)
+        FrequencyPlan.build(scen_m4, freqs)
 
 
 def test_bl_frequency_rules(scen_m4):
@@ -139,8 +138,8 @@ def test_ml_search_finds_strong_tone():
     assert abs(freqs[0] - W13) < 1e-3
     assert increments[0] > increments[1]
     # found increments are at least the nominal-frequency ones
-    stats = sc.sufficient_stats(obs, scen.all_frequencies, scen)
-    _, v_nominal = sc.loglik_increments(stats)
+    plan = FrequencyPlan.build(scen, scen.all_frequencies)
+    v_nominal = plan.increments_batch(obs.samples)[0]
     assert increments[0] >= v_nominal[0] - 1e-9
 
 
@@ -162,6 +161,16 @@ def test_observation_logliks_known_equals_plan(scen_m4):
     np.testing.assert_allclose(lls, plan.logliks_batch(obs.samples)[0],
                                rtol=1e-12)
     np.testing.assert_allclose(freqs, scen_m4.all_frequencies, rtol=1e-12)
+    # a bare sample row is accepted in place of an Observation
+    np.testing.assert_array_equal(
+        sc.observation_logliks(obs.samples, scen_m4, sc.KNOWN_FREQ)[0], lls)
+
+
+@pytest.mark.parametrize("approach", [sc.KNOWN_FREQ, sc.Ml(grid_points=16)])
+def test_observation_length_mismatch_is_validation_error(scen_m4, approach):
+    short = sc.Observation(samples=np.zeros(scen_m4.n_samples - 1), seed=0)
+    with pytest.raises(ValidationError, match="expected"):
+        sc.observation_logliks(short, scen_m4, approach)
 
 
 @settings(max_examples=30, deadline=None)

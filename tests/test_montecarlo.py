@@ -58,11 +58,24 @@ def test_report_accounting(scen_m4):
     # error probability equals the off-true share of the histogram
     correct_share = rep.histogram[2] / 2000
     assert rep.p_e == pytest.approx(1.0 - correct_share, abs=1e-12)
-    for lo, hi in (rep.p_e_ci, rep.p_e_wilson, rep.p_a_ci, rep.p_a_wilson):
-        assert 0.0 <= lo <= hi <= 1.0
-    lo, hi = rep.p_e_wilson
-    assert lo <= rep.p_e <= hi
+    for p, (lo, hi) in ((rep.p_e, rep.p_e_ci), (rep.p_a, rep.p_a_ci)):
+        assert 0.0 <= lo <= p <= hi <= 1.0
     assert rep.scenario_key == sc.scenario_fingerprint(scen_m4)
+
+
+def test_interval_keeps_width_at_zero_error():
+    # 30 dB: the adaptive penalty makes no error in 2000 trials, and the
+    # Wilson interval still leaves a positive upper bound
+    rep = sc.estimate(sc.standard_scenario(30.0), [sc.PmepIr(0.25)],
+                      sc.KNOWN_FREQ, 2000, 31)[0]
+    assert rep.p_e == 0.0
+    assert rep.p_e_ci[0] == 0.0 and rep.p_e_ci[1] > 1e-4
+    # Wilson (1927) closed form at p = 0: upper bound z^2 / (n + z^2);
+    # mirrored at p = 1
+    z2 = 1.959963984540054**2
+    assert rep.p_e_ci[1] == pytest.approx(z2 / (2000 + z2), rel=1e-12)
+    lo, hi = montecarlo._wilson(1.0, 2000)
+    assert hi == 1.0 and lo == pytest.approx(2000 / (2000 + z2), rel=1e-12)
 
 
 def test_abridged_never_exceeds_full_error(scen_m4):

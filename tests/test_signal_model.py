@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import sincount as sc
 from sincount.errors import ValidationError
-from sincount.signal_model import (clean_signal, component_waveform,
-                                   max_offdiag_ratio, signal_gram)
+from sincount.signal_model import (clean_signal, max_offdiag_ratio,
+                                   modulated_pair, signal_gram)
 
 
 def _tone(amplitude=1.0, frequency=1.0, phase=0.0, n_samples=64):
@@ -79,8 +79,12 @@ def test_component_waveform_phase_sign():
     # s(t) = a * cos(w t - phi) with t = 1..N
     comp = _tone(amplitude=2.0, frequency=1.0, phase=0.5, n_samples=8)
     t = np.arange(1, 9, dtype=float)
-    np.testing.assert_allclose(component_waveform(comp, 8),
-                               2.0 * np.cos(t - 0.5), rtol=1e-12)
+    c, s = modulated_pair(comp, comp.frequency, 8, comp.phase)
+    np.testing.assert_allclose(comp.amplitude * c, 2.0 * np.cos(t - 0.5), rtol=1e-12)
+    np.testing.assert_allclose(s, np.sin(t - 0.5), rtol=1e-12)
+    # an array of frequencies broadcasts to one row per frequency
+    rows, _ = modulated_pair(comp, np.array([1.0, 2.0]), 8)
+    np.testing.assert_allclose(rows, np.cos(np.outer([1.0, 2.0], t)), rtol=1e-12)
 
 
 def test_component_validation_errors():
