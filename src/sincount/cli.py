@@ -146,7 +146,10 @@ def _delta_grid(doc):
 
 
 def _seed(args, doc):
-    return int(args.seed) if args.seed is not None else int(doc.get("master_seed", 0))
+    seed = args.seed if args.seed is not None else doc.get("master_seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"master_seed: must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 def _trials(args, doc, key="trials", default=100000):

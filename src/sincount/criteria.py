@@ -106,7 +106,12 @@ class PmepIr:
 
 @dataclass(frozen=True)
 class PmepI:
-    """Inverse penalty: R(nu) = -L_nu^kappa_i / nu."""
+    """Inverse penalty: minimize -L_nu^kappa_i / nu.
+
+    values() returns ln(nu) - kappa_i*ln(L_nu), an increasing function of
+    -L_nu^kappa_i / nu: it keeps the argmin and every comparison between
+    orders, and it cannot overflow, where L^kappa does for large L.
+    """
 
     kappa_i: float = 3.0
 
@@ -119,7 +124,11 @@ class PmepI:
     def values(self, logliks, params_per_signal=2):
         logliks = np.asarray(logliks, dtype=float)
         nus = np.arange(1, logliks.shape[-1] + 1, dtype=float)
-        return -(logliks**self.kappa_i) / nus
+        with np.errstate(divide="ignore"):
+            log_l = np.log(np.maximum(logliks, 0.0))
+        # L = 0, where -L^kappa/nu = 0 is the largest value, maps to the
+        # largest finite double
+        return np.minimum(np.log(nus) - self.kappa_i * log_l, np.finfo(float).max)
 
 
 CRITERIA = {cls.name: cls for cls in (Aic, Gic, Eef, PmepIr, PmepI)}

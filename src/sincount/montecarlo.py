@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,23 +26,114 @@ _CHUNK = 65536
 _Z95 = 1.959963984540054
 
 
+# numpy's SeedSequence hash at its default pool size of 4, written over
+# 32-bit words held in Python ints or uint64 arrays: every product is of two
+# masked words, so it fits in 64 bits, and the same code hashes one index or
+# an array of them
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+
+
+def _nonneg_int(value, name):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def _words32(n):
+    """Little-endian 32-bit words of a nonnegative int, at least one."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_state(entropy):
+    """SeedSequence(entropy).generate_state(1, np.uint64) for a list of
+    32-bit entropy words, each a Python int or a uint64 array."""
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = (hash_a * _MULT_A) & _MASK32
+        value = (value * hash_a) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        # a uint64 difference wraps modulo 2**64 and a Python int one goes
+        # negative; either way the mask leaves it modulo 2**32
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_b = _INIT_B
+    out = []
+    for word in pool[:2]:
+        value = word ^ hash_b
+        hash_b = (hash_b * _MULT_B) & _MASK32
+        value = (value * hash_b) & _MASK32
+        out.append(value ^ (value >> _XSHIFT))
+    return out[0] | (out[1] << 32)
+
+
+def _trial_keys(master_seed, index):
+    """trial_seed of a Python int index, or of every entry of a uint64 index array."""
+    words = _words32(master_seed)
+    if isinstance(index, int):
+        return _seed_state(words + _words32(index))
+    low, high = index & _MASK32, index >> 32
+    keys = _seed_state(words + [low])
+    wide = high > 0
+    if wide.any():
+        # an index >= 2**32 contributes a second entropy word
+        keys = np.where(wide, _seed_state(words + [low, high]), keys)
+    return keys
+
+
 def trial_seed(master_seed, index):
     """Noise seed of one trial, split from the master seed.
 
-    Uses the seed-sequence hash of (master_seed, index), so any trial can
-    be regenerated in isolation and the assignment does not depend on how
-    trials are batched or scheduled.
+    Equals SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0],
+    so any trial can be regenerated in isolation and the assignment does not
+    depend on how trials are batched or scheduled.
     """
-    ss = np.random.SeedSequence((int(master_seed), int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _trial_keys(_nonneg_int(master_seed, "master_seed"), _nonneg_int(index, "index"))
 
 
 def _noise_rows(scenario, master_seed, start, count):
+    """Clean signal plus scaled noise for trials start..start+count-1.
+
+    One Philox generator serves the whole chunk: before each trial its state
+    is reset to that of a fresh Philox(key=trial_seed(...)) (key [k, 0], zero
+    counter, empty buffer), so every row is bit for bit the row synthesize
+    draws.
+    """
+    keys = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     out = np.empty((count, scenario.n_samples))
-    for k in range(count):
-        key = trial_seed(master_seed, start + k)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        out[k] = rng.standard_normal(scenario.n_samples)
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    key = state["state"]["key"]
+    for row, trial_key in zip(out, keys.tolist()):
+        key[0] = trial_key
+        bit_gen.state = state
+        rng.standard_normal(out=row)
+    out *= scenario.noise_level
+    out += clean_signal(scenario)
     return out
 
 
@@ -50,11 +142,10 @@ def batch_samples(scenario, master_seed, start, count):
 
     Row k equals synthesize(scenario, trial_seed(master_seed, start + k)).
     """
-    s0 = clean_signal(scenario)
+    master_seed = _nonneg_int(master_seed, "master_seed")
     if scenario.noise_level == 0:
-        return np.tile(s0, (count, 1))
-    return s0[None, :] + scenario.noise_level * _noise_rows(
-        scenario, master_seed, start, count)
+        return np.tile(clean_signal(scenario), (count, 1))
+    return _noise_rows(scenario, master_seed, start, count)
 
 
 def collect_logliks(scenario, approach, trials, master_seed):
@@ -64,6 +155,7 @@ def collect_logliks(scenario, approach, trials, master_seed):
     greedy frequency search per trial.  Trials whose statistics degenerate
     (ML only) come back as NaN rows.
     """
+    _nonneg_int(master_seed, "master_seed")
     n_orders = scenario.max_order
     out = np.empty((trials, n_orders))
     if isinstance(approach, Bl):

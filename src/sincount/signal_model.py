@@ -24,7 +24,10 @@ TWO_PI = 2.0 * math.pi
 def _as_envelope(seq, n_samples, name):
     if seq is None:
         return None
-    arr = np.asarray(seq, dtype=float)
+    try:
+        arr = np.asarray(seq, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a sequence of numbers: {exc}") from None
     if arr.ndim != 1 or arr.shape[0] != n_samples:
         raise ValidationError(
             f"{name} must be a 1-d sequence of length {n_samples}, got shape {arr.shape}"
@@ -114,12 +117,12 @@ class Scenario:
     def __post_init__(self):
         comps = tuple(self.components)
         extras = tuple(self.extra_candidates)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "extra_candidates", extras)
         if len(comps) < 1:
             raise ValidationError("scenario needs at least one component")
         if not all(isinstance(c, SinusoidComponent) for c in comps):
             raise ValidationError("components must be SinusoidComponent instances")
+        if not all(isinstance(c, CandidateTemplate) for c in extras):
+            raise ValidationError("extra_candidates must be CandidateTemplate instances")
         if self.noise_level < 0 or not math.isfinite(self.noise_level):
             raise ValidationError(f"noise_level must be >= 0, got {self.noise_level}")
         if self.max_order < len(comps):
@@ -134,12 +137,17 @@ class Scenario:
             raise ValidationError(
                 f"need {self.max_order - len(comps)} extra candidate templates, got {len(extras)}"
             )
-        for obj in comps + extras:
-            for env in (obj.amplitude_envelope, obj.phase_envelope):
-                if env is not None and env.shape[0] != self.n_samples:
-                    raise ValidationError(
-                        f"envelope length {env.shape[0]} != n_samples {self.n_samples}"
-                    )
+        object.__setattr__(self, "components", tuple(self._checked(c) for c in comps))
+        object.__setattr__(self, "extra_candidates", tuple(self._checked(c) for c in extras))
+
+    def _checked(self, slot):
+        """The slot with its envelopes as read-only float arrays of length n_samples."""
+        return replace(
+            slot,
+            amplitude_envelope=_as_envelope(
+                slot.amplitude_envelope, self.n_samples, "amplitude_envelope"),
+            phase_envelope=_as_envelope(slot.phase_envelope, self.n_samples, "phase_envelope"),
+        )
 
     @property
     def nu0(self):
@@ -342,10 +350,8 @@ def scenario_from_dict(doc):
                 frequency=float(c["frequency"]),
                 phase=float(c["phase"]),
                 band=tuple(c["band"]),
-                amplitude_envelope=_as_envelope(
-                    c.get("amplitude_envelope"), int(doc["n_samples"]), "amplitude_envelope"),
-                phase_envelope=_as_envelope(
-                    c.get("phase_envelope"), int(doc["n_samples"]), "phase_envelope"),
+                amplitude_envelope=c.get("amplitude_envelope"),
+                phase_envelope=c.get("phase_envelope"),
             )
             for c in doc["components"]
         )
@@ -353,10 +359,8 @@ def scenario_from_dict(doc):
             CandidateTemplate(
                 frequency=float(c["frequency"]),
                 band=tuple(c["band"]),
-                amplitude_envelope=_as_envelope(
-                    c.get("amplitude_envelope"), int(doc["n_samples"]), "amplitude_envelope"),
-                phase_envelope=_as_envelope(
-                    c.get("phase_envelope"), int(doc["n_samples"]), "phase_envelope"),
+                amplitude_envelope=c.get("amplitude_envelope"),
+                phase_envelope=c.get("phase_envelope"),
             )
             for c in doc.get("extra_candidates", [])
         )

@@ -74,10 +74,16 @@ def residual_means(scenario, eval_frequencies):
     E(l) is the forward Cholesky solve of the clean-signal projections,
     scaled by the noise level; lambda_i = E(l at sine)^2 + E(l at cosine)^2.
     At the true frequencies every lambda_i with i > nu0 vanishes; offsets
-    leak signal energy into the higher indices.
+    leak signal energy into the higher indices.  With unknown noise the
+    Monte Carlo statistic is not whitened, so it follows these laws only at
+    noise level 1; other levels are rejected.
     """
     if scenario.noise_level <= 0:
         raise ValidationError("residual means need a positive noise level")
+    if not scenario.noise_known and scenario.noise_level != 1.0:
+        raise ValidationError(
+            "the theory needs a known noise level (or noise_level 1); "
+            f"got noise_known=False with noise_level {scenario.noise_level}")
     plan = FrequencyPlan.build(scenario, eval_frequencies)
     s0 = clean_signal(scenario)
     means = solve_triangular(plan.chol, plan.basis.T @ s0, lower=True)

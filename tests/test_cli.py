@@ -194,6 +194,35 @@ def test_eef_theory_request_exits_2(config_path, capsys):
     assert "eef" in err
 
 
+def test_theory_unknown_noise_off_unit_level_exits_2(config_path, capsys):
+    doc = dict(BASE_CONFIG)
+    doc["scenario"] = {"standard": {"snr_db": 0.0, "noise_level": 2.0,
+                                    "noise_known": False}}
+    rc, out, err = run(["theory", "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "noise" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "mc"])
+def test_negative_seed_flag_exits_2(command, config_path, capsys):
+    rc, out, err = run([command, "--config", config_path(BASE_CONFIG),
+                        "--seed", "-1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "seed" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "mc"])
+@pytest.mark.parametrize("seed", [2.7, 2.0, -3, "5", True])
+def test_invalid_config_master_seed_exits_2(command, seed, config_path, capsys):
+    doc = dict(BASE_CONFIG, master_seed=seed)
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "master_seed" in err
+
+
 def test_degenerate_scenario_exits_3(config_path, capsys):
     w = 1.25
     doc = dict(BASE_CONFIG)

@@ -44,8 +44,42 @@ def test_pmep_ir_values_use_global_max_increment():
 
 
 def test_pmep_i_values():
+    # ln(nu) - kappa*ln(L_nu): the log of nu / L_nu^kappa, increasing in -L^kappa/nu
     vals = sc.decision_values(sc.PmepI(kappa_i=3.0), LOGLIKS)
-    np.testing.assert_allclose(vals, -LOGLIKS**3 / np.arange(1, 6))
+    np.testing.assert_allclose(vals, np.log(np.arange(1, 6)) - 3.0 * np.log(LOGLIKS))
+    # L = 0 stays finite and above every L > 0
+    zero = sc.decision_values(sc.PmepI(kappa_i=3.0), np.array([0.0, 0.0, 1e-300, 2.0]))
+    assert np.all(np.isfinite(zero))
+    assert zero[0] == zero[1] > zero[2] > zero[3]
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0, 7.5])
+def test_pmep_i_orders_like_inverse_penalty(kappa):
+    # same argmin and the same pairwise comparisons as -L^kappa/nu wherever
+    # that is finite and not tied
+    rng = np.random.default_rng(5)
+    incs = rng.exponential(1.0, size=(4000, 6)) * rng.choice([0.0, 1.0, 30.0], size=(4000, 6))
+    ladders = np.cumsum(incs, axis=1)
+    new = sc.decision_values(sc.PmepI(kappa_i=kappa), ladders)
+    old = -(ladders**kappa) / np.arange(1, 7)
+    np.testing.assert_array_equal(sc.argmin_order(new), sc.argmin_order(old))
+    for i in range(6):
+        for j in range(6):
+            untied = old[:, i] != old[:, j]
+            np.testing.assert_array_equal((new[:, i] < new[:, j])[untied],
+                                          (old[:, i] < old[:, j])[untied])
+
+
+def test_pmep_i_large_loglik_does_not_overflow():
+    # L^120 overflows for L > 370; at 10 dB, L_3 is near 2000
+    scen = sc.standard_scenario(10.0)
+    rep = sc.estimate(scen, [sc.PmepI(120.0)], sc.KNOWN_FREQ, 2000, 7)[0]
+    # oracle: the same rule scaled per trial by L_N^kappa, which is finite here
+    ladders = sc.collect_logliks(scen, sc.KNOWN_FREQ, 2000, 7)
+    scaled = -(ladders / ladders[:, -1:]) ** 120.0 / np.arange(1, 6)
+    expect = np.bincount(sc.argmin_order(scaled), minlength=6)[1:]
+    np.testing.assert_array_equal(rep.histogram, expect)
+    assert rep.histogram[2] > 1000
 
 
 def test_parameter_validation():

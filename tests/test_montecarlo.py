@@ -4,6 +4,7 @@ import pytest
 import sincount as sc
 from sincount import montecarlo
 from sincount.errors import ValidationError
+from sincount.signal_model import clean_signal
 
 
 def test_trial_seed_deterministic_and_distinct():
@@ -13,6 +14,77 @@ def test_trial_seed_deterministic_and_distinct():
     seeds = {sc.trial_seed(7, k) for k in range(1000)}
     assert len(seeds) == 1000
     assert sc.trial_seed(8, 0) != sc.trial_seed(7, 0)
+
+
+def _seed_sequence_key(master_seed, index):
+    """Oracle: numpy's SeedSequence hash, one trial at a time."""
+    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
+
+
+# master seeds of one, two and three 32-bit words
+MASTER_SEEDS = (7, 2**32 + 5, 2**64 + 2**33 + 9)
+INDICES = list(range(3000)) + [2**31, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+def test_trial_keys_match_seed_sequence(master_seed):
+    expect = [_seed_sequence_key(master_seed, i) for i in INDICES]
+    keys = montecarlo._trial_keys(master_seed, np.array(INDICES, dtype=np.uint64))
+    assert keys.dtype == np.uint64
+    assert [int(k) for k in keys] == expect
+    assert [sc.trial_seed(master_seed, i) for i in INDICES[::97] + INDICES[-4:]] == \
+        [_seed_sequence_key(master_seed, i) for i in INDICES[::97] + INDICES[-4:]]
+
+
+def test_batch_samples_straddle_two_to_the_32(scen_m4):
+    # the index of the fourth row gains a second entropy word
+    start = 2**32 - 3
+    rows = sc.batch_samples(scen_m4, master_seed=11, start=start, count=6)
+    for k in range(6):
+        single = sc.synthesize(scen_m4, sc.trial_seed(11, start + k))
+        np.testing.assert_array_equal(rows[k], single.samples)
+
+
+def _reference_samples(scenario, master_seed, trials):
+    """One fresh Generator(Philox(key=...)) per trial."""
+    s0 = clean_signal(scenario)
+    rows = []
+    for k in range(trials):
+        rng = np.random.Generator(np.random.Philox(key=_seed_sequence_key(master_seed, k)))
+        rows.append(s0 + scenario.noise_level * rng.standard_normal(scenario.n_samples))
+    return np.array(rows)
+
+
+def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 128)
+    samples = _reference_samples(scen_m4, 17, 300)
+    plan = sc.FrequencyPlan.build(scen_m4, scen_m4.all_frequencies)
+    np.testing.assert_array_equal(sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 17),
+                                  plan.logliks_batch(samples))
+    approach = sc.Ml(grid_points=128)
+    expect = np.array([sc.observation_logliks(row, scen_m4, approach)[0]
+                       for row in samples[:12]])
+    np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 12, 17), expect)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 3.0, "4", True, None])
+def test_master_seed_must_be_nonnegative_integer(scen_m4, seed):
+    with pytest.raises(ValidationError):
+        sc.batch_samples(scen_m4, seed, 0, 4)
+    with pytest.raises(ValidationError):
+        sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 10, seed)
+    with pytest.raises(ValidationError):
+        sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 100, seed)
+    with pytest.raises(ValidationError):
+        sc.trial_seed(seed, 0)
+    with pytest.raises(ValidationError):
+        sc.trial_seed(0, seed)
+
+
+def test_numpy_integer_master_seed(scen_m4):
+    np.testing.assert_array_equal(sc.batch_samples(scen_m4, np.uint32(5), 0, 3),
+                                  sc.batch_samples(scen_m4, 5, 0, 3))
+    assert sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 100, np.int64(5))[0].master_seed == 5
 
 
 def test_batch_samples_match_single_draws(scen_m4):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,34 @@ def test_scenario_validation_errors():
         # missing extra candidate templates for orders above nu0
         sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
                     max_order=2)
+
+
+def test_scenario_validates_envelopes():
+    comp = dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 64)
+    scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
+                       max_order=1)
+    env = scen.components[0].amplitude_envelope
+    assert isinstance(env, np.ndarray) and env.dtype == float
+    assert not env.flags.writeable
+    bad = (
+        # a list of the wrong length
+        (dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 63), 64),
+        # 2-d with its first axis equal to n_samples
+        (dataclasses.replace(_tone(n_samples=2), phase_envelope=np.zeros((2, 8))), 2),
+        (dataclasses.replace(_tone(n_samples=64), phase_envelope=["a"] * 64), 64),
+    )
+    for comp, n_samples in bad:
+        with pytest.raises(ValidationError):
+            sc.Scenario(components=(comp,), noise_level=1.0, n_samples=n_samples,
+                        max_order=1)
+    extra = sc.CandidateTemplate(frequency=1.2, band=(1.1, 1.3),
+                                 amplitude_envelope=[1.0] * 10)
+    with pytest.raises(ValidationError):
+        sc.Scenario(components=(_tone(n_samples=64),), noise_level=1.0,
+                    n_samples=64, max_order=2, extra_candidates=(extra,))
+    with pytest.raises(ValidationError):
+        sc.Scenario(components=(_tone(n_samples=64),), noise_level=1.0,
+                    n_samples=64, max_order=2, extra_candidates=(_tone(1.0, 1.2),))
 
 
 def test_signal_gram_near_orthogonal(scen_m4):

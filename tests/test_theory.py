@@ -50,6 +50,20 @@ def test_residual_means_requires_noise(scen_m4):
         sc.residual_means(quiet, quiet.all_frequencies)
 
 
+def test_residual_means_rejects_unknown_noise_off_unit_level():
+    # unknown noise: the Monte Carlo statistic is not whitened, so it follows
+    # the theory's laws only at noise level 1
+    scen = sc.standard_scenario(0.0, noise_level=2.0, noise_known=False)
+    with pytest.raises(ValidationError):
+        sc.residual_means(scen, scen.all_frequencies)
+    with pytest.raises(ValidationError):
+        sc.component_dists(scen)
+    unit = sc.standard_scenario(0.0, noise_known=False)
+    known = sc.standard_scenario(0.0)
+    np.testing.assert_array_equal(sc.residual_means(unit, unit.all_frequencies)[1],
+                                  sc.residual_means(known, known.all_frequencies)[1])
+
+
 def test_component_dists_ql_defaults(scen_m4, dists_m4):
     assert dists_m4.mode == "ql"
     assert dists_m4.nu0 == 3
