@@ -11,13 +11,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import numbers
 import sys
 
 import numpy as np
 
 from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
-from .errors import SincountError, ValidationError
+from .errors import SincountError, ValidationError, nonneg_int
 from .likelihood import Bl, Ml, approach_frequencies
 from .signal_model import (scenario_from_dict, standard_scenario, synthesize,
                            with_snr_db)
@@ -42,6 +44,22 @@ def load_config(path):
     return doc
 
 
+def _number(value, key, integer=False):
+    """A numeric config field: a finite number as a float, or with integer
+    a nonnegative int; anything else is a ValidationError naming the key."""
+    if integer:
+        return nonneg_int(value, key)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, key):
+    if not isinstance(values, list) or not values:
+        raise ValidationError(f"{key} must be a nonempty list of numbers, got {values!r}")
+    return [_number(v, f"{key}[{j}]") for j, v in enumerate(values)]
+
+
 def build_scenario(doc):
     try:
         node = doc["scenario"]
@@ -49,10 +67,9 @@ def build_scenario(doc):
         raise ValidationError("scenario: required") from None
     if "standard" in node:
         std = dict(node["standard"])
-        try:
-            snr = float(std.pop("snr_db"))
-        except KeyError:
-            raise ValidationError("scenario.standard.snr_db: required") from None
+        if "snr_db" not in std:
+            raise ValidationError("scenario.standard.snr_db: required")
+        snr = _number(std.pop("snr_db"), "scenario.standard.snr_db")
         try:
             return standard_scenario(snr, **std)
         except TypeError as exc:
@@ -84,19 +101,29 @@ def build_criteria(doc):
     return specs
 
 
+_APPROACH_KEYS = {"known": set(), "bl": {"delta_omega", "frequencies"},
+                  "ml": {"grid_points", "refine_tol"}}
+
+
 def build_approach(doc):
     node = doc.get("approach", {"kind": "known"})
     kind = node.get("kind", "known")
+    if kind not in _APPROACH_KEYS:
+        raise ValidationError(f"approach.kind: unknown kind {kind!r}")
+    unread = set(node) - _APPROACH_KEYS[kind] - {"kind"}
+    if kind == "bl" and "frequencies" in node:
+        # explicit frequencies replace the offset rule
+        unread |= {"delta_omega"} & set(node)
+    if unread:
+        raise ValidationError(f"approach: kind {kind!r} does not read {sorted(unread)}")
     if kind == "known":
         return Bl(0.0)
     if kind == "bl":
         if "frequencies" in node:
-            return Bl(frequencies=tuple(float(f) for f in node["frequencies"]))
-        return Bl(delta_omega=float(node.get("delta_omega", 0.0)))
-    if kind == "ml":
-        return Ml(grid_points=int(node.get("grid_points", 256)),
-                  refine_tol=float(node.get("refine_tol", 1e-6)))
-    raise ValidationError(f"approach.kind: unknown kind {kind!r}")
+            return Bl(frequencies=tuple(_numbers(node["frequencies"], "approach.frequencies")))
+        return Bl(delta_omega=_number(node.get("delta_omega", 0.0), "approach.delta_omega"))
+    return Ml(grid_points=_number(node.get("grid_points", 256), "approach.grid_points", integer=True),
+              refine_tol=_number(node.get("refine_tol", 1e-6), "approach.refine_tol"))
 
 
 def _fmt(value):
@@ -131,31 +158,33 @@ def write_table(out, fmt, command, sha, seed, columns, rows):
 
 def _snr_grid(args, doc):
     if args.snr_db:
-        return [float(v) for v in args.snr_db.split(",")]
+        try:
+            grid = [float(v) for v in args.snr_db.split(",")]
+        except ValueError:
+            raise ValidationError(
+                f"--snr-db must be comma-separated numbers, got {args.snr_db!r}") from None
+        return _numbers(grid, "--snr-db")
     grid = doc.get("snr_grid_db")
     if not grid:
         raise ValidationError("snr_grid_db: required (or pass --snr-db)")
-    return [float(v) for v in grid]
+    return _numbers(grid, "snr_grid_db")
 
 
 def _delta_grid(doc):
     grid = doc.get("delta_omega_grid")
     if not grid:
         raise ValidationError("delta_omega_grid: required")
-    return [float(v) for v in grid]
+    return _numbers(grid, "delta_omega_grid")
 
 
 def _seed(args, doc):
     seed = args.seed if args.seed is not None else doc.get("master_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"master_seed: must be a nonnegative integer, got {seed!r}")
-    return seed
+    return _number(seed, "master_seed", integer=True)
 
 
-def _trials(args, doc, key="trials", default=100000):
-    if args.trials is not None:
-        return int(args.trials)
-    return int(doc.get(key, default))
+def _trials(args, doc, default=100000):
+    trials = args.trials if args.trials is not None else doc.get("trials", default)
+    return _number(trials, "trials", integer=True)
 
 
 def cmd_synth(args, doc, sha):
@@ -219,15 +248,21 @@ def cmd_tune(args, doc, sha):
     if "family" not in node:
         raise ValidationError("tune.family: required")
     seed = _seed(args, doc)
+    search_range = None
+    if "range" in node:
+        search_range = tuple(_numbers(node["range"], "tune.range"))
+        if len(search_range) != 2:
+            raise ValidationError(f"tune.range must be [lo, hi], got {node['range']!r}")
     result = tuner.tune(
         node["family"],
         scenario,
         objective=node.get("objective", "abridged_theory"),
-        search_range=tuple(node["range"]) if "range" in node else None,
-        grid_points=int(node.get("grid_points", 32)),
+        search_range=search_range,
+        grid_points=_number(node.get("grid_points", 32), "tune.grid_points", integer=True),
         refine=bool(node.get("refine", True)),
         trials=_trials(args, doc),
         master_seed=seed,
+        approach=build_approach(doc),
     )
     columns = ("family", "kappa_opt", "objective", "objective_value",
                "consistency_ok", "flat")
@@ -261,7 +296,7 @@ def cmd_bl_interval(args, doc, sha):
     seed = _seed(args, doc)
     grid = _delta_grid(doc)
     trials = _trials(args, doc, default=20000)
-    ml_trials = int(doc.get("ml_trials", 2000))
+    ml_trials = _number(doc.get("ml_trials", 2000), "ml_trials", integer=True)
     approach = build_approach(doc) if "approach" in doc else Ml()
     if not isinstance(approach, Ml):
         raise ValidationError(
@@ -281,9 +316,9 @@ def cmd_bl_interval(args, doc, sha):
 def cmd_consistency(args, doc, sha):
     node = doc.get("consistency", {})
     if "d_n_sq" in node:
-        d_n_sq = np.asarray(node["d_n_sq"], dtype=float)
+        d_n_sq = np.asarray(_numbers(node["d_n_sq"], "consistency.d_n_sq"))
         nu0 = len(d_n_sq)
-        n_total = int(node.get("n_total", nu0))
+        n_total = _number(node.get("n_total", nu0), "consistency.n_total", integer=True)
     else:
         scenario = build_scenario(doc)
         _, lambdas = theory.residual_means(scenario, scenario.all_frequencies)

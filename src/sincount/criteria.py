@@ -8,7 +8,7 @@ is not part of the decision grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,24 +20,6 @@ def _resolve_kappa(kappa, params_per_signal):
     if kappa is not None:
         return float(kappa)
     return float(params_per_signal)
-
-
-@dataclass(frozen=True)
-class Aic:
-    """R(nu) = -L_nu + 2*kappa*nu with kappa = free parameters per signal."""
-
-    kappa: float | None = None
-
-    name = "aic"
-
-    def threshold(self, params_per_signal=2):
-        """Increment threshold 4*kappa of the abridged event (GIC at upsilon 2)."""
-        return 4.0 * _resolve_kappa(self.kappa, params_per_signal)
-
-    def values(self, logliks, params_per_signal=2):
-        logliks = np.asarray(logliks, dtype=float)
-        nus = np.arange(1, logliks.shape[-1] + 1, dtype=float)
-        return -logliks + 2.0 * _resolve_kappa(self.kappa, params_per_signal) * nus
 
 
 @dataclass(frozen=True)
@@ -62,6 +44,15 @@ class Gic:
         nus = np.arange(1, logliks.shape[-1] + 1, dtype=float)
         weight = self.upsilon * _resolve_kappa(self.kappa, params_per_signal)
         return -logliks + weight * nus
+
+
+@dataclass(frozen=True)
+class Aic(Gic):
+    """AIC: the GIC at upsilon = 2, R(nu) = -L_nu + 2*kappa*nu."""
+
+    upsilon: float = field(default=2.0, init=False)
+
+    name = "aic"
 
 
 @dataclass(frozen=True)

@@ -245,42 +245,23 @@ _HALF_NODES, _HALF_WEIGHTS = _panel_nodes(16, 2)
 @dataclass(frozen=True)
 class Quadrature:
     """An integral with its achieved error estimate and the number of
-    integrand points evaluated; unpacks as (value, error)."""
+    integrand points evaluated."""
 
     value: float
     error: float
     evaluations: int
 
-    def __iter__(self):
-        return iter((self.value, self.error))
 
+def integrate_semiinfinite(f, support_hint, tol):
+    """Integral of f over [0, inf) for an integrand negligible beyond
+    support_hint (e.g. a Dist support), as a Quadrature.
 
-def integrate_semiinfinite(f, tol=1e-8, support_hint=None, return_error=False):
-    """Integral of f over [0, inf) for integrands that die beyond a finite point.
-
-    The truncation point comes from support_hint when the caller knows it
-    (e.g. a Dist support), otherwise from doubling probes; the finite integral
-    uses panelled Gauss-Legendre quadrature with local refinement.  With
-    return_error the result is a Quadrature, which unpacks as
-    (value, error estimate).
+    The integral over [0, support_hint] uses panelled Gauss-Legendre
+    quadrature with local refinement.
     """
-    evaluations = 0
-    if support_hint is not None and support_hint > 0:
-        t = float(support_hint)
-    else:
-        t = 16.0
-        probe_nodes, probe_wts = _panel_nodes(16, 1)
-        while t < 1e12:
-            ys = t + t * probe_nodes
-            segment = float(np.sum(np.abs(f(ys)) * probe_wts) * t)
-            evaluations += ys.size + 1
-            if segment < tol / 100.0 and abs(float(np.max(np.abs(f(np.array([t], dtype=float)))))) < tol:
-                break
-            t *= 2.0
-    result = _quad_truncated(f, 0.0, t, tol)
-    if return_error:
-        return Quadrature(result.value, result.error, result.evaluations + evaluations)
-    return result.value
+    if not support_hint > 0:
+        raise ValidationError(f"support_hint must be positive, got {support_hint}")
+    return _quad_truncated(f, 0.0, float(support_hint), tol)
 
 
 def _quad_truncated(f, lo, hi, tol):

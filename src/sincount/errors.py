@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises them."""
+
+import numbers
 
 
 class SincountError(Exception):
@@ -24,6 +27,14 @@ class QuadratureError(SincountError):
         super().__init__(message)
         self.estimate = estimate
         self.achieved_error = achieved_error
+
+
+def nonneg_int(value, name):
+    """value as an int; a ValidationError naming it unless it is a
+    nonnegative integer (bool and integral floats are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 class ModelViolationError(SincountError):

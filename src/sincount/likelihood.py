@@ -27,7 +27,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg import cholesky as _cholesky
 from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateStatsError, ValidationError
+from .errors import DegenerateStatsError, ValidationError, nonneg_int
 from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
@@ -256,6 +256,12 @@ class Ml:
 
     grid_points: int = 256
     refine_tol: float = 1e-6
+
+    def __post_init__(self):
+        if nonneg_int(self.grid_points, "grid_points") < 2:
+            raise ValidationError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
+            raise ValidationError(f"refine_tol must be finite and > 0, got {self.refine_tol}")
 
     @property
     def label(self):

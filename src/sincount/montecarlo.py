@@ -11,14 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import binomtest
 
 from .criteria import argmin_order, decision_values
-from .errors import DegenerateStatsError, ValidationError
+from .errors import DegenerateStatsError, ValidationError, nonneg_int
 from .likelihood import Bl, Ml, FrequencyPlan, approach_frequencies, observation_logliks
 from .signal_model import clean_signal, scenario_to_dict
 
@@ -36,12 +35,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
-
-
-def _nonneg_int(value, name):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
 
 
 def _words32(n):
@@ -111,7 +104,7 @@ def trial_seed(master_seed, index):
     so any trial can be regenerated in isolation and the assignment does not
     depend on how trials are batched or scheduled.
     """
-    return _trial_keys(_nonneg_int(master_seed, "master_seed"), _nonneg_int(index, "index"))
+    return _trial_keys(nonneg_int(master_seed, "master_seed"), nonneg_int(index, "index"))
 
 
 def _noise_rows(scenario, master_seed, start, count):
@@ -142,7 +135,8 @@ def batch_samples(scenario, master_seed, start, count):
 
     Row k equals synthesize(scenario, trial_seed(master_seed, start + k)).
     """
-    master_seed = _nonneg_int(master_seed, "master_seed")
+    master_seed = nonneg_int(master_seed, "master_seed")
+    start, count = nonneg_int(start, "start"), nonneg_int(count, "count")
     if scenario.noise_level == 0:
         return np.tile(clean_signal(scenario), (count, 1))
     return _noise_rows(scenario, master_seed, start, count)
@@ -155,7 +149,7 @@ def collect_logliks(scenario, approach, trials, master_seed):
     greedy frequency search per trial.  Trials whose statistics degenerate
     (ML only) come back as NaN rows.
     """
-    _nonneg_int(master_seed, "master_seed")
+    nonneg_int(master_seed, "master_seed")
     n_orders = scenario.max_order
     out = np.empty((trials, n_orders))
     if isinstance(approach, Bl):

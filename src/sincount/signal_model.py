@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, nonneg_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,6 +125,8 @@ class Scenario:
             raise ValidationError("extra_candidates must be CandidateTemplate instances")
         if self.noise_level < 0 or not math.isfinite(self.noise_level):
             raise ValidationError(f"noise_level must be >= 0, got {self.noise_level}")
+        nonneg_int(self.n_samples, "n_samples")
+        nonneg_int(self.max_order, "max_order")
         if self.max_order < len(comps):
             raise ValidationError(
                 f"max_order {self.max_order} below component count {len(comps)}"
@@ -218,13 +220,12 @@ def synthesize(scenario, seed):
     The generator is counter-based (Philox keyed by the seed), so draws are
     reproducible and independent across seeds regardless of evaluation order.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    seed = nonneg_int(seed, "seed")
     samples = clean_signal(scenario)
     if scenario.noise_level > 0:
         rng = np.random.Generator(np.random.Philox(key=seed))
         samples = samples + scenario.noise_level * rng.standard_normal(scenario.n_samples)
-    return Observation(samples=samples, seed=int(seed))
+    return Observation(samples=samples, seed=seed)
 
 
 def snr_db(component, noise_level):
@@ -364,13 +365,13 @@ def scenario_from_dict(doc):
             )
             for c in doc.get("extra_candidates", [])
         )
+        return Scenario(
+            components=comps,
+            noise_level=float(doc["noise_level"]),
+            n_samples=doc["n_samples"],
+            max_order=doc["max_order"],
+            noise_known=bool(doc.get("noise_known", True)),
+            extra_candidates=extras,
+        )
     except KeyError as exc:
         raise ValidationError(f"scenario document missing field {exc}") from exc
-    return Scenario(
-        components=comps,
-        noise_level=float(doc["noise_level"]),
-        n_samples=int(doc["n_samples"]),
-        max_order=int(doc["max_order"]),
-        noise_known=bool(doc.get("noise_known", True)),
-        extra_candidates=extras,
-    )

@@ -18,8 +18,8 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .criteria import Aic, Eef, Gic, PmepI, PmepIr
-from .distributions import (convolve_cdfs, integrate_semiinfinite,
+from .criteria import Eef, Gic, PmepI, PmepIr
+from .distributions import (Quadrature, convolve_cdfs, integrate_semiinfinite,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from .errors import ModelViolationError, QuadratureError, ValidationError
 from .likelihood import FrequencyPlan
@@ -29,6 +29,7 @@ from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
 _LAMBDA_FLOOR = 1e-12
 _ORTHOGONALITY_TOL = 0.05
 _PA_ERROR_TOL = 1e-6
+_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,10 @@ class ComponentDistSet:
     lambdas: np.ndarray | None
     mode: str
     nu0: int
+
+    def __post_init__(self):
+        if not 1 <= self.nu0 <= self.n:
+            raise ValidationError(f"nu0 {self.nu0} outside 1..{self.n}")
 
     @property
     def n(self):
@@ -92,8 +97,7 @@ def residual_means(scenario, eval_frequencies):
     return means, lambdas
 
 
-def component_dists(scenario, mode="ql", frequencies=None,
-                    orthogonality_tol=_ORTHOGONALITY_TOL):
+def component_dists(scenario, mode="ql", frequencies=None):
     """Per-index increment laws for the QL (fixed-frequency) or ML approach.
 
     QL: V_i is noncentral chi-square with 2 dof and noncentrality from
@@ -113,10 +117,10 @@ def component_dists(scenario, mode="ql", frequencies=None,
         raise ValidationError(f"unknown mode {mode!r}")
     gram = signal_gram(scenario.components, scenario.n_samples)
     ratio = max_offdiag_ratio(gram)
-    if ratio > orthogonality_tol:
+    if ratio > _ORTHOGONALITY_TOL:
         raise ModelViolationError(
             f"signals are not orthogonal to tolerance: max cross-energy ratio "
-            f"{ratio:.3g} > {orthogonality_tol:g}")
+            f"{ratio:.3g} > {_ORTHOGONALITY_TOL:g}")
     means, _ = residual_means(scenario, scenario.all_frequencies)
     n_samples = scenario.n_samples
     t = time_grid(n_samples)
@@ -145,32 +149,37 @@ def component_dists(scenario, mode="ql", frequencies=None,
                             nu0=scenario.nu0)
 
 
-def _check_nu0(dist_set, nu0):
-    nu0 = dist_set.nu0 if nu0 is None else int(nu0)
-    if not 1 <= nu0 <= dist_set.n:
-        raise ValidationError(f"nu0 {nu0} outside 1..{dist_set.n}")
-    return nu0
+def _comparisons(dist_set):
+    """Which neighbour comparisons the abridged event makes: with order
+    nu0 - 1 when nu0 >= 2 and with order nu0 + 1 when nu0 < N.  Monte Carlo
+    applies the same rule; with neither, p_a = 0."""
+    return dist_set.nu0 >= 2, dist_set.nu0 < dist_set.n
 
 
-def abridged_gic(dist_set, threshold, nu0=None):
+def _report(criterion, dist_set, p_a, quads=()):
+    """AbridgedReport with p_a clamped to [0, 1] and the error estimates and
+    integrand points summed over the formula's quadratures."""
+    return AbridgedReport(p_a=min(max(p_a, 0.0), 1.0), criterion=criterion,
+                          mode=dist_set.mode, error=sum((q.error for q in quads), 0.0),
+                          evaluations=sum(q.evaluations for q in quads))
+
+
+def abridged_gic(dist_set, threshold):
     """Abridged error of a fixed-threshold (GIC-family) rule.
 
-    Interior orders: p_a = 1 - F_up(T) + F_up(T) F_lo(T) with T = 2*upsilon*kappa,
-    F_lo/F_up the laws of V_nu0 and V_nu0+1.  At the boundary orders the
-    missing neighbor comparison drops out.
+    p_a = 1 - P(V_nu0 > T) P(V_nu0+1 <= T) with T = 2*upsilon*kappa; the
+    factor of an absent comparison is 1.
     """
-    nu0 = _check_nu0(dist_set, nu0)
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
+    under, over = _comparisons(dist_set)
+    nu0, dists = dist_set.nu0, dist_set.dists
     t_arr = np.array([float(threshold)])
-    f_lo = float(dist_set.dists[nu0 - 1].cdf(t_arr)[0])
-    if nu0 == dist_set.n:
-        p_a = f_lo
-    else:
-        f_up = float(dist_set.dists[nu0].cdf(t_arr)[0])
-        p_a = 1.0 - f_up if nu0 == 1 else 1.0 - f_up + f_up * f_lo
-    return AbridgedReport(p_a=min(max(p_a, 0.0), 1.0), criterion="gic",
-                          mode=dist_set.mode, error=0.0)
+    under_fails = float(dists[nu0 - 1].cdf(t_arr)[0]) if under else 0.0
+    over_holds = float(dists[nu0].cdf(t_arr)[0]) if over else 1.0
+    # 1 - (1 - under_fails) * over_holds, expanded so that an absent factor
+    # drops out exactly
+    return _report("gic", dist_set, 1.0 - over_holds + over_holds * under_fails)
 
 
 def _cdf_product(dists, indices):
@@ -183,42 +192,26 @@ def _cdf_product(dists, indices):
     return in_scale
 
 
-def abridged_pmep_ir(dist_set, kappa_ir, nu0=None):
+def abridged_pmep_ir(dist_set, kappa_ir):
     """Abridged error of the invariant-random-penalty rule.
 
     The correct-selection event is {V_nu0 > kappa * max_i V_i >= V_nu0+1};
     conditioning on the argmax position gives two semi-infinite integrals
     over the laws of V_nu0 and V_nu0+1 with the product CDF of the others.
+    With one comparison only the single integral
+    J(k) = int W_k(x) prod_{i != k} F_i(x/kappa) dx, the probability of
+    V_k > kappa max_{i != k} V_i, remains: p_a = J(2) at nu0 = 1 and
+    1 - J(nu0) at nu0 = N.
     """
-    nu0 = _check_nu0(dist_set, nu0)
     if not 0 < kappa_ir <= 1:
         raise ValidationError(f"kappa_ir must be in (0, 1], got {kappa_ir}")
-    dists = dist_set.dists
+    under, over = _comparisons(dist_set)
+    if not (under or over):
+        return _report("pmep-ir", dist_set, 0.0)
+    nu0, dists = dist_set.nu0, dist_set.dists
     kap = float(kappa_ir)
     hint = max(d.support_hint for d in dists) / min(kap, 1.0)
-    tol = 1e-9
-
-    if nu0 == dist_set.n:
-        others = _cdf_product(dists, [i for i in range(dist_set.n) if i != nu0 - 1])
-        w_lo = dists[nu0 - 1].pdf
-
-        def integrand(x):
-            return w_lo(x) * others(x / kap)
-
-        quads = [integrate_semiinfinite(integrand, tol=tol, support_hint=hint,
-                                        return_error=True)]
-        p_a = 1.0 - quads[0].value
-    elif nu0 == 1:
-        others = _cdf_product(dists, [i for i in range(dist_set.n) if i != nu0])
-        w_up = dists[nu0].pdf
-
-        def integrand(y):
-            return w_up(y) * others(y / kap)
-
-        quads = [integrate_semiinfinite(integrand, tol=tol, support_hint=hint,
-                                        return_error=True)]
-        p_a = quads[0].value
-    else:
+    if under and over:
         rest = [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)]
         f_max = _cdf_product(dists, rest)
         w_lo, f_lo = dists[nu0 - 1].pdf, dists[nu0 - 1].cdf
@@ -230,13 +223,18 @@ def abridged_pmep_ir(dist_set, kappa_ir, nu0=None):
         def integrand2(x):
             return w_up(x) * f_max(x / kap) * (f_lo(x / kap) - f_lo(x))
 
-        quads = [integrate_semiinfinite(f, tol=tol, support_hint=hint,
-                                        return_error=True)
+        quads = [integrate_semiinfinite(f, hint, _QUAD_TOL)
                  for f in (integrand1, integrand2)]
-        p_a = 1.0 - quads[0].value + quads[1].value
-    return AbridgedReport(p_a=min(max(p_a, 0.0), 1.0), criterion="pmep-ir",
-                          mode=dist_set.mode, error=sum(q.error for q in quads),
-                          evaluations=sum(q.evaluations for q in quads))
+        return _report("pmep-ir", dist_set, 1.0 - quads[0].value + quads[1].value, quads)
+    k = nu0 - 1 if under else nu0
+    w_k = dists[k].pdf
+    others = _cdf_product(dists, [i for i in range(dist_set.n) if i != k])
+
+    def integrand(x):
+        return w_k(x) * others(x / kap)
+
+    quad = integrate_semiinfinite(integrand, hint, _QUAD_TOL)
+    return _report("pmep-ir", dist_set, 1.0 - quad.value if under else quad.value, [quad])
 
 
 def _lower_sum_dist(dist_set, nu0):
@@ -283,71 +281,54 @@ def _pmep_i_interior(w_up, w_lo, f_sum, a_coef, b_coef, t_up, t_lo):
         estimate=fine, achieved_error=err)
 
 
-def abridged_pmep_i(dist_set, kappa_i, nu0=None):
+def abridged_pmep_i(dist_set, kappa_i):
     """Abridged error of the inverse-penalty rule.
 
     With A = (nu0/(nu0-1))^(1/kappa) - 1 and B = ((nu0+1)/nu0)^(1/kappa) - 1,
     correct selection is {V_nu0+1/B - V_nu0 <= S < V_nu0/A} for the lower
-    partial sum S; boundary orders reduce to single comparisons.
+    partial sum S.  With one comparison p_a = 1 - int W_nu0(x) G(x) dx, with
+    G(x) = F_nu0+1(Bx) at nu0 = 1 (S = 0) and G(x) = F_S(x/A) at nu0 = N.
     """
-    nu0 = _check_nu0(dist_set, nu0)
     if not kappa_i > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
-    dists = dist_set.dists
+    under, over = _comparisons(dist_set)
+    if not (under or over):
+        return _report("pmep-i", dist_set, 0.0)
+    nu0, dists = dist_set.nu0, dist_set.dists
     kap = float(kappa_i)
-    tol = 1e-9
-    if nu0 == 1:
-        b_coef = 2.0 ** (1.0 / kap) - 1.0
-        w_lo = dists[0].pdf
-        f_up = dists[1].cdf
-
-        def integrand(x):
-            return w_lo(x) * f_up(b_coef * x)
-
-        quad = integrate_semiinfinite(integrand, tol=tol,
-                                      support_hint=dists[0].support_hint,
-                                      return_error=True)
-        return AbridgedReport(p_a=min(max(1.0 - quad.value, 0.0), 1.0),
-                              criterion="pmep-i", mode=dist_set.mode,
-                              error=quad.error, evaluations=quad.evaluations)
-    a_coef = (nu0 / (nu0 - 1.0)) ** (1.0 / kap) - 1.0
-    f_sum = _lower_sum_dist(dist_set, nu0)
     w_lo = dists[nu0 - 1].pdf
-    if nu0 == dist_set.n:
-
-        def integrand(x):
-            return w_lo(x) * f_sum.cdf(x / a_coef)
-
-        quad = integrate_semiinfinite(
-            integrand, tol=tol,
-            support_hint=max(dists[nu0 - 1].support_hint,
-                             f_sum.support_hint * a_coef),
-            return_error=True)
-        return AbridgedReport(p_a=min(max(1.0 - quad.value, 0.0), 1.0),
-                              criterion="pmep-i", mode=dist_set.mode,
-                              error=quad.error, evaluations=quad.evaluations)
     b_coef = ((nu0 + 1.0) / nu0) ** (1.0 / kap) - 1.0
-    t_up = dists[nu0].support_hint
-    t_lo = dists[nu0 - 1].support_hint + f_sum.support_hint * a_coef
-    val, err, evaluations = _pmep_i_interior(dists[nu0].pdf, w_lo, f_sum.cdf,
-                                             a_coef, b_coef, t_up, t_lo)
-    return AbridgedReport(p_a=min(max(1.0 - val, 0.0), 1.0),
-                          criterion="pmep-i", mode=dist_set.mode,
-                          error=float(err), evaluations=evaluations)
+    if under:
+        a_coef = (nu0 / (nu0 - 1.0)) ** (1.0 / kap) - 1.0
+        f_sum = _lower_sum_dist(dist_set, nu0)
+    if under and over:
+        t_up = dists[nu0].support_hint
+        t_lo = dists[nu0 - 1].support_hint + f_sum.support_hint * a_coef
+        quad = Quadrature(*_pmep_i_interior(dists[nu0].pdf, w_lo, f_sum.cdf,
+                                            a_coef, b_coef, t_up, t_lo))
+    elif under:
+        quad = integrate_semiinfinite(
+            lambda x: w_lo(x) * f_sum.cdf(x / a_coef),
+            max(dists[nu0 - 1].support_hint, f_sum.support_hint * a_coef), _QUAD_TOL)
+    else:
+        f_up = dists[nu0].cdf
+        quad = integrate_semiinfinite(lambda x: w_lo(x) * f_up(b_coef * x),
+                                      dists[nu0 - 1].support_hint, _QUAD_TOL)
+    return _report("pmep-i", dist_set, 1.0 - quad.value, [quad])
 
 
-def abridged_for(dist_set, spec, params_per_signal=2, nu0=None):
+def abridged_for(dist_set, spec, params_per_signal=2):
     """Dispatch to the criterion's abridged formula.
 
     EEF has no closed form (only the Monte Carlo estimate applies).
     """
-    if isinstance(spec, (Gic, Aic)):
-        report = abridged_gic(dist_set, spec.threshold(params_per_signal), nu0=nu0)
+    if isinstance(spec, Gic):
+        report = abridged_gic(dist_set, spec.threshold(params_per_signal))
         return dataclasses.replace(report, criterion=spec.name)
     if isinstance(spec, PmepIr):
-        return abridged_pmep_ir(dist_set, spec.kappa_ir, nu0=nu0)
+        return abridged_pmep_ir(dist_set, spec.kappa_ir)
     if isinstance(spec, PmepI):
-        return abridged_pmep_i(dist_set, spec.kappa_i, nu0=nu0)
+        return abridged_pmep_i(dist_set, spec.kappa_i)
     raise ValidationError(
         f"no abridged formula for criterion {getattr(spec, 'name', spec)!r}")
 

@@ -18,7 +18,7 @@ from scipy.optimize import minimize_scalar
 
 from .criteria import PmepI, PmepIr, argmin_order, decision_values
 from .errors import ValidationError
-from .likelihood import Bl
+from .likelihood import KNOWN_FREQ, Ml, approach_frequencies
 from .montecarlo import collect_logliks
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      consistency_range, residual_means)
@@ -67,9 +67,13 @@ def _spec_for(name, kappa):
     return PmepIr(kappa_ir=kappa) if name == "pmep-ir" else PmepI(kappa_i=kappa)
 
 
-def _theory_objective(scenario, name):
+def _theory_objective(scenario, name, approach):
+    if isinstance(approach, Ml):
+        raise ValidationError(
+            "the abridged_theory objective needs known/bl frequencies; "
+            "use the monte_carlo objective for the ml approach")
     dists = component_dists(scenario, mode="ql",
-                            frequencies=scenario.all_frequencies)
+                            frequencies=approach_frequencies(scenario, approach))
     formula = abridged_pmep_ir if name == "pmep-ir" else abridged_pmep_i
 
     def objective(kappa):
@@ -93,24 +97,23 @@ def _mc_objective(scenario, name, approach, trials, master_seed):
 
 def tune(family, scenario, objective="abridged_theory", search_range=None,
          grid_points=32, refine=True, trials=100000, master_seed=7,
-         approach=None):
+         approach=KNOWN_FREQ):
     """Minimize an error objective over the family's tuning parameter.
 
     Scans a grid over search_range, then optionally refines the best
-    bracket by bounded scalar minimization.  The result is flagged against
-    the exact consistency range of the scenario's true-signal
-    noncentralities.
+    bracket by bounded scalar minimization.  Both objectives use the
+    approach's frequencies (known frequencies by default); the theory
+    objective has no ML laws.  The result is flagged against the exact
+    consistency range of the scenario's true-signal noncentralities.
     """
     name = _family_name(family)
     lo, hi = search_range if search_range is not None else _DEFAULT_RANGES[name]
     if not (lo <= hi):
         raise ValidationError(f"empty search range ({lo}, {hi})")
     if objective == "abridged_theory":
-        fun = _theory_objective(scenario, name)
+        fun = _theory_objective(scenario, name, approach)
     elif objective == "monte_carlo":
-        fun = _mc_objective(scenario, name,
-                            approach if approach is not None else Bl(0.0),
-                            trials, master_seed)
+        fun = _mc_objective(scenario, name, approach, trials, master_seed)
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 

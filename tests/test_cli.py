@@ -260,3 +260,82 @@ def test_tune_subcommand(config_path, capsys):
     assert fields[0] == "pmep-ir"
     assert 0.2 <= float(fields[1]) <= 0.3
     assert fields[4] == "true"
+
+
+def test_theory_single_slot_has_no_abridged_error(config_path, capsys):
+    # nu0 = N = 1: the abridged event makes no comparison, so p_a = 0
+    doc = dict(BASE_CONFIG,
+               scenario={"standard": {"snr_db": -4, "nu0": 1, "max_order": 1}},
+               criteria=[{"name": "gic"}, {"name": "pmep-i", "kappa_i": 3.0}])
+    rc, out, _ = run(["theory", "--config", config_path(doc)], capsys)
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [(r[1], float(r[3])) for r in rows] == [("gic", 0.0), ("pmep-i", 0.0)]
+
+
+TUNE_CONFIG = {
+    "scenario": {"standard": {"snr_db": -4.0}},
+    "tune": {"family": "pmep-ir", "grid_points": 5, "range": [0.2, 0.3],
+             "refine": False},
+    "master_seed": 7,
+}
+
+
+def _tune_row(doc, config_path, capsys):
+    rc, out, err = run(["tune", "--config", config_path(doc)], capsys)
+    assert rc == 0, err
+    return out.splitlines()[2].split(",")
+
+
+def _api_row(result):
+    return [result.family, repr(result.kappa_opt), result.objective,
+            repr(result.objective_value), str(result.consistency_ok).lower(),
+            str(result.flat).lower()]
+
+
+def test_tune_uses_configured_bl_approach(config_path, capsys):
+    known = _tune_row(dict(TUNE_CONFIG, approach={"kind": "known"}), config_path, capsys)
+    bl = _tune_row(dict(TUNE_CONFIG, approach={"kind": "bl", "delta_omega": 0.004}),
+                   config_path, capsys)
+    api = sc.tune("pmep-ir", sc.standard_scenario(-4.0), grid_points=5,
+                  search_range=(0.2, 0.3), refine=False, approach=sc.Bl(0.004))
+    assert bl == _api_row(api)
+    assert bl != known
+
+
+def test_tune_ml_approach(config_path, capsys):
+    # the theory objective has no ML laws; the Monte Carlo objective runs the search
+    doc = dict(TUNE_CONFIG, approach={"kind": "ml"})
+    rc, out, err = run(["tune", "--config", config_path(doc)], capsys)
+    assert rc == 2 and out == ""
+    assert "ml" in err
+    doc = dict(doc, tune=dict(TUNE_CONFIG["tune"], objective="monte_carlo"), trials=100)
+    api = sc.tune("pmep-ir", sc.standard_scenario(-4.0), objective="monte_carlo",
+                  grid_points=5, search_range=(0.2, 0.3), refine=False, trials=100,
+                  master_seed=7, approach=sc.Ml())
+    assert _tune_row(doc, config_path, capsys) == _api_row(api)
+
+
+@pytest.mark.parametrize("change, argv, key", [
+    ({"trials": "abc"}, [], "trials"),
+    ({"scenario": {"standard": {"snr_db": -4.0, "n_samples": 64.5}}}, [], "n_samples"),
+    ({"scenario": dict(sc.scenario_to_dict(sc.standard_scenario(-4.0)), n_samples=64.5)},
+     [], "n_samples"),
+    ({"trials": 150.9}, [], "trials"),
+    ({"approach": {"kind": "bl", "delta_omega": "x"}}, [], "delta_omega"),
+    ({}, ["--snr-db=abc"], "--snr-db"),
+    ({"snr_grid_db": [-4.0, "x"]}, [], "snr_grid_db"),
+    ({"approach": {"kind": "ml", "grid_points": 0}}, [], "grid_points"),
+    ({"approach": {"kind": "ml", "grid_points": 1}}, [], "grid_points"),
+    ({"approach": {"kind": "ml", "refine_tol": 0.0}}, [], "refine_tol"),
+    ({"approach": {"kind": "ml", "refine_tol": -1e-6}}, [], "refine_tol"),
+    ({"approach": {"kind": "known", "delta_omega": 0.004}}, [], "delta_omega"),
+    ({"approach": {"kind": "bl", "delta_omega": 0.004, "frequencies":
+                   sc.standard_scenario(-4.0).all_frequencies.tolist()}}, [], "delta_omega"),
+])
+def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
+    doc = dict(BASE_CONFIG, **change)
+    rc, out, err = run(["mc", "--config", config_path(doc), *argv], capsys)
+    assert rc == 2
+    assert out == ""
+    assert key in err

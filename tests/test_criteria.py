@@ -15,6 +15,15 @@ def test_aic_values_and_threshold():
     assert sc.Aic().threshold(3) == 12.0
 
 
+def test_aic_is_gic_at_upsilon_two():
+    aic, gic = sc.Aic(), sc.Gic(upsilon=2.0)
+    assert isinstance(aic, sc.Gic) and aic.name == "aic"
+    np.testing.assert_array_equal(aic.values(LOGLIKS, 3), gic.values(LOGLIKS, 3))
+    assert sc.Aic(kappa=1.5).threshold() == sc.Gic(kappa=1.5).threshold()
+    with pytest.raises(TypeError):
+        sc.Aic(upsilon=3.0)
+
+
 def test_gic_values_and_threshold():
     spec = sc.Gic(upsilon=2.0)
     vals = sc.decision_values(spec, LOGLIKS, params_per_signal=2)

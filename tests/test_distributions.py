@@ -218,11 +218,9 @@ def test_integrate_semiinfinite_evaluates_arrays():
         sizes.append(x.size)
         return np.exp(-x)
 
-    res = integrate_semiinfinite(integrand, tol=1e-10, support_hint=60.0,
-                                 return_error=True)
-    val, err = res
-    assert val == pytest.approx(1.0, abs=1e-10)
-    assert err <= 1e-10
+    res = integrate_semiinfinite(integrand, support_hint=60.0, tol=1e-10)
+    assert res.value == pytest.approx(1.0, abs=1e-10)
+    assert res.error <= 1e-10
     assert min(sizes) >= 32 and len(sizes) <= 4
     assert res.evaluations == sum(sizes)
 
@@ -230,8 +228,7 @@ def test_integrate_semiinfinite_evaluates_arrays():
 def test_peaked_integrand_on_wide_support_stays_cheap():
     # +-6 sd of this density cover 0.3% of a support four times its own
     d = nc_chisq2(5e6)
-    res = integrate_semiinfinite(d.pdf, tol=1e-9, support_hint=4 * d.support_hint,
-                                 return_error=True)
+    res = integrate_semiinfinite(d.pdf, support_hint=4 * d.support_hint, tol=1e-9)
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.error <= 1e-9
     assert res.evaluations < 2000
@@ -247,17 +244,19 @@ def test_quadrature_error_when_refinement_cannot_converge():
 
 
 def test_integrate_semiinfinite_exponential():
-    val = integrate_semiinfinite(lambda x: np.exp(-x), support_hint=60.0)
-    assert val == pytest.approx(1.0, abs=1e-9)
-    val, err = integrate_semiinfinite(lambda x: np.exp(-x), return_error=True)
-    assert val == pytest.approx(1.0, abs=1e-8)
-    assert err < 1e-6
+    res = integrate_semiinfinite(lambda x: np.exp(-x), support_hint=60.0, tol=1e-8)
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    # a shorter support: e^-32 is below the tolerance
+    res = integrate_semiinfinite(lambda x: np.exp(-x), support_hint=32.0, tol=1e-8)
+    assert res.value == pytest.approx(1.0, abs=1e-8)
+    assert res.error < 1e-6
 
 
 def test_integrate_semiinfinite_gamma_tail():
     # integral of x e^{-x/2} / 4 over [0, inf) = 1 (Erlang-2 density)
-    val = integrate_semiinfinite(lambda x: x * np.exp(-x / 2.0) / 4.0)
-    assert val == pytest.approx(1.0, abs=1e-8)
+    res = integrate_semiinfinite(lambda x: x * np.exp(-x / 2.0) / 4.0,
+                                 support_hint=64.0, tol=1e-8)
+    assert res.value == pytest.approx(1.0, abs=1e-8)
 
 
 @settings(max_examples=20, deadline=None)

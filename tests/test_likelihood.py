@@ -143,6 +143,14 @@ def test_ml_search_finds_strong_tone():
     assert increments[0] >= v_nominal[0] - 1e-9
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"grid_points": 0}, {"grid_points": 1}, {"grid_points": 64.0},
+    {"refine_tol": 0.0}, {"refine_tol": -1e-6}, {"refine_tol": math.inf}])
+def test_ml_rejects_invalid_search_settings(kwargs):
+    with pytest.raises(ValidationError):
+        sc.Ml(**kwargs)
+
+
 def test_approach_labels_and_frequencies(scen_m4):
     assert sc.KNOWN_FREQ.label == "known"
     assert sc.Bl(0.001).label == "bl(0.001)"

@@ -81,6 +81,12 @@ def test_master_seed_must_be_nonnegative_integer(scen_m4, seed):
         sc.trial_seed(0, seed)
 
 
+@pytest.mark.parametrize("start, count", [(-2, 4), (0, -1), (1.5, 4), (0, 2.0)])
+def test_batch_samples_rejects_invalid_trial_range(scen_m4, start, count):
+    with pytest.raises(ValidationError):
+        sc.batch_samples(scen_m4, 1, start, count)
+
+
 def test_numpy_integer_master_seed(scen_m4):
     np.testing.assert_array_equal(sc.batch_samples(scen_m4, np.uint32(5), 0, 3),
                                   sc.batch_samples(scen_m4, 5, 0, 3))

@@ -64,6 +64,13 @@ def test_synthesize_rejects_negative_seed(scen_m4):
         sc.synthesize(scen_m4, -1)
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, True])
+def test_synthesize_rejects_non_integer_seed(scen_m4, seed):
+    # a float used to be truncated (2.5 drew seed 2)
+    with pytest.raises(ValidationError):
+        sc.synthesize(scen_m4, seed)
+
+
 def test_scenario_dict_roundtrip(scen_m4):
     again = sc.scenario_from_dict(sc.scenario_to_dict(scen_m4))
     assert sc.scenario_to_dict(again) == sc.scenario_to_dict(scen_m4)

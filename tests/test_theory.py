@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,22 +115,28 @@ def test_abridged_for_dispatch(dists_m4):
 
 
 def test_boundary_orders_against_oracle():
-    # lowest order: only the upper-neighbor comparison remains
-    lo = sc.standard_scenario(-4.0, nu0=1, max_order=3)
-    d_lo = sc.component_dists(lo)
-    for spec in (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)):
-        rep = sc.abridged_for(d_lo, spec)
-        rate = abridged_event_rate(spec, d_lo, 200000, seed=4)
-        se = math.sqrt(max(rate * (1 - rate), 1e-9) / 200000)
-        assert abs(rep.p_a - rate) < 4 * se + 2e-4, spec.name
-    # highest order: only the lower-neighbor comparison remains
-    hi = sc.standard_scenario(-4.0, nu0=3, max_order=3)
-    d_hi = sc.component_dists(hi)
-    for spec in (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)):
-        rep = sc.abridged_for(d_hi, spec)
-        rate = abridged_event_rate(spec, d_hi, 200000, seed=5)
-        se = math.sqrt(max(rate * (1 - rate), 1e-9) / 200000)
-        assert abs(rep.p_a - rate) < 4 * se + 2e-4, spec.name
+    # lowest order: only the upper-neighbor comparison remains; highest
+    # order: only the lower-neighbor one; a single slot: none at all
+    specs = (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0))
+    for nu0, max_order, seed in ((1, 3, 4), (3, 3, 5), (1, 2, 6), (2, 2, 7), (1, 1, 8)):
+        scen = sc.standard_scenario(-4.0, nu0=nu0, max_order=max_order)
+        dists = sc.component_dists(scen)
+        for spec in specs:
+            rep = sc.abridged_for(dists, spec)
+            rate = abridged_event_rate(spec, dists, 200000, seed=seed)
+            se = math.sqrt(max(rate * (1 - rate), 1e-9) / 200000)
+            assert abs(rep.p_a - rate) < 4 * se + 2e-4, (spec.name, nu0, max_order)
+            if max_order == 1:
+                assert rep.p_a == 0.0, spec.name
+        if max_order == 1:
+            reports = sc.estimate(scen, list(specs), sc.KNOWN_FREQ, 1000, seed)
+            assert [r.p_a for r in reports] == [0.0] * len(specs)
+
+
+def test_component_dist_set_checks_nu0(dists_m4):
+    for nu0 in (0, dists_m4.n + 1):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(dists_m4, nu0=nu0)
 
 
 def test_gic_plateau_at_high_snr(scen_m4):
