@@ -15,7 +15,7 @@ from .errors import (DegenerateStatsError, ModelViolationError,
                      ValidationError)
 from .likelihood import (KNOWN_FREQ, Bl, FrequencyPlan, Ml,
                          approach_frequencies, basis_matrix, bl_frequencies,
-                         noise_level_mle, observation_logliks)
+                         observation_logliks)
 from .montecarlo import (McReport, PairedComparison, batch_samples,
                          collect_logliks, estimate, paired_compare,
                          scenario_fingerprint, trial_seed)
@@ -40,7 +40,7 @@ __all__ = [
     "SincountError", "ValidationError", "DegenerateStatsError",
     "QuadratureError", "ModelViolationError", "SelectionError",
     "Bl", "Ml", "KNOWN_FREQ", "FrequencyPlan", "basis_matrix",
-    "noise_level_mle", "bl_frequencies", "approach_frequencies",
+    "bl_frequencies", "approach_frequencies",
     "observation_logliks",
     "McReport", "PairedComparison", "trial_seed", "batch_samples",
     "collect_logliks", "estimate", "paired_compare", "scenario_fingerprint",

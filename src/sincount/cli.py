@@ -54,6 +54,20 @@ def _number(value, key, integer=False):
     return float(value)
 
 
+def _object(value, key):
+    """A config section that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _bool(value, key):
+    """A config flag: JSON true or false only (bool("false") is true)."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _numbers(values, key):
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{key} must be a nonempty list of numbers, got {values!r}")
@@ -61,12 +75,11 @@ def _numbers(values, key):
 
 
 def build_scenario(doc):
-    try:
-        node = doc["scenario"]
-    except KeyError:
-        raise ValidationError("scenario: required") from None
+    if "scenario" not in doc:
+        raise ValidationError("scenario: required")
+    node = _object(doc["scenario"], "scenario")
     if "standard" in node:
-        std = dict(node["standard"])
+        std = dict(_object(node["standard"], "scenario.standard"))
         if "snr_db" not in std:
             raise ValidationError("scenario.standard.snr_db: required")
         snr = _number(std.pop("snr_db"), "scenario.standard.snr_db")
@@ -82,8 +95,12 @@ def build_scenario(doc):
 
 def build_criteria(doc):
     specs = []
-    for j, node in enumerate(doc.get("criteria", [])):
+    nodes = doc.get("criteria", [])
+    if not isinstance(nodes, list):
+        raise ValidationError(f"criteria must be a list of objects, got {nodes!r}")
+    for j, node in enumerate(nodes):
         path = f"criteria[{j}]"
+        _object(node, path)
         if "name" not in node:
             raise ValidationError(f"{path}.name: required")
         name = node["name"]
@@ -106,7 +123,7 @@ _APPROACH_KEYS = {"known": set(), "bl": {"delta_omega", "frequencies"},
 
 
 def build_approach(doc):
-    node = doc.get("approach", {"kind": "known"})
+    node = _object(doc.get("approach", {"kind": "known"}), "approach")
     kind = node.get("kind", "known")
     if kind not in _APPROACH_KEYS:
         raise ValidationError(f"approach.kind: unknown kind {kind!r}")
@@ -242,9 +259,9 @@ def cmd_theory(args, doc, sha):
 
 def cmd_tune(args, doc, sha):
     scenario = build_scenario(doc)
-    node = doc.get("tune")
-    if not node:
+    if "tune" not in doc:
         raise ValidationError("tune: required for the tune subcommand")
+    node = _object(doc["tune"], "tune")
     if "family" not in node:
         raise ValidationError("tune.family: required")
     seed = _seed(args, doc)
@@ -259,7 +276,7 @@ def cmd_tune(args, doc, sha):
         objective=node.get("objective", "abridged_theory"),
         search_range=search_range,
         grid_points=_number(node.get("grid_points", 32), "tune.grid_points", integer=True),
-        refine=bool(node.get("refine", True)),
+        refine=_bool(node.get("refine", True), "tune.refine"),
         trials=_trials(args, doc),
         master_seed=seed,
         approach=build_approach(doc),
@@ -314,7 +331,7 @@ def cmd_bl_interval(args, doc, sha):
 
 
 def cmd_consistency(args, doc, sha):
-    node = doc.get("consistency", {})
+    node = _object(doc.get("consistency", {}), "consistency")
     if "d_n_sq" in node:
         d_n_sq = np.asarray(_numbers(node["d_n_sq"], "consistency.d_n_sq"))
         nu0 = len(d_n_sq)

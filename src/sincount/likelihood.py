@@ -13,8 +13,8 @@ whose squares sum pairwise to the likelihood increments V_i, so every
 candidate order's profile log-likelihood X^T C^{-1} X / 2 (in units of
 sigma0^2 when the noise level is known) comes from one full-order
 factorization: L_nu = sum_{i<=nu} V_i / 2.  FrequencyPlan holds that
-factorization for fixed frequencies; the greedy ML search grows an
-orthonormal basis one slot at a time.
+factorization for fixed frequencies; the greedy ML search grows one
+orthonormal basis per trial, one slot at a time, for a block of trials.
 """
 
 from __future__ import annotations
@@ -25,12 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg import cholesky as _cholesky
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateStatsError, ValidationError, nonneg_int
 from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
+# a candidate whose residual energy is below this fraction of its own energy
+# sits next to an already-fitted frequency; there the Gram identity cancels
+# to rounding noise, so its statistics come from explicit residual vectors
+_IDENTITY_MIN_RESIDUAL = 1e-4
+# a found frequency whose new basis column keeps less than this fraction of
+# its norm after residualization is linearly dependent on the fit
+_DEPENDENT_RESIDUAL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def basis_matrix(scenario, frequencies):
@@ -73,21 +80,6 @@ def _chol_or_degenerate(gram, frequencies):
     raise DegenerateStatsError(
         f"covariance is numerically singular; closest frequency pair: {pair}",
         pair=pair)
-
-
-def noise_level_mle(observation, fitted_signal):
-    """Residual-power statistic (sum (x - s)^2 / 2) / (N_s / (4 pi)).
-
-    The unusual normalization makes the value concentrate near 2 pi sigma0^2
-    for pure noise; downstream likelihoods are invariant to it, so it is
-    reported as-is and never used as a calibrated variance.
-    """
-    x = np.asarray(observation.samples, dtype=float)
-    s = np.asarray(fitted_signal, dtype=float)
-    if x.shape != s.shape:
-        raise ValidationError("fitted signal length does not match observation")
-    n = x.shape[0]
-    return float((np.sum((x - s) ** 2) / 2.0) / (n / (4.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -146,13 +138,11 @@ class FrequencyPlan:
 def bl_frequencies(bands, rule, values=None, delta=None, nominal=None):
     """Blind (a priori) frequency choices for the quasilikelihood approach.
 
-    rule = "center": band midpoints; "fixed": the given values;
-    "offset": nominal + delta per slot (robustness sweeps).
+    rule = "fixed": the given values; "offset": nominal + delta per slot
+    (robustness sweeps).
     """
     bands = list(bands)
-    if rule == "center":
-        out = np.array([(lo + hi) / 2.0 for lo, hi in bands])
-    elif rule == "fixed":
+    if rule == "fixed":
         if values is None:
             raise ValidationError("rule 'fixed' needs values")
         out = np.asarray(values, dtype=float)
@@ -170,83 +160,172 @@ def bl_frequencies(bands, rule, values=None, delta=None, nominal=None):
     return out
 
 
+def _quadratic_form(g11, g22, g12, p1, p2):
+    """p^T G^{-1} p for the 2x2 residual Gram G and projections p."""
+    det = np.maximum(g11 * g22 - g12**2, 1e-30)
+    return (g22 * p1**2 - 2.0 * g12 * p1 * p2 + g11 * p2**2) / det
+
+
+def _residualize(vecs, q_basis):
+    """Rows vecs (T, m, N) minus their projections on each trial's fitted
+    orthonormal rows q_basis (T, 2k, N)."""
+    if not q_basis.shape[1]:
+        return vecs
+    return vecs - (vecs @ q_basis.transpose(0, 2, 1)) @ q_basis
+
+
+def _explicit_increment(x, pairs, q_basis):
+    """Unscaled V of one (sin, cos) pair per trial, pairs (T, 2, N), from
+    explicit residual vectors."""
+    resid = _residualize(pairs, q_basis)
+    gram = resid @ resid.transpose(0, 2, 1)
+    proj = (resid @ x[:, :, None])[:, :, 0]
+    return _quadratic_form(gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1],
+                           proj[:, 0], proj[:, 1])
+
+
 def _grid_quadrature_increment(x, slot, omegas, q_basis, sigma_sq):
-    """Incremental statistic V(omega) over an array of frequencies.
+    """Incremental statistic V for a block of trials.
 
-    q_basis holds orthonormal columns of the already-fitted subspace; the
-    candidate (sin, cos) pair is residualized against it and V is the
-    2x2-solved quadratic form, scaled by sigma_sq when the noise is known.
+    x holds one observation per row (T, N) and q_basis each trial's
+    orthonormal fitted rows (T, 2k, N).  omegas is either a grid (G,)
+    shared by every trial, giving V of shape (T, G), or a column (T, 1) of
+    one frequency per trial, giving (T, 1).  The candidate (sin, cos) pair is
+    residualized against the fit and V is the 2x2-solved quadratic form,
+    divided by sigma_sq.  On a shared grid the waveforms W (N, 2G) are built
+    once, one stacked product per trial [Q_t; x_t - Q_t^T Q_t x_t] W gives
+    the projections, and g11, g22, g12 follow from the Gram identity
+    (e.g. g11 = |s|^2 - |Q_t s|^2).  Every product is stacked per trial, so
+    a row's value does not depend on the other rows.
     """
-    cosines, sines = modulated_pair(slot, omegas, x.shape[0])
-    if q_basis.shape[1]:
-        sines = sines - (sines @ q_basis) @ q_basis.T
-        cosines = cosines - (cosines @ q_basis) @ q_basis.T
-    g11 = np.einsum("ij,ij->i", sines, sines)
-    g22 = np.einsum("ij,ij->i", cosines, cosines)
-    g12 = np.einsum("ij,ij->i", sines, cosines)
-    p1 = sines @ x
-    p2 = cosines @ x
-    det = g11 * g22 - g12**2
-    det = np.maximum(det, 1e-30)
-    quad = (g22 * p1**2 - 2.0 * g12 * p1 * p2 + g11 * p2**2) / det
-    return quad / sigma_sq
+    cosines, sines = modulated_pair(slot, omegas, x.shape[1])
+    if omegas.ndim == 2:
+        return _explicit_increment(x, np.concatenate([sines, cosines], axis=1),
+                                   q_basis)[:, None] / sigma_sq
+    n_grid = omegas.shape[0]
+    waves = np.ascontiguousarray(np.concatenate([sines, cosines]).T)
+    fit = q_basis.shape[1]
+    x_resid = _residualize(x[:, None, :], q_basis)
+    prods = np.concatenate([q_basis, x_resid], axis=1) @ waves
+    proj, q_s, q_c = prods[:, fit], prods[:, :fit, :n_grid], prods[:, :fit, n_grid:]
+    e11, e22 = (sines * sines).sum(-1), (cosines * cosines).sum(-1)
+    g11 = e11 - np.einsum("tkg,tkg->tg", q_s, q_s)
+    g22 = e22 - np.einsum("tkg,tkg->tg", q_c, q_c)
+    g12 = (sines * cosines).sum(-1) - np.einsum("tkg,tkg->tg", q_s, q_c)
+    v = _quadratic_form(g11, g22, g12, proj[:, :n_grid], proj[:, n_grid:])
+    if fit:
+        rows, cols = np.nonzero((g11 < _IDENTITY_MIN_RESIDUAL * e11)
+                                | (g22 < _IDENTITY_MIN_RESIDUAL * e22))
+        if rows.size:
+            v[rows, cols] = _explicit_increment(
+                x[rows], np.stack([sines[cols], cosines[cols]], axis=1), q_basis[rows])
+    return v / sigma_sq
 
 
-def _orthonormal_extend(q_basis, slot, omega, n_samples):
-    c, s = modulated_pair(slot, float(omega), n_samples)
-    cols = []
-    for vec in (s, c):
-        v = vec.copy()
-        if q_basis.shape[1]:
-            v = v - q_basis @ (q_basis.T @ v)
-        for prev in cols:
-            v = v - prev * (prev @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-9 * np.linalg.norm(vec):
-            raise DegenerateStatsError(
-                f"candidate at frequency {omega} is linearly dependent on the fit")
-        cols.append(v / norm)
-    return np.column_stack([q_basis] + [c[:, None] for c in cols])
+def _golden_refine(x, slot, q_basis, sigma_sq, lo, hi, steps):
+    """Golden-section maximization of V on each trial's bracket [lo, hi].
+
+    The bracket keeps its best point; each step evaluates the point mirrored
+    about the bracket's centre, one frequency per trial, and cuts the bracket
+    at the worse of the two.  After steps + 1 cuts the bracket is
+    _INV_PHI**(steps + 1) of its width; returns each trial's best point and
+    its V.
+    """
+    def value(omegas):
+        return _grid_quadrature_increment(x, slot, omegas[:, None], q_basis, sigma_sq)[:, 0]
+
+    best = lo + _INV_PHI * (hi - lo)
+    f_best = value(best)
+    for _ in range(steps + 1):
+        other = lo + hi - best
+        f_other = value(other)
+        take = f_other >= f_best
+        cut = np.where(take, best, other)
+        # the cut ends the bracket above when the kept point lies below it
+        upper = take == (other < best)
+        lo, hi = np.where(upper, lo, cut), np.where(upper, cut, hi)
+        best, f_best = np.where(take, other, best), np.where(take, f_other, f_best)
+    return best, f_best
 
 
-def ml_search_increments(observation, order, scenario, grid_points=256,
+def _extend_bases(q_basis, slot, omegas, n_samples):
+    """Append each trial's (sin, cos) pair at its found frequency to its
+    orthonormal rows.
+
+    The residual pair [r_s, r_c] is whitened by the 2x2 Cholesky factor L of
+    its Gram matrix; l22 is the norm of r_c minus its projection on the new
+    sine row, so a column counts as dependent on the fit when its pivot is
+    below _DEPENDENT_RESIDUAL of its own norm.  Returns the extended rows and
+    a mask of the trials whose pair was independent.
+    """
+    cosines, sines = modulated_pair(slot, omegas[:, None], n_samples)
+    pairs = np.concatenate([sines, cosines], axis=1)
+    norms = np.sqrt((pairs * pairs).sum(-1))
+    r_s, r_c = np.moveaxis(_residualize(pairs, q_basis), 1, 0)
+    l11 = np.sqrt((r_s * r_s).sum(-1))
+    ok = l11 >= _DEPENDENT_RESIDUAL * norms[:, 0]
+    q_s = r_s / np.where(ok, l11, 1.0)[:, None]
+    u = r_c - (q_s * r_c).sum(-1)[:, None] * q_s
+    l22 = np.sqrt((u * u).sum(-1))
+    ok &= l22 >= _DEPENDENT_RESIDUAL * norms[:, 1]
+    q_c = u / np.where(ok, l22, 1.0)[:, None]
+    return np.concatenate([q_basis, q_s[:, None], q_c[:, None]], axis=1), ok
+
+
+def ml_search_increments(observations, order, scenario, grid_points=256,
                          refine_tol=1e-6):
-    """Greedy sequential ML frequency search.
+    """Greedy sequential ML frequency search for a block of observations.
 
     For each slot in turn the incremental statistic V is maximized over a
-    grid in the slot's band and refined to refine_tol; previously found
-    frequencies stay fixed.  Returns (frequencies, increments).
+    grid in the slot's band and refined by golden section to refine_tol (a
+    trial keeps its grid point when refinement does not reach its value);
+    previously found frequencies stay fixed.  observations is one
+    observation (an Observation or a 1-d row) or a block of rows (T, N).
+    Returns (frequencies, increments), each (T, order), or (order,) for one
+    observation; a trial whose found frequency is linearly dependent on its
+    fit gets NaN rows.  Rows are computed independently: a block's row equals
+    the search of that observation alone, bit for bit.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     slots = scenario.candidate_slots()
     if order > len(slots):
         raise ValidationError(f"order {order} exceeds max_order {len(slots)}")
-    x = np.asarray(getattr(observation, "samples", observation), dtype=float)
+    x = np.asarray(getattr(observations, "samples", observations), dtype=float)
+    n = scenario.n_samples
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ValidationError(f"observations have shape {x.shape}, expected rows of {n}")
+    single = x.ndim == 1
+    x = np.ascontiguousarray(x.reshape(-1, n))
     sigma_sq = scenario.noise_level**2 if (scenario.noise_known and scenario.noise_level > 0) else 1.0
-    q_basis = np.zeros((scenario.n_samples, 0))
-    freqs = np.zeros(order)
-    incs = np.zeros(order)
-    for i in range(order):
-        lo, hi = slots[i].band
+    freqs = np.full((x.shape[0], order), np.nan)
+    incs = np.full((x.shape[0], order), np.nan)
+    live = np.arange(x.shape[0])
+    q_basis = np.zeros((x.shape[0], 0, n))
+    for i, slot in enumerate(slots[:order]):
+        lo, hi = slot.band
         pad = (hi - lo) * 1e-9
         grid = np.linspace(lo + pad, hi - pad, grid_points)
-        vals = _grid_quadrature_increment(x, slots[i], grid, q_basis, sigma_sq)
-        j = int(np.argmax(vals))
-        blo = grid[max(j - 1, 0)]
-        bhi = grid[min(j + 1, grid_points - 1)]
-
-        def neg_v(w, _slot=slots[i]):
-            return -_grid_quadrature_increment(
-                x, _slot, np.array([w]), q_basis, sigma_sq)[0]
-
-        res = minimize_scalar(neg_v, bounds=(blo, bhi), method="bounded",
-                              options={"xatol": refine_tol})
-        if res.fun <= -vals[j]:
-            freqs[i], incs[i] = float(res.x), float(-res.fun)
-        else:
-            freqs[i], incs[i] = float(grid[j]), float(vals[j])
-        q_basis = _orthonormal_extend(q_basis, slots[i], freqs[i], scenario.n_samples)
+        # golden steps that shrink the widest bracket, two grid steps, to
+        # refine_tol, counted so that they do not depend on the trials
+        steps = max(0, math.ceil(math.log(refine_tol / (2.0 * (grid[1] - grid[0])))
+                                 / math.log(_INV_PHI)))
+        vals = _grid_quadrature_increment(x, slot, grid, q_basis, sigma_sq)
+        j = np.argmax(vals, axis=1)
+        grid_v = vals[np.arange(j.size), j]
+        ref_w, ref_v = _golden_refine(x, slot, q_basis, sigma_sq,
+                                      grid[np.maximum(j - 1, 0)],
+                                      grid[np.minimum(j + 1, grid_points - 1)], steps)
+        refined = ref_v >= grid_v
+        found = np.where(refined, ref_w, grid[j])
+        freqs[live, i] = found
+        incs[live, i] = np.where(refined, ref_v, grid_v)
+        q_basis, ok = _extend_bases(q_basis, slot, found, n)
+        if not ok.all():
+            freqs[live[~ok]] = incs[live[~ok]] = np.nan
+            x, q_basis, live = x[ok], q_basis[ok], live[ok]
+    if single:
+        return freqs[0], incs[0]
     return freqs, incs
 
 
@@ -310,7 +389,9 @@ def observation_logliks(observation, scenario, approach):
     """Profile log-likelihoods L_1..L_maxorder under the given approach.
 
     observation is an Observation or a bare 1-d sample row.  Returns
-    (logliks, increments, frequencies).
+    (logliks, increments, frequencies).  Under Ml it runs the ML search as
+    a batch of one, equal bit for bit to that row of collect_logliks, and
+    raises DegenerateStatsError where collect_logliks gives a NaN row.
     """
     x = np.asarray(getattr(observation, "samples", observation), dtype=float)
     if x.shape != (scenario.n_samples,):
@@ -320,6 +401,9 @@ def observation_logliks(observation, scenario, approach):
         freqs, incs = ml_search_increments(
             x, scenario.max_order, scenario,
             grid_points=approach.grid_points, refine_tol=approach.refine_tol)
+        if np.isnan(incs[0]):
+            raise DegenerateStatsError(
+                "ML search: a found frequency is linearly dependent on the fit")
     else:
         freqs = approach_frequencies(scenario, approach)
         incs = FrequencyPlan.build(scenario, freqs).increments_batch(x)[0]

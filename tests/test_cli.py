@@ -339,3 +339,20 @@ def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     assert rc == 2
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("theory", dict(BASE_CONFIG, approach="ml"), "approach"),
+    ("mc", dict(BASE_CONFIG, scenario="x"), "scenario"),
+    ("mc", dict(BASE_CONFIG, scenario={"standard": "x"}), "scenario.standard"),
+    ("mc", dict(BASE_CONFIG, criteria={"name": "gic"}), "criteria"),
+    ("mc", dict(BASE_CONFIG, criteria=["gic"]), "criteria[0]"),
+    ("tune", dict(TUNE_CONFIG, tune=dict(TUNE_CONFIG["tune"], refine="false")), "tune.refine"),
+    ("tune", dict(TUNE_CONFIG, tune="pmep-ir"), "tune"),
+    ("consistency", {"consistency": [1.0]}, "consistency"),
+])
+def test_config_section_of_wrong_type_exits_2(command, doc, key, config_path, capsys):
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"{key} must be" in err

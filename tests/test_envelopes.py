@@ -50,8 +50,8 @@ def test_grid_statistic_with_empty_fit_is_first_plan_increment(scen):
     lo, hi = scen.bands[0]
     omegas = np.linspace(lo, hi, 9)[1:-1]
     grid = likelihood._grid_quadrature_increment(
-        x, scen.candidate_slots()[0], omegas, np.zeros((N, 0)),
-        scen.noise_level**2)
+        x[None, :], scen.candidate_slots()[0], omegas, np.zeros((1, 0, N)),
+        scen.noise_level**2)[0]
     plan_v = [FrequencyPlan.build(scen, [w]).increments_batch(x)[0, 0]
               for w in omegas]
     np.testing.assert_allclose(grid, plan_v, rtol=1e-9)

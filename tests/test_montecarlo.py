@@ -56,15 +56,19 @@ def _reference_samples(scenario, master_seed, trials):
 
 
 def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_CHUNK", 128)
+    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
     samples = _reference_samples(scen_m4, 17, 300)
     plan = sc.FrequencyPlan.build(scen_m4, scen_m4.all_frequencies)
     np.testing.assert_array_equal(sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 17),
                                   plan.logliks_batch(samples))
+    # 140 ML trials cross a sub-block boundary inside the first chunk
+    # (blocks 0-63 and 64-99 at the default block size) and the chunk boundary
+    # at 100, which ends a partial block and starts another
+    assert montecarlo._ML_BLOCK < 100
     approach = sc.Ml(grid_points=128)
     expect = np.array([sc.observation_logliks(row, scen_m4, approach)[0]
-                       for row in samples[:12]])
-    np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 12, 17), expect)
+                       for row in samples[:140]])
+    np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 140, 17), expect)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, "4", True, None])
