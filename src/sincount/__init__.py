@@ -14,7 +14,7 @@ from .errors import (DegenerateStatsError, ModelViolationError,
                      QuadratureError, SelectionError, SincountError,
                      ValidationError)
 from .likelihood import (KNOWN_FREQ, Bl, FrequencyPlan, Ml,
-                         approach_frequencies, basis_matrix, bl_frequencies,
+                         approach_frequencies, basis_matrix,
                          observation_logliks)
 from .montecarlo import (McReport, PairedComparison, batch_samples,
                          collect_logliks, estimate, paired_compare,
@@ -40,8 +40,7 @@ __all__ = [
     "SincountError", "ValidationError", "DegenerateStatsError",
     "QuadratureError", "ModelViolationError", "SelectionError",
     "Bl", "Ml", "KNOWN_FREQ", "FrequencyPlan", "basis_matrix",
-    "bl_frequencies", "approach_frequencies",
-    "observation_logliks",
+    "approach_frequencies", "observation_logliks",
     "McReport", "PairedComparison", "trial_seed", "batch_samples",
     "collect_logliks", "estimate", "paired_compare", "scenario_fingerprint",
     "SinusoidComponent", "CandidateTemplate", "Observation", "Scenario",

@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
-import numbers
 import sys
 
 import numpy as np
 
 from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
-from .errors import SincountError, ValidationError, nonneg_int
+from .errors import SincountError, ValidationError, finite_float, nonneg_int
 from .likelihood import Bl, Ml, approach_frequencies
 from .signal_model import (scenario_from_dict, standard_scenario, synthesize,
                            with_snr_db)
@@ -44,16 +42,6 @@ def load_config(path):
     return doc
 
 
-def _number(value, key, integer=False):
-    """A numeric config field: a finite number as a float, or with integer
-    a nonnegative int; anything else is a ValidationError naming the key."""
-    if integer:
-        return nonneg_int(value, key)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValidationError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _object(value, key):
     """A config section that must be a JSON object."""
     if not isinstance(value, dict):
@@ -71,7 +59,7 @@ def _bool(value, key):
 def _numbers(values, key):
     if not isinstance(values, list) or not values:
         raise ValidationError(f"{key} must be a nonempty list of numbers, got {values!r}")
-    return [_number(v, f"{key}[{j}]") for j, v in enumerate(values)]
+    return [finite_float(v, f"{key}[{j}]") for j, v in enumerate(values)]
 
 
 def build_scenario(doc):
@@ -82,7 +70,7 @@ def build_scenario(doc):
         std = dict(_object(node["standard"], "scenario.standard"))
         if "snr_db" not in std:
             raise ValidationError("scenario.standard.snr_db: required")
-        snr = _number(std.pop("snr_db"), "scenario.standard.snr_db")
+        snr = finite_float(std.pop("snr_db"), "scenario.standard.snr_db")
         try:
             return standard_scenario(snr, **std)
         except TypeError as exc:
@@ -138,9 +126,9 @@ def build_approach(doc):
     if kind == "bl":
         if "frequencies" in node:
             return Bl(frequencies=tuple(_numbers(node["frequencies"], "approach.frequencies")))
-        return Bl(delta_omega=_number(node.get("delta_omega", 0.0), "approach.delta_omega"))
-    return Ml(grid_points=_number(node.get("grid_points", 256), "approach.grid_points", integer=True),
-              refine_tol=_number(node.get("refine_tol", 1e-6), "approach.refine_tol"))
+        return Bl(delta_omega=finite_float(node.get("delta_omega", 0.0), "approach.delta_omega"))
+    return Ml(grid_points=nonneg_int(node.get("grid_points", 256), "approach.grid_points"),
+              refine_tol=finite_float(node.get("refine_tol", 1e-6), "approach.refine_tol"))
 
 
 def _fmt(value):
@@ -196,12 +184,12 @@ def _delta_grid(doc):
 
 def _seed(args, doc):
     seed = args.seed if args.seed is not None else doc.get("master_seed", 0)
-    return _number(seed, "master_seed", integer=True)
+    return nonneg_int(seed, "master_seed")
 
 
 def _trials(args, doc, default=100000):
     trials = args.trials if args.trials is not None else doc.get("trials", default)
-    return _number(trials, "trials", integer=True)
+    return nonneg_int(trials, "trials")
 
 
 def cmd_synth(args, doc, sha):
@@ -275,7 +263,7 @@ def cmd_tune(args, doc, sha):
         scenario,
         objective=node.get("objective", "abridged_theory"),
         search_range=search_range,
-        grid_points=_number(node.get("grid_points", 32), "tune.grid_points", integer=True),
+        grid_points=nonneg_int(node.get("grid_points", 32), "tune.grid_points"),
         refine=_bool(node.get("refine", True), "tune.refine"),
         trials=_trials(args, doc),
         master_seed=seed,
@@ -313,7 +301,7 @@ def cmd_bl_interval(args, doc, sha):
     seed = _seed(args, doc)
     grid = _delta_grid(doc)
     trials = _trials(args, doc, default=20000)
-    ml_trials = _number(doc.get("ml_trials", 2000), "ml_trials", integer=True)
+    ml_trials = nonneg_int(doc.get("ml_trials", 2000), "ml_trials")
     approach = build_approach(doc) if "approach" in doc else Ml()
     if not isinstance(approach, Ml):
         raise ValidationError(
@@ -335,7 +323,7 @@ def cmd_consistency(args, doc, sha):
     if "d_n_sq" in node:
         d_n_sq = np.asarray(_numbers(node["d_n_sq"], "consistency.d_n_sq"))
         nu0 = len(d_n_sq)
-        n_total = _number(node.get("n_total", nu0), "consistency.n_total", integer=True)
+        n_total = nonneg_int(node.get("n_total", nu0), "consistency.n_total")
     else:
         scenario = build_scenario(doc)
         _, lambdas = theory.residual_means(scenario, scenario.all_frequencies)

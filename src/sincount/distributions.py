@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import chndtr, gammainc, gammaln, ive, ndtr
 
 from .errors import QuadratureError, ValidationError
@@ -29,20 +28,6 @@ class Dist:
     pdf: object
     support_hint: float
     atom0: float = 0.0
-    sampler: object = None
-
-    def sample(self, rng, size):
-        """Draw `size` variates; exact sampler if available, else inverse CDF."""
-        if self.sampler is not None:
-            return self.sampler(rng, size)
-        grid = np.linspace(0.0, self.support_hint, 8193)
-        cg = np.asarray(self.cdf(grid), dtype=float)
-        cg = np.maximum.accumulate(cg)
-        u = rng.random(size)
-        out = np.interp(u, cg, grid)
-        if self.atom0 > 0:
-            out = np.where(u <= self.atom0, 0.0, out)
-        return out
 
 
 def _ncx2_cdf(x, m, lam):
@@ -111,12 +96,7 @@ def nc_chisq2_sum(n_terms, lam):
     def pdf(x):
         return _ncx2_pdf(x, m, lam)
 
-    def sampler(rng, size):
-        if lam <= 1e-300:
-            return rng.chisquare(2 * m, size)
-        return rng.noncentral_chisquare(2 * m, lam, size)
-
-    return Dist(cdf=cdf, pdf=pdf, support_hint=_ncx2_support(m, lam), sampler=sampler)
+    return Dist(cdf=cdf, pdf=pdf, support_hint=_ncx2_support(m, lam))
 
 
 def ml_component_cdf(dbar_sq, xi, signal_present):
@@ -195,6 +175,9 @@ def convolve_cdfs(a, b):
     evaluated on a dense grid by panelled Gauss-Legendre quadrature and
     interpolated monotonically.
     """
+    # scipy.interpolate (which loads scipy.optimize) serves only the ML laws
+    from scipy.interpolate import PchipInterpolator
+
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
     if a.atom0 >= 1.0 - 1e-12 or a.support_hint <= 1e-12:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check that
-raises them."""
+"""Exception types shared across the package, and the integer and number
+checks that raise them."""
 
+import math
 import numbers
 
 
@@ -35,6 +36,14 @@ def nonneg_int(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def finite_float(value, name):
+    """value as a float; a ValidationError naming it unless it is a finite
+    real number (bool and numeric strings are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class ModelViolationError(SincountError):

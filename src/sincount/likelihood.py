@@ -54,9 +54,7 @@ def basis_matrix(scenario, frequencies):
 
 
 def _check_in_band(scenario, frequencies):
-    bands = scenario.bands
-    for i, freq in enumerate(frequencies):
-        lo, hi = bands[i]
+    for i, (freq, (lo, hi)) in enumerate(zip(frequencies, scenario.bands)):
         if not (lo < freq < hi):
             raise ValidationError(
                 f"frequency {freq} for order slot {i + 1} outside band ({lo}, {hi})")
@@ -133,31 +131,6 @@ class FrequencyPlan:
         amps = np.hypot(q_sin, q_cos)
         phases = np.mod(np.arctan2(q_sin, q_cos), 2.0 * math.pi)
         return q_hat, amps, phases
-
-
-def bl_frequencies(bands, rule, values=None, delta=None, nominal=None):
-    """Blind (a priori) frequency choices for the quasilikelihood approach.
-
-    rule = "fixed": the given values; "offset": nominal + delta per slot
-    (robustness sweeps).
-    """
-    bands = list(bands)
-    if rule == "fixed":
-        if values is None:
-            raise ValidationError("rule 'fixed' needs values")
-        out = np.asarray(values, dtype=float)
-        if out.shape[0] != len(bands):
-            raise ValidationError("values length does not match bands")
-    elif rule == "offset":
-        if nominal is None or delta is None:
-            raise ValidationError("rule 'offset' needs nominal frequencies and delta")
-        out = np.asarray(nominal, dtype=float) + float(delta)
-    else:
-        raise ValidationError(f"unknown rule {rule!r}")
-    for freq, (lo, hi) in zip(out, bands):
-        if not (lo < freq < hi):
-            raise ValidationError(f"frequency {freq} outside band ({lo}, {hi})")
-    return out
 
 
 def _quadratic_form(g11, g22, g12, p1, p2):
@@ -377,12 +350,16 @@ KNOWN_FREQ = Bl(delta_omega=0.0)
 
 
 def approach_frequencies(scenario, approach):
-    """Candidate frequencies of a Bl approach for all slots."""
-    if approach.frequencies is not None:
-        return bl_frequencies(scenario.bands, "fixed", values=approach.frequencies)
-    return bl_frequencies(scenario.bands, "offset",
-                          nominal=scenario.all_frequencies,
-                          delta=approach.delta_omega)
+    """Candidate frequencies of a Bl approach for all slots: its explicit
+    frequencies, or the nominal ones offset by delta_omega.  FrequencyPlan.build
+    checks them against the bands."""
+    if approach.frequencies is None:
+        return scenario.all_frequencies + float(approach.delta_omega)
+    freqs = np.asarray(approach.frequencies, dtype=float)
+    if freqs.shape != (scenario.max_order,):
+        raise ValidationError(
+            f"{freqs.size} explicit frequencies for {scenario.max_order} order slots")
+    return freqs
 
 
 def observation_logliks(observation, scenario, approach):

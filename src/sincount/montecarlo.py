@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binomtest
+from scipy.special import betainc
 
 from .criteria import argmin_order, decision_values
 from .errors import ValidationError, nonneg_int
@@ -309,7 +309,10 @@ def paired_compare(report_a, report_b):
     """Paired test of p_e between two reports from the same trial set.
 
     Only the discordant trials (exactly one report correct) carry
-    information; their split is tested against a fair coin.
+    information; their split is tested against a fair coin (McNemar
+    1947).  The exact two-sided p-value is twice the binomial tail of the
+    smaller count k of n, capped at 1: P(Bin(n, 1/2) <= k) is the
+    regularized incomplete beta I_{1/2}(n - k, k + 1).
     """
     for attr in ("trials", "master_seed", "scenario_key"):
         if getattr(report_a, attr) != getattr(report_b, attr):
@@ -319,8 +322,8 @@ def paired_compare(report_a, report_b):
     a_only = int(np.sum(report_a.correct & ~report_b.correct))
     b_only = int(np.sum(report_b.correct & ~report_a.correct))
     n_disc = a_only + b_only
-    p_value = 1.0 if n_disc == 0 else float(
-        binomtest(a_only, n_disc, 0.5, alternative="two-sided").pvalue)
+    k = min(a_only, b_only)
+    p_value = 1.0 if n_disc == 0 else min(1.0, 2.0 * float(betainc(n_disc - k, k + 1, 0.5)))
     return PairedComparison(
         trials=report_a.trials,
         a_only_correct=a_only,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError, nonneg_int
+from .errors import ValidationError, finite_float, nonneg_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,15 +37,23 @@ def _as_envelope(seq, n_samples, name):
     return arr
 
 
-def _check_band(band, frequency, label):
-    lo, hi = float(band[0]), float(band[1])
+def _check_slot(slot, label):
+    """Store the slot's frequency and band as floats, the band as an open
+    interval (lo, hi) that contains the frequency."""
+    frequency = finite_float(slot.frequency, f"{label} frequency")
+    try:
+        lo, hi = slot.band
+    except (TypeError, ValueError):
+        raise ValidationError(f"{label}: band must be a pair [lo, hi], got {slot.band!r}") from None
+    lo, hi = finite_float(lo, f"{label} band"), finite_float(hi, f"{label} band")
     if not (lo < hi):
         raise ValidationError(f"{label}: band ({lo}, {hi}) is empty")
     if not (lo < frequency < hi):
         raise ValidationError(
             f"{label}: frequency {frequency} outside open band ({lo}, {hi})"
         )
-    return (lo, hi)
+    object.__setattr__(slot, "frequency", frequency)
+    object.__setattr__(slot, "band", (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -64,11 +72,15 @@ class SinusoidComponent:
     phase_envelope: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.amplitude > 0) or not math.isfinite(self.amplitude):
-            raise ValidationError(f"amplitude must be positive, got {self.amplitude}")
-        if not (0.0 <= self.phase < TWO_PI):
-            raise ValidationError(f"phase must lie in [0, 2*pi), got {self.phase}")
-        object.__setattr__(self, "band", _check_band(self.band, self.frequency, "component"))
+        amplitude = finite_float(self.amplitude, "amplitude")
+        if not amplitude > 0:
+            raise ValidationError(f"amplitude must be positive, got {amplitude}")
+        phase = finite_float(self.phase, "phase")
+        if not (0.0 <= phase < TWO_PI):
+            raise ValidationError(f"phase must lie in [0, 2*pi), got {phase}")
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "phase", phase)
+        _check_slot(self, "component")
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,7 @@ class CandidateTemplate:
     phase_envelope: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "band", _check_band(self.band, self.frequency, "candidate"))
+        _check_slot(self, "candidate")
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,12 @@ class Scenario:
             raise ValidationError("components must be SinusoidComponent instances")
         if not all(isinstance(c, CandidateTemplate) for c in extras):
             raise ValidationError("extra_candidates must be CandidateTemplate instances")
-        if self.noise_level < 0 or not math.isfinite(self.noise_level):
-            raise ValidationError(f"noise_level must be >= 0, got {self.noise_level}")
+        noise_level = finite_float(self.noise_level, "noise_level")
+        if noise_level < 0:
+            raise ValidationError(f"noise_level must be >= 0, got {noise_level}")
+        if not isinstance(self.noise_known, bool):
+            # bool("false") is true: a string would silently mean known noise
+            raise ValidationError(f"noise_known must be true or false, got {self.noise_known!r}")
         nonneg_int(self.n_samples, "n_samples")
         nonneg_int(self.max_order, "max_order")
         if self.max_order < len(comps):
@@ -139,6 +155,7 @@ class Scenario:
             raise ValidationError(
                 f"need {self.max_order - len(comps)} extra candidate templates, got {len(extras)}"
             )
+        object.__setattr__(self, "noise_level", noise_level)
         object.__setattr__(self, "components", tuple(self._checked(c) for c in comps))
         object.__setattr__(self, "extra_candidates", tuple(self._checked(c) for c in extras))
 
@@ -240,27 +257,19 @@ def amplitude_for_snr_db(value_db, noise_level):
     return noise_level * math.sqrt(2.0) * 10.0 ** (value_db / 20.0)
 
 
-def signal_gram(components, n_samples):
-    """Pairwise inner products of the full component waveforms.
+def signal_gram(scenario):
+    """Pairwise inner products of the scenario's full component waveforms.
 
     Diagonal entries are the signal energies E_i = sum_t s_i(t)^2.
     """
-    for comp in components:
-        for env in (comp.amplitude_envelope, comp.phase_envelope):
-            if env is not None and env.shape[0] != n_samples:
-                raise ValidationError(
-                    f"envelope length {env.shape[0]} != n_samples {n_samples}"
-                )
-    waves = np.column_stack([_component_wave(c, n_samples) for c in components])
+    waves = np.column_stack([_component_wave(c, scenario.n_samples)
+                             for c in scenario.components])
     return waves.T @ waves
 
 
 def max_offdiag_ratio(gram):
     """max |G_ij| / sqrt(G_ii G_jj) over i != j; 0 for a 1x1 matrix."""
     g = np.asarray(gram, dtype=float)
-    n = g.shape[0]
-    if n == 1:
-        return 0.0
     d = np.sqrt(np.diag(g))
     scaled = np.abs(g) / np.outer(d, d)
     np.fill_diagonal(scaled, 0.0)
@@ -278,8 +287,12 @@ def standard_scenario(snr_value_db, nu0=3, max_order=5, n_samples=64,
     the first nu0 slots carry signals with phases (0, -pi/8, -pi/6, 0, ...) and a
     common amplitude set by snr_value_db; every slot gets the default band.
     """
+    nu0, max_order = nonneg_int(nu0, "nu0"), nonneg_int(max_order, "max_order")
     if nu0 < 1 or max_order < nu0:
         raise ValidationError(f"need 1 <= nu0 <= max_order, got {nu0}, {max_order}")
+    if nonneg_int(n_samples, "n_samples") < 2 * max_order:
+        raise ValidationError(f"n_samples {n_samples} < 2*max_order {2 * max_order}")
+    noise_level = finite_float(noise_level, "noise_level")
     amp = amplitude_for_snr_db(snr_value_db, noise_level) if noise_level > 0 else 1.0
     comps = []
     extras = []
@@ -343,35 +356,35 @@ def scenario_to_dict(scenario):
     }
 
 
+def _slots(nodes, key, make, fields):
+    """Slots made by make from the list of objects nodes (doc[key]), each
+    object giving the fields and optional envelopes; errors name the key."""
+    if not isinstance(nodes, list):
+        raise ValidationError(f"{key} must be a list of objects, got {nodes!r}")
+    slots = []
+    for j, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise ValidationError(f"{key}[{j}] must be an object, got {node!r}")
+        try:
+            slots.append(make(**{f: node[f] for f in fields},
+                              amplitude_envelope=node.get("amplitude_envelope"),
+                              phase_envelope=node.get("phase_envelope")))
+        except ValidationError as exc:
+            raise ValidationError(f"{key}[{j}]: {exc}") from exc
+    return tuple(slots)
+
+
 def scenario_from_dict(doc):
     try:
-        comps = tuple(
-            SinusoidComponent(
-                amplitude=float(c["amplitude"]),
-                frequency=float(c["frequency"]),
-                phase=float(c["phase"]),
-                band=tuple(c["band"]),
-                amplitude_envelope=c.get("amplitude_envelope"),
-                phase_envelope=c.get("phase_envelope"),
-            )
-            for c in doc["components"]
-        )
-        extras = tuple(
-            CandidateTemplate(
-                frequency=float(c["frequency"]),
-                band=tuple(c["band"]),
-                amplitude_envelope=c.get("amplitude_envelope"),
-                phase_envelope=c.get("phase_envelope"),
-            )
-            for c in doc.get("extra_candidates", [])
-        )
         return Scenario(
-            components=comps,
-            noise_level=float(doc["noise_level"]),
+            components=_slots(doc["components"], "components", SinusoidComponent,
+                              ("amplitude", "frequency", "phase", "band")),
+            noise_level=doc["noise_level"],
             n_samples=doc["n_samples"],
             max_order=doc["max_order"],
-            noise_known=bool(doc.get("noise_known", True)),
-            extra_candidates=extras,
+            noise_known=doc.get("noise_known", True),
+            extra_candidates=_slots(doc.get("extra_candidates", []), "extra_candidates",
+                                    CandidateTemplate, ("frequency", "band")),
         )
     except KeyError as exc:
         raise ValidationError(f"scenario document missing field {exc}") from exc

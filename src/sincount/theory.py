@@ -18,11 +18,12 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import montecarlo
 from .criteria import Eef, Gic, PmepI, PmepIr
 from .distributions import (Quadrature, convolve_cdfs, integrate_semiinfinite,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from .errors import ModelViolationError, QuadratureError, ValidationError
-from .likelihood import FrequencyPlan
+from .likelihood import Bl, FrequencyPlan, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
 
@@ -53,10 +54,6 @@ class ComponentDistSet:
     @property
     def n(self):
         return len(self.dists)
-
-    def sample_increments(self, rng, size):
-        """Independent draws of (V_1..V_N), shape (size, N)."""
-        return np.column_stack([d.sample(rng, size) for d in self.dists])
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,7 @@ def component_dists(scenario, mode="ql", frequencies=None):
                                 nu0=scenario.nu0)
     if mode != "ml":
         raise ValidationError(f"unknown mode {mode!r}")
-    gram = signal_gram(scenario.components, scenario.n_samples)
-    ratio = max_offdiag_ratio(gram)
+    ratio = max_offdiag_ratio(signal_gram(scenario))
     if ratio > _ORTHOGONALITY_TOL:
         raise ModelViolationError(
             f"signals are not orthogonal to tolerance: max cross-energy ratio "
@@ -427,24 +423,17 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     use_mc = isinstance(spec, Eef)
     p_vals = np.zeros(deltas.size)
     errs = np.zeros(deltas.size)
-    if use_mc:
-        from . import montecarlo
-        from .likelihood import Bl
-
-        for j, delta in enumerate(deltas):
-            report = montecarlo.estimate(scenario, [spec],
-                                         Bl(delta_omega=float(delta)),
-                                         trials, master_seed)[0]
-            p_vals[j] = report.p_a
-            errs[j] = report.p_a_ci[1] - report.p_a
-    else:
-        for j, delta in enumerate(deltas):
-            freqs = scenario.all_frequencies + float(delta)
-            dists = component_dists(scenario, mode="ql", frequencies=freqs)
-            report = abridged_for(dists, spec,
-                                  params_per_signal=params_per_signal)
-            p_vals[j] = report.p_a
-            errs[j] = report.error
+    for j, delta in enumerate(deltas):
+        approach = Bl(delta_omega=float(delta))
+        if use_mc:
+            report = montecarlo.estimate(scenario, [spec], approach, trials,
+                                         master_seed)[0]
+            p_vals[j], errs[j] = report.p_a, report.p_a_ci[1] - report.p_a
+        else:
+            dists = component_dists(scenario, mode="ql",
+                                    frequencies=approach_frequencies(scenario, approach))
+            report = abridged_for(dists, spec, params_per_signal=params_per_signal)
+            p_vals[j], errs[j] = report.p_a, report.error
     weights = np.ones(deltas.size) if loss is None else np.array(
         [float(loss(d)) for d in deltas])
     p_aq = float(np.sum(p_vals * weights))

@@ -10,11 +10,9 @@ be compared on the same grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .criteria import PmepI, PmepIr, argmin_order, decision_values
 from .errors import ValidationError
@@ -133,6 +131,9 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
             j = int(np.argmin(vals))
             best_k, best_v = float(grid[j]), float(vals[j])
             if refine:
+                # imported here: scipy.optimize serves only this refinement
+                from scipy.optimize import minimize_scalar
+
                 blo = float(grid[max(j - 1, 0)])
                 bhi = float(grid[min(j + 1, grid.size - 1)])
                 res = minimize_scalar(fun, bounds=(blo, bhi), method="bounded",

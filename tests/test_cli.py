@@ -316,6 +316,16 @@ def test_tune_ml_approach(config_path, capsys):
     assert _tune_row(doc, config_path, capsys) == _api_row(api)
 
 
+CUSTOM_SCENARIO = sc.scenario_to_dict(sc.standard_scenario(-4.0))
+
+
+def _custom(**first_component):
+    """The custom scenario document with its first component changed."""
+    comps = [dict(CUSTOM_SCENARIO["components"][0], **first_component),
+             *CUSTOM_SCENARIO["components"][1:]]
+    return dict(CUSTOM_SCENARIO, components=comps)
+
+
 @pytest.mark.parametrize("change, argv, key", [
     ({"trials": "abc"}, [], "trials"),
     ({"scenario": {"standard": {"snr_db": -4.0, "n_samples": 64.5}}}, [], "n_samples"),
@@ -332,6 +342,16 @@ def test_tune_ml_approach(config_path, capsys):
     ({"approach": {"kind": "known", "delta_omega": 0.004}}, [], "delta_omega"),
     ({"approach": {"kind": "bl", "delta_omega": 0.004, "frequencies":
                    sc.standard_scenario(-4.0).all_frequencies.tolist()}}, [], "delta_omega"),
+    ({"scenario": {"standard": {"snr_db": -4.0, "noise_level": 2.0,
+                                "noise_known": "false"}}}, [], "noise_known"),
+    ({"scenario": dict(CUSTOM_SCENARIO, noise_known="false")}, [], "noise_known"),
+    ({"scenario": {"standard": {"snr_db": -4.0, "nu0": 2.0}}}, [], "nu0"),
+    ({"scenario": {"standard": {"snr_db": -4.0, "n_samples": 0}}}, [], "n_samples"),
+    ({"scenario": {"standard": {"snr_db": -4.0, "noise_level": "2"}}}, [], "noise_level"),
+    ({"scenario": _custom(amplitude="x")}, [], "amplitude"),
+    ({"scenario": _custom(amplitude="1.5")}, [], "amplitude"),
+    ({"scenario": _custom(band=5)}, [], "band"),
+    ({"scenario": dict(CUSTOM_SCENARIO, noise_level="1")}, [], "noise_level"),
 ])
 def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     doc = dict(BASE_CONFIG, **change)
@@ -350,6 +370,16 @@ def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     ("tune", dict(TUNE_CONFIG, tune=dict(TUNE_CONFIG["tune"], refine="false")), "tune.refine"),
     ("tune", dict(TUNE_CONFIG, tune="pmep-ir"), "tune"),
     ("consistency", {"consistency": [1.0]}, "consistency"),
+    ("theory", dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, "noise_level": 2.0,
+                                                        "noise_known": "false"}}),
+     "noise_known"),
+    ("theory", dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, "nu0": 2.0}}), "nu0"),
+    ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, components=5)), "components"),
+    ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, components=[5])), "components[0]"),
+    ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, extra_candidates={})),
+     "extra_candidates"),
+    ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, extra_candidates=[[1.0]])),
+     "extra_candidates[0]"),
 ])
 def test_config_section_of_wrong_type_exits_2(command, doc, key, config_path, capsys):
     rc, out, err = run([command, "--config", config_path(doc)], capsys)

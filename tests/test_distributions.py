@@ -9,6 +9,9 @@ from scipy.special import gammainc, gammaln, logsumexp, xlogy
 from sincount.distributions import (convolve_cdfs, integrate_semiinfinite,
                                     ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from sincount.errors import QuadratureError, ValidationError
+from sincount.theory import ComponentDistSet
+
+from oracles import sample_increments
 
 GRID = np.linspace(0.0, 40.0, 401)
 
@@ -116,9 +119,12 @@ def test_noncentrality_validation():
 def test_sampler_matches_law():
     rng = np.random.default_rng(5)
     d = nc_chisq2(7.5)
-    draws = d.sample(rng, 200000)
+    one = ComponentDistSet(dists=(d,), lambdas=np.array([7.5]), mode="ql", nu0=1)
+    draws = sample_increments(one, rng, 200000)[:, 0]
     assert draws.mean() == pytest.approx(2 + 7.5, rel=0.01)
     assert draws.var() == pytest.approx(4 + 4 * 7.5, rel=0.03)
+    for q in (5.0, 10.0, 20.0):
+        assert float(np.mean(draws <= q)) == pytest.approx(d.cdf(q), abs=0.01)
 
 
 def test_convolution_of_central_pair_closed_form():
@@ -165,15 +171,6 @@ def test_ml_noise_index_stochastically_larger_with_xi():
     wide = ml_component_cdf(dbar_sq=1.0, xi=40.0, signal_present=False)
     for x in (2.0, 5.0, 10.0, 20.0):
         assert wide.cdf(x) <= narrow.cdf(x) + 1e-12
-
-
-def test_ml_sampler_matches_cdf():
-    rng = np.random.default_rng(11)
-    d = ml_component_cdf(dbar_sq=3.0, xi=15.0, signal_present=True)
-    draws = d.sample(rng, 100000)
-    for q in (5.0, 10.0, 20.0):
-        frac = float(np.mean(draws <= q))
-        assert frac == pytest.approx(d.cdf(q), abs=0.01)
 
 
 LAMBDAS = st.floats(min_value=0.0, max_value=5e6)

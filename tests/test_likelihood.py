@@ -106,24 +106,34 @@ def test_out_of_band_frequency_rejected(scen_m4):
     freqs[2] += 1.0
     with pytest.raises(ValidationError):
         FrequencyPlan.build(scen_m4, freqs)
+    with pytest.raises(ValidationError):
+        # one frequency more than the scenario has order slots
+        FrequencyPlan.build(scen_m4, np.append(scen_m4.all_frequencies, 1.0))
 
 
 def test_bl_frequency_rules(scen_m4):
-    bands = scen_m4.bands
-    centers = [(lo + hi) / 2 for lo, hi in bands]
+    centers = [(lo + hi) / 2 for lo, hi in scen_m4.bands]
     np.testing.assert_allclose(
-        sc.bl_frequencies(bands, "fixed", values=centers), centers, rtol=1e-12)
-    with pytest.raises(ValidationError):
-        sc.bl_frequencies(bands, "center")
+        sc.approach_frequencies(scen_m4, sc.Bl(frequencies=tuple(centers))), centers,
+        rtol=1e-12)
     nominal = np.array(scen_m4.all_frequencies)
-    offset = sc.bl_frequencies(bands, "offset", nominal=nominal, delta=1e-3)
+    offset = sc.approach_frequencies(scen_m4, sc.Bl(delta_omega=1e-3))
     np.testing.assert_allclose(offset, nominal + 1e-3, rtol=1e-12)
-    fixed = sc.bl_frequencies(bands, "fixed", values=nominal)
+    fixed = sc.approach_frequencies(scen_m4, sc.Bl(frequencies=tuple(nominal)))
     np.testing.assert_allclose(fixed, nominal, rtol=1e-12)
-    with pytest.raises(ValidationError):
-        sc.bl_frequencies(bands, "fixed", values=nominal + 1.0)
-    with pytest.raises(ValidationError):
-        sc.bl_frequencies(bands, "no-such-rule")
+    # out of band, explicit or offset: FrequencyPlan.build rejects them on
+    # every path that consumes the frequencies
+    x = sc.synthesize(scen_m4, 1)
+    for approach in (sc.Bl(frequencies=tuple(nominal + 1.0)), sc.Bl(delta_omega=1.0)):
+        freqs = sc.approach_frequencies(scen_m4, approach)
+        for consume in (lambda: sc.observation_logliks(x, scen_m4, approach),
+                        lambda: sc.collect_logliks(scen_m4, approach, 10, 1),
+                        lambda: sc.component_dists(scen_m4, frequencies=freqs)):
+            with pytest.raises(ValidationError, match="outside band"):
+                consume()
+    for wrong in (nominal[:-1], np.append(nominal, nominal[-1])):
+        with pytest.raises(ValidationError, match="explicit frequencies"):
+            sc.approach_frequencies(scen_m4, sc.Bl(frequencies=tuple(wrong)))
 
 
 def test_ml_search_finds_strong_tone():

@@ -118,6 +118,36 @@ def test_scenario_validation_errors():
                     max_order=2)
 
 
+STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.standard_scenario(-4.0, noise_known="false"),
+    lambda: sc.standard_scenario(-4.0, nu0=2.0),
+    lambda: sc.standard_scenario(-4.0, n_samples=0),
+    lambda: _tone(amplitude="1.5"),
+    lambda: _tone(phase=math.nan),
+    lambda: sc.CandidateTemplate(frequency="1.0", band=(0.5, 1.5)),
+    lambda: sc.CandidateTemplate(frequency=1.0, band=5),
+    lambda: sc.CandidateTemplate(frequency=1.0, band=(0.5, "1.5")),
+    lambda: sc.Scenario(components=(_tone(),), noise_level="1", n_samples=64, max_order=1),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_known="false")),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, components=5)),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[5])),
+], ids=["noise_known", "nu0", "n_samples", "amplitude", "phase", "frequency", "band",
+        "band_entry", "noise_level", "doc_noise_known", "doc_components", "doc_extras"])
+def test_invalid_scenario_fields_raise_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_scenario_stores_numbers_as_floats():
+    comp = sc.SinusoidComponent(amplitude=2, frequency=1, phase=0, band=[0, 2])
+    assert [type(v) for v in (comp.amplitude, comp.frequency, comp.phase, *comp.band)] == [float] * 5
+    scen = sc.Scenario(components=(comp,), noise_level=1, n_samples=64, max_order=1)
+    assert type(scen.noise_level) is float
+
+
 def test_scenario_validates_envelopes():
     comp = dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 64)
     scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
@@ -147,7 +177,7 @@ def test_scenario_validates_envelopes():
 
 
 def test_signal_gram_near_orthogonal(scen_m4):
-    gram = signal_gram(scen_m4.components, scen_m4.n_samples)
+    gram = signal_gram(scen_m4)
     assert max_offdiag_ratio(gram) < 0.05
     # diagonal holds the signal energies, about a^2 N/2 for plain tones
     a = scen_m4.components[0].amplitude
