@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 
@@ -62,6 +63,11 @@ def _numbers(values, key):
     return [finite_float(v, f"{key}[{j}]") for j, v in enumerate(values)]
 
 
+# keys of scenario.standard beside snr_db: standard_scenario's parameters
+# after the SNR
+_STANDARD_KEYS = tuple(inspect.signature(standard_scenario).parameters)[1:]
+
+
 def build_scenario(doc):
     if "scenario" not in doc:
         raise ValidationError("scenario: required")
@@ -71,10 +77,10 @@ def build_scenario(doc):
         if "snr_db" not in std:
             raise ValidationError("scenario.standard.snr_db: required")
         snr = finite_float(std.pop("snr_db"), "scenario.standard.snr_db")
-        try:
-            return standard_scenario(snr, **std)
-        except TypeError as exc:
-            raise ValidationError(f"scenario.standard: {exc}") from exc
+        for key in std:
+            if key not in _STANDARD_KEYS:
+                raise ValidationError(f"scenario.standard.{key}: unknown key")
+        return standard_scenario(snr, **std)
     try:
         return scenario_from_dict(node)
     except ValidationError as exc:

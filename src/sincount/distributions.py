@@ -20,14 +20,17 @@ from .errors import QuadratureError, ValidationError
 
 @dataclass(frozen=True)
 class Dist:
-    """A distribution on [0, inf): vectorized cdf/pdf callables, an upper
-    truncation point with 1 - cdf < 1e-12, and the probability mass sitting
-    exactly at zero (nonzero only for the truncated ML-approach laws)."""
+    """A distribution on [0, inf): vectorized cdf/pdf callables, the window
+    [support_lo, support_hint] outside which cdf and 1 - cdf are below 1e-12
+    (for a convolution, below the sum of its parts' bounds), and the
+    probability mass sitting exactly at zero (nonzero only for the truncated
+    ML-approach laws, whose window therefore starts at zero)."""
 
     cdf: object
     pdf: object
     support_hint: float
     atom0: float = 0.0
+    support_lo: float = 0.0
 
 
 def _ncx2_cdf(x, m, lam):
@@ -64,12 +67,18 @@ def _ncx2_pdf(x, m, lam):
     return out
 
 
-def _ncx2_support(m, lam):
-    """mean + 12 sd + 20, widened until 1 - cdf < 1e-12."""
-    t = 2 * m + lam + 12.0 * math.sqrt(2.0 * (2 * m + 2.0 * lam)) + 20.0
-    while _ncx2_cdf(np.array([t]), m, lam)[0] < 1.0 - 1e-12:
-        t *= 1.5
-    return float(t)
+def _ncx2_window(m, lam):
+    """(lo, hi) = mean -/+ (12 sd + 20), each widened (lo down to 0) until
+    cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12."""
+    mean = 2 * m + lam
+    spread = 12.0 * math.sqrt(2.0 * (2 * m + 2.0 * lam)) + 20.0
+    lo = max(mean - spread, 0.0)
+    while lo > 0.0 and _ncx2_cdf(np.array([lo]), m, lam)[0] >= 1e-12:
+        lo = max(mean - 1.5 * (mean - lo), 0.0)
+    hi = mean + spread
+    while _ncx2_cdf(np.array([hi]), m, lam)[0] < 1.0 - 1e-12:
+        hi *= 1.5
+    return float(lo), float(hi)
 
 
 def nc_chisq2(lam):
@@ -96,7 +105,8 @@ def nc_chisq2_sum(n_terms, lam):
     def pdf(x):
         return _ncx2_pdf(x, m, lam)
 
-    return Dist(cdf=cdf, pdf=pdf, support_hint=_ncx2_support(m, lam))
+    lo, hi = _ncx2_window(m, lam)
+    return Dist(cdf=cdf, pdf=pdf, support_hint=hi, support_lo=lo)
 
 
 def ml_component_cdf(dbar_sq, xi, signal_present):
@@ -151,7 +161,9 @@ def ml_component_cdf(dbar_sq, xi, signal_present):
     t = max(tail, 1.0)
     while cdf(np.array([t]))[0] < 1.0 - 1e-12:
         t *= 1.5
-    return Dist(cdf=cdf, pdf=pdf, support_hint=float(t), atom0=atom)
+    # below lo the Gumbel factor, which bounds the cdf, is under exp(-28)
+    lo = 2.0 * math.log(c / 28.0) if c > 28.0 else 0.0
+    return Dist(cdf=cdf, pdf=pdf, support_hint=float(t), atom0=atom, support_lo=lo)
 
 
 def _panel_nodes(n_nodes, n_panels):
@@ -165,14 +177,16 @@ def _panel_nodes(n_nodes, n_panels):
 
 
 _CONV_GRID = 4096
-_CONV_NODES, _CONV_WEIGHTS = _panel_nodes(48, 4)
+_CONV_NODES, _CONV_WEIGHTS = _panel_nodes(32, 2)
 
 
 def convolve_cdfs(a, b):
     """Law of the sum of independent variables with laws a and b.
 
-    cdf(x) = b.atom0 * a.cdf(x) + integral_0^x a.cdf(x - y) b.pdf(y) dy,
-    evaluated on a dense grid by panelled Gauss-Legendre quadrature and
+    cdf(x) = b.atom0 * a.cdf(x) + integral a.cdf(x - y) b.pdf(y) dy over
+    y in [b.support_lo, min(x - a.support_lo, b.support_hint)], evaluated by
+    panelled Gauss-Legendre quadrature on a dense grid over the window
+    [a.support_lo + b.support_lo, a.support_hint + b.support_hint] and
     interpolated monotonically.
     """
     # scipy.interpolate (which loads scipy.optimize) serves only the ML laws
@@ -182,11 +196,13 @@ def convolve_cdfs(a, b):
         return a
     if a.atom0 >= 1.0 - 1e-12 or a.support_hint <= 1e-12:
         return b
-    total = a.support_hint + b.support_hint
-    xs = np.linspace(0.0, total, _CONV_GRID + 1)
-    upper = np.minimum(xs, b.support_hint)
-    ys = upper[:, None] * _CONV_NODES[None, :]
-    wts = upper[:, None] * _CONV_WEIGHTS[None, :]
+    lo = a.support_lo + b.support_lo
+    hi = a.support_hint + b.support_hint
+    xs = np.linspace(lo, hi, _CONV_GRID + 1)
+    y_lo = b.support_lo
+    y_span = np.clip(xs - a.support_lo, y_lo, b.support_hint) - y_lo
+    ys = y_lo + y_span[:, None] * _CONV_NODES[None, :]
+    wts = y_span[:, None] * _CONV_WEIGHTS[None, :]
     bp = b.pdf(ys)
     cdf_vals = b.atom0 * a.cdf(xs) + np.sum(a.cdf(xs[:, None] - ys) * bp * wts, axis=1)
     pdf_vals = (b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs)
@@ -201,8 +217,8 @@ def convolve_cdfs(a, b):
     def cdf(x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
-        below = x < 0
-        above = x > total
+        below = x < lo
+        above = x > hi
         mid = ~(below | above)
         out[below] = 0.0
         out[above] = max(top, 1.0 - 1e-15)
@@ -212,11 +228,11 @@ def convolve_cdfs(a, b):
     def pdf(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
-        mid = (x >= 0) & (x <= total)
+        mid = (x >= lo) & (x <= hi)
         out[mid] = pdf_interp(x[mid])
         return out
 
-    return Dist(cdf=cdf, pdf=pdf, support_hint=total, atom0=atom)
+    return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo)
 
 
 _QUAD_SEEDS = 8         # equal panels whose halves make the first level

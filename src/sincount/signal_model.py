@@ -254,6 +254,7 @@ def snr_db(component, noise_level):
 
 def amplitude_for_snr_db(value_db, noise_level):
     """Amplitude giving the requested SNR: a = sigma0 * sqrt(2) * 10^(dB/20)."""
+    value_db = finite_float(value_db, "snr_db")
     return noise_level * math.sqrt(2.0) * 10.0 ** (value_db / 20.0)
 
 
@@ -287,6 +288,7 @@ def standard_scenario(snr_value_db, nu0=3, max_order=5, n_samples=64,
     the first nu0 slots carry signals with phases (0, -pi/8, -pi/6, 0, ...) and a
     common amplitude set by snr_value_db; every slot gets the default band.
     """
+    snr_value_db = finite_float(snr_value_db, "snr_db")
     nu0, max_order = nonneg_int(nu0, "nu0"), nonneg_int(max_order, "max_order")
     if nu0 < 1 or max_order < nu0:
         raise ValidationError(f"need 1 <= nu0 <= max_order, got {nu0}, {max_order}")
@@ -375,6 +377,8 @@ def _slots(nodes, key, make, fields):
 
 
 def scenario_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"scenario document must be an object, got {doc!r}")
     try:
         return Scenario(
             components=_slots(doc["components"], "components", SinusoidComponent,

@@ -178,6 +178,13 @@ def abridged_gic(dist_set, threshold):
     return _report("gic", dist_set, 1.0 - over_holds + over_holds * under_fails)
 
 
+def _integrate_window(f, dist):
+    """Integral of f over dist's window [support_lo, support_hint], for an
+    integrand that carries dist's pdf as a factor."""
+    lo = dist.support_lo
+    return integrate_semiinfinite(lambda x: f(lo + x), dist.support_hint - lo, _QUAD_TOL)
+
+
 def _cdf_product(dists, indices):
     def in_scale(x):
         out = np.ones_like(np.asarray(x, dtype=float))
@@ -197,7 +204,8 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     With one comparison only the single integral
     J(k) = int W_k(x) prod_{i != k} F_i(x/kappa) dx, the probability of
     V_k > kappa max_{i != k} V_i, remains: p_a = J(2) at nu0 = 1 and
-    1 - J(nu0) at nu0 = N.
+    1 - J(nu0) at nu0 = N.  Each integral runs over the window of the law
+    whose pdf it carries.
     """
     if not 0 < kappa_ir <= 1:
         raise ValidationError(f"kappa_ir must be in (0, 1], got {kappa_ir}")
@@ -206,31 +214,34 @@ def abridged_pmep_ir(dist_set, kappa_ir):
         return _report("pmep-ir", dist_set, 0.0)
     nu0, dists = dist_set.nu0, dist_set.dists
     kap = float(kappa_ir)
-    hint = max(d.support_hint for d in dists) / min(kap, 1.0)
     if under and over:
         rest = [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)]
         f_max = _cdf_product(dists, rest)
-        w_lo, f_lo = dists[nu0 - 1].pdf, dists[nu0 - 1].cdf
-        w_up, f_up = dists[nu0].pdf, dists[nu0].cdf
+        lo, up = dists[nu0 - 1], dists[nu0]
 
         def integrand1(x):
-            return w_lo(x) * f_max(x / kap) * f_up(x)
+            return lo.pdf(x) * f_max(_over_kappa(x, kap)) * up.cdf(x)
 
         def integrand2(x):
-            return w_up(x) * f_max(x / kap) * (f_lo(x / kap) - f_lo(x))
+            x_k = _over_kappa(x, kap)
+            return up.pdf(x) * f_max(x_k) * (lo.cdf(x_k) - lo.cdf(x))
 
-        quads = [integrate_semiinfinite(f, hint, _QUAD_TOL)
-                 for f in (integrand1, integrand2)]
+        quads = [_integrate_window(integrand1, lo), _integrate_window(integrand2, up)]
         return _report("pmep-ir", dist_set, 1.0 - quads[0].value + quads[1].value, quads)
     k = nu0 - 1 if under else nu0
-    w_k = dists[k].pdf
     others = _cdf_product(dists, [i for i in range(dist_set.n) if i != k])
 
     def integrand(x):
-        return w_k(x) * others(x / kap)
+        return dists[k].pdf(x) * others(_over_kappa(x, kap))
 
-    quad = integrate_semiinfinite(integrand, hint, _QUAD_TOL)
+    quad = _integrate_window(integrand, dists[k])
     return _report("pmep-ir", dist_set, 1.0 - quad.value if under else quad.value, [quad])
+
+
+def _over_kappa(x, kap):
+    """x / kappa; a quotient beyond the float range is inf, where every cdf is 1."""
+    with np.errstate(over="ignore"):
+        return x / kap
 
 
 def _lower_sum_dist(dist_set, nu0):
@@ -240,38 +251,46 @@ def _lower_sum_dist(dist_set, nu0):
     return reduce(convolve_cdfs, dist_set.dists[:nu0 - 1])
 
 
-def _pmep_i_interior(w_up, w_lo, f_sum, a_coef, b_coef, t_up, t_lo):
+_PMEP_I_START = 48    # tensor nodes per side of the first level
+_PMEP_I_LEVELS = 8    # levels, each 1.5x the nodes of the last, before giving up
+
+
+def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
     """Correct-selection probability of the inverse-penalty rule, interior case.
 
     Integrates W_up(y) W_lo(x) [F_sum(x/A) - F_sum(y/B - x)] over the region
-    x > y A / (B (A + 1)) (where the two F_sum arguments cross), by tensor
-    Gauss-Legendre with mesh-refinement error control.  Returns the value,
-    its error estimate and the number of tensor nodes evaluated.
+    x > y A / (B (A + 1)) (where the two F_sum arguments cross), with y on
+    the window of the law `up` and x on that of `lo`, by tensor
+    Gauss-Legendre rules that grow 1.5x per level until two successive
+    levels agree.  Returns the value, the last difference and the number of
+    tensor nodes evaluated.
     """
+    y_lo, y_span = up.support_lo, up.support_hint - up.support_lo
 
     def run(n_nodes):
-        yn, yw = np.polynomial.legendre.leggauss(n_nodes)
-        y = 0.5 * t_up * (yn + 1.0)
-        wy = 0.5 * t_up * yw
-        xlo = y * a_coef / (b_coef * (a_coef + 1.0))
-        span = np.maximum(t_lo - xlo, 0.0)
-        xn, xw = np.polynomial.legendre.leggauss(n_nodes)
-        xs = xlo[:, None] + 0.5 * span[:, None] * (xn[None, :] + 1.0)
-        wx = 0.5 * span[:, None] * xw[None, :]
+        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        y = y_lo + y_span * nodes
+        wy = y_span * weights
+        xlo = np.maximum(y * a_coef / (b_coef * (a_coef + 1.0)), lo.support_lo)
+        span = np.maximum(lo.support_hint - xlo, 0.0)
+        xs = xlo[:, None] + span[:, None] * nodes[None, :]
+        wx = span[:, None] * weights[None, :]
         bracket = f_sum(xs / a_coef) - f_sum(y[:, None] / b_coef - xs)
-        vals = w_up(y)[:, None] * w_lo(xs) * np.maximum(bracket, 0.0)
+        vals = up.pdf(y)[:, None] * lo.pdf(xs) * np.maximum(bracket, 0.0)
         return float(np.sum(vals * wx * wy[:, None]))
 
-    n = 192
+    n = _PMEP_I_START
     coarse = run(n)
     evaluations = n * n
-    for _ in range(3):
-        fine = run(int(n * 1.5))
-        evaluations += int(n * 1.5) ** 2
+    for _ in range(_PMEP_I_LEVELS - 1):
+        n = int(n * 1.5)
+        fine = run(n)
+        evaluations += n * n
         err = abs(fine - coarse)
         if err < 0.5 * _PA_ERROR_TOL:
             return fine, err, evaluations
-        coarse, n = fine, int(n * 1.5)
+        coarse = fine
     raise QuadratureError(
         "inverse-penalty double integral did not converge",
         estimate=fine, achieved_error=err)
@@ -284,6 +303,7 @@ def abridged_pmep_i(dist_set, kappa_i):
     correct selection is {V_nu0+1/B - V_nu0 <= S < V_nu0/A} for the lower
     partial sum S.  With one comparison p_a = 1 - int W_nu0(x) G(x) dx, with
     G(x) = F_nu0+1(Bx) at nu0 = 1 (S = 0) and G(x) = F_S(x/A) at nu0 = N.
+    Every integral runs over the windows of the laws whose pdfs it carries.
     """
     if not kappa_i > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
@@ -292,24 +312,18 @@ def abridged_pmep_i(dist_set, kappa_i):
         return _report("pmep-i", dist_set, 0.0)
     nu0, dists = dist_set.nu0, dist_set.dists
     kap = float(kappa_i)
-    w_lo = dists[nu0 - 1].pdf
+    lo = dists[nu0 - 1]
     b_coef = ((nu0 + 1.0) / nu0) ** (1.0 / kap) - 1.0
     if under:
         a_coef = (nu0 / (nu0 - 1.0)) ** (1.0 / kap) - 1.0
-        f_sum = _lower_sum_dist(dist_set, nu0)
+        f_sum = _lower_sum_dist(dist_set, nu0).cdf
     if under and over:
-        t_up = dists[nu0].support_hint
-        t_lo = dists[nu0 - 1].support_hint + f_sum.support_hint * a_coef
-        quad = Quadrature(*_pmep_i_interior(dists[nu0].pdf, w_lo, f_sum.cdf,
-                                            a_coef, b_coef, t_up, t_lo))
+        quad = Quadrature(*_pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef))
     elif under:
-        quad = integrate_semiinfinite(
-            lambda x: w_lo(x) * f_sum.cdf(x / a_coef),
-            max(dists[nu0 - 1].support_hint, f_sum.support_hint * a_coef), _QUAD_TOL)
+        quad = _integrate_window(lambda x: lo.pdf(x) * f_sum(x / a_coef), lo)
     else:
         f_up = dists[nu0].cdf
-        quad = integrate_semiinfinite(lambda x: w_lo(x) * f_up(b_coef * x),
-                                      dists[nu0 - 1].support_hint, _QUAD_TOL)
+        quad = _integrate_window(lambda x: lo.pdf(x) * f_up(b_coef * x), lo)
     return _report("pmep-i", dist_set, 1.0 - quad.value, [quad])
 
 

@@ -361,6 +361,25 @@ def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     assert key in err
 
 
+@pytest.mark.parametrize("command", ["synth", "theory"])
+@pytest.mark.parametrize("key", ["foo", "snr_value_db"])
+def test_unknown_standard_scenario_key_exits_2(command, key, config_path, capsys):
+    doc = dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, key: 1}})
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"scenario.standard.{key}: unknown key" in err
+
+
+def test_theory_pmep_i_at_40_db_exits_0(config_path, capsys):
+    doc = dict(BASE_CONFIG, scenario={"standard": {"snr_db": 40.0}},
+               criteria=[{"name": "pmep-i", "kappa_i": 3.0}], snr_grid_db=[40.0])
+    rc, out, err = run(["theory", "--config", config_path(doc)], capsys)
+    assert rc == 0, err
+    row = out.splitlines()[2].split(",")
+    assert row[1] == "pmep-i" and 0.0 <= float(row[3]) <= 1.0
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("theory", dict(BASE_CONFIG, approach="ml"), "approach"),
     ("mc", dict(BASE_CONFIG, scenario="x"), "scenario"),

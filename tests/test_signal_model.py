@@ -141,6 +141,21 @@ def test_invalid_scenario_fields_raise_validation_error(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sc.standard_scenario("x"),
+    lambda: sc.standard_scenario(float("nan")),
+    lambda: sc.with_snr_db(sc.standard_scenario(0.0), "x"),
+    lambda: sc.amplitude_for_snr_db(None, 1.0),
+    lambda: sc.scenario_from_dict([1]),
+    lambda: sc.scenario_from_dict("x"),
+], ids=["standard_snr", "standard_nan", "with_snr_db", "amplitude_for_snr_db",
+        "doc_list", "doc_string"])
+def test_non_number_snr_and_non_object_document_raise_validation_error(build):
+    # these used to escape as TypeError from the arithmetic or the indexing
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_scenario_stores_numbers_as_floats():
     comp = sc.SinusoidComponent(amplitude=2, frequency=1, phase=0, band=[0, 2])
     assert [type(v) for v in (comp.amplitude, comp.frequency, comp.phase, *comp.band)] == [float] * 5

@@ -95,7 +95,21 @@ def test_abridged_pmep_i_frozen_value(dists_m4):
     rep = sc.abridged_pmep_i(dists_m4, kappa_i=3.0)
     assert rep.p_a == pytest.approx(I_PA_M4, abs=1e-6)
     assert rep.error < 1e-6
-    assert rep.evaluations >= 192 * 192  # tensor nodes of the interior rule
+    # tensor nodes of the interior rule: a cost ceiling, not a schedule
+    assert 0 < rep.evaluations <= 20000
+
+
+@pytest.mark.parametrize("snr", [20.0, 30.0, 40.0])
+@pytest.mark.parametrize("kappa", [1.2, 3.0])
+def test_abridged_pmep_i_high_snr_against_oracle(snr, kappa):
+    # the increment laws sit in narrow windows far from zero here; the
+    # interior rule must find them instead of raising QuadratureError
+    dists = sc.component_dists(sc.standard_scenario(snr))
+    rep = sc.abridged_pmep_i(dists, kappa)
+    rate = abridged_event_rate(sc.PmepI(kappa), dists, 100000, seed=int(snr))
+    se = math.sqrt(max(rate * (1 - rate), 1e-9) / 100000)
+    assert abs(rep.p_a - rate) < 4 * se + 2e-4
+    assert rep.error < 1e-6
 
 
 def test_abridged_kappa_validation(dists_m4):
@@ -133,6 +147,23 @@ def test_boundary_orders_against_oracle():
         if max_order == 1:
             reports = sc.estimate(scen, list(specs), sc.KNOWN_FREQ, 1000, seed)
             assert [r.p_a for r in reports] == [0.0] * len(specs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.floats(min_value=-20.0, max_value=40.0),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_boundary_orders_return_probabilities(lowest, snr, where):
+    # nu0 = 1 or nu0 = N; kappa from inside the exact consistency range
+    # (vacuous at nu0 = 1, where it spans the usual tuning interval)
+    nu0 = 1 if lowest else 3
+    scen = sc.standard_scenario(snr, nu0=nu0, max_order=3)
+    dists = sc.component_dists(scen)
+    ranges = sc.consistency_range(dists.lambdas[:nu0], 3, nu0)
+    kappa_ir = where * min(ranges.kappa_ir_sup_exact, 1.0) or 1e-3
+    kappa_i = ranges.kappa_i_inf_exact + 0.1 + 10.0 * where
+    for spec in (sc.Gic(), sc.PmepIr(kappa_ir), sc.PmepI(kappa_i)):
+        rep = sc.abridged_for(dists, spec)
+        assert 0.0 <= rep.p_a <= 1.0, spec
 
 
 def test_component_dist_set_checks_nu0(dists_m4):
