@@ -12,14 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SelectionError, SincountError, ValidationError
+from .errors import SelectionError, SincountError, ValidationError, finite_float
 from .likelihood import Bl, Ml, observation_logliks
 
 
 def _resolve_kappa(kappa, params_per_signal):
-    if kappa is not None:
-        return float(kappa)
-    return float(params_per_signal)
+    return float(params_per_signal) if kappa is None else kappa
 
 
 @dataclass(frozen=True)
@@ -32,8 +30,9 @@ class Gic:
     name = "gic"
 
     def __post_init__(self):
-        if not np.isfinite(self.upsilon):
-            raise ValidationError("upsilon must be finite")
+        object.__setattr__(self, "upsilon", finite_float(self.upsilon, "upsilon"))
+        if self.kappa is not None:
+            object.__setattr__(self, "kappa", finite_float(self.kappa, "kappa"))
 
     def threshold(self, params_per_signal=2):
         """Increment threshold 2*upsilon*kappa of the abridged event."""
@@ -84,6 +83,7 @@ class PmepIr:
     name = "pmep-ir"
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa_ir", finite_float(self.kappa_ir, "kappa_ir"))
         if not self.kappa_ir > 0:
             raise ValidationError("kappa_ir must be positive")
 
@@ -109,6 +109,7 @@ class PmepI:
     name = "pmep-i"
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa_i", finite_float(self.kappa_i, "kappa_i"))
         if not self.kappa_i > 0:
             raise ValidationError("kappa_i must be positive")
 
@@ -133,6 +134,12 @@ def decision_values(spec, logliks, params_per_signal=2):
     if np.any(np.diff(logliks, axis=-1) < -1e-9):
         raise ValidationError("log-likelihoods must be nondecreasing")
     return spec.values(logliks, params_per_signal=params_per_signal)
+
+
+def abridged_comparisons(nu0, n_orders):
+    """(under, over): the abridged error event compares order nu0 with nu0 - 1
+    when nu0 >= 2 and with nu0 + 1 when nu0 < N; with neither, p_a = 0."""
+    return nu0 >= 2, nu0 < n_orders
 
 
 def argmin_order(values):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and number
-checks that raise them."""
+"""Exception types shared across the package, and the integer, number and
+object-key checks that raise them."""
 
 import math
 import numbers
@@ -44,6 +44,17 @@ def finite_float(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def checked_keys(node, path, allowed=None):
+    """node unchanged; a ValidationError naming path unless it is an object
+    (a dict), or naming path.key for a key not in allowed (None: any key)."""
+    if not isinstance(node, dict):
+        raise ValidationError(f"{path or 'config'} must be an object, got {node!r}")
+    for key in node:
+        if allowed is not None and key not in allowed:
+            raise ValidationError(f"{path + '.' if path else ''}{key}: unknown key")
+    return node
 
 
 class ModelViolationError(SincountError):

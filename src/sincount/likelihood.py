@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg import cholesky as _cholesky
 
-from .errors import DegenerateStatsError, ValidationError, nonneg_int
+from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_int
 from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
@@ -312,8 +312,9 @@ class Ml:
     def __post_init__(self):
         if nonneg_int(self.grid_points, "grid_points") < 2:
             raise ValidationError(f"grid_points must be >= 2, got {self.grid_points}")
-        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
-            raise ValidationError(f"refine_tol must be finite and > 0, got {self.refine_tol}")
+        object.__setattr__(self, "refine_tol", finite_float(self.refine_tol, "refine_tol"))
+        if not self.refine_tol > 0:
+            raise ValidationError(f"refine_tol must be > 0, got {self.refine_tol}")
 
     @property
     def label(self):
@@ -334,6 +335,17 @@ class Bl:
 
     delta_omega: float = 0.0
     frequencies: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta_omega", finite_float(self.delta_omega, "delta_omega"))
+        if self.frequencies is None:
+            return
+        if self.delta_omega != 0.0:
+            raise ValidationError("delta_omega must be 0: explicit frequencies replace it")
+        if not isinstance(self.frequencies, (list, tuple, np.ndarray)):
+            raise ValidationError(f"frequencies must be a sequence, got {self.frequencies!r}")
+        object.__setattr__(self, "frequencies", tuple(
+            finite_float(w, f"frequencies[{j}]") for j, w in enumerate(self.frequencies)))
 
     @property
     def label(self):

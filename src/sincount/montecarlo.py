@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .criteria import argmin_order, decision_values
+from .criteria import abridged_comparisons, argmin_order, decision_values
 from .errors import ValidationError, nonneg_int
 from .likelihood import Bl, Ml, FrequencyPlan, approach_frequencies, ml_search_increments
 from .signal_model import clean_signal, scenario_to_dict
@@ -257,15 +257,16 @@ def estimate(scenario, specs, approach, trials, master_seed):
     if n_eff == 0:
         raise ValidationError("all trials degenerated; scenario is ill-posed")
     key = scenario_fingerprint(scenario)
+    under, over = abridged_comparisons(nu0, n_orders)
     reports = []
     for spec in specs:
         values = decision_values(spec, logliks,
                                  params_per_signal=approach.params_per_signal)
         nu_hat = argmin_order(values)
         correct = nu_hat == nu0
-        under = values[:, nu0 - 1] < values[:, nu0 - 2] if nu0 >= 2 else np.ones(n_eff, bool)
-        over = values[:, nu0 - 1] <= values[:, nu0] if nu0 < n_orders else np.ones(n_eff, bool)
-        abridged_correct = under & over
+        under_holds = values[:, nu0 - 1] < values[:, nu0 - 2] if under else True
+        over_holds = values[:, nu0 - 1] <= values[:, nu0] if over else True
+        abridged_correct = np.full(n_eff, True) & under_holds & over_holds
         p_e = 1.0 - float(np.mean(correct))
         p_a = 1.0 - float(np.mean(abridged_correct))
         counts = np.bincount(nu_hat, minlength=n_orders + 1)[1:]

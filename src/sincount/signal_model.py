@@ -12,11 +12,12 @@ candidate orders up to max_order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError, finite_float, nonneg_int
+from .errors import ValidationError, checked_keys, finite_float, nonneg_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -358,37 +359,30 @@ def scenario_to_dict(scenario):
     }
 
 
-def _slots(nodes, key, make, fields):
-    """Slots made by make from the list of objects nodes (doc[key]), each
-    object giving the fields and optional envelopes; errors name the key."""
+def _from_dict(make, node, path, **parse):
+    """make(**node): node's keys must be make's fields, those without a
+    default are required, and the values of the keys in parse go through
+    parse[key](value, key path) first; errors name the key path."""
+    names = fields(make)
+    checked_keys(node, path, [f.name for f in names])
+    for f in names:
+        if f.default is MISSING and f.name not in node:
+            raise ValidationError(f"{path}.{f.name}: required")
+    kwargs = {k: parse[k](v, f"{path}.{k}") if k in parse else v for k, v in node.items()}
+    try:
+        return make(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _slots(make, nodes, path):
+    """Slots made by make from a list of objects; errors name the key path."""
     if not isinstance(nodes, list):
-        raise ValidationError(f"{key} must be a list of objects, got {nodes!r}")
-    slots = []
-    for j, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise ValidationError(f"{key}[{j}] must be an object, got {node!r}")
-        try:
-            slots.append(make(**{f: node[f] for f in fields},
-                              amplitude_envelope=node.get("amplitude_envelope"),
-                              phase_envelope=node.get("phase_envelope")))
-        except ValidationError as exc:
-            raise ValidationError(f"{key}[{j}]: {exc}") from exc
-    return tuple(slots)
+        raise ValidationError(f"{path} must be a list of objects, got {nodes!r}")
+    return tuple(_from_dict(make, node, f"{path}[{j}]") for j, node in enumerate(nodes))
 
 
 def scenario_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ValidationError(f"scenario document must be an object, got {doc!r}")
-    try:
-        return Scenario(
-            components=_slots(doc["components"], "components", SinusoidComponent,
-                              ("amplitude", "frequency", "phase", "band")),
-            noise_level=doc["noise_level"],
-            n_samples=doc["n_samples"],
-            max_order=doc["max_order"],
-            noise_known=doc.get("noise_known", True),
-            extra_candidates=_slots(doc.get("extra_candidates", []), "extra_candidates",
-                                    CandidateTemplate, ("frequency", "band")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scenario document missing field {exc}") from exc
+    """Inverse of scenario_to_dict; errors name the key path from "scenario"."""
+    return _from_dict(Scenario, doc, "scenario", components=partial(_slots, SinusoidComponent),
+                      extra_candidates=partial(_slots, CandidateTemplate))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import montecarlo
-from .criteria import Eef, Gic, PmepI, PmepIr
+from .criteria import Eef, Gic, PmepI, PmepIr, abridged_comparisons
 from .distributions import (Quadrature, convolve_cdfs, integrate_semiinfinite,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from .errors import ModelViolationError, QuadratureError, ValidationError
@@ -145,13 +145,6 @@ def component_dists(scenario, mode="ql", frequencies=None):
                             nu0=scenario.nu0)
 
 
-def _comparisons(dist_set):
-    """Which neighbour comparisons the abridged event makes: with order
-    nu0 - 1 when nu0 >= 2 and with order nu0 + 1 when nu0 < N.  Monte Carlo
-    applies the same rule; with neither, p_a = 0."""
-    return dist_set.nu0 >= 2, dist_set.nu0 < dist_set.n
-
-
 def _report(criterion, dist_set, p_a, quads=()):
     """AbridgedReport with p_a clamped to [0, 1] and the error estimates and
     integrand points summed over the formula's quadratures."""
@@ -168,7 +161,7 @@ def abridged_gic(dist_set, threshold):
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
-    under, over = _comparisons(dist_set)
+    under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     nu0, dists = dist_set.nu0, dist_set.dists
     t_arr = np.array([float(threshold)])
     under_fails = float(dists[nu0 - 1].cdf(t_arr)[0]) if under else 0.0
@@ -209,7 +202,7 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     """
     if not 0 < kappa_ir <= 1:
         raise ValidationError(f"kappa_ir must be in (0, 1], got {kappa_ir}")
-    under, over = _comparisons(dist_set)
+    under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
         return _report("pmep-ir", dist_set, 0.0)
     nu0, dists = dist_set.nu0, dist_set.dists
@@ -307,7 +300,7 @@ def abridged_pmep_i(dist_set, kappa_i):
     """
     if not kappa_i > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
-    under, over = _comparisons(dist_set)
+    under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
         return _report("pmep-i", dist_set, 0.0)
     nu0, dists = dist_set.nu0, dist_set.dists

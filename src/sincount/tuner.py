@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PmepI, PmepIr, argmin_order, decision_values
-from .errors import ValidationError
+from .errors import ValidationError, nonneg_int
 from .likelihood import KNOWN_FREQ, Ml, approach_frequencies
 from .montecarlo import collect_logliks
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
@@ -108,6 +108,8 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     lo, hi = search_range if search_range is not None else _DEFAULT_RANGES[name]
     if not (lo <= hi):
         raise ValidationError(f"empty search range ({lo}, {hi})")
+    if lo < hi and nonneg_int(grid_points, "grid_points") < 2:
+        raise ValidationError(f"grid_points must be >= 2 on ({lo}, {hi}), got {grid_points}")
     if objective == "abridged_theory":
         fun = _theory_objective(scenario, name, approach)
     elif objective == "monte_carlo":
@@ -120,7 +122,7 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
         trace = np.array([[lo, value]])
         best_k, best_v, flat = float(lo), float(value), False
     else:
-        grid = np.linspace(lo, hi, int(grid_points))
+        grid = np.linspace(lo, hi, grid_points)
         vals = np.array([fun(k) for k in grid])
         trace = np.column_stack([grid, vals])
         flat = float(vals.max() - vals.min()) <= _FLAT_TOL * max(1.0, abs(float(vals.mean())))

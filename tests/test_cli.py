@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -352,6 +353,13 @@ def _custom(**first_component):
     ({"scenario": _custom(amplitude="1.5")}, [], "amplitude"),
     ({"scenario": _custom(band=5)}, [], "band"),
     ({"scenario": dict(CUSTOM_SCENARIO, noise_level="1")}, [], "noise_level"),
+    ({"criteria": [{"name": "gic", "kappa": "x"}]}, [], "criteria[0]: kappa"),
+    ({"criteria": [{"name": "pmep-i", "kappa_i": math.inf}]}, [], "criteria[0]: kappa_i"),
+    ({"criteria": [{"name": "pmep-ir", "kappa_ir": True}]}, [], "criteria[0]: kappa_ir"),
+    ({"criteria": [{"name": "gic", "upsilon": "2"}]}, [], "criteria[0]: upsilon"),
+    ({"approach": {"kind": "ml", "refine_tol": "1e-6"}}, [], "approach: refine_tol"),
+    ({"approach": {"kind": "bl", "frequencies": [1.0, True]}}, [], "frequencies[1]"),
+    ({"consistency": {"n_total": 5}}, [], "consistency.d_n_sq: required"),
 ])
 def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     doc = dict(BASE_CONFIG, **change)
@@ -405,3 +413,36 @@ def test_config_section_of_wrong_type_exits_2(command, doc, key, config_path, ca
     assert rc == 2
     assert out == ""
     assert f"{key} must be" in err
+
+
+@pytest.mark.parametrize("command, doc, path", [
+    ("mc", dict(BASE_CONFIG, trails=200), "trails"),
+    ("tune", dict(TUNE_CONFIG, tune=dict(TUNE_CONFIG["tune"], grid_point=5)), "tune.grid_point"),
+    ("consistency", {"consistency": {"d_n_sq": [10, 12], "ntotal": 5}}, "consistency.ntotal"),
+    ("mc", dict(BASE_CONFIG, approach={"kind": "ml", "grid_point": 64}), "approach.grid_point"),
+    ("mc", dict(BASE_CONFIG, criteria=[{"name": "gic", "kapa": 2}]), "criteria[0].kapa"),
+    ("mc", dict(BASE_CONFIG, criteria=[{"name": "aic", "upsilon": 3}]), "criteria[0].upsilon"),
+    ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, noise_knwon=False)),
+     "scenario.noise_knwon"),
+    ("mc", dict(BASE_CONFIG, scenario=_custom(phase_envelop=[0.0] * 64)),
+     "scenario.components[0].phase_envelop"),
+], ids=["top", "tune", "consistency", "approach", "criterion", "aic_upsilon",
+        "scenario", "component"])
+def test_unknown_key_exits_2(command, doc, path, config_path, capsys):
+    # each of these used to run, ignoring the misspelt key
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"{path}: unknown key" in err
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        text = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(text)
+    for command in ("synth", "consistency"):
+        rc, out, err = run([command, "--config", str(path)], capsys)
+        assert rc == 0, err
+        assert out.startswith(f"# sincount {command} config_sha={config_sha(json.loads(text))}")

@@ -100,6 +100,30 @@ def test_parameter_validation():
         sc.Gic(upsilon=float("inf"))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sc.Gic(kappa="x"),
+    lambda: sc.Gic(kappa=float("nan")),
+    lambda: sc.Gic(upsilon="2"),
+    lambda: sc.Aic(kappa=True),
+    lambda: sc.PmepIr(kappa_ir=True),
+    lambda: sc.PmepIr(kappa_ir="0.25"),
+    lambda: sc.PmepI(kappa_i=float("inf")),
+    lambda: sc.PmepI(kappa_i=None),
+], ids=["gic_kappa_str", "gic_kappa_nan", "gic_upsilon_str", "aic_kappa_bool",
+        "pmep_ir_bool", "pmep_ir_str", "pmep_i_inf", "pmep_i_none"])
+def test_penalty_parameters_must_be_finite_numbers(build):
+    # a string kappa used to escape as ValueError, an infinite kappa_i to run
+    # (p_e = 1) and a boolean kappa_ir to run as 1.0
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_penalty_parameters_stored_as_floats():
+    assert type(sc.Gic(upsilon=3, kappa=2).kappa) is float
+    assert sc.PmepIr(kappa_ir=1).kappa_ir == 1.0
+    assert sc.PmepI(kappa_i=3) == sc.PmepI(kappa_i=3.0)
+
+
 def test_decision_values_input_validation():
     with pytest.raises(ValidationError):
         sc.decision_values(sc.Gic(), np.array([1.0, 0.5, 2.0]))  # decreasing

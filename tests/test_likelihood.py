@@ -150,10 +150,28 @@ def test_ml_search_finds_strong_tone():
 
 @pytest.mark.parametrize("kwargs", [
     {"grid_points": 0}, {"grid_points": 1}, {"grid_points": 64.0},
-    {"refine_tol": 0.0}, {"refine_tol": -1e-6}, {"refine_tol": math.inf}])
+    {"refine_tol": 0.0}, {"refine_tol": -1e-6}, {"refine_tol": math.inf},
+    {"refine_tol": "1e-6"}, {"refine_tol": True}])
 def test_ml_rejects_invalid_search_settings(kwargs):
     with pytest.raises(ValidationError):
         sc.Ml(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"delta_omega": "0.001"}, {"delta_omega": math.nan}, {"delta_omega": True},
+    {"frequencies": (1.0, "x")}, {"frequencies": (1.0, math.inf)},
+    {"frequencies": 1.0}, {"frequencies": "12"},
+    {"delta_omega": 0.001, "frequencies": (1.0, 1.1)}])
+def test_bl_rejects_invalid_settings(kwargs):
+    with pytest.raises(ValidationError):
+        sc.Bl(**kwargs)
+
+
+def test_bl_stores_frequencies_as_float_tuple():
+    approach = sc.Bl(frequencies=np.array([1, 2.5]))
+    assert approach.frequencies == (1.0, 2.5)
+    assert all(type(w) is float for w in approach.frequencies)
+    assert hash(approach) == hash(sc.Bl(frequencies=[1.0, 2.5]))
 
 
 def test_approach_labels_and_frequencies(scen_m4):

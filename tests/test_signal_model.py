@@ -134,8 +134,14 @@ STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_known="false")),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, components=5)),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[5])),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_knwon=False)),
+    lambda: sc.scenario_from_dict({k: v for k, v in STANDARD_DOC.items() if k != "n_samples"}),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[
+        dict(STANDARD_DOC["extra_candidates"][0], phase_envelop=None),
+        *STANDARD_DOC["extra_candidates"][1:]])),
 ], ids=["noise_known", "nu0", "n_samples", "amplitude", "phase", "frequency", "band",
-        "band_entry", "noise_level", "doc_noise_known", "doc_components", "doc_extras"])
+        "band_entry", "noise_level", "doc_noise_known", "doc_components", "doc_extras",
+        "doc_unknown_key", "doc_missing_key", "doc_unknown_slot_key"])
 def test_invalid_scenario_fields_raise_validation_error(build):
     with pytest.raises(ValidationError):
         build()

@@ -45,6 +45,14 @@ def test_single_point_range(scen_m4):
     assert len(result.search_trace) == 1
 
 
+@pytest.mark.parametrize("grid_points", [0, 1, 4.0])
+def test_grid_needs_two_integer_points(scen_m4, grid_points):
+    # 0 used to end in numpy's zero-size argmin ValueError, 1 in a flat "optimum"
+    # at the range midpoint
+    with pytest.raises(ValidationError, match="grid_points"):
+        sc.tune("pmep-i", scen_m4, grid_points=grid_points, search_range=(0.01, 1.0))
+
+
 def test_monte_carlo_objective(scen_m4):
     result = sc.tune("pmep-ir", scen_m4, objective="monte_carlo",
                      grid_points=5, search_range=(0.15, 0.35), refine=False,
