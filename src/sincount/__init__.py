@@ -8,8 +8,8 @@ validate everything with seeded Monte Carlo runs.
 
 from .criteria import (CRITERIA, Aic, Eef, Gic, PmepI, PmepIr, SelectionResult,
                        argmin_order, decision_values, select_order)
-from .distributions import (Dist, convolve_cdfs, integrate_semiinfinite,
-                            ml_component_cdf, nc_chisq2, nc_chisq2_sum)
+from .distributions import (Dist, convolve_cdfs, integrate, ml_component_cdf,
+                            nc_chisq2, nc_chisq2_sum)
 from .errors import (DegenerateStatsError, ModelViolationError,
                      QuadratureError, SelectionError, SincountError,
                      ValidationError)
@@ -36,7 +36,7 @@ __all__ = [
     "Aic", "Gic", "Eef", "PmepIr", "PmepI", "CRITERIA", "SelectionResult",
     "decision_values", "argmin_order", "select_order",
     "Dist", "nc_chisq2", "nc_chisq2_sum", "ml_component_cdf", "convolve_cdfs",
-    "integrate_semiinfinite",
+    "integrate",
     "SincountError", "ValidationError", "DegenerateStatsError",
     "QuadratureError", "ModelViolationError", "SelectionError",
     "Bl", "Ml", "KNOWN_FREQ", "FrequencyPlan", "basis_matrix",

@@ -23,7 +23,7 @@ from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
 from .errors import (SincountError, ValidationError, checked_keys, finite_float,
                      nonneg_int)
-from .likelihood import KNOWN_FREQ, Bl, Ml, approach_frequencies
+from .likelihood import KNOWN_FREQ, Bl, FrequencyPlan, Ml, approach_frequencies
 from .signal_model import (scenario_from_dict, standard_scenario, synthesize,
                            with_snr_db)
 
@@ -195,6 +195,16 @@ def parse_config(doc, args):
     seed = _field(doc, "master_seed", "", nonneg_int, 0)
     trials = _field(doc, "trials", "", nonneg_int, None)
     snr_grid_db = _field(doc, "snr_grid_db", "", _numbers, None)
+    scenario = _field(doc, "scenario", "", _scenario, None)
+    approach = _field(doc, "approach", "", lambda node, key: _build(
+        node, key, "kind", _APPROACHES, "known"), None)
+    if scenario is not None and isinstance(approach, Bl):
+        # the frequency count and band check every command that reads the
+        # approach would make, so that the others do not accept it
+        try:
+            FrequencyPlan.build(scenario, approach_frequencies(scenario, approach))
+        except ValidationError as exc:
+            raise ValidationError(f"approach: {exc}") from exc
     return RunConfig(
         sha=config_sha(doc),
         seed=seed if args.seed is None else nonneg_int(args.seed, "--seed"),
@@ -202,10 +212,9 @@ def parse_config(doc, args):
         ml_trials=_field(doc, "ml_trials", "", nonneg_int, 2000),
         snr_grid_db=_number_list(args.snr_db, "--snr-db") if args.snr_db else snr_grid_db,
         delta_omega_grid=_field(doc, "delta_omega_grid", "", _numbers, None),
-        scenario=_field(doc, "scenario", "", _scenario, None),
+        scenario=scenario,
         criteria=_field(doc, "criteria", "", _criteria, None),
-        approach=_field(doc, "approach", "", lambda node, key: _build(
-            node, key, "kind", _APPROACHES, "known"), None),
+        approach=approach,
         tune=_field(doc, "tune", "", _tune, None),
         consistency=_field(doc, "consistency", "", _consistency, None),
     )

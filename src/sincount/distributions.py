@@ -251,20 +251,9 @@ class Quadrature:
     evaluations: int
 
 
-def integrate_semiinfinite(f, support_hint, tol):
-    """Integral of f over [0, inf) for an integrand negligible beyond
-    support_hint (e.g. a Dist support), as a Quadrature.
-
-    The integral over [0, support_hint] uses panelled Gauss-Legendre
-    quadrature with local refinement.
-    """
-    if not support_hint > 0:
-        raise ValidationError(f"support_hint must be positive, got {support_hint}")
-    return _quad_truncated(f, 0.0, float(support_hint), tol)
-
-
-def _quad_truncated(f, lo, hi, tol):
-    """Panelled Gauss-Legendre quadrature on [lo, hi] with local halving.
+def integrate(f, lo, hi, tol):
+    """Integral of f over the window [lo, hi] (e.g. a Dist's [support_lo,
+    support_hint]) by panelled Gauss-Legendre quadrature with local halving.
 
     Each panel's rule is compared with the same rule on its two halves.  A
     panel whose difference is within its width's share of tol keeps the
@@ -272,6 +261,8 @@ def _quad_truncated(f, lo, hi, tol):
     go to f in one array call.  Returns a Quadrature whose error is the sum
     of the differences; raises QuadratureError when the sum stays above tol.
     """
+    if not hi > lo:
+        raise ValidationError(f"integration window [{lo}, {hi}] is empty")
     span = hi - lo
     width = np.full(_QUAD_SEEDS, span / _QUAD_SEEDS)
     starts = lo + width * np.arange(_QUAD_SEEDS)

@@ -18,15 +18,10 @@ from scipy.special import betainc
 
 from .criteria import abridged_comparisons, argmin_order, decision_values
 from .errors import ValidationError, nonneg_int
-from .likelihood import Bl, Ml, FrequencyPlan, approach_frequencies, ml_search_increments
+from .likelihood import ladders
 from .signal_model import clean_signal, scenario_to_dict
 
 _CHUNK = 65536
-# trials per ML search call.  Rows are searched independently, so the size
-# never changes a result, only cost: per-trial time falls and the search's
-# peak memory grows with it (16 trials: 1.1-1.3 ms per trial, 1.4 MiB; 64:
-# 0.6-0.8 ms, 4.1 MiB; 400: 0.45-0.6 ms, 22 MiB on 2 shared Xeon cores)
-_ML_BLOCK = 64
 _Z95 = 1.959963984540054
 
 
@@ -148,32 +143,17 @@ def batch_samples(scenario, master_seed, start, count):
 
 
 def collect_logliks(scenario, approach, trials, master_seed):
-    """Log-likelihood ladders L_1..L_N for all trials, shape (trials, N).
-
-    BL/known approaches run fully vectorized; the ML approach runs the
-    greedy frequency search on blocks of _ML_BLOCK trials.  Trials whose
+    """Log-likelihood ladders L_1..L_N for all trials, shape (trials, N):
+    likelihood.ladders of each chunk of _CHUNK trials.  Trials whose
     statistics degenerate (ML only) come back as NaN rows.
     """
     nonneg_int(master_seed, "master_seed")
-    n_orders = scenario.max_order
-    out = np.empty((trials, n_orders))
-    if isinstance(approach, Bl):
-        plan = FrequencyPlan.build(scenario, approach_frequencies(scenario, approach))
-        for start in range(0, trials, _CHUNK):
-            count = min(_CHUNK, trials - start)
-            samples = batch_samples(scenario, master_seed, start, count)
-            out[start:start + count] = plan.logliks_batch(samples)
-        return out
-    if not isinstance(approach, Ml):
-        raise ValidationError("approach must be an Ml or Bl instance")
+    trials = nonneg_int(trials, "trials")
+    out = np.empty((trials, scenario.max_order))
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
         samples = batch_samples(scenario, master_seed, start, count)
-        for sub in range(0, count, _ML_BLOCK):
-            _, incs = ml_search_increments(
-                samples[sub:sub + _ML_BLOCK], n_orders, scenario,
-                grid_points=approach.grid_points, refine_tol=approach.refine_tol)
-            out[start + sub:start + sub + incs.shape[0]] = 0.5 * np.cumsum(incs, axis=1)
+        out[start:start + count] = ladders(samples, scenario, approach)[0]
     return out
 
 
@@ -246,6 +226,7 @@ def estimate(scenario, specs, approach, trials, master_seed):
     mismatches, p_a the two-neighbor abridged event (single available
     neighbor at the boundary orders).
     """
+    trials = nonneg_int(trials, "trials")
     if trials < 100:
         raise ValidationError(f"need at least 100 trials, got {trials}")
     nu0, n_orders = scenario.nu0, scenario.max_order

@@ -12,7 +12,7 @@ candidate orders up to max_order.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -325,38 +325,22 @@ def with_snr_db(scenario, value_db):
     return replace(scenario, components=comps)
 
 
-def _env_to_list(env):
-    return None if env is None else [float(v) for v in env]
+def _to_json(value):
+    """A dataclass as a dict of its fields, a tuple as a list and an array
+    as its tolist(), recursively; other values unchanged."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def scenario_to_dict(scenario):
-    """JSON-ready dict; inverse of scenario_from_dict."""
-    return {
-        "n_samples": scenario.n_samples,
-        "noise_level": scenario.noise_level,
-        "max_order": scenario.max_order,
-        "noise_known": scenario.noise_known,
-        "components": [
-            {
-                "amplitude": c.amplitude,
-                "frequency": c.frequency,
-                "phase": c.phase,
-                "band": [c.band[0], c.band[1]],
-                "amplitude_envelope": _env_to_list(c.amplitude_envelope),
-                "phase_envelope": _env_to_list(c.phase_envelope),
-            }
-            for c in scenario.components
-        ],
-        "extra_candidates": [
-            {
-                "frequency": c.frequency,
-                "band": [c.band[0], c.band[1]],
-                "amplitude_envelope": _env_to_list(c.amplitude_envelope),
-                "phase_envelope": _env_to_list(c.phase_envelope),
-            }
-            for c in scenario.extra_candidates
-        ],
-    }
+    """JSON-ready dict of the scenario's fields, as _from_dict reads them;
+    inverse of scenario_from_dict."""
+    return _to_json(scenario)
 
 
 def _from_dict(make, node, path, **parse):

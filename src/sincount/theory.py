@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import montecarlo
 from .criteria import Eef, Gic, PmepI, PmepIr, abridged_comparisons
-from .distributions import (Quadrature, convolve_cdfs, integrate_semiinfinite,
-                            ml_component_cdf, nc_chisq2, nc_chisq2_sum)
+from .distributions import (Quadrature, convolve_cdfs, integrate, ml_component_cdf,
+                            nc_chisq2, nc_chisq2_sum)
 from .errors import ModelViolationError, QuadratureError, ValidationError
 from .likelihood import Bl, FrequencyPlan, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
@@ -73,8 +72,8 @@ def residual_means(scenario, eval_frequencies):
     """Expected residual statistics E(l) and noncentralities at the given
     evaluation frequencies.
 
-    E(l) is the forward Cholesky solve of the clean-signal projections,
-    scaled by the noise level; lambda_i = E(l at sine)^2 + E(l at cosine)^2.
+    E(l) is the FrequencyPlan residual statistic of the clean signal, whitened
+    and scaled as in the Monte Carlo; lambda_i = E(l at sine)^2 + E(l at cosine)^2.
     At the true frequencies every lambda_i with i > nu0 vanishes; offsets
     leak signal energy into the higher indices.  With unknown noise the
     Monte Carlo statistic is not whitened, so it follows these laws only at
@@ -86,10 +85,8 @@ def residual_means(scenario, eval_frequencies):
         raise ValidationError(
             "the theory needs a known noise level (or noise_level 1); "
             f"got noise_known=False with noise_level {scenario.noise_level}")
-    plan = FrequencyPlan.build(scenario, eval_frequencies)
-    s0 = clean_signal(scenario)
-    means = solve_triangular(plan.chol, plan.basis.T @ s0, lower=True)
-    means = means / scenario.noise_level
+    means = FrequencyPlan.build(scenario, eval_frequencies).residuals_batch(
+        clean_signal(scenario))[0]
     lambdas = means[0::2] ** 2 + means[1::2] ** 2
     return means, lambdas
 
@@ -171,13 +168,6 @@ def abridged_gic(dist_set, threshold):
     return _report("gic", dist_set, 1.0 - over_holds + over_holds * under_fails)
 
 
-def _integrate_window(f, dist):
-    """Integral of f over dist's window [support_lo, support_hint], for an
-    integrand that carries dist's pdf as a factor."""
-    lo = dist.support_lo
-    return integrate_semiinfinite(lambda x: f(lo + x), dist.support_hint - lo, _QUAD_TOL)
-
-
 def _cdf_product(dists, indices):
     def in_scale(x):
         out = np.ones_like(np.asarray(x, dtype=float))
@@ -219,7 +209,8 @@ def abridged_pmep_ir(dist_set, kappa_ir):
             x_k = _over_kappa(x, kap)
             return up.pdf(x) * f_max(x_k) * (lo.cdf(x_k) - lo.cdf(x))
 
-        quads = [_integrate_window(integrand1, lo), _integrate_window(integrand2, up)]
+        quads = [integrate(integrand1, lo.support_lo, lo.support_hint, _QUAD_TOL),
+                 integrate(integrand2, up.support_lo, up.support_hint, _QUAD_TOL)]
         return _report("pmep-ir", dist_set, 1.0 - quads[0].value + quads[1].value, quads)
     k = nu0 - 1 if under else nu0
     others = _cdf_product(dists, [i for i in range(dist_set.n) if i != k])
@@ -227,7 +218,7 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     def integrand(x):
         return dists[k].pdf(x) * others(_over_kappa(x, kap))
 
-    quad = _integrate_window(integrand, dists[k])
+    quad = integrate(integrand, dists[k].support_lo, dists[k].support_hint, _QUAD_TOL)
     return _report("pmep-ir", dist_set, 1.0 - quad.value if under else quad.value, [quad])
 
 
@@ -313,10 +304,12 @@ def abridged_pmep_i(dist_set, kappa_i):
     if under and over:
         quad = Quadrature(*_pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef))
     elif under:
-        quad = _integrate_window(lambda x: lo.pdf(x) * f_sum(x / a_coef), lo)
+        quad = integrate(lambda x: lo.pdf(x) * f_sum(x / a_coef),
+                         lo.support_lo, lo.support_hint, _QUAD_TOL)
     else:
         f_up = dists[nu0].cdf
-        quad = _integrate_window(lambda x: lo.pdf(x) * f_up(b_coef * x), lo)
+        quad = integrate(lambda x: lo.pdf(x) * f_up(b_coef * x),
+                         lo.support_lo, lo.support_hint, _QUAD_TOL)
     return _report("pmep-i", dist_set, 1.0 - quad.value, [quad])
 
 

@@ -369,6 +369,23 @@ def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     assert key in err
 
 
+@pytest.mark.parametrize("command", ["consistency", "synth", "ql-sweep"])
+@pytest.mark.parametrize("approach", [
+    {"kind": "bl", "frequencies": []},
+    {"kind": "bl", "frequencies": [f + 1.0 for f in
+                                   sc.standard_scenario(-4.0).all_frequencies.tolist()]},
+    {"kind": "bl", "delta_omega": 1.0},
+], ids=["empty", "out_of_band", "offset_out_of_band"])
+def test_bl_frequencies_checked_against_scenario_exits_2(command, approach, config_path,
+                                                         capsys):
+    # commands that do not read the approach reject it as mc and theory do
+    doc = dict(BASE_CONFIG, approach=approach, delta_omega_grid=[0.0, 0.002])
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "config error: approach: " in err
+
+
 @pytest.mark.parametrize("command", ["synth", "theory"])
 @pytest.mark.parametrize("key", ["foo", "snr_value_db"])
 def test_unknown_standard_scenario_key_exits_2(command, key, config_path, capsys):
@@ -436,13 +453,24 @@ def test_unknown_key_exits_2(command, doc, path, config_path, capsys):
     assert f"{path}: unknown key" in err
 
 
-def test_readme_example_config_runs(tmp_path, capsys):
+def _readme_block(language):
+    """The first fenced code block of README.md in the given language."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, "r", encoding="utf-8") as fh:
-        text = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+        return fh.read().split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    text = _readme_block("json")
     path = tmp_path / "readme.json"
     path.write_text(text)
     for command in ("synth", "consistency"):
         rc, out, err = run([command, "--config", str(path)], capsys)
         assert rc == 0, err
         assert out.startswith(f"# sincount {command} config_sha={config_sha(json.loads(text))}")
+
+
+def test_readme_quick_start_runs(capsys):
+    # a public name renamed in the package but not in the README fails here
+    exec(compile(_readme_block("python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "3"

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import gammainc, gammaln, logsumexp, xlogy
 
-from sincount.distributions import (convolve_cdfs, integrate_semiinfinite,
-                                    ml_component_cdf, nc_chisq2, nc_chisq2_sum)
+from sincount.distributions import (convolve_cdfs, integrate, ml_component_cdf,
+                                    nc_chisq2, nc_chisq2_sum)
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
 
@@ -215,7 +215,7 @@ def test_integrate_semiinfinite_evaluates_arrays():
         sizes.append(x.size)
         return np.exp(-x)
 
-    res = integrate_semiinfinite(integrand, support_hint=60.0, tol=1e-10)
+    res = integrate(integrand, 0.0, 60.0, tol=1e-10)
     assert res.value == pytest.approx(1.0, abs=1e-10)
     assert res.error <= 1e-10
     assert min(sizes) >= 32 and len(sizes) <= 4
@@ -225,7 +225,7 @@ def test_integrate_semiinfinite_evaluates_arrays():
 def test_peaked_integrand_on_wide_support_stays_cheap():
     # +-6 sd of this density cover 0.3% of a support four times its own
     d = nc_chisq2(5e6)
-    res = integrate_semiinfinite(d.pdf, support_hint=4 * d.support_hint, tol=1e-9)
+    res = integrate(d.pdf, 0.0, 4 * d.support_hint, tol=1e-9)
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.error <= 1e-9
     assert res.evaluations < 2000
@@ -234,25 +234,32 @@ def test_peaked_integrand_on_wide_support_stays_cheap():
 def test_quadrature_error_when_refinement_cannot_converge():
     # a unit step at a non-dyadic point needs panels narrower than the level cap allows
     with pytest.raises(QuadratureError) as info:
-        integrate_semiinfinite(lambda x: (x < 1.0 / 3.0).astype(float), tol=1e-12,
-                               support_hint=1.0)
+        integrate(lambda x: (x < 1.0 / 3.0).astype(float), 0.0, 1.0, tol=1e-12)
     assert info.value.estimate == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert info.value.achieved_error > 1e-12
 
 
 def test_integrate_semiinfinite_exponential():
-    res = integrate_semiinfinite(lambda x: np.exp(-x), support_hint=60.0, tol=1e-8)
+    res = integrate(lambda x: np.exp(-x), 0.0, 60.0, tol=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-9)
     # a shorter support: e^-32 is below the tolerance
-    res = integrate_semiinfinite(lambda x: np.exp(-x), support_hint=32.0, tol=1e-8)
+    res = integrate(lambda x: np.exp(-x), 0.0, 32.0, tol=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-8)
     assert res.error < 1e-6
+    # a density on [2, inf): the window is integrated as given, not from zero
+    res = integrate(lambda x: np.exp(2.0 - x), 2.0, 62.0, tol=1e-8)
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])
+def test_integrate_rejects_empty_window(lo, hi):
+    with pytest.raises(ValidationError, match="empty"):
+        integrate(np.exp, lo, hi, tol=1e-8)
 
 
 def test_integrate_semiinfinite_gamma_tail():
     # integral of x e^{-x/2} / 4 over [0, inf) = 1 (Erlang-2 density)
-    res = integrate_semiinfinite(lambda x: x * np.exp(-x / 2.0) / 4.0,
-                                 support_hint=64.0, tol=1e-8)
+    res = integrate(lambda x: x * np.exp(-x / 2.0) / 4.0, 0.0, 64.0, tol=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-8)
 
 

@@ -139,7 +139,8 @@ def test_bl_frequency_rules(scen_m4):
 def test_ml_search_finds_strong_tone():
     scen = one_tone_scenario(amplitude=20.0, extra=1)
     obs = sc.synthesize(scen, 5)
-    freqs, increments = sc.likelihood.ml_search_increments(obs, 2, scen)
+    freqs, increments = (a[0] for a in sc.likelihood.ml_search_increments(
+        obs.samples[None], 2, scen))
     assert abs(freqs[0] - W13) < 1e-3
     assert increments[0] > increments[1]
     # found increments are at least the nominal-frequency ones
@@ -304,7 +305,8 @@ def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
     freqs, incs = sc.likelihood.ml_search_increments(rows, 2, scen, grid_points=64)
     assert np.isnan(freqs[3]).all() and np.isnan(incs[3]).all()
     for k in (0, 1, 2, 4, 5):
-        alone = sc.likelihood.ml_search_increments(rows[k], 2, scen, grid_points=64)
+        alone = [a[0] for a in sc.likelihood.ml_search_increments(
+            rows[k:k + 1], 2, scen, grid_points=64)]
         assert np.isfinite(alone[1]).all()
         np.testing.assert_array_equal(freqs[k], alone[0])
         np.testing.assert_array_equal(incs[k], alone[1])

@@ -64,7 +64,7 @@ def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
     # 140 ML trials cross a sub-block boundary inside the first chunk
     # (blocks 0-63 and 64-99 at the default block size) and the chunk boundary
     # at 100, which ends a partial block and starts another
-    assert montecarlo._ML_BLOCK < 100
+    assert sc.likelihood._ML_BLOCK < 100
     approach = sc.Ml(grid_points=128)
     expect = np.array([sc.observation_logliks(row, scen_m4, approach)[0]
                        for row in samples[:140]])
@@ -83,6 +83,14 @@ def test_master_seed_must_be_nonnegative_integer(scen_m4, seed):
         sc.trial_seed(seed, 0)
     with pytest.raises(ValidationError):
         sc.trial_seed(0, seed)
+
+
+@pytest.mark.parametrize("trials", [-1, 150.5, "200", True])
+def test_trials_must_be_nonnegative_integer(scen_m4, trials):
+    with pytest.raises(ValidationError, match="trials"):
+        sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, trials, 1)
+    with pytest.raises(ValidationError, match="trials"):
+        sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, trials, 1)
 
 
 @pytest.mark.parametrize("start, count", [(-2, 4), (0, -1), (1.5, 4), (0, 2.0)])
