@@ -32,8 +32,9 @@ from .signal_model import modulated_pair
 _COND_LIMIT = 1e12
 # trials per ML search call.  Rows are searched independently, so the size
 # never changes a result, only cost: per-trial time falls and the search's
-# peak memory grows with it (16 trials: 1.1-1.3 ms per trial, 1.4 MiB; 64:
-# 0.6-0.8 ms, 4.1 MiB; 400: 0.45-0.6 ms, 22 MiB on 2 shared Xeon cores)
+# peak memory grows with it (standard_scenario at 0 dB, 16 trials: 0.8-0.9 ms
+# per trial, 1.4 MiB; 64: 0.5-0.55 ms, 4.1 MiB; 400: 0.3-0.35 ms, 22 MiB on
+# 2 shared Xeon cores)
 _ML_BLOCK = 64
 # a candidate whose residual energy is below this fraction of its own energy
 # sits next to an already-fitted frequency; there the Gram identity cancels
@@ -43,6 +44,8 @@ _IDENTITY_MIN_RESIDUAL = 1e-4
 # its norm after residualization is linearly dependent on the fit
 _DEPENDENT_RESIDUAL = 1e-9
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# parabolic refinement steps per slot before the bracketing certificate
+_PARABOLIC_STEPS = 3
 
 
 def basis_matrix(scenario, frequencies):
@@ -56,6 +59,13 @@ def basis_matrix(scenario, frequencies):
         c, s = modulated_pair(slots[i], float(freq), scenario.n_samples)
         cols += [s, c]
     return np.column_stack(cols)
+
+
+def _check_finite(x):
+    """Reject an observation (1-d) or a block of them (2-d) with a NaN or inf."""
+    if not np.isfinite(x).all():
+        row = "" if x.ndim == 1 else f" row {np.argmin(np.isfinite(x).all(axis=1))}"
+        raise ValidationError(f"observation{row} has a non-finite (NaN or inf) sample")
 
 
 def _check_in_band(scenario, frequencies):
@@ -200,18 +210,25 @@ def _grid_quadrature_increment(x, slot, omegas, q_basis, sigma_sq):
     return v / sigma_sq
 
 
-def _golden_refine(x, slot, q_basis, sigma_sq, lo, hi, steps):
-    """Golden-section maximization of V on each trial's bracket [lo, hi].
+def _golden_refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
+    """Golden-section maximization of V between each trial's grid neighbours.
 
-    The bracket keeps its best point; each step evaluates the point mirrored
-    about the bracket's centre, one frequency per trial, and cuts the bracket
-    at the worse of the two.  After steps + 1 cuts the bracket is
-    _INV_PHI**(steps + 1) of its width; returns each trial's best point and
-    its V.
+    The bracket [grid[j - 1], grid[j + 1]] around the grid maximum j keeps
+    its best point; each step evaluates the point mirrored about the
+    bracket's centre, one frequency per trial, and cuts the bracket at the
+    worse of the two.  The step count shrinks the widest bracket, two grid
+    steps, to refine_tol and does not depend on the trials.  A trial keeps
+    its grid point when refinement does not reach its value; returns each
+    trial's (frequency, V).
     """
     def value(omegas):
         return _grid_quadrature_increment(x, slot, omegas[:, None], q_basis, sigma_sq)[:, 0]
 
+    j = np.argmax(vals, axis=1)
+    grid_w, grid_v = grid[j], vals[np.arange(j.size), j]
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
+    steps = max(0, math.ceil(math.log(refine_tol / (2.0 * (grid[1] - grid[0])))
+                             / math.log(_INV_PHI)))
     best = lo + _INV_PHI * (hi - lo)
     f_best = value(best)
     for _ in range(steps + 1):
@@ -223,6 +240,88 @@ def _golden_refine(x, slot, q_basis, sigma_sq, lo, hi, steps):
         upper = take == (other < best)
         lo, hi = np.where(upper, lo, cut), np.where(upper, cut, hi)
         best, f_best = np.where(take, other, best), np.where(take, f_other, f_best)
+    refined = f_best >= grid_v
+    return np.where(refined, best, grid_w), np.where(refined, f_best, grid_v)
+
+
+def _parabola_vertex(pts, fpts, best, lo, hi):
+    """Vertex of each trial's parabola through three sorted points, clipped
+    to [lo, hi]; the best point where the parabola is not concave."""
+    a, m, c = pts.T
+    fa, fm, fc = fpts.T
+    num = (m - a) ** 2 * (fm - fc) - (m - c) ** 2 * (fm - fa)
+    den = (m - a) * (fm - fc) - (m - c) * (fm - fa)
+    # a concave parabola through distinct sorted points has den > 0; a flat
+    # V makes both terms zero, and then no step is taken
+    concave = den > 0
+    vertex = m - 0.5 * num / np.where(concave, den, 1.0)
+    return np.where(concave, np.clip(vertex, lo, hi), best)
+
+
+def _refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
+    """Maximize V near each trial's grid maximum j; returns (frequency, V).
+
+    Safeguarded successive parabolic interpolation (Brent 1973, ch. 5).  The
+    first parabola runs through three grid points whose values vals already
+    holds: j and its two neighbours, or the next two inward at a band edge
+    (a two-point grid has none and takes the golden rule).  Each step
+    evaluates the vertex, clipped to the bracket [grid[j - 1], grid[j + 1]],
+    and keeps the three consecutive points centred on the best one.  A
+    trial stops stepping when its vertex is its best point, when a step
+    after the first moves less than refine_tol / 4, or after
+    _PARABOLIC_STEPS steps.  Its best point b is then accepted if it passes
+    the bracketing certificate V(b) >= V(b +- refine_tol / 2), where a side
+    outside the bracket is not checked: the maximum of a V unimodal in the
+    bracket lies within refine_tol / 2 of b.  The trials the certificate
+    does not accept take the golden rule.  Each trial's arithmetic is its
+    own, so a row's result does not depend on the other rows.
+    """
+    def value(rows, omegas):
+        return _grid_quadrature_increment(x[rows], slot, omegas[:, None], q_basis[rows],
+                                          sigma_sq)[:, 0]
+
+    n_grid = grid.size
+    if n_grid < 3:
+        # two grid points leave no first parabola
+        return _golden_refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol)
+    j = np.argmax(vals, axis=1)
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n_grid - 1)]
+    window = np.clip(j, 1, n_grid - 2)[:, None] + np.arange(-1, 2)
+    pts, fpts = grid[window], np.take_along_axis(vals, window, axis=1)
+    best, f_best = grid[j], vals[np.arange(j.size), j]
+    live = np.arange(j.size)
+    for k in range(_PARABOLIC_STEPS):
+        u = _parabola_vertex(pts[live], fpts[live], best[live], lo[live], hi[live])
+        moves = u != best[live]
+        live, u = live[moves], u[moves]
+        if not live.size:
+            break
+        step = np.abs(u - best[live])
+        # insert the vertex into the sorted points and keep the three
+        # consecutive points centred on the best
+        at = np.arange(live.size)[:, None]
+        p4 = np.column_stack([pts[live], u])
+        f4 = np.column_stack([fpts[live], value(live, u)])
+        order = np.argsort(p4, axis=1)
+        p4, f4 = p4[at, order], f4[at, order]
+        top = np.argmax(f4, axis=1)
+        keep = np.clip(top, 1, 2)[:, None] + np.arange(-1, 2)
+        pts[live], fpts[live] = p4[at, keep], f4[at, keep]
+        best[live], f_best[live] = p4[at[:, 0], top], f4[at[:, 0], top]
+        # a step shorter than refine_tol / 4, the distance from the maximum
+        # within which a locally quadratic V passes the certificate, ends the
+        # trial's steps; the first step starts from grid points, the coarsest
+        if k:
+            live = live[step >= 0.25 * refine_tol]
+    certified = np.ones(j.size, dtype=bool)
+    for side in (best - 0.5 * refine_tol, best + 0.5 * refine_tol):
+        rows = np.nonzero((lo <= side) & (side <= hi))[0]
+        if rows.size:
+            certified[rows] &= f_best[rows] >= value(rows, side[rows])
+    redo = np.nonzero(~certified)[0]
+    if redo.size:
+        best[redo], f_best[redo] = _golden_refine(
+            x[redo], slot, q_basis[redo], sigma_sq, grid, vals[redo], refine_tol)
     return best, f_best
 
 
@@ -254,13 +353,15 @@ def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6
     """Greedy sequential ML frequency search for a block of observations.
 
     For each slot in turn the incremental statistic V is maximized over a
-    grid in the slot's band and refined by golden section to refine_tol (a
-    trial keeps its grid point when refinement does not reach its value);
-    previously found frequencies stay fixed.  rows holds one observation
-    per row (T, N).  Returns (frequencies, increments), each (T, order); a
-    trial whose found frequency is linearly dependent on its fit gets NaN
-    rows.  Rows are computed independently: a block's row equals the search
-    of that observation alone (a block of one), bit for bit.
+    grid in the slot's band and refined to refine_tol next to the grid
+    maximum (_refine: parabolic steps from the grid values, a bracketing
+    certificate, and the golden rule for a trial the certificate does not
+    accept); previously found frequencies stay fixed.  rows holds one
+    finite observation per row (T, N).  Returns (frequencies, increments),
+    each (T, order); a trial whose found frequency is linearly dependent on
+    its fit gets NaN rows.  Rows are computed independently: a block's row
+    equals the search of that observation alone (a block of one), bit for
+    bit.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
@@ -271,6 +372,7 @@ def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6
     n = scenario.n_samples
     if x.ndim != 2 or x.shape[1] != n:
         raise ValidationError(f"observations have shape {x.shape}, expected (trials, {n})")
+    _check_finite(x)
     x = np.ascontiguousarray(x)
     sigma_sq = scenario.noise_level**2 if (scenario.noise_known and scenario.noise_level > 0) else 1.0
     freqs = np.full((x.shape[0], order), np.nan)
@@ -281,20 +383,9 @@ def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6
         lo, hi = slot.band
         pad = (hi - lo) * 1e-9
         grid = np.linspace(lo + pad, hi - pad, grid_points)
-        # golden steps that shrink the widest bracket, two grid steps, to
-        # refine_tol, counted so that they do not depend on the trials
-        steps = max(0, math.ceil(math.log(refine_tol / (2.0 * (grid[1] - grid[0])))
-                                 / math.log(_INV_PHI)))
         vals = _grid_quadrature_increment(x, slot, grid, q_basis, sigma_sq)
-        j = np.argmax(vals, axis=1)
-        grid_v = vals[np.arange(j.size), j]
-        ref_w, ref_v = _golden_refine(x, slot, q_basis, sigma_sq,
-                                      grid[np.maximum(j - 1, 0)],
-                                      grid[np.minimum(j + 1, grid_points - 1)], steps)
-        refined = ref_v >= grid_v
-        found = np.where(refined, ref_w, grid[j])
+        found, incs[live, i] = _refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol)
         freqs[live, i] = found
-        incs[live, i] = np.where(refined, ref_v, grid_v)
         q_basis, ok = _extend_bases(q_basis, slot, found, n)
         if not ok.all():
             freqs[live[~ok]] = incs[live[~ok]] = np.nan
@@ -391,7 +482,8 @@ def ladders(rows, scenario, approach):
         blocks = [ml_search_increments(rows[start:start + _ML_BLOCK], scenario.max_order,
                                        scenario, grid_points=approach.grid_points,
                                        refine_tol=approach.refine_tol)
-                  for start in range(0, len(rows), _ML_BLOCK)]
+                  # zero rows make one empty block, so the arrays are (0, max_order)
+                  for start in range(0, max(len(rows), 1), _ML_BLOCK)]
         freqs, incs = (np.concatenate(parts) for parts in zip(*blocks))
     else:
         raise ValidationError("approach must be an Ml or Bl instance")
@@ -410,6 +502,7 @@ def observation_logliks(observation, scenario, approach):
     if x.shape != (scenario.n_samples,):
         raise ValidationError(
             f"observation has shape {x.shape}, expected ({scenario.n_samples},)")
+    _check_finite(x)
     logliks, incs, freqs = ladders(x[None], scenario, approach)
     if np.isnan(incs[0, 0]):
         raise DegenerateStatsError(

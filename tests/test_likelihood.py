@@ -1,4 +1,6 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import sincount as sc
+from sincount import likelihood
 from sincount.errors import DegenerateStatsError, ValidationError
 from sincount.likelihood import FrequencyPlan
 from sincount.signal_model import clean_signal
@@ -312,3 +315,152 @@ def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
         np.testing.assert_array_equal(incs[k], alone[1])
     with pytest.raises(DegenerateStatsError):
         sc.observation_logliks(rows[3], scen, sc.Ml(grid_points=64))
+
+
+def _search_beside_golden(monkeypatch, rows, scenario, approach):
+    """Ladders of the ML search, and for every slot of every block the
+    refiner's and the golden rule's (frequency, V) on the same x, fitted
+    basis and grid values, with those grid values."""
+    refine, seen = likelihood._refine, []
+
+    def both(*args):
+        found = refine(*args)
+        seen.append((found, likelihood._golden_refine(*args), args[5]))
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(likelihood, "_refine", both)
+        logliks = likelihood.ladders(rows, scenario, approach)[0]
+    return logliks, seen
+
+
+def _assert_near_golden(seen, refine_tol, v_rtol=1e-9):
+    for (w, v), (golden_w, golden_v), vals in seen:
+        assert np.all(np.abs(w - golden_w) <= refine_tol)
+        assert np.all(v >= golden_v - v_rtol * np.abs(golden_v))
+        # refinement never ends below the grid maximum
+        assert np.all(v >= vals.max(axis=1))
+
+
+@pytest.mark.parametrize("snr", [-4.0, 0.0])
+def test_parabolic_refinement_matches_golden_rule(monkeypatch, snr):
+    # slot by slot, on identical inputs: V at least the golden rule's less
+    # 1e-9 relative, frequencies within refine_tol.  End to end, a frequency
+    # difference below refine_tol in one slot moves V of the next by up to
+    # about 2e-6 relative either way, so the ladders are held to 1e-5 and the
+    # decisions must not change
+    scen = sc.standard_scenario(snr)
+    rows = sc.batch_samples(scen, 111, 0, 2000)
+    logliks, seen = _search_beside_golden(monkeypatch, rows, scen, sc.Ml())
+    _assert_near_golden(seen, 1e-6)
+    with monkeypatch.context() as patch:
+        patch.setattr(likelihood, "_refine", likelihood._golden_refine)
+        golden = likelihood.ladders(rows, scen, sc.Ml())[0]
+    np.testing.assert_allclose(logliks, golden, rtol=1e-5)
+    for spec in (sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)):
+        np.testing.assert_array_equal(
+            sc.argmin_order(sc.decision_values(spec, logliks, params_per_signal=3)),
+            sc.argmin_order(sc.decision_values(spec, golden, params_per_signal=3)))
+
+
+@pytest.mark.parametrize("approach", [sc.Ml(grid_points=2),
+                                      sc.Ml(grid_points=64, refine_tol=1e-4)])
+def test_refinement_with_coarse_grid_or_tolerance(monkeypatch, approach):
+    # two grid points leave no parabola, so the golden rule refines every
+    # trial; refine_tol 1e-4 is coarser than a 64-point grid step.  Near a
+    # peak V falls by about (N^2 / 12) d^2 relative at an offset d, so two
+    # points within refine_tol / 2 of it differ by at most that at d =
+    # refine_tol / 2
+    scen = sc.standard_scenario(0.0)
+    rows = sc.batch_samples(scen, 111, 0, 128)
+    _, seen = _search_beside_golden(monkeypatch, rows, scen, approach)
+    v_rtol = max(scen.n_samples**2 / 12 * (approach.refine_tol / 2) ** 2, 1e-9)
+    _assert_near_golden(seen, approach.refine_tol, v_rtol)
+    if approach.grid_points == 2:
+        for found, golden, _ in seen:
+            np.testing.assert_array_equal(found, golden)
+
+
+def _refine_on_slot(x, band, refine_tol=1e-6):
+    """Grid maximum index, the refiner's and the golden rule's (frequency, V)
+    on a 256-point grid over band, with nothing fitted yet."""
+    slot = sc.CandidateTemplate(frequency=sum(band) / 2, band=band)
+    grid = np.linspace(*band, 256)
+    q_basis = np.zeros((len(x), 0, x.shape[1]))
+    vals = likelihood._grid_quadrature_increment(x, slot, grid, q_basis, 1.0)
+    args = (x, slot, q_basis, 1.0, grid, vals, refine_tol)
+    return np.argmax(vals, axis=1), likelihood._refine(*args), likelihood._golden_refine(*args)
+
+
+@pytest.mark.parametrize("edge", ["low", "high"])
+@pytest.mark.parametrize("inside", [False, True])
+def test_refinement_next_to_a_band_edge(edge, inside):
+    # a noise-free tone at W13 fits exactly, so V peaks there.  The band
+    # starts (or ends) 0.01 rad past the tone, or 0.3 grid steps short of it:
+    # either way the grid maximum is the edge point, and the maximum is the
+    # edge itself or lies inside its bracket
+    width = 2 * math.pi / 64
+    gap = -0.3 * width / 255 if inside else 0.01
+    band = (W13 + gap, W13 + gap + width) if edge == "low" else (W13 - gap - width, W13 - gap)
+    t = sc.signal_model.time_grid(64)
+    x = np.stack([np.cos(W13 * t - phase) for phase in (0.0, 1.0, 2.5)])
+    j, (w, v), (golden_w, golden_v) = _refine_on_slot(x, band)
+    assert np.all(j == (0 if edge == "low" else 255))
+    peak = W13 if inside else band[0 if edge == "low" else 1]
+    assert np.all(np.abs(w - peak) <= 0.5e-6)
+    assert np.all(np.abs(w - golden_w) <= 1e-6)
+    assert np.all(v >= golden_v * (1 - 1e-9))
+
+
+def test_refinement_of_flat_statistic_warns_nothing():
+    # on a zero row V vanishes on the whole grid: every parabola is 0/0
+    band = (W13 - 0.3, W13 + 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        j, (w, v), (golden_w, golden_v) = _refine_on_slot(np.zeros((1, 64)), band)
+    assert j[0] == 0 and w[0] == np.linspace(*band, 256)[0]
+    assert v[0] == golden_v[0] == 0.0
+
+
+def test_refinement_cost_on_signal_slots(monkeypatch):
+    # without a golden fallback, a slot's refinement is at most three
+    # parabolic steps and two certificate sides: five calls, each over the
+    # block's trials; the bound allows six
+    scen = sc.standard_scenario(0.0)
+    rows = sc.batch_samples(scen, 111, 0, 256)
+    evaluate, calls, points = likelihood._grid_quadrature_increment, Counter(), Counter()
+
+    def counted(x, slot, omegas, q_basis, sigma_sq):
+        if omegas.ndim == 2:
+            calls[q_basis.shape[1] // 2] += 1
+            points[q_basis.shape[1] // 2] += len(x)
+        return evaluate(x, slot, omegas, q_basis, sigma_sq)
+
+    monkeypatch.setattr(likelihood, "_grid_quadrature_increment", counted)
+    for start in range(0, len(rows), 64):
+        calls.clear()
+        likelihood.ml_search_increments(rows[start:start + 64], scen.nu0, scen)
+        assert sorted(calls) == list(range(scen.nu0))
+        assert max(calls.values()) <= 6
+    # about four evaluations per trial and slot, against sixteen for the
+    # golden rule
+    assert sum(points.values()) <= 4.5 * len(rows) * scen.nu0
+
+
+def test_ml_ladders_of_zero_rows_are_empty(scen_0):
+    for approach in (sc.KNOWN_FREQ, sc.Ml()):
+        for part in likelihood.ladders(np.zeros((0, scen_0.n_samples)), scen_0, approach):
+            assert part.shape == (0, scen_0.max_order)
+
+
+@pytest.mark.parametrize("approach", [sc.KNOWN_FREQ, sc.Ml(grid_points=16)])
+def test_non_finite_observation_is_validation_error(scen_0, approach):
+    for bad in (np.nan, np.inf):
+        row = np.zeros(scen_0.n_samples)
+        row[5] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            sc.observation_logliks(row, scen_0, approach)
+    rows = np.zeros((3, scen_0.n_samples))
+    rows[2, 7] = -np.inf
+    with pytest.raises(ValidationError, match="row 2 has a non-finite"):
+        likelihood.ml_search_increments(rows, 1, scen_0)
