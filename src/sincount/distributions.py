@@ -33,16 +33,25 @@ class Dist:
     support_lo: float = 0.0
 
 
+# upper-tail mass below which the ncx2 CDF reads exactly 1
+_NCX2_TAIL = 1e-13
+
+
 def _ncx2_cdf(x, m, lam):
     """CDF of noncentral chi-square with 2m dof, noncentrality lam.
 
     The central law (every noise-only index) is the regularized lower
-    incomplete gamma function; otherwise the compiled cephes kernel.
+    incomplete gamma function; otherwise the compiled cephes kernel.  Values
+    within _NCX2_TAIL of 1 read 1: out there the kernel wobbles by an ulp or
+    two of 1 while the true increments are smaller, so it steps backwards
+    (seen up to 1 - cdf = 9.4e-15 over 6000 random grids); the clamp keeps
+    the CDF nondecreasing at an absolute cost below _NCX2_TAIL.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     pos = x > 0
-    out[pos] = gammainc(m, x[pos] / 2.0) if lam <= 1e-300 else chndtr(x[pos], 2 * m, lam)
+    vals = gammainc(m, x[pos] / 2.0) if lam <= 1e-300 else chndtr(x[pos], 2 * m, lam)
+    out[pos] = np.where(vals > 1.0 - _NCX2_TAIL, 1.0, vals)
     return out
 
 

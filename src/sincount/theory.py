@@ -19,16 +19,15 @@ import numpy as np
 
 from . import montecarlo
 from .criteria import Eef, Gic, PmepI, PmepIr, abridged_comparisons
-from .distributions import (Quadrature, convolve_cdfs, integrate, ml_component_cdf,
-                            nc_chisq2, nc_chisq2_sum)
-from .errors import ModelViolationError, QuadratureError, ValidationError
+from .distributions import (Quadrature, _panel_nodes, convolve_cdfs, integrate,
+                            ml_component_cdf, nc_chisq2, nc_chisq2_sum)
+from .errors import ModelViolationError, ValidationError
 from .likelihood import Bl, FrequencyPlan, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
 
 _LAMBDA_FLOOR = 1e-12
 _ORTHOGONALITY_TOL = 0.05
-_PA_ERROR_TOL = 1e-6
 _QUAD_TOL = 1e-9
 
 
@@ -235,49 +234,48 @@ def _lower_sum_dist(dist_set, nu0):
     return reduce(convolve_cdfs, dist_set.dists[:nu0 - 1])
 
 
-_PMEP_I_START = 48    # tensor nodes per side of the first level
-_PMEP_I_LEVELS = 8    # levels, each 1.5x the nodes of the last, before giving up
+# G's inner rule, the rule it is checked against, and the y nodes of the check
+_PMEP_I_RULE, _PMEP_I_CHECK, _PMEP_I_CHECK_Y = (_panel_nodes(n, 1) for n in (16, 12, 64))
 
 
 def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
     """Correct-selection probability of the inverse-penalty rule, interior case.
 
-    Integrates W_up(y) W_lo(x) [F_sum(x/A) - F_sum(y/B - x)] over the region
-    x > y A / (B (A + 1)) (where the two F_sum arguments cross), with y on
-    the window of the law `up` and x on that of `lo`, by tensor
-    Gauss-Legendre rules that grow 1.5x per level until two successive
-    levels agree.  Returns the value, the last difference and the number of
-    tensor nodes evaluated.
+    With x = V_nu0 (law lo) and y = V_nu0+1 (law up) the event
+    {y/B - x <= S < x/A} needs x > r y, r = A / (B (A + 1)).  Its probability
+    is T1 - T2 with T1 = int W_lo(x) F_S(x/A) (F_up(x/r) - up.atom0) dx and
+    T2 = int W_up(y) G(y) dy, G(y) = int W_lo(x) F_S(y/B - x) dx over
+    [max(r y, lo.support_lo), min(y/B, lo.support_hint)]: the kink of
+    F_S(y/B - x) at x = y/B is G's upper limit, so G takes a fixed 16-node
+    Gauss rule.  Its error estimate, the W_up-weighted difference from a
+    12-node rule on 64 nodes over up's window, adds to the two integrals'.
     """
-    y_lo, y_span = up.support_lo, up.support_hint - up.support_lo
+    x_over_r = b_coef * (a_coef + 1.0) / a_coef
 
-    def run(n_nodes):
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
-        y = y_lo + y_span * nodes
-        wy = y_span * weights
-        xlo = np.maximum(y * a_coef / (b_coef * (a_coef + 1.0)), lo.support_lo)
-        span = np.maximum(lo.support_hint - xlo, 0.0)
-        xs = xlo[:, None] + span[:, None] * nodes[None, :]
-        wx = span[:, None] * weights[None, :]
-        bracket = f_sum(xs / a_coef) - f_sum(y[:, None] / b_coef - xs)
-        vals = up.pdf(y)[:, None] * lo.pdf(xs) * np.maximum(bracket, 0.0)
-        return float(np.sum(vals * wx * wy[:, None]))
+    def g(y, rule):
+        x_lo = np.maximum(y / x_over_r, lo.support_lo)
+        span = np.maximum(np.minimum(y / b_coef, lo.support_hint) - x_lo, 0.0)
+        xs = x_lo[:, None] + span[:, None] * rule[0]
+        return span * np.sum(lo.pdf(xs) * f_sum(y[:, None] / b_coef - xs) * rule[1], axis=1)
 
-    n = _PMEP_I_START
-    coarse = run(n)
-    evaluations = n * n
-    for _ in range(_PMEP_I_LEVELS - 1):
-        n = int(n * 1.5)
-        fine = run(n)
-        evaluations += n * n
-        err = abs(fine - coarse)
-        if err < 0.5 * _PA_ERROR_TOL:
-            return fine, err, evaluations
-        coarse = fine
-    raise QuadratureError(
-        "inverse-penalty double integral did not converge",
-        estimate=fine, achieved_error=err)
+    t1 = integrate(lambda x: lo.pdf(x) * f_sum(x / a_coef) * (up.cdf(x * x_over_r) - up.atom0),
+                   lo.support_lo, lo.support_hint, _QUAD_TOL)
+    t2 = integrate(lambda y: up.pdf(y) * g(y, _PMEP_I_RULE),
+                   up.support_lo, up.support_hint, _QUAD_TOL)
+    y_span = up.support_hint - up.support_lo
+    ys = up.support_lo + y_span * _PMEP_I_CHECK_Y[0]
+    check = y_span * float(np.sum(_PMEP_I_CHECK_Y[1] * up.pdf(ys) * np.abs(
+        g(ys, _PMEP_I_RULE) - g(ys, _PMEP_I_CHECK))))
+    inner = _PMEP_I_RULE[0].size
+    return Quadrature(t1.value - t2.value, t1.error + t2.error + check,
+                      t1.evaluations + inner * t2.evaluations
+                      + ys.size * (inner + _PMEP_I_CHECK[0].size))
+
+
+def _pmep_i_coef(ratio, kap):
+    """ratio^(1/kappa) - 1; a power beyond the float range is inf."""
+    with np.errstate(over="ignore"):
+        return np.float64(ratio) ** (1.0 / kap) - 1.0
 
 
 def abridged_pmep_i(dist_set, kappa_i):
@@ -285,9 +283,11 @@ def abridged_pmep_i(dist_set, kappa_i):
 
     With A = (nu0/(nu0-1))^(1/kappa) - 1 and B = ((nu0+1)/nu0)^(1/kappa) - 1,
     correct selection is {V_nu0+1/B - V_nu0 <= S < V_nu0/A} for the lower
-    partial sum S.  With one comparison p_a = 1 - int W_nu0(x) G(x) dx, with
-    G(x) = F_nu0+1(Bx) at nu0 = 1 (S = 0) and G(x) = F_S(x/A) at nu0 = N.
-    Every integral runs over the windows of the laws whose pdfs it carries.
+    partial sum S; _pmep_i_interior integrates it when both comparisons are
+    made.  With one, p_a = 1 - int W_nu0(x) G(x) dx, with G(x) = F_nu0+1(Bx)
+    at nu0 = 1 (S = 0) and G(x) = F_S(x/A) at nu0 = N.  Every integral runs
+    over the windows of the laws whose pdfs it carries.  Where kappa is so
+    small that A overflows, S < V_nu0/A never holds and p_a = 1.
     """
     if not kappa_i > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
@@ -297,19 +297,17 @@ def abridged_pmep_i(dist_set, kappa_i):
     nu0, dists = dist_set.nu0, dist_set.dists
     kap = float(kappa_i)
     lo = dists[nu0 - 1]
-    b_coef = ((nu0 + 1.0) / nu0) ** (1.0 / kap) - 1.0
+    b_coef = _pmep_i_coef((nu0 + 1.0) / nu0, kap)
     if under:
-        a_coef = (nu0 / (nu0 - 1.0)) ** (1.0 / kap) - 1.0
+        a_coef = _pmep_i_coef(nu0 / (nu0 - 1.0), kap)
+        if math.isinf(a_coef):
+            return _report("pmep-i", dist_set, 1.0)
         f_sum = _lower_sum_dist(dist_set, nu0).cdf
     if under and over:
-        quad = Quadrature(*_pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef))
-    elif under:
-        quad = integrate(lambda x: lo.pdf(x) * f_sum(x / a_coef),
-                         lo.support_lo, lo.support_hint, _QUAD_TOL)
+        quad = _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef)
     else:
-        f_up = dists[nu0].cdf
-        quad = integrate(lambda x: lo.pdf(x) * f_up(b_coef * x),
-                         lo.support_lo, lo.support_hint, _QUAD_TOL)
+        g = (lambda x: f_sum(x / a_coef)) if under else (lambda x: dists[nu0].cdf(b_coef * x))
+        quad = integrate(lambda x: lo.pdf(x) * g(x), lo.support_lo, lo.support_hint, _QUAD_TOL)
     return _report("pmep-i", dist_set, 1.0 - quad.value, [quad])
 
 

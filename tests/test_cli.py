@@ -405,6 +405,22 @@ def test_theory_pmep_i_at_40_db_exits_0(config_path, capsys):
     assert row[1] == "pmep-i" and 0.0 <= float(row[3]) <= 1.0
 
 
+def test_theory_pmep_i_at_tiny_kappa_exits_0(config_path, capsys):
+    # (3/2)^(1/kappa) overflows at kappa_i = 1e-4; the rule's limit is p_a = 1
+    doc = dict(BASE_CONFIG, criteria=[{"name": "pmep-i", "kappa_i": 1e-4}])
+    rc, out, err = run(["theory", "--config", config_path(doc)], capsys)
+    assert rc == 0, err
+    row = out.splitlines()[2].split(",")
+    assert row[1] == "pmep-i" and float(row[3]) == 1.0
+
+
+def test_tune_pmep_i_from_tiny_kappa_exits_0(config_path, capsys):
+    doc = dict(TUNE_CONFIG, tune={"family": "pmep-i", "grid_points": 5,
+                                  "range": [1e-4, 1.0], "refine": False})
+    fields = _tune_row(doc, config_path, capsys)
+    assert fields[0] == "pmep-i" and 1e-4 <= float(fields[1]) <= 1.0
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("theory", dict(BASE_CONFIG, approach="ml"), "approach"),
     ("mc", dict(BASE_CONFIG, scenario="x"), "scenario"),

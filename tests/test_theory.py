@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import sincount as sc
 from sincount.errors import ModelViolationError, ValidationError
 
-from oracles import sample_increments
+from oracles import pmep_i_interior_oracle, sample_increments
 
 # frozen reference values for the five-slot, three-signal scenario at -4 dB
 LAM_M4 = (23.7651403311, 24.8478663754, 25.3444948991)
@@ -110,6 +110,47 @@ def test_abridged_pmep_i_high_snr_against_oracle(snr, kappa):
     se = math.sqrt(max(rate * (1 - rate), 1e-9) / 100000)
     assert abs(rep.p_a - rate) < 4 * se + 2e-4
     assert rep.error < 1e-6
+
+
+@pytest.mark.parametrize("snr", [-10.0, -4.0, 0.0, 4.0, 10.0, 20.0, 30.0, 40.0])
+@pytest.mark.parametrize("nu0", [2, 3, 4])
+def test_abridged_pmep_i_interior_against_other_order(snr, nu0):
+    # the oracle takes x = V_nu0 outermost.  On this grid its 32-node panels
+    # agree with 64-node ones within 1e-15, at a quarter of the cost
+    dists = sc.component_dists(sc.standard_scenario(snr, nu0=nu0))
+    for kappa in (1.2, 2.0, 3.0, 4.0):
+        rep = sc.abridged_pmep_i(dists, kappa)
+        assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa, n_nodes=32)) <= 1e-7
+        assert 0.0 < rep.error < 1e-6
+
+
+@pytest.mark.parametrize("scenario, kappa", [
+    ({"snr_value_db": -4.0}, 12.0),
+    ({"snr_value_db": -20.0, "nu0": 2, "max_order": 3}, 3.0),
+])
+def test_abridged_pmep_i_interior_far_cases_against_other_order(scenario, kappa):
+    dists = sc.component_dists(sc.standard_scenario(**scenario))
+    rep = sc.abridged_pmep_i(dists, kappa)
+    assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa)) <= 1e-7
+
+
+def test_abridged_pmep_i_interior_cost_at_minus_20_db():
+    # the kink of the interior integrand is an inner limit, so low SNR costs
+    # no more points than the frozen -4 dB case: a ceiling, not a schedule
+    dists = sc.component_dists(sc.standard_scenario(-20.0, nu0=2, max_order=3))
+    rep = sc.abridged_pmep_i(dists, 3.0)
+    assert 0 < rep.evaluations <= 20000
+    assert 0.0 < rep.error < 1e-6
+
+
+@pytest.mark.parametrize("nu0, max_order, p_a", [(3, 5, 1.0), (3, 3, 1.0), (1, 3, 0.0)])
+def test_abridged_pmep_i_small_kappa_takes_the_limit(nu0, max_order, p_a):
+    # at kappa 1e-4 A = (nu0/(nu0-1))^(1/kappa) - 1 overflows: S < V_nu0/A
+    # never holds, so the rule never keeps nu0 over nu0 - 1.  At nu0 = 1 only
+    # B overflows, and V_2/B - V_1 <= S = 0 always holds
+    dists = sc.component_dists(sc.standard_scenario(-4.0, nu0=nu0, max_order=max_order))
+    for kappa in (1e-4, 1e-3):
+        assert sc.abridged_pmep_i(dists, kappa).p_a == pytest.approx(p_a, abs=1e-12)
 
 
 def test_abridged_kappa_validation(dists_m4):
