@@ -30,11 +30,12 @@ from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_
 from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
-# trials per ML search call.  Rows are searched independently, so the size
-# never changes a result, only cost: per-trial time falls and the search's
-# peak memory grows with it (standard_scenario at 0 dB, 16 trials: 0.8-0.9 ms
-# per trial, 1.4 MiB; 64: 0.5-0.55 ms, 4.1 MiB; 400: 0.3-0.35 ms, 22 MiB on
-# 2 shared Xeon cores)
+# trials per block of the ML search.  Rows are searched independently, so
+# the size never changes a result, only cost: per-trial time falls and the
+# search's peak memory grows with it (400 trials of standard_scenario at
+# 0 dB on 2 shared Xeon cores, peak traced memory with the 1.3 MiB of grid
+# tables: blocks of 16 0.34-0.36 ms per trial, 2.3 MiB; 64: 0.19-0.21 ms,
+# 5.2 MiB; 400: 0.13-0.15 ms, 24 MiB)
 _ML_BLOCK = 64
 # a candidate whose residual energy is below this fraction of its own energy
 # sits next to an already-fitted frequency; there the Gram identity cancels
@@ -172,45 +173,76 @@ def _explicit_increment(x, pairs, q_basis):
                            proj[:, 0], proj[:, 1])
 
 
-def _grid_quadrature_increment(x, slot, omegas, q_basis, sigma_sq):
+@dataclass(frozen=True)
+class _SlotGrid:
+    """A slot's search grid and its waveforms, built once per search and
+    shared by all its blocks: waves (N, 2G) holds the grid's sines, then its
+    cosines, as columns, and e11, e22, e12 are their energies |s|^2, |c|^2
+    and s.c per grid point."""
+
+    slot: object
+    grid: np.ndarray
+    waves: np.ndarray
+    e11: np.ndarray
+    e22: np.ndarray
+    e12: np.ndarray
+
+    @classmethod
+    def build(cls, slot, grid_points, n_samples):
+        lo, hi = slot.band
+        pad = (hi - lo) * 1e-9
+        grid = np.linspace(lo + pad, hi - pad, grid_points)
+        cosines, sines = modulated_pair(slot, grid, n_samples)
+        return cls(slot, grid, np.ascontiguousarray(np.concatenate([sines, cosines]).T),
+                   (sines * sines).sum(-1), (cosines * cosines).sum(-1),
+                   (sines * cosines).sum(-1))
+
+
+def _grid_quadrature_increment(x, table, omegas, q_basis, sigma_sq):
     """Incremental statistic V for a block of trials.
 
     x holds one observation per row (T, N) and q_basis each trial's
-    orthonormal fitted rows (T, 2k, N).  omegas is either a grid (G,)
-    shared by every trial, giving V of shape (T, G), or a column (T, 1) of
-    one frequency per trial, giving (T, 1).  The candidate (sin, cos) pair is
-    residualized against the fit and V is the 2x2-solved quadratic form,
-    divided by sigma_sq.  On a shared grid the waveforms W (N, 2G) are built
-    once, one stacked product per trial [Q_t; x_t - Q_t^T Q_t x_t] W gives
+    orthonormal fitted rows (T, 2k, N).  omegas is either the table's grid
+    (G,) shared by every trial, giving V of shape (T, G), or a column (T, 1)
+    of one frequency per trial in the table's slot, giving (T, 1).  The
+    candidate (sin, cos) pair is residualized against the fit and V is the
+    2x2-solved quadratic form, divided by sigma_sq.  On the grid the
+    products [Q_t; x_t - Q_t^T Q_t x_t] W with the table's waveforms W give
     the projections, and g11, g22, g12 follow from the Gram identity
-    (e.g. g11 = |s|^2 - |Q_t s|^2).  Every product is stacked per trial, so
-    a row's value does not depend on the other rows.
+    (e.g. g11 = |s|^2 - |Q_t s|^2).  With a fit every trial's rows go
+    through one product; with none each trial's single row keeps its own,
+    because a one-row product rounds unlike a row of a larger one.  Either
+    way a row's value does not depend on the other rows.
     """
-    cosines, sines = modulated_pair(slot, omegas, x.shape[1])
     if omegas.ndim == 2:
+        cosines, sines = modulated_pair(table.slot, omegas, x.shape[1])
         return _explicit_increment(x, np.concatenate([sines, cosines], axis=1),
                                    q_basis)[:, None] / sigma_sq
+    waves = table.waves
+    n_trials, fit = q_basis.shape[:2]
     n_grid = omegas.shape[0]
-    waves = np.ascontiguousarray(np.concatenate([sines, cosines]).T)
-    fit = q_basis.shape[1]
-    x_resid = _residualize(x[:, None, :], q_basis)
-    prods = np.concatenate([q_basis, x_resid], axis=1) @ waves
+    stacked = np.concatenate([q_basis, _residualize(x[:, None, :], q_basis)], axis=1)
+    if fit:
+        prods = (stacked.reshape(-1, x.shape[1]) @ waves).reshape(
+            n_trials, fit + 1, 2 * n_grid)
+    else:
+        prods = stacked @ waves
     proj, q_s, q_c = prods[:, fit], prods[:, :fit, :n_grid], prods[:, :fit, n_grid:]
-    e11, e22 = (sines * sines).sum(-1), (cosines * cosines).sum(-1)
-    g11 = e11 - np.einsum("tkg,tkg->tg", q_s, q_s)
-    g22 = e22 - np.einsum("tkg,tkg->tg", q_c, q_c)
-    g12 = (sines * cosines).sum(-1) - np.einsum("tkg,tkg->tg", q_s, q_c)
+    g11 = table.e11 - np.einsum("tkg,tkg->tg", q_s, q_s)
+    g22 = table.e22 - np.einsum("tkg,tkg->tg", q_c, q_c)
+    g12 = table.e12 - np.einsum("tkg,tkg->tg", q_s, q_c)
     v = _quadratic_form(g11, g22, g12, proj[:, :n_grid], proj[:, n_grid:])
     if fit:
-        rows, cols = np.nonzero((g11 < _IDENTITY_MIN_RESIDUAL * e11)
-                                | (g22 < _IDENTITY_MIN_RESIDUAL * e22))
+        rows, cols = np.nonzero((g11 < _IDENTITY_MIN_RESIDUAL * table.e11)
+                                | (g22 < _IDENTITY_MIN_RESIDUAL * table.e22))
         if rows.size:
+            sines, cosines = waves.T.reshape(2, n_grid, -1)
             v[rows, cols] = _explicit_increment(
                 x[rows], np.stack([sines[cols], cosines[cols]], axis=1), q_basis[rows])
     return v / sigma_sq
 
 
-def _golden_refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
+def _golden_refine(x, table, q_basis, sigma_sq, vals, refine_tol):
     """Golden-section maximization of V between each trial's grid neighbours.
 
     The bracket [grid[j - 1], grid[j + 1]] around the grid maximum j keeps
@@ -222,8 +254,9 @@ def _golden_refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
     trial's (frequency, V).
     """
     def value(omegas):
-        return _grid_quadrature_increment(x, slot, omegas[:, None], q_basis, sigma_sq)[:, 0]
+        return _grid_quadrature_increment(x, table, omegas[:, None], q_basis, sigma_sq)[:, 0]
 
+    grid = table.grid
     j = np.argmax(vals, axis=1)
     grid_w, grid_v = grid[j], vals[np.arange(j.size), j]
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
@@ -258,7 +291,7 @@ def _parabola_vertex(pts, fpts, best, lo, hi):
     return np.where(concave, np.clip(vertex, lo, hi), best)
 
 
-def _refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
+def _refine(x, table, q_basis, sigma_sq, vals, refine_tol):
     """Maximize V near each trial's grid maximum j; returns (frequency, V).
 
     Safeguarded successive parabolic interpolation (Brent 1973, ch. 5).  The
@@ -277,13 +310,14 @@ def _refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
     own, so a row's result does not depend on the other rows.
     """
     def value(rows, omegas):
-        return _grid_quadrature_increment(x[rows], slot, omegas[:, None], q_basis[rows],
+        return _grid_quadrature_increment(x[rows], table, omegas[:, None], q_basis[rows],
                                           sigma_sq)[:, 0]
 
+    grid = table.grid
     n_grid = grid.size
     if n_grid < 3:
         # two grid points leave no first parabola
-        return _golden_refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol)
+        return _golden_refine(x, table, q_basis, sigma_sq, vals, refine_tol)
     j = np.argmax(vals, axis=1)
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n_grid - 1)]
     window = np.clip(j, 1, n_grid - 2)[:, None] + np.arange(-1, 2)
@@ -321,7 +355,7 @@ def _refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol):
     redo = np.nonzero(~certified)[0]
     if redo.size:
         best[redo], f_best[redo] = _golden_refine(
-            x[redo], slot, q_basis[redo], sigma_sq, grid, vals[redo], refine_tol)
+            x[redo], table, q_basis[redo], sigma_sq, vals[redo], refine_tol)
     return best, f_best
 
 
@@ -349,19 +383,39 @@ def _extend_bases(q_basis, slot, omegas, n_samples):
     return np.concatenate([q_basis, q_s[:, None], q_c[:, None]], axis=1), ok
 
 
+def _search_block(x, tables, sigma_sq, refine_tol):
+    """The greedy search of ml_search_increments on one block of rows x,
+    one slot per table."""
+    n_rows, n = x.shape
+    freqs = np.full((n_rows, len(tables)), np.nan)
+    incs = np.full((n_rows, len(tables)), np.nan)
+    live = np.arange(n_rows)
+    q_basis = np.zeros((n_rows, 0, n))
+    for i, table in enumerate(tables):
+        vals = _grid_quadrature_increment(x, table, table.grid, q_basis, sigma_sq)
+        found, incs[live, i] = _refine(x, table, q_basis, sigma_sq, vals, refine_tol)
+        freqs[live, i] = found
+        q_basis, ok = _extend_bases(q_basis, table.slot, found, n)
+        if not ok.all():
+            freqs[live[~ok]] = incs[live[~ok]] = np.nan
+            x, q_basis, live = x[ok], q_basis[ok], live[ok]
+    return freqs, incs
+
+
 def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6):
-    """Greedy sequential ML frequency search for a block of observations.
+    """Greedy sequential ML frequency search for observations (T, N).
 
     For each slot in turn the incremental statistic V is maximized over a
     grid in the slot's band and refined to refine_tol next to the grid
     maximum (_refine: parabolic steps from the grid values, a bracketing
     certificate, and the golden rule for a trial the certificate does not
     accept); previously found frequencies stay fixed.  rows holds one
-    finite observation per row (T, N).  Returns (frequencies, increments),
-    each (T, order); a trial whose found frequency is linearly dependent on
-    its fit gets NaN rows.  Rows are computed independently: a block's row
-    equals the search of that observation alone (a block of one), bit for
-    bit.
+    finite observation per row.  Each slot's grid waveforms are built once,
+    and the rows are searched in blocks of _ML_BLOCK.  Returns
+    (frequencies, increments), each (T, order); a trial whose found
+    frequency is linearly dependent on its fit gets NaN rows.  Rows are
+    computed independently: a row equals the search of that observation
+    alone (a batch of one), bit for bit.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
@@ -375,21 +429,12 @@ def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6
     _check_finite(x)
     x = np.ascontiguousarray(x)
     sigma_sq = scenario.noise_level**2 if (scenario.noise_known and scenario.noise_level > 0) else 1.0
+    tables = [_SlotGrid.build(slot, grid_points, n) for slot in slots[:order]]
     freqs = np.full((x.shape[0], order), np.nan)
     incs = np.full((x.shape[0], order), np.nan)
-    live = np.arange(x.shape[0])
-    q_basis = np.zeros((x.shape[0], 0, n))
-    for i, slot in enumerate(slots[:order]):
-        lo, hi = slot.band
-        pad = (hi - lo) * 1e-9
-        grid = np.linspace(lo + pad, hi - pad, grid_points)
-        vals = _grid_quadrature_increment(x, slot, grid, q_basis, sigma_sq)
-        found, incs[live, i] = _refine(x, slot, q_basis, sigma_sq, grid, vals, refine_tol)
-        freqs[live, i] = found
-        q_basis, ok = _extend_bases(q_basis, slot, found, n)
-        if not ok.all():
-            freqs[live[~ok]] = incs[live[~ok]] = np.nan
-            x, q_basis, live = x[ok], q_basis[ok], live[ok]
+    for start in range(0, x.shape[0], _ML_BLOCK):
+        block = slice(start, start + _ML_BLOCK)
+        freqs[block], incs[block] = _search_block(x[block], tables, sigma_sq, refine_tol)
     return freqs, incs
 
 
@@ -470,21 +515,18 @@ def ladders(rows, scenario, approach):
 
     Returns (logliks, increments, frequencies), each (T, max_order), with
     L_nu half the running sum of the increments V.  Bl whitens every row
-    with one FrequencyPlan; Ml runs the greedy search on blocks of
-    _ML_BLOCK rows, and a trial whose statistics degenerate gets NaN rows.
-    Rows are independent: a row's ladder does not depend on the others.
+    with one FrequencyPlan; Ml runs one greedy search over all the rows, and
+    a trial whose statistics degenerate gets NaN rows.  Rows are
+    independent: a row's ladder does not depend on the others.
     """
     if isinstance(approach, Bl):
         freqs = approach_frequencies(scenario, approach)
         incs = FrequencyPlan.build(scenario, freqs).increments_batch(rows)
         freqs = np.broadcast_to(freqs, incs.shape)
     elif isinstance(approach, Ml):
-        blocks = [ml_search_increments(rows[start:start + _ML_BLOCK], scenario.max_order,
-                                       scenario, grid_points=approach.grid_points,
-                                       refine_tol=approach.refine_tol)
-                  # zero rows make one empty block, so the arrays are (0, max_order)
-                  for start in range(0, max(len(rows), 1), _ML_BLOCK)]
-        freqs, incs = (np.concatenate(parts) for parts in zip(*blocks))
+        freqs, incs = ml_search_increments(rows, scenario.max_order, scenario,
+                                           grid_points=approach.grid_points,
+                                           refine_tol=approach.refine_tol)
     else:
         raise ValidationError("approach must be an Ml or Bl instance")
     return 0.5 * np.cumsum(incs, axis=1), incs, freqs

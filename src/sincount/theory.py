@@ -287,7 +287,9 @@ def abridged_pmep_i(dist_set, kappa_i):
     made.  With one, p_a = 1 - int W_nu0(x) G(x) dx, with G(x) = F_nu0+1(Bx)
     at nu0 = 1 (S = 0) and G(x) = F_S(x/A) at nu0 = N.  Every integral runs
     over the windows of the laws whose pdfs it carries.  Where kappa is so
-    small that A overflows, S < V_nu0/A never holds and p_a = 1.
+    small that A overflows, S < V_nu0/A never holds and p_a = 1.  Where it is
+    so large that B rounds to 0, V_nu0+1/B - V_nu0 <= S never holds and
+    p_a = 1; at nu0 = N, A = 0 makes S < V_nu0/A always hold and p_a = 0.
     """
     if not kappa_i > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
@@ -298,10 +300,15 @@ def abridged_pmep_i(dist_set, kappa_i):
     kap = float(kappa_i)
     lo = dists[nu0 - 1]
     b_coef = _pmep_i_coef((nu0 + 1.0) / nu0, kap)
+    if over and b_coef == 0.0:
+        return _report("pmep-i", dist_set, 1.0)
     if under:
         a_coef = _pmep_i_coef(nu0 / (nu0 - 1.0), kap)
         if math.isinf(a_coef):
             return _report("pmep-i", dist_set, 1.0)
+        if a_coef == 0.0:
+            # A >= B, so B = 0 too and only the under comparison is made
+            return _report("pmep-i", dist_set, 0.0)
         f_sum = _lower_sum_dist(dist_set, nu0).cdf
     if under and over:
         quad = _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef)

@@ -45,15 +45,22 @@ def test_noiseless_synthesis_is_modulated_cosine(scen):
                                rtol=1e-12, atol=1e-12)
 
 
-def test_grid_statistic_with_empty_fit_is_first_plan_increment(scen):
+@pytest.mark.parametrize("fitted", [False, True], ids=["empty-fit", "fitted"])
+def test_grid_statistic_is_plan_increment(scen, fitted):
+    # with nothing fitted each trial's single row takes its own product; with
+    # slot 1 fitted at a fixed frequency the block's rows take one product
     x = sc.synthesize(scen, 5).samples
-    lo, hi = scen.bands[0]
-    omegas = np.linspace(lo, hi, 9)[1:-1]
+    slots = scen.candidate_slots()
+    fit = [scen.all_frequencies[0]] if fitted else []
+    q_basis = np.zeros((1, 0, N))
+    for slot, w in zip(slots, fit):
+        q_basis, ok = likelihood._extend_bases(q_basis, slot, np.array([w]), N)
+        assert ok.all()
+    table = likelihood._SlotGrid.build(slots[len(fit)], 9, N)
     grid = likelihood._grid_quadrature_increment(
-        x[None, :], scen.candidate_slots()[0], omegas, np.zeros((1, 0, N)),
-        scen.noise_level**2)[0]
-    plan_v = [FrequencyPlan.build(scen, [w]).increments_batch(x)[0, 0]
-              for w in omegas]
+        x[None, :], table, table.grid, q_basis, scen.noise_level**2)[0]
+    plan_v = [FrequencyPlan.build(scen, fit + [w]).increments_batch(x)[0, len(fit)]
+              for w in table.grid]
     np.testing.assert_allclose(grid, plan_v, rtol=1e-9)
 
 

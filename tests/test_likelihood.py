@@ -325,7 +325,7 @@ def _search_beside_golden(monkeypatch, rows, scenario, approach):
 
     def both(*args):
         found = refine(*args)
-        seen.append((found, likelihood._golden_refine(*args), args[5]))
+        seen.append((found, likelihood._golden_refine(*args), args[4]))
         return found
 
     with monkeypatch.context() as patch:
@@ -383,12 +383,12 @@ def test_refinement_with_coarse_grid_or_tolerance(monkeypatch, approach):
 
 def _refine_on_slot(x, band, refine_tol=1e-6):
     """Grid maximum index, the refiner's and the golden rule's (frequency, V)
-    on a 256-point grid over band, with nothing fitted yet."""
+    on the search's 256-point grid over band, with nothing fitted yet."""
     slot = sc.CandidateTemplate(frequency=sum(band) / 2, band=band)
-    grid = np.linspace(*band, 256)
+    table = likelihood._SlotGrid.build(slot, 256, x.shape[1])
     q_basis = np.zeros((len(x), 0, x.shape[1]))
-    vals = likelihood._grid_quadrature_increment(x, slot, grid, q_basis, 1.0)
-    args = (x, slot, q_basis, 1.0, grid, vals, refine_tol)
+    vals = likelihood._grid_quadrature_increment(x, table, table.grid, q_basis, 1.0)
+    args = (x, table, q_basis, 1.0, vals, refine_tol)
     return np.argmax(vals, axis=1), likelihood._refine(*args), likelihood._golden_refine(*args)
 
 
@@ -418,7 +418,8 @@ def test_refinement_of_flat_statistic_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         j, (w, v), (golden_w, golden_v) = _refine_on_slot(np.zeros((1, 64)), band)
-    assert j[0] == 0 and w[0] == np.linspace(*band, 256)[0]
+    assert j[0] == 0 and w[0] == likelihood._SlotGrid.build(
+        sc.CandidateTemplate(frequency=W13, band=band), 256, 64).grid[0]
     assert v[0] == golden_v[0] == 0.0
 
 
@@ -430,11 +431,11 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
     rows = sc.batch_samples(scen, 111, 0, 256)
     evaluate, calls, points = likelihood._grid_quadrature_increment, Counter(), Counter()
 
-    def counted(x, slot, omegas, q_basis, sigma_sq):
+    def counted(x, table, omegas, q_basis, sigma_sq):
         if omegas.ndim == 2:
             calls[q_basis.shape[1] // 2] += 1
             points[q_basis.shape[1] // 2] += len(x)
-        return evaluate(x, slot, omegas, q_basis, sigma_sq)
+        return evaluate(x, table, omegas, q_basis, sigma_sq)
 
     monkeypatch.setattr(likelihood, "_grid_quadrature_increment", counted)
     for start in range(0, len(rows), 64):
@@ -445,6 +446,22 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
     # about four evaluations per trial and slot, against sixteen for the
     # golden rule
     assert sum(points.values()) <= 4.5 * len(rows) * scen.nu0
+
+
+def test_grid_waveforms_are_built_once_per_call(monkeypatch):
+    # 140 rows are three blocks; the grid waveforms are the calls with a 1-d
+    # frequency array, and every block shares each slot's
+    scen = sc.standard_scenario(0.0)
+    pair, grids = likelihood.modulated_pair, []
+
+    def counted(slot, omegas, *args):
+        if np.ndim(omegas) == 1:
+            grids.append(slot)
+        return pair(slot, omegas, *args)
+
+    monkeypatch.setattr(likelihood, "modulated_pair", counted)
+    likelihood.ladders(sc.batch_samples(scen, 111, 0, 140), scen, sc.Ml())
+    assert grids == list(scen.candidate_slots())
 
 
 def test_ml_ladders_of_zero_rows_are_empty(scen_0):

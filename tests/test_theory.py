@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ def test_abridged_pmep_i_small_kappa_takes_the_limit(nu0, max_order, p_a):
     dists = sc.component_dists(sc.standard_scenario(-4.0, nu0=nu0, max_order=max_order))
     for kappa in (1e-4, 1e-3):
         assert sc.abridged_pmep_i(dists, kappa).p_a == pytest.approx(p_a, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu0, max_order, p_a", [(3, 5, 1.0), (3, 3, 0.0), (1, 3, 1.0)])
+def test_abridged_pmep_i_huge_kappa_takes_the_limit(nu0, max_order, p_a):
+    # from kappa about 1e17 B = ((nu0+1)/nu0)^(1/kappa) - 1 rounds to 0:
+    # V_nu0+1/B - V_nu0 <= S never holds, so the rule never keeps nu0 over
+    # nu0 + 1.  At nu0 = N only A is made, it rounds to 0 as well, and
+    # S < V_nu0/A always holds.  At 1e15 the integrals are still evaluated
+    dists = sc.component_dists(sc.standard_scenario(-4.0, nu0=nu0, max_order=max_order))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kappa in (1e15, 1e17, 1e20):
+            assert sc.abridged_pmep_i(dists, kappa).p_a == pytest.approx(p_a, abs=1e-12)
 
 
 def test_abridged_kappa_validation(dists_m4):
