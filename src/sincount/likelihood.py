@@ -30,13 +30,19 @@ from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_
 from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
-# trials per block of the ML search.  Rows are searched independently, so
-# the size never changes a result, only cost: per-trial time falls and the
-# search's peak memory grows with it (400 trials of standard_scenario at
-# 0 dB on 2 shared Xeon cores, peak traced memory with the 1.3 MiB of grid
-# tables: blocks of 16 0.34-0.36 ms per trial, 2.3 MiB; 64: 0.19-0.21 ms,
-# 5.2 MiB; 400: 0.13-0.15 ms, 24 MiB)
-_ML_BLOCK = 64
+# rows per block of the ML search, and live rows per piece of a block's grid
+# products.  Rows are searched independently, so neither size changes a
+# result, only cost.  Refinement and basis growth run once per slot over a
+# whole block, and their per-call overhead falls with its size; the grid
+# product of a piece, (rows (fit + 1)) x 2G, and its temporaries grow with
+# _GRID_ROWS, which caps them.  A 4096-row search of standard_scenario at
+# 0 dB on 2 shared Xeon cores with _GRID_ROWS 64, time per trial (best of
+# three, over three runs) and traced peak memory of one block: blocks of 64
+# 0.23-0.29 ms, 5.2 MiB; 256: 0.20-0.23 ms, 6.3 MiB; 512: 0.19-0.26 ms,
+# 9.2 MiB; 1024: 0.22-0.24 ms, 17 MiB.  The time levels off from 256 rows;
+# 512 searches a 400-trial estimate() call as one block
+_ML_BLOCK = 512
+_GRID_ROWS = 64
 # a candidate whose residual energy is below this fraction of its own energy
 # sits next to an already-fitted frequency; there the Gram identity cancels
 # to rounding noise, so its statistics come from explicit residual vectors
@@ -385,14 +391,19 @@ def _extend_bases(q_basis, slot, omegas, n_samples):
 
 def _search_block(x, tables, sigma_sq, refine_tol):
     """The greedy search of ml_search_increments on one block of rows x,
-    one slot per table."""
+    one slot per table.  A slot's grid values come in pieces of _GRID_ROWS
+    live rows; its refinement and basis growth take all live rows at once."""
     n_rows, n = x.shape
     freqs = np.full((n_rows, len(tables)), np.nan)
     incs = np.full((n_rows, len(tables)), np.nan)
     live = np.arange(n_rows)
     q_basis = np.zeros((n_rows, 0, n))
     for i, table in enumerate(tables):
-        vals = _grid_quadrature_increment(x, table, table.grid, q_basis, sigma_sq)
+        vals = np.empty((live.size, table.grid.size))
+        for start in range(0, live.size, _GRID_ROWS):
+            piece = slice(start, start + _GRID_ROWS)
+            vals[piece] = _grid_quadrature_increment(x[piece], table, table.grid,
+                                                     q_basis[piece], sigma_sq)
         found, incs[live, i] = _refine(x, table, q_basis, sigma_sq, vals, refine_tol)
         freqs[live, i] = found
         q_basis, ok = _extend_bases(q_basis, table.slot, found, n)
@@ -411,7 +422,9 @@ def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6
     certificate, and the golden rule for a trial the certificate does not
     accept); previously found frequencies stay fixed.  rows holds one
     finite observation per row.  Each slot's grid waveforms are built once,
-    and the rows are searched in blocks of _ML_BLOCK.  Returns
+    and the rows are searched in blocks of _ML_BLOCK: per slot, the grid
+    stage takes a block's live rows in pieces of _GRID_ROWS, and the
+    refinement and basis growth take them all at once.  Returns
     (frequencies, increments), each (T, order); a trial whose found
     frequency is linearly dependent on its fit gets NaN rows.  Rows are
     computed independently: a row equals the search of that observation

@@ -295,14 +295,20 @@ def test_ml_search_matches_per_trial_oracle(snr, seed):
             sc.argmin_order(sc.decision_values(spec, o_ladders, params_per_signal=3)))
 
 
+def _one_band_scenario(max_order):
+    """A tone at W13 and max_order - 1 extra candidates, all on one band."""
+    band = (W13 - 0.3, W13 + 0.3)
+    return sc.Scenario(
+        components=(sc.SinusoidComponent(amplitude=1.0, frequency=W13, phase=0.0, band=band),),
+        noise_level=1.0, n_samples=64, max_order=max_order,
+        extra_candidates=tuple(sc.CandidateTemplate(frequency=W13 + 0.1 * k, band=band)
+                               for k in (1, -1)[:max_order - 1]))
+
+
 def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
     # both slots search one band; on a zero row V vanishes on both grids, so
     # both refine to the same frequency and the second pair depends on the first
-    band = (W13 - 0.3, W13 + 0.3)
-    scen = sc.Scenario(
-        components=(sc.SinusoidComponent(amplitude=1.0, frequency=W13, phase=0.0, band=band),),
-        noise_level=1.0, n_samples=64, max_order=2,
-        extra_candidates=(sc.CandidateTemplate(frequency=W13 + 0.1, band=band),))
+    scen = _one_band_scenario(max_order=2)
     rows = np.stack([sc.synthesize(scen, s).samples for s in range(6)])
     rows[3] = 0.0
     freqs, incs = sc.likelihood.ml_search_increments(rows, 2, scen, grid_points=64)
@@ -315,6 +321,26 @@ def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
         np.testing.assert_array_equal(incs[k], alone[1])
     with pytest.raises(DegenerateStatsError):
         sc.observation_logliks(rows[3], scen, sc.Ml(grid_points=64))
+
+
+def test_degenerate_rows_in_a_multi_piece_block_leave_the_others_unchanged():
+    # one search block of three grid pieces, with a zero row in the first and
+    # the third; those rows drop after slot 2, so slot 3's grid pieces
+    # regroup the rows that remain, and each still equals its batch of one
+    scen = _one_band_scenario(max_order=3)
+    piece = likelihood._GRID_ROWS
+    rows = sc.batch_samples(scen, 3, 0, 2 * piece + 22)
+    assert len(rows) <= likelihood._ML_BLOCK
+    zero = [3, 2 * piece + 12]
+    rows[zero] = 0.0
+    freqs, incs = likelihood.ml_search_increments(rows, 3, scen, grid_points=64)
+    assert np.isnan(freqs[zero]).all() and np.isnan(incs[zero]).all()
+    for k in sorted(set(range(len(rows))) - set(zero)):
+        alone = [a[0] for a in likelihood.ml_search_increments(
+            rows[k:k + 1], 3, scen, grid_points=64)]
+        assert np.isfinite(alone[1]).all()
+        np.testing.assert_array_equal(freqs[k], alone[0])
+        np.testing.assert_array_equal(incs[k], alone[1])
 
 
 def _search_beside_golden(monkeypatch, rows, scenario, approach):
@@ -425,10 +451,12 @@ def test_refinement_of_flat_statistic_warns_nothing():
 
 def test_refinement_cost_on_signal_slots(monkeypatch):
     # without a golden fallback, a slot's refinement is at most three
-    # parabolic steps and two certificate sides: five calls, each over the
-    # block's trials; the bound allows six
+    # parabolic steps and two certificate sides: five calls per search block,
+    # each over the rows still stepping or checked; the bound allows six.
+    # 256 rows are one search block
     scen = sc.standard_scenario(0.0)
     rows = sc.batch_samples(scen, 111, 0, 256)
+    assert len(rows) <= likelihood._ML_BLOCK
     evaluate, calls, points = likelihood._grid_quadrature_increment, Counter(), Counter()
 
     def counted(x, table, omegas, q_basis, sigma_sq):
@@ -438,19 +466,19 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
         return evaluate(x, table, omegas, q_basis, sigma_sq)
 
     monkeypatch.setattr(likelihood, "_grid_quadrature_increment", counted)
-    for start in range(0, len(rows), 64):
-        calls.clear()
-        likelihood.ml_search_increments(rows[start:start + 64], scen.nu0, scen)
-        assert sorted(calls) == list(range(scen.nu0))
-        assert max(calls.values()) <= 6
+    likelihood.ml_search_increments(rows, scen.nu0, scen)
+    assert sorted(calls) == list(range(scen.nu0))
+    assert max(calls.values()) <= 6
     # about four evaluations per trial and slot, against sixteen for the
     # golden rule
     assert sum(points.values()) <= 4.5 * len(rows) * scen.nu0
 
 
 def test_grid_waveforms_are_built_once_per_call(monkeypatch):
-    # 140 rows are three blocks; the grid waveforms are the calls with a 1-d
-    # frequency array, and every block shares each slot's
+    # with search blocks of 64 rows, 140 rows are three blocks; the grid
+    # waveforms are the calls with a 1-d frequency array, and every block
+    # shares each slot's
+    monkeypatch.setattr(likelihood, "_ML_BLOCK", 64)
     scen = sc.standard_scenario(0.0)
     pair, grids = likelihood.modulated_pair, []
 
@@ -462,6 +490,42 @@ def test_grid_waveforms_are_built_once_per_call(monkeypatch):
     monkeypatch.setattr(likelihood, "modulated_pair", counted)
     likelihood.ladders(sc.batch_samples(scen, 111, 0, 140), scen, sc.Ml())
     assert grids == list(scen.candidate_slots())
+
+
+def test_search_refines_and_extends_each_slot_once_per_block(monkeypatch):
+    # 400 rows are one search block: each slot is refined and its bases
+    # extended once over all of them, and its grid values come in
+    # ceil(400 / _GRID_ROWS) pieces.  The result equals the concatenated
+    # searches of 64-row slices, bit for bit
+    scen = sc.standard_scenario(0.0)
+    rows = sc.batch_samples(scen, 111, 0, 400)
+    assert len(rows) <= likelihood._ML_BLOCK
+    expect = [np.concatenate(parts) for parts in zip(*(
+        likelihood.ml_search_increments(rows[start:start + 64], scen.max_order, scen)
+        for start in range(0, len(rows), 64)))]
+    calls = Counter()
+
+    def counting(name, slot_of):
+        inner = getattr(likelihood, name)
+
+        def counted(*args):
+            slot = slot_of(*args)
+            if slot is not None:
+                calls[name, slot] += 1
+            return inner(*args)
+        monkeypatch.setattr(likelihood, name, counted)
+
+    counting("_refine", lambda x, table, q_basis, *rest: q_basis.shape[1] // 2)
+    counting("_extend_bases", lambda q_basis, *rest: q_basis.shape[1] // 2)
+    counting("_grid_quadrature_increment", lambda x, table, omegas, q_basis, sigma_sq:
+             q_basis.shape[1] // 2 if omegas.ndim == 1 else None)
+    freqs, incs = likelihood.ml_search_increments(rows, scen.max_order, scen)
+    pieces = math.ceil(len(rows) / likelihood._GRID_ROWS)
+    assert calls == Counter({(name, slot): count for slot in range(scen.max_order)
+                             for name, count in (("_refine", 1), ("_extend_bases", 1),
+                                                 ("_grid_quadrature_increment", pieces))})
+    np.testing.assert_array_equal(freqs, expect[0])
+    np.testing.assert_array_equal(incs, expect[1])
 
 
 def test_ml_ladders_of_zero_rows_are_empty(scen_0):

@@ -61,13 +61,16 @@ def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
     plan = sc.FrequencyPlan.build(scen_m4, scen_m4.all_frequencies)
     np.testing.assert_array_equal(sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 17),
                                   plan.logliks_batch(samples))
-    # 140 ML trials cross a sub-block boundary inside the first chunk
-    # (blocks 0-63 and 64-99 at the default block size) and the chunk boundary
-    # at 100, which ends a partial block and starts another
-    assert sc.likelihood._ML_BLOCK < 100
     approach = sc.Ml(grid_points=128)
     expect = np.array([sc.observation_logliks(row, scen_m4, approach)[0]
                        for row in samples[:140]])
+    np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 140, 17), expect)
+    # with search blocks of 48 rows and grid pieces of 16, 140 ML trials
+    # cross search-block and grid-piece boundaries inside the first chunk
+    # (blocks 0-47, 48-95 and 96-99) and the chunk boundary at 100, which
+    # ends a partial block and starts another
+    monkeypatch.setattr(sc.likelihood, "_ML_BLOCK", 48)
+    monkeypatch.setattr(sc.likelihood, "_GRID_ROWS", 16)
     np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 140, 17), expect)
 
 

@@ -135,6 +135,17 @@ def test_abridged_pmep_i_interior_far_cases_against_other_order(scenario, kappa)
     assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa)) <= 1e-7
 
 
+@pytest.mark.parametrize("snr", [0.0, 4.0])
+@pytest.mark.parametrize("kappa", [12.0, 20.0, 50.0])
+def test_abridged_pmep_i_interior_error_is_honest_at_large_kappa(snr, kappa):
+    # at large kappa the 16-node inner rule spans many standard deviations of
+    # W_lo and is off by up to about 8e-4 (4 dB, kappa 50); the reported
+    # error must still cover the distance to the other order
+    dists = sc.component_dists(sc.standard_scenario(snr))
+    rep = sc.abridged_pmep_i(dists, kappa)
+    assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa)) <= rep.error
+
+
 def test_abridged_pmep_i_interior_cost_at_minus_20_db():
     # the kink of the interior integrand is an inner limit, so low SNR costs
     # no more points than the frozen -4 dB case: a ceiling, not a schedule
