@@ -22,7 +22,7 @@ import numpy as np
 from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
 from .errors import (SincountError, ValidationError, checked_keys, finite_float,
-                     nonneg_int)
+                     from_dict, nonneg_int)
 from .likelihood import KNOWN_FREQ, Bl, FrequencyPlan, Ml, approach_frequencies
 from .signal_model import (scenario_from_dict, standard_scenario, synthesize,
                            with_snr_db)
@@ -81,31 +81,20 @@ def _field(node, key, path, check, default=_REQUIRED):
     return default
 
 
-def _init_keys(cls):
-    return tuple(f.name for f in dataclasses.fields(cls) if f.init)
-
-
-# each criterion name and approach kind: the class built and the config
-# keys beside the name or kind, its init fields
-_CRITERIA = {name: (cls, _init_keys(cls)) for name, cls in CRITERIA.items()}
-_APPROACHES = {"known": (Bl, ()), "bl": (Bl, _init_keys(Bl)), "ml": (Ml, _init_keys(Ml))}
+# each approach kind and its maker; known takes no keys beside the kind
+_APPROACHES = {"known": lambda: KNOWN_FREQ, "bl": Bl, "ml": Ml}
 
 
 def _build(node, path, key, table, default=_REQUIRED):
-    """make(**rest) for (make, keys) = table[node[key]] (default when absent),
-    rest being node's other keys, which must lie in keys."""
-    make, keys = table[_field(checked_keys(node, path), key, path, _one_of(table), default)]
-    checked_keys(node, path, (key, *keys))
-    try:
-        return make(**{k: v for k, v in node.items() if k != key})
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    """from_dict of table[node[key]] (default when absent) on node's other keys."""
+    make = table[_field(checked_keys(node, path), key, path, _one_of(table), default)]
+    return from_dict(make, {k: v for k, v in node.items() if k != key}, path)
 
 
 def _criteria(nodes, key):
     if not isinstance(nodes, list) or not nodes:
         raise ValidationError(f"{key} must be a nonempty list of objects, got {nodes!r}")
-    return tuple(_build(node, f"{key}[{j}]", "name", _CRITERIA) for j, node in enumerate(nodes))
+    return tuple(_build(node, f"{key}[{j}]", "name", CRITERIA) for j, node in enumerate(nodes))
 
 
 # scenario.standard: standard_scenario's parameters, the SNR as snr_db
@@ -269,15 +258,13 @@ def cmd_mc(cfg):
 def cmd_theory(cfg):
     scenario, specs = cfg.need("scenario"), cfg.need("criteria")
     approach = cfg.approach or KNOWN_FREQ
-    if isinstance(approach, Ml):
-        raise ValidationError("approach.kind: theory tables use known/bl frequencies")
+    # the SNR sets amplitudes only, so the frequencies hold for every grid point
+    freqs = approach_frequencies(scenario, approach)
     if any(isinstance(s, Eef) for s in specs):
         raise ValidationError("criteria: eef has no closed-form abridged error; use mc or ql-sweep")
     rows = []
     for snr in cfg.need("snr_grid_db"):
-        scen = with_snr_db(scenario, snr)
-        dists = theory.component_dists(
-            scen, mode="ql", frequencies=approach_frequencies(scen, approach))
+        dists = theory.component_dists(with_snr_db(scenario, snr), mode="ql", frequencies=freqs)
         for spec in specs:
             rep = theory.abridged_for(dists, spec,
                                       params_per_signal=approach.params_per_signal)

@@ -170,7 +170,7 @@ def select_order(spec, observation, approach, scenario):
         raise ValidationError("approach must be an Ml or Bl instance")
     try:
         logliks, increments, freqs = observation_logliks(observation, scenario, approach)
-    except (SincountError, np.linalg.LinAlgError) as exc:
+    except SincountError as exc:
         raise SelectionError(
             f"could not build log-likelihoods: {exc}",
             diagnostics={"approach": approach.label}) from exc

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer, number and
-object-key checks that raise them."""
+"""Exception types shared across the package, the integer, number and
+object-key checks that raise them, and the reader that builds an object
+from a config dict through those checks."""
 
+import inspect
 import math
 import numbers
 
@@ -55,6 +57,24 @@ def checked_keys(node, path, allowed=None):
         if allowed is not None and key not in allowed:
             raise ValidationError(f"{path + '.' if path else ''}{key}: unknown key")
     return node
+
+
+def from_dict(make, node, path, **parse):
+    """make(**node): node's keys must be parameters of make's signature (a
+    dataclass's init fields), those without a default are required, and the
+    values of the keys in parse go through parse[key](value, key path)
+    first; errors name the key path.  A maker without parameters rejects
+    every key."""
+    params = inspect.signature(make).parameters
+    checked_keys(node, path, params)
+    for name, param in params.items():
+        if param.default is param.empty and name not in node:
+            raise ValidationError(f"{path}.{name}: required")
+    kwargs = {k: parse[k](v, f"{path}.{k}") if k in parse else v for k, v in node.items()}
+    try:
+        return make(**kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 class ModelViolationError(SincountError):

@@ -413,28 +413,24 @@ def _search_block(x, tables, sigma_sq, refine_tol):
     return freqs, incs
 
 
-def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6):
-    """Greedy sequential ML frequency search for observations (T, N).
+def ml_search_increments(rows, scenario, approach):
+    """Greedy sequential ML frequency search for observations (T, N) over
+    every candidate slot of the scenario, configured by the Ml approach.
 
     For each slot in turn the incremental statistic V is maximized over a
-    grid in the slot's band and refined to refine_tol next to the grid
-    maximum (_refine: parabolic steps from the grid values, a bracketing
-    certificate, and the golden rule for a trial the certificate does not
-    accept); previously found frequencies stay fixed.  rows holds one
-    finite observation per row.  Each slot's grid waveforms are built once,
-    and the rows are searched in blocks of _ML_BLOCK: per slot, the grid
-    stage takes a block's live rows in pieces of _GRID_ROWS, and the
-    refinement and basis growth take them all at once.  Returns
-    (frequencies, increments), each (T, order); a trial whose found
-    frequency is linearly dependent on its fit gets NaN rows.  Rows are
-    computed independently: a row equals the search of that observation
-    alone (a batch of one), bit for bit.
+    grid of approach.grid_points in the slot's band and refined to
+    approach.refine_tol next to the grid maximum (_refine: parabolic steps
+    from the grid values, a bracketing certificate, and the golden rule for
+    a trial the certificate does not accept); previously found frequencies
+    stay fixed.  rows holds one finite observation per row.  Each slot's
+    grid waveforms are built once, and the rows are searched in blocks of
+    _ML_BLOCK: per slot, the grid stage takes a block's live rows in pieces
+    of _GRID_ROWS, and the refinement and basis growth take them all at
+    once.  Returns (frequencies, increments), each (T, max_order); a trial
+    whose found frequency is linearly dependent on its fit gets NaN rows.
+    Rows are computed independently: a row equals the search of that
+    observation alone (a batch of one), bit for bit.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    slots = scenario.candidate_slots()
-    if order > len(slots):
-        raise ValidationError(f"order {order} exceeds max_order {len(slots)}")
     x = np.asarray(rows, dtype=float)
     n = scenario.n_samples
     if x.ndim != 2 or x.shape[1] != n:
@@ -442,12 +438,14 @@ def ml_search_increments(rows, order, scenario, grid_points=256, refine_tol=1e-6
     _check_finite(x)
     x = np.ascontiguousarray(x)
     sigma_sq = scenario.noise_level**2 if (scenario.noise_known and scenario.noise_level > 0) else 1.0
-    tables = [_SlotGrid.build(slot, grid_points, n) for slot in slots[:order]]
-    freqs = np.full((x.shape[0], order), np.nan)
-    incs = np.full((x.shape[0], order), np.nan)
+    tables = [_SlotGrid.build(slot, approach.grid_points, n)
+              for slot in scenario.candidate_slots()]
+    freqs = np.full((x.shape[0], len(tables)), np.nan)
+    incs = np.full((x.shape[0], len(tables)), np.nan)
     for start in range(0, x.shape[0], _ML_BLOCK):
         block = slice(start, start + _ML_BLOCK)
-        freqs[block], incs[block] = _search_block(x[block], tables, sigma_sq, refine_tol)
+        freqs[block], incs[block] = _search_block(x[block], tables, sigma_sq,
+                                                  approach.refine_tol)
     return freqs, incs
 
 
@@ -513,7 +511,12 @@ KNOWN_FREQ = Bl(delta_omega=0.0)
 def approach_frequencies(scenario, approach):
     """Candidate frequencies of a Bl approach for all slots: its explicit
     frequencies, or the nominal ones offset by delta_omega.  FrequencyPlan.build
-    checks them against the bands."""
+    checks them against the bands.  An Ml approach has none, as its search
+    finds each trial's own: a ValidationError."""
+    if isinstance(approach, Ml):
+        raise ValidationError(
+            "the ml approach has no fixed frequencies; use known/bl frequencies, "
+            "or Monte Carlo (mc, or the monte_carlo objective of tune)")
     if approach.frequencies is None:
         return scenario.all_frequencies + float(approach.delta_omega)
     freqs = np.asarray(approach.frequencies, dtype=float)
@@ -537,9 +540,7 @@ def ladders(rows, scenario, approach):
         incs = FrequencyPlan.build(scenario, freqs).increments_batch(rows)
         freqs = np.broadcast_to(freqs, incs.shape)
     elif isinstance(approach, Ml):
-        freqs, incs = ml_search_increments(rows, scenario.max_order, scenario,
-                                           grid_points=approach.grid_points,
-                                           refine_tol=approach.refine_tol)
+        freqs, incs = ml_search_increments(rows, scenario, approach)
     else:
         raise ValidationError("approach must be an Ml or Bl instance")
     return 0.5 * np.cumsum(incs, axis=1), incs, freqs

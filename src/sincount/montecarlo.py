@@ -219,6 +219,15 @@ class McReport:
         }
 
 
+def drop_degenerate(logliks):
+    """The ladders of collect_logliks without its NaN rows, the degenerate
+    trials, which no criterion decides; a ValidationError when none remain."""
+    logliks = logliks[~np.isnan(logliks[:, 0])]
+    if not logliks.shape[0]:
+        raise ValidationError("all trials degenerated; scenario is ill-posed")
+    return logliks
+
+
 def estimate(scenario, specs, approach, trials, master_seed):
     """Estimate p_e and p_a for each criterion over seeded trials.
 
@@ -230,13 +239,9 @@ def estimate(scenario, specs, approach, trials, master_seed):
     if trials < 100:
         raise ValidationError(f"need at least 100 trials, got {trials}")
     nu0, n_orders = scenario.nu0, scenario.max_order
-    logliks = collect_logliks(scenario, approach, trials, master_seed)
-    valid = ~np.isnan(logliks[:, 0])
-    degenerate = int(trials - valid.sum())
-    logliks = logliks[valid]
+    logliks = drop_degenerate(collect_logliks(scenario, approach, trials, master_seed))
     n_eff = logliks.shape[0]
-    if n_eff == 0:
-        raise ValidationError("all trials degenerated; scenario is ill-posed")
+    degenerate = trials - n_eff
     key = scenario_fingerprint(scenario)
     under, over = abridged_comparisons(nu0, n_orders)
     reports = []

@@ -12,12 +12,12 @@ candidate orders up to max_order.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError, checked_keys, finite_float, nonneg_int
+from .errors import ValidationError, finite_float, from_dict, nonneg_int
 
 TWO_PI = 2.0 * math.pi
 
@@ -338,35 +338,19 @@ def _to_json(value):
 
 
 def scenario_to_dict(scenario):
-    """JSON-ready dict of the scenario's fields, as _from_dict reads them;
+    """JSON-ready dict of the scenario's fields, as from_dict reads them;
     inverse of scenario_from_dict."""
     return _to_json(scenario)
-
-
-def _from_dict(make, node, path, **parse):
-    """make(**node): node's keys must be make's fields, those without a
-    default are required, and the values of the keys in parse go through
-    parse[key](value, key path) first; errors name the key path."""
-    names = fields(make)
-    checked_keys(node, path, [f.name for f in names])
-    for f in names:
-        if f.default is MISSING and f.name not in node:
-            raise ValidationError(f"{path}.{f.name}: required")
-    kwargs = {k: parse[k](v, f"{path}.{k}") if k in parse else v for k, v in node.items()}
-    try:
-        return make(**kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _slots(make, nodes, path):
     """Slots made by make from a list of objects; errors name the key path."""
     if not isinstance(nodes, list):
         raise ValidationError(f"{path} must be a list of objects, got {nodes!r}")
-    return tuple(_from_dict(make, node, f"{path}[{j}]") for j, node in enumerate(nodes))
+    return tuple(from_dict(make, node, f"{path}[{j}]") for j, node in enumerate(nodes))
 
 
 def scenario_from_dict(doc):
     """Inverse of scenario_to_dict; errors name the key path from "scenario"."""
-    return _from_dict(Scenario, doc, "scenario", components=partial(_slots, SinusoidComponent),
-                      extra_candidates=partial(_slots, CandidateTemplate))
+    return from_dict(Scenario, doc, "scenario", components=partial(_slots, SinusoidComponent),
+                     extra_candidates=partial(_slots, CandidateTemplate))

@@ -413,12 +413,13 @@ class FrequencyErrorSweep:
 
 
 def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
-             params_per_signal=2, trials=20000, master_seed=1):
+             trials=20000, master_seed=1):
     """Abridged error probability across a grid of frequency offsets.
 
     Each grid point offsets every candidate frequency by delta and
     evaluates the criterion's abridged formula on the resulting increment
-    laws.  EEF has no closed form, so its sweep falls back to seeded
+    laws, with the parameters per signal that the Bl(delta) approach
+    declares.  EEF has no closed form, so its sweep falls back to seeded
     Monte Carlo with the same offsets.  p_aq aggregates the curve through
     the loss function; given per-offset probabilities, p_waa weights them in.
     """
@@ -437,7 +438,8 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
         else:
             dists = component_dists(scenario, mode="ql",
                                     frequencies=approach_frequencies(scenario, approach))
-            report = abridged_for(dists, spec, params_per_signal=params_per_signal)
+            report = abridged_for(dists, spec,
+                                  params_per_signal=approach.params_per_signal)
             p_vals[j], errs[j] = report.p_a, report.error
     weights = np.ones(deltas.size) if loss is None else np.array(
         [float(loss(d)) for d in deltas])

@@ -16,8 +16,8 @@ import numpy as np
 
 from .criteria import PmepI, PmepIr, argmin_order, decision_values
 from .errors import ValidationError, nonneg_int
-from .likelihood import KNOWN_FREQ, Ml, approach_frequencies
-from .montecarlo import collect_logliks
+from .likelihood import KNOWN_FREQ, approach_frequencies
+from .montecarlo import collect_logliks, drop_degenerate
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      consistency_range, residual_means)
 
@@ -66,10 +66,6 @@ def _spec_for(name, kappa):
 
 
 def _theory_objective(scenario, name, approach):
-    if isinstance(approach, Ml):
-        raise ValidationError(
-            "the abridged_theory objective needs known/bl frequencies; "
-            "use the monte_carlo objective for the ml approach")
     dists = component_dists(scenario, mode="ql",
                             frequencies=approach_frequencies(scenario, approach))
     formula = abridged_pmep_ir if name == "pmep-ir" else abridged_pmep_i
@@ -81,7 +77,8 @@ def _theory_objective(scenario, name, approach):
 
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
-    logliks = collect_logliks(scenario, approach, trials, master_seed)
+    # the degenerate trials are left out, as estimate() leaves them out of p_e
+    logliks = drop_degenerate(collect_logliks(scenario, approach, trials, master_seed))
     nu0 = scenario.nu0
     pps = approach.params_per_signal
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -193,6 +194,13 @@ def test_eef_theory_request_exits_2(config_path, capsys):
     rc, _, err = run(["theory", "--config", config_path(doc)], capsys)
     assert rc == 2
     assert "eef" in err
+
+
+def test_ml_theory_request_exits_2(config_path, capsys):
+    doc = dict(BASE_CONFIG, approach={"kind": "ml"})
+    rc, out, err = run(["theory", "--config", config_path(doc)], capsys)
+    assert (rc, out) == (2, "")
+    assert "ml approach has no fixed frequencies" in err
 
 
 def test_theory_unknown_noise_off_unit_level_exits_2(config_path, capsys):
@@ -474,6 +482,49 @@ def _readme_block(language):
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, "r", encoding="utf-8") as fh:
         return fh.read().split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+# the constructor parameters of each criterion name and approach kind, which
+# the config reader takes as keys beside the name or kind, and a valid value
+# of each
+READER_KEYS = {"aic": ("kappa",), "gic": ("upsilon", "kappa"), "eef": (),
+               "pmep-ir": ("kappa_ir",), "pmep-i": ("kappa_i",),
+               "known": (), "bl": ("delta_omega", "frequencies"),
+               "ml": ("grid_points", "refine_tol")}
+READER_VALUES = {"upsilon": 3.0, "kappa": 1.5, "kappa_ir": 0.3, "kappa_i": 3.5,
+                 "delta_omega": 0.002, "grid_points": 64, "refine_tol": 1e-4,
+                 "frequencies": (sc.standard_scenario(-4.0).all_frequencies + 0.002).tolist()}
+
+
+@pytest.mark.parametrize("section, key, value, make", [
+    *(("criteria", "name", name, cls) for name, cls in sc.CRITERIA.items()),
+    ("approach", "kind", "known", lambda: sc.KNOWN_FREQ),
+    ("approach", "kind", "bl", sc.Bl),
+    ("approach", "kind", "ml", sc.Ml),
+], ids=[*sc.CRITERIA, "known", "bl", "ml"])
+def test_config_reader_takes_each_constructor_parameter(section, key, value, make,
+                                                        config_path, capsys):
+    params = READER_KEYS[value]
+    assert tuple(inspect.signature(make).parameters) == params
+    args = cli.build_parser().parse_args(["synth", "--config", "unused"])
+    path = "criteria[0]" if section == "criteria" else "approach"
+
+    def doc(node):
+        return dict(BASE_CONFIG, **{section: [node] if section == "criteria" else node})
+
+    def built(node):
+        cfg = cli.parse_config(doc(node), args)
+        return cfg.criteria[0] if section == "criteria" else cfg.approach
+
+    assert built({key: value}) == make()
+    for param in params:
+        assert built({key: value, param: READER_VALUES[param]}) == make(
+            **{param: READER_VALUES[param]})
+    # a misspelt key, and for known the keys of bl and ml
+    for bad in ("kapa", *(("delta_omega", "grid_points") if value == "known" else ())):
+        rc, out, err = run(["mc", "--config", config_path(doc({key: value, bad: 1}))], capsys)
+        assert (rc, out) == (2, "")
+        assert f"{path}.{bad}: unknown key" in err
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

@@ -167,12 +167,16 @@ def test_select_order_wraps_failures(scen_0):
 
 
 def test_select_order_propagates_programming_errors(scen_0, monkeypatch):
-    def broken(*args):
-        raise TypeError("not a package error")
+    # observation_logliks turns a singular Gram matrix into a
+    # DegenerateStatsError, so a LinAlgError out of it is a fault, not a
+    # failed selection
+    for error in (TypeError, np.linalg.LinAlgError):
+        def broken(*args):
+            raise error("not a package error")
 
-    monkeypatch.setattr(sc.criteria, "observation_logliks", broken)
-    with pytest.raises(TypeError, match="not a package error"):
-        sc.select_order(sc.Gic(), sc.synthesize(scen_0, 1), sc.KNOWN_FREQ, scen_0)
+        monkeypatch.setattr(sc.criteria, "observation_logliks", broken)
+        with pytest.raises(error, match="not a package error"):
+            sc.select_order(sc.Gic(), sc.synthesize(scen_0, 1), sc.KNOWN_FREQ, scen_0)
 
 
 @settings(max_examples=40, deadline=None)

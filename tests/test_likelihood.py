@@ -139,11 +139,18 @@ def test_bl_frequency_rules(scen_m4):
             sc.approach_frequencies(scen_m4, sc.Bl(frequencies=tuple(wrong)))
 
 
+def test_ml_approach_has_no_fixed_frequencies(scen_m4):
+    # the closed-form laws need fixed frequencies; the ML search finds each
+    # trial's own
+    with pytest.raises(ValidationError, match="ml approach has no fixed frequencies"):
+        sc.approach_frequencies(scen_m4, sc.Ml())
+
+
 def test_ml_search_finds_strong_tone():
     scen = one_tone_scenario(amplitude=20.0, extra=1)
     obs = sc.synthesize(scen, 5)
     freqs, increments = (a[0] for a in sc.likelihood.ml_search_increments(
-        obs.samples[None], 2, scen))
+        obs.samples[None], scen, sc.Ml()))
     assert abs(freqs[0] - W13) < 1e-3
     assert increments[0] > increments[1]
     # found increments are at least the nominal-frequency ones
@@ -281,7 +288,7 @@ def test_ml_search_matches_per_trial_oracle(snr, seed):
     # rounding noise and the search must fall back to explicit residuals
     scen = sc.standard_scenario(snr)
     rows = sc.batch_samples(scen, seed, 0, 64)
-    freqs, incs = sc.likelihood.ml_search_increments(rows, scen.max_order, scen)
+    freqs, incs = sc.likelihood.ml_search_increments(rows, scen, sc.Ml())
     expect = [oracle_ml_search(row, scen.max_order, scen) for row in rows]
     o_freqs = np.array([f for f, _ in expect])
     o_incs = np.array([v for _, v in expect])
@@ -311,11 +318,11 @@ def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
     scen = _one_band_scenario(max_order=2)
     rows = np.stack([sc.synthesize(scen, s).samples for s in range(6)])
     rows[3] = 0.0
-    freqs, incs = sc.likelihood.ml_search_increments(rows, 2, scen, grid_points=64)
+    freqs, incs = sc.likelihood.ml_search_increments(rows, scen, sc.Ml(grid_points=64))
     assert np.isnan(freqs[3]).all() and np.isnan(incs[3]).all()
     for k in (0, 1, 2, 4, 5):
         alone = [a[0] for a in sc.likelihood.ml_search_increments(
-            rows[k:k + 1], 2, scen, grid_points=64)]
+            rows[k:k + 1], scen, sc.Ml(grid_points=64))]
         assert np.isfinite(alone[1]).all()
         np.testing.assert_array_equal(freqs[k], alone[0])
         np.testing.assert_array_equal(incs[k], alone[1])
@@ -333,11 +340,11 @@ def test_degenerate_rows_in_a_multi_piece_block_leave_the_others_unchanged():
     assert len(rows) <= likelihood._ML_BLOCK
     zero = [3, 2 * piece + 12]
     rows[zero] = 0.0
-    freqs, incs = likelihood.ml_search_increments(rows, 3, scen, grid_points=64)
+    freqs, incs = likelihood.ml_search_increments(rows, scen, sc.Ml(grid_points=64))
     assert np.isnan(freqs[zero]).all() and np.isnan(incs[zero]).all()
     for k in sorted(set(range(len(rows))) - set(zero)):
         alone = [a[0] for a in likelihood.ml_search_increments(
-            rows[k:k + 1], 3, scen, grid_points=64)]
+            rows[k:k + 1], scen, sc.Ml(grid_points=64))]
         assert np.isfinite(alone[1]).all()
         np.testing.assert_array_equal(freqs[k], alone[0])
         np.testing.assert_array_equal(incs[k], alone[1])
@@ -453,8 +460,10 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
     # without a golden fallback, a slot's refinement is at most three
     # parabolic steps and two certificate sides: five calls per search block,
     # each over the rows still stepping or checked; the bound allows six.
-    # 256 rows are one search block
-    scen = sc.standard_scenario(0.0)
+    # 256 rows are one search block.  The search covers every slot; with
+    # max_order = nu0 = 3 it covers the signal slots alone, with the rows and
+    # slots 1-3 of standard_scenario(0.0)
+    scen = sc.standard_scenario(0.0, max_order=3)
     rows = sc.batch_samples(scen, 111, 0, 256)
     assert len(rows) <= likelihood._ML_BLOCK
     evaluate, calls, points = likelihood._grid_quadrature_increment, Counter(), Counter()
@@ -466,7 +475,7 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
         return evaluate(x, table, omegas, q_basis, sigma_sq)
 
     monkeypatch.setattr(likelihood, "_grid_quadrature_increment", counted)
-    likelihood.ml_search_increments(rows, scen.nu0, scen)
+    likelihood.ml_search_increments(rows, scen, sc.Ml())
     assert sorted(calls) == list(range(scen.nu0))
     assert max(calls.values()) <= 6
     # about four evaluations per trial and slot, against sixteen for the
@@ -501,7 +510,7 @@ def test_search_refines_and_extends_each_slot_once_per_block(monkeypatch):
     rows = sc.batch_samples(scen, 111, 0, 400)
     assert len(rows) <= likelihood._ML_BLOCK
     expect = [np.concatenate(parts) for parts in zip(*(
-        likelihood.ml_search_increments(rows[start:start + 64], scen.max_order, scen)
+        likelihood.ml_search_increments(rows[start:start + 64], scen, sc.Ml())
         for start in range(0, len(rows), 64)))]
     calls = Counter()
 
@@ -519,7 +528,7 @@ def test_search_refines_and_extends_each_slot_once_per_block(monkeypatch):
     counting("_extend_bases", lambda q_basis, *rest: q_basis.shape[1] // 2)
     counting("_grid_quadrature_increment", lambda x, table, omegas, q_basis, sigma_sq:
              q_basis.shape[1] // 2 if omegas.ndim == 1 else None)
-    freqs, incs = likelihood.ml_search_increments(rows, scen.max_order, scen)
+    freqs, incs = likelihood.ml_search_increments(rows, scen, sc.Ml())
     pieces = math.ceil(len(rows) / likelihood._GRID_ROWS)
     assert calls == Counter({(name, slot): count for slot in range(scen.max_order)
                              for name, count in (("_refine", 1), ("_extend_bases", 1),
@@ -544,4 +553,4 @@ def test_non_finite_observation_is_validation_error(scen_0, approach):
     rows = np.zeros((3, scen_0.n_samples))
     rows[2, 7] = -np.inf
     with pytest.raises(ValidationError, match="row 2 has a non-finite"):
-        likelihood.ml_search_increments(rows, 1, scen_0)
+        likelihood.ml_search_increments(rows, scen_0, sc.Ml())

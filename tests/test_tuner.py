@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sincount as sc
+from sincount import montecarlo, tuner
 from sincount.errors import ValidationError
 
 
@@ -51,6 +52,28 @@ def test_grid_needs_two_integer_points(scen_m4, grid_points):
     # at the range midpoint
     with pytest.raises(ValidationError, match="grid_points"):
         sc.tune("pmep-i", scen_m4, grid_points=grid_points, search_range=(0.01, 1.0))
+
+
+def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(monkeypatch):
+    # a NaN ladder is a degenerate trial: estimate() decides no order for it,
+    # and the objective must not count it as an error either
+    scen = sc.standard_scenario(0.0)
+    logliks = sc.collect_logliks(scen, sc.KNOWN_FREQ, 2000, 3)
+    logliks[::10] = np.nan
+    for module in (tuner, montecarlo):
+        monkeypatch.setattr(module, "collect_logliks", lambda *args: logliks.copy())
+    for kappa in (2.0, 3.0, 4.0):
+        tuned = sc.tune("pmep-i", scen, objective="monte_carlo", search_range=(kappa, kappa),
+                        trials=2000, master_seed=3)
+        (report,) = sc.estimate(scen, [sc.PmepI(kappa_i=kappa)], sc.KNOWN_FREQ, 2000, 3)
+        assert report.trials == 1800
+        assert tuned.objective_value == report.p_e
+    logliks[:] = np.nan
+    with pytest.raises(ValidationError, match="all trials degenerated"):
+        sc.tune("pmep-i", scen, objective="monte_carlo", search_range=(3.0, 3.0),
+                trials=2000, master_seed=3)
+    with pytest.raises(ValidationError, match="all trials degenerated"):
+        sc.estimate(scen, [sc.PmepI()], sc.KNOWN_FREQ, 2000, 3)
 
 
 def test_monte_carlo_objective(scen_m4):
