@@ -3,11 +3,12 @@
 Trials draw observations with per-trial seeds split from a master seed,
 compute one log-likelihood ladder per approach, and evaluate every
 criterion on the same statistics, so comparisons between criteria are
-paired.  Aggregates are identical for any chunking or worker count.
+paired.  Aggregates do not depend on how the trials are split into chunks.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -22,6 +23,7 @@ from .likelihood import ladders
 from .signal_model import clean_signal, scenario_to_dict
 
 _CHUNK = 65536
+_MIN_TRIALS = 100
 _Z95 = 1.959963984540054
 
 
@@ -107,23 +109,138 @@ def trial_seed(master_seed, index):
     return _trial_keys(nonneg_int(master_seed, "master_seed"), nonneg_int(index, "index"))
 
 
+class _PhiloxState(ctypes.Structure):
+    """numpy's C philox_state (numpy/random/src/philox/philox.h): pointers,
+    read as integers, to the four counter words and the two key words; the
+    read position in the four-word output buffer; the buffer; and the saved
+    upper half of a uint64 split into two uint32 draws."""
+
+    _fields_ = [("ctr", ctypes.c_size_t), ("key", ctypes.c_size_t),
+                ("buffer_pos", ctypes.c_int), ("buffer", ctypes.c_uint64 * 4),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+_PHILOX_BUFFER_SIZE = 4
+
+# a Philox state with no field at its fresh value: a used counter, a two-word
+# key, a partly read buffer and a saved half word
+_DIRTY_PHILOX = {
+    "bit_generator": "Philox",
+    "state": {"counter": np.array([5, 6, 7, 2**63 + 8], dtype=np.uint64),
+              "key": np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], dtype=np.uint64)},
+    "buffer": np.array([9, 10, 11, 12], dtype=np.uint64),
+    "buffer_pos": 2,
+    "has_uint32": 1,
+    "uinteger": 0x89ABCDEF,
+}
+
+
+def _words(address, count):
+    """A uint64 array over count words of memory at address."""
+    return np.ctypeslib.as_array((ctypes.c_uint64 * count).from_address(address))
+
+
+def _rekey_by_setter(bit_gen):
+    """A function of a key k that sets bit_gen to the state of a fresh
+    Philox(key=k), through the public state setter."""
+    state = np.random.Philox(key=0).state
+    key = state["state"]["key"]
+
+    def rekey(trial_key):
+        key[0] = trial_key
+        bit_gen.state = state
+
+    return rekey
+
+
+def _rekey_in_place(bit_gen):
+    """A function of a key k that sets bit_gen to the state of a fresh
+    Philox(key=k) by writing its C state in place: key [k, 0], a zero counter,
+    an empty buffer and no saved half word.  The buffer's contents are left,
+    as no draw reads them before refilling it.  The layout is private to
+    numpy; _choose_rekey checks it before this is used."""
+    state = _PhiloxState.from_address(bit_gen.ctypes.state_address)
+    key, counter = _words(state.key, 2), _words(state.ctr, 4)
+
+    def rekey(trial_key):
+        key[0] = trial_key
+        key[1] = 0
+        counter.fill(0)
+        state.buffer_pos = _PHILOX_BUFFER_SIZE
+        state.has_uint32 = 0
+
+    # the arrays above point into bit_gen's memory, so rekey keeps it alive
+    rekey.bit_gen = bit_gen
+    return rekey
+
+
+def _layout_matches(bit_gen):
+    """Whether _PhiloxState, read at bit_gen's state address, holds what
+    bit_gen.state reports.  Each address is checked to lie inside the Philox
+    object before it is read, so a different layout reads wrong values, never
+    unmapped memory; nothing is written."""
+    start = id(bit_gen)
+    end = start + type(bit_gen).__basicsize__
+
+    def inside(address, nbytes):
+        return start <= address and address + nbytes <= end
+
+    address = bit_gen.ctypes.state_address
+    if not inside(address, ctypes.sizeof(_PhiloxState)):
+        return False
+    state = _PhiloxState.from_address(address)
+    if not (inside(state.key, 16) and inside(state.ctr, 32)):
+        return False
+    report = bit_gen.state
+    return (_words(state.key, 2).tolist() == report["state"]["key"].tolist()
+            and _words(state.ctr, 4).tolist() == report["state"]["counter"].tolist()
+            and list(state.buffer) == report["buffer"].tolist()
+            and (state.buffer_pos, state.has_uint32, state.uinteger)
+            == (report["buffer_pos"], report["has_uint32"], report["uinteger"]))
+
+
+def _choose_rekey():
+    """_rekey_in_place where two checks on the installed numpy pass, else
+    _rekey_by_setter.  First, read only: on a Philox whose state has no field
+    at its fresh value, _PhiloxState must read what the public state reports.
+    Then, from that dirty state, rekeying in place to a key below 2**63 and to
+    one above must give the draws of a fresh Generator(Philox(key=k)), bit
+    for bit."""
+    bit_gen = np.random.Philox(key=0)
+    bit_gen.state = _DIRTY_PHILOX
+    if not _layout_matches(bit_gen):
+        return _rekey_by_setter
+    rng = np.random.Generator(bit_gen)
+    rekey = _rekey_in_place(bit_gen)
+    for trial_key in (0x2545F4914F6CDD1D, 2**64 - 59):
+        bit_gen.state = _DIRTY_PHILOX
+        rekey(trial_key)
+        fresh = np.random.Generator(np.random.Philox(key=trial_key))
+        if rng.standard_normal(64).tobytes() != fresh.standard_normal(64).tobytes():
+            return _rekey_by_setter
+    return _rekey_in_place
+
+
+_rekey = _choose_rekey()
+
+
 def _noise_rows(scenario, master_seed, start, count):
     """Clean signal plus scaled noise for trials start..start+count-1.
 
-    One Philox generator serves the whole chunk: before each trial its state
-    is reset to that of a fresh Philox(key=trial_seed(...)) (key [k, 0], zero
-    counter, empty buffer), so every row is bit for bit the row synthesize
-    draws.
+    One Philox generator serves the whole chunk: before each trial, _rekey
+    sets it to the state of a fresh Philox(key=trial_seed(...)) (key [k, 0],
+    zero counter, empty buffer), so every row is bit for bit the row
+    synthesize draws.  It writes that state in place, into numpy's C struct,
+    when the import-time check _choose_rekey finds the struct laid out as
+    expected, and through the public state setter otherwise.
     """
     keys = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     out = np.empty((count, scenario.n_samples))
     bit_gen = np.random.Philox(key=0)
     rng = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    key = state["state"]["key"]
+    rekey = _rekey(bit_gen)
     for row, trial_key in zip(out, keys.tolist()):
-        key[0] = trial_key
-        bit_gen.state = state
+        rekey(trial_key)
         rng.standard_normal(out=row)
     out *= scenario.noise_level
     out += clean_signal(scenario)
@@ -155,6 +272,15 @@ def collect_logliks(scenario, approach, trials, master_seed):
         samples = batch_samples(scenario, master_seed, start, count)
         out[start:start + count] = ladders(samples, scenario, approach)[0]
     return out
+
+
+def mc_trials(trials):
+    """trials as an int; a ValidationError below _MIN_TRIALS, the fewest
+    trials from which an error probability is estimated."""
+    trials = nonneg_int(trials, "trials")
+    if trials < _MIN_TRIALS:
+        raise ValidationError(f"need at least {_MIN_TRIALS} trials, got {trials}")
+    return trials
 
 
 def _wilson(p, n):
@@ -235,9 +361,7 @@ def estimate(scenario, specs, approach, trials, master_seed):
     mismatches, p_a the two-neighbor abridged event (single available
     neighbor at the boundary orders).
     """
-    trials = nonneg_int(trials, "trials")
-    if trials < 100:
-        raise ValidationError(f"need at least 100 trials, got {trials}")
+    trials = mc_trials(trials)
     nu0, n_orders = scenario.nu0, scenario.max_order
     logliks = drop_degenerate(collect_logliks(scenario, approach, trials, master_seed))
     n_eff = logliks.shape[0]

@@ -17,7 +17,7 @@ import numpy as np
 from .criteria import PmepI, PmepIr, argmin_order, decision_values
 from .errors import ValidationError, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies
-from .montecarlo import collect_logliks, drop_degenerate
+from .montecarlo import collect_logliks, drop_degenerate, mc_trials
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      consistency_range, residual_means)
 
@@ -78,7 +78,8 @@ def _theory_objective(scenario, name, approach):
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
     # the degenerate trials are left out, as estimate() leaves them out of p_e
-    logliks = drop_degenerate(collect_logliks(scenario, approach, trials, master_seed))
+    logliks = drop_degenerate(collect_logliks(scenario, approach, mc_trials(trials),
+                                              master_seed))
     nu0 = scenario.nu0
     pps = approach.params_per_signal
 

@@ -45,6 +45,84 @@ def test_batch_samples_straddle_two_to_the_32(scen_m4):
         np.testing.assert_array_equal(rows[k], single.samples)
 
 
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+def test_batch_samples_match_synthesize_for_keys_either_side_of_two_to_the_63(
+        scen_m4, master_seed):
+    keys = [sc.trial_seed(master_seed, k) for k in range(6)]
+    assert min(keys) < 2**63 <= max(keys)
+    rows = sc.batch_samples(scen_m4, master_seed, 0, 6)
+    for row, key in zip(rows, keys):
+        np.testing.assert_array_equal(row, sc.synthesize(scen_m4, key).samples)
+
+
+def _draws(rng):
+    # uint32 draws first: a saved half word left by the last trial would show
+    return rng.integers(2**32, size=3, dtype=np.uint32).tobytes() + \
+        rng.standard_normal(100).tobytes()
+
+
+@pytest.mark.parametrize("make_rekey", [montecarlo._rekey_in_place,
+                                        montecarlo._rekey_by_setter])
+def test_rekey_turns_a_used_generator_into_a_fresh_one(make_rekey):
+    bit_gen = np.random.Philox(key=2**100 + 3, counter=[1, 2, 3, 4])
+    rng = np.random.Generator(bit_gen)
+    rekey = make_rekey(bit_gen)
+    for trial_key in (5, 2**63 + 11, 2**64 - 1):
+        # a used counter, a partly read buffer and a saved half word
+        used = bit_gen.state
+        used["state"]["counter"] += 1
+        used.update(buffer_pos=2, has_uint32=1, uinteger=0x89ABCDEF)
+        bit_gen.state = used
+        rekey(trial_key)
+        fresh = np.random.Philox(key=trial_key)
+        state, fresh_state = bit_gen.state, fresh.state
+        for name in ("key", "counter"):
+            np.testing.assert_array_equal(state["state"][name], fresh_state["state"][name])
+        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+        assert _draws(rng) == _draws(np.random.Generator(fresh))
+
+
+def test_rekey_in_place_is_the_one_in_use():
+    # numpy's Philox layout is private: on a numpy where the import check
+    # fails, the setter keeps the streams and this test reports the fallback
+    assert montecarlo._rekey is montecarlo._rekey_in_place
+
+
+@pytest.mark.parametrize("bit_gen", [np.random.PCG64(1), np.random.SFC64(2),
+                                     np.random.MT19937(3)],
+                         ids=lambda bit_gen: type(bit_gen).__name__)
+def test_layout_check_rejects_other_generators(bit_gen):
+    assert not montecarlo._layout_matches(bit_gen)
+
+
+@pytest.mark.parametrize("failing_step", ["layout", "draws"])
+def test_failed_import_check_falls_back_to_the_setter(scen_m4, monkeypatch, failing_step):
+    expect = [sc.synthesize(scen_m4, sc.trial_seed(2**32 + 5, k)).samples for k in range(6)]
+    if failing_step == "layout":
+        def unreached(bit_gen):
+            raise AssertionError("wrote through an unverified layout")
+
+        monkeypatch.setattr(montecarlo, "_layout_matches", lambda bit_gen: False)
+        monkeypatch.setattr(montecarlo, "_rekey_in_place", unreached)
+    else:
+        in_place = montecarlo._rekey_in_place
+
+        def one_block_ahead(bit_gen):
+            rekey = in_place(bit_gen)
+
+            def shifted(trial_key):
+                rekey(trial_key)
+                bit_gen.advance(1)
+
+            return shifted
+
+        monkeypatch.setattr(montecarlo, "_rekey_in_place", one_block_ahead)
+    chosen = montecarlo._choose_rekey()
+    assert chosen is montecarlo._rekey_by_setter
+    monkeypatch.setattr(montecarlo, "_rekey", chosen)
+    np.testing.assert_array_equal(sc.batch_samples(scen_m4, 2**32 + 5, 0, 6), expect)
+
+
 def _reference_samples(scenario, master_seed, trials):
     """One fresh Generator(Philox(key=...)) per trial."""
     s0 = clean_signal(scenario)

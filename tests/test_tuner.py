@@ -76,6 +76,23 @@ def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(mon
         sc.estimate(scen, [sc.PmepI()], sc.KNOWN_FREQ, 2000, 3)
 
 
+@pytest.mark.parametrize("trials", [0, 5, 99, 100])
+def test_monte_carlo_objective_needs_the_trials_estimate_needs(scen_m4, trials):
+    def tuned():
+        return sc.tune("pmep-i", scen_m4, objective="monte_carlo", search_range=(3.0, 3.0),
+                       trials=trials, master_seed=3)
+
+    def estimated():
+        return sc.estimate(scen_m4, [sc.PmepI(kappa_i=3.0)], sc.KNOWN_FREQ, trials, 3)
+
+    if trials < 100:
+        for run in (tuned, estimated):
+            with pytest.raises(ValidationError, match=f"need at least 100 trials, got {trials}$"):
+                run()
+    else:
+        assert tuned().objective_value == estimated()[0].p_e
+
+
 def test_monte_carlo_objective(scen_m4):
     result = sc.tune("pmep-ir", scen_m4, objective="monte_carlo",
                      grid_points=5, search_range=(0.15, 0.35), refine=False,
