@@ -1,9 +1,10 @@
 """Reproducible experiment runner.
 
-One JSON config document drives every subcommand.  parse_config reads it
-once, with the command-line overrides, into a frozen RunConfig: every field
-goes through one reader that names its key path, and a key outside its
-object's allowed set is an error.  Outputs are CSV tables (with a # metadata
+One JSON config document drives every subcommand.  Its top-level keys are
+the fields of the frozen RunConfig, and parse_config reads it once, with the
+command-line overrides, through errors.from_dict, which reads every level:
+each key goes through one reader that names its key path, and a key outside
+its maker's signature is an error.  Outputs are CSV tables (with a # metadata
 line carrying the config hash and seed) or JSON documents mirroring the
 report dataclasses, so runs are traceable back to their exact configuration.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import inspect
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -67,27 +68,16 @@ def _one_of(choices):
     return check
 
 
-_REQUIRED = object()
-
-
-def _field(node, key, path, check, default=_REQUIRED):
-    """node[key] read through check(value, key path); default when absent,
-    or '<key path>: required' when there is none."""
-    name = f"{path}.{key}" if path else key
-    if key in node:
-        return check(node[key], name)
-    if default is _REQUIRED:
-        raise ValidationError(f"{name}: required")
-    return default
-
-
 # each approach kind and its maker; known takes no keys beside the kind
 _APPROACHES = {"known": lambda: KNOWN_FREQ, "bl": Bl, "ml": Ml}
 
 
-def _build(node, path, key, table, default=_REQUIRED):
-    """from_dict of table[node[key]] (default when absent) on node's other keys."""
-    make = table[_field(checked_keys(node, path), key, path, _one_of(table), default)]
+def _build(node, path, key, table, default=None):
+    """from_dict of table[node[key]] on node's other keys; without the key,
+    of table[default], or '<path>.<key>: required' when default is None."""
+    if key not in checked_keys(node, path) and default is None:
+        raise ValidationError(f"{path}.{key}: required")
+    make = table[_one_of(table)(node.get(key, default), f"{path}.{key}")]
     return from_dict(make, {k: v for k, v in node.items() if k != key}, path)
 
 
@@ -97,65 +87,73 @@ def _criteria(nodes, key):
     return tuple(_build(node, f"{key}[{j}]", "name", CRITERIA) for j, node in enumerate(nodes))
 
 
-# scenario.standard: standard_scenario's parameters, the SNR as snr_db
-_STANDARD_KEYS = ("snr_db", *tuple(inspect.signature(standard_scenario).parameters)[1:])
+_approach = partial(_build, key="kind", table=_APPROACHES, default="known")
 
 
 def _scenario(node, key):
+    """standard_scenario of the parameters under "standard", or a full
+    scenario document."""
     if not (isinstance(node, dict) and "standard" in node):
         return scenario_from_dict(node)
-    std = checked_keys(checked_keys(node, key, ("standard",))["standard"],
-                       f"{key}.standard", _STANDARD_KEYS)
-    snr = _field(std, "snr_db", f"{key}.standard", finite_float)
-    try:
-        return standard_scenario(snr, **{k: v for k, v in std.items() if k != "snr_db"})
-    except ValidationError as exc:
-        raise ValidationError(f"{key}.standard: {exc}") from exc
+    checked_keys(node, key, ("standard",))
+    return from_dict(standard_scenario, node["standard"], f"{key}.standard",
+                     snr_db=finite_float)
 
 
-def _tune(node, key):
-    """tuner.tune's keyword arguments from the tune section."""
-    checked_keys(node, key, ("family", "objective", "range", "grid_points", "refine"))
-    search_range = _field(node, "range", key, _numbers, None)
-    if search_range is not None and len(search_range) != 2:
-        raise ValidationError(f"{key}.range must be [lo, hi], got {node['range']!r}")
-    return {
-        "family": _field(node, "family", key, _one_of(("pmep-ir", "pmep-i"))),
-        "objective": _field(node, "objective", key,
-                            _one_of(("abridged_theory", "monte_carlo")), "abridged_theory"),
-        "search_range": search_range,
-        "grid_points": _field(node, "grid_points", key, nonneg_int, 32),
-        "refine": _field(node, "refine", key, _bool, True),
-    }
+def _tune_kwargs(family, objective=None, range=None, grid_points=None, refine=None):
+    """tuner.tune's keyword arguments of the keys the tune section sets; the
+    others keep tune's defaults."""
+    kwargs = dict(family=family, objective=objective, search_range=range,
+                  grid_points=grid_points, refine=refine)
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _consistency(node, key):
-    """(d_n_sq, n_total) of the section; without it they come from the scenario."""
-    checked_keys(node, key, ("d_n_sq", "n_total"))
-    d_n_sq = _field(node, "d_n_sq", key, _numbers)
-    return d_n_sq, _field(node, "n_total", key, nonneg_int, len(d_n_sq))
+def _range(values, key):
+    pair = _numbers(values, key)
+    if len(pair) != 2:
+        raise ValidationError(f"{key} must be [lo, hi], got {values!r}")
+    return pair
 
 
-_TOP_KEYS = ("scenario", "criteria", "approach", "snr_grid_db", "delta_omega_grid",
-             "trials", "ml_trials", "master_seed", "tune", "consistency")
+_tune = partial(from_dict, _tune_kwargs, family=_one_of(("pmep-ir", "pmep-i")),
+                objective=_one_of(("abridged_theory", "monte_carlo")), range=_range,
+                grid_points=nonneg_int, refine=_bool)
+
+
+def _weights(d_n_sq, n_total=None):
+    """(d_n_sq, n_total) of the consistency section; n_total defaults to
+    the number of weights."""
+    return d_n_sq, len(d_n_sq) if n_total is None else n_total
+
+
+_consistency = partial(from_dict, _weights, d_n_sq=_numbers, n_total=nonneg_int)
 
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """A config document read once, with the command-line overrides; an
-    absent section is None."""
+    """A config document read once, with the command-line overrides: its
+    top-level keys are these fields, and an absent section is None."""
 
-    sha: str
-    seed: int
-    trials: int | None
-    ml_trials: int
-    snr_grid_db: tuple | None
-    delta_omega_grid: tuple | None
-    scenario: object
-    criteria: tuple | None
-    approach: object
-    tune: dict | None
-    consistency: tuple | None
+    master_seed: int = 0
+    trials: int | None = None
+    snr_grid_db: tuple | None = None
+    scenario: object = None
+    approach: object = None
+    ml_trials: int = 2000
+    delta_omega_grid: tuple | None = None
+    criteria: tuple | None = None
+    tune: dict | None = None
+    consistency: tuple | None = None
+
+    def __post_init__(self):
+        if self.scenario is not None and isinstance(self.approach, Bl):
+            # the frequency count and band check every command that reads the
+            # approach would make, so that the others do not accept it
+            try:
+                FrequencyPlan.build(self.scenario,
+                                    approach_frequencies(self.scenario, self.approach))
+            except ValidationError as exc:
+                raise ValidationError(f"approach: {exc}") from exc
 
     def need(self, key):
         """The section key, or '<key>: required' when it is absent."""
@@ -164,8 +162,10 @@ class RunConfig:
             raise ValidationError(f"{key}: required")
         return value
 
-    def trials_or(self, default):
-        return default if self.trials is None else self.trials
+    def trials_kwargs(self):
+        """{"trials": trials} when the config or --trials sets it, else {}, so
+        that the callee's default applies."""
+        return {} if self.trials is None else {"trials": self.trials}
 
 
 def _number_list(text, name):
@@ -180,33 +180,18 @@ def _number_list(text, name):
 def parse_config(doc, args):
     """RunConfig of a config document and args' --seed, --trials and --snr-db;
     every section present is checked, whichever subcommand runs."""
-    checked_keys(doc, "", _TOP_KEYS)
-    seed = _field(doc, "master_seed", "", nonneg_int, 0)
-    trials = _field(doc, "trials", "", nonneg_int, None)
-    snr_grid_db = _field(doc, "snr_grid_db", "", _numbers, None)
-    scenario = _field(doc, "scenario", "", _scenario, None)
-    approach = _field(doc, "approach", "", lambda node, key: _build(
-        node, key, "kind", _APPROACHES, "known"), None)
-    if scenario is not None and isinstance(approach, Bl):
-        # the frequency count and band check every command that reads the
-        # approach would make, so that the others do not accept it
-        try:
-            FrequencyPlan.build(scenario, approach_frequencies(scenario, approach))
-        except ValidationError as exc:
-            raise ValidationError(f"approach: {exc}") from exc
-    return RunConfig(
-        sha=config_sha(doc),
-        seed=seed if args.seed is None else nonneg_int(args.seed, "--seed"),
-        trials=trials if args.trials is None else nonneg_int(args.trials, "--trials"),
-        ml_trials=_field(doc, "ml_trials", "", nonneg_int, 2000),
-        snr_grid_db=_number_list(args.snr_db, "--snr-db") if args.snr_db else snr_grid_db,
-        delta_omega_grid=_field(doc, "delta_omega_grid", "", _numbers, None),
-        scenario=scenario,
-        criteria=_field(doc, "criteria", "", _criteria, None),
-        approach=approach,
-        tune=_field(doc, "tune", "", _tune, None),
-        consistency=_field(doc, "consistency", "", _consistency, None),
-    )
+    cfg = from_dict(RunConfig, doc, "", master_seed=nonneg_int, trials=nonneg_int,
+                    snr_grid_db=_numbers, scenario=_scenario, approach=_approach,
+                    ml_trials=nonneg_int, delta_omega_grid=_numbers, criteria=_criteria,
+                    tune=_tune, consistency=_consistency)
+    overrides = {}
+    if args.seed is not None:
+        overrides["master_seed"] = nonneg_int(args.seed, "--seed")
+    if args.trials is not None:
+        overrides["trials"] = nonneg_int(args.trials, "--trials")
+    if args.snr_db:
+        overrides["snr_grid_db"] = _number_list(args.snr_db, "--snr-db")
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _fmt(value):
@@ -215,15 +200,15 @@ def _fmt(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_table(args, cfg, columns, rows):
+def write_table(args, sha, seed, columns, rows):
     """Emit one table to args.out (or stdout when it is None)."""
     if args.format == "csv":
-        lines = [f"# sincount {args.command} config_sha={cfg.sha} seed={cfg.seed}",
+        lines = [f"# sincount {args.command} config_sha={sha} seed={seed}",
                  ",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps({"subcommand": args.command, "config_sha": cfg.sha, "seed": cfg.seed,
+        text = json.dumps({"subcommand": args.command, "config_sha": sha, "seed": seed,
                            "columns": list(columns), "rows": [list(row) for row in rows]},
                           indent=2, sort_keys=True) + "\n"
     if args.out is None:
@@ -236,7 +221,7 @@ def write_table(args, cfg, columns, rows):
 # each subcommand maps the parsed config to its table's columns and rows
 
 def cmd_synth(cfg):
-    obs = synthesize(cfg.need("scenario"), cfg.seed)
+    obs = synthesize(cfg.need("scenario"), cfg.master_seed)
     return ("t", "x"), [(t + 1, float(x)) for t, x in enumerate(obs.samples)]
 
 
@@ -246,7 +231,8 @@ def cmd_mc(cfg):
     for snr in cfg.need("snr_grid_db"):
         for rep in montecarlo.estimate(with_snr_db(scenario, snr), specs,
                                        cfg.approach or KNOWN_FREQ,
-                                       cfg.trials_or(100000), cfg.seed):
+                                       100000 if cfg.trials is None else cfg.trials,
+                                       cfg.master_seed):
             rows.append((snr, rep.criterion.name, rep.approach_label, rep.trials,
                          rep.p_e, rep.p_e_ci[0], rep.p_e_ci[1],
                          rep.p_a, rep.p_a_ci[0], rep.p_a_ci[1],
@@ -275,8 +261,9 @@ def cmd_theory(cfg):
 def cmd_tune(cfg):
     scenario, kwargs = cfg.need("scenario"), cfg.need("tune")
     try:
-        result = tuner.tune(scenario=scenario, trials=cfg.trials_or(100000), master_seed=cfg.seed,
-                            approach=cfg.approach or KNOWN_FREQ, **kwargs)
+        result = tuner.tune(scenario=scenario, master_seed=cfg.master_seed,
+                            approach=cfg.approach or KNOWN_FREQ, **kwargs,
+                            **cfg.trials_kwargs())
     except ValidationError as exc:
         raise ValidationError(f"tune: {exc}") from exc
     return (("family", "kappa_opt", "objective", "objective_value", "consistency_ok", "flat"),
@@ -289,7 +276,7 @@ def cmd_ql_sweep(cfg):
     rows = []
     for spec in specs:
         sweep = theory.ql_sweep(scenario, spec, cfg.need("delta_omega_grid"),
-                                trials=cfg.trials_or(20000), master_seed=cfg.seed)
+                                master_seed=cfg.master_seed, **cfg.trials_kwargs())
         for d, p, e in zip(sweep.deltas, sweep.p_a, sweep.errors):
             rows.append((spec.name, float(d), float(p), float(e), sweep.mode,
                          sweep.p_aq))
@@ -303,11 +290,12 @@ def cmd_bl_interval(cfg):
     if not isinstance(approach, Ml):
         raise ValidationError(
             "approach.kind: bl-interval takes its reference from the ml approach")
-    ml_reports = montecarlo.estimate(scenario, specs, approach, cfg.ml_trials, cfg.seed)
+    ml_reports = montecarlo.estimate(scenario, specs, approach, cfg.ml_trials,
+                                     cfg.master_seed)
     rows = []
     for spec, ml_rep in zip(specs, ml_reports):
-        sweep = theory.ql_sweep(scenario, spec, grid, trials=cfg.trials_or(20000),
-                                master_seed=cfg.seed)
+        sweep = theory.ql_sweep(scenario, spec, grid, master_seed=cfg.master_seed,
+                                **cfg.trials_kwargs())
         interval = theory.bl_interval(sweep, ml_rep.p_e)
         rows.append((spec.name, ml_rep.p_e, interval.width, interval.saturated))
     return ("criterion", "ml_reference_pe", "width", "saturated"), rows
@@ -357,8 +345,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(load_config(args.config), args)
-        write_table(args, cfg, *_COMMANDS[args.command](cfg))
+        doc = load_config(args.config)
+        cfg = parse_config(doc, args)
+        write_table(args, config_sha(doc), cfg.master_seed, *_COMMANDS[args.command](cfg))
         return 0
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

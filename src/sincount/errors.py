@@ -63,17 +63,21 @@ def from_dict(make, node, path, **parse):
     """make(**node): node's keys must be parameters of make's signature (a
     dataclass's init fields), those without a default are required, and the
     values of the keys in parse go through parse[key](value, key path)
-    first; errors name the key path.  A maker without parameters rejects
-    every key."""
+    first, in signature order; errors name the key path, which for the root
+    path "" is the key alone.  A maker without parameters rejects every key."""
     params = inspect.signature(make).parameters
     checked_keys(node, path, params)
+    prefix = f"{path}." if path else ""
     for name, param in params.items():
         if param.default is param.empty and name not in node:
-            raise ValidationError(f"{path}.{name}: required")
-    kwargs = {k: parse[k](v, f"{path}.{k}") if k in parse else v for k, v in node.items()}
+            raise ValidationError(f"{prefix}{name}: required")
+    kwargs = {k: parse[k](node[k], prefix + k) if k in parse else node[k]
+              for k in params if k in node}
     try:
         return make(**kwargs)
     except ValidationError as exc:
+        if not path:
+            raise
         raise ValidationError(f"{path}: {exc}") from exc
 
 

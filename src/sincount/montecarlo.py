@@ -286,8 +286,6 @@ def mc_trials(trials):
 def _wilson(p, n):
     """95% Wilson score interval (Wilson 1927) for a proportion p of n trials;
     unlike the normal interval it keeps a positive width at p = 0 and p = 1."""
-    if n == 0:
-        return (0.0, 1.0)
     z2 = _Z95**2
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom

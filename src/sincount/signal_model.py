@@ -173,10 +173,6 @@ class Scenario:
     def nu0(self):
         return len(self.components)
 
-    @property
-    def true_frequencies(self):
-        return np.array([c.frequency for c in self.components])
-
     def candidate_slots(self):
         """Components followed by extra candidates: one slot per order 1..max_order."""
         return self.components + self.extra_candidates
@@ -281,22 +277,22 @@ def max_offdiag_ratio(gram):
 _STANDARD_PHASES = (0.0, -math.pi / 8, -math.pi / 6)
 
 
-def standard_scenario(snr_value_db, nu0=3, max_order=5, n_samples=64,
+def standard_scenario(snr_db, nu0=3, max_order=5, n_samples=64,
                       noise_level=1.0, noise_known=True):
     """Equal-amplitude test scenario on a fractional-Fourier comb.
 
     Candidate frequencies are w_i = 2*pi*(0.2 + (i-1)/N_s) for i = 1..max_order;
     the first nu0 slots carry signals with phases (0, -pi/8, -pi/6, 0, ...) and a
-    common amplitude set by snr_value_db; every slot gets the default band.
+    common amplitude set by snr_db; every slot gets the default band.
     """
-    snr_value_db = finite_float(snr_value_db, "snr_db")
+    snr_db = finite_float(snr_db, "snr_db")
     nu0, max_order = nonneg_int(nu0, "nu0"), nonneg_int(max_order, "max_order")
     if nu0 < 1 or max_order < nu0:
         raise ValidationError(f"need 1 <= nu0 <= max_order, got {nu0}, {max_order}")
     if nonneg_int(n_samples, "n_samples") < 2 * max_order:
         raise ValidationError(f"n_samples {n_samples} < 2*max_order {2 * max_order}")
     noise_level = finite_float(noise_level, "noise_level")
-    amp = amplitude_for_snr_db(snr_value_db, noise_level) if noise_level > 0 else 1.0
+    amp = amplitude_for_snr_db(snr_db, noise_level) if noise_level > 0 else 1.0
     comps = []
     extras = []
     for i in range(max_order):

@@ -157,6 +157,27 @@ def test_bl_interval_non_ml_approach_exits_2(kind, config_path, capsys):
     assert "approach.kind" in err
 
 
+@pytest.mark.parametrize("trials", [{"trials": 200}, {}], ids=["config_trials", "default"])
+def test_ql_sweep_rows_match_library_sweep(trials, config_path, capsys):
+    # without a trials key the sweep keeps ql_sweep's own default
+    grid = [0.0, 0.002]
+    doc = dict({k: v for k, v in BASE_CONFIG.items() if k != "trials"}, **trials,
+               criteria=[{"name": "gic"}, {"name": "pmep-ir"}, {"name": "eef"}],
+               delta_omega_grid=grid)
+    rc, out, err = run(["ql-sweep", "--config", config_path(doc)], capsys)
+    assert rc == 0, err
+    expected = []
+    for name, mode in (("gic", "theory"), ("pmep-ir", "theory"), ("eef", "mc")):
+        sweep = sc.ql_sweep(sc.standard_scenario(-4.0), sc.CRITERIA[name](), grid,
+                            master_seed=11, **trials)
+        assert sweep.mode == mode
+        expected.extend([name, repr(float(d)), repr(float(p)), repr(float(e)), mode,
+                         repr(sweep.p_aq)] for d, p, e in zip(sweep.deltas, sweep.p_a,
+                                                               sweep.errors))
+    assert out.splitlines()[1] == "criterion,delta_omega,p_a,error,mode,p_aq"
+    assert [line.split(",") for line in out.splitlines()[2:]] == expected
+
+
 def test_consistency_subcommand_with_direct_weights(config_path, capsys):
     doc = {"consistency": {"d_n_sq": [1.0, 1.0, 1.0], "n_total": 5}}
     rc, out, _ = run(["consistency", "--config", config_path(doc)], capsys)

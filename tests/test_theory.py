@@ -126,8 +126,8 @@ def test_abridged_pmep_i_interior_against_other_order(snr, nu0):
 
 
 @pytest.mark.parametrize("scenario, kappa", [
-    ({"snr_value_db": -4.0}, 12.0),
-    ({"snr_value_db": -20.0, "nu0": 2, "max_order": 3}, 3.0),
+    ({"snr_db": -4.0}, 12.0),
+    ({"snr_db": -20.0, "nu0": 2, "max_order": 3}, 3.0),
 ])
 def test_abridged_pmep_i_interior_far_cases_against_other_order(scenario, kappa):
     dists = sc.component_dists(sc.standard_scenario(**scenario))
