@@ -5,8 +5,8 @@ the fields of the frozen RunConfig, and parse_config reads it once, with the
 command-line overrides, through errors.from_dict, which reads every level:
 each key goes through one reader that names its key path, and a key outside
 its maker's signature is an error.  Outputs are CSV tables (with a # metadata
-line carrying the config hash and seed) or JSON documents mirroring the
-report dataclasses, so runs are traceable back to their exact configuration.
+line carrying the config hash and seed) or JSON documents holding the same
+columns, rows, hash and seed, so runs trace back to their exact configuration.
 """
 
 from __future__ import annotations

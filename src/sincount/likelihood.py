@@ -121,14 +121,10 @@ class FrequencyPlan:
                    chol=chol)
 
     def residuals_batch(self, samples):
-        """l statistics for a batch of observations (rows)."""
+        """l statistics for a batch of observations (rows) over statistic_scale."""
         arr = np.atleast_2d(np.asarray(samples, dtype=float))
         x = arr @ self.basis
-        l = solve_triangular(self.chol, x.T, lower=True).T
-        scale = self.scenario.noise_level if self.scenario.noise_known else 1.0
-        if scale > 0:
-            l = l / scale
-        return l
+        return solve_triangular(self.chol, x.T, lower=True).T / self.scenario.statistic_scale
 
     def increments_batch(self, samples):
         """V_i for a batch: shape (n_trials, max order of the plan)."""
@@ -437,7 +433,7 @@ def ml_search_increments(rows, scenario, approach):
         raise ValidationError(f"observations have shape {x.shape}, expected (trials, {n})")
     _check_finite(x)
     x = np.ascontiguousarray(x)
-    sigma_sq = scenario.noise_level**2 if (scenario.noise_known and scenario.noise_level > 0) else 1.0
+    sigma_sq = scenario.statistic_scale**2
     tables = [_SlotGrid.build(slot, approach.grid_points, n)
               for slot in scenario.candidate_slots()]
     freqs = np.full((x.shape[0], len(tables)), np.nan)

@@ -224,16 +224,19 @@ def _choose_rekey():
 _rekey = _choose_rekey()
 
 
-def _noise_rows(scenario, master_seed, start, count):
-    """Clean signal plus scaled noise for trials start..start+count-1.
+def batch_samples(scenario, master_seed, start, count):
+    """Observations for trials start..start+count-1, one per row: clean
+    signal plus scaled noise.
 
-    One Philox generator serves the whole chunk: before each trial, _rekey
-    sets it to the state of a fresh Philox(key=trial_seed(...)) (key [k, 0],
-    zero counter, empty buffer), so every row is bit for bit the row
-    synthesize draws.  It writes that state in place, into numpy's C struct,
-    when the import-time check _choose_rekey finds the struct laid out as
-    expected, and through the public state setter otherwise.
+    Row k equals synthesize(scenario, trial_seed(master_seed, start + k)).
+    One Philox generator serves all rows: before each trial, _rekey sets it
+    to the state of a fresh Philox(key=trial_seed(...)) (key [k, 0], zero
+    counter, empty buffer).  It writes that state in place, into numpy's C
+    struct, when the import-time check _choose_rekey finds the struct laid
+    out as expected, and through the public state setter otherwise.
     """
+    master_seed = nonneg_int(master_seed, "master_seed")
+    start, count = nonneg_int(start, "start"), nonneg_int(count, "count")
     keys = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     out = np.empty((count, scenario.n_samples))
     bit_gen = np.random.Philox(key=0)
@@ -245,18 +248,6 @@ def _noise_rows(scenario, master_seed, start, count):
     out *= scenario.noise_level
     out += clean_signal(scenario)
     return out
-
-
-def batch_samples(scenario, master_seed, start, count):
-    """Observations for trials start..start+count-1, one per row.
-
-    Row k equals synthesize(scenario, trial_seed(master_seed, start + k)).
-    """
-    master_seed = nonneg_int(master_seed, "master_seed")
-    start, count = nonneg_int(start, "start"), nonneg_int(count, "count")
-    if scenario.noise_level == 0:
-        return np.tile(clean_signal(scenario), (count, 1))
-    return _noise_rows(scenario, master_seed, start, count)
 
 
 def collect_logliks(scenario, approach, trials, master_seed):

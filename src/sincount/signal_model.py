@@ -4,9 +4,9 @@ The observed data are N_s real samples
 
     x(t) = sum_i a_i f_i(t) cos(w_i t - phi_i + Psi_i(t)) + sigma0 n(t),
 
-t = 1..N_s, with n(t) iid standard Gaussian.  A Scenario bundles the true
-components (first nu0 candidate slots) with templates for the remaining
-candidate orders up to max_order.
+t = 1..N_s, with n(t) iid standard Gaussian and sigma0 > 0.  A Scenario
+bundles the true components (first nu0 candidate slots) with templates for
+the remaining candidate orders up to max_order.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ class Scenario:
 
     components hold the nu0 true sinusoids; extra_candidates supply the
     nominal frequencies/bands for candidate orders nu0+1..max_order.
-    noise_level = 0 is accepted as a noiseless override for tests.
     """
 
     components: tuple
@@ -136,9 +135,7 @@ class Scenario:
             raise ValidationError("components must be SinusoidComponent instances")
         if not all(isinstance(c, CandidateTemplate) for c in extras):
             raise ValidationError("extra_candidates must be CandidateTemplate instances")
-        noise_level = finite_float(self.noise_level, "noise_level")
-        if noise_level < 0:
-            raise ValidationError(f"noise_level must be >= 0, got {noise_level}")
+        noise_level = _positive_noise_level(self.noise_level)
         if not isinstance(self.noise_known, bool):
             # bool("false") is true: a string would silently mean known noise
             raise ValidationError(f"noise_known must be true or false, got {self.noise_known!r}")
@@ -168,6 +165,12 @@ class Scenario:
                 slot.amplitude_envelope, self.n_samples, "amplitude_envelope"),
             phase_envelope=_as_envelope(slot.phase_envelope, self.n_samples, "phase_envelope"),
         )
+
+    @property
+    def statistic_scale(self):
+        """The scale the likelihood statistics are divided by: sigma0 when
+        the noise level is known, else 1."""
+        return self.noise_level if self.noise_known else 1.0
 
     @property
     def nu0(self):
@@ -235,24 +238,31 @@ def synthesize(scenario, seed):
     reproducible and independent across seeds regardless of evaluation order.
     """
     seed = nonneg_int(seed, "seed")
-    samples = clean_signal(scenario)
-    if scenario.noise_level > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        samples = samples + scenario.noise_level * rng.standard_normal(scenario.n_samples)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    samples = clean_signal(scenario) + scenario.noise_level * rng.standard_normal(
+        scenario.n_samples)
     return Observation(samples=samples, seed=seed)
+
+
+def _positive_noise_level(value):
+    """value as a float; a ValidationError naming noise_level unless it is a
+    finite positive number."""
+    noise_level = finite_float(value, "noise_level")
+    if not noise_level > 0:
+        raise ValidationError(f"noise_level must be positive, got {noise_level}")
+    return noise_level
 
 
 def snr_db(component, noise_level):
     """SNR in dB: 10 log10(a^2 / (2 sigma0^2))."""
-    if not (noise_level > 0):
-        raise ValidationError(f"noise_level must be positive, got {noise_level}")
+    noise_level = _positive_noise_level(noise_level)
     return 10.0 * math.log10(component.amplitude**2 / (2.0 * noise_level**2))
 
 
 def amplitude_for_snr_db(value_db, noise_level):
     """Amplitude giving the requested SNR: a = sigma0 * sqrt(2) * 10^(dB/20)."""
     value_db = finite_float(value_db, "snr_db")
-    return noise_level * math.sqrt(2.0) * 10.0 ** (value_db / 20.0)
+    return _positive_noise_level(noise_level) * math.sqrt(2.0) * 10.0 ** (value_db / 20.0)
 
 
 def signal_gram(scenario):
@@ -291,8 +301,7 @@ def standard_scenario(snr_db, nu0=3, max_order=5, n_samples=64,
         raise ValidationError(f"need 1 <= nu0 <= max_order, got {nu0}, {max_order}")
     if nonneg_int(n_samples, "n_samples") < 2 * max_order:
         raise ValidationError(f"n_samples {n_samples} < 2*max_order {2 * max_order}")
-    noise_level = finite_float(noise_level, "noise_level")
-    amp = amplitude_for_snr_db(snr_db, noise_level) if noise_level > 0 else 1.0
+    amp = amplitude_for_snr_db(snr_db, noise_level)
     comps = []
     extras = []
     for i in range(max_order):

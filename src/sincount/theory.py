@@ -74,13 +74,11 @@ def residual_means(scenario, eval_frequencies):
     E(l) is the FrequencyPlan residual statistic of the clean signal, whitened
     and scaled as in the Monte Carlo; lambda_i = E(l at sine)^2 + E(l at cosine)^2.
     At the true frequencies every lambda_i with i > nu0 vanishes; offsets
-    leak signal energy into the higher indices.  With unknown noise the
-    Monte Carlo statistic is not whitened, so it follows these laws only at
-    noise level 1; other levels are rejected.
+    leak signal energy into the higher indices.  The laws are for statistics
+    over sigma0, so a scenario whose statistic_scale (1 under unknown noise)
+    is not its noise level is rejected.
     """
-    if scenario.noise_level <= 0:
-        raise ValidationError("residual means need a positive noise level")
-    if not scenario.noise_known and scenario.noise_level != 1.0:
+    if scenario.statistic_scale != scenario.noise_level:
         raise ValidationError(
             "the theory needs a known noise level (or noise_level 1); "
             f"got noise_known=False with noise_level {scenario.noise_level}")
@@ -96,7 +94,8 @@ def component_dists(scenario, mode="ql", frequencies=None):
     QL: V_i is noncentral chi-square with 2 dof and noncentrality from
     residual_means at the supplied frequencies.  ML: V_i is the sum of two
     squared max-over-band statistics, each with the extreme-value closed
-    form; requires the signals to be orthogonal to tolerance.
+    form at the nominal frequencies, so it takes no frequencies; requires
+    the signals to be orthogonal to tolerance.
     """
     if mode == "ql":
         if frequencies is None:
@@ -108,6 +107,8 @@ def component_dists(scenario, mode="ql", frequencies=None):
                                 nu0=scenario.nu0)
     if mode != "ml":
         raise ValidationError(f"unknown mode {mode!r}")
+    if frequencies is not None:
+        raise ValidationError("frequencies apply to mode 'ql' only, not to the ml laws")
     ratio = max_offdiag_ratio(signal_gram(scenario))
     if ratio > _ORTHOGONALITY_TOL:
         raise ModelViolationError(
@@ -167,11 +168,24 @@ def abridged_gic(dist_set, threshold):
     return _report("gic", dist_set, 1.0 - over_holds + over_holds * under_fails)
 
 
-def _cdf_product(dists, indices):
+def _expect(law, *factors):
+    """Quadrature over law's window of its pdf times the factors, in order."""
+    def integrand(x):
+        out = law.pdf(x)
+        for factor in factors:
+            out = out * factor(x)
+        return out
+
+    return integrate(integrand, law.support_lo, law.support_hint, _QUAD_TOL)
+
+
+def _cdf_product(dists, indices, kap):
+    """x -> prod_{i in indices} F_i(x / kappa)."""
     def in_scale(x):
-        out = np.ones_like(np.asarray(x, dtype=float))
+        x_k = _over_kappa(x, kap)
+        out = np.ones_like(np.asarray(x_k, dtype=float))
         for i in indices:
-            out = out * dists[i].cdf(x)
+            out = out * dists[i].cdf(x_k)
         return out
 
     return in_scale
@@ -198,26 +212,13 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     kap = float(kappa_ir)
     if under and over:
         rest = [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)]
-        f_max = _cdf_product(dists, rest)
+        f_max = _cdf_product(dists, rest, kap)
         lo, up = dists[nu0 - 1], dists[nu0]
-
-        def integrand1(x):
-            return lo.pdf(x) * f_max(_over_kappa(x, kap)) * up.cdf(x)
-
-        def integrand2(x):
-            x_k = _over_kappa(x, kap)
-            return up.pdf(x) * f_max(x_k) * (lo.cdf(x_k) - lo.cdf(x))
-
-        quads = [integrate(integrand1, lo.support_lo, lo.support_hint, _QUAD_TOL),
-                 integrate(integrand2, up.support_lo, up.support_hint, _QUAD_TOL)]
+        quads = [_expect(lo, f_max, up.cdf),
+                 _expect(up, f_max, lambda x: lo.cdf(_over_kappa(x, kap)) - lo.cdf(x))]
         return _report("pmep-ir", dist_set, 1.0 - quads[0].value + quads[1].value, quads)
     k = nu0 - 1 if under else nu0
-    others = _cdf_product(dists, [i for i in range(dist_set.n) if i != k])
-
-    def integrand(x):
-        return dists[k].pdf(x) * others(_over_kappa(x, kap))
-
-    quad = integrate(integrand, dists[k].support_lo, dists[k].support_hint, _QUAD_TOL)
+    quad = _expect(dists[k], _cdf_product(dists, [i for i in range(dist_set.n) if i != k], kap))
     return _report("pmep-ir", dist_set, 1.0 - quad.value if under else quad.value, [quad])
 
 
@@ -258,10 +259,8 @@ def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
         xs = x_lo[:, None] + span[:, None] * rule[0]
         return span * np.sum(lo.pdf(xs) * f_sum(y[:, None] / b_coef - xs) * rule[1], axis=1)
 
-    t1 = integrate(lambda x: lo.pdf(x) * f_sum(x / a_coef) * (up.cdf(x * x_over_r) - up.atom0),
-                   lo.support_lo, lo.support_hint, _QUAD_TOL)
-    t2 = integrate(lambda y: up.pdf(y) * g(y, _PMEP_I_RULE),
-                   up.support_lo, up.support_hint, _QUAD_TOL)
+    t1 = _expect(lo, lambda x: f_sum(x / a_coef), lambda x: up.cdf(x * x_over_r) - up.atom0)
+    t2 = _expect(up, lambda y: g(y, _PMEP_I_RULE))
     y_span = up.support_hint - up.support_lo
     ys = up.support_lo + y_span * _PMEP_I_CHECK_Y[0]
     check = y_span * float(np.sum(_PMEP_I_CHECK_Y[1] * up.pdf(ys) * np.abs(
@@ -314,7 +313,7 @@ def abridged_pmep_i(dist_set, kappa_i):
         quad = _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef)
     else:
         g = (lambda x: f_sum(x / a_coef)) if under else (lambda x: dists[nu0].cdf(b_coef * x))
-        quad = integrate(lambda x: lo.pdf(x) * g(x), lo.support_lo, lo.support_hint, _QUAD_TOL)
+        quad = _expect(lo, g)
     return _report("pmep-i", dist_set, 1.0 - quad.value, [quad])
 
 

@@ -209,6 +209,14 @@ def test_missing_config_file_exits_2(capsys):
     assert "cannot read" in err
 
 
+def test_invalid_json_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"trials": 500,')
+    rc, out, err = run(["mc", "--config", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert "invalid JSON" in err
+
+
 def test_eef_theory_request_exits_2(config_path, capsys):
     doc = dict(BASE_CONFIG)
     doc["criteria"] = [{"name": "eef"}]
@@ -389,6 +397,11 @@ def _custom(**first_component):
     ({"approach": {"kind": "ml", "refine_tol": "1e-6"}}, [], "approach: refine_tol"),
     ({"approach": {"kind": "bl", "frequencies": [1.0, True]}}, [], "frequencies[1]"),
     ({"consistency": {"n_total": 5}}, [], "consistency.d_n_sq: required"),
+    ({"scenario": {"standard": {"snr_db": -4.0, "noise_level": 0.0}}}, [], "noise_level"),
+    ({"scenario": dict(CUSTOM_SCENARIO, noise_level=0.0)}, [], "noise_level"),
+    ({"snr_grid_db": []}, [], "snr_grid_db"),
+    ({"criteria": [{"kappa": 2.0}]}, [], "criteria[0].name: required"),
+    ({"tune": {"family": "pmep-ir", "range": [0.2]}}, [], "tune.range"),
 ])
 def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     doc = dict(BASE_CONFIG, **change)

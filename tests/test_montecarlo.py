@@ -193,14 +193,6 @@ def test_batch_samples_match_single_draws(scen_m4):
         np.testing.assert_array_equal(rows[k], single.samples)
 
 
-def test_batch_samples_noiseless(scen_m4):
-    doc = sc.scenario_to_dict(scen_m4)
-    doc["noise_level"] = 0.0
-    quiet = sc.scenario_from_dict(doc)
-    rows = sc.batch_samples(quiet, master_seed=0, start=0, count=3)
-    assert np.all(rows == rows[0])
-
-
 def test_collect_logliks_chunk_invariance(scen_m4, monkeypatch):
     full = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 150, 9)
     monkeypatch.setattr(montecarlo, "_CHUNK", 32)

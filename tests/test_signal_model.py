@@ -51,14 +51,6 @@ def test_synthesize_deterministic(scen_m4):
     assert not np.array_equal(a.samples, c.samples)
 
 
-def test_synthesize_noiseless_is_clean_signal(scen_m4):
-    doc = sc.scenario_to_dict(scen_m4)
-    doc["noise_level"] = 0.0
-    quiet = sc.scenario_from_dict(doc)
-    obs = sc.synthesize(quiet, 7)
-    np.testing.assert_allclose(obs.samples, clean_signal(quiet), atol=1e-14)
-
-
 def test_synthesize_rejects_negative_seed(scen_m4):
     with pytest.raises(ValidationError):
         sc.synthesize(scen_m4, -1)
@@ -131,17 +123,21 @@ STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
     lambda: sc.CandidateTemplate(frequency=1.0, band=5),
     lambda: sc.CandidateTemplate(frequency=1.0, band=(0.5, "1.5")),
     lambda: sc.Scenario(components=(_tone(),), noise_level="1", n_samples=64, max_order=1),
+    lambda: sc.Scenario(components=(_tone(),), noise_level=0.0, n_samples=64, max_order=1),
+    lambda: sc.standard_scenario(-4.0, noise_level=0.0),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_known="false")),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, components=5)),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[5])),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_knwon=False)),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_level=0.0)),
     lambda: sc.scenario_from_dict({k: v for k, v in STANDARD_DOC.items() if k != "n_samples"}),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[
         dict(STANDARD_DOC["extra_candidates"][0], phase_envelop=None),
         *STANDARD_DOC["extra_candidates"][1:]])),
 ], ids=["noise_known", "nu0", "n_samples", "amplitude", "phase", "frequency", "band",
-        "band_entry", "noise_level", "doc_noise_known", "doc_components", "doc_extras",
-        "doc_unknown_key", "doc_missing_key", "doc_unknown_slot_key"])
+        "band_entry", "noise_level", "noise_level_zero", "standard_noise_level_zero",
+        "doc_noise_known", "doc_components", "doc_extras", "doc_unknown_key",
+        "doc_noise_level_zero", "doc_missing_key", "doc_unknown_slot_key"])
 def test_invalid_scenario_fields_raise_validation_error(build):
     with pytest.raises(ValidationError):
         build()
@@ -152,10 +148,11 @@ def test_invalid_scenario_fields_raise_validation_error(build):
     lambda: sc.standard_scenario(float("nan")),
     lambda: sc.with_snr_db(sc.standard_scenario(0.0), "x"),
     lambda: sc.amplitude_for_snr_db(None, 1.0),
+    lambda: sc.amplitude_for_snr_db(0.0, 0.0),
     lambda: sc.scenario_from_dict([1]),
     lambda: sc.scenario_from_dict("x"),
 ], ids=["standard_snr", "standard_nan", "with_snr_db", "amplitude_for_snr_db",
-        "doc_list", "doc_string"])
+        "amplitude_for_snr_db_zero_noise", "doc_list", "doc_string"])
 def test_non_number_snr_and_non_object_document_raise_validation_error(build):
     # these used to escape as TypeError from the arithmetic or the indexing
     with pytest.raises(ValidationError):

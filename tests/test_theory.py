@@ -46,14 +46,6 @@ def test_noncentrality_scales_with_power(scen_m4):
     np.testing.assert_allclose(lam[:3], 10.0 * np.asarray(LAM_M4), rtol=1e-9)
 
 
-def test_residual_means_requires_noise(scen_m4):
-    doc = sc.scenario_to_dict(scen_m4)
-    doc["noise_level"] = 0.0
-    quiet = sc.scenario_from_dict(doc)
-    with pytest.raises(ValidationError):
-        sc.residual_means(quiet, quiet.all_frequencies)
-
-
 def test_residual_means_rejects_unknown_noise_off_unit_level():
     # unknown noise: the Monte Carlo statistic is not whitened, so it follows
     # the theory's laws only at noise level 1
@@ -376,6 +368,31 @@ def test_ml_mode_requires_orthogonal_signals():
                        max_order=2)
     with pytest.raises(ModelViolationError):
         sc.component_dists(scen, mode="ml")
+
+
+def test_ml_mode_rejects_frequencies(scen_m4):
+    # the ML laws are built at the nominal frequencies, so other ones are an
+    # error rather than ignored
+    with pytest.raises(ValidationError, match="frequencies"):
+        sc.component_dists(scen_m4, mode="ml", frequencies=scen_m4.all_frequencies + 0.002)
+
+
+def test_ml_mode_abridged_formulas_give_probabilities(scen_m4):
+    # runs the ML partial-sum law of PMEP-I's interior case (nu0 = 3 < N = 5)
+    # and the pdf of a convolved law; the values are not pinned here, as the
+    # benchmark's reference holds them
+    dists = sc.component_dists(scen_m4, mode="ml")
+    for spec in (sc.Gic(), sc.PmepIr(kappa_ir=0.25), sc.PmepI(kappa_i=3.0)):
+        rep = sc.abridged_for(dists, spec, params_per_signal=3)
+        assert rep.mode == "ml"
+        assert 0.0 <= rep.p_a <= 1.0
+        assert math.isfinite(rep.error) and rep.error >= 0.0
+    for d in dists.dists:
+        x = np.linspace(d.support_lo - 1.0, d.support_hint + 1.0, 1001)
+        cdf = d.cdf(x)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.all(d.pdf(x) >= 0.0)
 
 
 def test_ml_mode_dists_structure(scen_m4):

@@ -40,6 +40,11 @@ def test_unknown_objective_rejected(scen_m4):
         sc.tune("pmep-ir", scen_m4, objective="exhaustive")
 
 
+def test_reversed_range_rejected(scen_m4):
+    with pytest.raises(ValidationError, match="empty search range"):
+        sc.tune("pmep-ir", scen_m4, search_range=(0.5, 0.1))
+
+
 def test_single_point_range(scen_m4):
     result = sc.tune("pmep-ir", scen_m4, search_range=(0.25, 0.25))
     assert result.kappa_opt == 0.25
