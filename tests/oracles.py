@@ -1,8 +1,14 @@
-"""Oracles that the closed-form increment laws and abridged errors are checked against."""
+"""Oracles that the closed-form increment laws, abridged errors and the ML
+search's refinement are checked against."""
+
+import math
 
 import numpy as np
 
 import sincount as sc
+from sincount import likelihood
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def sample_increments(dist_set, rng, size):
@@ -53,3 +59,40 @@ def pmep_i_interior_oracle(dist_set, kappa_i, n_nodes=64, n_panels=8):
         up.pdf(ys) * f_sum(ys / b_coef - xs[live, None]) * weights, axis=1)
     outer = f_sum(xs / a_coef) * up.cdf(x_over_r * xs) - inner
     return 1.0 - (lo.support_hint - lo.support_lo) * float(np.sum(weights * lo.pdf(xs) * outer))
+
+
+def golden_refine(x, table, q_basis, sigma_sq, vals, refine_tol):
+    """Golden-section maximization of V between each trial's grid neighbours,
+    with the arguments and result of likelihood._refine.
+
+    The bracket [grid[j - 1], grid[j + 1]] around the grid maximum j keeps
+    its best point; each step evaluates the point mirrored about the
+    bracket's centre, one frequency per trial, and cuts the bracket at the
+    worse of the two.  The step count shrinks the widest bracket, two grid
+    steps, to refine_tol and does not depend on the trials.  A trial keeps
+    its grid point when refinement does not reach its value; returns each
+    trial's (frequency, V).
+    """
+    def value(omegas):
+        return likelihood._grid_quadrature_increment(
+            x, table, omegas[:, None], q_basis, sigma_sq)[:, 0]
+
+    grid = table.grid
+    j = np.argmax(vals, axis=1)
+    grid_w, grid_v = grid[j], vals[np.arange(j.size), j]
+    lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
+    steps = max(0, math.ceil(math.log(refine_tol / (2.0 * (grid[1] - grid[0])))
+                             / math.log(_INV_PHI)))
+    best = lo + _INV_PHI * (hi - lo)
+    f_best = value(best)
+    for _ in range(steps + 1):
+        other = lo + hi - best
+        f_other = value(other)
+        take = f_other >= f_best
+        cut = np.where(take, best, other)
+        # the cut ends the bracket above when the kept point lies below it
+        upper = take == (other < best)
+        lo, hi = np.where(upper, lo, cut), np.where(upper, cut, hi)
+        best, f_best = np.where(take, other, best), np.where(take, f_other, f_best)
+    refined = f_best >= grid_v
+    return np.where(refined, best, grid_w), np.where(refined, f_best, grid_v)

@@ -402,6 +402,7 @@ def _custom(**first_component):
     ({"snr_grid_db": []}, [], "snr_grid_db"),
     ({"criteria": [{"kappa": 2.0}]}, [], "criteria[0].name: required"),
     ({"tune": {"family": "pmep-ir", "range": [0.2]}}, [], "tune.range"),
+    ({"approach": {"kind": "ml", "grid_points": 2}}, [], "grid_points"),
 ])
 def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     doc = dict(BASE_CONFIG, **change)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import sincount as sc
+from oracles import golden_refine
 from sincount import likelihood
 from sincount.errors import DegenerateStatsError, ValidationError
 from sincount.likelihood import FrequencyPlan
@@ -162,7 +163,7 @@ def test_ml_search_finds_strong_tone():
 @pytest.mark.parametrize("kwargs", [
     {"grid_points": 0}, {"grid_points": 1}, {"grid_points": 64.0},
     {"refine_tol": 0.0}, {"refine_tol": -1e-6}, {"refine_tol": math.inf},
-    {"refine_tol": "1e-6"}, {"refine_tol": True}])
+    {"refine_tol": "1e-6"}, {"refine_tol": True}, {"grid_points": 2}])
 def test_ml_rejects_invalid_search_settings(kwargs):
     with pytest.raises(ValidationError):
         sc.Ml(**kwargs)
@@ -358,7 +359,7 @@ def _search_beside_golden(monkeypatch, rows, scenario, approach):
 
     def both(*args):
         found = refine(*args)
-        seen.append((found, likelihood._golden_refine(*args), args[4]))
+        seen.append((found, golden_refine(*args), args[4]))
         return found
 
     with monkeypatch.context() as patch:
@@ -387,7 +388,7 @@ def test_parabolic_refinement_matches_golden_rule(monkeypatch, snr):
     logliks, seen = _search_beside_golden(monkeypatch, rows, scen, sc.Ml())
     _assert_near_golden(seen, 1e-6)
     with monkeypatch.context() as patch:
-        patch.setattr(likelihood, "_refine", likelihood._golden_refine)
+        patch.setattr(likelihood, "_refine", golden_refine)
         golden = likelihood.ladders(rows, scen, sc.Ml())[0]
     np.testing.assert_allclose(logliks, golden, rtol=1e-5)
     for spec in (sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)):
@@ -396,11 +397,12 @@ def test_parabolic_refinement_matches_golden_rule(monkeypatch, snr):
             sc.argmin_order(sc.decision_values(spec, golden, params_per_signal=3)))
 
 
-@pytest.mark.parametrize("approach", [sc.Ml(grid_points=2),
+@pytest.mark.parametrize("approach", [sc.Ml(grid_points=3),
                                       sc.Ml(grid_points=64, refine_tol=1e-4)])
 def test_refinement_with_coarse_grid_or_tolerance(monkeypatch, approach):
-    # two grid points leave no parabola, so the golden rule refines every
-    # trial; refine_tol 1e-4 is coarser than a 64-point grid step.  Near a
+    # three grid points, the fewest, make each bracket half the band or all
+    # of it;
+    # refine_tol 1e-4 is coarser than a 64-point grid step.  Near a
     # peak V falls by about (N^2 / 12) d^2 relative at an offset d, so two
     # points within refine_tol / 2 of it differ by at most that at d =
     # refine_tol / 2
@@ -409,9 +411,6 @@ def test_refinement_with_coarse_grid_or_tolerance(monkeypatch, approach):
     _, seen = _search_beside_golden(monkeypatch, rows, scen, approach)
     v_rtol = max(scen.n_samples**2 / 12 * (approach.refine_tol / 2) ** 2, 1e-9)
     _assert_near_golden(seen, approach.refine_tol, v_rtol)
-    if approach.grid_points == 2:
-        for found, golden, _ in seen:
-            np.testing.assert_array_equal(found, golden)
 
 
 def _refine_on_slot(x, band, refine_tol=1e-6):
@@ -422,7 +421,7 @@ def _refine_on_slot(x, band, refine_tol=1e-6):
     q_basis = np.zeros((len(x), 0, x.shape[1]))
     vals = likelihood._grid_quadrature_increment(x, table, table.grid, q_basis, 1.0)
     args = (x, table, q_basis, 1.0, vals, refine_tol)
-    return np.argmax(vals, axis=1), likelihood._refine(*args), likelihood._golden_refine(*args)
+    return np.argmax(vals, axis=1), likelihood._refine(*args), golden_refine(*args)
 
 
 @pytest.mark.parametrize("edge", ["low", "high"])
@@ -457,9 +456,8 @@ def test_refinement_of_flat_statistic_warns_nothing():
 
 
 def test_refinement_cost_on_signal_slots(monkeypatch):
-    # without a golden fallback, a slot's refinement is at most three
-    # parabolic steps and two certificate sides: five calls per search block,
-    # each over the rows still stepping or checked; the bound allows six.
+    # each refinement round is one call over the rows it steps or checks: a
+    # row takes a parabolic step or two at most, then its certificate sides.
     # 256 rows are one search block.  The search covers every slot; with
     # max_order = nu0 = 3 it covers the signal slots alone, with the rows and
     # slots 1-3 of standard_scenario(0.0)
@@ -477,10 +475,54 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
     monkeypatch.setattr(likelihood, "_grid_quadrature_increment", counted)
     likelihood.ml_search_increments(rows, scen, sc.Ml())
     assert sorted(calls) == list(range(scen.nu0))
-    assert max(calls.values()) <= 6
-    # about four evaluations per trial and slot, against sixteen for the
+    assert max(calls.values()) <= 4
+    # under four evaluations per trial and slot, against sixteen for the
     # golden rule
-    assert sum(points.values()) <= 4.5 * len(rows) * scen.nu0
+    assert sum(points.values()) <= 4.0 * len(rows) * scen.nu0
+
+
+@pytest.mark.parametrize("grid_points, most_below_golden", [(256, (0, 0)), (3, (6, 3)),
+                                                             (4, (1, 1))])
+def test_refinement_ends_before_its_round_cap_and_above_the_grid(monkeypatch, grid_points,
+                                                                  most_below_golden):
+    # each refinement round is one call, and on this data no slot's
+    # refinement of a search block reaches _REFINE_ROUNDS; no refined V is
+    # below its grid maximum.  On a 3- or 4-point grid a bracket spans up to
+    # the whole band or two thirds of it, and a few slot-rows land on a lower
+    # local maximum than the golden rule's, more than refine_tol from it;
+    # their count, 6 and 3 at -4 and 0 dB on 3 points, 1 and 1 on 4, is
+    # that of the parabolic steps with a golden fallback before them
+    approach = sc.Ml(grid_points=grid_points)
+    refine, evaluate = likelihood._refine, likelihood._grid_quadrature_increment
+    for snr, most_below in zip((-4.0, 0.0), most_below_golden):
+        scen = sc.standard_scenario(snr)
+        rows = sc.batch_samples(scen, 111, 0, 2000)
+        rounds, seen = [], []
+
+        def counted(x, table, omegas, q_basis, sigma_sq):
+            if omegas.ndim == 2:
+                rounds[-1] += 1
+            return evaluate(x, table, omegas, q_basis, sigma_sq)
+
+        def watched(*args):
+            rounds.append(0)
+            found = refine(*args)
+            seen.append((found, args))
+            return found
+
+        with monkeypatch.context() as patch:
+            patch.setattr(likelihood, "_refine", watched)
+            patch.setattr(likelihood, "_grid_quadrature_increment", counted)
+            likelihood.ladders(rows, scen, approach)
+        assert len(rounds) == len(seen) and max(rounds) < likelihood._REFINE_ROUNDS
+        below = 0
+        for (w, v), args in seen:
+            assert np.all(v >= args[4].max(axis=1))
+            golden_w, golden_v = golden_refine(*args)
+            low = v < golden_v - 1e-9 * np.abs(golden_v)
+            assert np.all(np.abs(w - golden_w)[low] > approach.refine_tol)
+            below += int(low.sum())
+        assert below <= most_below
 
 
 def test_grid_waveforms_are_built_once_per_call(monkeypatch):
