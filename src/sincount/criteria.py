@@ -126,14 +126,22 @@ class PmepI:
 CRITERIA = {cls.name: cls for cls in (Aic, Gic, Eef, PmepIr, PmepI)}
 
 
-def decision_values(spec, logliks, params_per_signal=2):
-    """R(1)..R(N) for one criterion; logliks may be batched (last axis)."""
+def checked_ladders(logliks):
+    """logliks as a float array, batched on the last axis; a ValidationError
+    unless every ladder is nonnegative and nondecreasing.  Callers that apply
+    several criteria to one ladder set check it once here and then call each
+    spec's values()."""
     logliks = np.asarray(logliks, dtype=float)
     if np.any(logliks < -1e-9):
         raise ValidationError("log-likelihoods must be nonnegative")
     if np.any(np.diff(logliks, axis=-1) < -1e-9):
         raise ValidationError("log-likelihoods must be nondecreasing")
-    return spec.values(logliks, params_per_signal=params_per_signal)
+    return logliks
+
+
+def decision_values(spec, logliks, params_per_signal=2):
+    """R(1)..R(N) for one criterion; logliks may be batched (last axis)."""
+    return spec.values(checked_ladders(logliks), params_per_signal=params_per_signal)
 
 
 def abridged_comparisons(nu0, n_orders):

@@ -4,11 +4,20 @@ Trials draw observations with per-trial seeds split from a master seed,
 compute one log-likelihood ladder per approach, and evaluate every
 criterion on the same statistics, so comparisons between criteria are
 paired.  Aggregates do not depend on how the trials are split into chunks.
+
+Trial k's noise is the standard normals of a fresh
+Generator(Philox(key=trial_seed(master_seed, k))).  batch_samples draws
+them with one call per trial of numpy's random_standard_normal_fill, the C
+function behind Generator.standard_normal, on a record laid out as a fresh
+Philox; an import-time check verifies that layout against the installed
+numpy, and where it fails each trial goes through the public Philox state
+setter instead, with the same streams.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .criteria import abridged_comparisons, argmin_order, decision_values
+from .criteria import abridged_comparisons, argmin_order, checked_ladders
 from .errors import ValidationError, nonneg_int
 from .likelihood import ladders
 from .signal_model import clean_signal, scenario_to_dict
@@ -120,7 +129,33 @@ class _PhiloxState(ctypes.Structure):
                 ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
 
 
+_DRAWS = ("next_uint64", "next_uint32", "next_double", "next_raw")
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's bitgen_t (numpy/random/bitgen.h, a public header): a pointer
+    to the generator's state and its four draw functions, read as integers."""
+
+    _fields_ = [("state", ctypes.c_size_t)] + [(name, ctypes.c_size_t) for name in _DRAWS]
+
+
+class _PhiloxRecord(ctypes.Structure):
+    """One Philox generator in flat memory: a bitgen_t whose state pointer
+    points at the philox_state after it, whose counter and key pointers point
+    at the two arrays after that."""
+
+    _fields_ = [("bitgen", _BitGen), ("state", _PhiloxState),
+                ("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2)]
+
+
 _PHILOX_BUFFER_SIZE = 4
+_RECORD = np.dtype(_PhiloxRecord)
+# records reused per block of rows: about 150 KB, so no array grows with the
+# trial count
+_RECORD_BLOCK = 1024
+# the function behind Generator.standard_normal; numpy's own cffi example
+# (numpy/random/_examples/cffi/extending.py) calls it from the same library
+_FILL_SYMBOL = "random_standard_normal_fill"
 
 # a Philox state with no field at its fresh value: a used counter, a two-word
 # key, a partly read buffer and a saved half word
@@ -153,25 +188,69 @@ def _rekey_by_setter(bit_gen):
     return rekey
 
 
-def _rekey_in_place(bit_gen):
-    """A function of a key k that sets bit_gen to the state of a fresh
-    Philox(key=k) by writing its C state in place: key [k, 0], a zero counter,
-    an empty buffer and no saved half word.  The buffer's contents are left,
-    as no draw reads them before refilling it.  The layout is private to
-    numpy; _choose_rekey checks it before this is used."""
-    state = _PhiloxState.from_address(bit_gen.ctypes.state_address)
-    key, counter = _words(state.key, 2), _words(state.ctr, 4)
+def _noise_by_setter(out, keys):
+    """Fill row k of out with the standard normals of a fresh
+    Generator(Philox(key=keys[k])): one Philox, set for each row through the
+    public state setter."""
+    bit_gen = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_gen)
+    rekey = _rekey_by_setter(bit_gen)
+    for row, trial_key in zip(out, keys.tolist()):
+        rekey(trial_key)
+        rng.standard_normal(out=row)
 
-    def rekey(trial_key):
-        key[0] = trial_key
-        key[1] = 0
-        counter.fill(0)
-        state.buffer_pos = _PHILOX_BUFFER_SIZE
-        state.has_uint32 = 0
 
-    # the arrays above point into bit_gen's memory, so rekey keeps it alive
-    rekey.bit_gen = bit_gen
-    return rekey
+def _philox_records(count, functions):
+    """count zeroed records with their state, counter and key pointers set
+    and the four draw-function addresses of a real Philox copied in;
+    _rekey_records makes them fresh generators."""
+    records = np.zeros(count, _RECORD)
+    addresses = np.uint64(records.ctypes.data) + np.uint64(_RECORD.itemsize) * np.arange(
+        count, dtype=np.uint64)
+    bitgen, state = records["bitgen"], records["state"]
+    bitgen["state"] = addresses + np.uint64(_PhiloxRecord.state.offset)
+    for name, address in zip(_DRAWS, functions):
+        bitgen[name] = address
+    state["ctr"] = addresses + np.uint64(_PhiloxRecord.counter.offset)
+    state["key"] = addresses + np.uint64(_PhiloxRecord.key.offset)
+    return records
+
+
+def _rekey_records(records, keys):
+    """Set records[k] to the state of a fresh Philox(key=keys[k]) for each
+    key: key [k, 0], a zero counter, an empty buffer and no saved half word.
+    The buffer's contents are left, as no draw reads them before refilling
+    it."""
+    block = records[:len(keys)]
+    block["key"][:, 0] = keys
+    block["key"][:, 1] = 0
+    block["counter"] = 0
+    block["state"]["buffer_pos"] = _PHILOX_BUFFER_SIZE
+    block["state"]["has_uint32"] = 0
+
+
+def _noise_by_fill(fill, functions, out, keys):
+    """Fill row k of out, a C-contiguous float array, with the standard
+    normals of a fresh Generator(Philox(key=keys[k])): one call of fill,
+    numpy's random_standard_normal_fill, per row, on a record rekeyed for it.
+    The records are reused for each block of _RECORD_BLOCK rows."""
+    n_rows, n_cols = out.shape
+    records = _philox_records(min(n_rows, _RECORD_BLOCK), functions)
+    first_record, record_size, row_size = records.ctypes.data, records.itemsize, out.strides[0]
+    for start in range(0, n_rows, _RECORD_BLOCK):
+        block_keys = keys[start:start + _RECORD_BLOCK]
+        _rekey_records(records, block_keys)
+        first_row = out.ctypes.data + start * row_size
+        for record, row in zip(
+                range(first_record, first_record + len(block_keys) * record_size, record_size),
+                range(first_row, first_row + len(block_keys) * row_size, row_size)):
+            fill(record, n_cols, row)
+
+
+def _inside(obj, address, nbytes):
+    """Whether nbytes at address lie inside the memory of the object obj."""
+    start = id(obj)
+    return start <= address and address + nbytes <= start + type(obj).__basicsize__
 
 
 def _layout_matches(bit_gen):
@@ -179,17 +258,11 @@ def _layout_matches(bit_gen):
     bit_gen.state reports.  Each address is checked to lie inside the Philox
     object before it is read, so a different layout reads wrong values, never
     unmapped memory; nothing is written."""
-    start = id(bit_gen)
-    end = start + type(bit_gen).__basicsize__
-
-    def inside(address, nbytes):
-        return start <= address and address + nbytes <= end
-
     address = bit_gen.ctypes.state_address
-    if not inside(address, ctypes.sizeof(_PhiloxState)):
+    if not _inside(bit_gen, address, ctypes.sizeof(_PhiloxState)):
         return False
     state = _PhiloxState.from_address(address)
-    if not (inside(state.key, 16) and inside(state.ctr, 32)):
+    if not (_inside(bit_gen, state.key, 16) and _inside(bit_gen, state.ctr, 32)):
         return False
     report = bit_gen.state
     return (_words(state.key, 2).tolist() == report["state"]["key"].tolist()
@@ -199,52 +272,102 @@ def _layout_matches(bit_gen):
             == (report["buffer_pos"], report["has_uint32"], report["uinteger"]))
 
 
-def _choose_rekey():
-    """_rekey_in_place where two checks on the installed numpy pass, else
-    _rekey_by_setter.  First, read only: on a Philox whose state has no field
-    at its fresh value, _PhiloxState must read what the public state reports.
-    Then, from that dirty state, rekeying in place to a key below 2**63 and to
-    one above must give the draws of a fresh Generator(Philox(key=k)), bit
-    for bit."""
+def _bitgen_functions(bit_gen):
+    """The addresses of bit_gen's four draw functions, copied out of its
+    bitgen_t, when _BitGen read there holds the state address and the three
+    function pointers that bit_gen.ctypes reports (it does not report
+    next_raw); else None.  The address is checked to lie inside the object
+    before it is read, and nothing is written."""
+    interface = bit_gen.ctypes
+    address = interface.bit_generator.value
+    if not _inside(bit_gen, address, ctypes.sizeof(_BitGen)):
+        return None
+    bitgen = _BitGen.from_address(address)
+    functions = tuple(getattr(bitgen, name) for name in _DRAWS)
+    reported = tuple(ctypes.cast(getattr(interface, name), ctypes.c_void_p).value
+                     for name in _DRAWS[:3])
+    if bitgen.state != interface.state_address or functions[:3] != reported:
+        return None
+    return functions
+
+
+def _load_fill():
+    """numpy's random_standard_normal_fill(bitgen_t *, npy_intp, double *),
+    resolved from the library of numpy.random's Generator; None where it does
+    not resolve."""
+    # PyDLL keeps the interpreter lock through the call: a 64-normal fill is
+    # short, and releasing and retaking the lock for each trial costs more
+    try:
+        fill = getattr(ctypes.PyDLL(np.random._generator.__file__), _FILL_SYMBOL)
+    except (OSError, AttributeError):
+        return None
+    fill.argtypes = (ctypes.c_void_p, np.ctypeslib.c_intp, ctypes.c_void_p)
+    fill.restype = None
+    return fill
+
+
+def _soil(records):
+    """Set every state field of records to its value in _DIRTY_PHILOX."""
+    state = records["state"]
+    records["counter"] = _DIRTY_PHILOX["state"]["counter"]
+    records["key"] = _DIRTY_PHILOX["state"]["key"]
+    state["buffer"] = _DIRTY_PHILOX["buffer"]
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        state[name] = _DIRTY_PHILOX[name]
+
+
+def _choose_noise():
+    """_noise_by_fill where three checks on the installed numpy pass, in
+    this order, else _noise_by_setter.  First, read only: on a Philox whose
+    state has no field at its fresh value, _PhiloxState must read what the
+    public state reports, and its bitgen_t must read back its state address
+    and draw functions.  Second, random_standard_normal_fill must resolve.
+    Third, a record with every state field used, rekeyed to a key below
+    2**63 and to one above, must give the 64 normals of a fresh
+    Generator(Philox(key=k)), bit for bit.  No C function sees a record
+    before the first two pass."""
     bit_gen = np.random.Philox(key=0)
     bit_gen.state = _DIRTY_PHILOX
-    if not _layout_matches(bit_gen):
-        return _rekey_by_setter
-    rng = np.random.Generator(bit_gen)
-    rekey = _rekey_in_place(bit_gen)
+    functions = _bitgen_functions(bit_gen) if _layout_matches(bit_gen) else None
+    fill = _load_fill() if functions else None
+    if fill is None:
+        return _noise_by_setter
+    records = _philox_records(1, functions)
+    row = np.empty(64)
     for trial_key in (0x2545F4914F6CDD1D, 2**64 - 59):
-        bit_gen.state = _DIRTY_PHILOX
-        rekey(trial_key)
+        _soil(records)
+        _rekey_records(records, np.array([trial_key], dtype=np.uint64))
+        fill(records.ctypes.data, row.size, row.ctypes.data)
         fresh = np.random.Generator(np.random.Philox(key=trial_key))
-        if rng.standard_normal(64).tobytes() != fresh.standard_normal(64).tobytes():
-            return _rekey_by_setter
-    return _rekey_in_place
+        if row.tobytes() != fresh.standard_normal(row.size).tobytes():
+            return _noise_by_setter
+    return functools.partial(_noise_by_fill, fill, functions)
 
 
-_rekey = _choose_rekey()
+_noise = _choose_noise()
 
 
 def batch_samples(scenario, master_seed, start, count):
     """Observations for trials start..start+count-1, one per row: clean
-    signal plus scaled noise.
+    signal plus scaled noise.  Trial indices are below 2**64: a ValidationError
+    when start + count exceeds 2**64.
 
-    Row k equals synthesize(scenario, trial_seed(master_seed, start + k)).
-    One Philox generator serves all rows: before each trial, _rekey sets it
-    to the state of a fresh Philox(key=trial_seed(...)) (key [k, 0], zero
-    counter, empty buffer).  It writes that state in place, into numpy's C
-    struct, when the import-time check _choose_rekey finds the struct laid
-    out as expected, and through the public state setter otherwise.
+    Row k equals synthesize(scenario, trial_seed(master_seed, start + k)), the
+    normals of a fresh Generator(Philox(key=trial_seed(...))).  Where the
+    import-time check _choose_noise passes, each row is one call of numpy's
+    random_standard_normal_fill, the function behind Generator.standard_normal,
+    on a Philox record (key [k, 0], zero counter, empty buffer) written with
+    whole-column array writes for a block of rows at a time.  Otherwise one
+    Philox is set for each row through the public state setter.
     """
     master_seed = nonneg_int(master_seed, "master_seed")
     start, count = nonneg_int(start, "start"), nonneg_int(count, "count")
+    if start + count > 2**64:
+        raise ValidationError(
+            f"trial indices must be below 2**64, got start {start} and count {count}")
     keys = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     out = np.empty((count, scenario.n_samples))
-    bit_gen = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_gen)
-    rekey = _rekey(bit_gen)
-    for row, trial_key in zip(out, keys.tolist()):
-        rekey(trial_key)
-        rng.standard_normal(out=row)
+    _noise(out, keys)
     out *= scenario.noise_level
     out += clean_signal(scenario)
     return out
@@ -352,15 +475,15 @@ def estimate(scenario, specs, approach, trials, master_seed):
     """
     trials = mc_trials(trials)
     nu0, n_orders = scenario.nu0, scenario.max_order
-    logliks = drop_degenerate(collect_logliks(scenario, approach, trials, master_seed))
+    logliks = checked_ladders(
+        drop_degenerate(collect_logliks(scenario, approach, trials, master_seed)))
     n_eff = logliks.shape[0]
     degenerate = trials - n_eff
     key = scenario_fingerprint(scenario)
     under, over = abridged_comparisons(nu0, n_orders)
     reports = []
     for spec in specs:
-        values = decision_values(spec, logliks,
-                                 params_per_signal=approach.params_per_signal)
+        values = spec.values(logliks, params_per_signal=approach.params_per_signal)
         nu_hat = argmin_order(values)
         correct = nu_hat == nu0
         under_holds = values[:, nu0 - 1] < values[:, nu0 - 2] if under else True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import PmepI, PmepIr, argmin_order, decision_values
+from .criteria import PmepI, PmepIr, argmin_order, checked_ladders
 from .errors import ValidationError, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies
 from .montecarlo import collect_logliks, drop_degenerate, mc_trials
@@ -78,14 +78,13 @@ def _theory_objective(scenario, name, approach):
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
     # the degenerate trials are left out, as estimate() leaves them out of p_e
-    logliks = drop_degenerate(collect_logliks(scenario, approach, mc_trials(trials),
-                                              master_seed))
+    logliks = checked_ladders(drop_degenerate(
+        collect_logliks(scenario, approach, mc_trials(trials), master_seed)))
     nu0 = scenario.nu0
     pps = approach.params_per_signal
 
     def objective(kappa):
-        values = decision_values(_spec_for(name, float(kappa)), logliks,
-                                 params_per_signal=pps)
+        values = _spec_for(name, float(kappa)).values(logliks, params_per_signal=pps)
         return 1.0 - float(np.mean(argmin_order(values) == nu0))
 
     return objective

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,27 @@ def _draws(rng):
         rng.standard_normal(100).tobytes()
 
 
-@pytest.mark.parametrize("make_rekey", [montecarlo._rekey_in_place,
-                                        montecarlo._rekey_by_setter])
+def _record_draws(fill, records):
+    """_draws through the first record: three uint32 draws through its
+    bitgen_t, then 100 normals from fill."""
+    address = records.ctypes.data
+    bitgen = montecarlo._BitGen.from_address(address)
+    next_uint32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)(bitgen.next_uint32)
+    words = np.array([next_uint32(bitgen.state) for _ in range(3)], dtype=np.uint32)
+    normals = np.empty(100)
+    fill(address, normals.size, normals.ctypes.data)
+    return words.tobytes() + normals.tobytes()
+
+
+def _fill_in_use():
+    """(fill, functions) of the fill path; a skip where the import check chose
+    the setter, which test_fill_is_the_noise_path_in_use reports."""
+    if getattr(montecarlo._noise, "func", None) is not montecarlo._noise_by_fill:
+        pytest.skip("the import check chose the state setter")
+    return montecarlo._noise.args
+
+
+@pytest.mark.parametrize("make_rekey", [montecarlo._rekey_by_setter])
 def test_rekey_turns_a_used_generator_into_a_fresh_one(make_rekey):
     bit_gen = np.random.Philox(key=2**100 + 3, counter=[1, 2, 3, 4])
     rng = np.random.Generator(bit_gen)
@@ -82,10 +103,29 @@ def test_rekey_turns_a_used_generator_into_a_fresh_one(make_rekey):
         assert _draws(rng) == _draws(np.random.Generator(fresh))
 
 
-def test_rekey_in_place_is_the_one_in_use():
+def test_records_turn_used_philox_states_into_fresh_ones():
+    fill, functions = _fill_in_use()
+    records = montecarlo._philox_records(2, functions)
+    for trial_key in (5, 2**63 + 11, 2**64 - 1):
+        # a used counter, a two-word key, a partly read buffer and a saved
+        # half word, in both records
+        montecarlo._soil(records)
+        montecarlo._rekey_records(records[:1], np.array([trial_key], dtype=np.uint64))
+        fresh_state = np.random.Philox(key=trial_key).state
+        np.testing.assert_array_equal(records["key"][0], fresh_state["state"]["key"])
+        np.testing.assert_array_equal(records["counter"][0], fresh_state["state"]["counter"])
+        state = records["state"][0]
+        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+        assert _record_draws(fill, records) == \
+            _draws(np.random.Generator(np.random.Philox(key=trial_key)))
+        # the record after it was not rekeyed
+        assert records["state"]["buffer_pos"][1] == 2
+
+
+def test_fill_is_the_noise_path_in_use():
     # numpy's Philox layout is private: on a numpy where the import check
     # fails, the setter keeps the streams and this test reports the fallback
-    assert montecarlo._rekey is montecarlo._rekey_in_place
+    assert montecarlo._noise.func is montecarlo._noise_by_fill
 
 
 @pytest.mark.parametrize("bit_gen", [np.random.PCG64(1), np.random.SFC64(2),
@@ -95,32 +135,46 @@ def test_layout_check_rejects_other_generators(bit_gen):
     assert not montecarlo._layout_matches(bit_gen)
 
 
-@pytest.mark.parametrize("failing_step", ["layout", "draws"])
+@pytest.mark.parametrize("failing_step", ["layout", "bitgen", "symbol", "draws"])
 def test_failed_import_check_falls_back_to_the_setter(scen_m4, monkeypatch, failing_step):
     expect = [sc.synthesize(scen_m4, sc.trial_seed(2**32 + 5, k)).samples for k in range(6)]
+
+    def unreached(*args):
+        raise AssertionError("called C on an unverified layout")
+
     if failing_step == "layout":
-        def unreached(bit_gen):
-            raise AssertionError("wrote through an unverified layout")
-
         monkeypatch.setattr(montecarlo, "_layout_matches", lambda bit_gen: False)
-        monkeypatch.setattr(montecarlo, "_rekey_in_place", unreached)
+        monkeypatch.setattr(montecarlo, "_load_fill", lambda: unreached)
+    elif failing_step == "bitgen":
+        monkeypatch.setattr(montecarlo, "_bitgen_functions", lambda bit_gen: None)
+        monkeypatch.setattr(montecarlo, "_load_fill", lambda: unreached)
+    elif failing_step == "symbol":
+        monkeypatch.setattr(montecarlo, "_FILL_SYMBOL", "random_no_such_fill")
+        assert montecarlo._load_fill() is None
     else:
-        in_place = montecarlo._rekey_in_place
+        rekey_records = montecarlo._rekey_records
 
-        def one_block_ahead(bit_gen):
-            rekey = in_place(bit_gen)
+        def one_block_ahead(records, keys):
+            rekey_records(records, keys)
+            records["counter"][:len(keys), 0] = 1
 
-            def shifted(trial_key):
-                rekey(trial_key)
-                bit_gen.advance(1)
-
-            return shifted
-
-        monkeypatch.setattr(montecarlo, "_rekey_in_place", one_block_ahead)
-    chosen = montecarlo._choose_rekey()
-    assert chosen is montecarlo._rekey_by_setter
-    monkeypatch.setattr(montecarlo, "_rekey", chosen)
+        monkeypatch.setattr(montecarlo, "_rekey_records", one_block_ahead)
+    chosen = montecarlo._choose_noise()
+    assert chosen is montecarlo._noise_by_setter
+    monkeypatch.setattr(montecarlo, "_noise", chosen)
     np.testing.assert_array_equal(sc.batch_samples(scen_m4, 2**32 + 5, 0, 6), expect)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 7])
+def test_batch_samples_match_synthesize_across_record_blocks(scen_m4, monkeypatch, count):
+    _fill_in_use()
+    # blocks of 3 records: 7 rows rekey the used records for rows 3-5 and 6
+    monkeypatch.setattr(montecarlo, "_RECORD_BLOCK", 3)
+    rows = sc.batch_samples(scen_m4, 2**32 + 5, 11, count)
+    assert rows.shape == (count, scen_m4.n_samples)
+    for k, row in enumerate(rows):
+        np.testing.assert_array_equal(
+            row, sc.synthesize(scen_m4, sc.trial_seed(2**32 + 5, 11 + k)).samples)
 
 
 def _reference_samples(scenario, master_seed, trials):
@@ -178,6 +232,18 @@ def test_trials_must_be_nonnegative_integer(scen_m4, trials):
 def test_batch_samples_rejects_invalid_trial_range(scen_m4, start, count):
     with pytest.raises(ValidationError):
         sc.batch_samples(scen_m4, 1, start, count)
+
+
+def test_batch_samples_stop_at_the_last_uint64_index(scen_m4):
+    # a row's index is a uint64; past 2**64 - 1 the index array would wrap to 0
+    for start, count in ((2**64 - 2, 3), (2**64 - 1, 2), (2**64, 1)):
+        with pytest.raises(ValidationError, match=r"2\*\*64"):
+            sc.batch_samples(scen_m4, 1, start, count)
+    rows = sc.batch_samples(scen_m4, 1, 2**64 - 2, 2)
+    for k, row in enumerate(rows):
+        np.testing.assert_array_equal(
+            row, sc.synthesize(scen_m4, sc.trial_seed(1, 2**64 - 2 + k)).samples)
+    assert sc.batch_samples(scen_m4, 1, 2**64, 0).shape == (0, scen_m4.n_samples)
 
 
 def test_numpy_integer_master_seed(scen_m4):

@@ -5,6 +5,7 @@ import pytest
 
 import sincount as sc
 from sincount import montecarlo, tuner
+from sincount.criteria import checked_ladders
 from sincount.errors import ValidationError
 
 
@@ -79,6 +80,31 @@ def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(mon
                 trials=2000, master_seed=3)
     with pytest.raises(ValidationError, match="all trials degenerated"):
         sc.estimate(scen, [sc.PmepI()], sc.KNOWN_FREQ, 2000, 3)
+
+
+def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_m4):
+    calls = []
+
+    def counted(logliks):
+        calls.append(logliks.shape)
+        return checked_ladders(logliks)
+
+    for module in (tuner, montecarlo):
+        monkeypatch.setattr(module, "checked_ladders", counted)
+    specs = [sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)]
+    sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
+    sc.tune("pmep-ir", scen_m4, objective="monte_carlo", grid_points=5, trials=300,
+            master_seed=3)
+    assert calls == [(300, scen_m4.max_order)] * 2
+    # a ladder that falls is still refused, by estimate and by the objective
+    logliks = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 3)
+    logliks[7, -1] = logliks[7, -2] - 1.0
+    for module in (tuner, montecarlo):
+        monkeypatch.setattr(module, "collect_logliks", lambda *args: logliks.copy())
+    with pytest.raises(ValidationError, match="nondecreasing"):
+        sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
+    with pytest.raises(ValidationError, match="nondecreasing"):
+        sc.tune("pmep-ir", scen_m4, objective="monte_carlo", trials=300, master_seed=3)
 
 
 @pytest.mark.parametrize("trials", [0, 5, 99, 100])
