@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chndtr, gammainc, gammaln, ive, ndtr
+from scipy.special import chndtr, gammainc, gammaln, i0e, ive, ndtr
 
 from .errors import QuadratureError, ValidationError
 
@@ -70,9 +70,14 @@ def _ncx2_pdf(x, m, lam):
     out[head] = np.exp((m - 1) * np.log(xh) - (xh + lam) / 2.0 - m * math.log(2.0) - gammaln(m))
     body = s >= 1e-8
     xb = x[body]
-    log_pref = 0.5 * (m - 1) * np.log(xb / lam)
     # -(x + lam)/2 + sqrt(lam x), written without the cancellation at large lam
-    out[body] = 0.5 * np.exp(log_pref - 0.5 * (np.sqrt(xb) - math.sqrt(lam)) ** 2) * ive(m - 1, s[body])
+    log_kernel = -0.5 * (np.sqrt(xb) - math.sqrt(lam)) ** 2
+    if m == 1:
+        # the prefactor (x/lam)^0 drops out; i0e is ive(0, .) at a sixth of its cost
+        out[body] = 0.5 * np.exp(log_kernel) * i0e(s[body])
+    else:
+        log_pref = 0.5 * (m - 1) * np.log(xb / lam)
+        out[body] = 0.5 * np.exp(log_pref + log_kernel) * ive(m - 1, s[body])
     return out
 
 
@@ -244,10 +249,15 @@ def convolve_cdfs(a, b):
     return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo)
 
 
-_QUAD_SEEDS = 8         # equal panels whose halves make the first level
+_QUAD_SEEDS = 8         # equal panels the first level compares with their halves
 _QUAD_LEVELS = 25       # levels before giving up
 _QUAD_MAX_ACTIVE = 8192  # panels refined at once before giving up
-_HALF_NODES, _HALF_WEIGHTS = _panel_nodes(16, 2)
+_QUAD_NODES = 16        # Gauss-Legendre nodes of each panel's rule
+_HALF_NODES, _HALF_WEIGHTS = _panel_nodes(_QUAD_NODES, 2)
+_SEED_NODES, _SEED_WEIGHTS = _panel_nodes(_QUAD_NODES, 1)
+# the first level's nodes: each seed panel's own rule, then its halves'
+_FIRST_NODES = np.concatenate([_SEED_NODES, _HALF_NODES])
+_FIRST_WEIGHTS = np.concatenate([_SEED_WEIGHTS, _HALF_WEIGHTS])
 
 
 @dataclass(frozen=True)
@@ -264,26 +274,32 @@ def integrate(f, lo, hi, tol):
     """Integral of f over the window [lo, hi] (e.g. a Dist's [support_lo,
     support_hint]) by panelled Gauss-Legendre quadrature with local halving.
 
-    Each panel's rule is compared with the same rule on its two halves.  A
-    panel whose difference is within its width's share of tol keeps the
+    Each panel's rule is compared with the same rule on its two halves,
+    from the first level on, where the panels are _QUAD_SEEDS equal seeds.
+    A panel whose difference is within its width's share of tol keeps the
     halves' value; the others are halved again.  The new nodes of a level
-    go to f in one array call.  Returns a Quadrature whose error is the sum
-    of the differences; raises QuadratureError when the sum stays above tol.
+    (on the first, the seeds' and their halves') go to f in one array call,
+    and evaluations counts them all.  Returns a Quadrature whose error is
+    the sum of the differences; raises QuadratureError when the sum stays
+    above tol.
     """
     if not hi > lo:
         raise ValidationError(f"integration window [{lo}, {hi}] is empty")
     span = hi - lo
     width = np.full(_QUAD_SEEDS, span / _QUAD_SEEDS)
     starts = lo + width * np.arange(_QUAD_SEEDS)
-    # no coarse values yet: the first level only seeds those of its halves
-    coarse = np.full(width.size, np.nan)
+    nodes, weights = _FIRST_NODES, _FIRST_WEIGHTS
+    coarse = None
     value = err = 0.0
     evaluations = 0
     for _ in range(_QUAD_LEVELS):
-        xs = starts[:, None] + width[:, None] * _HALF_NODES
+        xs = starts[:, None] + width[:, None] * nodes
         vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
         evaluations += vals.size
-        halves = (vals * _HALF_WEIGHTS * width[:, None]).reshape(width.size, 2, -1).sum(axis=2)
+        rules = (vals * weights * width[:, None]).reshape(width.size, -1, _QUAD_NODES).sum(axis=2)
+        if coarse is None:
+            coarse = rules[:, 0]
+        halves = rules[:, -2:]
         fine = halves.sum(axis=1)
         diff = np.abs(fine - coarse)
         if err + diff.sum() <= tol:
@@ -297,6 +313,7 @@ def integrate(f, lo, hi, tol):
         width = np.repeat(width[redo] / 2.0, 2)
         starts = np.column_stack([starts[redo], starts[redo] + width[::2]]).ravel()
         coarse = halves[redo].ravel()
+        nodes, weights = _HALF_NODES, _HALF_WEIGHTS
     estimate = value + float(fine[redo].sum())
     achieved = err + float(diff[redo].sum())
     raise QuadratureError(

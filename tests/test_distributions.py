@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
-from scipy.special import gammainc, gammaln, logsumexp, xlogy
+from scipy.special import gammainc, gammaln, ive, logsumexp, xlogy
 
-from sincount.distributions import (convolve_cdfs, integrate, ml_component_cdf,
+from sincount.distributions import (_ncx2_pdf, convolve_cdfs, integrate, ml_component_cdf,
                                     nc_chisq2, nc_chisq2_sum)
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
@@ -198,6 +198,39 @@ def test_ncx2_pdf_matches_poisson_mixture(m, lam):
                                mixture_pdf(xs, m, lam), rtol=1e-8, atol=0.0)
 
 
+def ive_pdf_2dof(x, lam):
+    """Oracle: the 2-dof pdf as the general 2m-dof form at m = 1,
+    (x/lam)^0 exp(-(sqrt(x) - sqrt(lam))^2/2) ive(0, sqrt(lam x))/2, with
+    the leading series term exp(-(x + lam)/2)/2 below s = sqrt(lam x) = 1e-8."""
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(lam * x)
+    with np.errstate(all="ignore"):
+        body = 0.5 * np.exp(0.0 * np.log(x / lam) - 0.5 * (np.sqrt(x) - math.sqrt(lam)) ** 2) * ive(0, s)
+    return np.where(s >= 1e-8, body, 0.5 * np.exp(-(x + lam) / 2.0))
+
+
+@pytest.mark.parametrize("s, ratio", [(s, r) for s in np.logspace(-8.0, 7.0, 31)
+                                      for r in (1.0, 4.0, 0.25, 1.0 + 1e-6)])
+def test_ncx2_pdf_2dof_matches_the_ive_form(s, ratio):
+    # x = s * ratio and lam = s / ratio put sqrt(lam x) at s
+    x, lam = s * ratio, s / ratio
+    np.testing.assert_allclose(_ncx2_pdf(np.array([x]), 1, lam), ive_pdf_2dof(x, lam),
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("x, lam", [
+    # x = 0 and lam = 0
+    (0.0, 0.0), (0.0, 1e-300), (0.0, 1.0), (0.0, 30.0), (1e-12, 0.0), (1.0, 0.0), (40.0, 0.0),
+    # either side of the series switch at s = sqrt(lam x) = 1e-8
+    (1e-8 * (1 - 1e-6), 1e-8), (1e-8 * (1 + 1e-6), 1e-8),
+    (1.0, 1e-16 * (1 - 1e-6)), (1.0, 1e-16 * (1 + 1e-6)),
+    (30.0, 1e-16 / 30.0 * (1 - 1e-6)), (30.0, 1e-16 / 30.0 * (1 + 1e-6)),
+])
+def test_ncx2_pdf_2dof_matches_the_ive_form_at_zero_and_the_series_switch(x, lam):
+    np.testing.assert_allclose(_ncx2_pdf(np.array([x]), 1, lam), ive_pdf_2dof(x, lam),
+                               rtol=1e-14, atol=0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([1, 2, 4]), LAMBDAS)
 @example(1, 5e6)
@@ -220,6 +253,20 @@ def test_integrate_semiinfinite_evaluates_arrays():
     assert res.error <= 1e-10
     assert min(sizes) >= 32 and len(sizes) <= 4
     assert res.evaluations == sum(sizes)
+
+
+def test_smooth_integrand_returns_after_the_first_level():
+    # the 8 seed panels' rules against their halves: 128 + 256 points, one call
+    sizes = []
+
+    def integrand(x):
+        sizes.append(x.size)
+        return np.exp(-x)
+
+    res = integrate(integrand, 0.0, 60.0, tol=1e-10)
+    assert sizes == [384] and res.evaluations == 384
+    assert res.value == pytest.approx(1.0, abs=1e-10)
+    assert res.error <= 1e-10
 
 
 def test_peaked_integrand_on_wide_support_stays_cheap():

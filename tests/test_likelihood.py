@@ -351,21 +351,48 @@ def test_degenerate_rows_in_a_multi_piece_block_leave_the_others_unchanged():
         np.testing.assert_array_equal(incs[k], alone[1])
 
 
-def _search_beside_golden(monkeypatch, rows, scenario, approach):
-    """Ladders of the ML search, and for every slot of every block the
-    refiner's and the golden rule's (frequency, V) on the same x, fitted
-    basis and grid values, with those grid values."""
-    refine, seen = likelihood._refine, []
+def _search_beside_golden(rows, scenario, approach):
+    """The ML search of rows: its ladders, the refinement rounds of each
+    _refine call, and for every slot of every block the refiner's and the
+    golden rule's (frequency, V) on the same x, fitted basis and grid
+    values, with those grid values."""
+    refine, evaluate = likelihood._refine, likelihood._grid_quadrature_increment
+    rounds, calls = [], []
 
-    def both(*args):
+    def counted(x, table, omegas, q_basis, sigma_sq):
+        if omegas.ndim == 2:
+            rounds[-1] += 1
+        return evaluate(x, table, omegas, q_basis, sigma_sq)
+
+    def watched(*args):
+        rounds.append(0)
         found = refine(*args)
-        seen.append((found, golden_refine(*args), args[4]))
+        calls.append((found, args))
         return found
 
-    with monkeypatch.context() as patch:
-        patch.setattr(likelihood, "_refine", both)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(likelihood, "_refine", watched)
+        patch.setattr(likelihood, "_grid_quadrature_increment", counted)
         logliks = likelihood.ladders(rows, scenario, approach)[0]
-    return logliks, seen
+    # the golden rule's own grid evaluations are not rounds of the refiner
+    seen = [(found, golden_refine(*args), args[4]) for found, args in calls]
+    return logliks, rounds, seen
+
+
+@pytest.fixture(scope="module")
+def default_search():
+    """snr -> _search_beside_golden of the seed-111, 2000-trial rows of
+    standard_scenario(snr) at the default Ml(), searched once per module."""
+    searches = {}
+
+    def search(snr):
+        if snr not in searches:
+            scen = sc.standard_scenario(snr)
+            searches[snr] = _search_beside_golden(sc.batch_samples(scen, 111, 0, 2000), scen,
+                                                  sc.Ml())
+        return searches[snr]
+
+    return search
 
 
 def _assert_near_golden(seen, refine_tol, v_rtol=1e-9):
@@ -377,7 +404,7 @@ def _assert_near_golden(seen, refine_tol, v_rtol=1e-9):
 
 
 @pytest.mark.parametrize("snr", [-4.0, 0.0])
-def test_parabolic_refinement_matches_golden_rule(monkeypatch, snr):
+def test_parabolic_refinement_matches_golden_rule(monkeypatch, default_search, snr):
     # slot by slot, on identical inputs: V at least the golden rule's less
     # 1e-9 relative, frequencies within refine_tol.  End to end, a frequency
     # difference below refine_tol in one slot moves V of the next by up to
@@ -385,7 +412,7 @@ def test_parabolic_refinement_matches_golden_rule(monkeypatch, snr):
     # decisions must not change
     scen = sc.standard_scenario(snr)
     rows = sc.batch_samples(scen, 111, 0, 2000)
-    logliks, seen = _search_beside_golden(monkeypatch, rows, scen, sc.Ml())
+    logliks, _, seen = default_search(snr)
     _assert_near_golden(seen, 1e-6)
     with monkeypatch.context() as patch:
         patch.setattr(likelihood, "_refine", golden_refine)
@@ -399,7 +426,7 @@ def test_parabolic_refinement_matches_golden_rule(monkeypatch, snr):
 
 @pytest.mark.parametrize("approach", [sc.Ml(grid_points=3),
                                       sc.Ml(grid_points=64, refine_tol=1e-4)])
-def test_refinement_with_coarse_grid_or_tolerance(monkeypatch, approach):
+def test_refinement_with_coarse_grid_or_tolerance(approach):
     # three grid points, the fewest, make each bracket half the band or all
     # of it;
     # refine_tol 1e-4 is coarser than a 64-point grid step.  Near a
@@ -408,7 +435,7 @@ def test_refinement_with_coarse_grid_or_tolerance(monkeypatch, approach):
     # refine_tol / 2
     scen = sc.standard_scenario(0.0)
     rows = sc.batch_samples(scen, 111, 0, 128)
-    _, seen = _search_beside_golden(monkeypatch, rows, scen, approach)
+    _, _, seen = _search_beside_golden(rows, scen, approach)
     v_rtol = max(scen.n_samples**2 / 12 * (approach.refine_tol / 2) ** 2, 1e-9)
     _assert_near_golden(seen, approach.refine_tol, v_rtol)
 
@@ -483,7 +510,7 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
 
 @pytest.mark.parametrize("grid_points, most_below_golden", [(256, (0, 0)), (3, (6, 3)),
                                                              (4, (1, 1))])
-def test_refinement_ends_before_its_round_cap_and_above_the_grid(monkeypatch, grid_points,
+def test_refinement_ends_before_its_round_cap_and_above_the_grid(default_search, grid_points,
                                                                   most_below_golden):
     # each refinement round is one call, and on this data no slot's
     # refinement of a search block reaches _REFINE_ROUNDS; no refined V is
@@ -493,32 +520,17 @@ def test_refinement_ends_before_its_round_cap_and_above_the_grid(monkeypatch, gr
     # their count, 6 and 3 at -4 and 0 dB on 3 points, 1 and 1 on 4, is
     # that of the parabolic steps with a golden fallback before them
     approach = sc.Ml(grid_points=grid_points)
-    refine, evaluate = likelihood._refine, likelihood._grid_quadrature_increment
     for snr, most_below in zip((-4.0, 0.0), most_below_golden):
-        scen = sc.standard_scenario(snr)
-        rows = sc.batch_samples(scen, 111, 0, 2000)
-        rounds, seen = [], []
-
-        def counted(x, table, omegas, q_basis, sigma_sq):
-            if omegas.ndim == 2:
-                rounds[-1] += 1
-            return evaluate(x, table, omegas, q_basis, sigma_sq)
-
-        def watched(*args):
-            rounds.append(0)
-            found = refine(*args)
-            seen.append((found, args))
-            return found
-
-        with monkeypatch.context() as patch:
-            patch.setattr(likelihood, "_refine", watched)
-            patch.setattr(likelihood, "_grid_quadrature_increment", counted)
-            likelihood.ladders(rows, scen, approach)
+        if approach == sc.Ml():
+            _, rounds, seen = default_search(snr)
+        else:
+            scen = sc.standard_scenario(snr)
+            _, rounds, seen = _search_beside_golden(sc.batch_samples(scen, 111, 0, 2000), scen,
+                                                    approach)
         assert len(rounds) == len(seen) and max(rounds) < likelihood._REFINE_ROUNDS
         below = 0
-        for (w, v), args in seen:
-            assert np.all(v >= args[4].max(axis=1))
-            golden_w, golden_v = golden_refine(*args)
+        for (w, v), (golden_w, golden_v), vals in seen:
+            assert np.all(v >= vals.max(axis=1))
             low = v < golden_v - 1e-9 * np.abs(golden_v)
             assert np.all(np.abs(w - golden_w)[low] > approach.refine_tol)
             below += int(low.sum())

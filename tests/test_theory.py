@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sincount as sc
+from sincount import theory
 from sincount.errors import ModelViolationError, ValidationError
 
 from oracles import pmep_i_interior_oracle, sample_increments
@@ -81,7 +82,8 @@ def test_abridged_pmep_ir_frozen_value(dists_m4):
     assert rep.p_a == pytest.approx(IR_PA_M4, abs=1e-6)
     # two integrals, each within the quadrature tolerance 1e-9
     assert 0.0 < rep.error <= 2e-9
-    assert rep.evaluations > 0
+    # two first-level integrals of 384 points: a ceiling, not a schedule
+    assert 0 < rep.evaluations <= 800
 
 
 def test_abridged_pmep_i_frozen_value(dists_m4):
@@ -89,7 +91,22 @@ def test_abridged_pmep_i_frozen_value(dists_m4):
     assert rep.p_a == pytest.approx(I_PA_M4, abs=1e-6)
     assert rep.error < 1e-6
     # tensor nodes of the interior rule: a cost ceiling, not a schedule
-    assert 0 < rep.evaluations <= 20000
+    assert 0 < rep.evaluations <= 10000
+
+
+@pytest.mark.parametrize("nu0, max_order", [(1, 4), (2, 3), (3, 5), (5, 5)])
+def test_abridged_values_within_their_error_of_a_tighter_quadrature(monkeypatch, nu0, max_order):
+    # the quadrature may stop after its first level; what it reports must
+    # still hold against the same formulas at a tolerance of 1e-13
+    specs = (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(1.2), sc.PmepI(3.0))
+    for snr in np.arange(-10.0, 41.0, 5.0):
+        dists = sc.component_dists(sc.standard_scenario(snr, nu0=nu0, max_order=max_order))
+        reports = [sc.abridged_for(dists, spec) for spec in specs]
+        with monkeypatch.context() as patch:
+            patch.setattr(theory, "_QUAD_TOL", 1e-13)
+            tight = [sc.abridged_for(dists, spec).p_a for spec in specs]
+        for spec, rep, p_a in zip(specs, reports, tight):
+            assert abs(rep.p_a - p_a) <= rep.error + 1e-12, (spec, snr)
 
 
 @pytest.mark.parametrize("snr", [20.0, 30.0, 40.0])
@@ -143,7 +160,7 @@ def test_abridged_pmep_i_interior_cost_at_minus_20_db():
     # no more points than the frozen -4 dB case: a ceiling, not a schedule
     dists = sc.component_dists(sc.standard_scenario(-20.0, nu0=2, max_order=3))
     rep = sc.abridged_pmep_i(dists, 3.0)
-    assert 0 < rep.evaluations <= 20000
+    assert 0 < rep.evaluations <= 10000
     assert 0.0 < rep.error < 1e-6
 
 
