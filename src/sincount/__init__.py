@@ -6,7 +6,7 @@ rules), compute their abridged error probabilities in closed form, and
 validate everything with seeded Monte Carlo runs.
 """
 
-from .criteria import (CRITERIA, Aic, Eef, Gic, PmepI, PmepIr, SelectionResult,
+from .criteria import (CRITERIA, Eef, Gic, PmepI, PmepIr, SelectionResult,
                        argmin_order, decision_values, select_order)
 from .distributions import (Dist, convolve_cdfs, integrate, ml_component_cdf,
                             nc_chisq2, nc_chisq2_sum)
@@ -33,7 +33,7 @@ from .tuner import TuneResult, tune
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aic", "Gic", "Eef", "PmepIr", "PmepI", "CRITERIA", "SelectionResult",
+    "Gic", "Eef", "PmepIr", "PmepI", "CRITERIA", "SelectionResult",
     "decision_values", "argmin_order", "select_order",
     "Dist", "nc_chisq2", "nc_chisq2_sum", "ml_component_cdf", "convolve_cdfs",
     "integrate",

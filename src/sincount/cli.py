@@ -278,9 +278,8 @@ def cmd_ql_sweep(cfg):
         sweep = theory.ql_sweep(scenario, spec, cfg.need("delta_omega_grid"),
                                 master_seed=cfg.master_seed, **cfg.trials_kwargs())
         for d, p, e in zip(sweep.deltas, sweep.p_a, sweep.errors):
-            rows.append((spec.name, float(d), float(p), float(e), sweep.mode,
-                         sweep.p_aq))
-    return ("criterion", "delta_omega", "p_a", "error", "mode", "p_aq"), rows
+            rows.append((spec.name, float(d), float(p), float(e), sweep.mode))
+    return ("criterion", "delta_omega", "p_a", "error", "mode"), rows
 
 
 def cmd_bl_interval(cfg):

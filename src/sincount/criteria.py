@@ -8,7 +8,7 @@ is not part of the decision grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ def _resolve_kappa(kappa, params_per_signal):
 
 @dataclass(frozen=True)
 class Gic:
-    """R(nu) = -L_nu + upsilon*kappa*nu; generalizes AIC (upsilon = 2)."""
+    """R(nu) = -L_nu + upsilon*kappa*nu; the default upsilon = 2 is AIC."""
 
     upsilon: float = 2.0
     kappa: float | None = None
@@ -43,15 +43,6 @@ class Gic:
         nus = np.arange(1, logliks.shape[-1] + 1, dtype=float)
         weight = self.upsilon * _resolve_kappa(self.kappa, params_per_signal)
         return -logliks + weight * nus
-
-
-@dataclass(frozen=True)
-class Aic(Gic):
-    """AIC: the GIC at upsilon = 2, R(nu) = -L_nu + 2*kappa*nu."""
-
-    upsilon: float = field(default=2.0, init=False)
-
-    name = "aic"
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,7 @@ class PmepI:
         return np.minimum(np.log(nus) - self.kappa_i * log_l, np.finfo(float).max)
 
 
-CRITERIA = {cls.name: cls for cls in (Aic, Gic, Eef, PmepIr, PmepI)}
+CRITERIA = {cls.name: cls for cls in (Gic, Eef, PmepIr, PmepI)}
 
 
 def checked_ladders(logliks):

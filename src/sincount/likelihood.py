@@ -11,7 +11,7 @@ One Cholesky factorization C = L L^T whitens the basis (the non-iterative
 Gram-Schmidt): the forward solve l = L^{-1} X gives per-index statistics
 whose squares sum pairwise to the likelihood increments V_i, so every
 candidate order's profile log-likelihood X^T C^{-1} X / 2 (in units of
-sigma0^2 when the noise level is known) comes from one full-order
+sigma0^2) comes from one full-order
 factorization: L_nu = sum_{i<=nu} V_i / 2.  FrequencyPlan holds that
 factorization for fixed frequencies; the greedy ML search grows one
 orthonormal basis per trial, one slot at a time, for a block of trials,
@@ -125,10 +125,10 @@ class FrequencyPlan:
                    chol=chol)
 
     def residuals_batch(self, samples):
-        """l statistics for a batch of observations (rows) over statistic_scale."""
+        """l statistics for a batch of observations (rows) over sigma0."""
         arr = np.atleast_2d(np.asarray(samples, dtype=float))
         x = arr @ self.basis
-        return solve_triangular(self.chol, x.T, lower=True).T / self.scenario.statistic_scale
+        return solve_triangular(self.chol, x.T, lower=True).T / self.scenario.noise_level
 
     def increments_batch(self, samples):
         """V_i for a batch: shape (n_trials, max order of the plan)."""
@@ -398,7 +398,7 @@ def ml_search_increments(rows, scenario, approach):
         raise ValidationError(f"observations have shape {x.shape}, expected (trials, {n})")
     _check_finite(x)
     x = np.ascontiguousarray(x)
-    sigma_sq = scenario.statistic_scale**2
+    sigma_sq = scenario.noise_level**2
     tables = [_SlotGrid.build(slot, approach.grid_points, n)
               for slot in scenario.candidate_slots()]
     freqs = np.full((x.shape[0], len(tables)), np.nan)

@@ -123,7 +123,6 @@ class Scenario:
     noise_level: float
     n_samples: int
     max_order: int
-    noise_known: bool = True
     extra_candidates: tuple = ()
 
     def __post_init__(self):
@@ -136,9 +135,6 @@ class Scenario:
         if not all(isinstance(c, CandidateTemplate) for c in extras):
             raise ValidationError("extra_candidates must be CandidateTemplate instances")
         noise_level = _positive_noise_level(self.noise_level)
-        if not isinstance(self.noise_known, bool):
-            # bool("false") is true: a string would silently mean known noise
-            raise ValidationError(f"noise_known must be true or false, got {self.noise_known!r}")
         nonneg_int(self.n_samples, "n_samples")
         nonneg_int(self.max_order, "max_order")
         if self.max_order < len(comps):
@@ -165,12 +161,6 @@ class Scenario:
                 slot.amplitude_envelope, self.n_samples, "amplitude_envelope"),
             phase_envelope=_as_envelope(slot.phase_envelope, self.n_samples, "phase_envelope"),
         )
-
-    @property
-    def statistic_scale(self):
-        """The scale the likelihood statistics are divided by: sigma0 when
-        the noise level is known, else 1."""
-        return self.noise_level if self.noise_known else 1.0
 
     @property
     def nu0(self):
@@ -288,7 +278,7 @@ _STANDARD_PHASES = (0.0, -math.pi / 8, -math.pi / 6)
 
 
 def standard_scenario(snr_db, nu0=3, max_order=5, n_samples=64,
-                      noise_level=1.0, noise_known=True):
+                      noise_level=1.0):
     """Equal-amplitude test scenario on a fractional-Fourier comb.
 
     Candidate frequencies are w_i = 2*pi*(0.2 + (i-1)/N_s) for i = 1..max_order;
@@ -318,7 +308,6 @@ def standard_scenario(snr_db, nu0=3, max_order=5, n_samples=64,
         noise_level=noise_level,
         n_samples=n_samples,
         max_order=max_order,
-        noise_known=noise_known,
         extra_candidates=tuple(extras),
     )
 

@@ -10,7 +10,6 @@ robustness analysis.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -74,14 +73,8 @@ def residual_means(scenario, eval_frequencies):
     E(l) is the FrequencyPlan residual statistic of the clean signal, whitened
     and scaled as in the Monte Carlo; lambda_i = E(l at sine)^2 + E(l at cosine)^2.
     At the true frequencies every lambda_i with i > nu0 vanishes; offsets
-    leak signal energy into the higher indices.  The laws are for statistics
-    over sigma0, so a scenario whose statistic_scale (1 under unknown noise)
-    is not its noise level is rejected.
+    leak signal energy into the higher indices.
     """
-    if scenario.statistic_scale != scenario.noise_level:
-        raise ValidationError(
-            "the theory needs a known noise level (or noise_level 1); "
-            f"got noise_known=False with noise_level {scenario.noise_level}")
     means = FrequencyPlan.build(scenario, eval_frequencies).residuals_batch(
         clean_signal(scenario))[0]
     lambdas = means[0::2] ** 2 + means[1::2] ** 2
@@ -323,8 +316,7 @@ def abridged_for(dist_set, spec, params_per_signal=2):
     EEF has no closed form (only the Monte Carlo estimate applies).
     """
     if isinstance(spec, Gic):
-        report = abridged_gic(dist_set, spec.threshold(params_per_signal))
-        return dataclasses.replace(report, criterion=spec.name)
+        return abridged_gic(dist_set, spec.threshold(params_per_signal))
     if isinstance(spec, PmepIr):
         return abridged_pmep_ir(dist_set, spec.kappa_ir)
     if isinstance(spec, PmepI):
@@ -338,8 +330,9 @@ class ConsistencyRange:
     """Admissible tuning-parameter ranges for SNR-consistency.
 
     Exact ranges come from the per-k inequalities on the normalized
-    noncentralities; simplified ranges use only rho = d_min^2/d_max^2 and
-    are sufficient but stricter (a subset of the exact ranges).
+    noncentralities, and contains_ir/contains_i test them.  The simplified
+    bounds (*_simple) use only rho = d_min^2/d_max^2 and are sufficient but
+    stricter (a subset of the exact ranges).
     """
 
     nu0: int
@@ -350,13 +343,11 @@ class ConsistencyRange:
     kappa_i_inf_exact: float
     kappa_i_inf_simple: float
 
-    def contains_ir(self, kappa_ir, simplified=False):
-        sup = self.kappa_ir_sup_simple if simplified else self.kappa_ir_sup_exact
-        return 0.0 < kappa_ir < sup
+    def contains_ir(self, kappa_ir):
+        return 0.0 < kappa_ir < self.kappa_ir_sup_exact
 
-    def contains_i(self, kappa_i, simplified=False):
-        inf = self.kappa_i_inf_simple if simplified else self.kappa_i_inf_exact
-        return kappa_i > inf
+    def contains_i(self, kappa_i):
+        return kappa_i > self.kappa_i_inf_exact
 
 
 def consistency_range(d_n_sq, n_total, nu0):
@@ -401,7 +392,7 @@ class FrequencyErrorSweep:
     errors: np.ndarray
     criterion: str
     mode: str
-    p_aq: float
+    p_aq: float | None
     p_waa: float | None
 
     def __post_init__(self):
@@ -419,8 +410,10 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     evaluates the criterion's abridged formula on the resulting increment
     laws, with the parameters per signal that the Bl(delta) approach
     declares.  EEF has no closed form, so its sweep falls back to seeded
-    Monte Carlo with the same offsets.  p_aq aggregates the curve through
-    the loss function; given per-offset probabilities, p_waa weights them in.
+    Monte Carlo with the same offsets.  Given a loss function, p_aq
+    aggregates the curve through it; given per-offset probabilities, p_waa
+    weights them in (with unit losses when no loss is given).  Each is None
+    without its input.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
@@ -442,7 +435,7 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
             p_vals[j], errs[j] = report.p_a, report.error
     weights = np.ones(deltas.size) if loss is None else np.array(
         [float(loss(d)) for d in deltas])
-    p_aq = float(np.sum(p_vals * weights))
+    p_aq = None if loss is None else float(np.sum(p_vals * weights))
     p_waa = None
     if error_probs is not None:
         probs = np.asarray(error_probs, dtype=float)

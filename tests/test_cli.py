@@ -171,10 +171,9 @@ def test_ql_sweep_rows_match_library_sweep(trials, config_path, capsys):
         sweep = sc.ql_sweep(sc.standard_scenario(-4.0), sc.CRITERIA[name](), grid,
                             master_seed=11, **trials)
         assert sweep.mode == mode
-        expected.extend([name, repr(float(d)), repr(float(p)), repr(float(e)), mode,
-                         repr(sweep.p_aq)] for d, p, e in zip(sweep.deltas, sweep.p_a,
-                                                               sweep.errors))
-    assert out.splitlines()[1] == "criterion,delta_omega,p_a,error,mode,p_aq"
+        expected.extend([name, repr(float(d)), repr(float(p)), repr(float(e)), mode]
+                        for d, p, e in zip(sweep.deltas, sweep.p_a, sweep.errors))
+    assert out.splitlines()[1] == "criterion,delta_omega,p_a,error,mode"
     assert [line.split(",") for line in out.splitlines()[2:]] == expected
 
 
@@ -232,16 +231,6 @@ def test_ml_theory_request_exits_2(config_path, capsys):
     assert "ml approach has no fixed frequencies" in err
 
 
-def test_theory_unknown_noise_off_unit_level_exits_2(config_path, capsys):
-    doc = dict(BASE_CONFIG)
-    doc["scenario"] = {"standard": {"snr_db": 0.0, "noise_level": 2.0,
-                                    "noise_known": False}}
-    rc, out, err = run(["theory", "--config", config_path(doc)], capsys)
-    assert rc == 2
-    assert out == ""
-    assert "noise" in err
-
-
 @pytest.mark.parametrize("command", ["synth", "mc"])
 def test_negative_seed_flag_exits_2(command, config_path, capsys):
     rc, out, err = run([command, "--config", config_path(BASE_CONFIG),
@@ -268,7 +257,6 @@ def test_degenerate_scenario_exits_3(config_path, capsys):
         "n_samples": 64,
         "noise_level": 1.0,
         "max_order": 2,
-        "noise_known": True,
         "components": [
             {"amplitude": 1.0, "frequency": w, "phase": 0.0,
              "band": [w - 0.3, w + 0.3]},
@@ -403,6 +391,7 @@ def _custom(**first_component):
     ({"criteria": [{"kappa": 2.0}]}, [], "criteria[0].name: required"),
     ({"tune": {"family": "pmep-ir", "range": [0.2]}}, [], "tune.range"),
     ({"approach": {"kind": "ml", "grid_points": 2}}, [], "grid_points"),
+    ({"criteria": [{"name": "aic"}]}, [], "criteria[0].name"),
 ])
 def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     doc = dict(BASE_CONFIG, **change)
@@ -430,7 +419,7 @@ def test_bl_frequencies_checked_against_scenario_exits_2(command, approach, conf
 
 
 @pytest.mark.parametrize("command", ["synth", "theory"])
-@pytest.mark.parametrize("key", ["foo", "snr_value_db"])
+@pytest.mark.parametrize("key", ["foo", "snr_value_db", "noise_known"])
 def test_unknown_standard_scenario_key_exits_2(command, key, config_path, capsys):
     doc = dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, key: 1}})
     rc, out, err = run([command, "--config", config_path(doc)], capsys)
@@ -473,9 +462,8 @@ def test_tune_pmep_i_from_tiny_kappa_exits_0(config_path, capsys):
     ("tune", dict(TUNE_CONFIG, tune=dict(TUNE_CONFIG["tune"], refine="false")), "tune.refine"),
     ("tune", dict(TUNE_CONFIG, tune="pmep-ir"), "tune"),
     ("consistency", {"consistency": [1.0]}, "consistency"),
-    ("theory", dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, "noise_level": 2.0,
-                                                        "noise_known": "false"}}),
-     "noise_known"),
+    ("theory", dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, "noise_level": "2"}}),
+     "noise_level"),
     ("theory", dict(BASE_CONFIG, scenario={"standard": {"snr_db": -4.0, "nu0": 2.0}}), "nu0"),
     ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, components=5)), "components"),
     ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, components=[5])), "components[0]"),
@@ -497,13 +485,11 @@ def test_config_section_of_wrong_type_exits_2(command, doc, key, config_path, ca
     ("consistency", {"consistency": {"d_n_sq": [10, 12], "ntotal": 5}}, "consistency.ntotal"),
     ("mc", dict(BASE_CONFIG, approach={"kind": "ml", "grid_point": 64}), "approach.grid_point"),
     ("mc", dict(BASE_CONFIG, criteria=[{"name": "gic", "kapa": 2}]), "criteria[0].kapa"),
-    ("mc", dict(BASE_CONFIG, criteria=[{"name": "aic", "upsilon": 3}]), "criteria[0].upsilon"),
     ("mc", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, noise_knwon=False)),
      "scenario.noise_knwon"),
     ("mc", dict(BASE_CONFIG, scenario=_custom(phase_envelop=[0.0] * 64)),
      "scenario.components[0].phase_envelop"),
-], ids=["top", "tune", "consistency", "approach", "criterion", "aic_upsilon",
-        "scenario", "component"])
+], ids=["top", "tune", "consistency", "approach", "criterion", "scenario", "component"])
 def test_unknown_key_exits_2(command, doc, path, config_path, capsys):
     # each of these used to run, ignoring the misspelt key
     rc, out, err = run([command, "--config", config_path(doc)], capsys)
@@ -522,7 +508,7 @@ def _readme_block(language):
 # the constructor parameters of each criterion name and approach kind, which
 # the config reader takes as keys beside the name or kind, and a valid value
 # of each
-READER_KEYS = {"aic": ("kappa",), "gic": ("upsilon", "kappa"), "eef": (),
+READER_KEYS = {"gic": ("upsilon", "kappa"), "eef": (),
                "pmep-ir": ("kappa_ir",), "pmep-i": ("kappa_i",),
                "known": (), "bl": ("delta_omega", "frequencies"),
                "ml": ("grid_points", "refine_tol")}

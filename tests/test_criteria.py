@@ -9,19 +9,11 @@ LOGLIKS = np.array([13.0, 23.0, 41.0, 42.5, 45.0])
 
 
 def test_aic_values_and_threshold():
-    vals = sc.decision_values(sc.Aic(), LOGLIKS, params_per_signal=2)
+    # AIC is the GIC at its default upsilon = 2
+    vals = sc.decision_values(sc.Gic(), LOGLIKS, params_per_signal=2)
     np.testing.assert_allclose(vals, -LOGLIKS + 4.0 * np.arange(1, 6))
-    assert sc.Aic().threshold(2) == 8.0
-    assert sc.Aic().threshold(3) == 12.0
-
-
-def test_aic_is_gic_at_upsilon_two():
-    aic, gic = sc.Aic(), sc.Gic(upsilon=2.0)
-    assert isinstance(aic, sc.Gic) and aic.name == "aic"
-    np.testing.assert_array_equal(aic.values(LOGLIKS, 3), gic.values(LOGLIKS, 3))
-    assert sc.Aic(kappa=1.5).threshold() == sc.Gic(kappa=1.5).threshold()
-    with pytest.raises(TypeError):
-        sc.Aic(upsilon=3.0)
+    assert sc.Gic().threshold(2) == 8.0
+    assert sc.Gic().threshold(3) == 12.0
 
 
 def test_gic_values_and_threshold():
@@ -104,7 +96,7 @@ def test_parameter_validation():
     lambda: sc.Gic(kappa="x"),
     lambda: sc.Gic(kappa=float("nan")),
     lambda: sc.Gic(upsilon="2"),
-    lambda: sc.Aic(kappa=True),
+    lambda: sc.Gic(kappa=True),
     lambda: sc.PmepIr(kappa_ir=True),
     lambda: sc.PmepIr(kappa_ir="0.25"),
     lambda: sc.PmepI(kappa_i=float("inf")),
@@ -138,7 +130,7 @@ def test_argmin_order_first_occurrence():
 
 
 def test_criteria_registry_names():
-    assert set(sc.CRITERIA) == {"aic", "gic", "eef", "pmep-ir", "pmep-i"}
+    assert set(sc.CRITERIA) == {"gic", "eef", "pmep-ir", "pmep-i"}
     for name, cls in sc.CRITERIA.items():
         assert cls().name == name
 
@@ -157,6 +149,9 @@ def test_select_order_rejects_bad_approach(scen_0):
     obs = sc.synthesize(scen_0, 3)
     with pytest.raises(ValidationError):
         sc.select_order(sc.Gic(), obs, object(), scen_0)
+    # the ladders, below select_order, check the approach too
+    with pytest.raises(ValidationError, match="Ml or Bl"):
+        sc.likelihood.ladders(obs.samples[None], scen_0, object())
 
 
 def test_select_order_wraps_failures(scen_0):

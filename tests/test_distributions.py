@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import gammainc, gammaln, ive, logsumexp, xlogy
 
-from sincount.distributions import (_ncx2_pdf, convolve_cdfs, integrate, ml_component_cdf,
-                                    nc_chisq2, nc_chisq2_sum)
+from sincount import distributions
+from sincount.distributions import (Dist, _ncx2_pdf, convolve_cdfs, integrate,
+                                    ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
 
@@ -144,6 +145,15 @@ def test_convolution_matches_scipy_noncentral():
     np.testing.assert_allclose(got, stats.ncx2.cdf(xs, 4, 8.0), atol=1e-6)
 
 
+def test_convolution_with_a_point_mass_at_zero_is_the_other_law():
+    law = nc_chisq2(4.0)
+    for point in (Dist(cdf=np.ones_like, pdf=np.zeros_like, support_hint=1.0,
+                       atom0=1.0 - 1e-13),
+                  Dist(cdf=np.ones_like, pdf=np.zeros_like, support_hint=1e-13, atom0=0.5)):
+        assert convolve_cdfs(law, point) is law
+        assert convolve_cdfs(point, law) is law
+
+
 def test_convolution_commutes():
     a = nc_chisq2(2.0)
     b = nc_chisq2(9.0)
@@ -209,6 +219,7 @@ def ive_pdf_2dof(x, lam):
     return np.where(s >= 1e-8, body, 0.5 * np.exp(-(x + lam) / 2.0))
 
 
+@pytest.mark.floor_kernel
 @pytest.mark.parametrize("s, ratio", [(s, r) for s in np.logspace(-8.0, 7.0, 31)
                                       for r in (1.0, 4.0, 0.25, 1.0 + 1e-6)])
 def test_ncx2_pdf_2dof_matches_the_ive_form(s, ratio):
@@ -218,6 +229,7 @@ def test_ncx2_pdf_2dof_matches_the_ive_form(s, ratio):
                                rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.floor_kernel
 @pytest.mark.parametrize("x, lam", [
     # x = 0 and lam = 0
     (0.0, 0.0), (0.0, 1e-300), (0.0, 1.0), (0.0, 30.0), (1e-12, 0.0), (1.0, 0.0), (40.0, 0.0),
@@ -255,6 +267,7 @@ def test_integrate_semiinfinite_evaluates_arrays():
     assert res.evaluations == sum(sizes)
 
 
+@pytest.mark.floor_kernel
 def test_smooth_integrand_returns_after_the_first_level():
     # the 8 seed panels' rules against their halves: 128 + 256 points, one call
     sizes = []
@@ -284,6 +297,22 @@ def test_quadrature_error_when_refinement_cannot_converge():
         integrate(lambda x: (x < 1.0 / 3.0).astype(float), 0.0, 1.0, tol=1e-12)
     assert info.value.estimate == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert info.value.achieved_error > 1e-12
+
+
+def test_quadrature_error_when_too_many_panels_need_halving():
+    # an oscillation no panel resolves: every panel fails, so the active set
+    # passes _QUAD_MAX_ACTIVE long before the level cap
+    levels = []
+
+    def wave(x):
+        levels.append(x.size)
+        return np.sin(1e6 * x)
+
+    with pytest.raises(QuadratureError):
+        integrate(wave, 0.0, 1.0, tol=1e-12)
+    assert len(levels) < distributions._QUAD_LEVELS
+    # the last level's panels, each evaluated on its halves' nodes
+    assert 2 * (levels[-1] // distributions._HALF_NODES.size) > distributions._QUAD_MAX_ACTIVE
 
 
 def test_integrate_semiinfinite_exponential():

@@ -44,6 +44,17 @@ def test_noiseless_synthesis_is_modulated_cosine(scen):
     np.testing.assert_allclose(clean_signal(scen), expect, rtol=1e-12, atol=1e-12)
 
 
+def test_scenario_dict_round_trip_keeps_envelopes(scen):
+    doc = sc.scenario_to_dict(scen)
+    assert doc["components"][0]["amplitude_envelope"] == AMP_ENV.tolist()
+    again = sc.scenario_from_dict(doc)
+    assert sc.scenario_to_dict(again) == doc
+    for slot in again.candidate_slots():
+        np.testing.assert_array_equal(slot.amplitude_envelope, AMP_ENV)
+        np.testing.assert_array_equal(slot.phase_envelope, PHASE_ENV)
+    np.testing.assert_array_equal(clean_signal(again), clean_signal(scen))
+
+
 @pytest.mark.parametrize("fitted", [False, True], ids=["empty-fit", "fitted"])
 def test_grid_statistic_is_plan_increment(scen, fitted):
     # with nothing fitted each trial's single row takes its own product; with

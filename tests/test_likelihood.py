@@ -53,16 +53,25 @@ def test_amp_phase_mle_recovers_parameters():
     np.testing.assert_allclose(amps_batch[1], amps, rtol=1e-12)
 
 
-def test_profile_loglik_noise_scaling(scen_m4):
-    obs = sc.synthesize(scen_m4, 9)
-    doc = sc.scenario_to_dict(scen_m4)
-    doc["noise_level"] = 2.0
-    loud = sc.scenario_from_dict(doc)
-    free = sc.scenario_from_dict({**doc, "noise_known": False})
-    l_known = FrequencyPlan.build(loud, loud.all_frequencies).logliks_batch(obs.samples)
-    l_free = FrequencyPlan.build(free, free.all_frequencies).logliks_batch(obs.samples)
-    # unknown-noise profile drops the 1/sigma0^2 factor
-    np.testing.assert_allclose(l_free, l_known * 4.0, rtol=1e-12)
+def test_profile_loglik_noise_scaling():
+    # statistics are over sigma0, so they depend on a scenario only through
+    # its SNR: the same experiment in another noise unit gives the same
+    # ladders and laws, bit for bit at a power-of-two sigma0, which scales
+    # samples and statistics exactly
+    for noise_level, rtol in ((2.0, 0.0), (3.0, 1e-9)):
+        for snr in (-4.0, 4.0):
+            unit = sc.standard_scenario(snr)
+            other = sc.standard_scenario(snr, noise_level=noise_level)
+            for approach, trials in ((sc.KNOWN_FREQ, 600), (sc.Ml(grid_points=64), 60)):
+                ref = sc.collect_logliks(unit, approach, trials, 5)
+                got = sc.collect_logliks(other, approach, trials, 5)
+                np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
+            for delta in (0.0, 0.004):
+                bl = sc.Bl(delta_omega=delta)
+                ref = sc.component_dists(unit, frequencies=sc.approach_frequencies(unit, bl))
+                got = sc.component_dists(other,
+                                         frequencies=sc.approach_frequencies(other, bl))
+                np.testing.assert_allclose(got.lambdas, ref.lambdas, rtol=rtol, atol=0)
 
 
 def test_increments_telescope_to_profile(scen_m4):
@@ -214,6 +223,10 @@ def test_observation_length_mismatch_is_validation_error(scen_m4, approach):
     short = sc.Observation(samples=np.zeros(scen_m4.n_samples - 1), seed=0)
     with pytest.raises(ValidationError, match="expected"):
         sc.observation_logliks(short, scen_m4, approach)
+    if isinstance(approach, sc.Ml):
+        # the batched search checks its rows itself
+        with pytest.raises(ValidationError, match="expected"):
+            likelihood.ml_search_increments(short.samples[None], scen_m4, approach)
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,6 +326,7 @@ def _one_band_scenario(max_order):
                                for k in (1, -1)[:max_order - 1]))
 
 
+@pytest.mark.one_blas_thread
 def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
     # both slots search one band; on a zero row V vanishes on both grids, so
     # both refine to the same frequency and the second pair depends on the first
@@ -331,6 +345,7 @@ def test_degenerate_trial_is_nan_row_and_leaves_its_block_unchanged():
         sc.observation_logliks(rows[3], scen, sc.Ml(grid_points=64))
 
 
+@pytest.mark.one_blas_thread
 def test_degenerate_rows_in_a_multi_piece_block_leave_the_others_unchanged():
     # one search block of three grid pieces, with a zero row in the first and
     # the third; those rows drop after slot 2, so slot 3's grid pieces
@@ -508,6 +523,7 @@ def test_refinement_cost_on_signal_slots(monkeypatch):
     assert sum(points.values()) <= 4.0 * len(rows) * scen.nu0
 
 
+@pytest.mark.one_blas_thread
 @pytest.mark.parametrize("grid_points, most_below_golden", [(256, (0, 0)), (3, (6, 3)),
                                                              (4, (1, 1))])
 def test_refinement_ends_before_its_round_cap_and_above_the_grid(default_search, grid_points,
@@ -555,6 +571,7 @@ def test_grid_waveforms_are_built_once_per_call(monkeypatch):
     assert grids == list(scen.candidate_slots())
 
 
+@pytest.mark.one_blas_thread
 def test_search_refines_and_extends_each_slot_once_per_block(monkeypatch):
     # 400 rows are one search block: each slot is refined and its bases
     # extended once over all of them, and its grid values come in

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ def test_trial_keys_match_seed_sequence(master_seed):
         [_seed_sequence_key(master_seed, i) for i in INDICES[::97] + INDICES[-4:]]
 
 
+@pytest.mark.floor_streams
 def test_batch_samples_straddle_two_to_the_32(scen_m4):
     # the index of the fourth row gains a second entropy word
     start = 2**32 - 3
@@ -47,6 +49,7 @@ def test_batch_samples_straddle_two_to_the_32(scen_m4):
         np.testing.assert_array_equal(rows[k], single.samples)
 
 
+@pytest.mark.floor_streams
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
 def test_batch_samples_match_synthesize_for_keys_either_side_of_two_to_the_63(
         scen_m4, master_seed):
@@ -83,6 +86,7 @@ def _fill_in_use():
     return montecarlo._noise.args
 
 
+@pytest.mark.floor_streams
 @pytest.mark.parametrize("make_rekey", [montecarlo._rekey_by_setter])
 def test_rekey_turns_a_used_generator_into_a_fresh_one(make_rekey):
     bit_gen = np.random.Philox(key=2**100 + 3, counter=[1, 2, 3, 4])
@@ -103,6 +107,7 @@ def test_rekey_turns_a_used_generator_into_a_fresh_one(make_rekey):
         assert _draws(rng) == _draws(np.random.Generator(fresh))
 
 
+@pytest.mark.floor_streams
 def test_records_turn_used_philox_states_into_fresh_ones():
     fill, functions = _fill_in_use()
     records = montecarlo._philox_records(2, functions)
@@ -122,12 +127,14 @@ def test_records_turn_used_philox_states_into_fresh_ones():
         assert records["state"]["buffer_pos"][1] == 2
 
 
+@pytest.mark.floor_streams
 def test_fill_is_the_noise_path_in_use():
     # numpy's Philox layout is private: on a numpy where the import check
     # fails, the setter keeps the streams and this test reports the fallback
     assert montecarlo._noise.func is montecarlo._noise_by_fill
 
 
+@pytest.mark.floor_streams
 @pytest.mark.parametrize("bit_gen", [np.random.PCG64(1), np.random.SFC64(2),
                                      np.random.MT19937(3)],
                          ids=lambda bit_gen: type(bit_gen).__name__)
@@ -135,6 +142,7 @@ def test_layout_check_rejects_other_generators(bit_gen):
     assert not montecarlo._layout_matches(bit_gen)
 
 
+@pytest.mark.floor_streams
 @pytest.mark.parametrize("failing_step", ["layout", "bitgen", "symbol", "draws"])
 def test_failed_import_check_falls_back_to_the_setter(scen_m4, monkeypatch, failing_step):
     expect = [sc.synthesize(scen_m4, sc.trial_seed(2**32 + 5, k)).samples for k in range(6)]
@@ -165,6 +173,7 @@ def test_failed_import_check_falls_back_to_the_setter(scen_m4, monkeypatch, fail
     np.testing.assert_array_equal(sc.batch_samples(scen_m4, 2**32 + 5, 0, 6), expect)
 
 
+@pytest.mark.floor_streams
 @pytest.mark.parametrize("count", [0, 1, 3, 7])
 def test_batch_samples_match_synthesize_across_record_blocks(scen_m4, monkeypatch, count):
     _fill_in_use()
@@ -187,6 +196,7 @@ def _reference_samples(scenario, master_seed, trials):
     return np.array(rows)
 
 
+@pytest.mark.one_blas_thread
 def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 100)
     samples = _reference_samples(scen_m4, 17, 300)
@@ -234,6 +244,7 @@ def test_batch_samples_rejects_invalid_trial_range(scen_m4, start, count):
         sc.batch_samples(scen_m4, 1, start, count)
 
 
+@pytest.mark.floor_streams
 def test_batch_samples_stop_at_the_last_uint64_index(scen_m4):
     # a row's index is a uint64; past 2**64 - 1 the index array would wrap to 0
     for start, count in ((2**64 - 2, 3), (2**64 - 1, 2), (2**64, 1)):
@@ -326,7 +337,7 @@ def test_abridged_equals_full_at_two_of_three():
 
 
 def test_ratio_histogram_fields(scen_m4):
-    rep = sc.estimate(scen_m4, [sc.Aic()], sc.KNOWN_FREQ, 2000, 29)[0]
+    rep = sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 2000, 29)[0]
     # error-magnitude ratio: |offset| > 1 counts over |offset| == 1 counts
     near = int(rep.histogram[1] + rep.histogram[3])
     far = int(rep.histogram[0] + rep.histogram[4])
@@ -351,6 +362,8 @@ def test_paired_compare_rejects_mismatched_runs(scen_m4):
     b = sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 500, 2)[0]
     with pytest.raises(ValidationError):
         sc.paired_compare(a, b)
+    with pytest.raises(ValidationError, match="per-trial indicators"):
+        sc.paired_compare(a, dataclasses.replace(a, correct=None))
 
 
 def test_ml_approach_small_run(scen_0):
@@ -371,3 +384,7 @@ def test_report_to_dict_round_trips_json(scen_m4):
     assert back["criterion"] == "gic"
     assert back["approach"] == "bl(0.001)"
     assert back["trials"] == 200
+    # the same frequencies given explicitly: the same numbers, labelled bl-fixed
+    fixed = sc.Bl(frequencies=(scen_m4.all_frequencies + 0.001).tolist())
+    fixed_rep = sc.estimate(scen_m4, [sc.Gic()], fixed, 200, 3)[0]
+    assert json.loads(json.dumps(fixed_rep.to_dict())) == dict(back, approach="bl-fixed")

@@ -114,7 +114,6 @@ STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
 
 
 @pytest.mark.parametrize("build", [
-    lambda: sc.standard_scenario(-4.0, noise_known="false"),
     lambda: sc.standard_scenario(-4.0, nu0=2.0),
     lambda: sc.standard_scenario(-4.0, n_samples=0),
     lambda: _tone(amplitude="1.5"),
@@ -134,10 +133,20 @@ STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[
         dict(STANDARD_DOC["extra_candidates"][0], phase_envelop=None),
         *STANDARD_DOC["extra_candidates"][1:]])),
-], ids=["noise_known", "nu0", "n_samples", "amplitude", "phase", "frequency", "band",
+    lambda: sc.Scenario(components=(), noise_level=1.0, n_samples=64, max_order=1),
+    lambda: sc.Scenario(components=(sc.CandidateTemplate(frequency=1.0, band=(0.5, 1.5)),),
+                        noise_level=1.0, n_samples=64, max_order=1),
+    lambda: sc.Scenario(components=(_tone(),), noise_level=1.0, n_samples=64, max_order=2,
+                        extra_candidates=(_tone(frequency=2.0),)),
+    lambda: sc.Scenario(components=(_tone(), _tone(frequency=2.0)), noise_level=1.0,
+                        n_samples=64, max_order=1),
+    lambda: sc.standard_scenario(-4.0, nu0=4, max_order=3),
+], ids=["nu0", "n_samples", "amplitude", "phase", "frequency", "band",
         "band_entry", "noise_level", "noise_level_zero", "standard_noise_level_zero",
         "doc_noise_known", "doc_components", "doc_extras", "doc_unknown_key",
-        "doc_noise_level_zero", "doc_missing_key", "doc_unknown_slot_key"])
+        "doc_noise_level_zero", "doc_missing_key", "doc_unknown_slot_key",
+        "no_components", "component_not_sinusoid", "extra_not_template",
+        "max_order_below_count", "standard_nu0_above_max_order"])
 def test_invalid_scenario_fields_raise_validation_error(build):
     with pytest.raises(ValidationError):
         build()
