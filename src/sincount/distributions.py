@@ -138,23 +138,24 @@ def ml_component_cdf(dbar_sq, xi, signal_present):
         denom = 2.0 * dbar_sq
     c = xi / math.pi
 
-    def gumbel(x):
-        return np.exp(-c * np.exp(-x / 2.0))
+    def gumbel(e):
+        """The Gumbel factor exp(-c e) at e = exp(-x/2)."""
+        return np.exp(-c * e)
 
     if signal_present:
         d2 = float(dbar_sq)
 
         def cdf(x):
             x = np.asarray(x, dtype=float)
-            val = ndtr((x - d2) / denom) * gumbel(x)
+            val = ndtr((x - d2) / denom) * gumbel(np.exp(-x / 2.0))
             return np.where(x < 0, 0.0, val)
 
         def pdf(x):
             x = np.asarray(x, dtype=float)
             u = (x - d2) / denom
             phi = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
-            g = gumbel(x)
-            val = g * (phi / denom + ndtr(u) * 0.5 * c * np.exp(-x / 2.0))
+            e = np.exp(-x / 2.0)
+            val = gumbel(e) * (phi / denom + ndtr(u) * 0.5 * c * e)
             return np.where(x < 0, 0.0, val)
 
         atom = float(ndtr(-d2 / denom) * math.exp(-c))
@@ -163,12 +164,12 @@ def ml_component_cdf(dbar_sq, xi, signal_present):
 
         def cdf(x):
             x = np.asarray(x, dtype=float)
-            return np.where(x < 0, 0.0, gumbel(x))
+            return np.where(x < 0, 0.0, gumbel(np.exp(-x / 2.0)))
 
         def pdf(x):
             x = np.asarray(x, dtype=float)
-            val = gumbel(x) * 0.5 * c * np.exp(-x / 2.0)
-            return np.where(x < 0, 0.0, val)
+            e = np.exp(-x / 2.0)
+            return np.where(x < 0, 0.0, gumbel(e) * 0.5 * c * e)
 
         atom = float(math.exp(-c))
         tail = 2.0 * math.log(c / 5e-13) if c > 5e-13 else 1.0
@@ -194,6 +195,58 @@ _CONV_GRID = 4096
 _CONV_NODES, _CONV_WEIGHTS = _panel_nodes(32, 2)
 
 
+def _pchip(xs, ys):
+    """Fritsch & Carlson's monotone cubic through (xs, ys), xs increasing
+    (SIAM J. Numer. Anal. 17(2), 1980): a vectorized evaluator on
+    [xs[0], xs[-1]], where NaN stays NaN.
+
+    The knot slopes, the cubic coefficients and the evaluation order are
+    those of scipy.interpolate.PchipInterpolator, so the values are its bits:
+    a slope is the weighted harmonic mean of the neighbouring secants, 0
+    where they change sign or one is 0, and at the ends Moler's one-sided
+    three-point rule (0 where its sign differs from the end secant's,
+    3 times that secant where the secants change sign and it exceeds 3 times
+    the secant in size).  A point takes the interval [xs[i], xs[i+1]) that
+    holds it, the last interval at xs[-1], and the cubic in s = x - xs[i]
+    summed from its constant term up.
+    """
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+
+    def end_slope(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    slopes = np.concatenate([[end_slope(h[0], h[1], m[0], m[1])], inner,
+                             [end_slope(h[-1], h[-2], m[-1], m[-2])]])
+    t = (slopes[:-1] + slopes[1:] - 2 * m) / h
+    c3 = t / h
+    c2 = (m - slopes[:-1]) / h - t
+    c1 = slopes[:-1]
+    # scipy's sum starts from 0.0, which turns a -0.0 constant term into 0.0
+    c0 = 0.0 + ys[:-1]
+    last = xs.size - 2
+
+    def evaluate(x):
+        i = np.minimum(np.searchsorted(xs, x, "right") - 1, last)
+        s = x - xs[i]
+        s2 = s * s
+        return ((c0[i] + c1[i] * s) + c2[i] * s2) + c3[i] * (s2 * s)
+
+    return evaluate
+
+
 def convolve_cdfs(a, b):
     """Law of the sum of independent variables with laws a and b.
 
@@ -201,11 +254,10 @@ def convolve_cdfs(a, b):
     y in [b.support_lo, min(x - a.support_lo, b.support_hint)], evaluated by
     panelled Gauss-Legendre quadrature on a dense grid over the window
     [a.support_lo + b.support_lo, a.support_hint + b.support_hint] and
-    interpolated monotonically.
+    interpolated monotonically (_pchip).  The grid rows whose y range is cut
+    at b.support_hint have the same nodes, so b.pdf is evaluated on the
+    other rows and one of those.
     """
-    # scipy.interpolate (which loads scipy.optimize) serves only the ML laws
-    from scipy.interpolate import PchipInterpolator
-
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
     if a.atom0 >= 1.0 - 1e-12 or a.support_hint <= 1e-12:
@@ -217,15 +269,20 @@ def convolve_cdfs(a, b):
     y_span = np.clip(xs - a.support_lo, y_lo, b.support_hint) - y_lo
     ys = y_lo + y_span[:, None] * _CONV_NODES[None, :]
     wts = y_span[:, None] * _CONV_WEIGHTS[None, :]
-    bp = b.pdf(ys)
-    cdf_vals = b.atom0 * a.cdf(xs) + np.sum(a.cdf(xs[:, None] - ys) * bp * wts, axis=1)
+    # the rows before the first cut one, and that one
+    rows = min(int(np.count_nonzero(xs - a.support_lo < b.support_hint)) + 1, xs.size)
+    bp = np.empty(ys.shape)
+    bp[:rows] = b.pdf(ys[:rows])
+    bp[rows:] = bp[rows - 1]
+    diffs = xs[:, None] - ys
+    cdf_vals = b.atom0 * a.cdf(xs) + np.sum(a.cdf(diffs) * bp * wts, axis=1)
     pdf_vals = (b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs)
-                + np.sum(a.pdf(xs[:, None] - ys) * bp * wts, axis=1))
+                + np.sum(a.pdf(diffs) * bp * wts, axis=1))
     cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
     atom = a.atom0 * b.atom0
     cdf_vals[0] = atom
-    cdf_interp = PchipInterpolator(xs, cdf_vals, extrapolate=False)
-    pdf_interp = PchipInterpolator(xs, np.maximum(pdf_vals, 0.0), extrapolate=False)
+    cdf_interp = _pchip(xs, cdf_vals)
+    pdf_interp = _pchip(xs, np.maximum(pdf_vals, 0.0))
     top = float(cdf_vals[-1])
 
     def cdf(x):

@@ -1,12 +1,12 @@
-"""Oracles that the closed-form increment laws, abridged errors and the ML
-search's refinement are checked against."""
+"""Oracles that the closed-form increment laws, their convolution, abridged
+errors and the ML search's refinement are checked against."""
 
 import math
 
 import numpy as np
 
 import sincount as sc
-from sincount import likelihood
+from sincount import distributions, likelihood
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,6 +59,55 @@ def pmep_i_interior_oracle(dist_set, kappa_i, n_nodes=64, n_panels=8):
         up.pdf(ys) * f_sum(ys / b_coef - xs[live, None]) * weights, axis=1)
     outer = f_sum(xs / a_coef) * up.cdf(x_over_r * xs) - inner
     return 1.0 - (lo.support_hint - lo.support_lo) * float(np.sum(weights * lo.pdf(xs) * outer))
+
+
+def convolve_cdfs_dense(a, b):
+    """distributions.convolve_cdfs computed densely: b.pdf on every grid row's
+    nodes, the differences x - y formed for a.cdf and again for a.pdf, and
+    scipy's PchipInterpolator through the grid values."""
+    from scipy.interpolate import PchipInterpolator
+
+    if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
+        return a
+    if a.atom0 >= 1.0 - 1e-12 or a.support_hint <= 1e-12:
+        return b
+    lo = a.support_lo + b.support_lo
+    hi = a.support_hint + b.support_hint
+    xs = np.linspace(lo, hi, distributions._CONV_GRID + 1)
+    y_lo = b.support_lo
+    y_span = np.clip(xs - a.support_lo, y_lo, b.support_hint) - y_lo
+    ys = y_lo + y_span[:, None] * distributions._CONV_NODES[None, :]
+    wts = y_span[:, None] * distributions._CONV_WEIGHTS[None, :]
+    bp = b.pdf(ys)
+    cdf_vals = b.atom0 * a.cdf(xs) + np.sum(a.cdf(xs[:, None] - ys) * bp * wts, axis=1)
+    pdf_vals = (b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs)
+                + np.sum(a.pdf(xs[:, None] - ys) * bp * wts, axis=1))
+    cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
+    atom = a.atom0 * b.atom0
+    cdf_vals[0] = atom
+    cdf_interp = PchipInterpolator(xs, cdf_vals, extrapolate=False)
+    pdf_interp = PchipInterpolator(xs, np.maximum(pdf_vals, 0.0), extrapolate=False)
+    top = float(cdf_vals[-1])
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        below = x < lo
+        above = x > hi
+        mid = ~(below | above)
+        out[below] = 0.0
+        out[above] = max(top, 1.0 - 1e-15)
+        out[mid] = cdf_interp(x[mid])
+        return out
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        mid = (x >= lo) & (x <= hi)
+        out[mid] = pdf_interp(x[mid])
+        return out
+
+    return sc.Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo)
 
 
 def golden_refine(x, table, q_basis, sigma_sq, vals, refine_tol):

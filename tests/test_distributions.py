@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gammainc, gammaln, ive, logsumexp, xlogy
 
-from sincount import distributions
-from sincount.distributions import (Dist, _ncx2_pdf, convolve_cdfs, integrate,
+import sincount as sc
+from sincount import distributions, theory
+from sincount.distributions import (Dist, _ncx2_pdf, _pchip, convolve_cdfs, integrate,
                                     ml_component_cdf, nc_chisq2, nc_chisq2_sum)
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
 
-from oracles import sample_increments
+from oracles import convolve_cdfs_dense, sample_increments
 
 GRID = np.linspace(0.0, 40.0, 401)
 
@@ -162,6 +164,104 @@ def test_convolution_commutes():
     xs = np.linspace(0.0, 60.0, 100)
     np.testing.assert_allclose([ab.cdf(x) for x in xs],
                                [ba.cdf(x) for x in xs], atol=2e-6)
+
+
+def _pchip_tables():
+    """(xs, ys) tables: cdfs with flat runs at 0 and 1, on the convolution's
+    uniform grid and on uneven knots; pdfs with zeros whose secants change
+    sign, with both ends in each branch of the end rule; and a signed zero."""
+    rng = np.random.default_rng(11)
+    xs = np.linspace(0.3, 40.0, 401)
+    uneven = np.sort(rng.uniform(0.0, 40.0, 300))
+
+    def cdf(x):
+        return np.clip(1.3 * stats.norm.cdf(x, 20.0, 4.0) - 0.15, 0.0, 1.0)
+
+    ragged = np.maximum(rng.normal(size=xs.size), 0.0)
+    # at each end: 3 times the end secant (secants 0.1 then -0.6), then 0 (0.1 then 0.9)
+    clip_ends = np.concatenate([[0.5, 0.6, 0.0], ragged[3:-3], [0.0, 0.6, 0.5]])
+    zero_ends = np.concatenate([[0.0, 0.1, 1.0], ragged[3:-3], [1.0, 0.1, 0.0]])
+    # a falling cubic through a knot at -0.0, where scipy's value reads 0.0
+    t = np.linspace(-1.0, 1.0, xs.size)
+    signed_zero = -(t + t * t + t**3)
+    signed_zero[xs.size // 2] = -0.0
+    return [(xs, cdf(xs)), (uneven, cdf(uneven)), (xs, ragged), (xs, clip_ends),
+            (xs, zero_ends), (xs, signed_zero)]
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("table", range(6), ids=["cdf", "cdf_uneven", "pdf", "pdf_end_clip",
+                                                 "pdf_end_zero", "signed_zero"])
+def test_pchip_is_scipy_pchip_bit_for_bit(table):
+    xs, ys = _pchip_tables()[table]
+    want = PchipInterpolator(xs, ys, extrapolate=False)
+    ends = want.derivative()(xs[[0, -1]])
+    secants = (ys[[1, -1]] - ys[[0, -2]]) / (xs[[1, -1]] - xs[[0, -2]])
+    if table == 0:
+        assert ys[0] == 0.0 and ys[1] == 0.0 and ys[-2] == 1.0 and ys[-1] == 1.0
+    if table == 3:
+        np.testing.assert_array_equal(ends, 3.0 * secants)
+    if table == 4:
+        assert np.all(ends == 0.0) and np.all(secants != 0.0)
+    rng = np.random.default_rng(table)
+    x = np.concatenate([xs, [np.nan], rng.uniform(xs[0], xs[-1], 20000),
+                        0.5 * (xs[1:] + xs[:-1])])
+    got, ref = _pchip(xs, ys)(x), want(x)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _assert_same_law(got, want):
+    # the window, the grid knots, random points inside and one point either side
+    assert ((got.support_lo, got.support_hint, got.atom0)
+            == (want.support_lo, want.support_hint, want.atom0))
+    lo, hi = want.support_lo, want.support_hint
+    x = np.concatenate([np.linspace(lo, hi, distributions._CONV_GRID + 1),
+                        np.random.default_rng(0).uniform(lo, hi, 20000), [lo - 1.0, hi + 1.0]])
+    assert np.array_equal(got.cdf(x), want.cdf(x))
+    assert np.array_equal(got.pdf(x), want.pdf(x))
+
+
+def _cut_share(a, b):
+    """Share of convolve_cdfs' grid rows whose y range is cut at b.support_hint."""
+    xs = np.linspace(a.support_lo + b.support_lo, a.support_hint + b.support_hint,
+                     distributions._CONV_GRID + 1)
+    return float(np.mean(xs - a.support_lo >= b.support_hint))
+
+
+@pytest.mark.parametrize("snr", [-4.0, 0.0, 20.0])
+def test_ml_laws_equal_the_dense_convolution(snr, monkeypatch):
+    # every slot's law and the partial-sum law V_1 + V_2 of PMEP-I's interior case
+    scenario = sc.standard_scenario(snr)
+    got = sc.component_dists(scenario, mode="ml")
+    got_laws = got.dists + (theory._lower_sum_dist(got, 3),)
+    monkeypatch.setattr(theory, "convolve_cdfs", convolve_cdfs_dense)
+    want = sc.component_dists(scenario, mode="ml")
+    want_laws = want.dists + (theory._lower_sum_dist(want, 3),)
+    for g, w in zip(got_laws, want_laws):
+        _assert_same_law(g, w)
+
+
+# an ML noise part whose window starts above zero (xi / pi > 28)
+_NOISE_ABOVE_ZERO = ml_component_cdf(None, 300.0, False)
+
+
+@pytest.mark.parametrize("a, b, cut", [
+    # b's window wider than a's: only the top few rows are cut
+    (nc_chisq2(0.0), nc_chisq2(400.0), (0.05, 0.1)),
+    (nc_chisq2(30.0), nc_chisq2(2000.0), (0.05, 0.1)),
+    # narrower: most rows are cut
+    (nc_chisq2(400.0), nc_chisq2(2.0), (0.85, 0.95)),
+    (nc_chisq2(2000.0), nc_chisq2(30.0), (0.85, 0.95)),
+    # that noise part as b and as a beside an ML signal part, and as both
+    (ml_component_cdf(30.0, 20.0, True), _NOISE_ABOVE_ZERO, (0.85, 0.9)),
+    (_NOISE_ABOVE_ZERO, ml_component_cdf(30.0, 20.0, True), (0.1, 0.15)),
+    (_NOISE_ABOVE_ZERO, _NOISE_ABOVE_ZERO, (0.45, 0.55)),
+], ids=["ql_wide_0_400", "ql_wide_30_2000", "ql_narrow_400_2", "ql_narrow_2000_30",
+        "ml_noise_lo_as_b", "ml_noise_lo_as_a", "ml_noise_lo_both"])
+def test_convolution_equals_the_dense_convolution(a, b, cut):
+    assert cut[0] <= _cut_share(a, b) <= cut[1]
+    assert _NOISE_ABOVE_ZERO.support_lo > 2.0
+    _assert_same_law(convolve_cdfs(a, b), convolve_cdfs_dense(a, b))
 
 
 @pytest.mark.parametrize("signal_present", [True, False])

@@ -14,15 +14,29 @@ import sincount as sc
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
 
 
-def test_import_loads_no_heavy_scipy_module():
-    # a fresh process: this suite itself has imported all three
+def _heavy_loaded_after(statements):
+    """The HEAVY modules loaded in a fresh process (this suite itself has
+    imported all three) after `import sys, sincount as sc` and statements."""
     src = os.path.dirname(os.path.dirname(sc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = f"import sys, sincount; print(sorted(m for m in {HEAVY!r} if m in sys.modules))"
+    code = "; ".join(["import sys, sincount as sc", *statements,
+                      f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))"])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_heavy_scipy_module():
+    assert _heavy_loaded_after([]) == "[]"
+
+
+def test_ml_laws_and_their_abridged_formulas_load_no_heavy_scipy_module():
+    # the ML laws' convolution grid interpolates without scipy.interpolate
+    loaded = _heavy_loaded_after([
+        'd = sc.component_dists(sc.standard_scenario(-4.0), mode="ml")',
+        *(f"sc.abridged_for(d, sc.{spec})" for spec in ("Gic()", "PmepIr(0.25)", "PmepI(3.0)"))])
+    assert loaded == "[]"
 
 
 def _p_value(k, n):

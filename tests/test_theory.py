@@ -132,6 +132,7 @@ def _single_integral_reference(dists, spec):
     return min(max(p_a, 0.0), 1.0)
 
 
+@pytest.mark.floor_kernel
 @pytest.mark.parametrize("spec", [sc.PmepIr(0.25), sc.PmepI(1.2), sc.PmepI(3.0),
                                   sc.PmepI(12.0)],
                          ids=["pmep_ir_0.25", "pmep_i_1.2", "pmep_i_3", "pmep_i_12"])
