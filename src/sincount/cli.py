@@ -178,8 +178,9 @@ def _number_list(text, name):
 
 
 def parse_config(doc, args):
-    """RunConfig of a config document and args' --seed, --trials and --snr-db;
-    every section present is checked, whichever subcommand runs."""
+    """RunConfig of a config document and args' --seed, --trials and --snr-db
+    (absent where the subcommand has no such flag); every section present is
+    checked, whichever subcommand runs."""
     cfg = from_dict(RunConfig, doc, "", master_seed=nonneg_int, trials=nonneg_int,
                     snr_grid_db=_numbers, scenario=_scenario, approach=_approach,
                     ml_trials=nonneg_int, delta_omega_grid=_numbers, criteria=_criteria,
@@ -187,9 +188,9 @@ def parse_config(doc, args):
     overrides = {}
     if args.seed is not None:
         overrides["master_seed"] = nonneg_int(args.seed, "--seed")
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         overrides["trials"] = nonneg_int(args.trials, "--trials")
-    if args.snr_db:
+    if getattr(args, "snr_db", None):
         overrides["snr_grid_db"] = _number_list(args.snr_db, "--snr-db")
     return dataclasses.replace(cfg, **overrides)
 
@@ -314,14 +315,16 @@ def cmd_consistency(cfg):
     return ("quantity", "value"), [(name, getattr(ranges, name)) for name in names]
 
 
+# each subcommand's function and the flags it reads beside --config, --seed
+# (every table's metadata line prints it), --out and --format
 _COMMANDS = {
-    "synth": cmd_synth,
-    "mc": cmd_mc,
-    "theory": cmd_theory,
-    "tune": cmd_tune,
-    "ql-sweep": cmd_ql_sweep,
-    "bl-interval": cmd_bl_interval,
-    "consistency": cmd_consistency,
+    "synth": (cmd_synth, ()),
+    "mc": (cmd_mc, ("--trials", "--snr-db")),
+    "theory": (cmd_theory, ("--snr-db",)),
+    "tune": (cmd_tune, ("--trials",)),
+    "ql-sweep": (cmd_ql_sweep, ("--trials",)),
+    "bl-interval": (cmd_bl_interval, ("--trials",)),
+    "consistency": (cmd_consistency, ()),
 }
 
 
@@ -330,12 +333,14 @@ def build_parser():
         prog="sincount",
         description="Model-order selection experiments for sinusoids in noise.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--trials", type=int, help="trial count (overrides config)")
-        p.add_argument("--snr-db", help="comma-separated SNR grid in dB (overrides config)")
+        if "--trials" in flags:
+            p.add_argument("--trials", type=int, help="trial count (overrides config)")
+        if "--snr-db" in flags:
+            p.add_argument("--snr-db", help="comma-separated SNR grid in dB (overrides config)")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -346,7 +351,7 @@ def main(argv=None):
     try:
         doc = load_config(args.config)
         cfg = parse_config(doc, args)
-        write_table(args, config_sha(doc), cfg.master_seed, *_COMMANDS[args.command](cfg))
+        write_table(args, config_sha(doc), cfg.master_seed, *_COMMANDS[args.command][0](cfg))
         return 0
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

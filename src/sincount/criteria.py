@@ -16,33 +16,26 @@ from .errors import SelectionError, SincountError, ValidationError, finite_float
 from .likelihood import Bl, Ml, observation_logliks
 
 
-def _resolve_kappa(kappa, params_per_signal):
-    return float(params_per_signal) if kappa is None else kappa
-
-
 @dataclass(frozen=True)
 class Gic:
-    """R(nu) = -L_nu + upsilon*kappa*nu; the default upsilon = 2 is AIC."""
+    """R(nu) = -L_nu + upsilon*kappa*nu, kappa the approach's params_per_signal
+    (2 at fixed frequencies, 3 searched); the default upsilon = 2 is AIC."""
 
     upsilon: float = 2.0
-    kappa: float | None = None
 
     name = "gic"
 
     def __post_init__(self):
         object.__setattr__(self, "upsilon", finite_float(self.upsilon, "upsilon"))
-        if self.kappa is not None:
-            object.__setattr__(self, "kappa", finite_float(self.kappa, "kappa"))
 
     def threshold(self, params_per_signal=2):
         """Increment threshold 2*upsilon*kappa of the abridged event."""
-        return 2.0 * self.upsilon * _resolve_kappa(self.kappa, params_per_signal)
+        return 2.0 * self.upsilon * float(params_per_signal)
 
     def values(self, logliks, params_per_signal=2):
         logliks = np.asarray(logliks, dtype=float)
         nus = np.arange(1, logliks.shape[-1] + 1, dtype=float)
-        weight = self.upsilon * _resolve_kappa(self.kappa, params_per_signal)
-        return -logliks + weight * nus
+        return -logliks + self.upsilon * float(params_per_signal) * nus
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,8 @@ class Eef:
 
 @dataclass(frozen=True)
 class PmepIr:
-    """Invariant-random penalty: R(nu) = -L_nu + kappa_ir*nu*max_i dL_i."""
+    """Invariant-random penalty: R(nu) = -L_nu + kappa_ir*nu*max_i dL_i, kappa_ir
+    in (0, 1]; from 1 on, R(nu) - R(nu-1) >= 0, so the rule picks order 1."""
 
     kappa_ir: float = 0.25
 
@@ -75,8 +69,8 @@ class PmepIr:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa_ir", finite_float(self.kappa_ir, "kappa_ir"))
-        if not self.kappa_ir > 0:
-            raise ValidationError("kappa_ir must be positive")
+        if not 0 < self.kappa_ir <= 1:
+            raise ValidationError(f"kappa_ir must be in (0, 1], got {self.kappa_ir}")
 
     def values(self, logliks, params_per_signal=2):
         logliks = np.asarray(logliks, dtype=float)

@@ -83,14 +83,23 @@ def _ncx2_pdf(x, m, lam):
 
 def _ncx2_window(m, lam):
     """(lo, hi) = mean -/+ (12 sd + 20), each widened (lo down to 0) until
-    cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12."""
+    cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12; a ValidationError naming lam where
+    the cdf at the mean or a point tried is not finite (NaN past chndtr's range)."""
+
+    def cdf_at(x):
+        value = _ncx2_cdf(np.array([x]), m, lam)[0]
+        if not math.isfinite(value):
+            raise ValidationError(f"noncentrality {lam} is past the range of the ncx2 kernel")
+        return value
+
     mean = 2 * m + lam
+    cdf_at(mean)
     spread = 12.0 * math.sqrt(2.0 * (2 * m + 2.0 * lam)) + 20.0
     lo = max(mean - spread, 0.0)
-    while lo > 0.0 and _ncx2_cdf(np.array([lo]), m, lam)[0] >= 1e-12:
+    while lo > 0.0 and cdf_at(lo) >= 1e-12:
         lo = max(mean - 1.5 * (mean - lo), 0.0)
     hi = mean + spread
-    while _ncx2_cdf(np.array([hi]), m, lam)[0] < 1.0 - 1e-12:
+    while cdf_at(hi) < 1.0 - 1e-12:
         hi *= 1.5
     return float(lo), float(hi)
 
@@ -123,27 +132,27 @@ def nc_chisq2_sum(n_terms, lam):
     return Dist(cdf=cdf, pdf=pdf, support_hint=hi, support_lo=lo)
 
 
-def ml_component_cdf(dbar_sq, xi, signal_present):
+def ml_component_cdf(dbar_sq, xi):
     """Law of one squared max-over-band residual under the ML approach.
 
-    For a signal index the CDF is Phi((x - d2)/(2 d2)) * exp(-(xi/pi) exp(-x/2));
-    for a noise index the Gaussian factor is dropped.  The closed form is
-    truncated at zero, which leaves an atom there of size cdf(0+).
+    For a signal index the CDF is Phi((x - d2)/(2 d2)) * exp(-(xi/pi) exp(-x/2)),
+    d2 = dbar_sq; for a noise index, dbar_sq = None, the Gaussian factor is
+    dropped.  The closed form is truncated at zero, which leaves an atom there
+    of size cdf(0+).
     """
     if not (xi > 0) or not math.isfinite(xi):
         raise ValidationError(f"xi must be positive and finite, got {xi}")
-    if signal_present:
-        if dbar_sq is None or not math.isfinite(dbar_sq) or dbar_sq <= 0:
-            raise ValidationError(f"dbar_sq must be finite and > 0, got {dbar_sq}")
-        denom = 2.0 * dbar_sq
     c = xi / math.pi
 
     def gumbel(e):
         """The Gumbel factor exp(-c e) at e = exp(-x/2)."""
         return np.exp(-c * e)
 
-    if signal_present:
+    if dbar_sq is not None:
+        if not math.isfinite(dbar_sq) or dbar_sq <= 0:
+            raise ValidationError(f"dbar_sq must be finite and > 0, got {dbar_sq}")
         d2 = float(dbar_sq)
+        denom = 2.0 * dbar_sq
 
         def cdf(x):
             x = np.asarray(x, dtype=float)

@@ -6,7 +6,7 @@ The observed data are N_s real samples
 
 t = 1..N_s, with n(t) iid standard Gaussian and sigma0 > 0.  A Scenario
 bundles the true components (first nu0 candidate slots) with templates for
-the remaining candidate orders up to max_order.
+the remaining candidate orders; N = max_order counts the slots.
 """
 
 from __future__ import annotations
@@ -116,13 +116,12 @@ class Scenario:
     """Full experiment description.
 
     components hold the nu0 true sinusoids; extra_candidates supply the
-    nominal frequencies/bands for candidate orders nu0+1..max_order.
+    nominal frequencies/bands for candidate orders nu0+1..N = max_order.
     """
 
     components: tuple
     noise_level: float
     n_samples: int
-    max_order: int
     extra_candidates: tuple = ()
 
     def __post_init__(self):
@@ -135,19 +134,10 @@ class Scenario:
         if not all(isinstance(c, CandidateTemplate) for c in extras):
             raise ValidationError("extra_candidates must be CandidateTemplate instances")
         noise_level = _positive_noise_level(self.noise_level)
-        nonneg_int(self.n_samples, "n_samples")
-        nonneg_int(self.max_order, "max_order")
-        if self.max_order < len(comps):
+        max_order = len(comps) + len(extras)
+        if nonneg_int(self.n_samples, "n_samples") < 2 * max_order:
             raise ValidationError(
-                f"max_order {self.max_order} below component count {len(comps)}"
-            )
-        if self.n_samples < 2 * self.max_order:
-            raise ValidationError(
-                f"n_samples {self.n_samples} < 2*max_order {2 * self.max_order}"
-            )
-        if len(extras) != self.max_order - len(comps):
-            raise ValidationError(
-                f"need {self.max_order - len(comps)} extra candidate templates, got {len(extras)}"
+                f"n_samples {self.n_samples} < 2*max_order {2 * max_order}"
             )
         object.__setattr__(self, "noise_level", noise_level)
         object.__setattr__(self, "components", tuple(self._checked(c) for c in comps))
@@ -165,6 +155,11 @@ class Scenario:
     @property
     def nu0(self):
         return len(self.components)
+
+    @property
+    def max_order(self):
+        """N, the number of candidate slots."""
+        return len(self.components) + len(self.extra_candidates)
 
     def candidate_slots(self):
         """Components followed by extra candidates: one slot per order 1..max_order."""
@@ -307,7 +302,6 @@ def standard_scenario(snr_db, nu0=3, max_order=5, n_samples=64,
         components=tuple(comps),
         noise_level=noise_level,
         n_samples=n_samples,
-        max_order=max_order,
         extra_candidates=tuple(extras),
     )
 

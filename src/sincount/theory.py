@@ -123,14 +123,10 @@ def component_dists(scenario, mode="ql", frequencies=None):
         width = slot.band[1] - slot.band[0]
         xi_c = width * math.sqrt(float(np.sum((t * s) ** 2)) / energy)
         xi_s = width * math.sqrt(float(np.sum((t * c) ** 2)) / energy)
-        if signal_present:
-            d_s_sq = 1.0 + means[2 * i] ** 2
-            d_c_sq = 1.0 + means[2 * i + 1] ** 2
-        else:
-            d_s_sq = d_c_sq = None
-        part_c = ml_component_cdf(d_c_sq, xi_c, signal_present)
-        part_s = ml_component_cdf(d_s_sq, xi_s, signal_present)
-        dists.append(convolve_cdfs(part_c, part_s))
+        # a noise slot's parts have no noncentrality
+        d_s_sq, d_c_sq = ((1.0 + means[2 * i] ** 2, 1.0 + means[2 * i + 1] ** 2)
+                          if signal_present else (None, None))
+        dists.append(convolve_cdfs(ml_component_cdf(d_c_sq, xi_c), ml_component_cdf(d_s_sq, xi_s)))
     return ComponentDistSet(dists=tuple(dists), lambdas=None, mode="ml",
                             nu0=scenario.nu0)
 

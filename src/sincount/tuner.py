@@ -55,9 +55,9 @@ class TuneResult:
 
 
 def _family_name(family):
-    name = family.lower() if isinstance(family, str) else getattr(family, "name", None)
+    name = family.lower() if isinstance(family, str) else None
     if name not in _DEFAULT_RANGES:
-        raise ValidationError(f"family must be pmep-ir or pmep-i, got {family!r}")
+        raise ValidationError(f"family must be the name pmep-ir or pmep-i, got {family!r}")
     return name
 
 
@@ -95,9 +95,10 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
          approach=KNOWN_FREQ):
     """Minimize an error objective over the family's tuning parameter.
 
-    Scans a grid over search_range, then optionally refines the best
-    bracket by bounded scalar minimization.  Both objectives use the
-    approach's frequencies (known frequencies by default); the theory
+    family is the name "pmep-ir" or "pmep-i", not an instance: its parameter
+    is the one tuned.  Scans a grid over search_range, then optionally
+    refines the best bracket by bounded scalar minimization.  Both objectives
+    use the approach's frequencies (known frequencies by default); the theory
     objective has no ML laws.  The result is flagged against the exact
     consistency range of the scenario's true-signal noncentralities.
     """

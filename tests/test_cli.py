@@ -256,7 +256,6 @@ def test_degenerate_scenario_exits_3(config_path, capsys):
     doc["scenario"] = {
         "n_samples": 64,
         "noise_level": 1.0,
-        "max_order": 2,
         "components": [
             {"amplitude": 1.0, "frequency": w, "phase": 0.0,
              "band": [w - 0.3, w + 0.3]},
@@ -378,7 +377,7 @@ def _custom(**first_component):
     ({"scenario": _custom(amplitude="1.5")}, [], "amplitude"),
     ({"scenario": _custom(band=5)}, [], "band"),
     ({"scenario": dict(CUSTOM_SCENARIO, noise_level="1")}, [], "noise_level"),
-    ({"criteria": [{"name": "gic", "kappa": "x"}]}, [], "criteria[0]: kappa"),
+    ({"criteria": [{"name": "gic", "kappa": "x"}]}, [], "criteria[0].kappa: unknown key"),
     ({"criteria": [{"name": "pmep-i", "kappa_i": math.inf}]}, [], "criteria[0]: kappa_i"),
     ({"criteria": [{"name": "pmep-ir", "kappa_ir": True}]}, [], "criteria[0]: kappa_ir"),
     ({"criteria": [{"name": "gic", "upsilon": "2"}]}, [], "criteria[0]: upsilon"),
@@ -392,6 +391,7 @@ def _custom(**first_component):
     ({"tune": {"family": "pmep-ir", "range": [0.2]}}, [], "tune.range"),
     ({"approach": {"kind": "ml", "grid_points": 2}}, [], "grid_points"),
     ({"criteria": [{"name": "aic"}]}, [], "criteria[0].name"),
+    ({"criteria": [{"name": "pmep-ir", "kappa_ir": 1.5}]}, [], "criteria[0]: kappa_ir"),
 ])
 def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     doc = dict(BASE_CONFIG, **change)
@@ -489,13 +489,56 @@ def test_config_section_of_wrong_type_exits_2(command, doc, key, config_path, ca
      "scenario.noise_knwon"),
     ("mc", dict(BASE_CONFIG, scenario=_custom(phase_envelop=[0.0] * 64)),
      "scenario.components[0].phase_envelop"),
-], ids=["top", "tune", "consistency", "approach", "criterion", "scenario", "component"])
+    ("theory", dict(BASE_CONFIG, scenario=dict(CUSTOM_SCENARIO, max_order=5)),
+     "scenario.max_order"),
+], ids=["top", "tune", "consistency", "approach", "criterion", "scenario", "component",
+        "scenario_max_order"])
 def test_unknown_key_exits_2(command, doc, path, config_path, capsys):
     # each of these used to run, ignoring the misspelt key
     rc, out, err = run([command, "--config", config_path(doc)], capsys)
     assert rc == 2
     assert out == ""
     assert f"{path}: unknown key" in err
+
+
+# the flags each subcommand takes beside --config, --seed, --out and --format
+COMMAND_FLAGS = {"synth": (), "mc": ("--trials", "--snr-db"), "theory": ("--snr-db",),
+                 "tune": ("--trials",), "ql-sweep": ("--trials",),
+                 "bl-interval": ("--trials",), "consistency": ()}
+UNREAD_FLAGS = [(command, flag) for command, flags in COMMAND_FLAGS.items()
+                for flag in ("--trials", "--snr-db") if flag not in flags]
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    assert set(COMMAND_FLAGS) == set(cli._COMMANDS)
+    assert len(UNREAD_FLAGS) == 8
+    for command, flags in COMMAND_FLAGS.items():
+        assert cli._COMMANDS[command][1] == flags
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{c}{f}" for c, f in UNREAD_FLAGS])
+def test_flag_the_subcommand_does_not_read_exits_2(command, flag, config_path, capsys):
+    # each of these used to run and ignore the flag (ql-sweep --snr-db=20
+    # printed the -4 dB sweep)
+    doc = dict(BASE_CONFIG, delta_omega_grid=[0.0, 0.002])
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", config_path(doc), f"{flag}=20"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}=20" in err
+
+
+@pytest.mark.parametrize("command", ["theory", "tune", "ql-sweep"])
+@pytest.mark.parametrize("snr_db", [90.0, 180.0])
+def test_noncentrality_past_the_kernel_range_exits_2(command, snr_db, config_path, capsys):
+    # scipy's chndtr reads NaN there; gic used to print p_a = nan and exit 0
+    doc = dict(BASE_CONFIG, scenario={"standard": {"snr_db": snr_db}},
+               criteria=[{"name": "gic"}], snr_grid_db=[snr_db],
+               delta_omega_grid=[0.0], tune=TUNE_CONFIG["tune"])
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert (rc, out) == (2, "")
+    assert "past the range of the ncx2 kernel" in err
 
 
 def _readme_block(language):
@@ -508,11 +551,11 @@ def _readme_block(language):
 # the constructor parameters of each criterion name and approach kind, which
 # the config reader takes as keys beside the name or kind, and a valid value
 # of each
-READER_KEYS = {"gic": ("upsilon", "kappa"), "eef": (),
+READER_KEYS = {"gic": ("upsilon",), "eef": (),
                "pmep-ir": ("kappa_ir",), "pmep-i": ("kappa_i",),
                "known": (), "bl": ("delta_omega", "frequencies"),
                "ml": ("grid_points", "refine_tol")}
-READER_VALUES = {"upsilon": 3.0, "kappa": 1.5, "kappa_ir": 0.3, "kappa_i": 3.5,
+READER_VALUES = {"upsilon": 3.0, "kappa_ir": 0.3, "kappa_i": 3.5,
                  "delta_omega": 0.002, "grid_points": 64, "refine_tol": 1e-4,
                  "frequencies": (sc.standard_scenario(-4.0).all_frequencies + 0.002).tolist()}
 

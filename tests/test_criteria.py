@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,6 @@ def test_gic_values_and_threshold():
     vals = sc.decision_values(spec, LOGLIKS, params_per_signal=2)
     np.testing.assert_allclose(vals, -LOGLIKS + 4.0 * np.arange(1, 6))
     assert spec.threshold(2) == 8.0
-    # explicit kappa overrides the per-signal count
-    vals3 = sc.decision_values(sc.Gic(kappa=3.0), LOGLIKS, params_per_signal=2)
-    np.testing.assert_allclose(vals3, -LOGLIKS + 6.0 * np.arange(1, 6))
 
 
 def test_eef_values_zero_clamp():
@@ -90,19 +89,22 @@ def test_parameter_validation():
         sc.PmepI(kappa_i=-1.0)
     with pytest.raises(ValidationError):
         sc.Gic(upsilon=float("inf"))
+    # from kappa_ir = 1 on the rule picks order 1 whatever the data; 1 is
+    # the end of tune's default range
+    assert sc.argmin_order(sc.decision_values(sc.PmepIr(kappa_ir=1.0), LOGLIKS)) == 1
+    with pytest.raises(ValidationError, match="kappa_ir"):
+        sc.PmepIr(kappa_ir=1.5)
+    with pytest.raises(ValidationError, match="kappa_ir"):
+        sc.PmepIr(kappa_ir=1e308)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: sc.Gic(kappa="x"),
-    lambda: sc.Gic(kappa=float("nan")),
     lambda: sc.Gic(upsilon="2"),
-    lambda: sc.Gic(kappa=True),
     lambda: sc.PmepIr(kappa_ir=True),
     lambda: sc.PmepIr(kappa_ir="0.25"),
     lambda: sc.PmepI(kappa_i=float("inf")),
     lambda: sc.PmepI(kappa_i=None),
-], ids=["gic_kappa_str", "gic_kappa_nan", "gic_upsilon_str", "aic_kappa_bool",
-        "pmep_ir_bool", "pmep_ir_str", "pmep_i_inf", "pmep_i_none"])
+], ids=["gic_upsilon_str", "pmep_ir_bool", "pmep_ir_str", "pmep_i_inf", "pmep_i_none"])
 def test_penalty_parameters_must_be_finite_numbers(build):
     # a string kappa used to escape as ValueError, an infinite kappa_i to run
     # (p_e = 1) and a boolean kappa_ir to run as 1.0
@@ -111,7 +113,7 @@ def test_penalty_parameters_must_be_finite_numbers(build):
 
 
 def test_penalty_parameters_stored_as_floats():
-    assert type(sc.Gic(upsilon=3, kappa=2).kappa) is float
+    assert type(sc.Gic(upsilon=3).upsilon) is float
     assert sc.PmepIr(kappa_ir=1).kappa_ir == 1.0
     assert sc.PmepI(kappa_i=3) == sc.PmepI(kappa_i=3.0)
 
@@ -159,6 +161,16 @@ def test_select_order_wraps_failures(scen_0):
     with pytest.raises(SelectionError) as info:
         sc.select_order(sc.Gic(), short, sc.KNOWN_FREQ, scen_0)
     assert info.value.diagnostics["approach"] == "known"
+
+
+def test_select_order_rejects_non_finite_values(scen_0):
+    # upsilon * kappa overflows to inf, so every decision value is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SelectionError, match="non-finite") as info:
+            sc.select_order(sc.Gic(upsilon=1e308), sc.synthesize(scen_0, 3),
+                            sc.KNOWN_FREQ, scen_0)
+    assert np.all(np.isinf(info.value.diagnostics["values"]))
 
 
 def test_select_order_propagates_programming_errors(scen_0, monkeypatch):

@@ -242,7 +242,7 @@ def test_ml_laws_equal_the_dense_convolution(snr, monkeypatch):
 
 
 # an ML noise part whose window starts above zero (xi / pi > 28)
-_NOISE_ABOVE_ZERO = ml_component_cdf(None, 300.0, False)
+_NOISE_ABOVE_ZERO = ml_component_cdf(None, 300.0)
 
 
 @pytest.mark.parametrize("a, b, cut", [
@@ -253,8 +253,8 @@ _NOISE_ABOVE_ZERO = ml_component_cdf(None, 300.0, False)
     (nc_chisq2(400.0), nc_chisq2(2.0), (0.85, 0.95)),
     (nc_chisq2(2000.0), nc_chisq2(30.0), (0.85, 0.95)),
     # that noise part as b and as a beside an ML signal part, and as both
-    (ml_component_cdf(30.0, 20.0, True), _NOISE_ABOVE_ZERO, (0.85, 0.9)),
-    (_NOISE_ABOVE_ZERO, ml_component_cdf(30.0, 20.0, True), (0.1, 0.15)),
+    (ml_component_cdf(30.0, 20.0), _NOISE_ABOVE_ZERO, (0.85, 0.9)),
+    (_NOISE_ABOVE_ZERO, ml_component_cdf(30.0, 20.0), (0.1, 0.15)),
     (_NOISE_ABOVE_ZERO, _NOISE_ABOVE_ZERO, (0.45, 0.55)),
 ], ids=["ql_wide_0_400", "ql_wide_30_2000", "ql_narrow_400_2", "ql_narrow_2000_30",
         "ml_noise_lo_as_b", "ml_noise_lo_as_a", "ml_noise_lo_both"])
@@ -266,7 +266,8 @@ def test_convolution_equals_the_dense_convolution(a, b, cut):
 
 @pytest.mark.parametrize("signal_present", [True, False])
 def test_ml_component_cdf_shape(signal_present):
-    d = ml_component_cdf(dbar_sq=4.0, xi=20.0, signal_present=signal_present)
+    # a noise slot is the one without a noncentrality
+    d = ml_component_cdf(dbar_sq=4.0 if signal_present else None, xi=20.0)
     xs = np.linspace(0.0, 80.0, 200)
     vals = np.array([d.cdf(x) for x in xs])
     assert np.all(np.diff(vals) >= -1e-12)
@@ -277,10 +278,22 @@ def test_ml_component_cdf_shape(signal_present):
 
 def test_ml_noise_index_stochastically_larger_with_xi():
     # wider search band (larger xi) pushes the max statistic upward
-    narrow = ml_component_cdf(dbar_sq=1.0, xi=2.0, signal_present=False)
-    wide = ml_component_cdf(dbar_sq=1.0, xi=40.0, signal_present=False)
+    narrow = ml_component_cdf(dbar_sq=None, xi=2.0)
+    wide = ml_component_cdf(dbar_sq=None, xi=40.0)
     for x in (2.0, 5.0, 10.0, 20.0):
         assert wide.cdf(x) <= narrow.cdf(x) + 1e-12
+
+
+@pytest.mark.parametrize("dbar_sq, xi, key", [
+    (None, 0.0, "xi"),
+    (4.0, math.inf, "xi"),
+    (math.nan, 20.0, "dbar_sq"),
+    (0.0, 20.0, "dbar_sq"),
+    (-1.0, 20.0, "dbar_sq"),
+], ids=["xi_zero", "xi_inf", "dbar_sq_nan", "dbar_sq_zero", "dbar_sq_negative"])
+def test_ml_component_cdf_rejects_bad_parameters(dbar_sq, xi, key):
+    with pytest.raises(ValidationError, match=key):
+        ml_component_cdf(dbar_sq, xi)
 
 
 LAMBDAS = st.floats(min_value=0.0, max_value=5e6)

@@ -35,7 +35,7 @@ def scen():
                                  amplitude_envelope=AMP_ENV,
                                  phase_envelope=PHASE_ENV)
     return sc.Scenario(components=comps, noise_level=0.8, n_samples=N,
-                       max_order=3, extra_candidates=(extra,))
+                       extra_candidates=(extra,))
 
 
 def test_noiseless_synthesis_is_modulated_cosine(scen):
@@ -88,7 +88,7 @@ def test_ml_laws_use_the_modulated_xi(scen):
         xi_s = (hi - lo) * math.sqrt(np.sum((T * AMP_ENV * np.cos(arg)) ** 2) / energy)
         d_s_sq = 1.0 + means[2 * i] ** 2 if present else None
         d_c_sq = 1.0 + means[2 * i + 1] ** 2 if present else None
-        expect = sc.convolve_cdfs(sc.ml_component_cdf(d_c_sq, xi_c, present),
-                                  sc.ml_component_cdf(d_s_sq, xi_s, present))
+        expect = sc.convolve_cdfs(sc.ml_component_cdf(d_c_sq, xi_c),
+                                  sc.ml_component_cdf(d_s_sq, xi_s))
         np.testing.assert_allclose(dists.dists[i].cdf(xs), expect.cdf(xs),
                                    rtol=1e-9, atol=1e-12)

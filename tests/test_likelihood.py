@@ -27,7 +27,7 @@ def one_tone_scenario(phase=0.0, amplitude=1.0, extra=1):
                                  W13 + 2 * math.pi * (k + 2) / 64, 64))
         for k in range(extra))
     return sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
-                       max_order=1 + extra, extra_candidates=extras)
+                       extra_candidates=extras)
 
 
 def test_basis_ordering_sine_before_cosine():
@@ -107,7 +107,7 @@ def test_degenerate_frequencies_raise():
     extra = sc.CandidateTemplate(frequency=W13 + 0.1,
                                  band=(W13 - 0.3, W13 + 0.3))
     scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
-                       max_order=2, extra_candidates=(extra,))
+                       extra_candidates=(extra,))
     obs = sc.synthesize(scen, 1)
     with pytest.raises(DegenerateStatsError) as info:
         FrequencyPlan.build(scen, [W13, W13 + 1e-12])
@@ -321,7 +321,7 @@ def _one_band_scenario(max_order):
     band = (W13 - 0.3, W13 + 0.3)
     return sc.Scenario(
         components=(sc.SinusoidComponent(amplitude=1.0, frequency=W13, phase=0.0, band=band),),
-        noise_level=1.0, n_samples=64, max_order=max_order,
+        noise_level=1.0, n_samples=64,
         extra_candidates=tuple(sc.CandidateTemplate(frequency=W13 + 0.1 * k, band=band)
                                for k in (1, -1)[:max_order - 1]))
 

@@ -100,14 +100,17 @@ def test_component_validation_errors():
 
 def test_scenario_validation_errors():
     comp = _tone(n_samples=64)
-    with pytest.raises(ValidationError):
+    extra = sc.CandidateTemplate(frequency=2.0, band=(1.9, 2.1))
+    with pytest.raises(ValidationError, match="2\\*max_order 4"):
         # too few samples for the candidate count
-        sc.Scenario(components=(comp,), noise_level=1.0, n_samples=1,
-                    max_order=1)
-    with pytest.raises(ValidationError):
-        # missing extra candidate templates for orders above nu0
-        sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
-                    max_order=2)
+        sc.Scenario(components=(comp,), noise_level=1.0, n_samples=3,
+                    extra_candidates=(extra,))
+    # the number of slots is the largest candidate order; it is not stated again
+    scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=4,
+                       extra_candidates=(extra,))
+    assert (scen.nu0, scen.max_order) == (1, 2)
+    with pytest.raises(ValidationError, match="scenario.max_order: unknown key"):
+        sc.scenario_from_dict(dict(sc.scenario_to_dict(scen), max_order=2))
 
 
 STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
@@ -121,8 +124,8 @@ STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
     lambda: sc.CandidateTemplate(frequency="1.0", band=(0.5, 1.5)),
     lambda: sc.CandidateTemplate(frequency=1.0, band=5),
     lambda: sc.CandidateTemplate(frequency=1.0, band=(0.5, "1.5")),
-    lambda: sc.Scenario(components=(_tone(),), noise_level="1", n_samples=64, max_order=1),
-    lambda: sc.Scenario(components=(_tone(),), noise_level=0.0, n_samples=64, max_order=1),
+    lambda: sc.Scenario(components=(_tone(),), noise_level="1", n_samples=64),
+    lambda: sc.Scenario(components=(_tone(),), noise_level=0.0, n_samples=64),
     lambda: sc.standard_scenario(-4.0, noise_level=0.0),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, noise_known="false")),
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, components=5)),
@@ -133,20 +136,21 @@ STANDARD_DOC = sc.scenario_to_dict(sc.standard_scenario(-4.0))
     lambda: sc.scenario_from_dict(dict(STANDARD_DOC, extra_candidates=[
         dict(STANDARD_DOC["extra_candidates"][0], phase_envelop=None),
         *STANDARD_DOC["extra_candidates"][1:]])),
-    lambda: sc.Scenario(components=(), noise_level=1.0, n_samples=64, max_order=1),
+    lambda: sc.Scenario(components=(), noise_level=1.0, n_samples=64),
     lambda: sc.Scenario(components=(sc.CandidateTemplate(frequency=1.0, band=(0.5, 1.5)),),
-                        noise_level=1.0, n_samples=64, max_order=1),
-    lambda: sc.Scenario(components=(_tone(),), noise_level=1.0, n_samples=64, max_order=2,
+                        noise_level=1.0, n_samples=64),
+    lambda: sc.Scenario(components=(_tone(),), noise_level=1.0, n_samples=64,
                         extra_candidates=(_tone(frequency=2.0),)),
-    lambda: sc.Scenario(components=(_tone(), _tone(frequency=2.0)), noise_level=1.0,
-                        n_samples=64, max_order=1),
     lambda: sc.standard_scenario(-4.0, nu0=4, max_order=3),
+    lambda: sc.CandidateTemplate(frequency=1.0, band=(1.0, 1.0)),
+    lambda: sc.SinusoidComponent(amplitude=1.0, frequency=1.0, phase=0.0, band=(1.5, 0.5)),
+    lambda: sc.scenario_from_dict(dict(STANDARD_DOC, max_order=5)),
 ], ids=["nu0", "n_samples", "amplitude", "phase", "frequency", "band",
         "band_entry", "noise_level", "noise_level_zero", "standard_noise_level_zero",
         "doc_noise_known", "doc_components", "doc_extras", "doc_unknown_key",
         "doc_noise_level_zero", "doc_missing_key", "doc_unknown_slot_key",
         "no_components", "component_not_sinusoid", "extra_not_template",
-        "max_order_below_count", "standard_nu0_above_max_order"])
+        "standard_nu0_above_max_order", "band_empty", "band_reversed", "doc_max_order"])
 def test_invalid_scenario_fields_raise_validation_error(build):
     with pytest.raises(ValidationError):
         build()
@@ -171,14 +175,13 @@ def test_non_number_snr_and_non_object_document_raise_validation_error(build):
 def test_scenario_stores_numbers_as_floats():
     comp = sc.SinusoidComponent(amplitude=2, frequency=1, phase=0, band=[0, 2])
     assert [type(v) for v in (comp.amplitude, comp.frequency, comp.phase, *comp.band)] == [float] * 5
-    scen = sc.Scenario(components=(comp,), noise_level=1, n_samples=64, max_order=1)
+    scen = sc.Scenario(components=(comp,), noise_level=1, n_samples=64)
     assert type(scen.noise_level) is float
 
 
 def test_scenario_validates_envelopes():
     comp = dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 64)
-    scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64,
-                       max_order=1)
+    scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64)
     env = scen.components[0].amplitude_envelope
     assert isinstance(env, np.ndarray) and env.dtype == float
     assert not env.flags.writeable
@@ -191,16 +194,15 @@ def test_scenario_validates_envelopes():
     )
     for comp, n_samples in bad:
         with pytest.raises(ValidationError):
-            sc.Scenario(components=(comp,), noise_level=1.0, n_samples=n_samples,
-                        max_order=1)
+            sc.Scenario(components=(comp,), noise_level=1.0, n_samples=n_samples)
     extra = sc.CandidateTemplate(frequency=1.2, band=(1.1, 1.3),
                                  amplitude_envelope=[1.0] * 10)
     with pytest.raises(ValidationError):
         sc.Scenario(components=(_tone(n_samples=64),), noise_level=1.0,
-                    n_samples=64, max_order=2, extra_candidates=(extra,))
+                    n_samples=64, extra_candidates=(extra,))
     with pytest.raises(ValidationError):
         sc.Scenario(components=(_tone(n_samples=64),), noise_level=1.0,
-                    n_samples=64, max_order=2, extra_candidates=(_tone(1.0, 1.2),))
+                    n_samples=64, extra_candidates=(_tone(1.0, 1.2),))
 
 
 def test_signal_gram_near_orthogonal(scen_m4):

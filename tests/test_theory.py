@@ -85,6 +85,26 @@ def test_abridged_pmep_i_frozen_value(dists_m4):
 
 
 @pytest.mark.floor_kernel
+def test_ql_laws_hold_at_80_db():
+    # the signal noncentralities are about 6e9 here, inside scipy's chndtr range
+    dists = sc.component_dists(sc.standard_scenario(80.0))
+    assert 5e9 < dists.lambdas[0] < 7e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)):
+            assert 0.0 <= sc.abridged_for(dists, spec).p_a <= 1.0
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("snr_db", [90.0, 180.0])
+def test_ql_laws_past_the_kernel_range_raise(snr_db):
+    # chndtr reads NaN at the law's mean from about lam = 4.5e10 (scipy 1.17):
+    # gic's p_a read nan there, and the PMEP quadratures failed on nan
+    with pytest.raises(ValidationError, match="noncentrality .* past the range"):
+        sc.component_dists(sc.standard_scenario(snr_db))
+
+
+@pytest.mark.floor_kernel
 @pytest.mark.parametrize("nu0, max_order", [(1, 4), (2, 3), (3, 5), (5, 5)])
 def test_abridged_values_within_their_error_of_a_tighter_quadrature(monkeypatch, nu0, max_order):
     # the quadrature may stop after its first level; what it reports must
@@ -432,8 +452,7 @@ def test_ml_mode_requires_orthogonal_signals():
         sc.SinusoidComponent(amplitude=1.0, frequency=w + k * 0.02, phase=0.0,
                              band=(w + k * 0.02 - 0.005, w + k * 0.02 + 0.005))
         for k in range(2))
-    scen = sc.Scenario(components=comps, noise_level=1.0, n_samples=64,
-                       max_order=2)
+    scen = sc.Scenario(components=comps, noise_level=1.0, n_samples=64)
     with pytest.raises(ModelViolationError):
         sc.component_dists(scen, mode="ml")
 

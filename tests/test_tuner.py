@@ -24,9 +24,13 @@ def test_theory_objective_inverse_random_family(scen_m4):
 
 
 def test_family_accepts_spec_instance(scen_m4):
-    result = sc.tune(sc.PmepIr(0.3), scen_m4, grid_points=5,
-                     search_range=(0.2, 0.3), refine=False)
-    assert result.family == "pmep-ir"
+    # only the family's name: an instance used to be taken for its name, and
+    # the parameter it holds (0.3 here) was never read
+    with pytest.raises(ValidationError, match="family"):
+        sc.tune(sc.PmepIr(0.3), scen_m4, grid_points=5,
+                search_range=(0.2, 0.3), refine=False)
+    assert sc.tune("PMEP-IR", scen_m4, grid_points=5, search_range=(0.2, 0.3),
+                   refine=False).family == "pmep-ir"
 
 
 def test_unknown_family_rejected(scen_m4):
