@@ -12,13 +12,12 @@ columns, rows, hash and seed, so runs trace back to their exact configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import sys
 from functools import partial
-
-import numpy as np
 
 from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
@@ -201,22 +200,28 @@ def _fmt(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_table(args, sha, seed, columns, rows):
-    """Emit one table to args.out (or stdout when it is None)."""
+def open_out(path):
+    """path opened for writing (stdout when None) before the subcommand runs,
+    as a shell redirection is, so that an unwritable --out exits 2 at once."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"--out: cannot write {path}: {exc}") from exc
+
+
+def write_table(out, args, sha, seed, columns, rows):
+    """Write one table to the stream out."""
     if args.format == "csv":
         lines = [f"# sincount {args.command} config_sha={sha} seed={seed}",
                  ",".join(columns)]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        out.write("\n".join(lines) + "\n")
     else:
-        text = json.dumps({"subcommand": args.command, "config_sha": sha, "seed": seed,
-                           "columns": list(columns), "rows": [list(row) for row in rows]},
-                          indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out.write(json.dumps({"subcommand": args.command, "config_sha": sha, "seed": seed,
+                              "columns": list(columns), "rows": [list(row) for row in rows]},
+                             indent=2, sort_keys=True) + "\n")
 
 
 # each subcommand maps the parsed config to its table's columns and rows
@@ -304,12 +309,9 @@ def cmd_bl_interval(cfg):
 def cmd_consistency(cfg):
     if cfg.consistency is not None:
         d_n_sq, n_total = cfg.consistency
-        nu0 = len(d_n_sq)
+        ranges = theory.consistency_range(d_n_sq, n_total, len(d_n_sq))
     else:
-        scenario = cfg.need("scenario")
-        d_n_sq = theory.residual_means(scenario, scenario.all_frequencies)[1][:scenario.nu0]
-        nu0, n_total = scenario.nu0, scenario.max_order
-    ranges = theory.consistency_range(np.asarray(d_n_sq), n_total, nu0)
+        ranges = theory.scenario_consistency(cfg.need("scenario"))
     names = ("nu0", "n_total", "rho", "kappa_ir_sup_exact", "kappa_ir_sup_simple",
              "kappa_i_inf_exact", "kappa_i_inf_simple")
     return ("quantity", "value"), [(name, getattr(ranges, name)) for name in names]
@@ -351,7 +353,9 @@ def main(argv=None):
     try:
         doc = load_config(args.config)
         cfg = parse_config(doc, args)
-        write_table(args, config_sha(doc), cfg.master_seed, *_COMMANDS[args.command][0](cfg))
+        with open_out(args.out) as out:
+            write_table(out, args, config_sha(doc), cfg.master_seed,
+                        *_COMMANDS[args.command][0](cfg))
         return 0
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)

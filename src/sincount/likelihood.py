@@ -417,6 +417,9 @@ class Ml:
     grid_points: int = 256
     refine_tol: float = 1e-6
 
+    label = "ml"
+    params_per_signal = 3
+
     def __post_init__(self):
         # the first parabola of the refinement runs through three grid points
         if nonneg_int(self.grid_points, "grid_points") < 3:
@@ -424,14 +427,6 @@ class Ml:
         object.__setattr__(self, "refine_tol", finite_float(self.refine_tol, "refine_tol"))
         if not self.refine_tol > 0:
             raise ValidationError(f"refine_tol must be > 0, got {self.refine_tol}")
-
-    @property
-    def label(self):
-        return "ml"
-
-    @property
-    def params_per_signal(self):
-        return 3
 
 
 @dataclass(frozen=True)
@@ -444,6 +439,8 @@ class Bl:
 
     delta_omega: float = 0.0
     frequencies: tuple | None = None
+
+    params_per_signal = 2
 
     def __post_init__(self):
         object.__setattr__(self, "delta_omega", finite_float(self.delta_omega, "delta_omega"))
@@ -461,10 +458,6 @@ class Bl:
         if self.frequencies is not None:
             return "bl-fixed"
         return "known" if self.delta_omega == 0.0 else f"bl({self.delta_omega:g})"
-
-    @property
-    def params_per_signal(self):
-        return 2
 
 
 KNOWN_FREQ = Bl(delta_omega=0.0)

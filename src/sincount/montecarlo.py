@@ -388,13 +388,20 @@ def collect_logliks(scenario, approach, trials, master_seed):
     return out
 
 
-def mc_trials(trials):
-    """trials as an int; a ValidationError below _MIN_TRIALS, the fewest
-    trials from which an error probability is estimated."""
+def trial_ladders(scenario, approach, trials, master_seed):
+    """(ladders, degenerate), the Monte Carlo trial set of estimate and of
+    tune's monte_carlo objective: collect_logliks' ladders without the NaN
+    rows of the degenerate trials, which no criterion decides, checked once
+    by checked_ladders, and the number of those trials.  A ValidationError
+    below _MIN_TRIALS trials (checked first) or when every trial degenerates."""
     trials = nonneg_int(trials, "trials")
     if trials < _MIN_TRIALS:
         raise ValidationError(f"need at least {_MIN_TRIALS} trials, got {trials}")
-    return trials
+    logliks = collect_logliks(scenario, approach, trials, master_seed)
+    logliks = logliks[~np.isnan(logliks[:, 0])]
+    if not logliks.shape[0]:
+        raise ValidationError("all trials degenerated; scenario is ill-posed")
+    return checked_ladders(logliks), trials - logliks.shape[0]
 
 
 def _wilson(p, n):
@@ -457,28 +464,17 @@ class McReport:
         }
 
 
-def drop_degenerate(logliks):
-    """The ladders of collect_logliks without its NaN rows, the degenerate
-    trials, which no criterion decides; a ValidationError when none remain."""
-    logliks = logliks[~np.isnan(logliks[:, 0])]
-    if not logliks.shape[0]:
-        raise ValidationError("all trials degenerated; scenario is ill-posed")
-    return logliks
-
-
 def estimate(scenario, specs, approach, trials, master_seed):
     """Estimate p_e and p_a for each criterion over seeded trials.
 
-    All criteria see the same log-likelihood ladders; p_e counts argmin
-    mismatches, p_a the two-neighbor abridged event (single available
-    neighbor at the boundary orders).
+    All criteria see the same log-likelihood ladders, the trial set of
+    trial_ladders: at least _MIN_TRIALS trials, the degenerate ones left
+    out and counted.  p_e counts argmin mismatches, p_a the two-neighbor
+    abridged event (single available neighbor at the boundary orders).
     """
-    trials = mc_trials(trials)
     nu0, n_orders = scenario.nu0, scenario.max_order
-    logliks = checked_ladders(
-        drop_degenerate(collect_logliks(scenario, approach, trials, master_seed)))
+    logliks, degenerate = trial_ladders(scenario, approach, trials, master_seed)
     n_eff = logliks.shape[0]
-    degenerate = trials - n_eff
     key = scenario_fingerprint(scenario)
     under, over = abridged_comparisons(nu0, n_orders)
     reports = []
@@ -509,7 +505,7 @@ def estimate(scenario, specs, approach, trials, master_seed):
             ratio_gt1_eq1=ratio,
             master_seed=int(master_seed),
             degenerate=degenerate,
-            degenerate_warning=degenerate > 0.01 * trials,
+            degenerate_warning=degenerate > 0.01 * (n_eff + degenerate),
             scenario_key=key,
             correct=correct,
             abridged_correct=abridged_correct,

@@ -20,7 +20,7 @@ from . import montecarlo
 from .criteria import Eef, Gic, PmepI, PmepIr, abridged_comparisons
 from .distributions import (Quadrature, _panel_nodes, convolve_cdfs, integrate,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
-from .errors import ModelViolationError, ValidationError
+from .errors import ModelViolationError, ValidationError, finite_float, nonneg_int
 from .likelihood import Bl, FrequencyPlan, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
@@ -350,11 +350,15 @@ def consistency_range(d_n_sq, n_total, nu0):
     """Tuning ranges that make the PMEP rules SNR-consistent.
 
     d_n_sq holds the normalized noncentralities of the true signals
-    (i <= nu0); indices above nu0 contribute zero at the true frequencies.
+    (i <= nu0), each a finite positive number; indices above nu0 contribute
+    zero at the true frequencies.  n_total (N) and nu0 are integers with
+    1 <= nu0 <= n_total.  Any other input is a ValidationError.
     """
-    d_n_sq = np.asarray(d_n_sq, dtype=float)
-    if d_n_sq.shape != (nu0,):
-        raise ValidationError(f"expected {nu0} noncentralities, got {d_n_sq.shape}")
+    n_total, nu0 = nonneg_int(n_total, "n_total"), nonneg_int(nu0, "nu0")
+    weights = np.asarray(d_n_sq, dtype=object)
+    if weights.shape != (nu0,):
+        raise ValidationError(f"expected {nu0} noncentralities, got {weights.shape}")
+    d_n_sq = np.array([finite_float(d, f"d_n_sq[{j}]") for j, d in enumerate(weights)])
     if np.any(d_n_sq <= 0):
         raise ValidationError("normalized noncentralities must be positive")
     if not 1 <= nu0 <= n_total:
@@ -377,6 +381,14 @@ def consistency_range(d_n_sq, n_total, nu0):
         kappa_i_inf_exact=i_inf,
         kappa_i_inf_simple=math.log(n_total) / math.log1p(rho / n_total),
     )
+
+
+def scenario_consistency(scenario):
+    """consistency_range of the scenario's true signals: the first nu0
+    noncentralities of residual_means at the true frequencies, with the
+    scenario's N and nu0."""
+    lambdas = residual_means(scenario, scenario.all_frequencies)[1]
+    return consistency_range(lambdas[:scenario.nu0], scenario.max_order, scenario.nu0)
 
 
 @dataclass(frozen=True)

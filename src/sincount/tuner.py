@@ -14,14 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import PmepI, PmepIr, argmin_order, checked_ladders
-from .errors import ValidationError, nonneg_int
+from .criteria import PmepI, PmepIr, argmin_order
+from .errors import ValidationError, finite_float, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies
-from .montecarlo import collect_logliks, drop_degenerate, mc_trials
+from .montecarlo import trial_ladders
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
-                     consistency_range, residual_means)
+                     scenario_consistency)
 
-_DEFAULT_RANGES = {"pmep-ir": (0.01, 1.0), "pmep-i": (1.0, 12.0)}
+# each family's name: its criterion, whose one parameter is the one tuned,
+# and its default search range
+_FAMILIES = {"pmep-ir": (PmepIr, (0.01, 1.0)), "pmep-i": (PmepI, (1.0, 12.0))}
 _FLAT_TOL = 1e-12
 
 
@@ -56,13 +58,9 @@ class TuneResult:
 
 def _family_name(family):
     name = family.lower() if isinstance(family, str) else None
-    if name not in _DEFAULT_RANGES:
+    if name not in _FAMILIES:
         raise ValidationError(f"family must be the name pmep-ir or pmep-i, got {family!r}")
     return name
-
-
-def _spec_for(name, kappa):
-    return PmepIr(kappa_ir=kappa) if name == "pmep-ir" else PmepI(kappa_i=kappa)
 
 
 def _theory_objective(scenario, name, approach):
@@ -77,14 +75,11 @@ def _theory_objective(scenario, name, approach):
 
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
-    # the degenerate trials are left out, as estimate() leaves them out of p_e
-    logliks = checked_ladders(drop_degenerate(
-        collect_logliks(scenario, approach, mc_trials(trials), master_seed)))
-    nu0 = scenario.nu0
-    pps = approach.params_per_signal
+    logliks, _ = trial_ladders(scenario, approach, trials, master_seed)
+    criterion, nu0, pps = _FAMILIES[name][0], scenario.nu0, approach.params_per_signal
 
     def objective(kappa):
-        values = _spec_for(name, float(kappa)).values(logliks, params_per_signal=pps)
+        values = criterion(float(kappa)).values(logliks, params_per_signal=pps)
         return 1.0 - float(np.mean(argmin_order(values) == nu0))
 
     return objective
@@ -96,15 +91,21 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     """Minimize an error objective over the family's tuning parameter.
 
     family is the name "pmep-ir" or "pmep-i", not an instance: its parameter
-    is the one tuned.  Scans a grid over search_range, then optionally
-    refines the best bracket by bounded scalar minimization.  Both objectives
-    use the approach's frequencies (known frequencies by default); the theory
-    objective has no ML laws.  The result is flagged against the exact
-    consistency range of the scenario's true-signal noncentralities.
+    is the one tuned.  Scans a grid of grid_points values over search_range,
+    a pair of finite numbers (the family's default range when None), then
+    optionally refines the best bracket by bounded scalar minimization; a
+    one-point range is a one-point grid.  Both objectives use the approach's
+    frequencies (known frequencies by default); the theory objective has no
+    ML laws, and the Monte Carlo one decides the trials of
+    montecarlo.trial_ladders.  The result is flagged against
+    theory.scenario_consistency.
     """
     name = _family_name(family)
-    lo, hi = search_range if search_range is not None else _DEFAULT_RANGES[name]
-    if not (lo <= hi):
+    pair = _FAMILIES[name][1] if search_range is None else search_range
+    if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2):
+        raise ValidationError(f"search_range must be a pair (lo, hi), got {pair!r}")
+    lo, hi = (finite_float(v, f"search_range[{j}]") for j, v in enumerate(pair))
+    if lo > hi:
         raise ValidationError(f"empty search range ({lo}, {hi})")
     if lo < hi and nonneg_int(grid_points, "grid_points") < 2:
         raise ValidationError(f"grid_points must be >= 2 on ({lo}, {hi}), got {grid_points}")
@@ -115,39 +116,30 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 
-    if lo == hi:
-        value = fun(lo)
-        trace = np.array([[lo, value]])
-        best_k, best_v, flat = float(lo), float(value), False
+    grid = np.linspace(lo, hi, grid_points) if lo < hi else np.array([lo])
+    vals = np.array([fun(k) for k in grid])
+    trace = np.column_stack([grid, vals])
+    flat = lo < hi and float(vals.max() - vals.min()) <= _FLAT_TOL * max(
+        1.0, abs(float(vals.mean())))
+    if flat:
+        best_k = float(0.5 * (lo + hi))
+        best_v = float(fun(best_k))
     else:
-        grid = np.linspace(lo, hi, grid_points)
-        vals = np.array([fun(k) for k in grid])
-        trace = np.column_stack([grid, vals])
-        flat = float(vals.max() - vals.min()) <= _FLAT_TOL * max(1.0, abs(float(vals.mean())))
-        if flat:
-            best_k = float(0.5 * (lo + hi))
-            best_v = float(fun(best_k))
-        else:
-            j = int(np.argmin(vals))
-            best_k, best_v = float(grid[j]), float(vals[j])
-            if refine:
-                # imported here: scipy.optimize serves only this refinement
-                from scipy.optimize import minimize_scalar
+        j = int(np.argmin(vals))
+        best_k, best_v = float(grid[j]), float(vals[j])
+        if refine and lo < hi:
+            # imported here: scipy.optimize serves only this refinement
+            from scipy.optimize import minimize_scalar
 
-                blo = float(grid[max(j - 1, 0)])
-                bhi = float(grid[min(j + 1, grid.size - 1)])
-                res = minimize_scalar(fun, bounds=(blo, bhi), method="bounded",
-                                      options={"xatol": (hi - lo) * 1e-4})
-                if res.fun <= best_v:
-                    best_k, best_v = float(res.x), float(res.fun)
+            blo = float(grid[max(j - 1, 0)])
+            bhi = float(grid[min(j + 1, grid.size - 1)])
+            res = minimize_scalar(fun, bounds=(blo, bhi), method="bounded",
+                                  options={"xatol": (hi - lo) * 1e-4})
+            if res.fun <= best_v:
+                best_k, best_v = float(res.x), float(res.fun)
 
-    _, lambdas = residual_means(scenario, scenario.all_frequencies)
-    ranges = consistency_range(lambdas[:scenario.nu0], scenario.max_order,
-                               scenario.nu0)
-    if name == "pmep-ir":
-        ok = ranges.contains_ir(best_k)
-    else:
-        ok = ranges.contains_i(best_k)
+    ranges = scenario_consistency(scenario)
+    ok = ranges.contains_ir(best_k) if name == "pmep-ir" else ranges.contains_i(best_k)
     return TuneResult(
         family=name,
         kappa_opt=best_k,

@@ -90,6 +90,23 @@ def test_mc_json_format(config_path, tmp_path, capsys):
     assert len(doc["rows"]) == 2
 
 
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_out_exits_2_before_the_run(config_path, tmp_path, capsys, monkeypatch,
+                                               target):
+    # used to raise FileNotFoundError / IsADirectoryError, exit 1, after the run
+    out = tmp_path / "missing" / "x.csv" if target == "missing_directory" else tmp_path
+
+    def never(*args):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli.montecarlo, "estimate", never)
+    rc, stdout, err = run(["mc", "--config", config_path(BASE_CONFIG), "--out", str(out)],
+                          capsys)
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith(f"config error: --out: cannot write {out}: ")
+
+
 def test_snr_flag_expands_grid(config_path, capsys):
     rc, out, _ = run(["mc", "--config", config_path(BASE_CONFIG),
                       "--snr-db=-4,0", "--trials", "200"], capsys)

@@ -424,6 +424,23 @@ def test_consistency_range_validation():
         sc.consistency_range(np.ones(3), 5, 2)  # length mismatch
     with pytest.raises(ValidationError, match="outside 1..2"):
         sc.consistency_range(np.ones(3), 2, 3)
+    # a NaN weight used to read every kappa as consistent, an infinite one
+    # raised ZeroDivisionError; a float nu0 raised TypeError, while a boolean
+    # nu0 and a float n_total were accepted and echoed
+    for weights, name in (([1.0, np.nan], r"d_n_sq\[1\]"), ([np.inf, 1.0], r"d_n_sq\[0\]"),
+                          ([1.0, "2"], r"d_n_sq\[1\]")):
+        with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
+            sc.consistency_range(weights, 5, 2)
+    for n_total, nu0, name in ((5, 3.0, "nu0"), (5, True, "nu0"), (5.5, 1, "n_total"),
+                               (-1, 1, "n_total")):
+        with pytest.raises(ValidationError, match=f"{name} must be a nonnegative integer"):
+            sc.consistency_range(np.ones(int(nu0)), n_total, nu0)
+
+
+def test_scenario_consistency_is_the_range_of_its_true_signals(scen_m4):
+    lam = sc.residual_means(scen_m4, scen_m4.all_frequencies)[1]
+    assert sc.theory.scenario_consistency(scen_m4) == sc.consistency_range(
+        lam[:scen_m4.nu0], scen_m4.max_order, scen_m4.nu0)
 
 
 def test_consistency_single_signal_vacuous():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sincount as sc
-from sincount import montecarlo, tuner
+from sincount import montecarlo
 from sincount.criteria import checked_ladders
 from sincount.errors import ValidationError
 
@@ -50,10 +50,26 @@ def test_reversed_range_rejected(scen_m4):
         sc.tune("pmep-ir", scen_m4, search_range=(0.5, 0.1))
 
 
+@pytest.mark.parametrize("family,search_range,match", [
+    ("pmep-i", (1.0, np.inf), r"search_range\[1\] must be a finite number"),
+    ("pmep-ir", (-np.inf, 0.5), r"search_range\[0\] must be a finite number"),
+    ("pmep-ir", (np.nan, 0.5), r"search_range\[0\] must be a finite number"),
+    ("pmep-ir", ("0.1", 0.5), r"search_range\[0\] must be a finite number"),
+    ("pmep-ir", (0.1, 0.3, 0.5), "search_range must be a pair"),
+    ("pmep-ir", 0.3, "search_range must be a pair"),
+], ids=["inf_hi", "minus_inf_lo", "nan_lo", "str_lo", "three_values", "scalar"])
+def test_non_finite_or_malformed_range_rejected(scen_m4, family, search_range, match):
+    # an infinite end used to reach the grid as a NaN (RuntimeWarning, then a
+    # kappa error), a NaN end read as an empty range, a 3-tuple failed to unpack
+    with pytest.raises(ValidationError, match=match):
+        sc.tune(family, scen_m4, search_range=search_range)
+
+
 def test_single_point_range(scen_m4):
     result = sc.tune("pmep-ir", scen_m4, search_range=(0.25, 0.25))
     assert result.kappa_opt == 0.25
     assert len(result.search_trace) == 1
+    assert not result.flat
 
 
 @pytest.mark.parametrize("grid_points", [0, 1, 4.0])
@@ -70,8 +86,7 @@ def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(mon
     scen = sc.standard_scenario(0.0)
     logliks = sc.collect_logliks(scen, sc.KNOWN_FREQ, 2000, 3)
     logliks[::10] = np.nan
-    for module in (tuner, montecarlo):
-        monkeypatch.setattr(module, "collect_logliks", lambda *args: logliks.copy())
+    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: logliks.copy())
     for kappa in (2.0, 3.0, 4.0):
         tuned = sc.tune("pmep-i", scen, objective="monte_carlo", search_range=(kappa, kappa),
                         trials=2000, master_seed=3)
@@ -93,8 +108,7 @@ def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_
         calls.append(logliks.shape)
         return checked_ladders(logliks)
 
-    for module in (tuner, montecarlo):
-        monkeypatch.setattr(module, "checked_ladders", counted)
+    monkeypatch.setattr(montecarlo, "checked_ladders", counted)
     specs = [sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)]
     sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
     sc.tune("pmep-ir", scen_m4, objective="monte_carlo", grid_points=5, trials=300,
@@ -103,8 +117,7 @@ def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_
     # a ladder that falls is still refused, by estimate and by the objective
     logliks = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 3)
     logliks[7, -1] = logliks[7, -2] - 1.0
-    for module in (tuner, montecarlo):
-        monkeypatch.setattr(module, "collect_logliks", lambda *args: logliks.copy())
+    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: logliks.copy())
     with pytest.raises(ValidationError, match="nondecreasing"):
         sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
     with pytest.raises(ValidationError, match="nondecreasing"):
