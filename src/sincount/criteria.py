@@ -44,7 +44,10 @@ class Eef:
 
     R(nu) = -[L_nu - nu*(ln(L_nu/nu) + 1)] * H(L_nu/nu - 1), H the unit
     step, so the argmin of R maximizes the embedded-family statistic; the
-    gate zeroes orders whose average increment is below 1.
+    gate zeroes orders whose average increment is below 1.  values ignores
+    params_per_signal: the rule divides by 2 parameters per signal (an
+    amplitude and a phase) under every approach, so a searched frequency
+    is not counted.
     """
 
     name = "eef"

@@ -24,13 +24,21 @@ class Dist:
     [support_lo, support_hint] outside which cdf and 1 - cdf are below 1e-12
     (for a convolution, below the sum of its parts' bounds), and the
     probability mass sitting exactly at zero (nonzero only for the truncated
-    ML-approach laws, whose window therefore starts at zero)."""
+    ML-approach laws, whose window therefore starts at zero).  cdf_pdf(x)
+    returns (cdf(x), pdf(x)) from one evaluation; a law built without one
+    gets the two separate calls."""
 
     cdf: object
     pdf: object
     support_hint: float
     atom0: float = 0.0
     support_lo: float = 0.0
+    cdf_pdf: object = None
+
+    def __post_init__(self):
+        if self.cdf_pdf is None:
+            cdf, pdf = self.cdf, self.pdf
+            object.__setattr__(self, "cdf_pdf", lambda x: (cdf(x), pdf(x)))
 
 
 # upper-tail mass below which the ncx2 CDF reads exactly 1
@@ -138,48 +146,47 @@ def ml_component_cdf(dbar_sq, xi):
     For a signal index the CDF is Phi((x - d2)/(2 d2)) * exp(-(xi/pi) exp(-x/2)),
     d2 = dbar_sq; for a noise index, dbar_sq = None, the Gaussian factor is
     dropped.  The closed form is truncated at zero, which leaves an atom there
-    of size cdf(0+).
+    of size cdf(0+).  The law's cdf and pdf are the two outputs of one body,
+    its cdf_pdf.
     """
     if not (xi > 0) or not math.isfinite(xi):
         raise ValidationError(f"xi must be positive and finite, got {xi}")
     c = xi / math.pi
-
-    def gumbel(e):
-        """The Gumbel factor exp(-c e) at e = exp(-x/2)."""
-        return np.exp(-c * e)
-
     if dbar_sq is not None:
         if not math.isfinite(dbar_sq) or dbar_sq <= 0:
             raise ValidationError(f"dbar_sq must be finite and > 0, got {dbar_sq}")
         d2 = float(dbar_sq)
         denom = 2.0 * dbar_sq
 
-        def cdf(x):
-            x = np.asarray(x, dtype=float)
-            val = ndtr((x - d2) / denom) * gumbel(np.exp(-x / 2.0))
-            return np.where(x < 0, 0.0, val)
-
-        def pdf(x):
-            x = np.asarray(x, dtype=float)
+    def cdf_pdf(x):
+        x = np.asarray(x, dtype=float)
+        e = np.exp(-x / 2.0)
+        gumbel = np.exp(-c * e)
+        if dbar_sq is None:
+            cdf, pdf = gumbel, gumbel * 0.5 * c * e
+        else:
+            # in place where it can be, so that few temporaries live at once
             u = (x - d2) / denom
-            phi = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
-            e = np.exp(-x / 2.0)
-            val = gumbel(e) * (phi / denom + ndtr(u) * 0.5 * c * e)
-            return np.where(x < 0, 0.0, val)
+            cdf = ndtr(u)
+            pdf = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi) / denom
+            del u
+            pdf += cdf * 0.5 * c * e
+            pdf *= gumbel
+            cdf *= gumbel
+        del e, gumbel
+        neg = x < 0
+        return np.where(neg, 0.0, cdf), np.where(neg, 0.0, pdf)
 
+    def cdf(x):
+        return cdf_pdf(x)[0]
+
+    def pdf(x):
+        return cdf_pdf(x)[1]
+
+    if dbar_sq is not None:
         atom = float(ndtr(-d2 / denom) * math.exp(-c))
         tail = max(d2 + 7.5 * denom, 2.0 * math.log(c / 5e-13) if c > 5e-13 else 1.0)
     else:
-
-        def cdf(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x < 0, 0.0, gumbel(np.exp(-x / 2.0)))
-
-        def pdf(x):
-            x = np.asarray(x, dtype=float)
-            e = np.exp(-x / 2.0)
-            return np.where(x < 0, 0.0, gumbel(e) * 0.5 * c * e)
-
         atom = float(math.exp(-c))
         tail = 2.0 * math.log(c / 5e-13) if c > 5e-13 else 1.0
     t = max(tail, 1.0)
@@ -187,7 +194,8 @@ def ml_component_cdf(dbar_sq, xi):
         t *= 1.5
     # below lo the Gumbel factor, which bounds the cdf, is under exp(-28)
     lo = 2.0 * math.log(c / 28.0) if c > 28.0 else 0.0
-    return Dist(cdf=cdf, pdf=pdf, support_hint=float(t), atom0=atom, support_lo=lo)
+    return Dist(cdf=cdf, pdf=pdf, support_hint=float(t), atom0=atom, support_lo=lo,
+                cdf_pdf=cdf_pdf)
 
 
 def _panel_nodes(n_nodes, n_panels):
@@ -204,6 +212,12 @@ _CONV_GRID = 4096
 _CONV_NODES, _CONV_WEIGHTS = _panel_nodes(32, 2)
 
 
+def _locate(xs, x):
+    """Index i of the interval [xs[i], xs[i+1]) holding each x, the last
+    interval at xs[-1]."""
+    return np.minimum(np.searchsorted(xs, x, "right") - 1, xs.size - 2)
+
+
 def _pchip(xs, ys):
     """Fritsch & Carlson's monotone cubic through (xs, ys), xs increasing
     (SIAM J. Numer. Anal. 17(2), 1980): a vectorized evaluator on
@@ -215,9 +229,9 @@ def _pchip(xs, ys):
     where they change sign or one is 0, and at the ends Moler's one-sided
     three-point rule (0 where its sign differs from the end secant's,
     3 times that secant where the secants change sign and it exceeds 3 times
-    the secant in size).  A point takes the interval [xs[i], xs[i+1]) that
-    holds it, the last interval at xs[-1], and the cubic in s = x - xs[i]
-    summed from its constant term up.
+    the secant in size).  A point takes its interval i from _locate (or the
+    i given, which interpolants on the same xs can share) and the cubic in
+    s = x - xs[i] summed from its constant term up.
     """
     h = np.diff(xs)
     m = np.diff(ys) / h
@@ -245,10 +259,10 @@ def _pchip(xs, ys):
     c1 = slopes[:-1]
     # scipy's sum starts from 0.0, which turns a -0.0 constant term into 0.0
     c0 = 0.0 + ys[:-1]
-    last = xs.size - 2
 
-    def evaluate(x):
-        i = np.minimum(np.searchsorted(xs, x, "right") - 1, last)
+    def evaluate(x, i=None):
+        if i is None:
+            i = _locate(xs, x)
         s = x - xs[i]
         s2 = s * s
         return ((c0[i] + c1[i] * s) + c2[i] * s2) + c3[i] * (s2 * s)
@@ -265,7 +279,9 @@ def convolve_cdfs(a, b):
     [a.support_lo + b.support_lo, a.support_hint + b.support_hint] and
     interpolated monotonically (_pchip).  The grid rows whose y range is cut
     at b.support_hint have the same nodes, so b.pdf is evaluated on the
-    other rows and one of those.
+    other rows and one of those; a.cdf_pdf gives a's cdf and pdf at the
+    x - y points in one evaluation.  The law's own cdf_pdf finds a point's
+    grid interval once for both interpolants.
     """
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
@@ -277,42 +293,62 @@ def convolve_cdfs(a, b):
     y_lo = b.support_lo
     y_span = np.clip(xs - a.support_lo, y_lo, b.support_hint) - y_lo
     ys = y_lo + y_span[:, None] * _CONV_NODES[None, :]
-    wts = y_span[:, None] * _CONV_WEIGHTS[None, :]
     # the rows before the first cut one, and that one
     rows = min(int(np.count_nonzero(xs - a.support_lo < b.support_hint)) + 1, xs.size)
     bp = np.empty(ys.shape)
     bp[:rows] = b.pdf(ys[:rows])
     bp[rows:] = bp[rows - 1]
     diffs = xs[:, None] - ys
-    cdf_vals = b.atom0 * a.cdf(xs) + np.sum(a.cdf(diffs) * bp * wts, axis=1)
-    pdf_vals = (b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs)
-                + np.sum(a.pdf(diffs) * bp * wts, axis=1))
+    del ys
+    a_cdf, a_pdf = a.cdf_pdf(diffs)
+    del diffs
+    wts = y_span[:, None] * _CONV_WEIGHTS[None, :]
+    cdf_sums = np.sum(a_cdf * bp * wts, axis=1)
+    del a_cdf
+    pdf_sums = np.sum(a_pdf * bp * wts, axis=1)
+    del a_pdf, bp, wts
+    a_cdf, a_pdf = a.cdf_pdf(xs)
+    cdf_vals = b.atom0 * a_cdf + cdf_sums
+    pdf_vals = b.atom0 * a_pdf + a.atom0 * b.pdf(xs) + pdf_sums
     cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
     atom = a.atom0 * b.atom0
     cdf_vals[0] = atom
     cdf_interp = _pchip(xs, cdf_vals)
     pdf_interp = _pchip(xs, np.maximum(pdf_vals, 0.0))
-    top = float(cdf_vals[-1])
+    top = max(float(cdf_vals[-1]), 1.0 - 1e-15)
+
+    def on_grid(x):
+        """x as floats, the mask of its points in [lo, hi] and those points."""
+        x = np.asarray(x, dtype=float)
+        mid = (x >= lo) & (x <= hi)
+        return x, mid, x[mid]
+
+    def tails(x):
+        """The cdf off [lo, hi]: 0 below, top above; NaN stays NaN."""
+        return np.where(x < lo, 0.0, np.where(x > hi, top, x))
 
     def cdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        below = x < lo
-        above = x > hi
-        mid = ~(below | above)
-        out[below] = 0.0
-        out[above] = max(top, 1.0 - 1e-15)
-        out[mid] = cdf_interp(x[mid])
+        x, mid, xm = on_grid(x)
+        out = tails(x)
+        out[mid] = cdf_interp(xm)
         return out
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
+        x, mid, xm = on_grid(x)
         out = np.zeros(x.shape)
-        mid = (x >= lo) & (x <= hi)
-        out[mid] = pdf_interp(x[mid])
+        out[mid] = pdf_interp(xm)
         return out
 
-    return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo)
+    def cdf_pdf(x):
+        x, mid, xm = on_grid(x)
+        i = _locate(xs, xm)
+        cdf_out, pdf_out = tails(x), np.zeros(x.shape)
+        cdf_out[mid] = cdf_interp(xm, i)
+        pdf_out[mid] = pdf_interp(xm, i)
+        return cdf_out, pdf_out
+
+    return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo,
+                cdf_pdf=cdf_pdf)
 
 
 _QUAD_SEEDS = 8         # equal panels the first level compares with their halves

@@ -388,15 +388,22 @@ def collect_logliks(scenario, approach, trials, master_seed):
     return out
 
 
+def checked_trials(trials):
+    """trials as an int; a ValidationError unless it is an integer of at
+    least _MIN_TRIALS."""
+    trials = nonneg_int(trials, "trials")
+    if trials < _MIN_TRIALS:
+        raise ValidationError(f"need at least {_MIN_TRIALS} trials, got {trials}")
+    return trials
+
+
 def trial_ladders(scenario, approach, trials, master_seed):
     """(ladders, degenerate), the Monte Carlo trial set of estimate and of
     tune's monte_carlo objective: collect_logliks' ladders without the NaN
     rows of the degenerate trials, which no criterion decides, checked once
     by checked_ladders, and the number of those trials.  A ValidationError
     below _MIN_TRIALS trials (checked first) or when every trial degenerates."""
-    trials = nonneg_int(trials, "trials")
-    if trials < _MIN_TRIALS:
-        raise ValidationError(f"need at least {_MIN_TRIALS} trials, got {trials}")
+    trials = checked_trials(trials)
     logliks = collect_logliks(scenario, approach, trials, master_seed)
     logliks = logliks[~np.isnan(logliks[:, 0])]
     if not logliks.shape[0]:

@@ -421,11 +421,23 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     Monte Carlo with the same offsets.  Given a loss function, p_aq
     aggregates the curve through it; given per-offset probabilities, p_waa
     weights them in (with unit losses when no loss is given).  Each is None
-    without its input.
+    without its input.  A non-finite loss value or probability raises
+    ValidationError before the sweep runs.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ValidationError("delta grid must be nonempty")
+    weights = np.ones(deltas.size) if loss is None else np.array(
+        [float(loss(d)) for d in deltas])
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError(f"loss must be finite on the delta grid, got {weights}")
+    probs = None
+    if error_probs is not None:
+        probs = np.asarray(error_probs, dtype=float)
+        if probs.shape != deltas.shape:
+            raise ValidationError("error_probs length does not match grid")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError(f"error_probs must be finite, got {probs}")
     use_mc = isinstance(spec, Eef)
     p_vals = np.zeros(deltas.size)
     errs = np.zeros(deltas.size)
@@ -441,15 +453,8 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
             report = abridged_for(dists, spec,
                                   params_per_signal=approach.params_per_signal)
             p_vals[j], errs[j] = report.p_a, report.error
-    weights = np.ones(deltas.size) if loss is None else np.array(
-        [float(loss(d)) for d in deltas])
     p_aq = None if loss is None else float(np.sum(p_vals * weights))
-    p_waa = None
-    if error_probs is not None:
-        probs = np.asarray(error_probs, dtype=float)
-        if probs.shape != deltas.shape:
-            raise ValidationError("error_probs length does not match grid")
-        p_waa = float(np.sum(probs * p_vals * weights))
+    p_waa = None if probs is None else float(np.sum(probs * p_vals * weights))
     return FrequencyErrorSweep(
         deltas=deltas, p_a=p_vals, errors=errs,
         criterion=getattr(spec, "name", str(spec)),
@@ -472,8 +477,12 @@ def bl_interval(sweep, ml_reference_pe):
 
     Scans the sweep grid upward from zero; the interval ends at the last
     grid point before the curve first exceeds the reference.  A sweep
-    that never exceeds it returns the grid maximum flagged saturated.
+    that never exceeds it returns the grid maximum flagged saturated.  The
+    reference is a probability: a ValidationError unless it is in [0, 1].
     """
+    ref = finite_float(ml_reference_pe, "ml_reference_pe")
+    if not 0.0 <= ref <= 1.0:
+        raise ValidationError(f"ml_reference_pe must be in [0, 1], got {ref}")
     order = np.argsort(sweep.deltas)
     deltas = sweep.deltas[order]
     p_vals = sweep.p_a[order]
@@ -481,7 +490,6 @@ def bl_interval(sweep, ml_reference_pe):
         raise ValidationError("sweep must cover nonnegative offsets only")
     if deltas[0] > 0:
         raise ValidationError("sweep must include delta = 0")
-    ref = float(ml_reference_pe)
     width = 0.0
     for delta, p in zip(deltas, p_vals):
         if p > ref:

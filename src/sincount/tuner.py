@@ -17,7 +17,7 @@ import numpy as np
 from .criteria import PmepI, PmepIr, argmin_order
 from .errors import ValidationError, finite_float, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies
-from .montecarlo import trial_ladders
+from .montecarlo import checked_trials, trial_ladders
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      scenario_consistency)
 
@@ -97,17 +97,24 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     one-point range is a one-point grid.  Both objectives use the approach's
     frequencies (known frequencies by default); the theory objective has no
     ML laws, and the Monte Carlo one decides the trials of
-    montecarlo.trial_ladders.  The result is flagged against
-    theory.scenario_consistency.
+    montecarlo.trial_ladders.  Every setting is checked under either
+    objective: refine is a bool, grid_points a nonnegative integer, trials
+    at least montecarlo's floor and master_seed a nonnegative integer.  The
+    result is flagged against theory.scenario_consistency.
     """
     name = _family_name(family)
+    if not isinstance(refine, bool):
+        raise ValidationError(f"refine must be True or False, got {refine!r}")
+    checked_trials(trials)
+    nonneg_int(master_seed, "master_seed")
+    grid_points = nonneg_int(grid_points, "grid_points")
     pair = _FAMILIES[name][1] if search_range is None else search_range
     if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2):
         raise ValidationError(f"search_range must be a pair (lo, hi), got {pair!r}")
     lo, hi = (finite_float(v, f"search_range[{j}]") for j, v in enumerate(pair))
     if lo > hi:
         raise ValidationError(f"empty search range ({lo}, {hi})")
-    if lo < hi and nonneg_int(grid_points, "grid_points") < 2:
+    if lo < hi and grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2 on ({lo}, {hi}), got {grid_points}")
     if objective == "abridged_theory":
         fun = _theory_objective(scenario, name, approach)

@@ -264,6 +264,33 @@ def test_convolution_equals_the_dense_convolution(a, b, cut):
     _assert_same_law(convolve_cdfs(a, b), convolve_cdfs_dense(a, b))
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("law", [
+    ml_component_cdf(30.0, 20.0),
+    ml_component_cdf(None, 20.0),
+    _NOISE_ABOVE_ZERO,
+    convolve_cdfs(ml_component_cdf(30.0, 20.0), ml_component_cdf(None, 20.0)),
+    convolve_cdfs(_NOISE_ABOVE_ZERO, _NOISE_ABOVE_ZERO),
+    # no cdf_pdf of its own: the separate calls
+    nc_chisq2(30.0),
+], ids=["ml_signal", "ml_noise", "ml_noise_lo", "convolved", "convolved_lo", "ql_no_cdf_pdf"])
+def test_cdf_pdf_equals_the_separate_calls_bit_for_bit(law):
+    lo, hi = law.support_lo, law.support_hint
+    knots = np.linspace(lo, hi, distributions._CONV_GRID + 1)
+    between = np.random.default_rng(3).uniform(knots[:-1], knots[1:])
+    x = np.concatenate([[lo - 1.0, np.nextafter(lo, -np.inf), -3.0, -0.0, 0.0, hi,
+                         np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan], knots, between])
+    for points in (x, x[:x.size // 2 * 2].reshape(-1, 2)):
+        cdf, pdf = law.cdf_pdf(points)
+        assert cdf.shape == pdf.shape == points.shape
+        assert np.array_equal(_bits(cdf), _bits(law.cdf(points)))
+        assert np.array_equal(_bits(pdf), _bits(law.pdf(points)))
+
+
 @pytest.mark.parametrize("signal_present", [True, False])
 def test_ml_component_cdf_shape(signal_present):
     # a noise slot is the one without a noncentrality

@@ -386,6 +386,34 @@ def test_bl_interval_cases(scen_0):
         sc.bl_interval(sc.ql_sweep(scen_0, sc.Gic(), [-0.002, 0.0]), 0.5)
 
 
+@pytest.mark.parametrize("reference, match", [
+    (math.nan, "must be a finite number"), (math.inf, "must be a finite number"),
+    ("0.5", "must be a finite number"), (-0.1, r"must be in \[0, 1\]"),
+    (1.5, r"must be in \[0, 1\]"),
+], ids=["nan", "inf", "str", "negative", "above_one"])
+def test_bl_interval_rejects_a_bad_reference(scen_0, reference, match):
+    # a NaN reference used to read as never exceeded: the last width, saturated
+    sweep = sc.ql_sweep(scen_0, sc.Gic(), [0.0, 0.004])
+    with pytest.raises(ValidationError, match=f"ml_reference_pe {match}"):
+        sc.bl_interval(sweep, reference)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"loss": lambda d: math.nan}, "loss must be finite"),
+    ({"loss": lambda d: math.inf if d > 0 else 1.0}, "loss must be finite"),
+    ({"error_probs": [0.5, math.nan]}, "error_probs must be finite"),
+    ({"loss": lambda d: 1.0, "error_probs": [-math.inf, 0.5]}, "error_probs must be finite"),
+], ids=["loss_nan", "loss_inf", "probs_nan", "probs_minus_inf"])
+def test_ql_sweep_rejects_non_finite_loss_or_probabilities(scen_0, monkeypatch, kwargs, match):
+    # these used to come back as p_aq or p_waa = NaN; now no law is built
+    def no_laws(*args, **kw):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(theory, "component_dists", no_laws)
+    with pytest.raises(ValidationError, match=match):
+        sc.ql_sweep(scen_0, sc.Gic(), [0.0, 0.004], **kwargs)
+
+
 def test_sample_increments_match_lambdas(dists_m4):
     rng = np.random.default_rng(8)
     draws = sample_increments(dists_m4, rng, 100000)

@@ -80,6 +80,36 @@ def test_grid_needs_two_integer_points(scen_m4, grid_points):
         sc.tune("pmep-i", scen_m4, grid_points=grid_points, search_range=(0.01, 1.0))
 
 
+@pytest.mark.parametrize("refine", ["no", 1, None, np.True_],
+                         ids=["str", "int", "none", "numpy_bool"])
+def test_refine_must_be_a_bool(scen_m4, refine):
+    # read by truthiness before, so refine="no" refined
+    with pytest.raises(ValidationError, match="refine must be True or False"):
+        sc.tune("pmep-ir", scen_m4, grid_points=5, search_range=(0.2, 0.3), refine=refine)
+
+
+@pytest.mark.parametrize("grid_points", ["x", -1, 2.0])
+def test_grid_points_checked_on_a_one_point_range(scen_m4, grid_points):
+    # a one-point range never builds a grid, and used to take any grid_points
+    with pytest.raises(ValidationError, match="grid_points must be a nonnegative integer"):
+        sc.tune("pmep-ir", scen_m4, grid_points=grid_points, search_range=(0.25, 0.25))
+
+
+@pytest.mark.parametrize("objective", ["abridged_theory", "monte_carlo"])
+@pytest.mark.parametrize("setting, match", [
+    ({"trials": -5}, "trials must be a nonnegative integer"),
+    ({"trials": 50}, "need at least 100 trials, got 50$"),
+    ({"trials": 1e5}, "trials must be a nonnegative integer"),
+    ({"master_seed": -1}, "master_seed must be a nonnegative integer"),
+    ({"master_seed": "7"}, "master_seed must be a nonnegative integer"),
+], ids=["trials_negative", "trials_below_floor", "trials_float", "seed_negative", "seed_str"])
+def test_trials_and_seed_checked_under_both_objectives(scen_m4, objective, setting, match):
+    # the theory objective never reads them, and used to take trials=-5
+    with pytest.raises(ValidationError, match=match):
+        sc.tune("pmep-ir", scen_m4, objective=objective, grid_points=5,
+                search_range=(0.2, 0.3), **setting)
+
+
 def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(monkeypatch):
     # a NaN ladder is a degenerate trial: estimate() decides no order for it,
     # and the objective must not count it as an error either
