@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from functools import partial
 
@@ -200,6 +201,14 @@ def _fmt(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _json_value(value):
+    """value with NaN as null and +-inf as the strings "inf" and "-inf",
+    which strict JSON has no number for."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
 def open_out(path):
     """path opened for writing (stdout when None) before the subcommand runs,
     as a shell redirection is, so that an unwritable --out exits 2 at once."""
@@ -220,8 +229,9 @@ def write_table(out, args, sha, seed, columns, rows):
         out.write("\n".join(lines) + "\n")
     else:
         out.write(json.dumps({"subcommand": args.command, "config_sha": sha, "seed": seed,
-                              "columns": list(columns), "rows": [list(row) for row in rows]},
-                             indent=2, sort_keys=True) + "\n")
+                              "columns": list(columns),
+                              "rows": [[_json_value(v) for v in row] for row in rows]},
+                             indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # each subcommand maps the parsed config to its table's columns and rows

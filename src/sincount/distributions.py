@@ -212,60 +212,47 @@ _CONV_GRID = 4096
 _CONV_NODES, _CONV_WEIGHTS = _panel_nodes(32, 2)
 
 
-def _locate(xs, x):
-    """Index i of the interval [xs[i], xs[i+1]) holding each x, the last
-    interval at xs[-1]."""
-    return np.minimum(np.searchsorted(xs, x, "right") - 1, xs.size - 2)
+def _monotone_cubic(xs, ys):
+    """Fritsch & Carlson's monotone cubic through (xs, ys) on the uniform
+    grid xs (SIAM J. Numer. Anal. 17(2), 1980): a vectorized evaluator on
+    [xs[0], xs[-1]].
 
-
-def _pchip(xs, ys):
-    """Fritsch & Carlson's monotone cubic through (xs, ys), xs increasing
-    (SIAM J. Numer. Anal. 17(2), 1980): a vectorized evaluator on
-    [xs[0], xs[-1]], where NaN stays NaN.
-
-    The knot slopes, the cubic coefficients and the evaluation order are
-    those of scipy.interpolate.PchipInterpolator, so the values are its bits:
-    a slope is the weighted harmonic mean of the neighbouring secants, 0
-    where they change sign or one is 0, and at the ends Moler's one-sided
-    three-point rule (0 where its sign differs from the end secant's,
-    3 times that secant where the secants change sign and it exceeds 3 times
-    the secant in size).  A point takes its interval i from _locate (or the
-    i given, which interpolants on the same xs can share) and the cubic in
-    s = x - xs[i] summed from its constant term up.
+    An interior knot's slope is the harmonic mean of the neighbouring
+    secants, 0 where they change sign or one is 0; an end slope is Moler's
+    one-sided three-point rule, 0 where its sign differs from the end
+    secant's and 3 times that secant where the secants change sign and it
+    exceeds 3 times the secant in size.  A point x lies in the interval
+    i = (x - xs[0]) // step, the last one at xs[-1], and takes the cubic in
+    s = x - xs[i] by Horner's rule.  The secants and the cubic take each
+    interval's own width, which differs from step by the rounding of xs,
+    so that each piece meets both its knots.
     """
+    step = (xs[-1] - xs[0]) / (xs.size - 1)
     h = np.diff(xs)
     m = np.diff(ys) / h
-    sign = np.sign(m)
-    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        inner = np.where(flat, 0.0, 1.0 / whmean)
+        inner = np.where(flat, 0.0, 2.0 / (1.0 / m[:-1] + 1.0 / m[1:]))
 
-    def end_slope(h0, h1, m0, m1):
-        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    def end_slope(m0, m1):
+        d = 1.5 * m0 - 0.5 * m1
         if np.sign(d) != np.sign(m0):
             return 0.0
         if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
             return 3.0 * m0
         return d
 
-    slopes = np.concatenate([[end_slope(h[0], h[1], m[0], m[1])], inner,
-                             [end_slope(h[-1], h[-2], m[-1], m[-2])]])
-    t = (slopes[:-1] + slopes[1:] - 2 * m) / h
-    c3 = t / h
-    c2 = (m - slopes[:-1]) / h - t
+    slopes = np.concatenate([[end_slope(m[0], m[1])], inner, [end_slope(m[-1], m[-2])]])
     c1 = slopes[:-1]
-    # scipy's sum starts from 0.0, which turns a -0.0 constant term into 0.0
-    c0 = 0.0 + ys[:-1]
+    t = (c1 + slopes[1:] - 2 * m) / h
+    c2 = (m - c1) / h - t
+    c3 = t / h
+    c0 = ys[:-1]
 
-    def evaluate(x, i=None):
-        if i is None:
-            i = _locate(xs, x)
+    def evaluate(x):
+        i = np.minimum(((x - xs[0]) / step).astype(np.intp), m.size - 1)
         s = x - xs[i]
-        s2 = s * s
-        return ((c0[i] + c1[i] * s) + c2[i] * s2) + c3[i] * (s2 * s)
+        return c0[i] + s * (c1[i] + s * (c2[i] + s * c3[i]))
 
     return evaluate
 
@@ -277,11 +264,10 @@ def convolve_cdfs(a, b):
     y in [b.support_lo, min(x - a.support_lo, b.support_hint)], evaluated by
     panelled Gauss-Legendre quadrature on a dense grid over the window
     [a.support_lo + b.support_lo, a.support_hint + b.support_hint] and
-    interpolated monotonically (_pchip).  The grid rows whose y range is cut
-    at b.support_hint have the same nodes, so b.pdf is evaluated on the
-    other rows and one of those; a.cdf_pdf gives a's cdf and pdf at the
-    x - y points in one evaluation.  The law's own cdf_pdf finds a point's
-    grid interval once for both interpolants.
+    interpolated monotonically (_monotone_cubic).  The grid rows whose y
+    range is cut at b.support_hint have the same nodes, so b.pdf is
+    evaluated on the other rows and one of those; a.cdf_pdf gives a's cdf
+    and pdf at the x - y points in one evaluation.
     """
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
@@ -313,8 +299,8 @@ def convolve_cdfs(a, b):
     cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
     atom = a.atom0 * b.atom0
     cdf_vals[0] = atom
-    cdf_interp = _pchip(xs, cdf_vals)
-    pdf_interp = _pchip(xs, np.maximum(pdf_vals, 0.0))
+    cdf_interp = _monotone_cubic(xs, cdf_vals)
+    pdf_interp = _monotone_cubic(xs, np.maximum(pdf_vals, 0.0))
     top = max(float(cdf_vals[-1]), 1.0 - 1e-15)
 
     def on_grid(x):
@@ -341,10 +327,9 @@ def convolve_cdfs(a, b):
 
     def cdf_pdf(x):
         x, mid, xm = on_grid(x)
-        i = _locate(xs, xm)
         cdf_out, pdf_out = tails(x), np.zeros(x.shape)
-        cdf_out[mid] = cdf_interp(xm, i)
-        pdf_out[mid] = pdf_interp(xm, i)
+        cdf_out[mid] = cdf_interp(xm)
+        pdf_out[mid] = pdf_interp(xm)
         return cdf_out, pdf_out
 
     return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo,

@@ -21,11 +21,10 @@ bracketing certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg import cholesky as _cholesky
 
 from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_int
@@ -138,21 +137,6 @@ class FrequencyPlan:
     def logliks_batch(self, samples):
         """L_nu for nu = 1..order, per trial: half the running sum of V."""
         return 0.5 * np.cumsum(self.increments_batch(samples), axis=1)
-
-    def amp_phase(self, samples):
-        """Quadrature-amplitude MLE Q = C^{-1} X and per-signal (a, phi).
-
-        samples is one observation row or a batch of rows; returns
-        (q_hat, amplitudes, phases) with a leading trial axis for a batch and
-        phases mapped to [0, 2*pi).
-        """
-        x = np.asarray(samples, dtype=float) @ self.basis
-        q_hat = cho_solve((self.chol, True), x.T).T
-        q_sin = q_hat[..., 0::2]
-        q_cos = q_hat[..., 1::2]
-        amps = np.hypot(q_sin, q_cos)
-        phases = np.mod(np.arctan2(q_sin, q_cos), 2.0 * math.pi)
-        return q_hat, amps, phases
 
 
 def _quadratic_form(g11, g22, g12, p1, p2):

@@ -220,9 +220,12 @@ def synthesize(scenario, seed):
     """Draw one observation: clean signal plus sigma0 times white Gaussian noise.
 
     The generator is counter-based (Philox keyed by the seed), so draws are
-    reproducible and independent across seeds regardless of evaluation order.
+    reproducible and independent across seeds regardless of evaluation order;
+    the seed is Philox's 128-bit key, so it must be below 2**128.
     """
     seed = nonneg_int(seed, "seed")
+    if seed >= 2**128:
+        raise ValidationError(f"seed must be below 2**128, Philox's key range, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     samples = clean_signal(scenario) + scenario.noise_level * rng.standard_normal(
         scenario.n_samples)

@@ -1,9 +1,11 @@
 """Oracles that the closed-form increment laws, their convolution, abridged
-errors and the ML search's refinement are checked against."""
+errors and the ML search's refinement are checked against, and the
+amplitude/phase MLE of a frequency plan, which only tests use."""
 
 import math
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 import sincount as sc
 from sincount import distributions, likelihood
@@ -64,9 +66,7 @@ def pmep_i_interior_oracle(dist_set, kappa_i, n_nodes=64, n_panels=8):
 def convolve_cdfs_dense(a, b):
     """distributions.convolve_cdfs computed densely: b.pdf on every grid row's
     nodes, the differences x - y formed for a.cdf and again for a.pdf, and
-    scipy's PchipInterpolator through the grid values."""
-    from scipy.interpolate import PchipInterpolator
-
+    the grid values interpolated by the same monotone cubic."""
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
     if a.atom0 >= 1.0 - 1e-12 or a.support_hint <= 1e-12:
@@ -85,8 +85,8 @@ def convolve_cdfs_dense(a, b):
     cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
     atom = a.atom0 * b.atom0
     cdf_vals[0] = atom
-    cdf_interp = PchipInterpolator(xs, cdf_vals, extrapolate=False)
-    pdf_interp = PchipInterpolator(xs, np.maximum(pdf_vals, 0.0), extrapolate=False)
+    cdf_interp = distributions._monotone_cubic(xs, cdf_vals)
+    pdf_interp = distributions._monotone_cubic(xs, np.maximum(pdf_vals, 0.0))
     top = float(cdf_vals[-1])
 
     def cdf(x):
@@ -108,6 +108,23 @@ def convolve_cdfs_dense(a, b):
         return out
 
     return sc.Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo)
+
+
+def amp_phase(plan, samples):
+    """Quadrature-amplitude MLE Q = C^{-1} X of a likelihood.FrequencyPlan and
+    per-signal (a, phi).
+
+    samples is one observation row or a batch of rows; returns
+    (q_hat, amplitudes, phases) with a leading trial axis for a batch and
+    phases mapped to [0, 2*pi).
+    """
+    x = np.asarray(samples, dtype=float) @ plan.basis
+    q_hat = cho_solve((plan.chol, True), x.T).T
+    q_sin = q_hat[..., 0::2]
+    q_cos = q_hat[..., 1::2]
+    amps = np.hypot(q_sin, q_cos)
+    phases = np.mod(np.arctan2(q_sin, q_cos), 2.0 * math.pi)
+    return q_hat, amps, phases
 
 
 def golden_refine(x, table, q_basis, sigma_sq, vals, refine_tol):

@@ -90,6 +90,35 @@ def test_mc_json_format(config_path, tmp_path, capsys):
     assert len(doc["rows"]) == 2
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("args, doc, row, value", [
+    # PMEP-I makes no error here, so its ratio_gt1_eq1 (errors by more than one
+    # order over errors by one) is NaN
+    (["mc", "--trials", "200", "--snr-db=10"],
+     dict(BASE_CONFIG, criteria=[{"name": "gic"}, {"name": "pmep-i", "kappa_i": 3.0}]),
+     ("pmep-i", -2), None),
+    (["consistency"], {"scenario": {"standard": {"snr_db": 0, "nu0": 1, "max_order": 3}}},
+     ("kappa_ir_sup_exact", 1), "inf"),
+], ids=["nan_as_null", "inf_as_string"])
+def test_json_output_is_strict_json(config_path, capsys, args, doc, row, value):
+    # used to write the bare tokens NaN and Infinity
+    rc, out, _ = run(args + ["--config", config_path(doc), "--format", "json"], capsys)
+    assert rc == 0
+    name, column = row
+    assert [r[column] for r in _strict_json(out)["rows"] if name in r] == [value]
+
+
+def test_json_values_of_non_finite_floats():
+    assert ([cli._json_value(v) for v in (math.nan, math.inf, -math.inf, 1.5, "x")]
+            == [None, "inf", "-inf", 1.5, "x"])
+
+
 @pytest.mark.parametrize("target", ["missing_directory", "directory"])
 def test_unwritable_out_exits_2_before_the_run(config_path, tmp_path, capsys, monkeypatch,
                                                target):
@@ -255,6 +284,14 @@ def test_negative_seed_flag_exits_2(command, config_path, capsys):
     assert rc == 2
     assert out == ""
     assert "seed" in err
+
+
+def test_synth_seed_past_philox_key_range_exits_2(config_path, capsys):
+    # used to exit 1 with numpy's ValueError
+    rc, out, err = run(["synth", "--config", config_path(BASE_CONFIG),
+                        "--seed", str(2**128)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error: seed must be below 2**128")
 
 
 @pytest.mark.parametrize("command", ["synth", "mc"])

@@ -9,8 +9,8 @@ from scipy.special import gammainc, gammaln, ive, logsumexp, xlogy
 
 import sincount as sc
 from sincount import distributions, theory
-from sincount.distributions import (Dist, _ncx2_pdf, _pchip, convolve_cdfs, integrate,
-                                    ml_component_cdf, nc_chisq2, nc_chisq2_sum)
+from sincount.distributions import (Dist, _ncx2_pdf, convolve_cdfs, integrate, ml_component_cdf,
+                                    nc_chisq2, nc_chisq2_sum)
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
 
@@ -166,48 +166,65 @@ def test_convolution_commutes():
                                [ba.cdf(x) for x in xs], atol=2e-6)
 
 
-def _pchip_tables():
-    """(xs, ys) tables: cdfs with flat runs at 0 and 1, on the convolution's
-    uniform grid and on uneven knots; pdfs with zeros whose secants change
-    sign, with both ends in each branch of the end rule; and a signed zero."""
+def _cubic_tables():
+    """(xs, ys) tables on a uniform grid: a cdf with flat runs at 0 and 1;
+    pdfs with zeros whose secants change sign, with both ends in each branch
+    of the end rule; and a signed zero."""
     rng = np.random.default_rng(11)
     xs = np.linspace(0.3, 40.0, 401)
-    uneven = np.sort(rng.uniform(0.0, 40.0, 300))
-
-    def cdf(x):
-        return np.clip(1.3 * stats.norm.cdf(x, 20.0, 4.0) - 0.15, 0.0, 1.0)
-
+    cdf = np.clip(1.3 * stats.norm.cdf(xs, 20.0, 4.0) - 0.15, 0.0, 1.0)
     ragged = np.maximum(rng.normal(size=xs.size), 0.0)
     # at each end: 3 times the end secant (secants 0.1 then -0.6), then 0 (0.1 then 0.9)
     clip_ends = np.concatenate([[0.5, 0.6, 0.0], ragged[3:-3], [0.0, 0.6, 0.5]])
     zero_ends = np.concatenate([[0.0, 0.1, 1.0], ragged[3:-3], [1.0, 0.1, 0.0]])
-    # a falling cubic through a knot at -0.0, where scipy's value reads 0.0
+    # a falling cubic through a knot at -0.0
     t = np.linspace(-1.0, 1.0, xs.size)
     signed_zero = -(t + t * t + t**3)
     signed_zero[xs.size // 2] = -0.0
-    return [(xs, cdf(xs)), (uneven, cdf(uneven)), (xs, ragged), (xs, clip_ends),
-            (xs, zero_ends), (xs, signed_zero)]
+    return {"cdf": (xs, cdf), "pdf": (xs, ragged), "pdf_end_clip": (xs, clip_ends),
+            "pdf_end_zero": (xs, zero_ends), "signed_zero": (xs, signed_zero)}
+
+
+def _cubic_points(xs):
+    """The knots, 20000 uniform points and the interval midpoints, sorted."""
+    rng = np.random.default_rng(7)
+    return np.sort(np.concatenate([xs, rng.uniform(xs[0], xs[-1], 20000),
+                                   0.5 * (xs[1:] + xs[:-1])]))
 
 
 @pytest.mark.floor_kernel
-@pytest.mark.parametrize("table", range(6), ids=["cdf", "cdf_uneven", "pdf", "pdf_end_clip",
-                                                 "pdf_end_zero", "signed_zero"])
-def test_pchip_is_scipy_pchip_bit_for_bit(table):
-    xs, ys = _pchip_tables()[table]
+@pytest.mark.parametrize("table", list(_cubic_tables()))
+def test_monotone_cubic_is_pchip_on_a_uniform_grid(table):
+    xs, ys = _cubic_tables()[table]
     want = PchipInterpolator(xs, ys, extrapolate=False)
     ends = want.derivative()(xs[[0, -1]])
     secants = (ys[[1, -1]] - ys[[0, -2]]) / (xs[[1, -1]] - xs[[0, -2]])
-    if table == 0:
+    if table == "cdf":
         assert ys[0] == 0.0 and ys[1] == 0.0 and ys[-2] == 1.0 and ys[-1] == 1.0
-    if table == 3:
+    if table == "pdf_end_clip":
         np.testing.assert_array_equal(ends, 3.0 * secants)
-    if table == 4:
+    if table == "pdf_end_zero":
         assert np.all(ends == 0.0) and np.all(secants != 0.0)
-    rng = np.random.default_rng(table)
-    x = np.concatenate([xs, [np.nan], rng.uniform(xs[0], xs[-1], 20000),
-                        0.5 * (xs[1:] + xs[:-1])])
-    got, ref = _pchip(xs, ys)(x), want(x)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    x = _cubic_points(xs)
+    got = distributions._monotone_cubic(xs, ys)(x)
+    assert np.max(np.abs(got - want(x))) <= 1e-15 * np.max(np.abs(ys))
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("table", ["cdf", "pdf", "pdf_end_clip", "pdf_end_zero"])
+def test_monotone_cubic_keeps_monotone_and_nonnegative_data_so(table):
+    xs, ys = _cubic_tables()[table]
+    x = _cubic_points(xs)
+    # a point on a knot may fall in the interval before it, whose cubic meets
+    # the knot's value up to a rounding of the table's values
+    on_knot = np.isin(x, xs)
+    # the pdf tables summed are nondecreasing, with flat runs
+    for data, monotone in ((ys, table == "cdf"), (np.cumsum(ys), True)):
+        got = distributions._monotone_cubic(xs, data)(x)
+        assert np.all(got[~on_knot] >= 0.0)
+        assert np.all(got[on_knot] >= -np.finfo(float).eps * np.max(data))
+        if monotone:
+            assert np.all(np.diff(got) >= 0.0)
 
 
 def _assert_same_law(got, want):

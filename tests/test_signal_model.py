@@ -56,6 +56,13 @@ def test_synthesize_rejects_negative_seed(scen_m4):
         sc.synthesize(scen_m4, -1)
 
 
+def test_synthesize_takes_seeds_in_philox_key_range(scen_m4):
+    # 2**128 used to raise numpy's ValueError
+    assert sc.synthesize(scen_m4, 2**128 - 1).seed == 2**128 - 1
+    with pytest.raises(ValidationError, match="2\\*\\*128"):
+        sc.synthesize(scen_m4, 2**128)
+
+
 @pytest.mark.parametrize("seed", [2.5, 2.0, True])
 def test_synthesize_rejects_non_integer_seed(scen_m4, seed):
     # a float used to be truncated (2.5 drew seed 2)
