@@ -209,6 +209,7 @@ def _panel_nodes(n_nodes, n_panels):
 
 
 _CONV_GRID = 4096
+_CONV_BLOCK = 128  # grid rows whose quadrature is formed at once: 64 KB per temporary
 _CONV_NODES, _CONV_WEIGHTS = _panel_nodes(32, 2)
 
 
@@ -265,9 +266,11 @@ def convolve_cdfs(a, b):
     panelled Gauss-Legendre quadrature on a dense grid over the window
     [a.support_lo + b.support_lo, a.support_hint + b.support_hint] and
     interpolated monotonically (_monotone_cubic).  The grid rows whose y
-    range is cut at b.support_hint have the same nodes, so b.pdf is
-    evaluated on the other rows and one of those; a.cdf_pdf gives a's cdf
-    and pdf at the x - y points in one evaluation.
+    range is cut at b.support_hint have the same nodes, so they share one
+    evaluation of b.pdf; a.cdf_pdf gives a's cdf and pdf at the x - y
+    points in one evaluation.  The quadrature runs over _CONV_BLOCK grid
+    rows at a time, so that no temporary outgrows a block; each value is
+    the same elementwise, and each row's sum its own, as on the whole grid.
     """
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
@@ -278,21 +281,23 @@ def convolve_cdfs(a, b):
     xs = np.linspace(lo, hi, _CONV_GRID + 1)
     y_lo = b.support_lo
     y_span = np.clip(xs - a.support_lo, y_lo, b.support_hint) - y_lo
-    ys = y_lo + y_span[:, None] * _CONV_NODES[None, :]
-    # the rows before the first cut one, and that one
-    rows = min(int(np.count_nonzero(xs - a.support_lo < b.support_hint)) + 1, xs.size)
-    bp = np.empty(ys.shape)
-    bp[:rows] = b.pdf(ys[:rows])
-    bp[rows:] = bp[rows - 1]
-    diffs = xs[:, None] - ys
-    del ys
-    a_cdf, a_pdf = a.cdf_pdf(diffs)
-    del diffs
-    wts = y_span[:, None] * _CONV_WEIGHTS[None, :]
-    cdf_sums = np.sum(a_cdf * bp * wts, axis=1)
-    del a_cdf
-    pdf_sums = np.sum(a_pdf * bp * wts, axis=1)
-    del a_pdf, bp, wts
+    # the first cut row, whose b.pdf the later rows share
+    cut = min(int(np.count_nonzero(xs - a.support_lo < b.support_hint)), xs.size - 1)
+    cut_bp = b.pdf(y_lo + y_span[cut] * _CONV_NODES)
+    cdf_sums = np.empty(xs.size)
+    pdf_sums = np.empty(xs.size)
+    for start in range(0, xs.size, _CONV_BLOCK):
+        rows = slice(start, start + _CONV_BLOCK)
+        ys = y_lo + y_span[rows, None] * _CONV_NODES[None, :]
+        bp = np.empty(ys.shape)
+        own = min(max(cut - start, 0), bp.shape[0])
+        if own:
+            bp[:own] = b.pdf(ys[:own])
+        bp[own:] = cut_bp
+        a_cdf, a_pdf = a.cdf_pdf(xs[rows, None] - ys)
+        wts = y_span[rows, None] * _CONV_WEIGHTS[None, :]
+        cdf_sums[rows] = np.sum(a_cdf * bp * wts, axis=1)
+        pdf_sums[rows] = np.sum(a_pdf * bp * wts, axis=1)
     a_cdf, a_pdf = a.cdf_pdf(xs)
     cdf_vals = b.atom0 * a_cdf + cdf_sums
     pdf_vals = b.atom0 * a_pdf + a.atom0 * b.pdf(xs) + pdf_sums

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,11 +239,16 @@ def _assert_same_law(got, want):
     assert np.array_equal(got.pdf(x), want.pdf(x))
 
 
-def _cut_share(a, b):
-    """Share of convolve_cdfs' grid rows whose y range is cut at b.support_hint."""
+def _first_cut_row(a, b):
+    """Index of convolve_cdfs' first grid row whose y range is cut at b.support_hint."""
     xs = np.linspace(a.support_lo + b.support_lo, a.support_hint + b.support_hint,
                      distributions._CONV_GRID + 1)
-    return float(np.mean(xs - a.support_lo >= b.support_hint))
+    return int(np.count_nonzero(xs - a.support_lo < b.support_hint))
+
+
+def _cut_share(a, b):
+    """Share of convolve_cdfs' grid rows whose y range is cut at b.support_hint."""
+    return 1.0 - _first_cut_row(a, b) / (distributions._CONV_GRID + 1)
 
 
 @pytest.mark.parametrize("snr", [-4.0, 0.0, 20.0])
@@ -283,6 +289,48 @@ def test_convolution_equals_the_dense_convolution(a, b, cut):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("a, b, cut", [
+    (nc_chisq2(400.0), nc_chisq2(2.0), 403),
+    (ml_component_cdf(30.0, 20.0), _NOISE_ABOVE_ZERO, 478),
+    # a window narrower than a grid step: the top row is the only one cut
+    (nc_chisq2(0.0), nc_chisq2(1e8), distributions._CONV_GRID),
+], ids=["ql_narrow_400_2", "ml_noise_lo_as_b", "ql_cut_top_row_only"])
+def test_convolution_is_the_dense_one_bit_for_bit_at_any_block_size(a, b, cut, monkeypatch):
+    # blocks of one row, of a size that divides nothing, ending at the first
+    # cut row and just past it, the whole grid in one, and more than the grid
+    assert _first_cut_row(a, b) == cut
+    want = convolve_cdfs_dense(a, b)
+    lo, hi = want.support_lo, want.support_hint
+    x = np.concatenate([np.linspace(lo, hi, distributions._CONV_GRID + 1),
+                        np.random.default_rng(0).uniform(lo, hi, 20000), [lo - 1.0, hi + 1.0]])
+    want_cdf, want_pdf = _bits(want.cdf(x)), _bits(want.pdf(x))
+    for block in sorted({1, 7, cut, cut + 1, distributions._CONV_GRID + 1, 5000}):
+        monkeypatch.setattr(distributions, "_CONV_BLOCK", block)
+        got = convolve_cdfs(a, b)
+        assert (got.support_lo, got.support_hint, got.atom0) == (lo, hi, want.atom0)
+        assert np.array_equal(_bits(got.cdf(x)), want_cdf), block
+        assert np.array_equal(_bits(got.pdf(x)), want_pdf), block
+
+
+def _traced_peak_mb(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_convolution_temporaries_stay_within_a_row_block():
+    # formed on the whole 4097 x 64 grid at once, these peaked at 16.8 MB and,
+    # for PMEP-I's lower sum V_1 + V_2, 19.8 MB
+    a, b = ml_component_cdf(30.0, 20.0), ml_component_cdf(None, 20.0)
+    assert _traced_peak_mb(convolve_cdfs, a, b) < 2.0
+    laws = sc.component_dists(sc.standard_scenario(-4.0), mode="ml")
+    assert _traced_peak_mb(theory._lower_sum_dist, laws, 3) < 2.0
 
 
 @pytest.mark.floor_kernel
