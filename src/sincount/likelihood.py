@@ -13,7 +13,8 @@ whose squares sum pairwise to the likelihood increments V_i, so every
 candidate order's profile log-likelihood X^T C^{-1} X / 2 (in units of
 sigma0^2) comes from one full-order
 factorization: L_nu = sum_{i<=nu} V_i / 2.  FrequencyPlan holds that
-factorization for fixed frequencies; the greedy ML search grows one
+factorization for fixed frequencies and the whitened basis L^{-1} B^T, so
+l is one product per observation; the greedy ML search grows one
 orthonormal basis per trial, one slot at a time, for a block of trials,
 and refines each slot's grid maximum by parabolic steps that stop on a
 bracketing certificate.
@@ -21,10 +22,10 @@ bracketing certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg import cholesky as _cholesky
 
 from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_int
@@ -123,11 +124,23 @@ class FrequencyPlan:
         return cls(scenario=scenario, frequencies=frequencies, basis=basis,
                    chol=chol)
 
+    @functools.cached_property
+    def whitened(self):
+        """The whitened basis W = L^{-1} B^T (2 nu x N_s), whose rows are
+        orthonormal, derived once per plan.  numpy's solve rather than
+        scipy's triangular solve: scipy's wakes the worker threads of its
+        BLAS even for this small right-hand side."""
+        return np.linalg.solve(self.chol, self.basis.T)
+
     def residuals_batch(self, samples):
-        """l statistics for a batch of observations (rows) over sigma0."""
-        arr = np.atleast_2d(np.asarray(samples, dtype=float))
-        x = arr @ self.basis
-        return solve_triangular(self.chol, x.T, lower=True).T / self.scenario.noise_level
+        """l statistics for a batch of observations (rows) over sigma0: one
+        product with the whitened basis.  einsum sums each row's products in
+        its own loop, without BLAS, so a row's statistics do not depend on
+        the other rows or on how many there are, and no BLAS worker thread
+        wakes.  Rows are taken C-contiguous, the layout the sum order is
+        fixed for."""
+        arr = np.ascontiguousarray(np.atleast_2d(samples), dtype=float)
+        return np.einsum("tn,kn->tk", arr, self.whitened) / self.scenario.noise_level
 
     def increments_batch(self, samples):
         """V_i for a batch: shape (n_trials, max order of the plan)."""
@@ -465,24 +478,36 @@ def approach_frequencies(scenario, approach):
     return freqs
 
 
-def ladders(rows, scenario, approach):
-    """Likelihood ladders of a block of observations (T, N) under the approach.
+def ladder_function(scenario, approach):
+    """The function that maps a block of observations (T, N) to their
+    likelihood ladders under the approach, for any number of blocks.
 
-    Returns (logliks, increments, frequencies), each (T, max_order), with
-    L_nu half the running sum of the increments V.  Bl whitens every row
-    with one FrequencyPlan; Ml runs one greedy search over all the rows, and
-    a trial whose statistics degenerate gets NaN rows.  Rows are
-    independent: a row's ladder does not depend on the others.
+    It returns (logliks, increments, frequencies), each (T, max_order), with
+    L_nu half the running sum of the increments V.  For Bl every block goes
+    through one FrequencyPlan, built here; for Ml each block is one greedy
+    search, and a trial whose statistics degenerate gets NaN rows.  Rows are
+    independent: a row's ladder does not depend on the others or on how
+    many there are, bit for bit.
     """
     if isinstance(approach, Bl):
         freqs = approach_frequencies(scenario, approach)
-        incs = FrequencyPlan.build(scenario, freqs).increments_batch(rows)
-        freqs = np.broadcast_to(freqs, incs.shape)
+        plan = FrequencyPlan.build(scenario, freqs)
+
+        def increments(rows):
+            incs = plan.increments_batch(rows)
+            return incs, np.broadcast_to(freqs, incs.shape)
     elif isinstance(approach, Ml):
-        freqs, incs = ml_search_increments(rows, scenario, approach)
+        def increments(rows):
+            freqs, incs = ml_search_increments(rows, scenario, approach)
+            return incs, freqs
     else:
         raise ValidationError("approach must be an Ml or Bl instance")
-    return 0.5 * np.cumsum(incs, axis=1), incs, freqs
+
+    def block_ladders(rows):
+        incs, freqs = increments(rows)
+        return 0.5 * np.cumsum(incs, axis=1), incs, freqs
+
+    return block_ladders
 
 
 def observation_logliks(observation, scenario, approach):
@@ -498,7 +523,7 @@ def observation_logliks(observation, scenario, approach):
         raise ValidationError(
             f"observation has shape {x.shape}, expected ({scenario.n_samples},)")
     _check_finite(x)
-    logliks, incs, freqs = ladders(x[None], scenario, approach)
+    logliks, incs, freqs = ladder_function(scenario, approach)(x[None])
     if np.isnan(incs[0, 0]):
         raise DegenerateStatsError(
             "ML search: a found frequency is linearly dependent on the fit")

@@ -3,11 +3,12 @@
 Trials draw observations with per-trial seeds split from a master seed,
 compute one log-likelihood ladder per approach, and evaluate every
 criterion on the same statistics, so comparisons between criteria are
-paired.  Aggregates do not depend on how the trials are split into chunks.
+paired.  Aggregates do not depend on how the trials are split into blocks.
 
 Trial k's noise is the standard normals of a fresh
-Generator(Philox(key=trial_seed(master_seed, k))).  batch_samples draws
-them with one call per trial of numpy's random_standard_normal_fill, the C
+Generator(Philox(key=trial_seed(master_seed, k))).  _fill_samples, which
+batch_samples and each block of collect_logliks call, draws them with one
+call per trial of numpy's random_standard_normal_fill, the C
 function behind Generator.standard_normal, on a record laid out as a fresh
 Philox; an import-time check verifies that layout against the installed
 numpy, and where it fails each trial goes through the public Philox state
@@ -28,10 +29,14 @@ from scipy.special import betainc
 
 from .criteria import abridged_comparisons, argmin_order, checked_ladders
 from .errors import ValidationError, nonneg_int
-from .likelihood import ladders
+from .likelihood import ladder_function
 from .signal_model import clean_signal, scenario_to_dict
 
-_CHUNK = 65536
+# bytes of observations per block of collect_logliks, 4096 rows at 64
+# samples: one buffer per call, refilled for each block, so memory does not
+# grow with trials x samples, and a block's arrays stay under numpy's 4 MB
+# huge-page threshold and in the cache
+_BLOCK_BYTES = 2**21
 _MIN_TRIALS = 100
 _Z95 = 1.959963984540054
 
@@ -347,6 +352,17 @@ def _choose_noise():
 _noise = _choose_noise()
 
 
+def _fill_samples(out, scenario, signal, master_seed, start):
+    """Fill row k of out, a C-contiguous float array, with the observation of
+    trial start + k: the clean signal plus sigma0 times the normals of a
+    fresh Generator(Philox(key=trial_seed(master_seed, start + k))).
+    master_seed is an int; signal is clean_signal(scenario)."""
+    keys = _trial_keys(master_seed, np.arange(start, start + out.shape[0], dtype=np.uint64))
+    _noise(out, keys)
+    out *= scenario.noise_level
+    out += signal
+
+
 def batch_samples(scenario, master_seed, start, count):
     """Observations for trials start..start+count-1, one per row: clean
     signal plus scaled noise.  Trial indices are below 2**64: a ValidationError
@@ -365,26 +381,31 @@ def batch_samples(scenario, master_seed, start, count):
     if start + count > 2**64:
         raise ValidationError(
             f"trial indices must be below 2**64, got start {start} and count {count}")
-    keys = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     out = np.empty((count, scenario.n_samples))
-    _noise(out, keys)
-    out *= scenario.noise_level
-    out += clean_signal(scenario)
+    _fill_samples(out, scenario, clean_signal(scenario), master_seed, start)
     return out
 
 
 def collect_logliks(scenario, approach, trials, master_seed):
-    """Log-likelihood ladders L_1..L_N for all trials, shape (trials, N):
-    likelihood.ladders of each chunk of _CHUNK trials.  Trials whose
-    statistics degenerate (ML only) come back as NaN rows.
+    """Log-likelihood ladders L_1..L_N for all trials, shape (trials, N).
+    Trials whose statistics degenerate (ML only) come back as NaN rows.
+
+    The trials go through blocks of about _BLOCK_BYTES of observations: one
+    buffer, refilled with each block's rows as batch_samples draws them,
+    and the ladders of likelihood.ladder_function.  Rows are independent,
+    so no result depends on the block size.
     """
-    nonneg_int(master_seed, "master_seed")
+    master_seed = nonneg_int(master_seed, "master_seed")
     trials = nonneg_int(trials, "trials")
+    block_ladders = ladder_function(scenario, approach)
+    signal = clean_signal(scenario)
+    step = max(1, _BLOCK_BYTES // (8 * scenario.n_samples))
+    block = np.empty((min(step, trials), scenario.n_samples))
     out = np.empty((trials, scenario.max_order))
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        samples = batch_samples(scenario, master_seed, start, count)
-        out[start:start + count] = ladders(samples, scenario, approach)[0]
+    for start in range(0, trials, step):
+        rows = block[:trials - start]
+        _fill_samples(rows, scenario, signal, master_seed, start)
+        out[start:start + rows.shape[0]] = block_ladders(rows)[0]
     return out
 
 
@@ -405,7 +426,9 @@ def trial_ladders(scenario, approach, trials, master_seed):
     below _MIN_TRIALS trials (checked first) or when every trial degenerates."""
     trials = checked_trials(trials)
     logliks = collect_logliks(scenario, approach, trials, master_seed)
-    logliks = logliks[~np.isnan(logliks[:, 0])]
+    valid = ~np.isnan(logliks[:, 0])
+    if not valid.all():
+        logliks = logliks[valid]
     if not logliks.shape[0]:
         raise ValidationError("all trials degenerated; scenario is ill-posed")
     return checked_ladders(logliks), trials - logliks.shape[0]

@@ -1,8 +1,10 @@
 """Oracles that the closed-form increment laws, their convolution, abridged
 errors and the ML search's refinement are checked against, and the
-amplitude/phase MLE of a frequency plan, which only tests use."""
+amplitude/phase MLE of a frequency plan, which only tests use, and the
+traced peak memory of a call."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -11,6 +13,16 @@ import sincount as sc
 from sincount import distributions, likelihood
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def traced_peak_mb(f, *args):
+    """Peak memory, in MB, that tracemalloc traces while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def sample_increments(dist_set, rng, size):

@@ -153,7 +153,7 @@ def test_select_order_rejects_bad_approach(scen_0):
         sc.select_order(sc.Gic(), obs, object(), scen_0)
     # the ladders, below select_order, check the approach too
     with pytest.raises(ValidationError, match="Ml or Bl"):
-        sc.likelihood.ladders(obs.samples[None], scen_0, object())
+        sc.likelihood.ladder_function(scen_0, object())
 
 
 def test_select_order_wraps_failures(scen_0):

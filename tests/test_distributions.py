@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from sincount.distributions import (Dist, _ncx2_pdf, convolve_cdfs, integrate, m
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
 
-from oracles import convolve_cdfs_dense, sample_increments
+from oracles import convolve_cdfs_dense, sample_increments, traced_peak_mb
 
 GRID = np.linspace(0.0, 40.0, 401)
 
@@ -315,22 +314,13 @@ def test_convolution_is_the_dense_one_bit_for_bit_at_any_block_size(a, b, cut, m
         assert np.array_equal(_bits(got.pdf(x)), want_pdf), block
 
 
-def _traced_peak_mb(f, *args):
-    tracemalloc.start()
-    try:
-        f(*args)
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 def test_convolution_temporaries_stay_within_a_row_block():
     # formed on the whole 4097 x 64 grid at once, these peaked at 16.8 MB and,
     # for PMEP-I's lower sum V_1 + V_2, 19.8 MB
     a, b = ml_component_cdf(30.0, 20.0), ml_component_cdf(None, 20.0)
-    assert _traced_peak_mb(convolve_cdfs, a, b) < 2.0
+    assert traced_peak_mb(convolve_cdfs, a, b) < 2.0
     laws = sc.component_dists(sc.standard_scenario(-4.0), mode="ml")
-    assert _traced_peak_mb(theory._lower_sum_dist, laws, 3) < 2.0
+    assert traced_peak_mb(theory._lower_sum_dist, laws, 3) < 2.0
 
 
 @pytest.mark.floor_kernel

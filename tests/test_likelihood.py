@@ -388,7 +388,7 @@ def _search_beside_golden(rows, scenario, approach):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(likelihood, "_refine", watched)
         patch.setattr(likelihood, "_grid_quadrature_increment", counted)
-        logliks = likelihood.ladders(rows, scenario, approach)[0]
+        logliks = likelihood.ladder_function(scenario, approach)(rows)[0]
     # the golden rule's own grid evaluations are not rounds of the refiner
     seen = [(found, golden_refine(*args), args[4]) for found, args in calls]
     return logliks, rounds, seen
@@ -431,7 +431,7 @@ def test_parabolic_refinement_matches_golden_rule(monkeypatch, default_search, s
     _assert_near_golden(seen, 1e-6)
     with monkeypatch.context() as patch:
         patch.setattr(likelihood, "_refine", golden_refine)
-        golden = likelihood.ladders(rows, scen, sc.Ml())[0]
+        golden = likelihood.ladder_function(scen, sc.Ml())(rows)[0]
     np.testing.assert_allclose(logliks, golden, rtol=1e-5)
     for spec in (sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)):
         np.testing.assert_array_equal(
@@ -567,7 +567,7 @@ def test_grid_waveforms_are_built_once_per_call(monkeypatch):
         return pair(slot, omegas, *args)
 
     monkeypatch.setattr(likelihood, "modulated_pair", counted)
-    likelihood.ladders(sc.batch_samples(scen, 111, 0, 140), scen, sc.Ml())
+    likelihood.ladder_function(scen, sc.Ml())(sc.batch_samples(scen, 111, 0, 140))
     assert grids == list(scen.candidate_slots())
 
 
@@ -610,7 +610,7 @@ def test_search_refines_and_extends_each_slot_once_per_block(monkeypatch):
 
 def test_ml_ladders_of_zero_rows_are_empty(scen_0):
     for approach in (sc.KNOWN_FREQ, sc.Ml()):
-        for part in likelihood.ladders(np.zeros((0, scen_0.n_samples)), scen_0, approach):
+        for part in likelihood.ladder_function(scen_0, approach)(np.zeros((0, scen_0.n_samples))):
             assert part.shape == (0, scen_0.max_order)
 
 

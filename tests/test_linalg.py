@@ -1,8 +1,9 @@
 """The production whitening against Gram-Schmidt and quadratic-form oracles.
 
 FrequencyPlan factors the Gram matrix of its basis once, C = L L^T
-(likelihood._chol_or_degenerate), and whitens projections with the
-triangular solve of residuals_batch.  That one factorization is the
+(likelihood._chol_or_degenerate), and residuals_batch whitens observations
+with one product with the whitened basis W = L^{-1} B^T, derived from that
+factor.  That one factorization is the
 non-iterative Gram-Schmidt and the telescoping split of the quadratic form
 x^T C^{-1} x; the reference loops here check it on random bases.
 """

@@ -9,6 +9,8 @@ from sincount import montecarlo
 from sincount.errors import ValidationError
 from sincount.signal_model import clean_signal
 
+from oracles import traced_peak_mb
+
 
 def test_trial_seed_deterministic_and_distinct():
     a = sc.trial_seed(7, 0)
@@ -196,9 +198,14 @@ def _reference_samples(scenario, master_seed, trials):
     return np.array(rows)
 
 
+def _block_bytes(scenario, rows):
+    """The _BLOCK_BYTES that makes collect_logliks' blocks rows trials long."""
+    return rows * 8 * scenario.n_samples
+
+
 @pytest.mark.one_blas_thread
 def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 100))
     samples = _reference_samples(scen_m4, 17, 300)
     plan = sc.FrequencyPlan.build(scen_m4, scen_m4.all_frequencies)
     np.testing.assert_array_equal(sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 17),
@@ -208,9 +215,9 @@ def test_collect_logliks_matches_per_trial_generators(scen_m4, monkeypatch):
                        for row in samples[:140]])
     np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 140, 17), expect)
     # with search blocks of 48 rows and grid pieces of 16, 140 ML trials
-    # cross search-block and grid-piece boundaries inside the first chunk
-    # (blocks 0-47, 48-95 and 96-99) and the chunk boundary at 100, which
-    # ends a partial block and starts another
+    # cross search-block and grid-piece boundaries inside the first block of
+    # trials (search blocks 0-47, 48-95 and 96-99) and the trial-block
+    # boundary at 100, which ends a partial search block and starts another
     monkeypatch.setattr(sc.likelihood, "_ML_BLOCK", 48)
     monkeypatch.setattr(sc.likelihood, "_GRID_ROWS", 16)
     np.testing.assert_array_equal(sc.collect_logliks(scen_m4, approach, 140, 17), expect)
@@ -260,6 +267,8 @@ def test_batch_samples_stop_at_the_last_uint64_index(scen_m4):
 def test_numpy_integer_master_seed(scen_m4):
     np.testing.assert_array_equal(sc.batch_samples(scen_m4, np.uint32(5), 0, 3),
                                   sc.batch_samples(scen_m4, 5, 0, 3))
+    np.testing.assert_array_equal(sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 100, np.int64(5)),
+                                  sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 100, 5))
     assert sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 100, np.int64(5))[0].master_seed == 5
 
 
@@ -271,10 +280,47 @@ def test_batch_samples_match_single_draws(scen_m4):
 
 
 def test_collect_logliks_chunk_invariance(scen_m4, monkeypatch):
-    full = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 150, 9)
-    monkeypatch.setattr(montecarlo, "_CHUNK", 32)
-    chunked = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 150, 9)
-    np.testing.assert_array_equal(full, chunked)
+    # blocks of 4096 rows pass the row count, near 1563 at 64 samples, from
+    # which an OpenBLAS matrix product switches kernels and rounds a row
+    # unlike a product of 37 rows
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 4096))
+    full = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 5000, 9)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 37))
+    np.testing.assert_array_equal(full, sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 5000, 9))
+
+
+@pytest.mark.one_blas_thread
+@pytest.mark.parametrize("approach", [sc.KNOWN_FREQ, sc.Bl(0.002)], ids=["known", "bl"])
+def test_bl_rows_equal_their_observation_logliks(scen_m4, approach):
+    # 5000 trials fill blocks of 4096 rows and 904; each row's ladder is
+    # that of the observation alone, a batch of one
+    ladders = sc.collect_logliks(scen_m4, approach, 5000, 9)
+    expect = np.array([sc.observation_logliks(row, scen_m4, approach)[0]
+                       for row in sc.batch_samples(scen_m4, 9, 0, 5000)])
+    np.testing.assert_array_equal(ladders, expect)
+
+
+@pytest.mark.parametrize("n_samples, trials, bound_mb", [(64, 70001, 8.0), (1024, 5000, 4.0)])
+def test_collect_logliks_memory_stays_within_a_block(n_samples, trials, bound_mb):
+    # the observations go through one buffer of about 2 MB, 4096 rows at 64
+    # samples and 256 at 1024, beside the 2.8 MB and 0.2 MB of ladders; drawn
+    # 65536 rows at a time, the whole-trial arrays peaked at 52 MB and 42 MB,
+    # and at 1024 samples blocks of 4096 rows would hold 34 MB
+    scen = sc.standard_scenario(0.0, n_samples=n_samples)
+    assert traced_peak_mb(sc.collect_logliks, scen, sc.KNOWN_FREQ, trials, 5) < bound_mb
+
+
+def test_trial_ladders_copy_only_to_drop_degenerate_rows(scen_m4, monkeypatch):
+    ladders = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 200, 3)
+    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: ladders)
+    kept, degenerate = montecarlo.trial_ladders(scen_m4, sc.KNOWN_FREQ, 200, 3)
+    assert kept is ladders and degenerate == 0
+    with_nan = ladders.copy()
+    with_nan[[5, 17]] = np.nan
+    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: with_nan)
+    kept, degenerate = montecarlo.trial_ladders(scen_m4, sc.KNOWN_FREQ, 200, 3)
+    assert degenerate == 2
+    np.testing.assert_array_equal(kept, np.delete(ladders, [5, 17], axis=0))
 
 
 def test_estimate_deterministic(scen_m4):
