@@ -26,7 +26,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky as _cholesky
 
 from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_int
 from .signal_model import modulated_pair
@@ -52,10 +51,10 @@ _IDENTITY_MIN_RESIDUAL = 1e-4
 # a found frequency whose new basis column keeps less than this fraction of
 # its norm after residualization is linearly dependent on the fit
 _DEPENDENT_RESIDUAL = 1e-9
-# refinement rounds per slot; a trial still refining after them keeps its
-# best point.  Searches of 2000 trials of standard_scenario at -4 and 0 dB
-# take at most 4 rounds on the default 256-point grid and 33 on a 3- or
-# 4-point one
+# rounds of refine_maxima, once per slot in the ML search; a row still
+# refining after them keeps its best point.  Searches of 2000 trials of
+# standard_scenario at -4 and 0 dB take at most 4 rounds on the default
+# 256-point grid and 33 on a 3- or 4-point one
 _REFINE_ROUNDS = 64
 
 
@@ -88,7 +87,7 @@ def _check_in_band(scenario, frequencies):
 
 def _chol_or_degenerate(gram, frequencies):
     try:
-        chol = _cholesky(gram, lower=True)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         chol = None
     if chol is not None:
@@ -127,9 +126,7 @@ class FrequencyPlan:
     @functools.cached_property
     def whitened(self):
         """The whitened basis W = L^{-1} B^T (2 nu x N_s), whose rows are
-        orthonormal, derived once per plan.  numpy's solve rather than
-        scipy's triangular solve: scipy's wakes the worker threads of its
-        BLAS even for this small right-hand side."""
+        orthonormal, derived once per plan by numpy's solve."""
         return np.linalg.solve(self.chol, self.basis.T)
 
     def residuals_batch(self, samples):
@@ -248,40 +245,40 @@ def _grid_quadrature_increment(x, table, omegas, q_basis, sigma_sq):
 
 
 def _parabola_vertex(pts, fpts, best, lo, hi):
-    """Vertex of each trial's parabola through three sorted points, clipped
+    """Vertex of each row's parabola through three sorted points, clipped
     to [lo, hi]; the best point where the parabola is not concave."""
     a, m, c = pts.T
     fa, fm, fc = fpts.T
     num = (m - a) ** 2 * (fm - fc) - (m - c) ** 2 * (fm - fa)
     den = (m - a) * (fm - fc) - (m - c) * (fm - fa)
     # a concave parabola through distinct sorted points has den > 0; a flat
-    # V makes both terms zero, and then no step is taken
+    # function makes both terms zero, and then no step is taken
     concave = den > 0
     vertex = m - 0.5 * num / np.where(concave, den, 1.0)
     return np.where(concave, np.clip(vertex, lo, hi), best)
 
 
-def _refine(x, table, q_basis, sigma_sq, vals, refine_tol):
-    """Maximize V near each trial's grid maximum j; returns (frequency, V).
+def refine_maxima(evaluate, grid, vals, refine_tol):
+    """Maximize each row's function f near its maximum j on the grid (G >= 3
+    sorted points, values vals (T, G)); returns each row's (point, value).
 
-    Successive parabolic interpolation (Brent 1973, ch. 5) that stops on a
-    bracketing certificate.  The first parabola runs through three grid
-    points whose values vals already holds: j and its two neighbours, or the
-    next two inward at a band edge.  Each round takes, for every trial still
-    refining, the vertex u of its parabola clipped to the bracket
-    [grid[j - 1], grid[j + 1]].  If u lies at least refine_tol / 2 from the
-    best point b, u is evaluated.  Otherwise the certificate sides
-    b +- refine_tol / 2 that lie in the bracket are evaluated, and if
-    neither beats V(b) the trial is done: the maximum of a V unimodal in the
-    bracket lies within refine_tol / 2 of b.  Every evaluated point joins
-    the trial's points, and the three consecutive points centred on the best
-    are kept.  A trial still refining after _REFINE_ROUNDS rounds keeps its
-    best point, so no trial ends below its grid maximum.  Each round is one
-    evaluation over the trials it steps or checks, and each trial's
-    arithmetic is its own, so a row's result does not depend on the other
-    rows.
+    evaluate(rows, points) gives row rows[k]'s f at points[k].  Successive
+    parabolic interpolation (Brent 1973, ch. 5) that stops on a bracketing
+    certificate.  The first parabola runs through three grid points: j and
+    its two neighbours, or the next two inward at a grid end.  Each round
+    takes, for every row still refining, the vertex u of its parabola
+    clipped to the bracket [grid[j - 1], grid[j + 1]].  If u lies at least
+    refine_tol / 2 from the best point b, u is evaluated.  Otherwise the
+    certificate sides b +- refine_tol / 2 that lie in the bracket are
+    evaluated, and if neither beats f(b) the row is done: the maximum of an
+    f unimodal in the bracket lies within refine_tol / 2 of b.  Every
+    evaluated point joins the row's points, and the three consecutive points
+    centred on the best are kept.  A row still refining after _REFINE_ROUNDS
+    rounds keeps its best point, so no row ends below its grid maximum.
+    Each round is one evaluate call over the rows it steps or checks, and
+    each row's arithmetic is its own, so a row's result does not depend on
+    the other rows.
     """
-    grid = table.grid
     n_grid = grid.size
     j = np.argmax(vals, axis=1)
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, n_grid - 1)]
@@ -294,16 +291,15 @@ def _refine(x, table, q_basis, sigma_sq, vals, refine_tol):
         b, f_b = best[live], f_best[live]
         u = _parabola_vertex(pts[live], fpts[live], b, lo[live], hi[live])
         steps = np.abs(u - b) >= half
-        # per trial the vertex, or the certificate sides inside its bracket
+        # per row the vertex, or the certificate sides inside its bracket
         new = np.column_stack([u, b - half, b + half])
         used = np.column_stack([steps, ~steps & (lo[live] <= new[:, 1]),
                                 ~steps & (new[:, 2] <= hi[live])])
         at, col = np.nonzero(used)
         f_new = np.full(new.shape, -np.inf)
         if at.size:
-            f_new[at, col] = _grid_quadrature_increment(
-                x[live[at]], table, new[at, col][:, None], q_basis[live[at]], sigma_sq)[:, 0]
-        # a certificate side that ties V(b) keeps b
+            f_new[at, col] = evaluate(live[at], new[at, col])
+        # a certificate side that ties the value at b keeps b
         moves = steps | (f_new[:, 1:] > f_b[:, None]).any(axis=1)
         live, new, f_new, used = live[moves], new[moves], f_new[moves], used[moves]
         if not live.size:
@@ -321,6 +317,12 @@ def _refine(x, table, q_basis, sigma_sq, vals, refine_tol):
         pts[live], fpts[live] = p[at, keep], f[at, keep]
         best[live], f_best[live] = p[at[:, 0], top], f[at[:, 0], top]
     return best, f_best
+
+
+def _slot_values(x, table, q_basis, sigma_sq, rows, omegas):
+    """V of row x[rows[k]] at omegas[k]: refine_maxima's evaluate, per slot."""
+    return _grid_quadrature_increment(x[rows], table, omegas[:, None], q_basis[rows],
+                                      sigma_sq)[:, 0]
 
 
 def _extend_bases(q_basis, slot, omegas, n_samples):
@@ -362,7 +364,8 @@ def _search_block(x, tables, sigma_sq, refine_tol):
             piece = slice(start, start + _GRID_ROWS)
             vals[piece] = _grid_quadrature_increment(x[piece], table, table.grid,
                                                      q_basis[piece], sigma_sq)
-        found, incs[live, i] = _refine(x, table, q_basis, sigma_sq, vals, refine_tol)
+        evaluate = functools.partial(_slot_values, x, table, q_basis, sigma_sq)
+        found, incs[live, i] = refine_maxima(evaluate, table.grid, vals, refine_tol)
         freqs[live, i] = found
         q_basis, ok = _extend_bases(q_basis, table.slot, found, n)
         if not ok.all():
@@ -377,15 +380,15 @@ def ml_search_increments(rows, scenario, approach):
 
     For each slot in turn the incremental statistic V is maximized over a
     grid of approach.grid_points in the slot's band and refined to
-    approach.refine_tol next to the grid maximum (_refine: parabolic steps
-    from the grid values until a bracketing certificate holds); previously
-    found frequencies stay fixed.  rows holds one finite observation per
-    row.  Each slot's grid waveforms are built once, and the rows are
-    searched in blocks of _ML_BLOCK: per slot, the grid stage takes a
-    block's live rows in pieces of _GRID_ROWS, and the refinement and basis
-    growth take them all at once.  Returns (frequencies, increments), each
-    (T, max_order); a trial whose found frequency is linearly dependent on
-    its fit gets NaN rows.
+    approach.refine_tol next to the grid maximum (refine_maxima: parabolic
+    steps from the grid values until a bracketing certificate holds);
+    previously found frequencies stay fixed.  rows holds one finite
+    observation per row.  Each slot's grid waveforms are built once, and the
+    rows are searched in blocks of _ML_BLOCK: per slot, the grid stage takes
+    a block's live rows in pieces of _GRID_ROWS, and the refinement and
+    basis growth take them all at once.  Returns (frequencies, increments),
+    each (T, max_order); a trial whose found frequency is linearly dependent
+    on its fit gets NaN rows.
     Rows are computed independently: a row equals the search of that
     observation alone (a batch of one), bit for bit.
     """

@@ -33,6 +33,9 @@ def _as_envelope(seq, n_samples, name):
         raise ValidationError(
             f"{name} must be a 1-d sequence of length {n_samples}, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must hold finite numbers, got a NaN or inf at "
+                              f"sample {int(np.argmin(np.isfinite(arr)))}")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr

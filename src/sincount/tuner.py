@@ -16,7 +16,7 @@ import numpy as np
 
 from .criteria import PmepI, PmepIr, argmin_order
 from .errors import ValidationError, finite_float, nonneg_int
-from .likelihood import KNOWN_FREQ, approach_frequencies
+from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
 from .montecarlo import checked_trials, trial_ladders
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      scenario_consistency)
@@ -93,10 +93,11 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     family is the name "pmep-ir" or "pmep-i", not an instance: its parameter
     is the one tuned.  Scans a grid of grid_points values over search_range,
     a pair of finite numbers (the family's default range when None), then
-    optionally refines the best bracket by bounded scalar minimization; a
-    one-point range is a one-point grid.  Both objectives use the approach's
-    frequencies (known frequencies by default); the theory objective has no
-    ML laws, and the Monte Carlo one decides the trials of
+    optionally refines the best point in its bracket with the ML search's
+    refiner on the negated objective, to (hi - lo) * 1e-4 (3 grid points at
+    least); a one-point range is a one-point grid.  Both objectives use the
+    approach's frequencies (known frequencies by default); the theory
+    objective has no ML laws, and the Monte Carlo one decides the trials of
     montecarlo.trial_ladders.  Every setting is checked under either
     objective: refine is a bool, grid_points a nonnegative integer, trials
     at least montecarlo's floor and master_seed a nonnegative integer.  The
@@ -116,6 +117,9 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
         raise ValidationError(f"empty search range ({lo}, {hi})")
     if lo < hi and grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2 on ({lo}, {hi}), got {grid_points}")
+    if refine and lo < hi and grid_points < 3:
+        raise ValidationError(
+            f"grid_points must be >= 3 to refine on ({lo}, {hi}), got {grid_points}")
     if objective == "abridged_theory":
         fun = _theory_objective(scenario, name, approach)
     elif objective == "monte_carlo":
@@ -135,15 +139,9 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
         j = int(np.argmin(vals))
         best_k, best_v = float(grid[j]), float(vals[j])
         if refine and lo < hi:
-            # imported here: scipy.optimize serves only this refinement
-            from scipy.optimize import minimize_scalar
-
-            blo = float(grid[max(j - 1, 0)])
-            bhi = float(grid[min(j + 1, grid.size - 1)])
-            res = minimize_scalar(fun, bounds=(blo, bhi), method="bounded",
-                                  options={"xatol": (hi - lo) * 1e-4})
-            if res.fun <= best_v:
-                best_k, best_v = float(res.x), float(res.fun)
+            (k,), (v,) = refine_maxima(lambda rows, points: -np.array([fun(p) for p in points]),
+                                       grid, -vals[None], (hi - lo) * 1e-4)
+            best_k, best_v = float(k), -float(v)
 
     ranges = scenario_consistency(scenario)
     ok = ranges.contains_ir(best_k) if name == "pmep-ir" else ranges.contains_i(best_k)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 import sincount as sc
-from sincount import distributions, likelihood
+from sincount import distributions
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -139,33 +139,29 @@ def amp_phase(plan, samples):
     return q_hat, amps, phases
 
 
-def golden_refine(x, table, q_basis, sigma_sq, vals, refine_tol):
-    """Golden-section maximization of V between each trial's grid neighbours,
-    with the arguments and result of likelihood._refine.
+def golden_refine(evaluate, grid, vals, refine_tol):
+    """Golden-section maximization between each row's grid neighbours, with
+    the arguments and result of likelihood.refine_maxima.
 
     The bracket [grid[j - 1], grid[j + 1]] around the grid maximum j keeps
     its best point; each step evaluates the point mirrored about the
-    bracket's centre, one frequency per trial, and cuts the bracket at the
-    worse of the two.  The step count shrinks the widest bracket, two grid
-    steps, to refine_tol and does not depend on the trials.  A trial keeps
-    its grid point when refinement does not reach its value; returns each
-    trial's (frequency, V).
+    bracket's centre, one point per row, and cuts the bracket at the worse
+    of the two.  The step count shrinks the widest bracket, two grid steps,
+    to refine_tol and does not depend on the rows.  A row keeps its grid
+    point when refinement does not reach its value; returns each row's
+    (point, value).
     """
-    def value(omegas):
-        return likelihood._grid_quadrature_increment(
-            x, table, omegas[:, None], q_basis, sigma_sq)[:, 0]
-
-    grid = table.grid
+    rows = np.arange(len(vals))
     j = np.argmax(vals, axis=1)
     grid_w, grid_v = grid[j], vals[np.arange(j.size), j]
     lo, hi = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, grid.size - 1)]
     steps = max(0, math.ceil(math.log(refine_tol / (2.0 * (grid[1] - grid[0])))
                              / math.log(_INV_PHI)))
     best = lo + _INV_PHI * (hi - lo)
-    f_best = value(best)
+    f_best = evaluate(rows, best)
     for _ in range(steps + 1):
         other = lo + hi - best
-        f_other = value(other)
+        f_other = evaluate(rows, other)
         take = f_other >= f_best
         cut = np.where(take, best, other)
         # the cut ends the bracket above when the kept point lies below it

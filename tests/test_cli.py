@@ -323,6 +323,26 @@ def test_degenerate_scenario_exits_3(config_path, capsys):
     assert "DegenerateStatsError" in err
 
 
+@pytest.mark.parametrize("command", ["synth", "theory"])
+def test_non_finite_envelope_exits_2(command, config_path, capsys):
+    # a NaN envelope sample used to print NaN samples (synth, exit 0) or
+    # reach the Gram matrix's Cholesky factorization (theory, exit 1)
+    w = 1.25
+    doc = dict(BASE_CONFIG)
+    doc["scenario"] = {
+        "n_samples": 64,
+        "noise_level": 1.0,
+        "components": [
+            {"amplitude": 1.0, "frequency": w, "phase": 0.0, "band": [w - 0.3, w + 0.3],
+             "amplitude_envelope": [1.0] * 63 + [math.nan]},
+        ],
+        "extra_candidates": [],
+    }
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert (rc, out) == (2, "")
+    assert "amplitude_envelope must hold finite numbers" in err
+
+
 def test_tune_subcommand(config_path, capsys):
     doc = {
         "scenario": {"standard": {"snr_db": -4.0}},

@@ -11,12 +11,12 @@ from scipy.stats import binomtest
 
 import sincount as sc
 
-HEAVY = ("scipy.stats", "scipy.optimize", "scipy.interpolate")
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.linalg")
 
 
 def _heavy_loaded_after(statements):
     """The HEAVY modules loaded in a fresh process (this suite itself has
-    imported all three) after `import sys, sincount as sc` and statements."""
+    imported them all) after `import sys, sincount as sc` and statements."""
     src = os.path.dirname(os.path.dirname(sc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -36,6 +36,19 @@ def test_ml_laws_and_their_abridged_formulas_load_no_heavy_scipy_module():
     loaded = _heavy_loaded_after([
         'd = sc.component_dists(sc.standard_scenario(-4.0), mode="ml")',
         *(f"sc.abridged_for(d, sc.{spec})" for spec in ("Gic()", "PmepIr(0.25)", "PmepI(3.0)"))])
+    assert loaded == "[]"
+
+
+def test_tune_and_estimate_load_no_heavy_scipy_module():
+    # tune refines with the ML search's refiner, and numpy factors the Gram
+    # matrix, under either objective and either approach
+    loaded = _heavy_loaded_after([
+        "s = sc.standard_scenario(-4.0)",
+        'sc.tune("pmep-ir", s, search_range=(0.15, 0.35), grid_points=5)',
+        'sc.tune("pmep-i", s, objective="monte_carlo", search_range=(2.0, 4.0), grid_points=5, '
+        "trials=300)",
+        "sc.estimate(s, [sc.Gic()], sc.KNOWN_FREQ, 300, 1)",
+        "sc.estimate(s, [sc.Gic()], sc.Ml(grid_points=16), 100, 1)"])
     assert loaded == "[]"
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from collections import Counter
@@ -368,10 +369,10 @@ def test_degenerate_rows_in_a_multi_piece_block_leave_the_others_unchanged():
 
 def _search_beside_golden(rows, scenario, approach):
     """The ML search of rows: its ladders, the refinement rounds of each
-    _refine call, and for every slot of every block the refiner's and the
-    golden rule's (frequency, V) on the same x, fitted basis and grid
+    refine_maxima call, and for every slot of every block the refiner's and
+    the golden rule's (frequency, V) on the same rows, fitted basis and grid
     values, with those grid values."""
-    refine, evaluate = likelihood._refine, likelihood._grid_quadrature_increment
+    refine, evaluate = likelihood.refine_maxima, likelihood._grid_quadrature_increment
     rounds, calls = [], []
 
     def counted(x, table, omegas, q_basis, sigma_sq):
@@ -386,11 +387,12 @@ def _search_beside_golden(rows, scenario, approach):
         return found
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(likelihood, "_refine", watched)
+        patch.setattr(likelihood, "refine_maxima", watched)
         patch.setattr(likelihood, "_grid_quadrature_increment", counted)
         logliks = likelihood.ladder_function(scenario, approach)(rows)[0]
-    # the golden rule's own grid evaluations are not rounds of the refiner
-    seen = [(found, golden_refine(*args), args[4]) for found, args in calls]
+    # the golden rule's own evaluations, made after the patch is undone, are
+    # not rounds of the refiner
+    seen = [(found, golden_refine(*args), args[2]) for found, args in calls]
     return logliks, rounds, seen
 
 
@@ -430,7 +432,7 @@ def test_parabolic_refinement_matches_golden_rule(monkeypatch, default_search, s
     logliks, _, seen = default_search(snr)
     _assert_near_golden(seen, 1e-6)
     with monkeypatch.context() as patch:
-        patch.setattr(likelihood, "_refine", golden_refine)
+        patch.setattr(likelihood, "refine_maxima", golden_refine)
         golden = likelihood.ladder_function(scen, sc.Ml())(rows)[0]
     np.testing.assert_allclose(logliks, golden, rtol=1e-5)
     for spec in (sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)):
@@ -462,8 +464,9 @@ def _refine_on_slot(x, band, refine_tol=1e-6):
     table = likelihood._SlotGrid.build(slot, 256, x.shape[1])
     q_basis = np.zeros((len(x), 0, x.shape[1]))
     vals = likelihood._grid_quadrature_increment(x, table, table.grid, q_basis, 1.0)
-    args = (x, table, q_basis, 1.0, vals, refine_tol)
-    return np.argmax(vals, axis=1), likelihood._refine(*args), golden_refine(*args)
+    evaluate = functools.partial(likelihood._slot_values, x, table, q_basis, 1.0)
+    args = (evaluate, table.grid, vals, refine_tol)
+    return np.argmax(vals, axis=1), likelihood.refine_maxima(*args), golden_refine(*args)
 
 
 @pytest.mark.parametrize("edge", ["low", "high"])
@@ -595,14 +598,18 @@ def test_search_refines_and_extends_each_slot_once_per_block(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(likelihood, name, counted)
 
-    counting("_refine", lambda x, table, q_basis, *rest: q_basis.shape[1] // 2)
+    # a refinement's slot is the one whose grid it refines on
+    grids = [likelihood._SlotGrid.build(slot, sc.Ml().grid_points, scen.n_samples).grid[0]
+             for slot in scen.candidate_slots()]
+    assert len(set(grids)) == scen.max_order
+    counting("refine_maxima", lambda evaluate, grid, *rest: grids.index(grid[0]))
     counting("_extend_bases", lambda q_basis, *rest: q_basis.shape[1] // 2)
     counting("_grid_quadrature_increment", lambda x, table, omegas, q_basis, sigma_sq:
              q_basis.shape[1] // 2 if omegas.ndim == 1 else None)
     freqs, incs = likelihood.ml_search_increments(rows, scen, sc.Ml())
     pieces = math.ceil(len(rows) / likelihood._GRID_ROWS)
     assert calls == Counter({(name, slot): count for slot in range(scen.max_order)
-                             for name, count in (("_refine", 1), ("_extend_bases", 1),
+                             for name, count in (("refine_maxima", 1), ("_extend_bases", 1),
                                                  ("_grid_quadrature_increment", pieces))})
     np.testing.assert_array_equal(freqs, expect[0])
     np.testing.assert_array_equal(incs, expect[1])

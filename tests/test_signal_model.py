@@ -198,6 +198,9 @@ def test_scenario_validates_envelopes():
         # 2-d with its first axis equal to n_samples
         (dataclasses.replace(_tone(n_samples=2), phase_envelope=np.zeros((2, 8))), 2),
         (dataclasses.replace(_tone(n_samples=64), phase_envelope=["a"] * 64), 64),
+        # non-finite samples, which used to reach synthesize as NaN samples
+        (dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 63 + [np.nan]), 64),
+        (dataclasses.replace(_tone(n_samples=64), phase_envelope=[0.0, np.inf] + [0.0] * 62), 64),
     )
     for comp, n_samples in bad:
         with pytest.raises(ValidationError):

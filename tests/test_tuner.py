@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sincount as sc
-from sincount import montecarlo
+from oracles import golden_refine
+from sincount import montecarlo, tuner
 from sincount.criteria import checked_ladders
 from sincount.errors import ValidationError
 
@@ -78,6 +79,47 @@ def test_grid_needs_two_integer_points(scen_m4, grid_points):
     # at the range midpoint
     with pytest.raises(ValidationError, match="grid_points"):
         sc.tune("pmep-i", scen_m4, grid_points=grid_points, search_range=(0.01, 1.0))
+
+
+@pytest.mark.parametrize("family, search_range, grid_points",
+                         [("pmep-ir", (0.05, 0.6), 12), ("pmep-i", (1.5, 5.0), 8)])
+def test_refinement_matches_golden_rule(scen_m4, family, search_range, grid_points):
+    # the golden rule on the same grid values: at the same tolerance the
+    # refined kappa lies within it of the golden kappa, and at a 1000 times
+    # finer one, which finds the minimum, within half of it, as the
+    # bracketing certificate promises.  A point d from the minimum sits
+    # about (c / 2) d^2 above it, c the objective's curvature, here near its
+    # grid second difference; at d = tol / 2 that is 2.5e-9 and 1.6e-9, so
+    # the objective is held to that above the golden value.  It is 8.3e-11
+    # and 9.3e-12 above the minimum (the golden rule's 2.0e-11 and 5.7e-13)
+    lo, hi = search_range
+    tol = (hi - lo) * 1e-4
+    result = sc.tune(family, scen_m4, search_range=search_range, grid_points=grid_points)
+    objective = tuner._theory_objective(scen_m4, family, sc.KNOWN_FREQ)
+    grid, vals = result.search_trace.T
+
+    def golden(refine_tol):
+        (k,), (v,) = golden_refine(lambda rows, points: -np.array([objective(p) for p in points]),
+                                   grid, -vals[None], refine_tol)
+        return k, -v
+
+    golden_k, golden_v = golden(tol)
+    j, step = np.argmin(vals), grid[1] - grid[0]
+    rise = (vals[j - 1] - 2.0 * vals[j] + vals[j + 1]) / step**2 / 2.0 * (tol / 2.0) ** 2
+    assert abs(result.kappa_opt - golden_k) <= tol
+    assert result.objective_value <= golden_v + rise
+    assert abs(result.kappa_opt - golden(tol * 1e-3)[0]) <= tol / 2.0
+    assert result.objective_value <= vals.min()
+
+
+def test_refinement_needs_three_grid_points(scen_m4):
+    # the refiner's first parabola runs through three grid points; two used
+    # to refine across the whole range, to kappa 0.25991 here
+    with pytest.raises(ValidationError, match="grid_points must be >= 3 to refine"):
+        sc.tune("pmep-ir", scen_m4, grid_points=2, search_range=(0.2, 0.3))
+    result = sc.tune("pmep-ir", scen_m4, grid_points=2, search_range=(0.2, 0.3), refine=False)
+    assert list(result.search_trace[:, 0]) == [0.2, 0.3]
+    assert sc.tune("pmep-ir", scen_m4, grid_points=2, search_range=(0.25, 0.25)).kappa_opt == 0.25
 
 
 @pytest.mark.parametrize("refine", ["no", 1, None, np.True_],
