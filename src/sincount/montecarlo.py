@@ -7,7 +7,7 @@ paired.  Aggregates do not depend on how the trials are split into blocks.
 
 Trial k's noise is the standard normals of a fresh
 Generator(Philox(key=trial_seed(master_seed, k))).  _fill_samples, which
-batch_samples and each block of collect_logliks call, draws them with one
+batch_samples and each block of the trial loop call, draws them with one
 call per trial of numpy's random_standard_normal_fill, the C
 function behind Generator.standard_normal, on a record laid out as a fresh
 Philox; an import-time check verifies that layout against the installed
@@ -32,7 +32,7 @@ from .errors import ValidationError, nonneg_int
 from .likelihood import ladder_function
 from .signal_model import clean_signal, scenario_to_dict
 
-# bytes of observations per block of collect_logliks, 4096 rows at 64
+# bytes of observations per block of the trial loop, 4096 rows at 64
 # samples: one buffer per call, refilled for each block, so memory does not
 # grow with trials x samples, and a block's arrays stay under numpy's 4 MB
 # huge-page threshold and in the cache
@@ -386,26 +386,28 @@ def batch_samples(scenario, master_seed, start, count):
     return out
 
 
-def collect_logliks(scenario, approach, trials, master_seed):
-    """Log-likelihood ladders L_1..L_N for all trials, shape (trials, N).
-    Trials whose statistics degenerate (ML only) come back as NaN rows.
-
-    The trials go through blocks of about _BLOCK_BYTES of observations: one
-    buffer, refilled with each block's rows as batch_samples draws them,
-    and the ladders of likelihood.ladder_function.  Rows are independent,
-    so no result depends on the block size.
-    """
-    master_seed = nonneg_int(master_seed, "master_seed")
-    trials = nonneg_int(trials, "trials")
+def _trial_blocks(scenario, approach, trials, master_seed):
+    """The trial loop: (start, ladders of trials start, start + 1, ...) per
+    block of _BLOCK_BYTES of observations in one reused buffer, a degenerate
+    trial's (ML only) a NaN row; no row depends on the block size."""
     block_ladders = ladder_function(scenario, approach)
     signal = clean_signal(scenario)
     step = max(1, _BLOCK_BYTES // (8 * scenario.n_samples))
     block = np.empty((min(step, trials), scenario.n_samples))
-    out = np.empty((trials, scenario.max_order))
     for start in range(0, trials, step):
         rows = block[:trials - start]
         _fill_samples(rows, scenario, signal, master_seed, start)
-        out[start:start + rows.shape[0]] = block_ladders(rows)[0]
+        yield start, block_ladders(rows)[0]
+
+
+def collect_logliks(scenario, approach, trials, master_seed):
+    """Log-likelihood ladders L_1..L_N of all trials, shape (trials, N),
+    stored from each block of the trial loop, NaN rows included."""
+    master_seed = nonneg_int(master_seed, "master_seed")
+    trials = nonneg_int(trials, "trials")
+    out = np.empty((trials, scenario.max_order))
+    for start, ladders in _trial_blocks(scenario, approach, trials, master_seed):
+        out[start:start + ladders.shape[0]] = ladders
     return out
 
 
@@ -418,20 +420,16 @@ def checked_trials(trials):
     return trials
 
 
-def trial_ladders(scenario, approach, trials, master_seed):
-    """(ladders, degenerate), the Monte Carlo trial set of estimate and of
-    tune's monte_carlo objective: collect_logliks' ladders without the NaN
-    rows of the degenerate trials, which no criterion decides, checked once
-    by checked_ladders, and the number of those trials.  A ValidationError
-    below _MIN_TRIALS trials (checked first) or when every trial degenerates."""
-    trials = checked_trials(trials)
-    logliks = collect_logliks(scenario, approach, trials, master_seed)
-    valid = ~np.isnan(logliks[:, 0])
-    if not valid.all():
-        logliks = logliks[valid]
-    if not logliks.shape[0]:
+def decided_ladders(ladders):
+    """ladders less the NaN rows of degenerate trials, checked by checked_ladders."""
+    valid = ~np.isnan(ladders[:, 0])
+    return checked_ladders(ladders if valid.all() else ladders[valid])
+
+
+def any_decided(n_decided):
+    """A ValidationError when no trial was decided: every one degenerated."""
+    if not n_decided:
         raise ValidationError("all trials degenerated; scenario is ill-posed")
-    return checked_ladders(logliks), trials - logliks.shape[0]
 
 
 def _wilson(p, n):
@@ -497,28 +495,39 @@ class McReport:
 def estimate(scenario, specs, approach, trials, master_seed):
     """Estimate p_e and p_a for each criterion over seeded trials.
 
-    All criteria see the same log-likelihood ladders, the trial set of
-    trial_ladders: at least _MIN_TRIALS trials, the degenerate ones left
-    out and counted.  p_e counts argmin mismatches, p_a the two-neighbor
-    abridged event (single available neighbor at the boundary orders).
+    All criteria see the same ladders, at least _MIN_TRIALS trials, the
+    degenerate ones left out and counted.  p_e counts argmin mismatches, p_a
+    the two-neighbor abridged event (one neighbor at the boundary orders).
+    Each block of the trial loop is reduced as it comes, so memory holds one
+    block and each report's correct and abridged_correct, a bool per trial.
     """
-    nu0, n_orders = scenario.nu0, scenario.max_order
-    logliks, degenerate = trial_ladders(scenario, approach, trials, master_seed)
-    n_eff = logliks.shape[0]
-    key = scenario_fingerprint(scenario)
+    trials, master_seed = checked_trials(trials), nonneg_int(master_seed, "master_seed")
+    specs = list(specs)
+    nu0, n_orders, pps = scenario.nu0, scenario.max_order, approach.params_per_signal
     under, over = abridged_comparisons(nu0, n_orders)
+    correct, abridged_correct = np.empty((2, len(specs), trials), dtype=bool)
+    histograms = np.zeros((len(specs), n_orders), dtype=np.intp)
+    n_eff = 0
+    for _, ladders in _trial_blocks(scenario, approach, trials, master_seed):
+        ladders = decided_ladders(ladders)
+        done = slice(n_eff, n_eff + ladders.shape[0])
+        for j, spec in enumerate(specs):
+            values = spec.values(ladders, params_per_signal=pps)
+            nu_hat = argmin_order(values)
+            np.equal(nu_hat, nu0, out=correct[j, done])
+            np.logical_and(values[:, nu0 - 1] < values[:, nu0 - 2] if under else True,
+                           values[:, nu0 - 1] <= values[:, nu0] if over else True,
+                           out=abridged_correct[j, done])
+            histograms[j] += np.bincount(nu_hat, minlength=n_orders + 1)[1:]
+        n_eff = done.stop
+    any_decided(n_eff)
+    degenerate = trials - n_eff
+    key = scenario_fingerprint(scenario)
+    offsets = np.arange(1, n_orders + 1) - nu0
     reports = []
-    for spec in specs:
-        values = spec.values(logliks, params_per_signal=approach.params_per_signal)
-        nu_hat = argmin_order(values)
-        correct = nu_hat == nu0
-        under_holds = values[:, nu0 - 1] < values[:, nu0 - 2] if under else True
-        over_holds = values[:, nu0 - 1] <= values[:, nu0] if over else True
-        abridged_correct = np.full(n_eff, True) & under_holds & over_holds
-        p_e = 1.0 - float(np.mean(correct))
-        p_a = 1.0 - float(np.mean(abridged_correct))
-        counts = np.bincount(nu_hat, minlength=n_orders + 1)[1:]
-        offsets = np.arange(1, n_orders + 1) - nu0
+    for j, (spec, counts) in enumerate(zip(specs, histograms)):
+        p_e = 1.0 - float(np.mean(correct[j, :n_eff]))
+        p_a = 1.0 - float(np.mean(abridged_correct[j, :n_eff]))
         n_eq1 = int(counts[np.abs(offsets) == 1].sum())
         n_gt1 = int(counts[np.abs(offsets) > 1].sum())
         ratio = n_gt1 / n_eq1 if n_eq1 > 0 else math.nan
@@ -533,12 +542,12 @@ def estimate(scenario, specs, approach, trials, master_seed):
             offsets=offsets,
             histogram=counts,
             ratio_gt1_eq1=ratio,
-            master_seed=int(master_seed),
+            master_seed=master_seed,
             degenerate=degenerate,
-            degenerate_warning=degenerate > 0.01 * (n_eff + degenerate),
+            degenerate_warning=degenerate > 0.01 * trials,
             scenario_key=key,
-            correct=correct,
-            abridged_correct=abridged_correct,
+            correct=correct[j, :n_eff],
+            abridged_correct=abridged_correct[j, :n_eff],
         ))
     return reports
 

@@ -17,7 +17,7 @@ import numpy as np
 from .criteria import PmepI, PmepIr, argmin_order
 from .errors import ValidationError, finite_float, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
-from .montecarlo import checked_trials, trial_ladders
+from .montecarlo import any_decided, checked_trials, collect_logliks, decided_ladders
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      scenario_consistency)
 
@@ -75,7 +75,8 @@ def _theory_objective(scenario, name, approach):
 
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
-    logliks, _ = trial_ladders(scenario, approach, trials, master_seed)
+    logliks = decided_ladders(collect_logliks(scenario, approach, trials, master_seed))
+    any_decided(logliks.shape[0])
     criterion, nu0, pps = _FAMILIES[name][0], scenario.nu0, approach.params_per_signal
 
     def objective(kappa):
@@ -97,11 +98,11 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     refiner on the negated objective, to (hi - lo) * 1e-4 (3 grid points at
     least); a one-point range is a one-point grid.  Both objectives use the
     approach's frequencies (known frequencies by default); the theory
-    objective has no ML laws, and the Monte Carlo one decides the trials of
-    montecarlo.trial_ladders.  Every setting is checked under either
-    objective: refine is a bool, grid_points a nonnegative integer, trials
-    at least montecarlo's floor and master_seed a nonnegative integer.  The
-    result is flagged against theory.scenario_consistency.
+    objective has no ML laws, and the Monte Carlo one decides estimate's
+    trials, all of collect_logliks' ladders held.  Every setting is checked
+    under either objective: refine is a bool, grid_points a nonnegative
+    integer, trials at least montecarlo's floor and master_seed a
+    nonnegative integer.  The result is flagged against scenario_consistency.
     """
     name = _family_name(family)
     if not isinstance(refine, bool):

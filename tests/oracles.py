@@ -1,7 +1,8 @@
 """Oracles that the closed-form increment laws, their convolution, abridged
-errors and the ML search's refinement are checked against, and the
-amplitude/phase MLE of a frequency plan, which only tests use, and the
-traced peak memory of a call."""
+errors, the ML search's refinement and the Monte Carlo estimate are checked
+against, and the amplitude/phase MLE of a frequency plan, which only tests
+use, the traced peak memory of a call and a ladder injector for the trial
+loop."""
 
 import math
 import tracemalloc
@@ -10,7 +11,8 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 import sincount as sc
-from sincount import distributions
+from sincount import distributions, montecarlo
+from sincount.criteria import abridged_comparisons, checked_ladders
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -170,3 +172,59 @@ def golden_refine(evaluate, grid, vals, refine_tol):
         best, f_best = np.where(take, other, best), np.where(take, f_other, f_best)
     refined = f_best >= grid_v
     return np.where(refined, best, grid_w), np.where(refined, f_best, grid_v)
+
+
+def estimate_whole_set(scenario, specs, approach, trials, master_seed):
+    """montecarlo.estimate over the whole trial set at once: every trial's
+    ladders collected, the degenerate trials' NaN rows left out, the rest
+    checked once, then each criterion applied to all of them."""
+    trials = montecarlo.checked_trials(trials)
+    logliks = sc.collect_logliks(scenario, approach, trials, master_seed)
+    logliks = logliks[~np.isnan(logliks[:, 0])]
+    if not logliks.shape[0]:
+        raise sc.ValidationError("all trials degenerated; scenario is ill-posed")
+    logliks = checked_ladders(logliks)
+    degenerate, n_eff = trials - logliks.shape[0], logliks.shape[0]
+    nu0, n_orders = scenario.nu0, scenario.max_order
+    under, over = abridged_comparisons(nu0, n_orders)
+    reports = []
+    for spec in specs:
+        values = spec.values(logliks, params_per_signal=approach.params_per_signal)
+        nu_hat = sc.argmin_order(values)
+        correct = nu_hat == nu0
+        under_holds = values[:, nu0 - 1] < values[:, nu0 - 2] if under else True
+        over_holds = values[:, nu0 - 1] <= values[:, nu0] if over else True
+        abridged_correct = np.full(n_eff, True) & under_holds & over_holds
+        p_e = 1.0 - float(np.mean(correct))
+        p_a = 1.0 - float(np.mean(abridged_correct))
+        counts = np.bincount(nu_hat, minlength=n_orders + 1)[1:]
+        offsets = np.arange(1, n_orders + 1) - nu0
+        n_eq1 = int(counts[np.abs(offsets) == 1].sum())
+        n_gt1 = int(counts[np.abs(offsets) > 1].sum())
+        reports.append(sc.McReport(
+            criterion=spec, approach_label=approach.label, trials=n_eff,
+            p_e=p_e, p_e_ci=montecarlo._wilson(p_e, n_eff),
+            p_a=p_a, p_a_ci=montecarlo._wilson(p_a, n_eff),
+            offsets=offsets, histogram=counts,
+            ratio_gt1_eq1=n_gt1 / n_eq1 if n_eq1 > 0 else math.nan,
+            master_seed=int(master_seed), degenerate=degenerate,
+            degenerate_warning=degenerate > 0.01 * (n_eff + degenerate),
+            scenario_key=sc.scenario_fingerprint(scenario),
+            correct=correct, abridged_correct=abridged_correct))
+    return reports
+
+
+def inject_ladders(monkeypatch, ladders):
+    """Make the trial loop's ladder function hand out the rows of ladders in
+    trial order, from trial 0 again for each estimate or collect_logliks."""
+    def ladder_function(scenario, approach):
+        start = 0
+
+        def block_ladders(rows):
+            nonlocal start
+            start += rows.shape[0]
+            return ladders[start - rows.shape[0]:start].copy(), None, None
+
+        return block_ladders
+
+    monkeypatch.setattr(montecarlo, "ladder_function", ladder_function)

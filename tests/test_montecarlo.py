@@ -9,7 +9,9 @@ from sincount import montecarlo
 from sincount.errors import ValidationError
 from sincount.signal_model import clean_signal
 
-from oracles import traced_peak_mb
+from oracles import estimate_whole_set, inject_ladders, traced_peak_mb
+
+SPECS = [sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)]
 
 
 def test_trial_seed_deterministic_and_distinct():
@@ -310,17 +312,50 @@ def test_collect_logliks_memory_stays_within_a_block(n_samples, trials, bound_mb
     assert traced_peak_mb(sc.collect_logliks, scen, sc.KNOWN_FREQ, trials, 5) < bound_mb
 
 
-def test_trial_ladders_copy_only_to_drop_degenerate_rows(scen_m4, monkeypatch):
-    ladders = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 200, 3)
-    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: ladders)
-    kept, degenerate = montecarlo.trial_ladders(scen_m4, sc.KNOWN_FREQ, 200, 3)
-    assert kept is ladders and degenerate == 0
-    with_nan = ladders.copy()
-    with_nan[[5, 17]] = np.nan
-    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: with_nan)
-    kept, degenerate = montecarlo.trial_ladders(scen_m4, sc.KNOWN_FREQ, 200, 3)
-    assert degenerate == 2
-    np.testing.assert_array_equal(kept, np.delete(ladders, [5, 17], axis=0))
+def test_estimate_memory_holds_its_indicators_and_a_block():
+    # 4 criteria over 100k trials: two bools per trial and criterion (0.8 MB)
+    # beside the trial loop's block; the whole set's ladders and each
+    # criterion's values over them peaked at 25.7 MB
+    scen, trials = sc.standard_scenario(0.0), 100_000
+    bound_mb = (2 * len(SPECS) * trials + 2 * montecarlo._BLOCK_BYTES) / 1e6 + 0.5
+    assert traced_peak_mb(sc.estimate, scen, SPECS, sc.KNOWN_FREQ, trials, 5) < bound_mb
+
+
+def _report_state(report):
+    """Everything a report holds, its per-trial arrays and dtypes included."""
+    return (report.to_dict(), report.correct.tobytes(), report.abridged_correct.tobytes(),
+            report.histogram.tobytes(), report.histogram.dtype, report.offsets.tobytes(),
+            report.scenario_key)
+
+
+@pytest.mark.parametrize("approach", [
+    sc.KNOWN_FREQ, sc.Bl(0.01),
+    pytest.param(sc.Ml(grid_points=64), marks=pytest.mark.one_blas_thread)],
+    ids=["known", "bl", "ml"])
+def test_estimate_reduces_each_block_as_the_whole_set_does(scen_m4, approach, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
+
+    def check(n_degenerate):
+        got = sc.estimate(scen_m4, SPECS, approach, 300, 13)
+        expect = estimate_whole_set(scen_m4, SPECS, approach, 300, 13)
+        assert [_report_state(r) for r in got] == [_report_state(r) for r in expect]
+        assert all(r.degenerate == n_degenerate and r.trials == 300 - n_degenerate
+                   and r.correct.size == r.trials for r in got)
+
+    ladders = sc.collect_logliks(scen_m4, approach, 300, 13)
+    check(0)
+    # trials 60-70 degenerate across the block boundary at 64, and 128-191
+    # are the whole third block of five
+    degenerate = np.r_[60:71, 128:192]
+    ladders[degenerate] = np.nan
+    inject_ladders(monkeypatch, ladders)
+    collected = sc.collect_logliks(scen_m4, approach, 300, 13)
+    np.testing.assert_array_equal(np.flatnonzero(np.isnan(collected[:, 0])), degenerate)
+    check(75)
+    (report,) = sc.estimate(scen_m4, [sc.Gic()], approach, 300, 13)
+    values = sc.Gic().values(np.delete(ladders, degenerate, axis=0),
+                             params_per_signal=approach.params_per_signal)
+    np.testing.assert_array_equal(report.correct, sc.argmin_order(values) == scen_m4.nu0)
 
 
 def test_estimate_deterministic(scen_m4):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sincount as sc
-from oracles import golden_refine
+from oracles import golden_refine, inject_ladders
 from sincount import montecarlo, tuner
 from sincount.criteria import checked_ladders
 from sincount.errors import ValidationError
@@ -158,7 +158,7 @@ def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(mon
     scen = sc.standard_scenario(0.0)
     logliks = sc.collect_logliks(scen, sc.KNOWN_FREQ, 2000, 3)
     logliks[::10] = np.nan
-    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: logliks.copy())
+    inject_ladders(monkeypatch, logliks)
     for kappa in (2.0, 3.0, 4.0):
         tuned = sc.tune("pmep-i", scen, objective="monte_carlo", search_range=(kappa, kappa),
                         trials=2000, master_seed=3)
@@ -174,6 +174,8 @@ def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(mon
 
 
 def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_m4):
+    # estimate checks each block of the trial loop as it comes, tune the
+    # whole set: either way each row is checked exactly once
     calls = []
 
     def counted(logliks):
@@ -181,15 +183,18 @@ def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_
         return checked_ladders(logliks)
 
     monkeypatch.setattr(montecarlo, "checked_ladders", counted)
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 64 * 8 * scen_m4.n_samples)
     specs = [sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)]
     sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
+    assert calls == [(64, scen_m4.max_order)] * 4 + [(44, scen_m4.max_order)]
+    calls.clear()
     sc.tune("pmep-ir", scen_m4, objective="monte_carlo", grid_points=5, trials=300,
             master_seed=3)
-    assert calls == [(300, scen_m4.max_order)] * 2
+    assert calls == [(300, scen_m4.max_order)]
     # a ladder that falls is still refused, by estimate and by the objective
     logliks = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 3)
     logliks[7, -1] = logliks[7, -2] - 1.0
-    monkeypatch.setattr(montecarlo, "collect_logliks", lambda *args: logliks.copy())
+    inject_ladders(monkeypatch, logliks)
     with pytest.raises(ValidationError, match="nondecreasing"):
         sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
     with pytest.raises(ValidationError, match="nondecreasing"):
