@@ -455,7 +455,9 @@ def scenario_fingerprint(scenario):
 @dataclass(frozen=True)
 class McReport:
     """Error-probability estimates of one criterion on one trial set;
-    p_e_ci and p_a_ci are 95% Wilson score intervals."""
+    p_e_ci and p_a_ci are 95% Wilson score intervals.  indicators packs
+    correct and abridged_correct (rows 0 and 1) one bit per trial, and each
+    access to either unpacks a new bool array."""
 
     criterion: object
     approach_label: str
@@ -471,8 +473,14 @@ class McReport:
     degenerate: int
     degenerate_warning: bool
     scenario_key: str
-    correct: np.ndarray = field(repr=False, default=None)
-    abridged_correct: np.ndarray = field(repr=False, default=None)
+    indicators: np.ndarray = field(repr=False, default=None)
+
+    def _unpacked(self, row):
+        return None if self.indicators is None else np.unpackbits(
+            self.indicators[row], count=self.trials).view(bool)
+
+    correct = property(lambda self: self._unpacked(0))
+    abridged_correct = property(lambda self: self._unpacked(1))
 
     def to_dict(self):
         """JSON-ready summary (per-trial indicator arrays omitted)."""
@@ -499,35 +507,45 @@ def estimate(scenario, specs, approach, trials, master_seed):
     degenerate ones left out and counted.  p_e counts argmin mismatches, p_a
     the two-neighbor abridged event (one neighbor at the boundary orders).
     Each block of the trial loop is reduced as it comes, so memory holds one
-    block and each report's correct and abridged_correct, a bool per trial.
+    block and each report's correct and abridged_correct, a bit per trial.
     """
     trials, master_seed = checked_trials(trials), nonneg_int(master_seed, "master_seed")
     specs = list(specs)
     nu0, n_orders, pps = scenario.nu0, scenario.max_order, approach.params_per_signal
     under, over = abridged_comparisons(nu0, n_orders)
-    correct, abridged_correct = np.empty((2, len(specs), trials), dtype=bool)
+    # each criterion's two indicators, a bit per trial; the bits of a block's
+    # partial last byte (at most 7) start the next block's staging, repacked
+    packed = np.empty((len(specs), 2, -(-trials // 8)), dtype=np.uint8)
+    hits = np.zeros((len(specs), 2), dtype=np.intp)
     histograms = np.zeros((len(specs), n_orders), dtype=np.intp)
-    n_eff = 0
-    for _, ladders in _trial_blocks(scenario, approach, trials, master_seed):
+    n_eff = carry = 0
+    for start, ladders in _trial_blocks(scenario, approach, trials, master_seed):
+        if not start:  # the first block is the largest
+            staging = np.empty((len(specs), 2, 7 + ladders.shape[0]), dtype=bool)
         ladders = decided_ladders(ladders)
-        done = slice(n_eff, n_eff + ladders.shape[0])
+        done = slice(carry, carry + ladders.shape[0])
         for j, spec in enumerate(specs):
             values = spec.values(ladders, params_per_signal=pps)
             nu_hat = argmin_order(values)
-            np.equal(nu_hat, nu0, out=correct[j, done])
+            np.equal(nu_hat, nu0, out=staging[j, 0, done])
             np.logical_and(values[:, nu0 - 1] < values[:, nu0 - 2] if under else True,
                            values[:, nu0 - 1] <= values[:, nu0] if over else True,
-                           out=abridged_correct[j, done])
+                           out=staging[j, 1, done])
             histograms[j] += np.bincount(nu_hat, minlength=n_orders + 1)[1:]
-        n_eff = done.stop
+        hits += np.count_nonzero(staging[:, :, done], axis=-1)
+        bits = np.packbits(staging[:, :, :done.stop], axis=-1)
+        packed[:, :, n_eff // 8:n_eff // 8 + bits.shape[-1]] = bits
+        n_eff, carry = n_eff + ladders.shape[0], done.stop % 8
+        staging[:, :, :carry] = staging[:, :, done.stop - carry:done.stop]
     any_decided(n_eff)
     degenerate = trials - n_eff
     key = scenario_fingerprint(scenario)
     offsets = np.arange(1, n_orders + 1) - nu0
     reports = []
     for j, (spec, counts) in enumerate(zip(specs, histograms)):
-        p_e = 1.0 - float(np.mean(correct[j, :n_eff]))
-        p_a = 1.0 - float(np.mean(abridged_correct[j, :n_eff]))
+        # bit for bit 1 - np.mean of the bools: their float64 sum is exact
+        # below 2**53, and both divisions are correctly rounded
+        p_e, p_a = (1.0 - hits[j] / n_eff).tolist()
         n_eq1 = int(counts[np.abs(offsets) == 1].sum())
         n_gt1 = int(counts[np.abs(offsets) > 1].sum())
         ratio = n_gt1 / n_eq1 if n_eq1 > 0 else math.nan
@@ -535,10 +553,8 @@ def estimate(scenario, specs, approach, trials, master_seed):
             criterion=spec,
             approach_label=approach.label,
             trials=n_eff,
-            p_e=p_e,
-            p_e_ci=_wilson(p_e, n_eff),
-            p_a=p_a,
-            p_a_ci=_wilson(p_a, n_eff),
+            p_e=p_e, p_e_ci=_wilson(p_e, n_eff),
+            p_a=p_a, p_a_ci=_wilson(p_a, n_eff),
             offsets=offsets,
             histogram=counts,
             ratio_gt1_eq1=ratio,
@@ -546,8 +562,7 @@ def estimate(scenario, specs, approach, trials, master_seed):
             degenerate=degenerate,
             degenerate_warning=degenerate > 0.01 * trials,
             scenario_key=key,
-            correct=correct[j, :n_eff],
-            abridged_correct=abridged_correct[j, :n_eff],
+            indicators=packed[j, :, :-(-n_eff // 8)],
         ))
     return reports
 

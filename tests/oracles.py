@@ -210,7 +210,7 @@ def estimate_whole_set(scenario, specs, approach, trials, master_seed):
             master_seed=int(master_seed), degenerate=degenerate,
             degenerate_warning=degenerate > 0.01 * (n_eff + degenerate),
             scenario_key=sc.scenario_fingerprint(scenario),
-            correct=correct, abridged_correct=abridged_correct))
+            indicators=np.packbits(np.stack([correct, abridged_correct]), axis=1)))
     return reports
 
 

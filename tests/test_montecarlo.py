@@ -313,23 +313,30 @@ def test_collect_logliks_memory_stays_within_a_block(n_samples, trials, bound_mb
 
 
 def test_estimate_memory_holds_its_indicators_and_a_block():
-    # 4 criteria over 100k trials: two bools per trial and criterion (0.8 MB)
+    # 4 criteria over 100k trials: two indicators per trial and criterion
     # beside the trial loop's block; the whole set's ladders and each
     # criterion's values over them peaked at 25.7 MB
     scen, trials = sc.standard_scenario(0.0), 100_000
     bound_mb = (2 * len(SPECS) * trials + 2 * montecarlo._BLOCK_BYTES) / 1e6 + 0.5
-    assert traced_peak_mb(sc.estimate, scen, SPECS, sc.KNOWN_FREQ, trials, 5) < bound_mb
+    peak_mb = traced_peak_mb(sc.estimate, scen, SPECS, sc.KNOWN_FREQ, trials, 5)
+    assert peak_mb < bound_mb
+    # packed eight to a byte, they grow by one bit per trial and criterion
+    # each; held as a bool each, they grew by 1.2 MB from 100k to 250k trials
+    more = 250_000
+    growth_mb = traced_peak_mb(sc.estimate, scen, SPECS, sc.KNOWN_FREQ, more, 5) - peak_mb
+    assert growth_mb <= (more - trials) * 2 * len(SPECS) / 8 / 1e6 + 0.25
 
 
 def _report_state(report):
     """Everything a report holds, its per-trial arrays and dtypes included."""
-    return (report.to_dict(), report.correct.tobytes(), report.abridged_correct.tobytes(),
+    return (report.to_dict(), report.indicators.tobytes(),
+            report.correct.tobytes(), report.abridged_correct.tobytes(),
             report.histogram.tobytes(), report.histogram.dtype, report.offsets.tobytes(),
             report.scenario_key)
 
 
 @pytest.mark.parametrize("approach", [
-    sc.KNOWN_FREQ, sc.Bl(0.01),
+    pytest.param(sc.KNOWN_FREQ, marks=pytest.mark.floor_streams), sc.Bl(0.01),
     pytest.param(sc.Ml(grid_points=64), marks=pytest.mark.one_blas_thread)],
     ids=["known", "bl", "ml"])
 def test_estimate_reduces_each_block_as_the_whole_set_does(scen_m4, approach, monkeypatch):
@@ -372,16 +379,21 @@ def test_estimate_minimum_trials(scen_m4):
 
 
 def test_report_accounting(scen_m4):
-    rep = sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 2000, 13)[0]
-    assert rep.trials == 2000
-    assert int(np.sum(rep.histogram)) == 2000
-    np.testing.assert_array_equal(rep.offsets, np.arange(1, 6) - 3)
-    # error probability equals the off-true share of the histogram
-    correct_share = rep.histogram[2] / 2000
-    assert rep.p_e == pytest.approx(1.0 - correct_share, abs=1e-12)
-    for p, (lo, hi) in ((rep.p_e, rep.p_e_ci), (rep.p_a, rep.p_a_ci)):
-        assert 0.0 <= lo <= p <= hi <= 1.0
-    assert rep.scenario_key == sc.scenario_fingerprint(scen_m4)
+    # 2003 trials leave 5 padding bits in the last packed byte; none counts
+    for trials in (2000, 2003):
+        rep = sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, trials, 13)[0]
+        assert rep.trials == trials
+        assert int(np.sum(rep.histogram)) == trials
+        np.testing.assert_array_equal(rep.offsets, np.arange(1, 6) - 3)
+        # error probability equals the off-true share of the histogram
+        correct_share = rep.histogram[2] / trials
+        assert rep.p_e == pytest.approx(1.0 - correct_share, abs=1e-12)
+        correct = rep.correct
+        assert correct.size == trials and correct.dtype == bool
+        assert int(correct.sum()) == rep.histogram[2]
+        for p, (lo, hi) in ((rep.p_e, rep.p_e_ci), (rep.p_a, rep.p_a_ci)):
+            assert 0.0 <= lo <= p <= hi <= 1.0
+        assert rep.scenario_key == sc.scenario_fingerprint(scen_m4)
 
 
 def test_interval_keeps_width_at_zero_error():
@@ -444,7 +456,7 @@ def test_paired_compare_rejects_mismatched_runs(scen_m4):
     with pytest.raises(ValidationError):
         sc.paired_compare(a, b)
     with pytest.raises(ValidationError, match="per-trial indicators"):
-        sc.paired_compare(a, dataclasses.replace(a, correct=None))
+        sc.paired_compare(a, dataclasses.replace(a, indicators=None))
 
 
 def test_ml_approach_small_run(scen_0):
