@@ -402,7 +402,9 @@ def _trial_blocks(scenario, approach, trials, master_seed):
 
 def collect_logliks(scenario, approach, trials, master_seed):
     """Log-likelihood ladders L_1..L_N of all trials, shape (trials, N),
-    stored from each block of the trial loop, NaN rows included."""
+    stored from each block of the trial loop, NaN rows included.  No library
+    code calls it: it is the whole-set view of the trial loop that the
+    benchmark's traced replay and the tests' oracles read."""
     master_seed = nonneg_int(master_seed, "master_seed")
     trials = nonneg_int(trials, "trials")
     out = np.empty((trials, scenario.max_order))
@@ -418,18 +420,6 @@ def checked_trials(trials):
     if trials < _MIN_TRIALS:
         raise ValidationError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     return trials
-
-
-def decided_ladders(ladders):
-    """ladders less the NaN rows of degenerate trials, checked by checked_ladders."""
-    valid = ~np.isnan(ladders[:, 0])
-    return checked_ladders(ladders if valid.all() else ladders[valid])
-
-
-def any_decided(n_decided):
-    """A ValidationError when no trial was decided: every one degenerated."""
-    if not n_decided:
-        raise ValidationError("all trials degenerated; scenario is ill-posed")
 
 
 def _wilson(p, n):
@@ -522,7 +512,9 @@ def estimate(scenario, specs, approach, trials, master_seed):
     for start, ladders in _trial_blocks(scenario, approach, trials, master_seed):
         if not start:  # the first block is the largest
             staging = np.empty((len(specs), 2, 7 + ladders.shape[0]), dtype=bool)
-        ladders = decided_ladders(ladders)
+        # a degenerate trial's NaN row is left out, the rest checked
+        valid = ~np.isnan(ladders[:, 0])
+        ladders = checked_ladders(ladders if valid.all() else ladders[valid])
         done = slice(carry, carry + ladders.shape[0])
         for j, spec in enumerate(specs):
             values = spec.values(ladders, params_per_signal=pps)
@@ -537,7 +529,8 @@ def estimate(scenario, specs, approach, trials, master_seed):
         packed[:, :, n_eff // 8:n_eff // 8 + bits.shape[-1]] = bits
         n_eff, carry = n_eff + ladders.shape[0], done.stop % 8
         staging[:, :, :carry] = staging[:, :, done.stop - carry:done.stop]
-    any_decided(n_eff)
+    if not n_eff:
+        raise ValidationError("all trials degenerated; scenario is ill-posed")
     degenerate = trials - n_eff
     key = scenario_fingerprint(scenario)
     offsets = np.arange(1, n_orders + 1) - nu0

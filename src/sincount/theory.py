@@ -421,9 +421,11 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     Monte Carlo with the same offsets.  Given a loss function, p_aq
     aggregates the curve through it; given per-offset probabilities, p_waa
     weights them in (with unit losses when no loss is given).  Each is None
-    without its input.  A non-finite loss value or probability raises
-    ValidationError before the sweep runs.
+    without its input.  A non-finite loss value or probability, trials below
+    montecarlo's floor or a master_seed that is not a nonnegative integer
+    raises ValidationError before the sweep runs, under every criterion.
     """
+    trials, master_seed = montecarlo.checked_trials(trials), nonneg_int(master_seed, "master_seed")
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ValidationError("delta grid must be nonempty")

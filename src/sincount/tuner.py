@@ -3,9 +3,9 @@
 The design procedure picks the tuning parameter of a consistent criterion
 family by minimizing an error objective: either the theoretical abridged
 error probability (cheap, known-frequency laws) or the Monte Carlo error
-probability.  The Monte Carlo objective reuses a single set of trials for
-every candidate value (common random numbers), so the two objectives can
-be compared on the same grid.
+probability.  Each Monte Carlo objective call is one estimate over the same
+seeded trials for every candidate value (common random numbers), so the
+two objectives can be compared on the same grid.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import PmepI, PmepIr, argmin_order
+from .criteria import PmepI, PmepIr
 from .errors import ValidationError, finite_float, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
-from .montecarlo import any_decided, checked_trials, collect_logliks, decided_ladders
+from .montecarlo import checked_trials, estimate
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
                      scenario_consistency)
 
@@ -68,20 +68,19 @@ def _theory_objective(scenario, name, approach):
                             frequencies=approach_frequencies(scenario, approach))
     formula = abridged_pmep_ir if name == "pmep-ir" else abridged_pmep_i
 
-    def objective(kappa):
-        return formula(dists, float(kappa)).p_a
+    def objective(kappas):
+        return np.array([formula(dists, float(k)).p_a for k in kappas])
 
     return objective
 
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
-    logliks = decided_ladders(collect_logliks(scenario, approach, trials, master_seed))
-    any_decided(logliks.shape[0])
-    criterion, nu0, pps = _FAMILIES[name][0], scenario.nu0, approach.params_per_signal
+    criterion = _FAMILIES[name][0]
 
-    def objective(kappa):
-        values = criterion(float(kappa)).values(logliks, params_per_signal=pps)
-        return 1.0 - float(np.mean(argmin_order(values) == nu0))
+    def objective(kappas):
+        reports = estimate(scenario, [criterion(float(k)) for k in kappas], approach, trials,
+                           master_seed)
+        return np.array([report.p_e for report in reports])
 
     return objective
 
@@ -98,11 +97,14 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     refiner on the negated objective, to (hi - lo) * 1e-4 (3 grid points at
     least); a one-point range is a one-point grid.  Both objectives use the
     approach's frequencies (known frequencies by default); the theory
-    objective has no ML laws, and the Monte Carlo one decides estimate's
-    trials, all of collect_logliks' ladders held.  Every setting is checked
-    under either objective: refine is a bool, grid_points a nonnegative
-    integer, trials at least montecarlo's floor and master_seed a
-    nonnegative integer.  The result is flagged against scenario_consistency.
+    objective has no ML laws.  The objective is called once for the grid,
+    once per refinement round and once for a flat grid's midpoint; each
+    Monte Carlo call is one estimate of all its values over the same seeded
+    trials, so no trial set is held and refine costs one pass of the trial
+    loop per round.  Every setting is checked under either objective: refine
+    is a bool, grid_points a nonnegative integer, trials at least
+    montecarlo's floor and master_seed a nonnegative integer.  The result is
+    flagged against scenario_consistency.
     """
     name = _family_name(family)
     if not isinstance(refine, bool):
@@ -129,19 +131,19 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
         raise ValidationError(f"unknown objective {objective!r}")
 
     grid = np.linspace(lo, hi, grid_points) if lo < hi else np.array([lo])
-    vals = np.array([fun(k) for k in grid])
+    vals = fun(grid)
     trace = np.column_stack([grid, vals])
     flat = lo < hi and float(vals.max() - vals.min()) <= _FLAT_TOL * max(
         1.0, abs(float(vals.mean())))
     if flat:
         best_k = float(0.5 * (lo + hi))
-        best_v = float(fun(best_k))
+        best_v = float(fun([best_k])[0])
     else:
         j = int(np.argmin(vals))
         best_k, best_v = float(grid[j]), float(vals[j])
         if refine and lo < hi:
-            (k,), (v,) = refine_maxima(lambda rows, points: -np.array([fun(p) for p in points]),
-                                       grid, -vals[None], (hi - lo) * 1e-4)
+            (k,), (v,) = refine_maxima(lambda rows, points: -fun(points), grid, -vals[None],
+                                       (hi - lo) * 1e-4)
             best_k, best_v = float(k), -float(v)
 
     ranges = scenario_consistency(scenario)

@@ -1,8 +1,8 @@
 """Oracles that the closed-form increment laws, their convolution, abridged
-errors, the ML search's refinement and the Monte Carlo estimate are checked
-against, and the amplitude/phase MLE of a frequency plan, which only tests
-use, the traced peak memory of a call and a ladder injector for the trial
-loop."""
+errors, the ML search's refinement, the Monte Carlo estimate and tune's
+Monte Carlo objective are checked against, and the amplitude/phase MLE of a
+frequency plan, which only tests use, the traced peak memory of a call and a
+ladder injector for the trial loop."""
 
 import math
 import tracemalloc
@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 import sincount as sc
-from sincount import distributions, montecarlo
+from sincount import distributions, montecarlo, tuner
 from sincount.criteria import abridged_comparisons, checked_ladders
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -174,16 +174,21 @@ def golden_refine(evaluate, grid, vals, refine_tol):
     return np.where(refined, best, grid_w), np.where(refined, f_best, grid_v)
 
 
-def estimate_whole_set(scenario, specs, approach, trials, master_seed):
-    """montecarlo.estimate over the whole trial set at once: every trial's
-    ladders collected, the degenerate trials' NaN rows left out, the rest
-    checked once, then each criterion applied to all of them."""
-    trials = montecarlo.checked_trials(trials)
+def _decided_whole_set(scenario, approach, trials, master_seed):
+    """Every trial's ladders collected, the degenerate trials' NaN rows left
+    out and the rest checked once."""
     logliks = sc.collect_logliks(scenario, approach, trials, master_seed)
     logliks = logliks[~np.isnan(logliks[:, 0])]
     if not logliks.shape[0]:
         raise sc.ValidationError("all trials degenerated; scenario is ill-posed")
-    logliks = checked_ladders(logliks)
+    return checked_ladders(logliks)
+
+
+def estimate_whole_set(scenario, specs, approach, trials, master_seed):
+    """montecarlo.estimate over the whole trial set at once: the decided
+    ladders held, then each criterion applied to all of them."""
+    trials = montecarlo.checked_trials(trials)
+    logliks = _decided_whole_set(scenario, approach, trials, master_seed)
     degenerate, n_eff = trials - logliks.shape[0], logliks.shape[0]
     nu0, n_orders = scenario.nu0, scenario.max_order
     under, over = abridged_comparisons(nu0, n_orders)
@@ -212,6 +217,22 @@ def estimate_whole_set(scenario, specs, approach, trials, master_seed):
             scenario_key=sc.scenario_fingerprint(scenario),
             indicators=np.packbits(np.stack([correct, abridged_correct]), axis=1)))
     return reports
+
+
+def mc_objective_whole_set(scenario, name, approach, trials, master_seed):
+    """tuner._mc_objective over the whole trial set at once: the decided
+    ladders held, then 1 - mean(argmin == nu0) for each kappa of the array."""
+    logliks = _decided_whole_set(scenario, approach, trials, master_seed)
+    criterion, pps = tuner._FAMILIES[name][0], approach.params_per_signal
+
+    def p_e(kappa):
+        values = criterion(float(kappa)).values(logliks, params_per_signal=pps)
+        return 1.0 - float(np.mean(sc.argmin_order(values) == scenario.nu0))
+
+    def objective(kappas):
+        return np.array([p_e(k) for k in kappas])
+
+    return objective
 
 
 def inject_ladders(monkeypatch, ladders):

@@ -615,6 +615,16 @@ def test_noncentrality_past_the_kernel_range_exits_2(command, snr_db, config_pat
     assert "past the range of the ncx2 kernel" in err
 
 
+@pytest.mark.parametrize("command", ["ql-sweep", "bl-interval"])
+def test_sweep_trials_below_the_floor_exits_2_without_eef(command, config_path, capsys):
+    # only an eef sweep used to check --trials: gic and pmep-ir exited 0
+    doc = dict(BL_INTERVAL_CONFIG, criteria=[{"name": "gic"}, {"name": "pmep-ir"}])
+    doc.pop("approach")
+    rc, out, err = run([command, "--config", config_path(doc), "--trials", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert "need at least 100 trials, got 5" in err
+
+
 def _readme_block(language):
     """The first fenced code block of README.md in the given language."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

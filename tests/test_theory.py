@@ -414,6 +414,25 @@ def test_ql_sweep_rejects_non_finite_loss_or_probabilities(scen_0, monkeypatch, 
         sc.ql_sweep(scen_0, sc.Gic(), [0.0, 0.004], **kwargs)
 
 
+@pytest.mark.parametrize("spec", [sc.Gic(), sc.PmepIr(0.25), sc.Eef()],
+                         ids=["gic", "pmep-ir", "eef"])
+@pytest.mark.parametrize("kwargs, match", [
+    ({"trials": 5}, "need at least 100 trials, got 5$"),
+    ({"trials": 1e5}, "trials must be a nonnegative integer"),
+    ({"master_seed": "x"}, "master_seed must be a nonnegative integer"),
+    ({"master_seed": -1}, "master_seed must be a nonnegative integer"),
+], ids=["trials_below_floor", "trials_float", "seed_str", "seed_negative"])
+def test_ql_sweep_checks_trials_and_seed_under_every_criterion(monkeypatch, spec, kwargs, match):
+    # only EEF's Monte Carlo fallback used to read them, so a closed-form
+    # sweep took trials=5 and master_seed="x"; now no law is built
+    def no_laws(*args, **kw):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(theory, "component_dists", no_laws)
+    with pytest.raises(ValidationError, match=match):
+        sc.ql_sweep(sc.standard_scenario(-4.0), spec, [0.0], **kwargs)
+
+
 def test_sample_increments_match_lambdas(dists_m4):
     rng = np.random.default_rng(8)
     draws = sample_increments(dists_m4, rng, 100000)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sincount as sc
-from oracles import golden_refine, inject_ladders
+from oracles import golden_refine, inject_ladders, mc_objective_whole_set, traced_peak_mb
 from sincount import montecarlo, tuner
 from sincount.criteria import checked_ladders
 from sincount.errors import ValidationError
@@ -24,7 +24,7 @@ def test_theory_objective_inverse_random_family(scen_m4):
     assert result.objective_value <= min(values) + 1e-12
 
 
-def test_family_accepts_spec_instance(scen_m4):
+def test_family_rejects_spec_instance(scen_m4):
     # only the family's name: an instance used to be taken for its name, and
     # the parameter it holds (0.3 here) was never read
     with pytest.raises(ValidationError, match="family"):
@@ -99,8 +99,8 @@ def test_refinement_matches_golden_rule(scen_m4, family, search_range, grid_poin
     grid, vals = result.search_trace.T
 
     def golden(refine_tol):
-        (k,), (v,) = golden_refine(lambda rows, points: -np.array([objective(p) for p in points]),
-                                   grid, -vals[None], refine_tol)
+        (k,), (v,) = golden_refine(lambda rows, points: -objective(points), grid, -vals[None],
+                                   refine_tol)
         return k, -v
 
     golden_k, golden_v = golden(tol)
@@ -174,23 +174,31 @@ def test_monte_carlo_objective_leaves_out_degenerate_trials_as_estimate_does(mon
 
 
 def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_m4):
-    # estimate checks each block of the trial loop as it comes, tune the
-    # whole set: either way each row is checked exactly once
-    calls = []
+    # estimate checks each block of the trial loop as it comes, and each
+    # pass of tune's Monte Carlo objective is one estimate: each row is
+    # checked exactly once per pass
+    calls, passes = [], []
 
     def counted(logliks):
         calls.append(logliks.shape)
         return checked_ladders(logliks)
 
+    def estimate(*args):
+        passes.append(args)
+        return montecarlo.estimate(*args)
+
     monkeypatch.setattr(montecarlo, "checked_ladders", counted)
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 64 * 8 * scen_m4.n_samples)
+    monkeypatch.setattr(tuner, "estimate", estimate)
     specs = [sc.Gic(), sc.Eef(), sc.PmepIr(0.25), sc.PmepI(3.0)]
     sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
-    assert calls == [(64, scen_m4.max_order)] * 4 + [(44, scen_m4.max_order)]
+    one_pass = [(64, scen_m4.max_order)] * 4 + [(44, scen_m4.max_order)]
+    assert calls == one_pass
     calls.clear()
     sc.tune("pmep-ir", scen_m4, objective="monte_carlo", grid_points=5, trials=300,
             master_seed=3)
-    assert calls == [(300, scen_m4.max_order)]
+    assert len(passes) >= 2
+    assert calls == one_pass * len(passes)
     # a ladder that falls is still refused, by estimate and by the objective
     logliks = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 3)
     logliks[7, -1] = logliks[7, -2] - 1.0
@@ -199,6 +207,52 @@ def test_ladder_set_is_checked_once_per_estimate_and_per_tune(monkeypatch, scen_
         sc.estimate(scen_m4, specs, sc.KNOWN_FREQ, 300, 3)
     with pytest.raises(ValidationError, match="nondecreasing"):
         sc.tune("pmep-ir", scen_m4, objective="monte_carlo", trials=300, master_seed=3)
+
+
+@pytest.mark.parametrize("family, snr_db, approach, settings, nan_rows", [
+    ("pmep-i", -4.0, sc.KNOWN_FREQ, {"trials": 20000}, False),
+    ("pmep-ir", -4.0, sc.KNOWN_FREQ, {"trials": 20000, "refine": False}, False),
+    ("pmep-ir", -4.0, sc.Bl(0.01), {"trials": 5000, "grid_points": 12}, False),
+    pytest.param("pmep-i", -4.0, sc.Ml(grid_points=64), {"trials": 1000, "grid_points": 9},
+                 False, marks=pytest.mark.one_blas_thread),
+    ("pmep-ir", 20.0, sc.KNOWN_FREQ, {"trials": 300, "grid_points": 5, "master_seed": 1,
+                                      "search_range": (0.15, 0.35), "refine": False}, False),
+    ("pmep-i", 0.0, sc.KNOWN_FREQ, {"trials": 2000, "grid_points": 9,
+                                    "search_range": (2.0, 4.0)}, True),
+], ids=["known_refined", "known", "bl", "ml", "flat", "degenerate"])
+def test_monte_carlo_objective_matches_the_whole_set_oracle(monkeypatch, family, snr_db,
+                                                            approach, settings, nan_rows):
+    # each objective call is one estimate over the block loop; the oracle
+    # holds every trial's ladder and applies each kappa to the whole set.
+    # With nan_rows, every tenth ladder is a degenerate trial's NaN row
+    scen = sc.standard_scenario(snr_db)
+    settings = dict({"master_seed": 3}, **settings)
+    if nan_rows:
+        logliks = sc.collect_logliks(scen, approach, settings["trials"], 3)
+        logliks[::10] = np.nan
+        inject_ladders(monkeypatch, logliks)
+
+    def tuned():
+        result = sc.tune(family, scen, objective="monte_carlo", approach=approach, **settings)
+        return result.to_dict(), result.search_trace.tobytes()
+
+    streamed = tuned()
+    monkeypatch.setattr(tuner, "_mc_objective", mc_objective_whole_set)
+    assert tuned() == streamed
+    assert streamed[0]["flat"] == (snr_db == 20.0)
+
+
+def test_monte_carlo_tune_memory_holds_no_trial_set():
+    # a pass holds one block of the trial loop and, per grid value, two
+    # indicator bits a trial; holding every trial's ladder grew by 160
+    # bytes a trial
+    def peak(trials):
+        return traced_peak_mb(sc.tune, "pmep-i", sc.standard_scenario(-4.0), "monte_carlo",
+                              (2.0, 4.0), 9, False, trials)
+
+    small, large = peak(50000), peak(200000)
+    assert large - small <= (150000 * 9 * 2 / 8 + 0.25e6) / 1e6
+    assert large <= (2 * montecarlo._BLOCK_BYTES + 1e6) / 1e6
 
 
 @pytest.mark.parametrize("trials", [0, 5, 99, 100])
