@@ -23,7 +23,7 @@ from functools import partial
 from . import montecarlo, theory, tuner
 from .criteria import CRITERIA, Eef
 from .errors import (SincountError, ValidationError, checked_keys, finite_float,
-                     from_dict, nonneg_int)
+                     finite_floats, from_dict, nonneg_int)
 from .likelihood import KNOWN_FREQ, Bl, FrequencyPlan, Ml, approach_frequencies
 from .signal_model import (scenario_from_dict, standard_scenario, synthesize,
                            with_snr_db)
@@ -52,10 +52,10 @@ def _bool(value, key):
     return value
 
 
-def _numbers(values, key):
-    if not isinstance(values, list) or not values:
-        raise ValidationError(f"{key} must be a nonempty list of numbers, got {values!r}")
-    return tuple(finite_float(v, f"{key}[{j}]") for j, v in enumerate(values))
+def _numbers(values, key, size=None):
+    """A config list of finite numbers (of size of them when given), as a
+    tuple of floats."""
+    return tuple(finite_floats(values, key, size).tolist())
 
 
 def _one_of(choices):
@@ -108,15 +108,9 @@ def _tune_kwargs(family, objective=None, range=None, grid_points=None, refine=No
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _range(values, key):
-    pair = _numbers(values, key)
-    if len(pair) != 2:
-        raise ValidationError(f"{key} must be [lo, hi], got {values!r}")
-    return pair
-
-
 _tune = partial(from_dict, _tune_kwargs, family=_one_of(("pmep-ir", "pmep-i")),
-                objective=_one_of(("abridged_theory", "monte_carlo")), range=_range,
+                objective=_one_of(("abridged_theory", "monte_carlo")),
+                range=partial(_numbers, size=2),
                 grid_points=nonneg_int, refine=_bool)
 
 
@@ -190,7 +184,7 @@ def parse_config(doc, args):
         overrides["master_seed"] = nonneg_int(args.seed, "--seed")
     if getattr(args, "trials", None) is not None:
         overrides["trials"] = nonneg_int(args.trials, "--trials")
-    if getattr(args, "snr_db", None):
+    if getattr(args, "snr_db", None) is not None:
         overrides["snr_grid_db"] = _number_list(args.snr_db, "--snr-db")
     return dataclasses.replace(cfg, **overrides)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chndtr, gammainc, gammaln, i0e, ive, ndtr
 
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError, nonneg_int
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ def nc_chisq2_sum(n_terms, lam):
     noncentrality lam (noncentral chi-square, 2*n_terms dof)."""
     if lam < 0 or not math.isfinite(lam):
         raise ValidationError(f"noncentrality must be finite and >= 0, got {lam}")
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
-    m = int(n_terms)
+    m = nonneg_int(n_terms, "n_terms")
+    if m < 1:
+        raise ValidationError(f"n_terms must be >= 1, got {m}")
     lam = float(lam)
 
     def cdf(x):

@@ -1,10 +1,14 @@
-"""Exception types shared across the package, the integer, number and
-object-key checks that raise them, and the reader that builds an object
-from a config dict through those checks."""
+"""Exception types shared across the package, the integer, number,
+number-vector and object-key checks that raise them, and the reader that
+builds an object from a config dict through those checks.  finite_floats
+is the one reader of a vector of numbers that comes from outside the
+program (a frequency set, an envelope, a grid, a config list)."""
 
 import inspect
 import math
 import numbers
+
+import numpy as np
 
 
 class SincountError(Exception):
@@ -46,6 +50,19 @@ def finite_float(value, name):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def finite_floats(values, name, size=None):
+    """values as a fresh 1-d float64 array; a ValidationError naming it
+    unless it is a nonempty list, tuple or 1-d ndarray (of exactly size
+    entries when size is given), or naming name[j] for its first entry that
+    finite_float rejects."""
+    if not (isinstance(values, (list, tuple)) or
+            isinstance(values, np.ndarray) and values.ndim == 1) or len(values) == 0:
+        raise ValidationError(f"{name} must be a nonempty list of numbers, got {values!r}")
+    if size is not None and len(values) != size:
+        raise ValidationError(f"{name} must hold {size} numbers, got {len(values)}")
+    return np.array([finite_float(v, f"{name}[{j}]") for j, v in enumerate(values)])
 
 
 def checked_keys(node, path, allowed=None):

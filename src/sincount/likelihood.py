@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStatsError, ValidationError, finite_float, nonneg_int
+from .errors import (DegenerateStatsError, ValidationError, finite_float, finite_floats,
+                     nonneg_int)
 from .signal_model import modulated_pair
 
 _COND_LIMIT = 1e12
@@ -116,7 +117,7 @@ class FrequencyPlan:
 
     @classmethod
     def build(cls, scenario, frequencies):
-        frequencies = np.asarray(frequencies, dtype=float)
+        frequencies = finite_floats(frequencies, "frequencies")
         _check_in_band(scenario, frequencies)
         basis = basis_matrix(scenario, frequencies)
         chol = _chol_or_degenerate(basis.T @ basis, frequencies)
@@ -448,10 +449,8 @@ class Bl:
             return
         if self.delta_omega != 0.0:
             raise ValidationError("delta_omega must be 0: explicit frequencies replace it")
-        if not isinstance(self.frequencies, (list, tuple, np.ndarray)):
-            raise ValidationError(f"frequencies must be a sequence, got {self.frequencies!r}")
-        object.__setattr__(self, "frequencies", tuple(
-            finite_float(w, f"frequencies[{j}]") for j, w in enumerate(self.frequencies)))
+        object.__setattr__(self, "frequencies",
+                           tuple(finite_floats(self.frequencies, "frequencies").tolist()))
 
     @property
     def label(self):
@@ -474,10 +473,10 @@ def approach_frequencies(scenario, approach):
             "or Monte Carlo (mc, or the monte_carlo objective of tune)")
     if approach.frequencies is None:
         return scenario.all_frequencies + float(approach.delta_omega)
-    freqs = np.asarray(approach.frequencies, dtype=float)
-    if freqs.shape != (scenario.max_order,):
+    freqs = np.array(approach.frequencies)  # Bl has read them as floats
+    if freqs.size != scenario.max_order:
         raise ValidationError(
-            f"{freqs.size} explicit frequencies for {scenario.max_order} order slots")
+            f"explicit frequencies must hold {scenario.max_order} numbers, got {freqs.size}")
     return freqs
 
 

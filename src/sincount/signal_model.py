@@ -17,7 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ValidationError, finite_float, from_dict, nonneg_int
+from .errors import (ValidationError, finite_float, finite_floats, from_dict,
+                     nonneg_int)
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,18 +26,7 @@ TWO_PI = 2.0 * math.pi
 def _as_envelope(seq, n_samples, name):
     if seq is None:
         return None
-    try:
-        arr = np.asarray(seq, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a sequence of numbers: {exc}") from None
-    if arr.ndim != 1 or arr.shape[0] != n_samples:
-        raise ValidationError(
-            f"{name} must be a 1-d sequence of length {n_samples}, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} must hold finite numbers, got a NaN or inf at "
-                              f"sample {int(np.argmin(np.isfinite(arr)))}")
-    arr = arr.copy()
+    arr = finite_floats(seq, name, n_samples)
     arr.flags.writeable = False
     return arr
 
@@ -45,11 +35,7 @@ def _check_slot(slot, label):
     """Store the slot's frequency and band as floats, the band as an open
     interval (lo, hi) that contains the frequency."""
     frequency = finite_float(slot.frequency, f"{label} frequency")
-    try:
-        lo, hi = slot.band
-    except (TypeError, ValueError):
-        raise ValidationError(f"{label}: band must be a pair [lo, hi], got {slot.band!r}") from None
-    lo, hi = finite_float(lo, f"{label} band"), finite_float(hi, f"{label} band")
+    lo, hi = finite_floats(slot.band, f"{label} band", 2).tolist()
     if not (lo < hi):
         raise ValidationError(f"{label}: band ({lo}, {hi}) is empty")
     if not (lo < frequency < hi):

@@ -20,7 +20,8 @@ from . import montecarlo
 from .criteria import Eef, Gic, PmepI, PmepIr, abridged_comparisons
 from .distributions import (Quadrature, _panel_nodes, convolve_cdfs, integrate,
                             ml_component_cdf, nc_chisq2, nc_chisq2_sum)
-from .errors import ModelViolationError, ValidationError, finite_float, nonneg_int
+from .errors import (ModelViolationError, ValidationError, finite_float, finite_floats,
+                     nonneg_int)
 from .likelihood import Bl, FrequencyPlan, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
@@ -68,13 +69,14 @@ class AbridgedReport:
 
 def residual_means(scenario, eval_frequencies):
     """Expected residual statistics E(l) and noncentralities at the given
-    evaluation frequencies.
+    evaluation frequencies, one per order slot.
 
     E(l) is the FrequencyPlan residual statistic of the clean signal, whitened
     and scaled as in the Monte Carlo; lambda_i = E(l at sine)^2 + E(l at cosine)^2.
     At the true frequencies every lambda_i with i > nu0 vanishes; offsets
     leak signal energy into the higher indices.
     """
+    eval_frequencies = finite_floats(eval_frequencies, "frequencies", scenario.max_order)
     means = FrequencyPlan.build(scenario, eval_frequencies).residuals_batch(
         clean_signal(scenario))[0]
     lambdas = means[0::2] ** 2 + means[1::2] ** 2
@@ -145,7 +147,7 @@ def abridged_gic(dist_set, threshold):
     p_a = 1 - P(V_nu0 > T) P(V_nu0+1 <= T) with T = 2*upsilon*kappa; the
     factor of an absent comparison is 1.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     nu0, dists = dist_set.nu0, dist_set.dists
@@ -355,14 +357,11 @@ def consistency_range(d_n_sq, n_total, nu0):
     1 <= nu0 <= n_total.  Any other input is a ValidationError.
     """
     n_total, nu0 = nonneg_int(n_total, "n_total"), nonneg_int(nu0, "nu0")
-    weights = np.asarray(d_n_sq, dtype=object)
-    if weights.shape != (nu0,):
-        raise ValidationError(f"expected {nu0} noncentralities, got {weights.shape}")
-    d_n_sq = np.array([finite_float(d, f"d_n_sq[{j}]") for j, d in enumerate(weights)])
-    if np.any(d_n_sq <= 0):
-        raise ValidationError("normalized noncentralities must be positive")
     if not 1 <= nu0 <= n_total:
         raise ValidationError(f"nu0 {nu0} outside 1..{n_total}")
+    d_n_sq = finite_floats(d_n_sq, "d_n_sq", nu0)
+    if np.any(d_n_sq <= 0):
+        raise ValidationError("normalized noncentralities must be positive")
     rho = float(d_n_sq.min() / d_n_sq.max())
     d_max = float(d_n_sq.max())
     ir_sup = math.inf
@@ -421,25 +420,20 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     Monte Carlo with the same offsets.  Given a loss function, p_aq
     aggregates the curve through it; given per-offset probabilities, p_waa
     weights them in (with unit losses when no loss is given).  Each is None
-    without its input.  A non-finite loss value or probability, trials below
-    montecarlo's floor or a master_seed that is not a nonnegative integer
-    raises ValidationError before the sweep runs, under every criterion.
+    without its input.  delta_grid and error_probs (one per grid point) are
+    read by errors.finite_floats.  A bad grid or probability, a non-finite
+    loss value, trials below montecarlo's floor or a master_seed that is not
+    a nonnegative integer raises ValidationError before the sweep runs,
+    under every criterion.
     """
     trials, master_seed = montecarlo.checked_trials(trials), nonneg_int(master_seed, "master_seed")
-    deltas = np.asarray(delta_grid, dtype=float)
-    if deltas.size == 0:
-        raise ValidationError("delta grid must be nonempty")
+    deltas = finite_floats(delta_grid, "delta_grid")
     weights = np.ones(deltas.size) if loss is None else np.array(
         [float(loss(d)) for d in deltas])
     if not np.all(np.isfinite(weights)):
         raise ValidationError(f"loss must be finite on the delta grid, got {weights}")
-    probs = None
-    if error_probs is not None:
-        probs = np.asarray(error_probs, dtype=float)
-        if probs.shape != deltas.shape:
-            raise ValidationError("error_probs length does not match grid")
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError(f"error_probs must be finite, got {probs}")
+    probs = (None if error_probs is None
+             else finite_floats(error_probs, "error_probs", deltas.size))
     use_mc = isinstance(spec, Eef)
     p_vals = np.zeros(deltas.size)
     errs = np.zeros(deltas.size)

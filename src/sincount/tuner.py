@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PmepI, PmepIr
-from .errors import ValidationError, finite_float, nonneg_int
+from .errors import ValidationError, finite_floats, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
 from .montecarlo import checked_trials, estimate
 from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
@@ -112,10 +112,8 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     checked_trials(trials)
     nonneg_int(master_seed, "master_seed")
     grid_points = nonneg_int(grid_points, "grid_points")
-    pair = _FAMILIES[name][1] if search_range is None else search_range
-    if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2):
-        raise ValidationError(f"search_range must be a pair (lo, hi), got {pair!r}")
-    lo, hi = (finite_float(v, f"search_range[{j}]") for j, v in enumerate(pair))
+    lo, hi = finite_floats(_FAMILIES[name][1] if search_range is None else search_range,
+                           "search_range", 2).tolist()
     if lo > hi:
         raise ValidationError(f"empty search range ({lo}, {hi})")
     if lo < hi and grid_points < 2:

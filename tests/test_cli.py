@@ -340,7 +340,7 @@ def test_non_finite_envelope_exits_2(command, config_path, capsys):
     }
     rc, out, err = run([command, "--config", config_path(doc)], capsys)
     assert (rc, out) == (2, "")
-    assert "amplitude_envelope must hold finite numbers" in err
+    assert "amplitude_envelope[63] must be a finite number" in err
 
 
 def test_tune_subcommand(config_path, capsys):
@@ -473,6 +473,44 @@ def test_invalid_numeric_config_exits_2(change, argv, key, config_path, capsys):
     assert rc == 2
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("command", ["mc", "theory"])
+def test_empty_snr_db_flag_exits_2(command, config_path, capsys):
+    # an empty --snr-db= used to run the config's own SNR grid
+    rc, out, err = run([command, "--snr-db=", "--config", config_path(BASE_CONFIG)], capsys)
+    assert (rc, out) == (2, "")
+    assert "--snr-db" in err
+
+
+# each config list of numbers: the document that holds it, its key path and
+# a list it accepts
+NUMBER_LISTS = {
+    "snr_grid_db": (lambda v: {"snr_grid_db": v}, [-4.0, 0.0]),
+    "delta_omega_grid": (lambda v: {"delta_omega_grid": v}, [0.0, 0.002]),
+    "consistency.d_n_sq": (lambda v: {"consistency": {"d_n_sq": v}}, [1.0, 2.0]),
+    "tune.range": (lambda v: {"tune": {"family": "pmep-ir", "range": v}}, [0.2, 0.3]),
+}
+
+# each bad form of an accepted list, and the entry its error names (None: the
+# list as a whole); only tune.range has a fixed count
+BAD_LISTS = {
+    "bool": (lambda g: [g[0], True], 1), "numeric_string": (lambda g: [str(g[0]), g[1]], 0),
+    "nan": (lambda g: [g[0], math.nan], 1), "inf": (lambda g: [math.inf, g[1]], 0),
+    "empty": (lambda g: [], None), "scalar": (lambda g: g[0], None),
+    "nested": (lambda g: [g], None), "three": (lambda g: g + g[:1], None),
+}
+
+
+@pytest.mark.parametrize("key, form", [(key, form) for key in NUMBER_LISTS for form in BAD_LISTS
+                                       if form != "three" or key == "tune.range"])
+def test_bad_config_number_list_exits_2(key, form, config_path, capsys):
+    section, good = NUMBER_LISTS[key]
+    make, entry = BAD_LISTS[form]
+    doc = dict(BASE_CONFIG, **section(make(good)))
+    rc, out, err = run(["mc", "--config", config_path(doc)], capsys)
+    assert (rc, out) == (2, "")
+    assert (key if entry is None else f"{key}[{entry}]") in err
 
 
 @pytest.mark.parametrize("command", ["consistency", "synth", "ql-sweep"])

@@ -119,6 +119,13 @@ def test_noncentrality_validation():
         nc_chisq2_sum(0, 1.0)
 
 
+@pytest.mark.parametrize("n_terms", [1.5, 2.7, True])
+def test_sum_law_needs_an_integer_term_count(n_terms):
+    # 1.5 and True used to build the 2-dof law, 2.7 the 4-dof one
+    with pytest.raises(ValidationError, match="n_terms must be a nonnegative integer"):
+        nc_chisq2_sum(n_terms, 1.0)
+
+
 def test_sampler_matches_law():
     rng = np.random.default_rng(5)
     d = nc_chisq2(7.5)

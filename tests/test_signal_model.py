@@ -187,11 +187,13 @@ def test_scenario_stores_numbers_as_floats():
 
 
 def test_scenario_validates_envelopes():
-    comp = dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 64)
+    ones = np.ones(64)
+    comp = dataclasses.replace(_tone(n_samples=64), amplitude_envelope=ones)
     scen = sc.Scenario(components=(comp,), noise_level=1.0, n_samples=64)
     env = scen.components[0].amplitude_envelope
     assert isinstance(env, np.ndarray) and env.dtype == float
     assert not env.flags.writeable
+    assert not np.shares_memory(env, ones)
     bad = (
         # a list of the wrong length
         (dataclasses.replace(_tone(n_samples=64), amplitude_envelope=[1.0] * 63), 64),

@@ -258,6 +258,14 @@ def test_abridged_kappa_validation(dists_m4):
         sc.abridged_gic(dists_m4, threshold=-1.0)
 
 
+def test_abridged_gic_rejects_a_nan_threshold(dists_m4):
+    # a NaN threshold used to read every cdf as 0: p_a = 1.0
+    with pytest.raises(ValidationError, match="threshold must be >= 0, got nan"):
+        sc.abridged_gic(dists_m4, threshold=math.nan)
+    # +inf stays a threshold, one that no increment exceeds
+    assert sc.abridged_gic(dists_m4, threshold=math.inf).p_a == 1.0
+
+
 def test_abridged_for_dispatch(dists_m4):
     rep = sc.abridged_for(dists_m4, sc.Gic())
     assert rep.criterion == "gic"
@@ -354,7 +362,7 @@ def test_ql_sweep_out_of_band(scen_0):
         sc.ql_sweep(scen_0, sc.Gic(), [0.0, 1.0])
     with pytest.raises(ValidationError, match="nonempty"):
         sc.ql_sweep(scen_0, sc.Gic(), [])
-    with pytest.raises(ValidationError, match="error_probs length"):
+    with pytest.raises(ValidationError, match="error_probs must hold 2 numbers, got 1"):
         sc.ql_sweep(scen_0, sc.Gic(), [0.0, 0.002], error_probs=[0.1])
 
 
@@ -401,8 +409,9 @@ def test_bl_interval_rejects_a_bad_reference(scen_0, reference, match):
 @pytest.mark.parametrize("kwargs, match", [
     ({"loss": lambda d: math.nan}, "loss must be finite"),
     ({"loss": lambda d: math.inf if d > 0 else 1.0}, "loss must be finite"),
-    ({"error_probs": [0.5, math.nan]}, "error_probs must be finite"),
-    ({"loss": lambda d: 1.0, "error_probs": [-math.inf, 0.5]}, "error_probs must be finite"),
+    ({"error_probs": [0.5, math.nan]}, r"error_probs\[1\] must be a finite number"),
+    ({"loss": lambda d: 1.0, "error_probs": [-math.inf, 0.5]},
+     r"error_probs\[0\] must be a finite number"),
 ], ids=["loss_nan", "loss_inf", "probs_nan", "probs_minus_inf"])
 def test_ql_sweep_rejects_non_finite_loss_or_probabilities(scen_0, monkeypatch, kwargs, match):
     # these used to come back as p_aq or p_waa = NaN; now no law is built

@@ -56,8 +56,8 @@ def test_reversed_range_rejected(scen_m4):
     ("pmep-ir", (-np.inf, 0.5), r"search_range\[0\] must be a finite number"),
     ("pmep-ir", (np.nan, 0.5), r"search_range\[0\] must be a finite number"),
     ("pmep-ir", ("0.1", 0.5), r"search_range\[0\] must be a finite number"),
-    ("pmep-ir", (0.1, 0.3, 0.5), "search_range must be a pair"),
-    ("pmep-ir", 0.3, "search_range must be a pair"),
+    ("pmep-ir", (0.1, 0.3, 0.5), "search_range must hold 2 numbers, got 3"),
+    ("pmep-ir", 0.3, "search_range must be a nonempty list of numbers"),
 ], ids=["inf_hi", "minus_inf_lo", "nan_lo", "str_lo", "three_values", "scalar"])
 def test_non_finite_or_malformed_range_rejected(scen_m4, family, search_range, match):
     # an infinite end used to reach the grid as a NaN (RuntimeWarning, then a
