@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chndtr, gammainc, gammaln, i0e, ive, ndtr
 
-from .errors import QuadratureError, ValidationError, nonneg_int
+from .errors import QuadratureError, ValidationError, finite_float, nonneg_int
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,9 @@ class Dist:
     probability mass sitting exactly at zero (nonzero only for the truncated
     ML-approach laws, whose window therefore starts at zero).  cdf_pdf(x)
     returns (cdf(x), pdf(x)) from one evaluation; a law built without one
-    gets the two separate calls."""
+    gets the two separate calls.  A noncentral chi-square law's cdf also
+    holds a third window end, top >= support_hint (_ncx2_window), from which
+    it reads exactly 1.0 without calling the kernel."""
 
     cdf: object
     pdf: object
@@ -45,20 +47,32 @@ class Dist:
 _NCX2_TAIL = 1e-13
 
 
-def _ncx2_cdf(x, m, lam):
+def _ncx2_kernel(x, m, lam):
+    """The raw ncx2 kernel at x > 0 (2m dof, noncentrality lam): the
+    regularized lower incomplete gamma function for the central law (every
+    noise-only index), otherwise the compiled cephes kernel."""
+    return gammainc(m, x / 2.0) if lam <= 1e-300 else chndtr(x, 2 * m, lam)
+
+
+def _ncx2_cdf(x, m, lam, top=math.inf):
     """CDF of noncentral chi-square with 2m dof, noncentrality lam.
 
-    The central law (every noise-only index) is the regularized lower
-    incomplete gamma function; otherwise the compiled cephes kernel.  Values
-    within _NCX2_TAIL of 1 read 1: out there the kernel wobbles by an ulp or
-    two of 1 while the true increments are smaller, so it steps backwards
-    (seen up to 1 - cdf = 9.4e-15 over 6000 random grids); the clamp keeps
-    the CDF nondecreasing at an absolute cost below _NCX2_TAIL.
+    Values of _ncx2_kernel within _NCX2_TAIL of 1 read 1: out there the
+    kernel wobbles by an ulp or two of 1 while the true increments are
+    smaller, so it steps backwards (seen up to 1 - cdf = 9.4e-15 over 6000
+    random grids); the clamp keeps the CDF nondecreasing at an absolute cost
+    below _NCX2_TAIL.  Points x >= top read 1.0 without calling the kernel:
+    a law passes its window's top, above which the kernel reads within 1e-14
+    of 1, so the clamp would give 1.0 there too.  Without top every point
+    x > 0 goes to the kernel.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     pos = x > 0
-    vals = gammainc(m, x[pos] / 2.0) if lam <= 1e-300 else chndtr(x[pos], 2 * m, lam)
+    if top < math.inf:
+        out[x >= top] = 1.0
+        pos &= x < top
+    vals = _ncx2_kernel(x[pos], m, lam)
     out[pos] = np.where(vals > 1.0 - _NCX2_TAIL, 1.0, vals)
     return out
 
@@ -90,9 +104,13 @@ def _ncx2_pdf(x, m, lam):
 
 
 def _ncx2_window(m, lam):
-    """(lo, hi) = mean -/+ (12 sd + 20), each widened (lo down to 0) until
-    cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12; a ValidationError naming lam where
-    the cdf at the mean or a point tried is not finite (NaN past chndtr's range)."""
+    """(lo, hi, top): lo and hi = mean -/+ (12 sd + 20), each widened (lo down
+    to 0) until cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12; a ValidationError
+    naming lam where the cdf at the mean or a point tried is not finite (NaN
+    past chndtr's range).  top continues hi's x1.5 walk until the raw kernel
+    (not the clamped cdf, which would stop as soon as the clamp fires) is
+    within 1e-14 of 1, ten times inside _NCX2_TAIL; it is inf, which cuts
+    nothing, where a value met is not finite."""
 
     def cdf_at(x):
         value = _ncx2_cdf(np.array([x]), m, lam)[0]
@@ -109,7 +127,12 @@ def _ncx2_window(m, lam):
     hi = mean + spread
     while cdf_at(hi) < 1.0 - 1e-12:
         hi *= 1.5
-    return float(lo), float(hi)
+    top = hi
+    raw = _ncx2_kernel(top, m, lam)
+    while raw < 1.0 - 1e-14 and top < math.inf:
+        top *= 1.5
+        raw = _ncx2_kernel(top, m, lam)
+    return float(lo), float(hi), float(top) if math.isfinite(raw) else math.inf
 
 
 def nc_chisq2(lam):
@@ -123,20 +146,20 @@ def nc_chisq2(lam):
 def nc_chisq2_sum(n_terms, lam):
     """Law of the sum of n_terms independent 2-dof increments with total
     noncentrality lam (noncentral chi-square, 2*n_terms dof)."""
-    if lam < 0 or not math.isfinite(lam):
+    lam = finite_float(lam, "noncentrality")
+    if lam < 0:
         raise ValidationError(f"noncentrality must be finite and >= 0, got {lam}")
     m = nonneg_int(n_terms, "n_terms")
     if m < 1:
         raise ValidationError(f"n_terms must be >= 1, got {m}")
-    lam = float(lam)
+    lo, hi, top = _ncx2_window(m, lam)
 
     def cdf(x):
-        return _ncx2_cdf(x, m, lam)
+        return _ncx2_cdf(x, m, lam, top)
 
     def pdf(x):
         return _ncx2_pdf(x, m, lam)
 
-    lo, hi = _ncx2_window(m, lam)
     return Dist(cdf=cdf, pdf=pdf, support_hint=hi, support_lo=lo)
 
 

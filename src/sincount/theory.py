@@ -145,8 +145,12 @@ def abridged_gic(dist_set, threshold):
     """Abridged error of a fixed-threshold (GIC-family) rule.
 
     p_a = 1 - P(V_nu0 > T) P(V_nu0+1 <= T) with T = 2*upsilon*kappa; the
-    factor of an absent comparison is 1.
+    factor of an absent comparison is 1.  A float threshold that is not
+    finite skips errors.finite_float: +inf is a threshold that no increment
+    exceeds, and NaN and -inf fail the range check.
     """
+    if not (isinstance(threshold, float) and not math.isfinite(threshold)):
+        threshold = finite_float(threshold, "threshold")
     if not threshold >= 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
@@ -194,13 +198,13 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     1 - J(nu0) at nu0 = N.  Each integral runs over the window of the law
     whose pdf it carries.
     """
-    if not 0 < kappa_ir <= 1:
+    kap = finite_float(kappa_ir, "kappa_ir")
+    if not 0 < kap <= 1:
         raise ValidationError(f"kappa_ir must be in (0, 1], got {kappa_ir}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
         return _report("pmep-ir", dist_set, 0.0)
     nu0, dists = dist_set.nu0, dist_set.dists
-    kap = float(kappa_ir)
     if under and over:
         rest = [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)]
         f_max = _cdf_product(dists, rest, kap)
@@ -281,13 +285,13 @@ def abridged_pmep_i(dist_set, kappa_i):
     so large that B rounds to 0, V_nu0+1/B - V_nu0 <= S never holds and
     p_a = 1; at nu0 = N, A = 0 makes S < V_nu0/A always hold and p_a = 0.
     """
-    if not kappa_i > 0:
+    kap = finite_float(kappa_i, "kappa_i")
+    if not kap > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
         return _report("pmep-i", dist_set, 0.0)
     nu0, dists = dist_set.nu0, dist_set.dists
-    kap = float(kappa_i)
     lo = dists[nu0 - 1]
     b_coef = _pmep_i_coef((nu0 + 1.0) / nu0, kap)
     if over and b_coef == 0.0:

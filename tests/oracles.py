@@ -4,6 +4,7 @@ Monte Carlo objective are checked against, and the amplitude/phase MLE of a
 frequency plan, which only tests use, the traced peak memory of a call and a
 ladder injector for the trial loop."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 import sincount as sc
-from sincount import distributions, montecarlo, tuner
+from sincount import distributions, montecarlo, theory, tuner
 from sincount.criteria import abridged_comparisons, checked_ladders
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -75,6 +76,24 @@ def pmep_i_interior_oracle(dist_set, kappa_i, n_nodes=64, n_panels=8):
         up.pdf(ys) * f_sum(ys / b_coef - xs[live, None]) * weights, axis=1)
     outer = f_sum(xs / a_coef) * up.cdf(x_over_r * xs) - inner
     return 1.0 - (lo.support_hint - lo.support_lo) * float(np.sum(weights * lo.pdf(xs) * outer))
+
+
+def nc_chisq2_sum_uncut(n_terms, lam):
+    """distributions.nc_chisq2_sum with the cdf of the uncut kernel: every
+    point x > 0 goes to _ncx2_cdf's kernel, none is written 1.0 from the
+    window's top."""
+    law = distributions.nc_chisq2_sum(n_terms, lam)
+    m, lam = int(n_terms), float(lam)
+    return dataclasses.replace(law, cdf=lambda x: distributions._ncx2_cdf(x, m, lam),
+                               cdf_pdf=None)
+
+
+def use_uncut_laws(monkeypatch):
+    """Make theory build every noncentral chi-square law with the uncut
+    kernel: the QL laws of component_dists, and so of ql_sweep and tune, and
+    PMEP-I's law of the lower partial sum."""
+    monkeypatch.setattr(theory, "nc_chisq2", lambda lam: nc_chisq2_sum_uncut(1, lam))
+    monkeypatch.setattr(theory, "nc_chisq2_sum", nc_chisq2_sum_uncut)
 
 
 def convolve_cdfs_dense(a, b):

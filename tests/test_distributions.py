@@ -126,6 +126,15 @@ def test_sum_law_needs_an_integer_term_count(n_terms):
         nc_chisq2_sum(n_terms, 1.0)
 
 
+@pytest.mark.parametrize("law", [nc_chisq2, lambda lam: nc_chisq2_sum(2, lam)],
+                         ids=["nc_chisq2", "nc_chisq2_sum"])
+@pytest.mark.parametrize("lam", ["1.0", True, math.nan])
+def test_noncentrality_must_be_a_finite_number(law, lam):
+    # "1.0" raised TypeError, True built the law of 1.0, NaN said "finite and >= 0"
+    with pytest.raises(ValidationError, match="noncentrality must be a finite number"):
+        law(lam)
+
+
 def test_sampler_matches_law():
     rng = np.random.default_rng(5)
     d = nc_chisq2(7.5)
@@ -443,6 +452,30 @@ def test_ncx2_pdf_2dof_matches_the_ive_form(s, ratio):
 def test_ncx2_pdf_2dof_matches_the_ive_form_at_zero_and_the_series_switch(x, lam):
     np.testing.assert_allclose(_ncx2_pdf(np.array([x]), 1, lam), ive_pdf_2dof(x, lam),
                                rtol=1e-14, atol=0.0)
+
+
+def _lambda_at_80_db():
+    """The largest noncentrality of standard_scenario at 80 dB, about 6.4e9."""
+    scenario = sc.standard_scenario(80.0)
+    return float(theory.residual_means(scenario, scenario.all_frequencies)[1].max())
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 25.0, 64.0, 160.0, 1e3, 1e5, "80 dB"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_ncx2_law_skips_the_kernel_only_where_it_reads_one(m, lam):
+    # the law's cdf writes 1.0 from its window's top without calling the
+    # kernel; the uncut kernel must read exactly 1.0 there, so the cut
+    # changes no value
+    lam = _lambda_at_80_db() if lam == "80 dB" else lam
+    lo, hi, top = distributions._ncx2_window(m, lam)
+    assert hi <= top < math.inf
+    above = np.concatenate([np.linspace(top, 4.0 * top, 20001), [1e300, np.inf]])
+    assert np.all(distributions._ncx2_cdf(above, m, lam) == 1.0)
+    law = nc_chisq2_sum(m, lam)
+    x = np.concatenate([np.linspace(-1.0, 2.0 * top, 20001), np.linspace(lo, hi, 101),
+                        [0.0, -0.0, np.nextafter(top, 0.0), top, np.nan, np.inf, -np.inf]])
+    assert np.array_equal(_bits(law.cdf(x)), _bits(distributions._ncx2_cdf(x, m, lam)))
 
 
 @settings(max_examples=25, deadline=None)

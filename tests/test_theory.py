@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import sincount as sc
 from sincount import theory
 from sincount.errors import ModelViolationError, ValidationError
 
-from oracles import pmep_i_interior_oracle, sample_increments
+from oracles import pmep_i_interior_oracle, sample_increments, use_uncut_laws
 
 # frozen reference values for the five-slot, three-signal scenario at -4 dB
 LAM_M4 = (23.7651403311, 24.8478663754, 25.3444948991)
@@ -256,6 +257,49 @@ def test_abridged_kappa_validation(dists_m4):
         sc.abridged_pmep_i(dists_m4, kappa_i=0.0)
     with pytest.raises(ValidationError, match="threshold"):
         sc.abridged_gic(dists_m4, threshold=-1.0)
+
+
+@pytest.mark.parametrize("formula, name", [
+    (sc.abridged_gic, "threshold"), (sc.abridged_pmep_ir, "kappa_ir"),
+    (sc.abridged_pmep_i, "kappa_i")])
+@pytest.mark.parametrize("value", ["1.0", True, math.nan])
+def test_abridged_parameter_must_be_a_finite_number(dists_m4, formula, name, value):
+    # a numeric string raised TypeError and True computed the value of 1.0;
+    # a NaN threshold keeps its range message, which the test below pins
+    match = (f"{name} must be >= 0, got nan" if name == "threshold" and value != value
+             else f"{name} must be a finite number, got {value!r}")
+    with pytest.raises(ValidationError, match=re.escape(match)):
+        formula(dists_m4, value)
+
+
+def _uncut_cases():
+    """abridged_for over GIC, PMEP-IR and PMEP-I at -4/0/4/12 dB, nu0 in
+    {1, 2, 3, N} and delta_omega in {0, 0.004}, and one theory-objective tune
+    per family: each value's bits with the error and integrand points."""
+    out = []
+    for snr in (-4.0, 0.0, 4.0, 12.0):
+        for nu0 in (1, 2, 3, 5):
+            scenario = sc.standard_scenario(snr, nu0=nu0)
+            for delta in (0.0, 0.004):
+                approach = sc.Bl(delta_omega=delta)
+                dists = sc.component_dists(
+                    scenario, frequencies=sc.approach_frequencies(scenario, approach))
+                for spec in (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)):
+                    rep = sc.abridged_for(dists, spec, approach.params_per_signal)
+                    out.append((rep.p_a.hex(), rep.error.hex(), rep.evaluations))
+    for family in ("pmep-ir", "pmep-i"):
+        res = sc.tune(family, sc.standard_scenario(-4.0))
+        out.append((res.kappa_opt.hex(), res.objective_value.hex(),
+                    res.search_trace.tobytes()))
+    return out
+
+
+def test_abridged_values_are_those_of_the_uncut_laws_bit_for_bit(monkeypatch):
+    # the QL laws write 1.0 from their window's top without calling the
+    # kernel; every abridged value, error and point count is unchanged
+    cut = _uncut_cases()
+    use_uncut_laws(monkeypatch)
+    assert _uncut_cases() == cut
 
 
 def test_abridged_gic_rejects_a_nan_threshold(dists_m4):
