@@ -235,7 +235,8 @@ _PMEP_I_RULE, _PMEP_I_CHECK, _PMEP_I_CHECK_Y = (_panel_nodes(n, 1) for n in (16,
 
 
 def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
-    """Correct-selection probability of the inverse-penalty rule, interior case.
+    """Correct-selection probability of the inverse-penalty rule, interior
+    case, for any laws (abridged_pmep_i gives it the offset QL and ML laws).
 
     With x = V_nu0 (law lo) and y = V_nu0+1 (law up) the event
     {y/B - x <= S < x/A} needs x > r y, r = A / (B (A + 1)).  Its probability
@@ -266,6 +267,37 @@ def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
                       + ys.size * (inner + _PMEP_I_CHECK[0].size))
 
 
+def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef):
+    """Correct-selection probability of the inverse-penalty rule, interior
+    case, where V_nu0+1 is central chi-square with 2 dof (QL laws with
+    lambda_nu0+1 = 0, as at the known frequencies).
+
+    There F_up(z) = 1 - exp(-z/2), so given x = V_nu0 the event
+    {y/B - x <= S < x/A} has probability
+    F_S(x/A) - exp(-Bx/2) int_0^{x/A} f_S(s) exp(-Bs/2) ds.  Tilting S's
+    noncentral chi-square law (2(nu0 - 1) dof, noncentrality L) by
+    exp(-Bs/2) gives K times the law of S'/(1 + B), where S' has the same
+    dof and noncentrality L/(1 + B) and K = E exp(-BS/2) =
+    (1 + B)^(1 - nu0) exp(-LB/(2(1 + B))) (Johnson, Kotz & Balakrishnan,
+    Continuous Univariate Distributions vol. 2, ch. 29).  So
+    P = int W_lo(x) [F_S(x/A) - K exp(-Bx/2) F_S'((1 + B)x/A)] dx, one
+    integral over lo's window.  Bx beyond the float range is inf, where
+    exp(-Bx/2) is 0.
+    """
+    nu0 = dist_set.nu0
+    lam = float(np.sum(dist_set.lambdas[:nu0 - 1]))
+    tilted = nc_chisq2_sum(nu0 - 1, lam / (1.0 + b_coef)).cdf
+    k_coef = (1.0 + b_coef) ** (1 - nu0) * math.exp(-0.5 * lam * (b_coef / (1.0 + b_coef)))
+    scale = (1.0 + b_coef) / a_coef
+
+    def correct(x):
+        with np.errstate(over="ignore"):
+            damp = np.exp(-0.5 * b_coef * x)
+        return f_sum(x / a_coef) - k_coef * damp * tilted(scale * x)
+
+    return _expect(dist_set.dists[nu0 - 1], correct)
+
+
 def _pmep_i_coef(ratio, kap):
     """ratio^(1/kappa) - 1; a power beyond the float range is inf."""
     with np.errstate(over="ignore"):
@@ -277,9 +309,12 @@ def abridged_pmep_i(dist_set, kappa_i):
 
     With A = (nu0/(nu0-1))^(1/kappa) - 1 and B = ((nu0+1)/nu0)^(1/kappa) - 1,
     correct selection is {V_nu0+1/B - V_nu0 <= S < V_nu0/A} for the lower
-    partial sum S; _pmep_i_interior integrates it when both comparisons are
-    made.  With one, p_a = 1 - int W_nu0(x) G(x) dx, with G(x) = F_nu0+1(Bx)
-    at nu0 = 1 (S = 0) and G(x) = F_S(x/A) at nu0 = N.  Every integral runs
+    partial sum S.  When both comparisons are made, QL laws with a central
+    V_nu0+1 (lambda_nu0+1 = 0, as at the known frequencies) take the
+    one-integral closed form of _pmep_i_tilted; offset QL laws and the ML
+    laws take the 2-d rule of _pmep_i_interior.  With one,
+    p_a = 1 - int W_nu0(x) G(x) dx, with G(x) = F_nu0+1(Bx) at nu0 = 1
+    (S = 0) and G(x) = F_S(x/A) at nu0 = N.  Every integral runs
     over the windows of the laws whose pdfs it carries.  Where kappa is so
     small that A overflows, S < V_nu0/A never holds and p_a = 1.  Where it is
     so large that B rounds to 0, V_nu0+1/B - V_nu0 <= S never holds and
@@ -304,7 +339,9 @@ def abridged_pmep_i(dist_set, kappa_i):
             # A >= B, so B = 0 too and only the under comparison is made
             return _report("pmep-i", dist_set, 0.0)
         f_sum = _lower_sum_dist(dist_set, nu0).cdf
-    if under and over:
+    if under and over and dist_set.mode == "ql" and dist_set.lambdas[nu0] == 0.0:
+        quad = _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef)
+    elif under and over:
         quad = _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef)
     else:
         g = (lambda x: f_sum(x / a_coef)) if under else (lambda x: dists[nu0].cdf(b_coef * x))

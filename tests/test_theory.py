@@ -81,8 +81,8 @@ def test_abridged_pmep_i_frozen_value(dists_m4):
     rep = sc.abridged_pmep_i(dists_m4, kappa_i=3.0)
     assert rep.p_a == pytest.approx(I_PA_M4, abs=1e-6)
     assert rep.error < 1e-6
-    # tensor nodes of the interior rule: a cost ceiling, not a schedule
-    assert 0 < rep.evaluations <= 10000
+    # one integral over the window of V_nu0: a cost ceiling, not a schedule
+    assert 0 < rep.evaluations <= 1000
 
 
 @pytest.mark.floor_kernel
@@ -206,25 +206,51 @@ def test_abridged_pmep_i_interior_far_cases_against_other_order(scenario, kappa)
     assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa)) <= 1e-7
 
 
+def _offset_dists(scenario, delta_omega):
+    """QL laws at the frequencies of Bl(delta_omega)."""
+    approach = sc.Bl(delta_omega=delta_omega)
+    return sc.component_dists(scenario,
+                              frequencies=sc.approach_frequencies(scenario, approach))
+
+
 @pytest.mark.parametrize("snr", [0.0, 4.0])
 @pytest.mark.parametrize("kappa", [12.0, 20.0, 50.0])
 def test_abridged_pmep_i_interior_error_is_honest_at_large_kappa(snr, kappa):
-    # at large kappa the 16-node inner rule spans many standard deviations of
-    # W_lo and is off by up to about 8e-4 (4 dB, kappa 50); the reported
+    # offset laws (lambda_nu0+1 > 0) take the two-dimensional interior rule.
+    # At large kappa its 16-node inner rule spans many standard deviations of
+    # W_lo and is off by up to about 7e-4 (4 dB, kappa 50); the reported
     # error must still cover the distance to the other order
-    dists = sc.component_dists(sc.standard_scenario(snr))
+    dists = _offset_dists(sc.standard_scenario(snr), 0.004)
+    assert dists.lambdas[dists.nu0] > 0.0
     rep = sc.abridged_pmep_i(dists, kappa)
     assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa)) <= rep.error
 
 
 @pytest.mark.floor_kernel
+@pytest.mark.parametrize("snr", [0.0, 4.0])
+@pytest.mark.parametrize("kappa", [12.0, 20.0, 50.0])
+def test_abridged_pmep_i_known_frequencies_relative_accuracy_at_large_kappa(snr, kappa):
+    # at the known frequencies V_nu0+1 is central, and the tilted closed form
+    # leaves one integral over the window of V_nu0; the 2-d rule was 1.0e-4
+    # off here at 4 dB, kappa 20
+    dists = sc.component_dists(sc.standard_scenario(snr))
+    rep = sc.abridged_pmep_i(dists, kappa)
+    assert abs(rep.p_a - pmep_i_interior_oracle(dists, kappa)) <= 1e-6 * rep.p_a + 1e-12
+    assert rep.error <= 1e-9
+    assert 0 < rep.evaluations <= 1000
+
+
+@pytest.mark.floor_kernel
 def test_abridged_pmep_i_interior_cost_at_minus_20_db():
-    # the kink of the interior integrand is an inner limit, so low SNR costs
-    # no more points than the frozen -4 dB case: a ceiling, not a schedule
-    dists = sc.component_dists(sc.standard_scenario(-20.0, nu0=2, max_order=3))
-    rep = sc.abridged_pmep_i(dists, 3.0)
-    assert 0 < rep.evaluations <= 10000
-    assert 0.0 < rep.error < 1e-6
+    # a ceiling, not a schedule.  The known-frequency case takes one integral;
+    # the kink of the 2-d rule's integrand, which offset laws take, is an
+    # inner limit, so low SNR costs it no more points than at -4 dB
+    scenario = sc.standard_scenario(-20.0, nu0=2, max_order=3)
+    for dists, ceiling in ((sc.component_dists(scenario), 1000),
+                           (_offset_dists(scenario, 0.004), 10000)):
+        rep = sc.abridged_pmep_i(dists, 3.0)
+        assert 0 < rep.evaluations <= ceiling
+        assert 0.0 < rep.error < 1e-6
 
 
 @pytest.mark.parametrize("nu0, max_order, p_a", [(3, 5, 1.0), (3, 3, 1.0), (1, 3, 0.0)])
@@ -248,6 +274,22 @@ def test_abridged_pmep_i_huge_kappa_takes_the_limit(nu0, max_order, p_a):
         warnings.simplefilter("error")
         for kappa in (1e15, 1e17, 1e20):
             assert sc.abridged_pmep_i(dists, kappa).p_a == pytest.approx(p_a, abs=1e-12)
+
+
+def test_abridged_pmep_i_closed_form_overflow_is_silent():
+    # with nu0 = 60 of 61 slots, A = (60/59)^(1/kappa) - 1 is about e^709 and
+    # B = (61/60)^(1/kappa) - 1 about e^697 at this kappa, so B x overflows
+    # on V_nu0's window near 1e6 while A stays finite: exp(-Bx/2) reads 0
+    # without a warning, and S < V_nu0/A (about 1e-302) never holds
+    lambdas = np.array([25.0] * 59 + [1e6, 0.0])
+    dists = sc.ComponentDistSet(dists=tuple(sc.nc_chisq2(lam) for lam in lambdas),
+                                lambdas=lambdas, mode="ql", nu0=60)
+    kappa = math.log(60.0 / 59.0) / 709.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sc.abridged_pmep_i(dists, kappa)
+    assert rep.p_a == pytest.approx(1.0, abs=1e-12)
+    assert 0 < rep.evaluations <= 1000
 
 
 def test_abridged_kappa_validation(dists_m4):
