@@ -378,7 +378,9 @@ _FIRST_WEIGHTS = np.concatenate([_SEED_WEIGHTS, _HALF_WEIGHTS])
 @dataclass(frozen=True)
 class Quadrature:
     """An integral with its achieved error estimate and the number of
-    integrand points evaluated."""
+    integrand points evaluated.  For a member-wise integrand (integrate)
+    value and error are float arrays, one entry per member, and evaluations
+    counts the shared nodes once."""
 
     value: float
     error: float
@@ -389,14 +391,21 @@ def integrate(f, lo, hi, tol):
     """Integral of f over the window [lo, hi] (e.g. a Dist's [support_lo,
     support_hint]) by panelled Gauss-Legendre quadrature with local halving.
 
-    Each panel's rule is compared with the same rule on its two halves,
-    from the first level on, where the panels are _QUAD_SEEDS equal seeds.
-    A panel whose difference is within its width's share of tol keeps the
-    halves' value; the others are halved again.  The new nodes of a level
-    (on the first, the seeds' and their halves') go to f in one array call,
-    and evaluations counts them all.  Returns a Quadrature whose error is
-    the sum of the differences; raises QuadratureError when the sum stays
-    above tol.
+    f maps an array of n nodes to n values, or to an (m, n) array: one row
+    per member of a batch of m integrals on the same nodes.  Each panel's
+    rule is compared with the same rule on its two halves, from the first
+    level on, where the panels are _QUAD_SEEDS equal seeds.  A panel whose
+    difference is within its width's share of tol, for every member, keeps
+    the halves' values; the others are halved again.  The new nodes of a
+    level (on the first, the seeds' and their halves') go to f in one array
+    call, and evaluations counts them all, each once however many members
+    share it.  Each member's arithmetic is that of its own scalar integral
+    on the panels the batch refines, so a batch of one is the scalar call
+    bit for bit.  Returns a Quadrature whose error is the sum of the
+    differences: floats for a 1-d f, arrays with one entry per member for a
+    batch.  Raises QuadratureError when a member's sum stays above tol; its
+    estimate and achieved_error take the same form (arrays for a batch,
+    whose message names the largest error).
     """
     if not hi > lo:
         raise ValidationError(f"integration window [{lo}, {hi}] is empty")
@@ -409,28 +418,52 @@ def integrate(f, lo, hi, tol):
     evaluations = 0
     for _ in range(_QUAD_LEVELS):
         xs = starts[:, None] + width[:, None] * nodes
-        vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-        evaluations += vals.size
-        rules = (vals * weights * width[:, None]).reshape(width.size, -1, _QUAD_NODES).sum(axis=2)
+        vals = np.asarray(f(xs.ravel()), dtype=float)
         if coarse is None:
-            coarse = rules[:, 0]
-        halves = rules[:, -2:]
-        fine = halves.sum(axis=1)
+            batch = vals.ndim == 2
+        if vals.ndim != 1 + batch or vals.shape[-1] != xs.size:
+            raise ValidationError(
+                f"integrand returned shape {vals.shape} for {xs.size} nodes")
+        # (members, panels, nodes): a 1-d integrand is a batch of one
+        vals = vals.reshape(-1, *xs.shape)
+        evaluations += xs.size
+        rules = (vals * weights * width[:, None]).reshape(
+            vals.shape[0], width.size, -1, _QUAD_NODES).sum(axis=3)
+        if coarse is None:
+            coarse = rules[:, :, 0]
+        halves = rules[:, :, -2:]
+        fine = halves.sum(axis=2)
         diff = np.abs(fine - coarse)
-        if err + diff.sum() <= tol:
-            return Quadrature(value + float(fine.sum()), err + float(diff.sum()), evaluations)
-        done = diff <= tol * width / span
-        value += float(fine[done].sum())
-        err += float(diff[done].sum())
+        total = err + _row_sums(diff)
+        if np.all(total <= tol):
+            return _quadrature(value + _row_sums(fine), total, evaluations, batch)
+        done = np.all(diff <= tol * width / span, axis=0)
+        value = value + _row_sums(fine[:, done])
+        err = err + _row_sums(diff[:, done])
         redo = ~done
         if 2 * np.count_nonzero(redo) > _QUAD_MAX_ACTIVE:
             break
         width = np.repeat(width[redo] / 2.0, 2)
         starts = np.column_stack([starts[redo], starts[redo] + width[::2]]).ravel()
-        coarse = halves[redo].ravel()
+        coarse = halves[:, redo].reshape(vals.shape[0], -1)
         nodes, weights = _HALF_NODES, _HALF_WEIGHTS
-    estimate = value + float(fine[redo].sum())
-    achieved = err + float(diff[redo].sum())
+    estimate = value + _row_sums(fine[:, redo])
+    achieved = err + _row_sums(diff[:, redo])
+    failed = _quadrature(estimate, achieved, evaluations, batch)
     raise QuadratureError(
-        f"quadrature error {achieved:.2e} exceeds tolerance {tol:.2e}",
-        estimate=estimate, achieved_error=achieved)
+        f"quadrature error {achieved.max():.2e} exceeds tolerance {tol:.2e}",
+        estimate=failed.value, achieved_error=failed.error)
+
+
+def _row_sums(a):
+    """Each row's sum as the sum of that row alone: a 2-d sum along rows
+    may add in another order, where a row is not contiguous."""
+    return np.array([row.sum() for row in a])
+
+
+def _quadrature(value, error, evaluations, batch):
+    """Quadrature of per-member arrays: as they are for a batch, the one
+    member's Python floats for a 1-d integrand."""
+    if batch:
+        return Quadrature(value, error, evaluations)
+    return Quadrature(float(value[0]), float(error[0]), evaluations)

@@ -133,12 +133,11 @@ def component_dists(scenario, mode="ql", frequencies=None):
                             nu0=scenario.nu0)
 
 
-def _report(criterion, dist_set, p_a, quads=()):
-    """AbridgedReport with p_a clamped to [0, 1] and the error estimates and
-    integrand points summed over the formula's quadratures."""
-    return AbridgedReport(p_a=min(max(p_a, 0.0), 1.0), criterion=criterion,
-                          mode=dist_set.mode, error=sum((q.error for q in quads), 0.0),
-                          evaluations=sum(q.evaluations for q in quads))
+def _report(criterion, dist_set, p_a, error=0.0, evaluations=0):
+    """AbridgedReport with p_a clamped to [0, 1], and the formula's
+    quadrature error and integrand points, as Python numbers."""
+    return AbridgedReport(p_a=float(min(max(p_a, 0.0), 1.0)), criterion=criterion,
+                          mode=dist_set.mode, error=float(error), evaluations=evaluations)
 
 
 def abridged_gic(dist_set, threshold):
@@ -175,7 +174,8 @@ def _expect(law, *factors):
 
 
 def _cdf_product(dists, indices, kap):
-    """x -> prod_{i in indices} F_i(x / kappa)."""
+    """x -> prod_{i in indices} F_i(x / kappa); kap is a number, or a column
+    of them, which gives one row per kappa."""
     def in_scale(x):
         x_k = _over_kappa(x, kap)
         out = np.ones_like(np.asarray(x_k, dtype=float))
@@ -189,32 +189,57 @@ def _cdf_product(dists, indices, kap):
 def abridged_pmep_ir(dist_set, kappa_ir):
     """Abridged error of the invariant-random-penalty rule.
 
-    The correct-selection event is {V_nu0 > kappa * max_i V_i >= V_nu0+1};
-    conditioning on the argmax position gives two semi-infinite integrals
-    over the laws of V_nu0 and V_nu0+1 with the product CDF of the others.
-    With one comparison only the single integral
-    J(k) = int W_k(x) prod_{i != k} F_i(x/kappa) dx, the probability of
-    V_k > kappa max_{i != k} V_i, remains: p_a = J(2) at nu0 = 1 and
-    1 - J(nu0) at nu0 = N.  Each integral runs over the window of the law
-    whose pdf it carries.
+    The correct-selection event is {V_nu0 > kappa * max_i V_i >= V_nu0+1}.
+    Conditioning on the argmax position gives, with
+    M(x) = prod_{i != nu0, nu0+1} F_i(x/kappa),
+    p_a = 1 + int M(x) [W_up(x) (F_lo(x/kappa) - F_lo(x)) - W_lo(x) F_up(x)] dx
+    for the laws lo of V_nu0 and up of V_nu0+1: one integral over the union
+    [min(lo.support_lo, up.support_lo), max(lo.support_hint, up.support_hint)]
+    of their windows, where M is formed once per node.  With one comparison
+    only the single integral J(k) = int W_k(x) prod_{i != k} F_i(x/kappa) dx,
+    the probability of V_k > kappa max_{i != k} V_i, remains over W_k's
+    window: p_a = J(2) at nu0 = 1 and 1 - J(nu0) at nu0 = N.
     """
-    kap = finite_float(kappa_ir, "kappa_ir")
-    if not 0 < kap <= 1:
-        raise ValidationError(f"kappa_ir must be in (0, 1], got {kappa_ir}")
+    return _pmep_ir_reports(dist_set, [finite_float(kappa_ir, "kappa_ir")])[0]
+
+
+def _pmep_ir_reports(dist_set, kappas):
+    """abridged_pmep_ir's report for each kappa of the vector kappas, from
+    one integrate call: one member per kappa on shared nodes, so the laws'
+    terms without kappa are evaluated once per node.  Each report carries
+    its member's error and the call's integrand points."""
+    kaps = finite_floats(kappas, "kappa_ir")
+    bad = ~((kaps > 0) & (kaps <= 1))
+    if bad.any():
+        raise ValidationError(f"kappa_ir must be in (0, 1], got {kaps[bad][0]}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
-        return _report("pmep-ir", dist_set, 0.0)
+        return [_report("pmep-ir", dist_set, 0.0) for _ in kaps]
     nu0, dists = dist_set.nu0, dist_set.dists
+    kap = kaps[:, None]
     if under and over:
-        rest = [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)]
-        f_max = _cdf_product(dists, rest, kap)
         lo, up = dists[nu0 - 1], dists[nu0]
-        quads = [_expect(lo, f_max, up.cdf),
-                 _expect(up, f_max, lambda x: lo.cdf(_over_kappa(x, kap)) - lo.cdf(x))]
-        return _report("pmep-ir", dist_set, 1.0 - quads[0].value + quads[1].value, quads)
-    k = nu0 - 1 if under else nu0
-    quad = _expect(dists[k], _cdf_product(dists, [i for i in range(dist_set.n) if i != k], kap))
-    return _report("pmep-ir", dist_set, 1.0 - quad.value if under else quad.value, [quad])
+        f_max = _cdf_product(dists, [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)],
+                             kap)
+
+        def integrand(x):
+            lo_cdf, lo_pdf = lo.cdf_pdf(x)
+            up_cdf, up_pdf = up.cdf_pdf(x)
+            return f_max(x) * (up_pdf * (lo.cdf(_over_kappa(x, kap)) - lo_cdf)
+                               - lo_pdf * up_cdf)
+
+        quad = integrate(integrand, min(lo.support_lo, up.support_lo),
+                         max(lo.support_hint, up.support_hint), _QUAD_TOL)
+        p_a = 1.0 + quad.value
+    else:
+        k = nu0 - 1 if under else nu0
+        law = dists[k]
+        f_max = _cdf_product(dists, [i for i in range(dist_set.n) if i != k], kap)
+        quad = integrate(lambda x: law.pdf(x) * f_max(x), law.support_lo, law.support_hint,
+                         _QUAD_TOL)
+        p_a = 1.0 - quad.value if under else quad.value
+    return [_report("pmep-ir", dist_set, p, e, quad.evaluations)
+            for p, e in zip(p_a, quad.error)]
 
 
 def _over_kappa(x, kap):
@@ -346,7 +371,7 @@ def abridged_pmep_i(dist_set, kappa_i):
     else:
         g = (lambda x: f_sum(x / a_coef)) if under else (lambda x: dists[nu0].cdf(b_coef * x))
         quad = _expect(lo, g)
-    return _report("pmep-i", dist_set, 1.0 - quad.value, [quad])
+    return _report("pmep-i", dist_set, 1.0 - quad.value, quad.error, quad.evaluations)
 
 
 def abridged_for(dist_set, spec, params_per_signal=2):

@@ -10,6 +10,7 @@ two objectives can be compared on the same grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,11 @@ from .criteria import PmepI, PmepIr
 from .errors import ValidationError, finite_floats, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
 from .montecarlo import checked_trials, estimate
-from .theory import (abridged_pmep_i, abridged_pmep_ir, component_dists,
-                     scenario_consistency)
+from .theory import _pmep_ir_reports, abridged_pmep_i, component_dists, scenario_consistency
 
 # each family's name: its criterion, whose one parameter is the one tuned,
-# and its default search range
-_FAMILIES = {"pmep-ir": (PmepIr, (0.01, 1.0)), "pmep-i": (PmepI, (1.0, 12.0))}
+# its default search range and the top of that parameter's domain (0, top]
+_FAMILIES = {"pmep-ir": (PmepIr, (0.01, 1.0), 1.0), "pmep-i": (PmepI, (1.0, 12.0), math.inf)}
 _FLAT_TOL = 1e-12
 
 
@@ -66,10 +66,12 @@ def _family_name(family):
 def _theory_objective(scenario, name, approach):
     dists = component_dists(scenario, mode="ql",
                             frequencies=approach_frequencies(scenario, approach))
-    formula = abridged_pmep_ir if name == "pmep-ir" else abridged_pmep_i
-
-    def objective(kappas):
-        return np.array([formula(dists, float(k)).p_a for k in kappas])
+    if name == "pmep-ir":
+        def objective(kappas):
+            return np.array([report.p_a for report in _pmep_ir_reports(dists, kappas)])
+    else:
+        def objective(kappas):
+            return np.array([abridged_pmep_i(dists, float(k)).p_a for k in kappas])
 
     return objective
 
@@ -92,7 +94,8 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
 
     family is the name "pmep-ir" or "pmep-i", not an instance: its parameter
     is the one tuned.  Scans a grid of grid_points values over search_range,
-    a pair of finite numbers (the family's default range when None), then
+    a pair of finite numbers (the family's default range when None) inside
+    the parameter's domain, (0, 1] for pmep-ir and (0, inf) for pmep-i, then
     optionally refines the best point in its bracket with the ML search's
     refiner on the negated objective, to (hi - lo) * 1e-4 (3 grid points at
     least); a one-point range is a one-point grid.  Both objectives use the
@@ -101,7 +104,8 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     once per refinement round and once for a flat grid's midpoint; each
     Monte Carlo call is one estimate of all its values over the same seeded
     trials, so no trial set is held and refine costs one pass of the trial
-    loop per round.  Every setting is checked under either objective: refine
+    loop per round, and each pmep-ir theory call is one quadrature of all
+    its values.  Every setting is checked under either objective: refine
     is a bool, grid_points a nonnegative integer, trials at least
     montecarlo's floor and master_seed a nonnegative integer.  The result is
     flagged against scenario_consistency.
@@ -116,6 +120,10 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
                            "search_range", 2).tolist()
     if lo > hi:
         raise ValidationError(f"empty search range ({lo}, {hi})")
+    top = _FAMILIES[name][2]
+    if not (lo > 0 and hi <= top):
+        domain = "(0, 1]" if top == 1.0 else "(0, inf)"
+        raise ValidationError(f"search_range ({lo}, {hi}) must lie in {domain} for {name}")
     if lo < hi and grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2 on ({lo}, {hi}), got {grid_points}")
     if refine and lo < hi and grid_points < 3:

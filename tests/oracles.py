@@ -1,8 +1,9 @@
 """Oracles that the closed-form increment laws, their convolution, abridged
-errors, the ML search's refinement, the Monte Carlo estimate and tune's
-Monte Carlo objective are checked against, and the amplitude/phase MLE of a
-frequency plan, which only tests use, the traced peak memory of a call and a
-ladder injector for the trial loop."""
+errors (among them PMEP-IR's interior event as two integrals), the ML
+search's refinement, the Monte Carlo estimate and tune's Monte Carlo
+objective are checked against, and the amplitude/phase MLE of a frequency
+plan, which only tests use, the traced peak memory of a call and a ladder
+injector for the trial loop."""
 
 import dataclasses
 import math
@@ -76,6 +77,24 @@ def pmep_i_interior_oracle(dist_set, kappa_i, n_nodes=64, n_panels=8):
         up.pdf(ys) * f_sum(ys / b_coef - xs[live, None]) * weights, axis=1)
     outer = f_sum(xs / a_coef) * up.cdf(x_over_r * xs) - inner
     return 1.0 - (lo.support_hint - lo.support_lo) * float(np.sum(weights * lo.pdf(xs) * outer))
+
+
+def pmep_ir_two_integrals(dist_set, kappa_ir):
+    """theory.abridged_pmep_ir's interior case (1 < nu0 < N) as two
+    integrals, each over the window of the law whose pdf it carries:
+    p_a = 1 - int W_lo M F_up dx + int W_up M (F_lo(x/kappa) - F_lo(x)) dx,
+    M(x) = prod_{i != nu0, nu0+1} F_i(x/kappa), with the two quadratures'
+    errors and integrand points summed."""
+    nu0, dists, kap = dist_set.nu0, dist_set.dists, float(kappa_ir)
+    f_max = theory._cdf_product(dists, [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)],
+                                kap)
+    lo, up = dists[nu0 - 1], dists[nu0]
+    quads = [theory._expect(lo, f_max, up.cdf),
+             theory._expect(up, f_max, lambda x: lo.cdf(theory._over_kappa(x, kap)) - lo.cdf(x))]
+    return theory.AbridgedReport(
+        p_a=min(max(1.0 - quads[0].value + quads[1].value, 0.0), 1.0), criterion="pmep-ir",
+        mode=dist_set.mode, error=quads[0].error + quads[1].error,
+        evaluations=quads[0].evaluations + quads[1].evaluations)
 
 
 def nc_chisq2_sum_uncut(n_terms, lam):

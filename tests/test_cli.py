@@ -7,7 +7,7 @@ import os
 import pytest
 
 import sincount as sc
-from sincount import cli
+from sincount import cli, tuner
 from sincount.cli import config_sha, main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "synth.csv")
@@ -563,6 +563,19 @@ def test_tune_pmep_i_from_tiny_kappa_exits_0(config_path, capsys):
                                   "range": [1e-4, 1.0], "refine": False})
     fields = _tune_row(doc, config_path, capsys)
     assert fields[0] == "pmep-i" and 1e-4 <= float(fields[1]) <= 1.0
+
+
+@pytest.mark.parametrize("family, search_range, domain", [
+    ("pmep-ir", [0.5, 1.5], "(0, 1]"), ("pmep-i", [0.0, 3.0], "(0, inf)")])
+def test_tune_range_outside_the_domain_exits_2_before_any_objective_call(
+        monkeypatch, config_path, capsys, family, search_range, domain):
+    calls = []
+    monkeypatch.setattr(tuner, "_theory_objective", lambda *args: calls.append(args))
+    doc = dict(TUNE_CONFIG, tune={"family": family, "grid_points": 3, "range": search_range})
+    rc, out, err = run(["tune", "--config", config_path(doc)], capsys)
+    assert (rc, out, calls) == (2, "", [])
+    lo, hi = (float(v) for v in search_range)
+    assert f"search_range ({lo}, {hi}) must lie in {domain} for {family}" in err
 
 
 @pytest.mark.parametrize("command, doc, key", [

@@ -550,6 +550,68 @@ def test_quadrature_error_when_too_many_panels_need_halving():
     assert 2 * (levels[-1] // distributions._HALF_NODES.size) > distributions._QUAD_MAX_ACTIVE
 
 
+def _gamma_tail(x):
+    return x * np.exp(-x / 2.0) / 4.0
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("f, hi", [(np.exp, 1.0), (_gamma_tail, 64.0),
+                                   (nc_chisq2(5e6).pdf, 4 * nc_chisq2(5e6).support_hint)],
+                         ids=["exp", "gamma_tail", "peaked"])
+@pytest.mark.parametrize("members", [1, 3])
+def test_batch_of_identical_members_is_the_scalar_call_bit_for_bit(f, hi, members):
+    scalar = integrate(f, 0.0, hi, tol=1e-10)
+    assert type(scalar.value) is float and type(scalar.error) is float
+    batch = integrate(lambda x: np.tile(f(x), (members, 1)), 0.0, hi, tol=1e-10)
+    assert batch.value.shape == batch.error.shape == (members,)
+    assert np.all(batch.value == scalar.value) and np.all(batch.error == scalar.error)
+    assert batch.evaluations == scalar.evaluations
+
+
+def test_batch_members_refined_as_the_others_need_each_within_tol_of_its_own():
+    # the exponential density of mean 1e5 ends at the first level on its
+    # own, the peaked one needs panels halved near 5e6: the batch halves a
+    # panel that either member needs, and counts each shared node once
+    law = nc_chisq2(5e6)
+    hi, tol = 4 * law.support_hint, 1e-9
+    members = (lambda x: np.exp(-x / 1e5) / 1e5, law.pdf)
+    sizes = []
+
+    def both(x):
+        sizes.append(x.size)
+        return np.stack([f(x) for f in members])
+
+    batch = integrate(both, 0.0, hi, tol=tol)
+    own = [integrate(f, 0.0, hi, tol=tol) for f in members]
+    assert batch.evaluations == sum(sizes) == max(q.evaluations for q in own)
+    assert own[0].evaluations < own[1].evaluations
+    for j, q in enumerate(own):
+        assert abs(batch.value[j] - q.value) <= tol
+        assert batch.error[j] <= tol
+    assert batch.value == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+def test_quadrature_error_of_a_batch_holds_one_entry_per_member():
+    # the step member cannot converge; the smooth one has, and the error
+    # carries both members' estimates and errors, its message the largest
+    def members(x):
+        return np.stack([np.exp(-x), (x < 1.0 / 3.0).astype(float)])
+
+    with pytest.raises(QuadratureError) as info:
+        integrate(members, 0.0, 1.0, tol=1e-12)
+    estimate, achieved = info.value.estimate, info.value.achieved_error
+    assert estimate.shape == achieved.shape == (2,)
+    assert estimate == pytest.approx([1.0 - math.exp(-1.0), 1.0 / 3.0], abs=1e-6)
+    assert achieved[0] <= 1e-12 < achieved[1]
+    assert f"{achieved[1]:.2e}" in str(info.value)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,)], ids=["three_dims", "short_rows"])
+def test_integrand_must_return_a_row_per_member(shape):
+    with pytest.raises(ValidationError, match="integrand returned shape"):
+        integrate(lambda x: np.zeros(shape + (x.size,))[..., :x.size - 1], 0.0, 1.0, tol=1e-8)
+
+
 def test_integrate_semiinfinite_exponential():
     res = integrate(lambda x: np.exp(-x), 0.0, 60.0, tol=1e-8)
     assert res.value == pytest.approx(1.0, abs=1e-9)

@@ -12,7 +12,8 @@ import sincount as sc
 from sincount import theory
 from sincount.errors import ModelViolationError, ValidationError
 
-from oracles import pmep_i_interior_oracle, sample_increments, use_uncut_laws
+from oracles import (pmep_i_interior_oracle, pmep_ir_two_integrals, sample_increments,
+                     use_uncut_laws)
 
 # frozen reference values for the five-slot, three-signal scenario at -4 dB
 LAM_M4 = (23.7651403311, 24.8478663754, 25.3444948991)
@@ -70,10 +71,41 @@ def test_abridged_gic_frozen_value(dists_m4):
 def test_abridged_pmep_ir_frozen_value(dists_m4):
     rep = sc.abridged_pmep_ir(dists_m4, kappa_ir=0.25)
     assert rep.p_a == pytest.approx(IR_PA_M4, abs=1e-6)
-    # two integrals, each within the quadrature tolerance 1e-9
+    # one integral over the union of the two laws' windows, within the
+    # quadrature tolerance 1e-9; the bound leaves room for two
     assert 0.0 < rep.error <= 2e-9
     # two first-level integrals of 384 points: a ceiling, not a schedule
     assert 0 < rep.evaluations <= 800
+
+
+def _pmep_ir_interior_cases():
+    """Interior PMEP-IR (1 < nu0 < N): QL laws at -10..30 dB, three (nu0, N)
+    and two offsets at four kappa, and the ML laws at -4/0/4 dB at two."""
+    for snr in np.arange(-10.0, 31.0, 5.0):
+        for nu0, max_order in ((2, 3), (3, 5), (4, 5)):
+            scenario = sc.standard_scenario(snr, nu0=nu0, max_order=max_order)
+            for delta in (0.0, 0.004):
+                dists = sc.component_dists(scenario, frequencies=sc.approach_frequencies(
+                    scenario, sc.Bl(delta_omega=delta)))
+                for kappa in (0.05, 0.25, 0.6, 1.0):
+                    yield (snr, nu0, delta, kappa), dists, kappa
+    for snr in (-4.0, 0.0, 4.0):
+        dists = sc.component_dists(sc.standard_scenario(snr), mode="ml")
+        for kappa in (0.25, 0.6):
+            yield (snr, "ml", kappa), dists, kappa
+
+
+def test_abridged_pmep_ir_interior_within_the_errors_of_two_integrals():
+    # the one integral over the union of the windows against the two over
+    # each law's own window: the values move by at most 1.2e-9 here, in
+    # 105024 points instead of 184000.  The 1e-14 is rounding: at 15 dB, nu0
+    # = 2 of 3 and Bl(0.004), p_a is about 1e-14 and the gap 8.3e-15 passes
+    # the summed errors by 2.5e-15
+    for case, dists, kappa in _pmep_ir_interior_cases():
+        rep = sc.abridged_pmep_ir(dists, kappa)
+        oracle = pmep_ir_two_integrals(dists, kappa)
+        assert abs(rep.p_a - oracle.p_a) <= oracle.error + rep.error + 1e-14, case
+        assert rep.evaluations <= oracle.evaluations, case
 
 
 @pytest.mark.floor_kernel

@@ -5,8 +5,9 @@ import pytest
 
 import sincount as sc
 from oracles import golden_refine, inject_ladders, mc_objective_whole_set, traced_peak_mb
-from sincount import montecarlo, tuner
+from sincount import montecarlo, theory, tuner
 from sincount.criteria import checked_ladders
+from sincount.distributions import integrate
 from sincount.errors import ValidationError
 
 
@@ -64,6 +65,64 @@ def test_non_finite_or_malformed_range_rejected(scen_m4, family, search_range, m
     # kappa error), a NaN end read as an empty range, a 3-tuple failed to unpack
     with pytest.raises(ValidationError, match=match):
         sc.tune(family, scen_m4, search_range=search_range)
+
+
+@pytest.mark.parametrize("objective", ["abridged_theory", "monte_carlo"])
+@pytest.mark.parametrize("family, search_range, domain", [
+    ("pmep-ir", (0.5, 1.5), r"\(0, 1\]"), ("pmep-ir", (0.0, 0.5), r"\(0, 1\]"),
+    ("pmep-i", (-1.0, 3.0), r"\(0, inf\)"), ("pmep-i", (0.0, 3.0), r"\(0, inf\)")],
+    ids=["ir_above_1", "ir_from_0", "i_negative", "i_from_0"])
+def test_range_outside_the_parameter_domain_rejected_before_any_objective_call(
+        monkeypatch, scen_m4, objective, family, search_range, domain):
+    # (0.5, 1.5) used to run the grid's first points and then fail with
+    # "kappa_ir must be in (0, 1], got 1.5"
+    calls = []
+    for name in ("_theory_objective", "_mc_objective"):
+        monkeypatch.setattr(tuner, name, lambda *args: calls.append(args))
+    lo, hi = search_range
+    with pytest.raises(ValidationError,
+                       match=rf"search_range \({lo}, {hi}\) must lie in {domain} for {family}"):
+        sc.tune(family, scen_m4, objective=objective, search_range=search_range,
+                grid_points=3)
+    assert calls == []
+
+
+def test_theory_objective_batch_is_the_formula_within_its_errors(scen_m4):
+    # one quadrature for every kappa of the call: each value lies within the
+    # batch's and the single call's errors of abridged_pmep_ir
+    kappas = np.linspace(0.05, 0.6, 12)
+    batch = tuner._theory_objective(scen_m4, "pmep-ir", sc.KNOWN_FREQ)(kappas)
+    reports = theory._pmep_ir_reports(sc.component_dists(scen_m4), kappas)
+    assert batch.tolist() == [report.p_a for report in reports]
+    for kappa, report in zip(kappas, reports):
+        single = sc.abridged_pmep_ir(sc.component_dists(scen_m4), kappa)
+        assert abs(report.p_a - single.p_a) <= report.error + single.error
+        assert type(report.p_a) is float and type(report.error) is float
+
+
+def test_theory_objective_is_one_quadrature_per_call(monkeypatch, scen_m4):
+    # the grid is one integrate call, and so is each refinement round
+    batches, integrals = [], []
+    make_objective = tuner._theory_objective
+
+    def counted_objective(*args):
+        objective = make_objective(*args)
+
+        def counted(kappas):
+            batches.append(len(kappas))
+            return objective(kappas)
+
+        return counted
+
+    def counted_integrate(*args):
+        integrals.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(tuner, "_theory_objective", counted_objective)
+    monkeypatch.setattr(theory, "integrate", counted_integrate)
+    sc.tune("pmep-ir", scen_m4, search_range=(0.05, 0.6), grid_points=12)
+    assert batches[0] == 12 and len(batches) >= 3
+    assert len(integrals) == len(batches)
 
 
 def test_single_point_range(scen_m4):
