@@ -115,25 +115,37 @@ def use_uncut_laws(monkeypatch):
     monkeypatch.setattr(theory, "nc_chisq2_sum", nc_chisq2_sum_uncut)
 
 
-def convolve_cdfs_dense(a, b):
-    """distributions.convolve_cdfs computed densely: b.pdf on every grid row's
-    nodes, the differences x - y formed for a.cdf and again for a.pdf, and
-    the grid values interpolated by the same monotone cubic."""
+def convolve_cdfs_dense(a, b, n_intervals=4096, n_panels=2):
+    """A convolution of laws as distributions.convolve_cdfs formed it before
+    its discrete convolution: n_intervals + 1 knots over [a.support_lo +
+    b.support_lo, a.support_hint + b.support_hint], each knot's integral
+    over y in [b.support_lo, min(x - a.support_lo, b.support_hint)] on
+    n_panels equal panels of 32 Gauss nodes, with b.pdf on every knot's
+    nodes and the differences x - y formed for a.cdf and again for a.pdf,
+    and the knot values interpolated by the same monotone cubic.  The
+    defaults are that earlier rule; at 16384 intervals and 8 panels it is
+    the converged reference of the accuracy tests.  The knots go 256 at a
+    time, so that no temporary outgrows a block."""
     if b.atom0 >= 1.0 - 1e-12 or b.support_hint <= 1e-12:
         return a
     if a.atom0 >= 1.0 - 1e-12 or a.support_hint <= 1e-12:
         return b
     lo = a.support_lo + b.support_lo
     hi = a.support_hint + b.support_hint
-    xs = np.linspace(lo, hi, distributions._CONV_GRID + 1)
+    xs = np.linspace(lo, hi, n_intervals + 1)
     y_lo = b.support_lo
     y_span = np.clip(xs - a.support_lo, y_lo, b.support_hint) - y_lo
-    ys = y_lo + y_span[:, None] * distributions._CONV_NODES[None, :]
-    wts = y_span[:, None] * distributions._CONV_WEIGHTS[None, :]
-    bp = b.pdf(ys)
-    cdf_vals = b.atom0 * a.cdf(xs) + np.sum(a.cdf(xs[:, None] - ys) * bp * wts, axis=1)
-    pdf_vals = (b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs)
-                + np.sum(a.pdf(xs[:, None] - ys) * bp * wts, axis=1))
+    nodes, weights = _panel_rule(32, n_panels)
+    cdf_sums, pdf_sums = np.empty(xs.size), np.empty(xs.size)
+    for start in range(0, xs.size, 256):
+        rows = slice(start, start + 256)
+        ys = y_lo + y_span[rows, None] * nodes[None, :]
+        wts = y_span[rows, None] * weights[None, :]
+        bp = b.pdf(ys)
+        cdf_sums[rows] = np.sum(a.cdf(xs[rows, None] - ys) * bp * wts, axis=1)
+        pdf_sums[rows] = np.sum(a.pdf(xs[rows, None] - ys) * bp * wts, axis=1)
+    cdf_vals = b.atom0 * a.cdf(xs) + cdf_sums
+    pdf_vals = b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs) + pdf_sums
     cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
     atom = a.atom0 * b.atom0
     cdf_vals[0] = atom
