@@ -24,23 +24,16 @@ class Dist:
     [support_lo, support_hint] outside which cdf and 1 - cdf are below 1e-12
     (for a convolution, below the sum of its parts' bounds), and the
     probability mass sitting exactly at zero (nonzero only for the truncated
-    ML-approach laws, whose window therefore starts at zero).  cdf_pdf(x)
-    returns (cdf(x), pdf(x)) from one evaluation; a law built without one
-    gets the two separate calls.  A noncentral chi-square law's cdf also
-    holds a third window end, top >= support_hint (_ncx2_window), from which
-    it reads exactly 1.0 without calling the kernel."""
+    ML-approach laws, whose window therefore starts at zero).  A noncentral
+    chi-square law's cdf also holds a third window end, top >= support_hint
+    (_ncx2_window), from which it reads exactly 1.0 without calling the
+    kernel."""
 
     cdf: object
     pdf: object
     support_hint: float
     atom0: float = 0.0
     support_lo: float = 0.0
-    cdf_pdf: object = None
-
-    def __post_init__(self):
-        if self.cdf_pdf is None:
-            cdf, pdf = self.cdf, self.pdf
-            object.__setattr__(self, "cdf_pdf", lambda x: (cdf(x), pdf(x)))
 
 
 # upper-tail mass below which the ncx2 CDF reads exactly 1
@@ -169,8 +162,7 @@ def ml_component_cdf(dbar_sq, xi):
     For a signal index the CDF is Phi((x - d2)/(2 d2)) * exp(-(xi/pi) exp(-x/2)),
     d2 = dbar_sq; for a noise index, dbar_sq = None, the Gaussian factor is
     dropped.  The closed form is truncated at zero, which leaves an atom there
-    of size cdf(0+).  The law's cdf and pdf are the two outputs of one body,
-    its cdf_pdf.
+    of size cdf(0+).
     """
     xi = finite_float(xi, "xi")
     if xi <= 0:
@@ -182,30 +174,25 @@ def ml_component_cdf(dbar_sq, xi):
             raise ValidationError(f"dbar_sq must be finite and > 0, got {d2}")
         denom = 2.0 * d2
 
-    def cdf_pdf(x):
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.exp(-c * np.exp(-x / 2.0))
+        if dbar_sq is not None:
+            out = ndtr((x - d2) / denom) * out
+        return np.where(x < 0, 0.0, out)
+
+    def pdf(x):
         x = np.asarray(x, dtype=float)
         e = np.exp(-x / 2.0)
         gumbel = np.exp(-c * e)
         if dbar_sq is None:
-            cdf, pdf = gumbel, gumbel * 0.5 * c * e
+            out = gumbel * 0.5 * c * e
         else:
-            # in place where it can be, so that few temporaries live at once
             u = (x - d2) / denom
-            cdf = ndtr(u)
-            pdf = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi) / denom
-            del u
-            pdf += cdf * 0.5 * c * e
-            pdf *= gumbel
-            cdf *= gumbel
-        del e, gumbel
-        neg = x < 0
-        return np.where(neg, 0.0, cdf), np.where(neg, 0.0, pdf)
-
-    def cdf(x):
-        return cdf_pdf(x)[0]
-
-    def pdf(x):
-        return cdf_pdf(x)[1]
+            out = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi) / denom
+            out += ndtr(u) * 0.5 * c * e
+            out *= gumbel
+        return np.where(x < 0, 0.0, out)
 
     if dbar_sq is not None:
         atom = float(ndtr(-d2 / denom) * math.exp(-c))
@@ -218,8 +205,7 @@ def ml_component_cdf(dbar_sq, xi):
         t *= 1.5
     # below lo the Gumbel factor, which bounds the cdf, is under exp(-28)
     lo = 2.0 * math.log(c / 28.0) if c > 28.0 else 0.0
-    return Dist(cdf=cdf, pdf=pdf, support_hint=float(t), atom0=atom, support_lo=lo,
-                cdf_pdf=cdf_pdf)
+    return Dist(cdf=cdf, pdf=pdf, support_hint=float(t), atom0=atom, support_lo=lo)
 
 
 def _panel_nodes(n_nodes, n_panels):
@@ -295,7 +281,7 @@ def convolve_cdfs(a, b):
     sums at steps h and h/2, each step's mass of B split between its two
     ends, combined by one Richardson step.  A point's weight depends on where the
     range ends only at that end, so all knots' sums are the even entries of
-    one discrete convolution (by FFT) of a.cdf_pdf on a's grid with the
+    one discrete convolution (by FFT) of a.cdf and a.pdf on a's grid with the
     weights on b's, less one end term: a is evaluated at 2 * _CONV_GRID + 1
     points and B at about half as many.  Weighting by B's steps keeps all of
     its mass, which a sum of b.pdf values misses by up to 4e-7 where b is a
@@ -312,7 +298,8 @@ def convolve_cdfs(a, b):
     h = (hi - lo) / n
     n_steps = min(math.ceil((b.support_hint - b.support_lo) / h), n)
     # a's cdf and pdf (one row each) on its grid at h/2, B on b's
-    a_vals = np.array(a.cdf_pdf(a.support_lo + 0.5 * h * np.arange(2 * n + 1)))
+    a_grid = a.support_lo + 0.5 * h * np.arange(2 * n + 1)
+    a_vals = np.array([a.cdf(a_grid), a.pdf(a_grid)])
     b_cdf = b.cdf(b.support_lo + 0.5 * h * np.arange(2 * n_steps + 1))
     # B's mass on each step at h/2 and at h, and 0 past the top
     half = np.append(np.diff(b_cdf), 0.0)
@@ -330,9 +317,8 @@ def convolve_cdfs(a, b):
     m = np.minimum(r, n_steps)
     sums = (full[:, :2 * n + 1:2]
             - a_vals[:, 2 * (r - m)] * (2.0 * half[2 * m] - 0.5 * whole[m]) / 3.0)
-    a_cdf, a_pdf = a.cdf_pdf(xs)
-    cdf_vals = b.atom0 * a_cdf + sums[0]
-    pdf_vals = b.atom0 * a_pdf + a.atom0 * b.pdf(xs) + sums[1]
+    cdf_vals = b.atom0 * a.cdf(xs) + sums[0]
+    pdf_vals = b.atom0 * a.pdf(xs) + a.atom0 * b.pdf(xs) + sums[1]
     cdf_vals = np.minimum(np.maximum.accumulate(np.clip(cdf_vals, 0.0, 1.0)), 1.0)
     atom = a.atom0 * b.atom0
     cdf_vals[0] = atom
@@ -362,15 +348,7 @@ def convolve_cdfs(a, b):
         out[mid] = pdf_interp(xm)
         return out
 
-    def cdf_pdf(x):
-        x, mid, xm = on_grid(x)
-        cdf_out, pdf_out = tails(x), np.zeros(x.shape)
-        cdf_out[mid] = cdf_interp(xm)
-        pdf_out[mid] = pdf_interp(xm)
-        return cdf_out, pdf_out
-
-    return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo,
-                cdf_pdf=cdf_pdf)
+    return Dist(cdf=cdf, pdf=pdf, support_hint=hi, atom0=atom, support_lo=lo)
 
 
 _QUAD_SEEDS = 8         # equal panels the first level compares with their halves

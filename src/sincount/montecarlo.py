@@ -498,9 +498,12 @@ def estimate(scenario, specs, approach, trials, master_seed):
     the two-neighbor abridged event (one neighbor at the boundary orders).
     Each block of the trial loop is reduced as it comes, so memory holds one
     block and each report's correct and abridged_correct, a bit per trial.
+    An empty specs is a ValidationError, raised before any trial runs.
     """
     trials, master_seed = checked_trials(trials), nonneg_int(master_seed, "master_seed")
     specs = list(specs)
+    if not specs:
+        raise ValidationError("estimate needs at least one criterion")
     nu0, n_orders, pps = scenario.nu0, scenario.max_order, approach.params_per_signal
     under, over = abridged_comparisons(nu0, n_orders)
     # each criterion's two indicators, a bit per trial; the bits of a block's

@@ -223,10 +223,8 @@ def _pmep_ir_reports(dist_set, kappas):
                              kap)
 
         def integrand(x):
-            lo_cdf, lo_pdf = lo.cdf_pdf(x)
-            up_cdf, up_pdf = up.cdf_pdf(x)
-            return f_max(x) * (up_pdf * (lo.cdf(_over_kappa(x, kap)) - lo_cdf)
-                               - lo_pdf * up_cdf)
+            return f_max(x) * (up.pdf(x) * (lo.cdf(_over_kappa(x, kap)) - lo.cdf(x))
+                               - lo.pdf(x) * up.cdf(x))
 
         quad = integrate(integrand, min(lo.support_lo, up.support_lo),
                          max(lo.support_hint, up.support_hint), _QUAD_TOL)
@@ -235,8 +233,7 @@ def _pmep_ir_reports(dist_set, kappas):
         k = nu0 - 1 if under else nu0
         law = dists[k]
         f_max = _cdf_product(dists, [i for i in range(dist_set.n) if i != k], kap)
-        quad = integrate(lambda x: law.pdf(x) * f_max(x), law.support_lo, law.support_hint,
-                         _QUAD_TOL)
+        quad = _expect(law, f_max)
         p_a = 1.0 - quad.value if under else quad.value
     return [_report("pmep-ir", dist_set, p, e, quad.evaluations)
             for p, e in zip(p_a, quad.error)]

@@ -103,8 +103,7 @@ def nc_chisq2_sum_uncut(n_terms, lam):
     window's top."""
     law = distributions.nc_chisq2_sum(n_terms, lam)
     m, lam = int(n_terms), float(lam)
-    return dataclasses.replace(law, cdf=lambda x: distributions._ncx2_cdf(x, m, lam),
-                               cdf_pdf=None)
+    return dataclasses.replace(law, cdf=lambda x: distributions._ncx2_cdf(x, m, lam))
 
 
 def use_uncut_laws(monkeypatch):

@@ -360,7 +360,7 @@ def test_convolution_of_a_window_narrower_than_a_step():
     # (the earlier rule: 4.0e-5)
     law = convolve_cdfs(nc_chisq2(0.0), nc_chisq2(1e8))
     x = np.linspace(law.support_lo, law.support_hint, 20001)
-    cdf, pdf = law.cdf_pdf(x)
+    cdf, pdf = law.cdf(x), law.pdf(x)
     assert np.all(np.diff(cdf) >= 0.0) and 0.0 <= cdf[0] and cdf[-1] <= 1.0
     assert cdf[-1] > 1.0 - 1e-12 and np.all(pdf >= 0.0)
     # scipy's ncx2 takes about 0.5 ms a point at this noncentrality
@@ -384,20 +384,21 @@ def test_convolution_temporaries_stay_within_a_row_block():
     _NOISE_ABOVE_ZERO,
     convolve_cdfs(ml_component_cdf(30.0, 20.0), ml_component_cdf(None, 20.0)),
     convolve_cdfs(_NOISE_ABOVE_ZERO, _NOISE_ABOVE_ZERO),
-    # no cdf_pdf of its own: the separate calls
     nc_chisq2(30.0),
-], ids=["ml_signal", "ml_noise", "ml_noise_lo", "convolved", "convolved_lo", "ql_no_cdf_pdf"])
-def test_cdf_pdf_equals_the_separate_calls_bit_for_bit(law):
+], ids=["ml_signal", "ml_noise", "ml_noise_lo", "convolved", "convolved_lo", "ql"])
+def test_cdf_and_pdf_keep_the_shape_bit_for_bit(law):
+    # below the window, negative x, +-0, both window ends and the floats
+    # past them, inf, NaN, every grid knot and a point in each interval
     lo, hi = law.support_lo, law.support_hint
     knots = np.linspace(lo, hi, distributions._CONV_GRID + 1)
     between = np.random.default_rng(3).uniform(knots[:-1], knots[1:])
     x = np.concatenate([[lo - 1.0, np.nextafter(lo, -np.inf), -3.0, -0.0, 0.0, hi,
                          np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan], knots, between])
-    for points in (x, x[:x.size // 2 * 2].reshape(-1, 2)):
-        cdf, pdf = law.cdf_pdf(points)
-        assert cdf.shape == pdf.shape == points.shape
-        assert np.array_equal(_bits(cdf), _bits(law.cdf(points)))
-        assert np.array_equal(_bits(pdf), _bits(law.pdf(points)))
+    pairs = x[:x.size // 2 * 2].reshape(-1, 2)
+    for f in (law.cdf, law.pdf):
+        flat, square = f(x), f(pairs)
+        assert flat.shape == x.shape and square.shape == pairs.shape
+        assert np.array_equal(_bits(square).ravel(), _bits(flat[:pairs.size]))
 
 
 @pytest.mark.parametrize("signal_present", [True, False])

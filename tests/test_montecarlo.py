@@ -378,6 +378,13 @@ def test_estimate_minimum_trials(scen_m4):
         sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 99, 1)
 
 
+@pytest.mark.parametrize("approach", [sc.KNOWN_FREQ, sc.Ml()])
+def test_estimate_without_criteria_runs_no_trial(scen_m4, approach, monkeypatch):
+    monkeypatch.setattr(montecarlo, "ladder_function", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(ValidationError, match="criterion"):
+        sc.estimate(scen_m4, [], approach, 100, 1)
+
+
 def test_report_accounting(scen_m4):
     # 2003 trials leave 5 padding bits in the last packed byte; none counts
     for trials in (2000, 2003):

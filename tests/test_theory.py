@@ -108,6 +108,36 @@ def test_abridged_pmep_ir_interior_within_the_errors_of_two_integrals():
         assert rep.evaluations <= oracle.evaluations, case
 
 
+@pytest.mark.parametrize("mode", ["ql", "ml"])
+def test_counted_laws_give_the_same_reports_and_see_every_node(mode):
+    # each law's cdf and pdf swapped for counting ones by dataclasses.replace,
+    # as a tracer wraps them: a formula evaluates a law through those two only
+    dists = sc.component_dists(sc.standard_scenario(-4.0), mode=mode)
+    points = {}
+
+    def counted(i, law):
+        def count(kind, fn):
+            def wrapped(x):
+                points[i, kind] = points.get((i, kind), 0) + np.size(x)
+                return fn(x)
+
+            return wrapped
+
+        return dataclasses.replace(law, cdf=count("cdf", law.cdf), pdf=count("pdf", law.pdf))
+
+    laws = dataclasses.replace(dists, dists=tuple(counted(i, d) for i, d in enumerate(dists.dists)))
+
+    def bits(rep):
+        return rep.p_a.hex(), rep.error.hex(), rep.evaluations, rep.criterion, rep.mode
+
+    for spec in (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)):
+        points.clear()
+        rep = sc.abridged_for(laws, spec)
+        assert bits(rep) == bits(sc.abridged_for(dists, spec)), spec
+        if isinstance(spec, sc.PmepIr):
+            assert points.get((dists.nu0 - 1, "pdf"), 0) == rep.evaluations > 0
+
+
 @pytest.mark.floor_kernel
 def test_abridged_pmep_i_frozen_value(dists_m4):
     rep = sc.abridged_pmep_i(dists_m4, kappa_i=3.0)
