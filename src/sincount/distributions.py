@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chndtr, gammainc, gammaln, i0e, ive, ndtr
 
-from .errors import QuadratureError, ValidationError, finite_float, nonneg_int
+from .errors import QuadratureError, ValidationError, finite_float, finite_floats, nonneg_int
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,14 @@ class Dist:
     ML-approach laws, whose window therefore starts at zero).  A noncentral
     chi-square law's cdf also holds a third window end, top >= support_hint
     (_ncx2_window), from which it reads exactly 1.0 without calling the
-    kernel."""
+    kernel.
+
+    A stacked law (nc_chisq2_sum over an array of M noncentralities) holds
+    M members in one record: cdf and pdf take x broadcast against the (M, 1)
+    column of the noncentralities, so 1-d points give one row per member
+    and an (M, n) array gives member r's row under member r's law, and
+    support_lo and support_hint are (M, 1) columns of the members' own
+    windows, whose union is [min support_lo, max support_hint]."""
 
     cdf: object
     pdf: object
@@ -41,14 +48,28 @@ _NCX2_TAIL = 1e-13
 
 
 def _ncx2_kernel(x, m, lam):
-    """The raw ncx2 kernel at x > 0 (2m dof, noncentrality lam): the
-    regularized lower incomplete gamma function for the central law (every
-    noise-only index), otherwise the compiled cephes kernel."""
-    return gammainc(m, x / 2.0) if lam <= 1e-300 else chndtr(x, 2 * m, lam)
+    """The raw ncx2 kernel at points x > 0 (2m dof) under noncentralities
+    lam, a number or an array of x's shape: the regularized lower incomplete
+    gamma function for the central law (every noise-only index), otherwise
+    the compiled cephes kernel, each called once on its points."""
+    if not isinstance(lam, np.ndarray):
+        return gammainc(m, x / 2.0) if lam <= 1e-300 else chndtr(x, 2 * m, lam)
+    central = lam <= 1e-300
+    n_central = np.count_nonzero(central)
+    if n_central == 0:
+        return chndtr(x, 2 * m, lam)
+    if n_central == central.size:
+        return gammainc(m, x / 2.0)
+    out = np.empty(x.shape)
+    out[central] = gammainc(m, x[central] / 2.0)
+    out[~central] = chndtr(x[~central], 2 * m, lam[~central])
+    return out
 
 
 def _ncx2_cdf(x, m, lam, top=math.inf):
-    """CDF of noncentral chi-square with 2m dof, noncentrality lam.
+    """CDF of noncentral chi-square with 2m dof, noncentrality lam: a number,
+    or a stacked law's (M, 1) column broadcast against x, with top a number
+    or a column alike.
 
     Values of _ncx2_kernel within _NCX2_TAIL of 1 read 1: out there the
     kernel wobbles by an ulp or two of 1 while the true increments are
@@ -57,96 +78,154 @@ def _ncx2_cdf(x, m, lam, top=math.inf):
     below _NCX2_TAIL.  Points x >= top read 1.0 without calling the kernel:
     a law passes its window's top, above which the kernel reads within 1e-14
     of 1, so the clamp would give 1.0 there too.  Without top every point
-    x > 0 goes to the kernel.
+    x > 0 below +inf goes to the kernel.  NaN reads NaN.
     """
     x = np.asarray(x, dtype=float)
+    stacked = isinstance(lam, np.ndarray)
+    if stacked:
+        x, lam = np.broadcast_arrays(x, lam)
     out = np.zeros(x.shape)
+    out[np.isnan(x)] = np.nan
     pos = x > 0
-    if top < math.inf:
-        out[x >= top] = 1.0
-        pos &= x < top
-    vals = _ncx2_kernel(x[pos], m, lam)
+    out[x >= top] = 1.0
+    pos &= x < top
+    vals = _ncx2_kernel(x[pos], m, lam[pos] if stacked else lam)
     out[pos] = np.where(vals > 1.0 - _NCX2_TAIL, 1.0, vals)
     return out
 
 
 def _ncx2_pdf(x, m, lam):
     """PDF companion of _ncx2_cdf (2m dof):
-    (x/lam)^((m-1)/2) exp(-(x + lam)/2) I_{m-1}(sqrt(lam x)) / 2."""
+    (x/lam)^((m-1)/2) exp(-(x + lam)/2) I_{m-1}(sqrt(lam x)) / 2, and 0 at
+    x = +inf."""
     x = np.asarray(x, dtype=float)
+    stacked = isinstance(lam, np.ndarray)
+    if stacked:
+        x, lam = np.broadcast_arrays(x, lam)
     out = np.zeros(x.shape)
     if m == 1:
-        out[x == 0] = 0.5 * math.exp(-lam / 2.0)
-    s = np.sqrt(lam * np.maximum(x, 0.0))
+        zero = x == 0
+        if np.count_nonzero(zero):
+            out[zero] = [0.5 * math.exp(-v / 2.0) for v in np.ravel(lam[zero] if stacked else lam)]
+    inside = (x > 0) & (x < math.inf)
+    xi, lam = x[inside], lam[inside] if stacked else lam
+    s = np.sqrt(lam * xi)
     # below s = 1e-8 the leading term of the Bessel series is exact in double
     # precision (up to 66 dof); it covers lam = 0, and ive would underflow there
-    head = (x > 0) & (s < 1e-8)
-    xh = x[head]
-    out[head] = np.exp((m - 1) * np.log(xh) - (xh + lam) / 2.0 - m * math.log(2.0) - gammaln(m))
-    body = s >= 1e-8
-    xb = x[body]
+    head, body = s < 1e-8, s >= 1e-8
+    xh, lam_h = xi[head], lam[head] if stacked else lam
+    vals = np.empty(s.shape)
+    vals[head] = np.exp((m - 1) * np.log(xh) - (xh + lam_h) / 2.0 - m * math.log(2.0)
+                        - gammaln(m))
+    xb, lam_b = xi[body], lam[body] if stacked else lam
     # -(x + lam)/2 + sqrt(lam x), written without the cancellation at large lam
-    log_kernel = -0.5 * (np.sqrt(xb) - math.sqrt(lam)) ** 2
+    log_kernel = -0.5 * (np.sqrt(xb) - np.sqrt(lam_b)) ** 2
     if m == 1:
         # the prefactor (x/lam)^0 drops out; i0e is ive(0, .) at a sixth of its cost
-        out[body] = 0.5 * np.exp(log_kernel) * i0e(s[body])
+        vals[body] = 0.5 * np.exp(log_kernel) * i0e(s[body])
     else:
-        log_pref = 0.5 * (m - 1) * np.log(xb / lam)
-        out[body] = 0.5 * np.exp(log_pref + log_kernel) * ive(m - 1, s[body])
+        log_pref = 0.5 * (m - 1) * np.log(xb / lam_b)
+        vals[body] = 0.5 * np.exp(log_pref + log_kernel) * ive(m - 1, s[body])
+    out[inside] = vals
     return out
 
 
 def _ncx2_window(m, lam):
-    """(lo, hi, top): lo and hi = mean -/+ (12 sd + 20), each widened (lo down
-    to 0) until cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12; a ValidationError
-    naming lam where the cdf at the mean or a point tried is not finite (NaN
+    """(lo, hi, top) arrays of lam's shape, for each of its noncentralities:
+    lo and hi = mean -/+ (12 sd + 20), each widened (lo down to 0) until
+    cdf(lo) < 1e-12 and 1 - cdf(hi) < 1e-12; a ValidationError naming a
+    noncentrality whose cdf at the mean or a point tried is not finite (NaN
     past chndtr's range).  top continues hi's x1.5 walk until the raw kernel
     (not the clamped cdf, which would stop as soon as the clamp fires) is
     within 1e-14 of 1, ten times inside _NCX2_TAIL; it is inf, which cuts
-    nothing, where a value met is not finite."""
+    nothing, where a value met is not finite.  All members walk at once:
+    the first kernel call takes every member's mean and first lo and hi,
+    and each later step one call at the points of the walks still going,
+    so each member's ends are those of its own walk bit for bit; top's walk
+    starts from the value at hi without calling the kernel again."""
+    lam = np.asarray(lam, dtype=float)
+    flat = lam.ravel()
+    n = flat.size
 
-    def cdf_at(x):
-        value = _ncx2_cdf(np.array([x]), m, lam)[0]
-        if not math.isfinite(value):
-            raise ValidationError(f"noncentrality {lam} is past the range of the ncx2 kernel")
-        return value
+    def checked(values, lams):
+        finite = np.isfinite(values)
+        if np.count_nonzero(finite) < finite.size:
+            raise ValidationError(f"noncentrality {float(lams[~finite][0])} is past the "
+                                  f"range of the ncx2 kernel")
+        return values
 
-    mean = 2 * m + lam
-    cdf_at(mean)
-    spread = 12.0 * math.sqrt(2.0 * (2 * m + 2.0 * lam)) + 20.0
-    lo = max(mean - spread, 0.0)
-    while lo > 0.0 and cdf_at(lo) >= 1e-12:
-        lo = max(mean - 1.5 * (mean - lo), 0.0)
+    mean = 2 * m + flat
+    spread = 12.0 * np.sqrt(2.0 * (2 * m + 2.0 * flat)) + 20.0
+    lo = np.maximum(mean - spread, 0.0)
     hi = mean + spread
-    while cdf_at(hi) < 1.0 - 1e-12:
-        hi *= 1.5
-    top = hi
-    raw = _ncx2_kernel(top, m, lam)
-    while raw < 1.0 - 1e-14 and top < math.inf:
-        top *= 1.5
-        raw = _ncx2_kernel(top, m, lam)
-    return float(lo), float(hi), float(top) if math.isfinite(raw) else math.inf
+    # the first call: each member's mean, lo (its mean again where lo is 0)
+    # and hi
+    lams = np.concatenate([flat, flat, flat])
+    first = checked(_ncx2_kernel(np.concatenate([mean, np.where(lo > 0.0, lo, mean), hi]), m,
+                                 lams), lams)
+    with np.errstate(over="ignore"):
+        walk = ((lo > 0.0) & (first[n:2 * n] >= 1e-12)).nonzero()[0]
+        while walk.size:
+            lo[walk] = np.maximum(mean[walk] - 1.5 * (mean[walk] - lo[walk]), 0.0)
+            walk = walk[lo[walk] > 0.0]
+            walk = walk[checked(_ncx2_kernel(lo[walk], m, flat[walk]), flat[walk]) >= 1e-12]
+        raw = first[2 * n:]
+        walk = (raw < 1.0 - 1e-12).nonzero()[0]
+        while walk.size:
+            hi[walk] *= 1.5
+            raw[walk] = checked(_ncx2_kernel(hi[walk], m, flat[walk]), flat[walk])
+            walk = walk[raw[walk] < 1.0 - 1e-12]
+        top = hi.copy()
+        walk = ((raw < 1.0 - 1e-14) & (top < math.inf)).nonzero()[0]
+        while walk.size:
+            top[walk] *= 1.5
+            raw[walk] = _ncx2_kernel(top[walk], m, flat[walk])
+            walk = walk[(raw[walk] < 1.0 - 1e-14) & (top[walk] < math.inf)]
+    top[~np.isfinite(raw)] = math.inf
+    return lo.reshape(lam.shape), hi.reshape(lam.shape), top.reshape(lam.shape)
 
 
 def nc_chisq2(lam):
     """Noncentral chi-square law with 2 dof: the fixed-frequency increment V_i.
 
     cdf(x) = 1 - MarcumQ_1(sqrt(lam), sqrt(x)); pdf(x) = exp(-(x+lam)/2) I_0(sqrt(lam x))/2.
+    lam is a number, or a 1-d array of them for a stacked law (Dist).
     """
     return nc_chisq2_sum(1, lam)
 
 
 def nc_chisq2_sum(n_terms, lam):
     """Law of the sum of n_terms independent 2-dof increments with total
-    noncentrality lam (noncentral chi-square, 2*n_terms dof)."""
-    lam = finite_float(lam, "noncentrality")
-    if lam < 0:
-        raise ValidationError(f"noncentrality must be finite and >= 0, got {lam}")
+    noncentrality lam (noncentral chi-square, 2*n_terms dof).  lam is a
+    number, or a nonempty 1-d array of them: a stacked law with one member
+    per entry (Dist), whose members' windows come from one array walk and
+    whose cdf and pdf call the kernel once for all members' points.  A
+    member's values and window are those of its own law bit for bit."""
+    stacked = isinstance(lam, (list, tuple, np.ndarray))
+    lam = finite_floats(lam, "noncentrality") if stacked else finite_float(lam, "noncentrality")
+    if (np.min(lam) if stacked else lam) < 0:
+        raise ValidationError(
+            f"noncentrality must be finite and >= 0, got {float(np.min(lam))}")
     m = nonneg_int(n_terms, "n_terms")
     if m < 1:
         raise ValidationError(f"n_terms must be >= 1, got {m}")
-    lo, hi, top = _ncx2_window(m, lam)
+    return _ncx2_laws(m, [lam])[0]
 
+
+def _ncx2_laws(m, lams):
+    """nc_chisq2_sum's law (2m dof) for each entry of lams, unchecked: numbers
+    >= 0, or rows of them of one length for stacked laws, with every
+    window from one walk (_ncx2_window)."""
+    lams = np.asarray(lams, dtype=float)
+    ends = _ncx2_window(m, lams)
+    if lams.ndim == 1:
+        return tuple(_ncx2_law(m, *map(float, row)) for row in zip(lams, *ends))
+    return tuple(_ncx2_law(m, *(v[:, None] for v in row)) for row in zip(lams, *ends))
+
+
+def _ncx2_law(m, lam, lo, hi, top):
+    """The law of _ncx2_cdf and _ncx2_pdf under lam on the window [lo, hi]
+    with top: numbers, or (M, 1) columns for a stacked law."""
     def cdf(x):
         return _ncx2_cdf(x, m, lam, top)
 

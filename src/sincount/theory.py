@@ -18,8 +18,8 @@ import numpy as np
 
 from . import montecarlo
 from .criteria import Eef, Gic, PmepI, PmepIr, abridged_comparisons
-from .distributions import (Quadrature, _panel_nodes, convolve_cdfs, integrate,
-                            ml_component_cdf, nc_chisq2, nc_chisq2_sum)
+from .distributions import (Quadrature, _ncx2_laws, _panel_nodes, convolve_cdfs, integrate,
+                            ml_component_cdf, nc_chisq2_sum)
 from .errors import (ModelViolationError, ValidationError, finite_float, finite_floats,
                      nonneg_int)
 from .likelihood import Bl, FrequencyPlan, approach_frequencies
@@ -37,7 +37,10 @@ class ComponentDistSet:
 
     The joint law is treated as the product of the marginals (the
     orthonormalized residuals are independent), which every abridged
-    formula below relies on.
+    formula below relies on.  A QL set built from M frequency sets at once
+    (component_dists given an (M, N) array) holds M members: each law is a
+    stacked law over the members (distributions.Dist) and lambdas is
+    (M, N), one row per member.  Any other set has one member.
     """
 
     dists: tuple
@@ -52,6 +55,11 @@ class ComponentDistSet:
     @property
     def n(self):
         return len(self.dists)
+
+    @property
+    def members(self):
+        """M for a stack over M frequency sets, else 1."""
+        return 1 if self.lambdas is None or self.lambdas.ndim == 1 else len(self.lambdas)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,10 @@ def component_dists(scenario, mode="ql", frequencies=None):
     """Per-index increment laws for the QL (fixed-frequency) or ML approach.
 
     QL: V_i is noncentral chi-square with 2 dof and noncentrality from
-    residual_means at the supplied frequencies.  ML: V_i is the sum of two
+    residual_means at the supplied frequencies: one set of N, or an (M, N)
+    array of M >= 2 sets, which gives one set of stacked laws over M
+    members, each member's laws those of its own set bit for bit, with
+    every set's frequency plan built before the first law.  ML: V_i is the sum of two
     squared max-over-band statistics, each with the extreme-value closed
     form at the nominal frequencies, so it takes no frequencies; requires
     the signals to be orthogonal to tolerance.
@@ -95,9 +106,16 @@ def component_dists(scenario, mode="ql", frequencies=None):
     if mode == "ql":
         if frequencies is None:
             frequencies = scenario.all_frequencies
-        _, lambdas = residual_means(scenario, frequencies)
+        if isinstance(frequencies, np.ndarray) and frequencies.ndim == 2:
+            if len(frequencies) < 2:
+                raise ValidationError(
+                    f"frequencies: a stack of frequency sets holds two or more rows, got "
+                    f"shape {frequencies.shape}; one set is a 1-d array")
+            lambdas = np.array([residual_means(scenario, row)[1] for row in frequencies])
+        else:
+            lambdas = residual_means(scenario, frequencies)[1]
         lambdas = np.where(lambdas < _LAMBDA_FLOOR, 0.0, lambdas)
-        dists = tuple(nc_chisq2(lam) for lam in lambdas)
+        dists = _ncx2_laws(1, lambdas.T)
         return ComponentDistSet(dists=dists, lambdas=lambdas, mode="ql",
                                 nu0=scenario.nu0)
     if mode != "ml":
@@ -140,6 +158,16 @@ def _report(criterion, dist_set, p_a, error=0.0, evaluations=0):
                           mode=dist_set.mode, error=float(error), evaluations=evaluations)
 
 
+def _single(dist_set):
+    """dist_set, a ValidationError unless it has one member: the public
+    formulas take one set of laws, and ql_sweep takes a stacked one to the
+    member-wise formulas."""
+    if dist_set.members != 1:
+        raise ValidationError(
+            f"an abridged formula takes one set of laws, got a stack of {dist_set.members}")
+    return dist_set
+
+
 def abridged_gic(dist_set, threshold):
     """Abridged error of a fixed-threshold (GIC-family) rule.
 
@@ -148,34 +176,72 @@ def abridged_gic(dist_set, threshold):
     finite skips errors.finite_float: +inf is a threshold that no increment
     exceeds, and NaN and -inf fail the range check.
     """
+    return _gic_reports(_single(dist_set), threshold)[0]
+
+
+def _gic_reports(dist_set, threshold):
+    """abridged_gic's report for each member of dist_set, from one cdf call
+    per law."""
     if not (isinstance(threshold, float) and not math.isfinite(threshold)):
         threshold = finite_float(threshold, "threshold")
     if not threshold >= 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     nu0, dists = dist_set.nu0, dist_set.dists
-    t_arr = np.array([float(threshold)])
-    under_fails = float(dists[nu0 - 1].cdf(t_arr)[0]) if under else 0.0
-    over_holds = float(dists[nu0].cdf(t_arr)[0]) if over else 1.0
+    t_arr = _per_member(dists[0], np.array([float(threshold)]))
+    under_fails = dists[nu0 - 1].cdf(t_arr).ravel() if under else np.zeros(dist_set.members)
+    over_holds = dists[nu0].cdf(t_arr).ravel() if over else np.ones(dist_set.members)
     # 1 - (1 - under_fails) * over_holds, expanded so that an absent factor
     # drops out exactly
-    return _report("gic", dist_set, 1.0 - over_holds + over_holds * under_fails)
+    return [_report("gic", dist_set, p) for p in 1.0 - over_holds + over_holds * under_fails]
 
 
-def _expect(law, *factors):
-    """Quadrature over law's window of its pdf times the factors, in order."""
+def _take(values, rows):
+    """values, or only its member rows where rows is an index array."""
+    return values if rows is None else values[rows]
+
+
+def _per_member(law, x):
+    """The points x as one row per member of law (a broadcast view), so
+    that every evaluation of a stacked law takes, and a wrapper counts, each
+    member's points; x itself for a law of one member."""
+    if not isinstance(law.support_lo, np.ndarray):
+        return x
+    return np.broadcast_to(x, (law.support_lo.shape[0],) + np.shape(x))
+
+
+def _window(*laws, rows=None):
+    """The union [lo, hi] of the laws' windows: of all their members', or
+    of the members in rows."""
+    lo = min(_take(np.ravel(law.support_lo), rows).min() for law in laws)
+    hi = max(_take(np.ravel(law.support_hint), rows).max() for law in laws)
+    return float(lo), float(hi)
+
+
+def _at(f, xs):
+    """f at the points xs, taken as rows xs.shape[0] long: a stacked law's
+    member r sees row r of an (M, n, k) array."""
+    return f(xs.reshape(xs.shape[0], -1)).reshape(xs.shape)
+
+
+def _expect(law, *factors, rows=None):
+    """Quadrature of law's pdf times the factors, in order, over the union
+    of its members' windows: one integral per row of the integrand (per
+    member, or per kappa and member).  With rows, the pdf's rows and window
+    are those members' only, and each factor gives their rows."""
     def integrand(x):
-        out = law.pdf(x)
+        n, x = x.size, _per_member(law, x)
+        out = _take(law.pdf(x), rows)
         for factor in factors:
             out = out * factor(x)
-        return out
+        return out.reshape(-1, n) if out.ndim > 1 else out
 
-    return integrate(integrand, law.support_lo, law.support_hint, _QUAD_TOL)
+    return integrate(integrand, *_window(law, rows=rows), _QUAD_TOL)
 
 
 def _cdf_product(dists, indices, kap):
-    """x -> prod_{i in indices} F_i(x / kappa); kap is a number, or a column
-    of them, which gives one row per kappa."""
+    """x -> prod_{i in indices} F_i(x / kappa); kap is a number, or an array
+    of them on an axis before the members', which gives rows per kappa."""
     def in_scale(x):
         x_k = _over_kappa(x, kap)
         out = np.ones_like(np.asarray(x_k, dtype=float))
@@ -200,34 +266,36 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     the probability of V_k > kappa max_{i != k} V_i, remains over W_k's
     window: p_a = J(2) at nu0 = 1 and 1 - J(nu0) at nu0 = N.
     """
-    return _pmep_ir_reports(dist_set, [finite_float(kappa_ir, "kappa_ir")])[0]
+    return _pmep_ir_reports(_single(dist_set), [finite_float(kappa_ir, "kappa_ir")])[0]
 
 
 def _pmep_ir_reports(dist_set, kappas):
-    """abridged_pmep_ir's report for each kappa of the vector kappas, from
-    one integrate call: one member per kappa on shared nodes, so the laws'
-    terms without kappa are evaluated once per node.  Each report carries
-    its member's error and the call's integrand points."""
+    """abridged_pmep_ir's report for each kappa of the vector kappas and
+    each member of dist_set (kappa-major), from one integrate call: one row
+    per kappa and member on shared nodes over the union of all members'
+    windows, so the laws' terms without kappa are evaluated once per node
+    for every member.  Each report carries its row's error and the call's
+    integrand points."""
     kaps = finite_floats(kappas, "kappa_ir")
     bad = ~((kaps > 0) & (kaps <= 1))
     if bad.any():
         raise ValidationError(f"kappa_ir must be in (0, 1], got {kaps[bad][0]}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
-        return [_report("pmep-ir", dist_set, 0.0) for _ in kaps]
+        return [_report("pmep-ir", dist_set, 0.0)] * (kaps.size * dist_set.members)
     nu0, dists = dist_set.nu0, dist_set.dists
-    kap = kaps[:, None]
+    kap = kaps[:, None, None]
     if under and over:
         lo, up = dists[nu0 - 1], dists[nu0]
         f_max = _cdf_product(dists, [i for i in range(dist_set.n) if i not in (nu0 - 1, nu0)],
                              kap)
 
         def integrand(x):
-            return f_max(x) * (up.pdf(x) * (lo.cdf(_over_kappa(x, kap)) - lo.cdf(x))
-                               - lo.pdf(x) * up.cdf(x))
+            n, x = x.size, _per_member(lo, x)
+            return (f_max(x) * (up.pdf(x) * (lo.cdf(_over_kappa(x, kap)) - lo.cdf(x))
+                                - lo.pdf(x) * up.cdf(x))).reshape(-1, n)
 
-        quad = integrate(integrand, min(lo.support_lo, up.support_lo),
-                         max(lo.support_hint, up.support_hint), _QUAD_TOL)
+        quad = integrate(integrand, *_window(lo, up), _QUAD_TOL)
         p_a = 1.0 + quad.value
     else:
         k = nu0 - 1 if under else nu0
@@ -246,9 +314,9 @@ def _over_kappa(x, kap):
 
 
 def _lower_sum_dist(dist_set, nu0):
-    """Law of V_1 + ... + V_nu0-1."""
+    """Law of V_1 + ... + V_nu0-1 (for a stacked set, stacked over its members)."""
     if dist_set.mode == "ql":
-        return nc_chisq2_sum(nu0 - 1, float(np.sum(dist_set.lambdas[:nu0 - 1])))
+        return nc_chisq2_sum(nu0 - 1, np.sum(dist_set.lambdas[..., :nu0 - 1], axis=-1))
     return reduce(convolve_cdfs, dist_set.dists[:nu0 - 1])
 
 
@@ -256,9 +324,10 @@ def _lower_sum_dist(dist_set, nu0):
 _PMEP_I_RULE, _PMEP_I_CHECK, _PMEP_I_CHECK_Y = (_panel_nodes(n, 1) for n in (16, 12, 64))
 
 
-def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
+def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef, rows=None):
     """Correct-selection probability of the inverse-penalty rule, interior
-    case, for any laws (abridged_pmep_i gives it the offset QL and ML laws).
+    case, for any laws (abridged_pmep_i gives it the offset QL and ML laws),
+    for every member or for the members in rows.
 
     With x = V_nu0 (law lo) and y = V_nu0+1 (law up) the event
     {y/B - x <= S < x/A} needs x > r y, r = A / (B (A + 1)).  Its probability
@@ -268,31 +337,38 @@ def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
     F_S(y/B - x) at x = y/B is G's upper limit, so G takes a fixed 16-node
     Gauss rule.  Its error estimate, the W_up-weighted difference from a
     12-node rule on 64 nodes over up's window, adds to the two integrals'.
+    T1 and T2 run over the union of the members' windows; G's limits and
+    the check's nodes are each member's own.
     """
     x_over_r = b_coef * (a_coef + 1.0) / a_coef
 
     def g(y, rule):
+        # y: the nodes, a row of them per member for a stack
         x_lo = np.maximum(y / x_over_r, lo.support_lo)
         span = np.maximum(np.minimum(y / b_coef, lo.support_hint) - x_lo, 0.0)
-        xs = x_lo[:, None] + span[:, None] * rule[0]
-        return span * np.sum(lo.pdf(xs) * f_sum(y[:, None] / b_coef - xs) * rule[1], axis=1)
+        xs = x_lo[..., None] + span[..., None] * rule[0]
+        return span * np.sum(_at(lo.pdf, xs) * _at(f_sum, y[..., None] / b_coef - xs)
+                             * rule[1], axis=-1)
 
-    t1 = _expect(lo, lambda x: f_sum(x / a_coef), lambda x: up.cdf(x * x_over_r) - up.atom0)
-    t2 = _expect(up, lambda y: g(y, _PMEP_I_RULE))
+    t1 = _expect(lo, lambda x: _take(f_sum(x / a_coef), rows),
+                 lambda x: _take(up.cdf(x * x_over_r) - up.atom0, rows), rows=rows)
+    t2 = _expect(up, lambda y: _take(g(y, _PMEP_I_RULE), rows), rows=rows)
+    # the check's nodes over each member's own window of V_nu0+1
     y_span = up.support_hint - up.support_lo
     ys = up.support_lo + y_span * _PMEP_I_CHECK_Y[0]
-    check = y_span * float(np.sum(_PMEP_I_CHECK_Y[1] * up.pdf(ys) * np.abs(
-        g(ys, _PMEP_I_RULE) - g(ys, _PMEP_I_CHECK))))
+    check = np.ravel(y_span) * np.sum(_PMEP_I_CHECK_Y[1] * up.pdf(ys) * np.abs(
+        g(ys, _PMEP_I_RULE) - g(ys, _PMEP_I_CHECK)), axis=-1)
     inner = _PMEP_I_RULE[0].size
-    return Quadrature(t1.value - t2.value, t1.error + t2.error + check,
+    return Quadrature(t1.value - t2.value, t1.error + t2.error + _take(check, rows),
                       t1.evaluations + inner * t2.evaluations
-                      + ys.size * (inner + _PMEP_I_CHECK[0].size))
+                      + ys.shape[-1] * (inner + _PMEP_I_CHECK[0].size))
 
 
-def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef):
+def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef, rows=None):
     """Correct-selection probability of the inverse-penalty rule, interior
     case, where V_nu0+1 is central chi-square with 2 dof (QL laws with
-    lambda_nu0+1 = 0, as at the known frequencies).
+    lambda_nu0+1 = 0, as at the known frequencies), for every member or for
+    the members in rows.
 
     There F_up(z) = 1 - exp(-z/2), so given x = V_nu0 the event
     {y/B - x <= S < x/A} has probability
@@ -307,17 +383,21 @@ def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef):
     exp(-Bx/2) is 0.
     """
     nu0 = dist_set.nu0
-    lam = float(np.sum(dist_set.lambdas[:nu0 - 1]))
+    lam = _take(np.sum(dist_set.lambdas[..., :nu0 - 1], axis=-1), rows)
     tilted = nc_chisq2_sum(nu0 - 1, lam / (1.0 + b_coef)).cdf
-    k_coef = (1.0 + b_coef) ** (1 - nu0) * math.exp(-0.5 * lam * (b_coef / (1.0 + b_coef)))
+    exponent = -0.5 * lam * (b_coef / (1.0 + b_coef))
+    # the C library's exp, as a column for a stack
+    k_coef = (1.0 + b_coef) ** (1 - nu0) * (
+        np.array([[math.exp(e)] for e in exponent]) if np.ndim(lam) else math.exp(exponent))
     scale = (1.0 + b_coef) / a_coef
 
     def correct(x):
+        x_rows = _take(x, rows)
         with np.errstate(over="ignore"):
-            damp = np.exp(-0.5 * b_coef * x)
-        return f_sum(x / a_coef) - k_coef * damp * tilted(scale * x)
+            damp = np.exp(-0.5 * b_coef * x_rows)
+        return _take(f_sum(x / a_coef), rows) - k_coef * damp * tilted(scale * x_rows)
 
-    return _expect(dist_set.dists[nu0 - 1], correct)
+    return _expect(dist_set.dists[nu0 - 1], correct, rows=rows)
 
 
 def _pmep_i_coef(ratio, kap):
@@ -342,33 +422,54 @@ def abridged_pmep_i(dist_set, kappa_i):
     so large that B rounds to 0, V_nu0+1/B - V_nu0 <= S never holds and
     p_a = 1; at nu0 = N, A = 0 makes S < V_nu0/A always hold and p_a = 0.
     """
+    return _pmep_i_reports(_single(dist_set), kappa_i)[0]
+
+
+def _pmep_i_reports(dist_set, kappa_i):
+    """abridged_pmep_i's report for each member of dist_set.  Members whose
+    laws take the same form share one quadrature; where the form differs by
+    member (the tilted one only where lambda_nu0+1 = 0), each form runs
+    once, on its members' rows and over their windows.  Each report
+    carries its member's error and its form's integrand points."""
     kap = finite_float(kappa_i, "kappa_i")
     if not kap > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
+
+    def every(p_a):
+        return [_report("pmep-i", dist_set, p_a)] * dist_set.members
+
     if not (under or over):
-        return _report("pmep-i", dist_set, 0.0)
+        return every(0.0)
     nu0, dists = dist_set.nu0, dist_set.dists
     lo = dists[nu0 - 1]
     b_coef = _pmep_i_coef((nu0 + 1.0) / nu0, kap)
     if over and b_coef == 0.0:
-        return _report("pmep-i", dist_set, 1.0)
+        return every(1.0)
     if under:
         a_coef = _pmep_i_coef(nu0 / (nu0 - 1.0), kap)
         if math.isinf(a_coef):
-            return _report("pmep-i", dist_set, 1.0)
+            return every(1.0)
         if a_coef == 0.0:
             # A >= B, so B = 0 too and only the under comparison is made
-            return _report("pmep-i", dist_set, 0.0)
+            return every(0.0)
         f_sum = _lower_sum_dist(dist_set, nu0).cdf
-    if under and over and dist_set.mode == "ql" and dist_set.lambdas[nu0] == 0.0:
-        quad = _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef)
-    elif under and over:
-        quad = _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef)
+    if under and over:
+        tilted = np.ravel(dist_set.lambdas[..., nu0] == 0.0 if dist_set.mode == "ql" else False)
+        forms = ((tilted, lambda rows: _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef, rows)),
+                 (~tilted, lambda rows: _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef,
+                                                         rows)))
     else:
         g = (lambda x: f_sum(x / a_coef)) if under else (lambda x: dists[nu0].cdf(b_coef * x))
-        quad = _expect(lo, g)
-    return _report("pmep-i", dist_set, 1.0 - quad.value, quad.error, quad.evaluations)
+        forms = ((np.ones(dist_set.members, dtype=bool), lambda rows: _expect(lo, g)),)
+    reports = [None] * dist_set.members
+    for mask, form in forms:
+        rows = mask.nonzero()[0]
+        if rows.size:
+            quad = form(None if rows.size == mask.size else rows)
+            for r, p_a, error in zip(rows, np.ravel(1.0 - quad.value), np.ravel(quad.error)):
+                reports[r] = _report("pmep-i", dist_set, p_a, error, quad.evaluations)
+    return reports
 
 
 def abridged_for(dist_set, spec, params_per_signal=2):
@@ -376,12 +477,17 @@ def abridged_for(dist_set, spec, params_per_signal=2):
 
     EEF has no closed form (only the Monte Carlo estimate applies).
     """
+    return _member_reports(_single(dist_set), spec, params_per_signal)[0]
+
+
+def _member_reports(dist_set, spec, params_per_signal=2):
+    """abridged_for's report for each member of dist_set, in member order."""
     if isinstance(spec, Gic):
-        return abridged_gic(dist_set, spec.threshold(params_per_signal))
+        return _gic_reports(dist_set, spec.threshold(params_per_signal))
     if isinstance(spec, PmepIr):
-        return abridged_pmep_ir(dist_set, spec.kappa_ir)
+        return _pmep_ir_reports(dist_set, [finite_float(spec.kappa_ir, "kappa_ir")])
     if isinstance(spec, PmepI):
-        return abridged_pmep_i(dist_set, spec.kappa_i)
+        return _pmep_i_reports(dist_set, spec.kappa_i)
     raise ValidationError(
         f"no abridged formula for criterion {getattr(spec, 'name', spec)!r}")
 
@@ -479,15 +585,20 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     Each grid point offsets every candidate frequency by delta and
     evaluates the criterion's abridged formula on the resulting increment
     laws, with the parameters per signal that the Bl(delta) approach
-    declares.  EEF has no closed form, so its sweep falls back to seeded
-    Monte Carlo with the same offsets.  Given a loss function, p_aq
-    aggregates the curve through it; given per-offset probabilities, p_waa
-    weights them in (with unit losses when no loss is given).  Each is None
-    without its input.  delta_grid and error_probs (one per grid point) are
-    read by errors.finite_floats.  A bad grid or probability, a non-finite
-    loss value, trials below montecarlo's floor or a master_seed that is not
-    a nonnegative integer raises ValidationError before the sweep runs,
-    under every criterion.
+    declares.  The whole grid is one component_dists call, whose laws are
+    stacked over the offsets, and one member-wise formula call: each
+    integral is one quadrature with a row per offset over the union of the
+    offsets' windows, so a point's value is within its reported error of
+    the same formula on that offset's own laws.  EEF has no closed form, so
+    its sweep falls back to seeded Monte Carlo with the same offsets, one
+    estimate per offset.  Given a loss function, p_aq aggregates the curve
+    through it; given per-offset probabilities, p_waa weights them in (with
+    unit losses when no loss is given).  Each is None without its input.
+    delta_grid and error_probs (one per grid point) are read by
+    errors.finite_floats.  A bad grid or probability, a non-finite loss
+    value, trials below montecarlo's floor, a master_seed that is not a
+    nonnegative integer or an offset that takes a frequency out of its band
+    raises ValidationError before the sweep runs, under every criterion.
     """
     trials, master_seed = montecarlo.checked_trials(trials), nonneg_int(master_seed, "master_seed")
     deltas = finite_floats(delta_grid, "delta_grid")
@@ -498,20 +609,23 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     probs = (None if error_probs is None
              else finite_floats(error_probs, "error_probs", deltas.size))
     use_mc = isinstance(spec, Eef)
-    p_vals = np.zeros(deltas.size)
-    errs = np.zeros(deltas.size)
-    for j, delta in enumerate(deltas):
-        approach = Bl(delta_omega=float(delta))
-        if use_mc:
-            report = montecarlo.estimate(scenario, [spec], approach, trials,
-                                         master_seed)[0]
-            p_vals[j], errs[j] = report.p_a, report.p_a_ci[1] - report.p_a
-        else:
-            dists = component_dists(scenario, mode="ql",
-                                    frequencies=approach_frequencies(scenario, approach))
-            report = abridged_for(dists, spec,
-                                  params_per_signal=approach.params_per_signal)
-            p_vals[j], errs[j] = report.p_a, report.error
+    approaches = [Bl(delta_omega=float(delta)) for delta in deltas]
+    frequencies = np.array([approach_frequencies(scenario, a) for a in approaches])
+    if use_mc:
+        for freqs in frequencies:
+            FrequencyPlan.build(scenario, freqs)
+        reports = [montecarlo.estimate(scenario, [spec], approach, trials, master_seed)[0]
+                   for approach in approaches]
+        p_vals = np.array([report.p_a for report in reports])
+        errs = np.array([report.p_a_ci[1] - report.p_a for report in reports])
+    else:
+        # component_dists builds every offset's frequency plan, which checks
+        # its band, before the first law
+        dists = component_dists(scenario, mode="ql",
+                                frequencies=frequencies if deltas.size > 1 else frequencies[0])
+        reports = _member_reports(dists, spec, params_per_signal=Bl.params_per_signal)
+        p_vals = np.array([report.p_a for report in reports])
+        errs = np.array([report.error for report in reports])
     p_aq = None if loss is None else float(np.sum(p_vals * weights))
     p_waa = None if probs is None else float(np.sum(probs * p_vals * weights))
     return FrequencyErrorSweep(

@@ -97,12 +97,41 @@ def pmep_ir_two_integrals(dist_set, kappa_ir):
         evaluations=quads[0].evaluations + quads[1].evaluations)
 
 
+def ncx2_window_per_law(m, lam):
+    """distributions._ncx2_window's (lo, hi, top) for one noncentrality lam,
+    walked one point at a time as each law walked its own window before
+    the array walk: the cdf at the mean, lo's walk, hi's walk on the
+    clamped cdf, then top's on the raw kernel from hi."""
+    def cdf_at(x):
+        value = distributions._ncx2_cdf(np.array([x]), m, lam)[0]
+        if not math.isfinite(value):
+            raise ValueError(f"noncentrality {lam} is past the range of the ncx2 kernel")
+        return value
+
+    mean = 2 * m + lam
+    cdf_at(mean)
+    spread = 12.0 * math.sqrt(2.0 * (2 * m + 2.0 * lam)) + 20.0
+    lo = max(mean - spread, 0.0)
+    while lo > 0.0 and cdf_at(lo) >= 1e-12:
+        lo = max(mean - 1.5 * (mean - lo), 0.0)
+    hi = mean + spread
+    while cdf_at(hi) < 1.0 - 1e-12:
+        hi *= 1.5
+    top = hi
+    raw = distributions._ncx2_kernel(top, m, lam)
+    while raw < 1.0 - 1e-14 and top < math.inf:
+        top *= 1.5
+        raw = distributions._ncx2_kernel(top, m, lam)
+    return lo, hi, top if math.isfinite(raw) else math.inf
+
+
 def nc_chisq2_sum_uncut(n_terms, lam):
     """distributions.nc_chisq2_sum with the cdf of the uncut kernel: every
     point x > 0 goes to _ncx2_cdf's kernel, none is written 1.0 from the
-    window's top."""
+    window's top.  lam is a number or, for a stacked law, an array."""
     law = distributions.nc_chisq2_sum(n_terms, lam)
-    m, lam = int(n_terms), float(lam)
+    m = int(n_terms)
+    lam = float(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=float)[:, None]
     return dataclasses.replace(law, cdf=lambda x: distributions._ncx2_cdf(x, m, lam))
 
 
@@ -110,7 +139,8 @@ def use_uncut_laws(monkeypatch):
     """Make theory build every noncentral chi-square law with the uncut
     kernel: the QL laws of component_dists, and so of ql_sweep and tune, and
     PMEP-I's law of the lower partial sum."""
-    monkeypatch.setattr(theory, "nc_chisq2", lambda lam: nc_chisq2_sum_uncut(1, lam))
+    monkeypatch.setattr(theory, "_ncx2_laws",
+                        lambda m, lams: tuple(nc_chisq2_sum_uncut(m, lam) for lam in lams))
     monkeypatch.setattr(theory, "nc_chisq2_sum", nc_chisq2_sum_uncut)
 
 

@@ -15,7 +15,8 @@ from sincount.distributions import (Dist, _ncx2_pdf, convolve_cdfs, integrate, m
 from sincount.errors import QuadratureError, ValidationError
 from sincount.theory import ComponentDistSet
 
-from oracles import convolve_cdfs_dense, sample_increments, traced_peak_mb
+from oracles import (convolve_cdfs_dense, ncx2_window_per_law, sample_increments,
+                     traced_peak_mb)
 
 GRID = np.linspace(0.0, 40.0, 401)
 
@@ -385,20 +386,76 @@ def test_convolution_temporaries_stay_within_a_row_block():
     convolve_cdfs(ml_component_cdf(30.0, 20.0), ml_component_cdf(None, 20.0)),
     convolve_cdfs(_NOISE_ABOVE_ZERO, _NOISE_ABOVE_ZERO),
     nc_chisq2(30.0),
-], ids=["ml_signal", "ml_noise", "ml_noise_lo", "convolved", "convolved_lo", "ql"])
+    nc_chisq2(0.0),
+    nc_chisq2_sum(2, 3.0),
+], ids=["ml_signal", "ml_noise", "ml_noise_lo", "convolved", "convolved_lo", "ql", "ql_central",
+        "ql_4dof"])
 def test_cdf_and_pdf_keep_the_shape_bit_for_bit(law):
     # below the window, negative x, +-0, both window ends and the floats
-    # past them, inf, NaN, every grid knot and a point in each interval
-    lo, hi = law.support_lo, law.support_hint
-    knots = np.linspace(lo, hi, distributions._CONV_GRID + 1)
-    between = np.random.default_rng(3).uniform(knots[:-1], knots[1:])
-    x = np.concatenate([[lo - 1.0, np.nextafter(lo, -np.inf), -3.0, -0.0, 0.0, hi,
-                         np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan], knots, between])
+    # past them, inf, NaN, every grid knot and a point in each interval.
+    # The pdf at +inf is 0 and the cdf at NaN is NaN for every law: the ncx2
+    # pdf read NaN at +inf with 4 dof (its log prefactor +inf met the log
+    # kernel -inf) and warned at lam = 0 (0 * inf), and its cdf read 0 at NaN
+    x = _shape_points(law)
     pairs = x[:x.size // 2 * 2].reshape(-1, 2)
     for f in (law.cdf, law.pdf):
         flat, square = f(x), f(pairs)
         assert flat.shape == x.shape and square.shape == pairs.shape
         assert np.array_equal(_bits(square).ravel(), _bits(flat[:pairs.size]))
+    assert law.pdf(np.array([np.inf]))[0] == 0.0
+    assert np.isnan(law.cdf(np.array([np.nan]))[0])
+
+
+def _shape_points(law):
+    """Below law's window, negative x, +-0, both window ends and the floats
+    past them, inf, NaN, every convolution grid knot over the window and a
+    point in each interval."""
+    lo, hi = law.support_lo, law.support_hint
+    knots = np.linspace(lo, hi, distributions._CONV_GRID + 1)
+    between = np.random.default_rng(3).uniform(knots[:-1], knots[1:])
+    return np.concatenate([[lo - 1.0, np.nextafter(lo, -np.inf), -3.0, -0.0, 0.0, hi,
+                            np.nextafter(hi, np.inf), hi + 1.0, np.inf, np.nan], knots, between])
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("m, lam", [(1, 30.0), (1, 0.0), (2, 3.0), (5, 1e3)])
+def test_one_member_stacked_law_is_the_scalar_law_bit_for_bit(m, lam):
+    # a stack of one noncentrality: its (1, 1) window columns hold the
+    # scalar law's ends, and its cdf and pdf give the scalar values as the
+    # row of a 1-d input and in the shape of a (1, n) one
+    scalar, stacked = nc_chisq2_sum(m, lam), nc_chisq2_sum(m, np.array([lam]))
+    assert stacked.support_lo.shape == stacked.support_hint.shape == (1, 1)
+    assert (stacked.support_lo[0, 0], stacked.support_hint[0, 0]) == (
+        scalar.support_lo, scalar.support_hint)
+    x = _shape_points(scalar)
+    for one, stack in ((scalar.cdf, stacked.cdf), (scalar.pdf, stacked.pdf)):
+        want = _bits(one(x))
+        assert np.array_equal(_bits(stack(x)), want[None])
+        assert np.array_equal(_bits(stack(x[None])), want[None])
+
+
+@pytest.mark.floor_kernel
+def test_stacked_law_evaluates_each_member_under_its_own_noncentrality():
+    # one kernel call per evaluation: a 1-d input gives a row per member,
+    # an (M, n) one member r's row under member r's law, and a (K, 1, n)
+    # one a (K, M, n) block
+    lams = np.array([0.0, 3.0, 25.0, 1e3])
+    stacked = nc_chisq2(lams)
+    laws = [nc_chisq2(lam) for lam in lams]
+    x = np.linspace(-1.0, 1200.0, 97)
+    rows = np.linspace(0.5, 2.0, 4)[:, None] * x
+    for kind in ("cdf", "pdf"):
+        each = np.array([getattr(law, kind)(x) for law in laws])
+        assert np.array_equal(_bits(getattr(stacked, kind)(x)), _bits(each))
+        by_row = np.array([getattr(law, kind)(row) for law, row in zip(laws, rows)])
+        assert np.array_equal(_bits(getattr(stacked, kind)(rows)), _bits(by_row))
+        block = getattr(stacked, kind)(np.stack([x, 2.0 * x])[:, None])
+        assert block.shape == (2, 4, x.size)
+        assert np.array_equal(_bits(block[1]), _bits(
+            np.array([getattr(law, kind)(2.0 * x) for law in laws])))
+    for j, law in enumerate(laws):
+        assert stacked.support_lo[j, 0] == law.support_lo
+        assert stacked.support_hint[j, 0] == law.support_hint
 
 
 @pytest.mark.parametrize("signal_present", [True, False])
@@ -522,6 +579,48 @@ def test_ncx2_law_skips_the_kernel_only_where_it_reads_one(m, lam):
     x = np.concatenate([np.linspace(-1.0, 2.0 * top, 20001), np.linspace(lo, hi, 101),
                         [0.0, -0.0, np.nextafter(top, 0.0), top, np.nan, np.inf, -np.inf]])
     assert np.array_equal(_bits(law.cdf(x)), _bits(distributions._ncx2_cdf(x, m, lam)))
+
+
+def _walk_lambdas():
+    """Noncentralities from 0 to the 80 dB one, with both ends' walks taking
+    steps: 0 and tiny ones, where lo is 0, and large ones, where lo walks."""
+    return np.array([0.0, 1e-300, 1e-3, 0.5, 1.0, 7.5, 25.0, 64.0, 160.0, 1e3, 3.3e4, 1e5,
+                     4.4e6, 1e8, _lambda_at_80_db()])
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_array_window_walk_is_the_per_law_walk_bit_for_bit(m):
+    # the array walk's first kernel call takes every member's mean, lo and
+    # hi, and top's walk starts from the value at hi; each member's ends are
+    # those of the walk of its own law, one kernel value at a time
+    lams = _walk_lambdas()
+    lo, hi, top = distributions._ncx2_window(m, lams)
+    want = np.array([ncx2_window_per_law(m, float(lam)) for lam in lams])
+    assert np.array_equal(_bits(np.column_stack([lo, hi, top])), _bits(want))
+    # a column of them, as a stacked law holds it, keeps the column's shape
+    ends = distributions._ncx2_window(m, lams[::-1, None])
+    assert all(end.shape == (lams.size, 1) for end in ends)
+    assert np.array_equal(_bits(np.column_stack(ends)), _bits(want[::-1]))
+    law = nc_chisq2_sum(m, lams)
+    assert np.array_equal(_bits(law.support_lo[:, 0]), _bits(want[:, 0]))
+    assert np.array_equal(_bits(law.support_hint[:, 0]), _bits(want[:, 1]))
+
+
+@pytest.mark.floor_kernel
+def test_a_member_past_the_kernel_range_raises_naming_it():
+    # scipy's chndtr reads NaN at the mean of the 90 dB noncentrality: the
+    # walk raises the error of that law's own walk, naming its lam, wherever
+    # it sits in the stack
+    scenario = sc.standard_scenario(90.0)
+    past = float(theory.residual_means(scenario, scenario.all_frequencies)[1].max())
+    with pytest.raises(ValidationError) as alone:
+        nc_chisq2(past)
+    for lams in ([past, 25.0], [0.0, 25.0, past], [_lambda_at_80_db(), past, 1.0]):
+        with pytest.raises(ValidationError) as stacked:
+            nc_chisq2(np.array(lams))
+        assert str(stacked.value) == str(alone.value)
+        assert f"noncentrality {past} is past the range" in str(stacked.value)
 
 
 @settings(max_examples=25, deadline=None)

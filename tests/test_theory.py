@@ -590,6 +590,127 @@ def test_ql_sweep_checks_trials_and_seed_under_every_criterion(monkeypatch, spec
         sc.ql_sweep(sc.standard_scenario(-4.0), spec, [0.0], **kwargs)
 
 
+def _sweep_grids():
+    """Offset grids with negative, zero and repeated offsets, each point's
+    frequencies inside the bands."""
+    return ([0.0, 0.001, 0.002, 0.004, 0.008, 0.016, 0.03],
+            [-0.004, 0.0, 0.002, 0.002, -0.001, 0.006])
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("snr", [-4.0, 0.0, 4.0])
+@pytest.mark.parametrize("spec", [sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)],
+                         ids=["gic", "pmep-ir", "pmep-i"])
+def test_sweep_points_are_the_abridged_values_of_each_offset(snr, spec):
+    # the sweep is one component_dists call over all offsets and one
+    # member-wise formula call, whose integrals refine the panels every
+    # offset needs over the union of their windows; PMEP-I's tilted form
+    # takes the zero offsets' rows and its 2-d rule the others'.  GIC's
+    # closed form is each offset's own value bit for bit
+    scenario = sc.standard_scenario(snr)
+    for grid in _sweep_grids():
+        sweep = sc.ql_sweep(scenario, spec, grid)
+        for delta, p_a, error in zip(grid, sweep.p_a, sweep.errors):
+            approach = sc.Bl(delta_omega=delta)
+            own = sc.abridged_for(sc.component_dists(
+                scenario, frequencies=sc.approach_frequencies(scenario, approach)), spec,
+                approach.params_per_signal)
+            if isinstance(spec, sc.Gic):
+                assert (p_a.hex(), error) == (own.p_a.hex(), 0.0), delta
+            else:
+                assert abs(p_a - own.p_a) <= error + own.error + 1e-14, (delta, p_a, own)
+
+
+def test_a_one_point_sweep_is_the_abridged_value_bit_for_bit():
+    # one offset is one set of laws, not a stack of one
+    scenario = sc.standard_scenario(-4.0)
+    dists = sc.component_dists(scenario, frequencies=sc.approach_frequencies(
+        scenario, sc.Bl(delta_omega=0.002)))
+    for spec in (sc.PmepIr(0.25), sc.PmepI(3.0)):
+        sweep = sc.ql_sweep(scenario, spec, [0.002])
+        rep = sc.abridged_for(dists, spec)
+        assert (sweep.p_a[0].hex(), sweep.errors[0].hex()) == (rep.p_a.hex(), rep.error.hex())
+
+
+def test_stacked_law_sets_go_through_the_sweep_only(scen_m4):
+    # a stack of two or more frequency sets gives stacked laws with (M, N)
+    # lambdas; the public formulas take one set, and one set is a 1-d array
+    freqs = np.array([sc.approach_frequencies(scen_m4, sc.Bl(delta_omega=d))
+                      for d in (0.0, 0.002, -0.001)])
+    stack = sc.component_dists(scen_m4, frequencies=freqs)
+    assert stack.members == 3 and stack.lambdas.shape == (3, 5)
+    for row, own in zip(stack.lambdas, freqs):
+        assert np.array_equal(row, sc.component_dists(scen_m4, frequencies=own).lambdas)
+    for spec in (sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)):
+        with pytest.raises(ValidationError, match="takes one set of laws, got a stack of 3"):
+            sc.abridged_for(stack, spec)
+    with pytest.raises(ValidationError, match="two or more rows"):
+        sc.component_dists(scen_m4, frequencies=freqs[:1])
+
+
+@pytest.mark.floor_kernel
+@pytest.mark.parametrize("spec", [sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)],
+                         ids=["gic", "pmep-ir", "pmep-i"])
+def test_counted_sweep_laws_give_the_same_sweep_and_see_every_node(monkeypatch, spec):
+    # the sweep's slot laws, wrapped with counting cdf and pdf by
+    # dataclasses.replace as a tracer wraps component_dists' sets: a formula
+    # evaluates them through those two only, so the sweep is the same bit for
+    # bit.  A stacked law takes a row of points per offset, so the counts see
+    # every offset's points: with PMEP-IR every slot law's cdf sees each node
+    # of the one integral once per offset
+    scenario, grid = sc.standard_scenario(0.0), _sweep_grids()[1]
+    plain = sc.ql_sweep(scenario, spec, grid)
+    points = {}
+    build = theory.component_dists
+
+    def counted(*args, **kwargs):
+        dists = build(*args, **kwargs)
+
+        def wrap(i, law):
+            def count(kind, fn):
+                def wrapped(x):
+                    points[i, kind] = points.get((i, kind), 0) + np.size(x)
+                    return fn(x)
+
+                return wrapped
+
+            return dataclasses.replace(law, cdf=count("cdf", law.cdf), pdf=count("pdf", law.pdf))
+
+        return dataclasses.replace(dists, dists=tuple(wrap(i, d) for i, d in enumerate(dists.dists)))
+
+    monkeypatch.setattr(theory, "component_dists", counted)
+    sweep = sc.ql_sweep(scenario, spec, grid)
+    assert [p.hex() for p in sweep.p_a] == [p.hex() for p in plain.p_a]
+    assert [e.hex() for e in sweep.errors] == [e.hex() for e in plain.errors]
+    nu0 = scenario.nu0
+    if isinstance(spec, sc.PmepIr):
+        nodes = theory._member_reports(build(scenario, frequencies=np.array(
+            [sc.approach_frequencies(scenario, sc.Bl(delta_omega=d)) for d in grid])),
+            spec)[0].evaluations
+        assert points[nu0 - 1, "pdf"] == points[nu0, "pdf"] == len(grid) * nodes > 0
+        assert all(points[i, "cdf"] >= len(grid) * nodes for i in range(scenario.max_order))
+    elif isinstance(spec, sc.Gic):
+        # one cdf call per compared law, at the threshold of each offset
+        assert points == {(nu0 - 1, "cdf"): len(grid), (nu0, "cdf"): len(grid)}
+    else:
+        # V_nu0's pdf in both forms, V_nu0+1's cdf and pdf in the 2-d rule
+        assert min(points[nu0 - 1, "pdf"], points[nu0, "cdf"], points[nu0, "pdf"]) > 0
+
+
+@pytest.mark.parametrize("spec", [sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0), sc.Eef()],
+                         ids=["gic", "pmep-ir", "pmep-i", "eef"])
+def test_ql_sweep_checks_every_offset_before_it_runs(monkeypatch, spec):
+    # the 0.05 offset takes a frequency out of its band; EEF's sweep used to
+    # run an estimate for each offset before it (0.10 s at 20000 trials)
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(theory.montecarlo, "estimate", no_run)
+    monkeypatch.setattr(theory, "integrate", no_run)
+    with pytest.raises(ValidationError, match="outside band"):
+        sc.ql_sweep(sc.standard_scenario(0.0), spec, [0.0, 0.002, 0.05], trials=20000)
+
+
 def test_sample_increments_match_lambdas(dists_m4):
     rng = np.random.default_rng(8)
     draws = sample_increments(dists_m4, rng, 100000)
