@@ -49,11 +49,9 @@ _NCX2_TAIL = 1e-13
 
 def _ncx2_kernel(x, m, lam):
     """The raw ncx2 kernel at points x > 0 (2m dof) under noncentralities
-    lam, a number or an array of x's shape: the regularized lower incomplete
-    gamma function for the central law (every noise-only index), otherwise
-    the compiled cephes kernel, each called once on its points."""
-    if not isinstance(lam, np.ndarray):
-        return gammainc(m, x / 2.0) if lam <= 1e-300 else chndtr(x, 2 * m, lam)
+    lam, an array of x's shape: the regularized lower incomplete gamma
+    function for the central law (every noise-only index), otherwise the
+    compiled cephes kernel, each called once on its points."""
     central = lam <= 1e-300
     n_central = np.count_nonzero(central)
     if n_central == 0:
@@ -64,6 +62,16 @@ def _ncx2_kernel(x, m, lam):
     out[central] = gammainc(m, x[central] / 2.0)
     out[~central] = chndtr(x[~central], 2 * m, lam[~central])
     return out
+
+
+def _on_one_grid(x, lam):
+    """x and lam as float arrays of their broadcast shape: x's own for a
+    number lam, (M, n) for an (M, 1) column and n points.  Filling two new
+    arrays costs a third of np.broadcast_arrays' views at a few points."""
+    shape = np.broadcast(x, lam).shape
+    x_grid, lam_grid = np.empty(shape), np.empty(shape)
+    x_grid[...], lam_grid[...] = x, lam
+    return x_grid, lam_grid
 
 
 def _ncx2_cdf(x, m, lam, top=math.inf):
@@ -78,19 +86,17 @@ def _ncx2_cdf(x, m, lam, top=math.inf):
     below _NCX2_TAIL.  Points x >= top read 1.0 without calling the kernel:
     a law passes its window's top, above which the kernel reads within 1e-14
     of 1, so the clamp would give 1.0 there too.  Without top every point
-    x > 0 below +inf goes to the kernel.  NaN reads NaN.
+    x > 0 below +inf goes to the kernel, and so does NaN, neither <= 0 nor
+    >= top, where the kernel reads NaN.
     """
-    x = np.asarray(x, dtype=float)
-    stacked = isinstance(lam, np.ndarray)
-    if stacked:
-        x, lam = np.broadcast_arrays(x, lam)
+    x, lam = _on_one_grid(x, lam)
     out = np.zeros(x.shape)
-    out[np.isnan(x)] = np.nan
-    pos = x > 0
-    out[x >= top] = 1.0
-    pos &= x < top
-    vals = _ncx2_kernel(x[pos], m, lam[pos] if stacked else lam)
-    out[pos] = np.where(vals > 1.0 - _NCX2_TAIL, 1.0, vals)
+    above = x >= top
+    out[above] = 1.0
+    pos = ~(above | (x <= 0))
+    vals = _ncx2_kernel(x[pos], m, lam[pos])
+    vals[vals > 1.0 - _NCX2_TAIL] = 1.0
+    out[pos] = vals
     return out
 
 
@@ -98,26 +104,23 @@ def _ncx2_pdf(x, m, lam):
     """PDF companion of _ncx2_cdf (2m dof):
     (x/lam)^((m-1)/2) exp(-(x + lam)/2) I_{m-1}(sqrt(lam x)) / 2, and 0 at
     x = +inf."""
-    x = np.asarray(x, dtype=float)
-    stacked = isinstance(lam, np.ndarray)
-    if stacked:
-        x, lam = np.broadcast_arrays(x, lam)
+    x, lam = _on_one_grid(x, lam)
     out = np.zeros(x.shape)
     if m == 1:
         zero = x == 0
         if np.count_nonzero(zero):
-            out[zero] = [0.5 * math.exp(-v / 2.0) for v in np.ravel(lam[zero] if stacked else lam)]
+            out[zero] = [0.5 * math.exp(-v / 2.0) for v in lam[zero]]
     inside = (x > 0) & (x < math.inf)
-    xi, lam = x[inside], lam[inside] if stacked else lam
+    xi, lam = x[inside], lam[inside]
     s = np.sqrt(lam * xi)
     # below s = 1e-8 the leading term of the Bessel series is exact in double
     # precision (up to 66 dof); it covers lam = 0, and ive would underflow there
     head, body = s < 1e-8, s >= 1e-8
-    xh, lam_h = xi[head], lam[head] if stacked else lam
+    xh, lam_h = xi[head], lam[head]
     vals = np.empty(s.shape)
     vals[head] = np.exp((m - 1) * np.log(xh) - (xh + lam_h) / 2.0 - m * math.log(2.0)
                         - gammaln(m))
-    xb, lam_b = xi[body], lam[body] if stacked else lam
+    xb, lam_b = xi[body], lam[body]
     # -(x + lam)/2 + sqrt(lam x), written without the cancellation at large lam
     log_kernel = -0.5 * (np.sqrt(xb) - np.sqrt(lam_b)) ** 2
     if m == 1:

@@ -22,7 +22,7 @@ from .distributions import (Quadrature, _ncx2_laws, _panel_nodes, convolve_cdfs,
                             ml_component_cdf, nc_chisq2_sum)
 from .errors import (ModelViolationError, ValidationError, finite_float, finite_floats,
                      nonneg_int)
-from .likelihood import Bl, FrequencyPlan, approach_frequencies
+from .likelihood import Bl, FrequencyPlan, _check_in_band, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
 
@@ -196,11 +196,6 @@ def _gic_reports(dist_set, threshold):
     return [_report("gic", dist_set, p) for p in 1.0 - over_holds + over_holds * under_fails]
 
 
-def _take(values, rows):
-    """values, or only its member rows where rows is an index array."""
-    return values if rows is None else values[rows]
-
-
 def _per_member(law, x):
     """The points x as one row per member of law (a broadcast view), so
     that every evaluation of a stacked law takes, and a wrapper counts, each
@@ -210,11 +205,10 @@ def _per_member(law, x):
     return np.broadcast_to(x, (law.support_lo.shape[0],) + np.shape(x))
 
 
-def _window(*laws, rows=None):
-    """The union [lo, hi] of the laws' windows: of all their members', or
-    of the members in rows."""
-    lo = min(_take(np.ravel(law.support_lo), rows).min() for law in laws)
-    hi = max(_take(np.ravel(law.support_hint), rows).max() for law in laws)
+def _window(*laws):
+    """The union [lo, hi] of the laws' windows, of all their members'."""
+    lo = min(np.min(law.support_lo) for law in laws)
+    hi = max(np.max(law.support_hint) for law in laws)
     return float(lo), float(hi)
 
 
@@ -224,19 +218,18 @@ def _at(f, xs):
     return f(xs.reshape(xs.shape[0], -1)).reshape(xs.shape)
 
 
-def _expect(law, *factors, rows=None):
+def _expect(law, *factors):
     """Quadrature of law's pdf times the factors, in order, over the union
     of its members' windows: one integral per row of the integrand (per
-    member, or per kappa and member).  With rows, the pdf's rows and window
-    are those members' only, and each factor gives their rows."""
+    member, or per kappa and member)."""
     def integrand(x):
         n, x = x.size, _per_member(law, x)
-        out = _take(law.pdf(x), rows)
+        out = law.pdf(x)
         for factor in factors:
             out = out * factor(x)
         return out.reshape(-1, n) if out.ndim > 1 else out
 
-    return integrate(integrand, *_window(law, rows=rows), _QUAD_TOL)
+    return integrate(integrand, *_window(law), _QUAD_TOL)
 
 
 def _cdf_product(dists, indices, kap):
@@ -324,10 +317,10 @@ def _lower_sum_dist(dist_set, nu0):
 _PMEP_I_RULE, _PMEP_I_CHECK, _PMEP_I_CHECK_Y = (_panel_nodes(n, 1) for n in (16, 12, 64))
 
 
-def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef, rows=None):
+def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef):
     """Correct-selection probability of the inverse-penalty rule, interior
     case, for any laws (abridged_pmep_i gives it the offset QL and ML laws),
-    for every member or for the members in rows.
+    for every member.
 
     With x = V_nu0 (law lo) and y = V_nu0+1 (law up) the event
     {y/B - x <= S < x/A} needs x > r y, r = A / (B (A + 1)).  Its probability
@@ -350,25 +343,23 @@ def _pmep_i_interior(up, lo, f_sum, a_coef, b_coef, rows=None):
         return span * np.sum(_at(lo.pdf, xs) * _at(f_sum, y[..., None] / b_coef - xs)
                              * rule[1], axis=-1)
 
-    t1 = _expect(lo, lambda x: _take(f_sum(x / a_coef), rows),
-                 lambda x: _take(up.cdf(x * x_over_r) - up.atom0, rows), rows=rows)
-    t2 = _expect(up, lambda y: _take(g(y, _PMEP_I_RULE), rows), rows=rows)
+    t1 = _expect(lo, lambda x: f_sum(x / a_coef), lambda x: up.cdf(x * x_over_r) - up.atom0)
+    t2 = _expect(up, lambda y: g(y, _PMEP_I_RULE))
     # the check's nodes over each member's own window of V_nu0+1
     y_span = up.support_hint - up.support_lo
     ys = up.support_lo + y_span * _PMEP_I_CHECK_Y[0]
     check = np.ravel(y_span) * np.sum(_PMEP_I_CHECK_Y[1] * up.pdf(ys) * np.abs(
         g(ys, _PMEP_I_RULE) - g(ys, _PMEP_I_CHECK)), axis=-1)
     inner = _PMEP_I_RULE[0].size
-    return Quadrature(t1.value - t2.value, t1.error + t2.error + _take(check, rows),
+    return Quadrature(t1.value - t2.value, t1.error + t2.error + check,
                       t1.evaluations + inner * t2.evaluations
                       + ys.shape[-1] * (inner + _PMEP_I_CHECK[0].size))
 
 
-def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef, rows=None):
+def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef):
     """Correct-selection probability of the inverse-penalty rule, interior
     case, where V_nu0+1 is central chi-square with 2 dof (QL laws with
-    lambda_nu0+1 = 0, as at the known frequencies), for every member or for
-    the members in rows.
+    lambda_nu0+1 = 0, as at the known frequencies), for every member.
 
     There F_up(z) = 1 - exp(-z/2), so given x = V_nu0 the event
     {y/B - x <= S < x/A} has probability
@@ -383,21 +374,20 @@ def _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef, rows=None):
     exp(-Bx/2) is 0.
     """
     nu0 = dist_set.nu0
-    lam = _take(np.sum(dist_set.lambdas[..., :nu0 - 1], axis=-1), rows)
+    lam = np.sum(dist_set.lambdas[..., :nu0 - 1], axis=-1)
     tilted = nc_chisq2_sum(nu0 - 1, lam / (1.0 + b_coef)).cdf
     exponent = -0.5 * lam * (b_coef / (1.0 + b_coef))
-    # the C library's exp, as a column for a stack
-    k_coef = (1.0 + b_coef) ** (1 - nu0) * (
-        np.array([[math.exp(e)] for e in exponent]) if np.ndim(lam) else math.exp(exponent))
+    # the C library's exp, one per member, as a column for a stack
+    k_coef = (1.0 + b_coef) ** (1 - nu0) * np.array(
+        [math.exp(e) for e in np.ravel(exponent)]).reshape(np.shape(lam) + (1,))
     scale = (1.0 + b_coef) / a_coef
 
     def correct(x):
-        x_rows = _take(x, rows)
         with np.errstate(over="ignore"):
-            damp = np.exp(-0.5 * b_coef * x_rows)
-        return _take(f_sum(x / a_coef), rows) - k_coef * damp * tilted(scale * x_rows)
+            damp = np.exp(-0.5 * b_coef * x)
+        return f_sum(x / a_coef) - k_coef * damp * tilted(scale * x)
 
-    return _expect(dist_set.dists[nu0 - 1], correct, rows=rows)
+    return _expect(dist_set.dists[nu0 - 1], correct)
 
 
 def _pmep_i_coef(ratio, kap):
@@ -426,11 +416,12 @@ def abridged_pmep_i(dist_set, kappa_i):
 
 
 def _pmep_i_reports(dist_set, kappa_i):
-    """abridged_pmep_i's report for each member of dist_set.  Members whose
-    laws take the same form share one quadrature; where the form differs by
-    member (the tilted one only where lambda_nu0+1 = 0), each form runs
-    once, on its members' rows and over their windows.  Each report
-    carries its member's error and its form's integrand points."""
+    """abridged_pmep_i's report for each member of dist_set, from one
+    quadrature for all members: the tilted form where every member's
+    V_nu0+1 is central (lambda_nu0+1 = 0), else the 2-d rule, which holds
+    for any laws and so for a stack that mixes central and offset members
+    (a sweep over zero and nonzero offsets).  Each report carries its
+    member's error and the quadrature's integrand points."""
     kap = finite_float(kappa_i, "kappa_i")
     if not kap > 0:
         raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
@@ -454,22 +445,16 @@ def _pmep_i_reports(dist_set, kappa_i):
             # A >= B, so B = 0 too and only the under comparison is made
             return every(0.0)
         f_sum = _lower_sum_dist(dist_set, nu0).cdf
-    if under and over:
-        tilted = np.ravel(dist_set.lambdas[..., nu0] == 0.0 if dist_set.mode == "ql" else False)
-        forms = ((tilted, lambda rows: _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef, rows)),
-                 (~tilted, lambda rows: _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef,
-                                                         rows)))
+    if not under:
+        quad = _expect(lo, lambda x: dists[nu0].cdf(b_coef * x))
+    elif not over:
+        quad = _expect(lo, lambda x: f_sum(x / a_coef))
+    elif dist_set.mode == "ql" and np.all(dist_set.lambdas[..., nu0] == 0.0):
+        quad = _pmep_i_tilted(dist_set, f_sum, a_coef, b_coef)
     else:
-        g = (lambda x: f_sum(x / a_coef)) if under else (lambda x: dists[nu0].cdf(b_coef * x))
-        forms = ((np.ones(dist_set.members, dtype=bool), lambda rows: _expect(lo, g)),)
-    reports = [None] * dist_set.members
-    for mask, form in forms:
-        rows = mask.nonzero()[0]
-        if rows.size:
-            quad = form(None if rows.size == mask.size else rows)
-            for r, p_a, error in zip(rows, np.ravel(1.0 - quad.value), np.ravel(quad.error)):
-                reports[r] = _report("pmep-i", dist_set, p_a, error, quad.evaluations)
-    return reports
+        quad = _pmep_i_interior(dists[nu0], lo, f_sum, a_coef, b_coef)
+    return [_report("pmep-i", dist_set, p_a, error, quad.evaluations)
+            for p_a, error in zip(np.ravel(1.0 - quad.value), np.ravel(quad.error))]
 
 
 def abridged_for(dist_set, spec, params_per_signal=2):
@@ -589,9 +574,9 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     stacked over the offsets, and one member-wise formula call: each
     integral is one quadrature with a row per offset over the union of the
     offsets' windows, so a point's value is within its reported error of
-    the same formula on that offset's own laws.  EEF has no closed form, so
-    its sweep falls back to seeded Monte Carlo with the same offsets, one
-    estimate per offset.  Given a loss function, p_aq aggregates the curve
+    the same formula on that offset's own laws (tested from -4 to 30 dB).
+    EEF has no closed form, so its sweep falls back to seeded Monte Carlo
+    with the same offsets, one estimate per offset.  Given a loss function, p_aq aggregates the curve
     through it; given per-offset probabilities, p_waa weights them in (with
     unit losses when no loss is given).  Each is None without its input.
     delta_grid and error_probs (one per grid point) are read by
@@ -611,16 +596,14 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     use_mc = isinstance(spec, Eef)
     approaches = [Bl(delta_omega=float(delta)) for delta in deltas]
     frequencies = np.array([approach_frequencies(scenario, a) for a in approaches])
+    for freqs in frequencies:
+        _check_in_band(scenario, freqs)
     if use_mc:
-        for freqs in frequencies:
-            FrequencyPlan.build(scenario, freqs)
         reports = [montecarlo.estimate(scenario, [spec], approach, trials, master_seed)[0]
                    for approach in approaches]
         p_vals = np.array([report.p_a for report in reports])
         errs = np.array([report.p_a_ci[1] - report.p_a for report in reports])
     else:
-        # component_dists builds every offset's frequency plan, which checks
-        # its band, before the first law
         dists = component_dists(scenario, mode="ql",
                                 frequencies=frequencies if deltas.size > 1 else frequencies[0])
         reports = _member_reports(dists, spec, params_per_signal=Bl.params_per_signal)

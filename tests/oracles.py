@@ -117,11 +117,15 @@ def ncx2_window_per_law(m, lam):
     hi = mean + spread
     while cdf_at(hi) < 1.0 - 1e-12:
         hi *= 1.5
+
+    def kernel_at(x):
+        return distributions._ncx2_kernel(np.array([x]), m, np.array([lam]))[0]
+
     top = hi
-    raw = distributions._ncx2_kernel(top, m, lam)
+    raw = kernel_at(top)
     while raw < 1.0 - 1e-14 and top < math.inf:
         top *= 1.5
-        raw = distributions._ncx2_kernel(top, m, lam)
+        raw = kernel_at(top)
     return lo, hi, top if math.isfinite(raw) else math.inf
 
 

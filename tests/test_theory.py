@@ -592,21 +592,24 @@ def test_ql_sweep_checks_trials_and_seed_under_every_criterion(monkeypatch, spec
 
 def _sweep_grids():
     """Offset grids with negative, zero and repeated offsets, each point's
-    frequencies inside the bands."""
+    frequencies inside the bands; on the last, every offset's V_nu0+1 is
+    central, so PMEP-I takes its tilted form for the whole stack."""
     return ([0.0, 0.001, 0.002, 0.004, 0.008, 0.016, 0.03],
-            [-0.004, 0.0, 0.002, 0.002, -0.001, 0.006])
+            [-0.004, 0.0, 0.002, 0.002, -0.001, 0.006], [0.0, 0.0])
 
 
 @pytest.mark.floor_kernel
-@pytest.mark.parametrize("snr", [-4.0, 0.0, 4.0])
+@pytest.mark.parametrize("snr", [-4.0, 0.0, 4.0, 20.0, 30.0])
 @pytest.mark.parametrize("spec", [sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)],
                          ids=["gic", "pmep-ir", "pmep-i"])
 def test_sweep_points_are_the_abridged_values_of_each_offset(snr, spec):
     # the sweep is one component_dists call over all offsets and one
     # member-wise formula call, whose integrals refine the panels every
-    # offset needs over the union of their windows; PMEP-I's tilted form
-    # takes the zero offsets' rows and its 2-d rule the others'.  GIC's
-    # closed form is each offset's own value bit for bit
+    # offset needs over the union of their windows, which at high SNR are
+    # far wider than a narrow member's peak; PMEP-I takes its 2-d rule for
+    # every offset of a grid with a nonzero one, where a zero offset's own
+    # laws take the tilted form.  GIC's closed form is each offset's own
+    # value bit for bit
     scenario = sc.standard_scenario(snr)
     for grid in _sweep_grids():
         sweep = sc.ql_sweep(scenario, spec, grid)
@@ -693,7 +696,8 @@ def test_counted_sweep_laws_give_the_same_sweep_and_see_every_node(monkeypatch, 
         # one cdf call per compared law, at the threshold of each offset
         assert points == {(nu0 - 1, "cdf"): len(grid), (nu0, "cdf"): len(grid)}
     else:
-        # V_nu0's pdf in both forms, V_nu0+1's cdf and pdf in the 2-d rule
+        # V_nu0's pdf, and V_nu0+1's cdf and pdf in the 2-d rule that every
+        # offset of this grid takes
         assert min(points[nu0 - 1, "pdf"], points[nu0, "cdf"], points[nu0, "pdf"]) > 0
 
 
