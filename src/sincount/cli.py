@@ -20,7 +20,7 @@ import math
 import sys
 from functools import partial
 
-from . import montecarlo, theory, tuner
+from . import montecarlo
 from .criteria import CRITERIA, Eef
 from .errors import (SincountError, ValidationError, checked_keys, finite_float,
                      finite_floats, from_dict, nonneg_int)
@@ -252,6 +252,8 @@ def cmd_mc(cfg):
 
 
 def cmd_theory(cfg):
+    from . import theory
+
     scenario, specs = cfg.need("scenario"), cfg.need("criteria")
     approach = cfg.approach or KNOWN_FREQ
     # the SNR sets amplitudes only, so the frequencies hold for every grid point
@@ -269,6 +271,8 @@ def cmd_theory(cfg):
 
 
 def cmd_tune(cfg):
+    from . import tuner
+
     scenario, kwargs = cfg.need("scenario"), cfg.need("tune")
     try:
         result = tuner.tune(scenario=scenario, master_seed=cfg.master_seed,
@@ -282,6 +286,8 @@ def cmd_tune(cfg):
 
 
 def cmd_ql_sweep(cfg):
+    from . import theory
+
     scenario, specs = cfg.need("scenario"), cfg.need("criteria")
     rows = []
     for spec in specs:
@@ -293,6 +299,8 @@ def cmd_ql_sweep(cfg):
 
 
 def cmd_bl_interval(cfg):
+    from . import theory
+
     scenario, specs = cfg.need("scenario"), cfg.need("criteria")
     grid = cfg.need("delta_omega_grid")
     approach = cfg.approach or Ml()
@@ -311,6 +319,8 @@ def cmd_bl_interval(cfg):
 
 
 def cmd_consistency(cfg):
+    from . import theory
+
     if cfg.consistency is not None:
         d_n_sq, n_total = cfg.consistency
         ranges = theory.consistency_range(d_n_sq, n_total, len(d_n_sq))

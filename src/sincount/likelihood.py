@@ -60,16 +60,19 @@ _REFINE_ROUNDS = 64
 
 
 def basis_matrix(scenario, frequencies):
-    """Design matrix (N_s x 2*nu) with interleaved sine/cosine columns."""
+    """Design matrix (N_s x 2*nu) with interleaved sine/cosine columns.  An
+    (M, nu) array of M frequency sets gives the M matrices, (M, N_s, 2*nu),
+    each that of its set bit for bit."""
+    frequencies = np.asarray(frequencies, dtype=float)
     slots = scenario.candidate_slots()
-    if len(frequencies) > len(slots):
+    if frequencies.shape[-1] > len(slots):
         raise ValidationError(
-            f"{len(frequencies)} frequencies exceed max_order {scenario.max_order}")
+            f"{frequencies.shape[-1]} frequencies exceed max_order {scenario.max_order}")
     cols = []
-    for i, freq in enumerate(frequencies):
-        c, s = modulated_pair(slots[i], float(freq), scenario.n_samples)
+    for i, slot in enumerate(slots[:frequencies.shape[-1]]):
+        c, s = modulated_pair(slot, frequencies[..., i], scenario.n_samples)
         cols += [s, c]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 def _check_finite(x):

@@ -3,7 +3,11 @@
 Trials draw observations with per-trial seeds split from a master seed,
 compute one log-likelihood ladder per approach, and evaluate every
 criterion on the same statistics, so comparisons between criteria are
-paired.  Aggregates do not depend on how the trials are split into blocks.
+paired.  Aggregates depend on neither blocks nor shards: a trial's noise is
+a function of its index alone, so the trial loop may be cut anywhere.  At
+fixed frequencies estimate splits its trials into one contiguous shard per
+usable core, runs every shard but the first in a forked child process and
+merges the shards' counts and indicator bits in trial order.
 
 Trial k's noise is the standard normals of a fresh
 Generator(Philox(key=trial_seed(master_seed, k))).  _fill_samples, which
@@ -22,14 +26,16 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .criteria import abridged_comparisons, argmin_order, checked_ladders
 from .errors import ValidationError, nonneg_int
-from .likelihood import ladder_function
+from .likelihood import Bl, ladder_function
 from .signal_model import clean_signal, scenario_to_dict
 
 # bytes of observations per block of the trial loop, 4096 rows at 64
@@ -38,6 +44,12 @@ from .signal_model import clean_signal, scenario_to_dict
 # huge-page threshold and in the cache
 _BLOCK_BYTES = 2**21
 _MIN_TRIALS = 100
+# trials of the smallest shard worth a forked process.  On a 2-core x86
+# host, with the package loaded (61 MB resident), a fork takes the parent
+# 1.3 ms, the child runs 2.3 ms after the fork began, and its exit and
+# reaping take 1.1 ms: about the work of 1300 known-frequency trials, under
+# a third of one 4096-row block
+_MIN_SHARD_TRIALS = 4096
 _Z95 = 1.959963984540054
 
 
@@ -386,18 +398,23 @@ def batch_samples(scenario, master_seed, start, count):
     return out
 
 
-def _trial_blocks(scenario, approach, trials, master_seed):
-    """The trial loop: (start, ladders of trials start, start + 1, ...) per
-    block of _BLOCK_BYTES of observations in one reused buffer, a degenerate
-    trial's (ML only) a NaN row; no row depends on the block size."""
-    block_ladders = ladder_function(scenario, approach)
+def _block_rows(scenario):
+    """Trials per block of the trial loop: _BLOCK_BYTES of observations."""
+    return max(1, _BLOCK_BYTES // (8 * scenario.n_samples))
+
+
+def _trial_blocks(scenario, block_ladders, master_seed, start, stop):
+    """The trial loop over trials start..stop-1: (first trial, its block's
+    ladders) per block of _block_rows trials in one reused buffer, with
+    block_ladders from ladder_function; a degenerate trial's (ML only) is a
+    NaN row.  No row depends on the block size."""
     signal = clean_signal(scenario)
-    step = max(1, _BLOCK_BYTES // (8 * scenario.n_samples))
-    block = np.empty((min(step, trials), scenario.n_samples))
-    for start in range(0, trials, step):
-        rows = block[:trials - start]
-        _fill_samples(rows, scenario, signal, master_seed, start)
-        yield start, block_ladders(rows)[0]
+    step = _block_rows(scenario)
+    block = np.empty((min(step, stop - start), scenario.n_samples))
+    for first in range(start, stop, step):
+        rows = block[:stop - first]
+        _fill_samples(rows, scenario, signal, master_seed, first)
+        yield first, block_ladders(rows)[0]
 
 
 def collect_logliks(scenario, approach, trials, master_seed):
@@ -408,8 +425,9 @@ def collect_logliks(scenario, approach, trials, master_seed):
     master_seed = nonneg_int(master_seed, "master_seed")
     trials = nonneg_int(trials, "trials")
     out = np.empty((trials, scenario.max_order))
-    for start, ladders in _trial_blocks(scenario, approach, trials, master_seed):
-        out[start:start + ladders.shape[0]] = ladders
+    block_ladders = ladder_function(scenario, approach)
+    for first, ladders in _trial_blocks(scenario, block_ladders, master_seed, 0, trials):
+        out[first:first + ladders.shape[0]] = ladders
     return out
 
 
@@ -490,15 +508,119 @@ class McReport:
         }
 
 
+def _usable_cores():
+    """Cores this process may run on; 1 where os.fork or os.sched_getaffinity
+    does not exist."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shard_cuts(approach, trials, step):
+    """The first trial of each shard of the trial loop, then trials: one
+    shard per usable core, each of at least _MIN_SHARD_TRIALS trials, cut
+    on the boundaries of blocks of step trials.  An Ml approach takes one
+    shard, as its grid products already run BLAS on every core."""
+    blocks = -(-trials // step)
+    shards = 1
+    if isinstance(approach, Bl):
+        shards = max(1, min(_usable_cores(), trials // _MIN_SHARD_TRIALS, blocks))
+    return [step * (blocks * k // shards) for k in range(shards)] + [trials]
+
+
+def _put_bits(packed, offset, bits):
+    """Write bits, packed eight to a byte along the last axis as packbits
+    packs them, into packed from its bit offset on.  packed's bits after
+    offset in that byte must be zero, as packbits pads them, and packed must
+    hold a byte past the last one written."""
+    at, shift = divmod(offset, 8)
+    size = bits.shape[-1]
+    if not shift:
+        packed[..., at:at + size] = bits
+        return
+    into = packed[..., at:at + size + 1]
+    np.left_shift(bits, np.uint8(8 - shift), out=into[..., 1:])
+    into[..., :-1] |= bits >> np.uint8(shift)
+
+
+def _forked(reduce, sink):
+    """In a forked child: pickle reduce()'s outcome, (True, its result) or
+    (False, the exception it raised), to the pipe file sink, then exit
+    without ever returning to the caller."""
+    code = 1
+    try:
+        try:
+            outcome = True, reduce()
+        except BaseException as exc:
+            outcome = False, exc
+        pickle.dump(outcome, sink)
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_shards(reduce, cuts):
+    """[reduce(cuts[k], cuts[k + 1]) for each shard k]: the first shard in
+    this process, each other in a child forked before the first starts,
+    whose outcome comes back pickled through a pipe.  The exception of the
+    first shard in trial order that raised is raised here.  Every child is
+    reaped before this returns or raises, and killed first unless every
+    shard's result came back."""
+    pids, pipes, received = [], [], False
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as sink:
+                pid = os.fork()
+                if not pid:
+                    _forked(functools.partial(reduce, start, stop), sink)
+            pids.append(pid)
+        outcomes = [reduce(cuts[0], cuts[1])]
+        for pipe in pipes:
+            try:
+                done, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    "a trial shard's process ended without sending its result") from None
+            if not done:
+                raise value
+            outcomes.append(value)
+        received = True
+        return outcomes
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not received:
+                os.kill(pid, signal.SIGKILL)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped already, where the caller ignores SIGCHLD
+
+
 def estimate(scenario, specs, approach, trials, master_seed):
     """Estimate p_e and p_a for each criterion over seeded trials.
 
     All criteria see the same ladders, at least _MIN_TRIALS trials, the
     degenerate ones left out and counted.  p_e counts argmin mismatches, p_a
     the two-neighbor abridged event (one neighbor at the boundary orders).
-    Each block of the trial loop is reduced as it comes, so memory holds one
-    block and each report's correct and abridged_correct, a bit per trial.
+    Each block of the trial loop is reduced as it comes, so each process's
+    memory holds one block and each report's correct and abridged_correct,
+    a bit per trial.
     An empty specs is a ValidationError, raised before any trial runs.
+
+    At fixed frequencies (Bl) the trials split into one contiguous shard per
+    usable core, cut on block boundaries, where each shard holds at least
+    _MIN_SHARD_TRIALS trials.  The ladder function, with its frequency plan
+    and whitened basis, is built before the fork, so no child calls BLAS or
+    LAPACK.  Each child runs the block loop over its shard and sends back
+    its trial count, hit counts, histograms and indicator bits; they are
+    merged in trial order, so every report is the one-shard report bit for
+    bit.  An Ml approach, one usable core or fewer than twice
+    _MIN_SHARD_TRIALS trials run in one shard, in this process.
     """
     trials, master_seed = checked_trials(trials), nonneg_int(master_seed, "master_seed")
     specs = list(specs)
@@ -506,32 +628,49 @@ def estimate(scenario, specs, approach, trials, master_seed):
         raise ValidationError("estimate needs at least one criterion")
     nu0, n_orders, pps = scenario.nu0, scenario.max_order, approach.params_per_signal
     under, over = abridged_comparisons(nu0, n_orders)
-    # each criterion's two indicators, a bit per trial; the bits of a block's
-    # partial last byte (at most 7) start the next block's staging, repacked
-    packed = np.empty((len(specs), 2, -(-trials // 8)), dtype=np.uint8)
-    hits = np.zeros((len(specs), 2), dtype=np.intp)
-    histograms = np.zeros((len(specs), n_orders), dtype=np.intp)
-    n_eff = carry = 0
-    for start, ladders in _trial_blocks(scenario, approach, trials, master_seed):
-        if not start:  # the first block is the largest
-            staging = np.empty((len(specs), 2, 7 + ladders.shape[0]), dtype=bool)
-        # a degenerate trial's NaN row is left out, the rest checked
-        valid = ~np.isnan(ladders[:, 0])
-        ladders = checked_ladders(ladders if valid.all() else ladders[valid])
-        done = slice(carry, carry + ladders.shape[0])
-        for j, spec in enumerate(specs):
-            values = spec.values(ladders, params_per_signal=pps)
-            nu_hat = argmin_order(values)
-            np.equal(nu_hat, nu0, out=staging[j, 0, done])
-            np.logical_and(values[:, nu0 - 1] < values[:, nu0 - 2] if under else True,
-                           values[:, nu0 - 1] <= values[:, nu0] if over else True,
-                           out=staging[j, 1, done])
-            histograms[j] += np.bincount(nu_hat, minlength=n_orders + 1)[1:]
-        hits += np.count_nonzero(staging[:, :, done], axis=-1)
-        bits = np.packbits(staging[:, :, :done.stop], axis=-1)
-        packed[:, :, n_eff // 8:n_eff // 8 + bits.shape[-1]] = bits
-        n_eff, carry = n_eff + ladders.shape[0], done.stop % 8
-        staging[:, :, :carry] = staging[:, :, done.stop - carry:done.stop]
+    block_ladders = ladder_function(scenario, approach)
+    step = _block_rows(scenario)
+
+    def packed_for(count):
+        # each criterion's two indicators, a bit per trial, and the spare
+        # byte _put_bits writes
+        return np.empty((len(specs), 2, -(-count // 8) + 1), dtype=np.uint8)
+
+    packed = packed_for(trials)
+
+    def reduce(start, stop):
+        """The trials left of start..stop-1, with its hit counts,
+        histograms and indicator bits; the first shard's bits go to packed."""
+        bits = packed if not start else packed_for(stop - start)
+        hits = np.zeros((len(specs), 2), dtype=np.intp)
+        histograms = np.zeros((len(specs), n_orders), dtype=np.intp)
+        staging = np.empty((len(specs), 2, min(step, stop - start)), dtype=bool)
+        n_eff = 0
+        for _, ladders in _trial_blocks(scenario, block_ladders, master_seed, start, stop):
+            # a degenerate trial's NaN row is left out, the rest checked
+            valid = ~np.isnan(ladders[:, 0])
+            ladders = checked_ladders(ladders if valid.all() else ladders[valid])
+            done = staging[:, :, :ladders.shape[0]]
+            for j, spec in enumerate(specs):
+                values = spec.values(ladders, params_per_signal=pps)
+                nu_hat = argmin_order(values)
+                np.equal(nu_hat, nu0, out=done[j, 0])
+                np.logical_and(values[:, nu0 - 1] < values[:, nu0 - 2] if under else True,
+                               values[:, nu0 - 1] <= values[:, nu0] if over else True,
+                               out=done[j, 1])
+                histograms[j] += np.bincount(nu_hat, minlength=n_orders + 1)[1:]
+            hits += np.count_nonzero(done, axis=-1)
+            _put_bits(bits, n_eff, np.packbits(done, axis=-1))
+            n_eff += ladders.shape[0]
+        return n_eff, hits, histograms, bits[:, :, :-(-n_eff // 8)]
+
+    shards = _run_shards(reduce, _shard_cuts(approach, trials, step))
+    n_eff, hits, histograms, _ = shards[0]
+    for count, shard_hits, shard_histograms, bits in shards[1:]:
+        _put_bits(packed, n_eff, bits)
+        n_eff += count
+        hits += shard_hits
+        histograms += shard_histograms
     if not n_eff:
         raise ValidationError("all trials degenerated; scenario is ill-posed")
     degenerate = trials - n_eff
@@ -592,6 +731,9 @@ def paired_compare(report_a, report_b):
     b_only = int(np.sum(report_b.correct & ~report_a.correct))
     n_disc = a_only + b_only
     k = min(a_only, b_only)
+    # scipy loads here, not with the package: no Monte Carlo path needs it
+    from scipy.special import betainc
+
     p_value = 1.0 if n_disc == 0 else min(1.0, 2.0 * float(betainc(n_disc - k, k + 1, 0.5)))
     return PairedComparison(
         trials=report_a.trials,

@@ -22,7 +22,8 @@ from .distributions import (Quadrature, _ncx2_laws, _panel_nodes, convolve_cdfs,
                             ml_component_cdf, nc_chisq2_sum)
 from .errors import (ModelViolationError, ValidationError, finite_float, finite_floats,
                      nonneg_int)
-from .likelihood import Bl, FrequencyPlan, _check_in_band, approach_frequencies
+from .likelihood import (Bl, FrequencyPlan, _check_in_band, _chol_or_degenerate,
+                         approach_frequencies, basis_matrix)
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
 
@@ -91,6 +92,23 @@ def residual_means(scenario, eval_frequencies):
     return means, lambdas
 
 
+def _stacked_lambdas(scenario, frequency_sets):
+    """residual_means' lambdas of each row of an (M, N) array of frequency
+    sets, bit for bit: one basis_matrix call over all M sets, then each
+    set's band check and Cholesky factor, one batched solve for the
+    whitened bases and one product with the clean signal."""
+    sets = np.array([finite_floats(row, "frequencies", scenario.max_order)
+                     for row in frequency_sets])
+    bases = basis_matrix(scenario, sets)
+    chols = []
+    for freqs, basis in zip(sets, bases):
+        _check_in_band(scenario, freqs)
+        chols.append(_chol_or_degenerate(basis.T @ basis, freqs))
+    whitened = np.linalg.solve(np.array(chols), bases.transpose(0, 2, 1))
+    means = np.einsum("n,mkn->mk", clean_signal(scenario), whitened) / scenario.noise_level
+    return means[:, 0::2] ** 2 + means[:, 1::2] ** 2
+
+
 def component_dists(scenario, mode="ql", frequencies=None):
     """Per-index increment laws for the QL (fixed-frequency) or ML approach.
 
@@ -98,10 +116,10 @@ def component_dists(scenario, mode="ql", frequencies=None):
     residual_means at the supplied frequencies: one set of N, or an (M, N)
     array of M >= 2 sets, which gives one set of stacked laws over M
     members, each member's laws those of its own set bit for bit, with
-    every set's frequency plan built before the first law.  ML: V_i is the sum of two
-    squared max-over-band statistics, each with the extreme-value closed
-    form at the nominal frequencies, so it takes no frequencies; requires
-    the signals to be orthogonal to tolerance.
+    every set's bands and Cholesky factor checked before the first law.
+    ML: V_i is the sum of two squared max-over-band statistics, each with
+    the extreme-value closed form at the nominal frequencies, so it takes
+    no frequencies; requires the signals to be orthogonal to tolerance.
     """
     if mode == "ql":
         if frequencies is None:
@@ -111,7 +129,7 @@ def component_dists(scenario, mode="ql", frequencies=None):
                 raise ValidationError(
                     f"frequencies: a stack of frequency sets holds two or more rows, got "
                     f"shape {frequencies.shape}; one set is a 1-d array")
-            lambdas = np.array([residual_means(scenario, row)[1] for row in frequencies])
+            lambdas = _stacked_lambdas(scenario, frequencies)
         else:
             lambdas = residual_means(scenario, frequencies)[1]
         lambdas = np.where(lambdas < _LAMBDA_FLOOR, 0.0, lambdas)

@@ -319,16 +319,21 @@ def mc_objective_whole_set(scenario, name, approach, trials, master_seed):
 
 
 def inject_ladders(monkeypatch, ladders):
-    """Make the trial loop's ladder function hand out the rows of ladders in
-    trial order, from trial 0 again for each estimate or collect_logliks."""
-    def ladder_function(scenario, approach):
-        start = 0
+    """Make the trial loop's ladder function hand out the rows of ladders of
+    the trials whose observations it is given: a block's rows are those of
+    the trials that _fill_samples last filled, in whichever shard's process
+    runs the block."""
+    fill_samples, first = montecarlo._fill_samples, [0]
 
+    def recorded_fill(out, scenario, signal, master_seed, start):
+        first[0] = start
+        fill_samples(out, scenario, signal, master_seed, start)
+
+    def ladder_function(scenario, approach):
         def block_ladders(rows):
-            nonlocal start
-            start += rows.shape[0]
-            return ladders[start - rows.shape[0]:start].copy(), None, None
+            return ladders[first[0]:first[0] + rows.shape[0]].copy(), None, None
 
         return block_ladders
 
+    monkeypatch.setattr(montecarlo, "_fill_samples", recorded_fill)
     monkeypatch.setattr(montecarlo, "ladder_function", ladder_function)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from scipy.stats import binomtest
 
 import sincount as sc
@@ -14,17 +16,22 @@ import sincount as sc
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.interpolate", "scipy.linalg")
 
 
-def _heavy_loaded_after(statements):
-    """The HEAVY modules loaded in a fresh process (this suite itself has
-    imported them all) after `import sys, sincount as sc` and statements."""
+def _printed_after(statements, expression):
+    """What expression reads in a fresh process (this suite itself has
+    imported every module) after `import sys, sincount as sc` and statements."""
     src = os.path.dirname(os.path.dirname(sc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "; ".join(["import sys, sincount as sc", *statements,
-                      f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))"])
+    code = "; ".join(["import sys, sincount as sc", *statements, f"print({expression})"])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
+
+
+def _heavy_loaded_after(statements):
+    """The HEAVY modules loaded in a fresh process after `import sys,
+    sincount as sc` and statements."""
+    return _printed_after(statements, f"sorted(m for m in {HEAVY!r} if m in sys.modules)")
 
 
 def test_import_loads_no_heavy_scipy_module():
@@ -50,6 +57,30 @@ def test_tune_and_estimate_load_no_heavy_scipy_module():
         "sc.estimate(s, [sc.Gic()], sc.KNOWN_FREQ, 300, 1)",
         "sc.estimate(s, [sc.Gic()], sc.Ml(grid_points=16), 100, 1)"])
     assert loaded == "[]"
+
+
+def test_monte_carlo_path_loads_no_scipy_and_no_theory(tmp_path):
+    # the package resolves the closed-form exports on first access, and the
+    # CLI imports theory and tuner in the subcommands that use them
+    config = tmp_path / "mc.json"
+    config.write_text(json.dumps({"scenario": {"standard": {"snr_db": 0}},
+                                  "criteria": [{"name": "gic"}, {"name": "pmep-i"}]}))
+    run = f"from sincount import cli; cli.main([{{}}, '--config', {str(config)!r}, " \
+          f"'--out', {str(tmp_path / 'out.csv')!r}])"
+    loaded = _printed_after([
+        "s = sc.standard_scenario(-4.0)",
+        "sc.estimate(s, [sc.Gic()], sc.KNOWN_FREQ, 10000, 1)",
+        "sc.estimate(s, [sc.Gic()], sc.Bl(0.004), 10000, 1)",
+        "sc.estimate(s, [sc.Gic()], sc.Ml(grid_points=16), 100, 1)",
+        "sc.select_order(sc.Gic(), sc.synthesize(s, 3), sc.Ml(grid_points=16), s)",
+        run.format("'mc', '--trials', '200', '--snr-db=0'"),
+        run.format("'synth'")],
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'sincount.theory')")
+    assert loaded == "[]"
+    assert "tune" in dir(sc) and sc.tune is sc.tuner.tune
+    assert sc.ql_sweep is sc.theory.ql_sweep and sc.Dist is sc.distributions.Dist
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sc.no_such_name
 
 
 def _p_value(k, n):

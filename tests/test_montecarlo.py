@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -363,6 +364,111 @@ def test_estimate_reduces_each_block_as_the_whole_set_does(scen_m4, approach, mo
     values = sc.Gic().values(np.delete(ladders, degenerate, axis=0),
                              params_per_signal=approach.params_per_signal)
     np.testing.assert_array_equal(report.correct, sc.argmin_order(values) == scen_m4.nu0)
+
+
+def _shards(monkeypatch, cores):
+    """Patch the core count to cores and the minimum shard size to 100
+    trials, and count the forks: the list of child pids it returns grows by
+    one for each fork."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(montecarlo, "_MIN_SHARD_TRIALS", 100)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_shard_cuts_fall_on_block_boundaries(monkeypatch):
+    usable_cores = montecarlo._usable_cores
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 36864, 70001]
+    assert montecarlo._shard_cuts(sc.Bl(0.01), 8192, 4096) == [0, 4096, 8192]
+    # fewer trials than two minimum shards, or one block, or an ML search
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 8191, 4096) == [0, 8191]
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 70001) == [0, 70001]
+    assert montecarlo._shard_cuts(sc.Ml(), 70001, 4096) == [0, 70001]
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 24576, 49152, 70001]
+    # a platform without fork or without the affinity call has one core
+    assert usable_cores() == len(os.sched_getaffinity(0))
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as patch:
+            patch.delattr(os, name)
+            assert usable_cores() == 1
+
+
+@pytest.mark.parametrize("approach", [
+    pytest.param(sc.KNOWN_FREQ, marks=pytest.mark.floor_streams),
+    pytest.param(sc.Bl(0.01), marks=pytest.mark.floor_streams)], ids=["known", "bl"])
+def test_shards_give_the_one_shard_reports_bit_for_bit(scen_m4, approach, monkeypatch):
+    # 1003 trials in blocks of 64 rows: 16 blocks, the last of 43, cut into
+    # shards of 8 blocks, or of 5, 5 and 6.  Rows 60-70 degenerate across a
+    # block boundary, 318-322 and 507-516 across the shard cuts at 320 and
+    # 512, which leaves no shard but the last a multiple of 8 trials
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
+    forks = _shards(monkeypatch, 1)
+    one = [_report_state(r) for r in sc.estimate(scen_m4, SPECS, approach, 1003, 13)]
+    assert one == [_report_state(r) for r in estimate_whole_set(scen_m4, SPECS, approach, 1003, 13)]
+    for cores in (2, 3):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        assert [_report_state(r) for r in sc.estimate(scen_m4, SPECS, approach, 1003, 13)] == one
+        assert len(forks) == cores - 1 and _no_child_left()
+        forks.clear()
+    ladders = sc.collect_logliks(scen_m4, approach, 1003, 13)
+    ladders[np.r_[60:71, 318:323, 507:517]] = np.nan
+    inject_ladders(monkeypatch, ladders)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
+    one = [_report_state(r) for r in sc.estimate(scen_m4, SPECS, approach, 1003, 13)]
+    assert one == [_report_state(r) for r in estimate_whole_set(scen_m4, SPECS, approach, 1003, 13)]
+    assert not forks
+    for cores in (2, 3):
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+        got = sc.estimate(scen_m4, SPECS, approach, 1003, 13)
+        assert [_report_state(r) for r in got] == one
+        assert got[0].trials == 977 and got[0].degenerate == 26
+        assert len(forks) == cores - 1 and _no_child_left()
+        forks.clear()
+
+
+@pytest.mark.parametrize("falling", [7, 200])
+def test_a_shard_that_raises_raises_the_one_shard_error_and_leaves_no_child(
+        scen_m4, monkeypatch, falling):
+    # 300 trials in blocks of 64 rows: the shards are trials 0-127 and
+    # 128-299, and the falling ladder lies in the first or the second
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
+    ladders = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 3)
+    ladders[falling, -1] = ladders[falling, -2] - 1.0
+    inject_ladders(monkeypatch, ladders)
+    forks = _shards(monkeypatch, 1)
+    with pytest.raises(ValidationError, match="nondecreasing") as one:
+        sc.estimate(scen_m4, SPECS, sc.KNOWN_FREQ, 300, 3)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    with pytest.raises(ValidationError) as sharded:
+        sc.estimate(scen_m4, SPECS, sc.KNOWN_FREQ, 300, 3)
+    assert str(sharded.value) == str(one.value)
+    assert len(forks) == 1 and _no_child_left()
+
+
+def test_ml_runs_in_one_shard(scen_m4, monkeypatch):
+    # five blocks of 64 rows, where fixed frequencies take two shards
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
+    forks = _shards(monkeypatch, 2)
+    sc.estimate(scen_m4, [sc.Gic()], sc.Ml(grid_points=16), 300, 3)
+    assert not forks
+    sc.estimate(scen_m4, [sc.Gic()], sc.KNOWN_FREQ, 300, 3)
+    assert len(forks) == 1 and _no_child_left()
 
 
 def test_estimate_deterministic(scen_m4):

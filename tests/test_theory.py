@@ -651,6 +651,26 @@ def test_stacked_law_sets_go_through_the_sweep_only(scen_m4):
         sc.component_dists(scen_m4, frequencies=freqs[:1])
 
 
+def test_stacked_laws_take_each_sets_lambdas_bit_for_bit():
+    # the stack's bases come from one basis_matrix call and are whitened by
+    # one batched solve: each row is still that set's own, and a row out of
+    # its band raises the error of that set alone
+    rng = np.random.default_rng(5)
+    for scen in (sc.standard_scenario(0.0), sc.standard_scenario(4.0, n_samples=256)):
+        half = np.pi / scen.n_samples
+        freqs = scen.all_frequencies + rng.uniform(-0.6 * half, 0.6 * half,
+                                                   size=(9, scen.max_order))
+        stack = sc.component_dists(scen, frequencies=freqs)
+        for row, own in zip(stack.lambdas, freqs):
+            assert row.tobytes() == sc.component_dists(scen, frequencies=own).lambdas.tobytes()
+        freqs[4, 2] += 2.0 * half
+        with pytest.raises(ValidationError) as alone:
+            sc.component_dists(scen, frequencies=freqs[4])
+        with pytest.raises(ValidationError, match="order slot 3 outside band") as stacked:
+            sc.component_dists(scen, frequencies=freqs)
+        assert str(stacked.value) == str(alone.value)
+
+
 @pytest.mark.floor_kernel
 @pytest.mark.parametrize("spec", [sc.Gic(), sc.PmepIr(0.25), sc.PmepI(3.0)],
                          ids=["gic", "pmep-ir", "pmep-i"])
