@@ -109,6 +109,20 @@ def _chol_or_degenerate(gram, frequencies):
         pair=pair)
 
 
+def _factored_bases(scenario, frequency_sets):
+    """Design matrices (M, N_s, 2*nu) of an (M, nu) array of M frequency
+    sets and the Cholesky factors (M, 2*nu, 2*nu) of their Gram matrices:
+    every set's bands are checked, then one basis_matrix call builds all M
+    matrices, then each set's Gram matrix is factored.  Each set's pair is
+    the one it gets alone, bit for bit."""
+    for freqs in frequency_sets:
+        _check_in_band(scenario, freqs)
+    bases = basis_matrix(scenario, frequency_sets)
+    chols = np.array([_chol_or_degenerate(basis.T @ basis, freqs)
+                      for freqs, basis in zip(frequency_sets, bases)])
+    return bases, chols
+
+
 @dataclass(frozen=True)
 class FrequencyPlan:
     """Precomputed design for fixed frequencies, for batched evaluation."""
@@ -121,11 +135,9 @@ class FrequencyPlan:
     @classmethod
     def build(cls, scenario, frequencies):
         frequencies = finite_floats(frequencies, "frequencies")
-        _check_in_band(scenario, frequencies)
-        basis = basis_matrix(scenario, frequencies)
-        chol = _chol_or_degenerate(basis.T @ basis, frequencies)
-        return cls(scenario=scenario, frequencies=frequencies, basis=basis,
-                   chol=chol)
+        bases, chols = _factored_bases(scenario, frequencies[None])
+        return cls(scenario=scenario, frequencies=frequencies, basis=bases[0],
+                   chol=chols[0])
 
     @functools.cached_property
     def whitened(self):

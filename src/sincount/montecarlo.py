@@ -5,9 +5,10 @@ compute one log-likelihood ladder per approach, and evaluate every
 criterion on the same statistics, so comparisons between criteria are
 paired.  Aggregates depend on neither blocks nor shards: a trial's noise is
 a function of its index alone, so the trial loop may be cut anywhere.  At
-fixed frequencies estimate splits its trials into one contiguous shard per
-usable core, runs every shard but the first in a forked child process and
-merges the shards' counts and indicator bits in trial order.
+fixed frequencies estimate splits its trials into contiguous shards, one per
+usable core up to _MAX_SHARDS, runs every shard but the first in a forked
+child process and merges the shards' counts and indicator bits in trial
+order.
 
 Trial k's noise is the standard normals of a fresh
 Generator(Philox(key=trial_seed(master_seed, k))).  _fill_samples, which
@@ -29,6 +30,7 @@ import math
 import os
 import pickle
 import signal
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,12 @@ _MIN_TRIALS = 100
 # reaping take 1.1 ms: about the work of 1300 known-frequency trials, under
 # a third of one 4096-row block
 _MIN_SHARD_TRIALS = 4096
+# shards of one call, at most: the count measured, on that 2-core host,
+# where raw wall time per call fell 18.5%.  Hosts of more cores are
+# unmeasured, and os.sched_getaffinity does not see a CPU quota, so a
+# container held to fewer CPUs than it sees would fork children that only
+# compete for them
+_MAX_SHARDS = 2
 _Z95 = 1.959963984540054
 
 
@@ -518,13 +526,15 @@ def _usable_cores():
 
 def _shard_cuts(approach, trials, step):
     """The first trial of each shard of the trial loop, then trials: one
-    shard per usable core, each of at least _MIN_SHARD_TRIALS trials, cut
-    on the boundaries of blocks of step trials.  An Ml approach takes one
-    shard, as its grid products already run BLAS on every core."""
+    shard per usable core up to _MAX_SHARDS, each of at least
+    _MIN_SHARD_TRIALS trials, cut on the boundaries of blocks of step
+    trials.  An Ml approach takes one shard, as its grid products already
+    run BLAS on every core."""
     blocks = -(-trials // step)
     shards = 1
     if isinstance(approach, Bl):
-        shards = max(1, min(_usable_cores(), trials // _MIN_SHARD_TRIALS, blocks))
+        shards = max(1, min(_usable_cores(), _MAX_SHARDS, trials // _MIN_SHARD_TRIALS,
+                            blocks))
     return [step * (blocks * k // shards) for k in range(shards)] + [trials]
 
 
@@ -543,16 +553,24 @@ def _put_bits(packed, offset, bits):
     into[..., :-1] |= bits >> np.uint8(shift)
 
 
+class _ShardTraceback(Exception):
+    """The formatted traceback of an exception raised in a shard's child
+    process: the cause of that exception where the parent raises it."""
+
+    def __str__(self):
+        return self.args[0]
+
+
 def _forked(reduce, sink):
     """In a forked child: pickle reduce()'s outcome, (True, its result) or
-    (False, the exception it raised), to the pipe file sink, then exit
-    without ever returning to the caller."""
+    (False, (the exception it raised, its formatted traceback)), to the pipe
+    file sink, then exit without ever returning to the caller."""
     code = 1
     try:
         try:
             outcome = True, reduce()
         except BaseException as exc:
-            outcome = False, exc
+            outcome = False, (exc, "".join(traceback.format_exception(exc)))
         pickle.dump(outcome, sink)
         sink.flush()
         code = 0
@@ -564,9 +582,12 @@ def _run_shards(reduce, cuts):
     """[reduce(cuts[k], cuts[k + 1]) for each shard k]: the first shard in
     this process, each other in a child forked before the first starts,
     whose outcome comes back pickled through a pipe.  The exception of the
-    first shard in trial order that raised is raised here.  Every child is
-    reaped before this returns or raises, and killed first unless every
-    shard's result came back."""
+    first shard in trial order that raised is raised here, a child's with
+    its traceback in the child as its cause; a child that sends no readable
+    outcome is a ChildProcessError.  Every child is reaped before this
+    returns or raises, and killed first unless every shard's result came
+    back.  The parent waits on each pipe with no timeout, so a child that
+    hangs hangs the call."""
     pids, pipes, received = [], [], False
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
@@ -581,11 +602,13 @@ def _run_shards(reduce, cuts):
         for pipe in pipes:
             try:
                 done, value = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
+            except Exception as exc:
                 raise ChildProcessError(
-                    "a trial shard's process ended without sending its result") from None
+                    "a trial shard's process ended without sending its result") from exc
             if not done:
-                raise value
+                error, trace = value
+                error.__cause__ = _ShardTraceback(trace)
+                raise error
             outcomes.append(value)
         received = True
         return outcomes
@@ -613,14 +636,18 @@ def estimate(scenario, specs, approach, trials, master_seed):
     An empty specs is a ValidationError, raised before any trial runs.
 
     At fixed frequencies (Bl) the trials split into one contiguous shard per
-    usable core, cut on block boundaries, where each shard holds at least
-    _MIN_SHARD_TRIALS trials.  The ladder function, with its frequency plan
-    and whitened basis, is built before the fork, so no child calls BLAS or
-    LAPACK.  Each child runs the block loop over its shard and sends back
+    usable core, at most _MAX_SHARDS, cut on block boundaries, where each
+    shard holds at least _MIN_SHARD_TRIALS trials.  The ladder function,
+    with its frequency plan and whitened basis, is built before the fork, so
+    no child calls BLAS or LAPACK.  Each child runs the block loop over its shard and sends back
     its trial count, hit counts, histograms and indicator bits; they are
     merged in trial order, so every report is the one-shard report bit for
     bit.  An Ml approach, one usable core or fewer than twice
-    _MIN_SHARD_TRIALS trials run in one shard, in this process.
+    _MIN_SHARD_TRIALS trials run in one shard, in this process.  The
+    children are forked from a process that may run other threads, numpy's
+    BLAS pool among them (Python 3.12 and later warn of it at each fork):
+    a child calls no BLAS, but a caller whose own threads hold a lock at the
+    fork that the trial loop needs is not supported.
     """
     trials, master_seed = checked_trials(trials), nonneg_int(master_seed, "master_seed")
     specs = list(specs)

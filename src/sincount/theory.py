@@ -22,8 +22,7 @@ from .distributions import (Quadrature, _ncx2_laws, _panel_nodes, convolve_cdfs,
                             ml_component_cdf, nc_chisq2_sum)
 from .errors import (ModelViolationError, ValidationError, finite_float, finite_floats,
                      nonneg_int)
-from .likelihood import (Bl, FrequencyPlan, _check_in_band, _chol_or_degenerate,
-                         approach_frequencies, basis_matrix)
+from .likelihood import Bl, _check_in_band, _factored_bases, approach_frequencies
 from .signal_model import (clean_signal, max_offdiag_ratio, modulated_pair,
                            signal_gram, time_grid)
 
@@ -86,27 +85,21 @@ def residual_means(scenario, eval_frequencies):
     leak signal energy into the higher indices.
     """
     eval_frequencies = finite_floats(eval_frequencies, "frequencies", scenario.max_order)
-    means = FrequencyPlan.build(scenario, eval_frequencies).residuals_batch(
-        clean_signal(scenario))[0]
-    lambdas = means[0::2] ** 2 + means[1::2] ** 2
-    return means, lambdas
+    means, lambdas = _stacked_residual_means(scenario, eval_frequencies[None])
+    return means[0], lambdas[0]
 
 
-def _stacked_lambdas(scenario, frequency_sets):
-    """residual_means' lambdas of each row of an (M, N) array of frequency
-    sets, bit for bit: one basis_matrix call over all M sets, then each
-    set's band check and Cholesky factor, one batched solve for the
-    whitened bases and one product with the clean signal."""
-    sets = np.array([finite_floats(row, "frequencies", scenario.max_order)
-                     for row in frequency_sets])
-    bases = basis_matrix(scenario, sets)
-    chols = []
-    for freqs, basis in zip(sets, bases):
-        _check_in_band(scenario, freqs)
-        chols.append(_chol_or_degenerate(basis.T @ basis, freqs))
-    whitened = np.linalg.solve(np.array(chols), bases.transpose(0, 2, 1))
+def _stacked_residual_means(scenario, frequency_sets):
+    """residual_means of each row of an (M, N) array of frequency sets, as
+    (M, 2N) means and (M, N) noncentralities: the sets' bases and factors
+    from likelihood._factored_bases, as FrequencyPlan.build takes them, one
+    solve for all M whitened bases and one product with the clean signal.
+    Each row is FrequencyPlan.residuals_batch's statistic for its set alone,
+    bit for bit."""
+    bases, chols = _factored_bases(scenario, frequency_sets)
+    whitened = np.linalg.solve(chols, bases.transpose(0, 2, 1))
     means = np.einsum("n,mkn->mk", clean_signal(scenario), whitened) / scenario.noise_level
-    return means[:, 0::2] ** 2 + means[:, 1::2] ** 2
+    return means, means[:, 0::2] ** 2 + means[:, 1::2] ** 2
 
 
 def component_dists(scenario, mode="ql", frequencies=None):
@@ -129,7 +122,9 @@ def component_dists(scenario, mode="ql", frequencies=None):
                 raise ValidationError(
                     f"frequencies: a stack of frequency sets holds two or more rows, got "
                     f"shape {frequencies.shape}; one set is a 1-d array")
-            lambdas = _stacked_lambdas(scenario, frequencies)
+            sets = np.array([finite_floats(row, "frequencies", scenario.max_order)
+                             for row in frequencies])
+            lambdas = _stacked_residual_means(scenario, sets)[1]
         else:
             lambdas = residual_means(scenario, frequencies)[1]
         lambdas = np.where(lambdas < _LAMBDA_FLOOR, 0.0, lambdas)

@@ -77,6 +77,10 @@ def test_monte_carlo_path_loads_no_scipy_and_no_theory(tmp_path):
         run.format("'synth'")],
         "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'sincount.theory')")
     assert loaded == "[]"
+    # every lazy export is listed in __all__, and every name there resolves
+    assert set(sc._LAZY_HOME) <= set(sc.__all__)
+    assert _printed_after(["from sincount import *"],
+                          "sorted(set(sc.__all__) - set(globals()))") == "[]"
     assert "tune" in dir(sc) and sc.tune is sc.tuner.tune
     assert sc.ql_sweep is sc.theory.ql_sweep and sc.Dist is sc.distributions.Dist
     with pytest.raises(AttributeError, match="no_such_name"):

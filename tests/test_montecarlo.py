@@ -367,9 +367,9 @@ def test_estimate_reduces_each_block_as_the_whole_set_does(scen_m4, approach, mo
 
 
 def _shards(monkeypatch, cores):
-    """Patch the core count to cores and the minimum shard size to 100
-    trials, and count the forks: the list of child pids it returns grows by
-    one for each fork."""
+    """Patch the core count to cores, the shard cap to 3 and the minimum
+    shard size to 100 trials, and count the forks: the list of child pids it
+    returns grows by one for each fork."""
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -379,6 +379,7 @@ def _shards(monkeypatch, cores):
         return pid
 
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(montecarlo, "_MAX_SHARDS", 3)
     monkeypatch.setattr(montecarlo, "_MIN_SHARD_TRIALS", 100)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
@@ -399,7 +400,10 @@ def test_shard_cuts_fall_on_block_boundaries(monkeypatch):
     assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 8191, 4096) == [0, 8191]
     assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 70001) == [0, 70001]
     assert montecarlo._shard_cuts(sc.Ml(), 70001, 4096) == [0, 70001]
+    # more cores than the shard cap take the cap's shards
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 36864, 70001]
+    monkeypatch.setattr(montecarlo, "_MAX_SHARDS", 3)
     assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 24576, 49152, 70001]
     # a platform without fork or without the affinity call has one core
     assert usable_cores() == len(os.sched_getaffinity(0))
@@ -458,6 +462,32 @@ def test_a_shard_that_raises_raises_the_one_shard_error_and_leaves_no_child(
     with pytest.raises(ValidationError) as sharded:
         sc.estimate(scen_m4, SPECS, sc.KNOWN_FREQ, 300, 3)
     assert str(sharded.value) == str(one.value)
+    assert len(forks) == 1 and _no_child_left()
+    # the child's exception comes with its traceback in the child
+    cause = sharded.value.__cause__
+    if falling < 128:
+        assert cause is None
+    else:
+        assert isinstance(cause, montecarlo._ShardTraceback)
+        assert "in reduce" in str(cause) and str(one.value) in str(cause)
+
+
+@pytest.mark.parametrize("sent", [b"", b"\x80\x05\x95", b"cno_such_module\nname\n."],
+                         ids=["nothing", "truncated", "missing-global"])
+def test_a_shard_that_sends_no_readable_result_is_a_child_process_error(
+        scen_m4, monkeypatch, sent):
+    # whatever unpickling the child's bytes raises, the call raises one
+    # error from it and leaves no child
+    def send(reduce, sink):
+        sink.write(sent)
+        sink.flush()
+        os._exit(0)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
+    monkeypatch.setattr(montecarlo, "_forked", send)
+    forks = _shards(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="without sending its result"):
+        sc.estimate(scen_m4, SPECS, sc.KNOWN_FREQ, 300, 3)
     assert len(forks) == 1 and _no_child_left()
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import sincount as sc
 from sincount import theory
 from sincount.errors import ModelViolationError, ValidationError
+from sincount.signal_model import clean_signal
 
 from oracles import (pmep_i_interior_oracle, pmep_ir_two_integrals, sample_increments,
                      use_uncut_laws)
@@ -653,8 +654,9 @@ def test_stacked_law_sets_go_through_the_sweep_only(scen_m4):
 
 def test_stacked_laws_take_each_sets_lambdas_bit_for_bit():
     # the stack's bases come from one basis_matrix call and are whitened by
-    # one batched solve: each row is still that set's own, and a row out of
-    # its band raises the error of that set alone
+    # one batched solve: each row is still that set's own, each set's means
+    # are the Monte Carlo's FrequencyPlan statistic of the clean signal, and
+    # a row out of its band raises the error of that set alone
     rng = np.random.default_rng(5)
     for scen in (sc.standard_scenario(0.0), sc.standard_scenario(4.0, n_samples=256)):
         half = np.pi / scen.n_samples
@@ -663,6 +665,9 @@ def test_stacked_laws_take_each_sets_lambdas_bit_for_bit():
         stack = sc.component_dists(scen, frequencies=freqs)
         for row, own in zip(stack.lambdas, freqs):
             assert row.tobytes() == sc.component_dists(scen, frequencies=own).lambdas.tobytes()
+            plan = sc.FrequencyPlan.build(scen, own)
+            means = sc.residual_means(scen, own)[0]
+            assert means.tobytes() == plan.residuals_batch(clean_signal(scen))[0].tobytes()
         freqs[4, 2] += 2.0 * half
         with pytest.raises(ValidationError) as alone:
             sc.component_dists(scen, frequencies=freqs[4])
