@@ -5,19 +5,21 @@ compute one log-likelihood ladder per approach, and evaluate every
 criterion on the same statistics, so comparisons between criteria are
 paired.  Aggregates depend on neither blocks nor shards: a trial's noise is
 a function of its index alone, so the trial loop may be cut anywhere.  At
-fixed frequencies estimate splits its trials into contiguous shards, one per
-usable core up to _MAX_SHARDS, runs every shard but the first in a forked
-child process and merges the shards' counts and indicator bits in trial
-order.
+fixed frequencies estimate splits its trials into contiguous shards of equal
+trial counts (within one), one per usable core up to _MAX_SHARDS, runs every
+shard but the first in a forked child process and merges the shards' counts
+and indicator bits in trial order.
 
 Trial k's noise is the standard normals of a fresh
 Generator(Philox(key=trial_seed(master_seed, k))).  _fill_samples, which
 batch_samples and each block of the trial loop call, draws them with one
-call per trial of numpy's random_standard_normal_fill, the C
-function behind Generator.standard_normal, on a record laid out as a fresh
-Philox; an import-time check verifies that layout against the installed
-numpy, and where it fails each trial goes through the public Philox state
-setter instead, with the same streams.
+call per trial of numpy's random_standard_normal_fill, the C function
+behind Generator.standard_normal, on a record laid out as a fresh Philox.
+The call is made without argtypes, on ctypes objects that each loop builds
+once for its buffer: a pointer per record and per row, and the row length.
+An import-time check verifies the layout and that call against the
+installed numpy, and where it fails each trial goes through the public
+Philox state setter instead, with the same streams.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,13 +216,18 @@ def _rekey_by_setter(bit_gen):
     return rekey
 
 
-def _noise_by_setter(out, keys):
-    """Fill row k of out with the standard normals of a fresh
-    Generator(Philox(key=keys[k])): one Philox, set for each row through the
-    public state setter."""
+def _setter_arguments(buffer):
+    """The arguments of _noise_by_setter for a loop over buffer's rows: one
+    Generator over a Philox, and the function that rekeys that Philox."""
     bit_gen = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_gen)
-    rekey = _rekey_by_setter(bit_gen)
+    return np.random.Generator(bit_gen), _rekey_by_setter(bit_gen)
+
+
+def _noise_by_setter(out, keys, arguments):
+    """Fill row k of out with the standard normals of a fresh
+    Generator(Philox(key=keys[k])): the one Philox of arguments, from
+    _setter_arguments, set for each row through the public state setter."""
+    rng, rekey = arguments
     for row, trial_key in zip(out, keys.tolist()):
         rekey(trial_key)
         rng.standard_normal(out=row)
@@ -254,22 +262,55 @@ def _rekey_records(records, keys):
     block["state"]["has_uint32"] = 0
 
 
-def _noise_by_fill(fill, functions, out, keys):
-    """Fill row k of out, a C-contiguous float array, with the standard
-    normals of a fresh Generator(Philox(key=keys[k])): one call of fill,
-    numpy's random_standard_normal_fill, per row, on a record rekeyed for it.
-    The records are reused for each block of _RECORD_BLOCK rows."""
-    n_rows, n_cols = out.shape
+class _FillArguments(NamedTuple):
+    """The arguments of the fill calls of one loop over buffer's rows, built
+    once by _fill_arguments in the process that runs the loop and dropped
+    with it: the Philox records, reused for each block of _RECORD_BLOCK rows,
+    a c_void_p per record and per row of buffer, and the row length as a
+    c_intp.  A call that takes ctypes objects skips the conversion of three
+    Python ints through argtypes: about 0.22 us of each 1.45 us trial on a
+    2-core x86 host."""
+
+    buffer: np.ndarray
+    records: np.ndarray
+    record_pointers: list
+    row_pointers: list
+    count: object
+
+
+def _fill_arguments(functions, buffer):
+    """_FillArguments for buffer, a C-contiguous float array of rows, with
+    records holding the draw functions of a real Philox."""
+    # each call writes n_cols doubles from a row pointer
+    if buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
+        raise ValueError("the fill arguments need a C-contiguous float64 buffer")
+    n_rows, n_cols = buffer.shape
     records = _philox_records(min(n_rows, _RECORD_BLOCK), functions)
-    first_record, record_size, row_size = records.ctypes.data, records.itemsize, out.strides[0]
-    for start in range(0, n_rows, _RECORD_BLOCK):
+
+    def pointers(array):
+        # a c_void_p per row of a C-contiguous array
+        first = array.ctypes.data
+        return list(map(ctypes.c_void_p, range(first, first + array.nbytes, array.strides[0])))
+
+    return _FillArguments(buffer, records, pointers(records), pointers(buffer),
+                          np.ctypeslib.c_intp(n_cols))
+
+
+def _noise_by_fill(fill, out, keys, arguments):
+    """Fill row k of out, the leading rows of arguments.buffer, with the
+    standard normals of a fresh Generator(Philox(key=keys[k])): one call of
+    fill, numpy's random_standard_normal_fill without argtypes, per row, on a
+    record rekeyed for it, with the ctypes objects of arguments only."""
+    buffer, records, record_pointers, row_pointers, count = arguments
+    # the calls write into buffer's rows: out must be the first of them
+    if not (out.ctypes.data == buffer.ctypes.data and out.strides == buffer.strides
+            and out.shape[1] == buffer.shape[1] and len(out) <= len(buffer)):
+        raise ValueError("out is not the leading rows of the fill arguments' buffer")
+    for start in range(0, len(keys), _RECORD_BLOCK):
         block_keys = keys[start:start + _RECORD_BLOCK]
         _rekey_records(records, block_keys)
-        first_row = out.ctypes.data + start * row_size
-        for record, row in zip(
-                range(first_record, first_record + len(block_keys) * record_size, record_size),
-                range(first_row, first_row + len(block_keys) * row_size, row_size)):
-            fill(record, n_cols, row)
+        for record, row in zip(record_pointers, row_pointers[start:start + len(block_keys)]):
+            fill(record, count, row)
 
 
 def _inside(obj, address, nbytes):
@@ -318,17 +359,20 @@ def _bitgen_functions(bit_gen):
 
 def _load_fill():
     """numpy's random_standard_normal_fill(bitgen_t *, npy_intp, double *),
-    resolved from the library of numpy.random's Generator; None where it does
-    not resolve."""
+    resolved from the library of numpy.random's Generator, twice: with
+    argtypes, for callers that pass Python ints, and without, for the trial
+    loop, which passes only the ctypes objects of _FillArguments.  None where
+    it does not resolve."""
     # PyDLL keeps the interpreter lock through the call: a 64-normal fill is
     # short, and releasing and retaking the lock for each trial costs more
     try:
-        fill = getattr(ctypes.PyDLL(np.random._generator.__file__), _FILL_SYMBOL)
+        library = ctypes.PyDLL(np.random._generator.__file__)
+        fill, untyped = library[_FILL_SYMBOL], library[_FILL_SYMBOL]
     except (OSError, AttributeError):
         return None
     fill.argtypes = (ctypes.c_void_p, np.ctypeslib.c_intp, ctypes.c_void_p)
-    fill.restype = None
-    return fill
+    fill.restype = untyped.restype = None
+    return fill, untyped
 
 
 def _soil(records):
@@ -342,43 +386,50 @@ def _soil(records):
 
 
 def _choose_noise():
-    """_noise_by_fill where three checks on the installed numpy pass, in
-    this order, else _noise_by_setter.  First, read only: on a Philox whose
-    state has no field at its fresh value, _PhiloxState must read what the
-    public state reports, and its bitgen_t must read back its state address
-    and draw functions.  Second, random_standard_normal_fill must resolve.
-    Third, a record with every state field used, rekeyed to a key below
-    2**63 and to one above, must give the 64 normals of a fresh
+    """(_noise_by_fill with numpy's untyped random_standard_normal_fill, its
+    _fill_arguments) where three checks on the installed numpy pass, in this
+    order, else (_noise_by_setter, _setter_arguments).  First, read only: on
+    a Philox whose state has no field at its fresh value, _PhiloxState must
+    read what the public state reports, and its bitgen_t must read back its
+    state address and draw functions.  Second, random_standard_normal_fill
+    must resolve.  Third, a record with every state field used, rekeyed to a
+    key below 2**63 and to one above, must give through _noise_by_fill, with
+    arguments built as a trial loop builds them, the 64 normals of a fresh
     Generator(Philox(key=k)), bit for bit.  No C function sees a record
     before the first two pass."""
     bit_gen = np.random.Philox(key=0)
     bit_gen.state = _DIRTY_PHILOX
     functions = _bitgen_functions(bit_gen) if _layout_matches(bit_gen) else None
-    fill = _load_fill() if functions else None
-    if fill is None:
-        return _noise_by_setter
-    records = _philox_records(1, functions)
-    row = np.empty(64)
+    loaded = _load_fill() if functions else None
+    if loaded is None:
+        return _noise_by_setter, _setter_arguments
+    noise = functools.partial(_noise_by_fill, loaded[1])
+    make_arguments = functools.partial(_fill_arguments, functions)
+    row = np.empty((1, 64))
+    arguments = make_arguments(row)
     for trial_key in (0x2545F4914F6CDD1D, 2**64 - 59):
-        _soil(records)
-        _rekey_records(records, np.array([trial_key], dtype=np.uint64))
-        fill(records.ctypes.data, row.size, row.ctypes.data)
+        _soil(arguments.records)
+        noise(row, np.array([trial_key], dtype=np.uint64), arguments)
         fresh = np.random.Generator(np.random.Philox(key=trial_key))
         if row.tobytes() != fresh.standard_normal(row.size).tobytes():
-            return _noise_by_setter
-    return functools.partial(_noise_by_fill, fill, functions)
+            return _noise_by_setter, _setter_arguments
+    return noise, make_arguments
 
 
-_noise = _choose_noise()
+# the noise function, of (out, keys, arguments), and the function of a
+# buffer that builds its arguments once per loop over the buffer's rows
+_noise, _noise_arguments = _choose_noise()
 
 
-def _fill_samples(out, scenario, signal, master_seed, start):
+def _fill_samples(out, scenario, signal, master_seed, start, arguments):
     """Fill row k of out, a C-contiguous float array, with the observation of
     trial start + k: the clean signal plus sigma0 times the normals of a
     fresh Generator(Philox(key=trial_seed(master_seed, start + k))).
-    master_seed is an int; signal is clean_signal(scenario)."""
+    master_seed is an int; signal is clean_signal(scenario); arguments is
+    _noise_arguments of a buffer whose leading rows out is, built by the
+    caller once per loop over that buffer."""
     keys = _trial_keys(master_seed, np.arange(start, start + out.shape[0], dtype=np.uint64))
-    _noise(out, keys)
+    _noise(out, keys, arguments)
     out *= scenario.noise_level
     out += signal
 
@@ -393,8 +444,12 @@ def batch_samples(scenario, master_seed, start, count):
     import-time check _choose_noise passes, each row is one call of numpy's
     random_standard_normal_fill, the function behind Generator.standard_normal,
     on a Philox record (key [k, 0], zero counter, empty buffer) written with
-    whole-column array writes for a block of rows at a time.  Otherwise one
-    Philox is set for each row through the public state setter.
+    whole-column array writes for a block of rows at a time.  The call takes
+    ctypes objects built once for each slice of _block_rows rows of the
+    output, a pointer per row and per record and the row length, so they
+    never hold more than one trial-loop block's worth (about 140 bytes a
+    row).  Otherwise one Philox is set for each row through the public state
+    setter.
     """
     master_seed = nonneg_int(master_seed, "master_seed")
     start, count = nonneg_int(start, "start"), nonneg_int(count, "count")
@@ -402,7 +457,10 @@ def batch_samples(scenario, master_seed, start, count):
         raise ValidationError(
             f"trial indices must be below 2**64, got start {start} and count {count}")
     out = np.empty((count, scenario.n_samples))
-    _fill_samples(out, scenario, clean_signal(scenario), master_seed, start)
+    signal, step = clean_signal(scenario), _block_rows(scenario)
+    for first in range(0, count, step):
+        rows = out[first:first + step]
+        _fill_samples(rows, scenario, signal, master_seed, start + first, _noise_arguments(rows))
     return out
 
 
@@ -415,13 +473,16 @@ def _trial_blocks(scenario, block_ladders, master_seed, start, stop):
     """The trial loop over trials start..stop-1: (first trial, its block's
     ladders) per block of _block_rows trials in one reused buffer, with
     block_ladders from ladder_function; a degenerate trial's (ML only) is a
-    NaN row.  No row depends on the block size."""
+    NaN row.  No row depends on the block size.  The noise's arguments for
+    the buffer, its fill calls' ctypes objects on the fill path, are built
+    once, in the process that runs the loop."""
     signal = clean_signal(scenario)
     step = _block_rows(scenario)
     block = np.empty((min(step, stop - start), scenario.n_samples))
+    arguments = _noise_arguments(block)
     for first in range(start, stop, step):
         rows = block[:stop - first]
-        _fill_samples(rows, scenario, signal, master_seed, first)
+        _fill_samples(rows, scenario, signal, master_seed, first, arguments)
         yield first, block_ladders(rows)[0]
 
 
@@ -524,18 +585,16 @@ def _usable_cores():
     return len(os.sched_getaffinity(0))
 
 
-def _shard_cuts(approach, trials, step):
+def _shard_cuts(approach, trials):
     """The first trial of each shard of the trial loop, then trials: one
     shard per usable core up to _MAX_SHARDS, each of at least
-    _MIN_SHARD_TRIALS trials, cut on the boundaries of blocks of step
-    trials.  An Ml approach takes one shard, as its grid products already
-    run BLAS on every core."""
-    blocks = -(-trials // step)
+    _MIN_SHARD_TRIALS trials, shard k starting at trial trials * k // shards,
+    so the shards' trial counts differ by at most one.  An Ml approach takes
+    one shard, as its grid products already run BLAS on every core."""
     shards = 1
     if isinstance(approach, Bl):
-        shards = max(1, min(_usable_cores(), _MAX_SHARDS, trials // _MIN_SHARD_TRIALS,
-                            blocks))
-    return [step * (blocks * k // shards) for k in range(shards)] + [trials]
+        shards = max(1, min(_usable_cores(), _MAX_SHARDS, trials // _MIN_SHARD_TRIALS))
+    return [trials * k // shards for k in range(shards)] + [trials]
 
 
 def _put_bits(packed, offset, bits):
@@ -636,13 +695,15 @@ def estimate(scenario, specs, approach, trials, master_seed):
     An empty specs is a ValidationError, raised before any trial runs.
 
     At fixed frequencies (Bl) the trials split into one contiguous shard per
-    usable core, at most _MAX_SHARDS, cut on block boundaries, where each
-    shard holds at least _MIN_SHARD_TRIALS trials.  The ladder function,
-    with its frequency plan and whitened basis, is built before the fork, so
-    no child calls BLAS or LAPACK.  Each child runs the block loop over its shard and sends back
-    its trial count, hit counts, histograms and indicator bits; they are
-    merged in trial order, so every report is the one-shard report bit for
-    bit.  An Ml approach, one usable core or fewer than twice
+    usable core, at most _MAX_SHARDS, shard k of s starting at trial
+    trials * k // s, where each shard holds at least _MIN_SHARD_TRIALS
+    trials.  The ladder function, with its frequency plan and whitened
+    basis, is built before the fork, so no child calls BLAS or LAPACK.  Each
+    shard's process builds its own block buffer and the fill calls' ctypes
+    objects for it and runs the block loop over its shard; each child sends
+    back its trial count, hit counts, histograms and indicator bits, and
+    they are merged in trial order, so every report is the one-shard report
+    bit for bit.  An Ml approach, one usable core or fewer than twice
     _MIN_SHARD_TRIALS trials run in one shard, in this process.  The
     children are forked from a process that may run other threads, numpy's
     BLAS pool among them (Python 3.12 and later warn of it at each fork):
@@ -691,7 +752,7 @@ def estimate(scenario, specs, approach, trials, master_seed):
             n_eff += ladders.shape[0]
         return n_eff, hits, histograms, bits[:, :, :-(-n_eff // 8)]
 
-    shards = _run_shards(reduce, _shard_cuts(approach, trials, step))
+    shards = _run_shards(reduce, _shard_cuts(approach, trials))
     n_eff, hits, histograms, _ = shards[0]
     for count, shard_hits, shard_histograms, bits in shards[1:]:
         _put_bits(packed, n_eff, bits)

@@ -325,9 +325,9 @@ def inject_ladders(monkeypatch, ladders):
     runs the block."""
     fill_samples, first = montecarlo._fill_samples, [0]
 
-    def recorded_fill(out, scenario, signal, master_seed, start):
+    def recorded_fill(out, scenario, signal, master_seed, start, arguments):
         first[0] = start
-        fill_samples(out, scenario, signal, master_seed, start)
+        fill_samples(out, scenario, signal, master_seed, start, arguments)
 
     def ladder_function(scenario, approach):
         def block_ladders(rows):

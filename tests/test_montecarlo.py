@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -84,11 +85,11 @@ def _record_draws(fill, records):
 
 
 def _fill_in_use():
-    """(fill, functions) of the fill path; a skip where the import check chose
-    the setter, which test_fill_is_the_noise_path_in_use reports."""
+    """(the typed fill, functions) of the fill path; a skip where the import
+    check chose the setter, which test_fill_is_the_noise_path_in_use reports."""
     if getattr(montecarlo._noise, "func", None) is not montecarlo._noise_by_fill:
         pytest.skip("the import check chose the state setter")
-    return montecarlo._noise.args
+    return montecarlo._load_fill()[0], montecarlo._noise_arguments.args[0]
 
 
 @pytest.mark.floor_streams
@@ -172,9 +173,10 @@ def test_failed_import_check_falls_back_to_the_setter(scen_m4, monkeypatch, fail
             records["counter"][:len(keys), 0] = 1
 
         monkeypatch.setattr(montecarlo, "_rekey_records", one_block_ahead)
-    chosen = montecarlo._choose_noise()
-    assert chosen is montecarlo._noise_by_setter
-    monkeypatch.setattr(montecarlo, "_noise", chosen)
+    noise, arguments = montecarlo._choose_noise()
+    assert (noise, arguments) == (montecarlo._noise_by_setter, montecarlo._setter_arguments)
+    monkeypatch.setattr(montecarlo, "_noise", noise)
+    monkeypatch.setattr(montecarlo, "_noise_arguments", arguments)
     np.testing.assert_array_equal(sc.batch_samples(scen_m4, 2**32 + 5, 0, 6), expect)
 
 
@@ -189,6 +191,96 @@ def test_batch_samples_match_synthesize_across_record_blocks(scen_m4, monkeypatc
     for k, row in enumerate(rows):
         np.testing.assert_array_equal(
             row, sc.synthesize(scen_m4, sc.trial_seed(2**32 + 5, 11 + k)).samples)
+
+
+@pytest.mark.floor_streams
+@pytest.mark.parametrize("shift", [0, 1], ids=["as-built", "shifted-row"])
+def test_import_check_calls_the_untyped_fill_with_ctypes_objects(monkeypatch, shift):
+    _fill_in_use()
+    load_fill, calls = montecarlo._load_fill, []
+
+    def spied_load():
+        fill, untyped = load_fill()
+
+        def spy(record, count, row):
+            calls.append((type(record), type(count), type(row)))
+            # shifted one sample on and one short, as another call form would
+            # place the row
+            untyped(record, np.ctypeslib.c_intp(count.value - shift),
+                    ctypes.c_void_p(row.value + 8 * shift))
+
+        return fill, spy
+
+    monkeypatch.setattr(montecarlo, "_load_fill", spied_load)
+    noise, arguments = montecarlo._choose_noise()
+    assert calls and set(calls) == {(ctypes.c_void_p, np.ctypeslib.c_intp, ctypes.c_void_p)}
+    if shift:
+        assert (noise, arguments) == (montecarlo._noise_by_setter, montecarlo._setter_arguments)
+        assert len(calls) == 1
+    else:
+        assert noise.func is montecarlo._noise_by_fill
+        assert arguments.func is montecarlo._fill_arguments
+        assert len(calls) == 2
+
+
+def _fresh_rows(scenario, master_seed, start, count):
+    """Oracle: trial k's observation from a fresh
+    Generator(Philox(key=trial_seed(master_seed, k)))."""
+    s0 = clean_signal(scenario)
+    return np.array([s0 + scenario.noise_level * np.random.Generator(np.random.Philox(
+        key=sc.trial_seed(master_seed, k))).standard_normal(scenario.n_samples)
+        for k in range(start, start + count)])
+
+
+def _loop_rows(scenario, master_seed, start, stop):
+    """The trial loop over trials start..stop-1, yielding (first trial, a copy
+    of its block's observations) for each block."""
+    return montecarlo._trial_blocks(scenario, lambda rows: (rows.copy(),), master_seed,
+                                    start, stop)
+
+
+@pytest.mark.floor_streams
+@pytest.mark.parametrize("n_samples, start, count", [
+    (64, 0, 1000), (64, 35000, 4481), (65, 35000, 1000), (128, 35000, 4481)])
+def test_batch_samples_and_trial_loop_rows_are_fresh_generator_draws(n_samples, start, count):
+    # 1000 rows end inside the first block of 1024 records, 4481 in a
+    # 385-row block of them; at 64 samples 4481 trials are a 4096-row block
+    # of the trial loop and a 385-row one, at 128 two of 2048 and one of 385.
+    # 35000 is the second shard's first trial in a 70001-trial call
+    scenario = sc.standard_scenario(-4.0, n_samples=n_samples)
+    expect = _fresh_rows(scenario, 2**32 + 5, start, count)
+    np.testing.assert_array_equal(sc.batch_samples(scenario, 2**32 + 5, start, count), expect)
+    blocks = list(_loop_rows(scenario, 2**32 + 5, start, start + count))
+    assert [first for first, _ in blocks] == \
+        list(range(start, start + count, montecarlo._block_rows(scenario)))
+    np.testing.assert_array_equal(np.concatenate([rows for _, rows in blocks]), expect)
+    assert sc.batch_samples(scenario, 2**32 + 5, start, 0).shape == (0, n_samples)
+
+
+@pytest.mark.floor_streams
+def test_interleaved_trial_loops_keep_their_own_streams(monkeypatch):
+    # blocks of 100 rows at 64 samples and of 50 at 128, the two loops' blocks
+    # drawn in turn: each fills its own buffer through its own arguments
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 64 * 100)
+    scenarios = [sc.standard_scenario(0.0, n_samples=n) for n in (64, 128)]
+    loops = [_loop_rows(scenario, seed, 7, 307) for scenario, seed in zip(scenarios, (3, 4))]
+    got = [[], []]
+    for turn in itertools.zip_longest(*loops):
+        for rows, block in zip(got, turn):
+            if block is not None:
+                rows.append(block[1])
+    assert [len(rows) for rows in got] == [3, 6]
+    for rows, scenario, seed in zip(got, scenarios, (3, 4)):
+        np.testing.assert_array_equal(np.concatenate(rows), _fresh_rows(scenario, seed, 7, 300))
+    # the fill path's arguments fill only the leading rows of their own
+    # buffer, a C-contiguous float64 one
+    if getattr(montecarlo._noise, "func", None) is montecarlo._noise_by_fill:
+        arguments = montecarlo._noise_arguments(np.empty((4, 64)))
+        with pytest.raises(ValueError, match="leading rows"):
+            montecarlo._fill_samples(np.empty((4, 64)), scenarios[0], 0.0, 3, 0, arguments)
+        for buffer in (np.empty((4, 64), dtype=np.float32), np.empty((4, 128))[:, ::2]):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                montecarlo._noise_arguments(buffer)
 
 
 def _reference_samples(scenario, master_seed, trials):
@@ -391,20 +483,21 @@ def _no_child_left():
     return True
 
 
-def test_shard_cuts_fall_on_block_boundaries(monkeypatch):
+def test_shard_cuts_split_the_trials_evenly(monkeypatch):
     usable_cores = montecarlo._usable_cores
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
-    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 36864, 70001]
-    assert montecarlo._shard_cuts(sc.Bl(0.01), 8192, 4096) == [0, 4096, 8192]
-    # fewer trials than two minimum shards, or one block, or an ML search
-    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 8191, 4096) == [0, 8191]
-    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 70001) == [0, 70001]
-    assert montecarlo._shard_cuts(sc.Ml(), 70001, 4096) == [0, 70001]
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001) == [0, 35000, 70001]
+    assert montecarlo._shard_cuts(sc.Bl(0.01), 8192) == [0, 4096, 8192]
+    # fewer trials than two minimum shards, or an ML search
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 8191) == [0, 8191]
+    assert montecarlo._shard_cuts(sc.Ml(), 70001) == [0, 70001]
     # more cores than the shard cap take the cap's shards
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 3)
-    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 36864, 70001]
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001) == [0, 35000, 70001]
     monkeypatch.setattr(montecarlo, "_MAX_SHARDS", 3)
-    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001, 4096) == [0, 24576, 49152, 70001]
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 70001) == [0, 23333, 46667, 70001]
+    # each shard holds at least the minimum
+    assert montecarlo._shard_cuts(sc.KNOWN_FREQ, 12287) == [0, 6143, 12287]
     # a platform without fork or without the affinity call has one core
     assert usable_cores() == len(os.sched_getaffinity(0))
     for name in ("fork", "sched_getaffinity"):
@@ -417,10 +510,10 @@ def test_shard_cuts_fall_on_block_boundaries(monkeypatch):
     pytest.param(sc.KNOWN_FREQ, marks=pytest.mark.floor_streams),
     pytest.param(sc.Bl(0.01), marks=pytest.mark.floor_streams)], ids=["known", "bl"])
 def test_shards_give_the_one_shard_reports_bit_for_bit(scen_m4, approach, monkeypatch):
-    # 1003 trials in blocks of 64 rows: 16 blocks, the last of 43, cut into
-    # shards of 8 blocks, or of 5, 5 and 6.  Rows 60-70 degenerate across a
-    # block boundary, 318-322 and 507-516 across the shard cuts at 320 and
-    # 512, which leaves no shard but the last a multiple of 8 trials
+    # 1003 trials in blocks of 64 rows, cut into shards at trial 501, or at
+    # 334 and 668, each shard's loop starting a block there.  Rows 60-70
+    # degenerate across a block boundary, 330-337, 497-504 and 664-671 across
+    # the shard cuts, which leaves no shard but the last a multiple of 8 trials
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
     forks = _shards(monkeypatch, 1)
     one = [_report_state(r) for r in sc.estimate(scen_m4, SPECS, approach, 1003, 13)]
@@ -431,7 +524,7 @@ def test_shards_give_the_one_shard_reports_bit_for_bit(scen_m4, approach, monkey
         assert len(forks) == cores - 1 and _no_child_left()
         forks.clear()
     ladders = sc.collect_logliks(scen_m4, approach, 1003, 13)
-    ladders[np.r_[60:71, 318:323, 507:517]] = np.nan
+    ladders[np.r_[60:71, 330:338, 497:505, 664:672]] = np.nan
     inject_ladders(monkeypatch, ladders)
     monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
     one = [_report_state(r) for r in sc.estimate(scen_m4, SPECS, approach, 1003, 13)]
@@ -441,7 +534,7 @@ def test_shards_give_the_one_shard_reports_bit_for_bit(scen_m4, approach, monkey
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
         got = sc.estimate(scen_m4, SPECS, approach, 1003, 13)
         assert [_report_state(r) for r in got] == one
-        assert got[0].trials == 977 and got[0].degenerate == 26
+        assert got[0].trials == 968 and got[0].degenerate == 35
         assert len(forks) == cores - 1 and _no_child_left()
         forks.clear()
 
@@ -449,8 +542,8 @@ def test_shards_give_the_one_shard_reports_bit_for_bit(scen_m4, approach, monkey
 @pytest.mark.parametrize("falling", [7, 200])
 def test_a_shard_that_raises_raises_the_one_shard_error_and_leaves_no_child(
         scen_m4, monkeypatch, falling):
-    # 300 trials in blocks of 64 rows: the shards are trials 0-127 and
-    # 128-299, and the falling ladder lies in the first or the second
+    # 300 trials in blocks of 64 rows: the shards are trials 0-149 and
+    # 150-299, and the falling ladder lies in the first or the second
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", _block_bytes(scen_m4, 64))
     ladders = sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 300, 3)
     ladders[falling, -1] = ladders[falling, -2] - 1.0
@@ -465,7 +558,7 @@ def test_a_shard_that_raises_raises_the_one_shard_error_and_leaves_no_child(
     assert len(forks) == 1 and _no_child_left()
     # the child's exception comes with its traceback in the child
     cause = sharded.value.__cause__
-    if falling < 128:
+    if falling < 150:
         assert cause is None
     else:
         assert isinstance(cause, montecarlo._ShardTraceback)
