@@ -24,7 +24,9 @@ class Dist:
     [support_lo, support_hint] outside which cdf and 1 - cdf are below 1e-12
     (for a convolution, below the sum of its parts' bounds), and the
     probability mass sitting exactly at zero (nonzero only for the truncated
-    ML-approach laws, whose window therefore starts at zero).  A noncentral
+    ML-approach laws; it counts in the cdf below support_lo, so their window
+    starts above zero where the atom is under 1e-12, as for the noise law at
+    xi = 100: atom0 1.5e-14, support_lo 0.256).  A noncentral
     chi-square law's cdf also holds a third window end, top >= support_hint
     (_ncx2_window), from which it reads exactly 1.0 without calling the
     kernel.

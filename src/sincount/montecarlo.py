@@ -11,15 +11,16 @@ shard but the first in a forked child process and merges the shards' counts
 and indicator bits in trial order.
 
 Trial k's noise is the standard normals of a fresh
-Generator(Philox(key=trial_seed(master_seed, k))).  _fill_samples, which
-batch_samples and each block of the trial loop call, draws them with one
-call per trial of numpy's random_standard_normal_fill, the C function
-behind Generator.standard_normal, on a record laid out as a fresh Philox.
-The call is made without argtypes, on ctypes objects that each loop builds
-once for its buffer: a pointer per record and per row, and the row length.
-An import-time check verifies the layout and that call against the
-installed numpy, and where it fails each trial goes through the public
-Philox state setter instead, with the same streams.
+Generator(Philox(key=trial_seed(master_seed, k))).  Each loop over a buffer
+of rows, batch_samples' and each shard's trial loop, builds one row filler
+for it with _noise_rows, and _fill_samples draws each block of trials
+through it.  A filler makes one call per trial of numpy's
+random_standard_normal_fill, the C function behind Generator.standard_normal,
+on a record laid out as a fresh Philox, without argtypes, on ctypes objects
+it builds once for its buffer: a pointer per record and per row, and the
+row length.  An import-time check verifies the layout and that call against
+the installed numpy, and where it fails each filler sets one Philox for
+each trial through the public state setter instead, with the same streams.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import pickle
 import signal
 import traceback
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -216,27 +216,41 @@ def _rekey_by_setter(bit_gen):
     return rekey
 
 
-def _setter_arguments(buffer):
-    """The arguments of _noise_by_setter for a loop over buffer's rows: one
-    Generator over a Philox, and the function that rekeys that Philox."""
+def _setter_rows(buffer):
+    """The row filler of buffer through the public state setter: draw(keys)
+    fills row k of buffer's leading len(keys) rows with the standard normals
+    of a fresh Generator(Philox(key=keys[k])), setting one Philox for each
+    row, and returns those rows."""
     bit_gen = np.random.Philox(key=0)
-    return np.random.Generator(bit_gen), _rekey_by_setter(bit_gen)
+    rng, rekey = np.random.Generator(bit_gen), _rekey_by_setter(bit_gen)
+
+    def draw(keys):
+        if len(keys) > len(buffer):
+            raise ValueError("more keys than the filler's buffer has rows")
+        rows = buffer[:len(keys)]
+        for row, trial_key in zip(rows, keys.tolist()):
+            rekey(trial_key)
+            rng.standard_normal(out=row)
+        return rows
+
+    return draw
 
 
-def _noise_by_setter(out, keys, arguments):
-    """Fill row k of out with the standard normals of a fresh
-    Generator(Philox(key=keys[k])): the one Philox of arguments, from
-    _setter_arguments, set for each row through the public state setter."""
-    rng, rekey = arguments
-    for row, trial_key in zip(out, keys.tolist()):
-        rekey(trial_key)
-        rng.standard_normal(out=row)
+def _soil(records):
+    """Set every state field of records to its value in _DIRTY_PHILOX."""
+    state = records["state"]
+    records["counter"] = _DIRTY_PHILOX["state"]["counter"]
+    records["key"] = _DIRTY_PHILOX["state"]["key"]
+    state["buffer"] = _DIRTY_PHILOX["buffer"]
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        state[name] = _DIRTY_PHILOX[name]
 
 
 def _philox_records(count, functions):
-    """count zeroed records with their state, counter and key pointers set
-    and the four draw-function addresses of a real Philox copied in;
-    _rekey_records makes them fresh generators."""
+    """count records with their state, counter and key pointers set, the
+    four draw-function addresses of a real Philox copied in and every state
+    field at its _DIRTY_PHILOX value; _rekey_records makes them fresh
+    generators, and a field it missed shows in the import check's draws."""
     records = np.zeros(count, _RECORD)
     addresses = np.uint64(records.ctypes.data) + np.uint64(_RECORD.itemsize) * np.arange(
         count, dtype=np.uint64)
@@ -246,6 +260,7 @@ def _philox_records(count, functions):
         bitgen[name] = address
     state["ctr"] = addresses + np.uint64(_PhiloxRecord.counter.offset)
     state["key"] = addresses + np.uint64(_PhiloxRecord.key.offset)
+    _soil(records)
     return records
 
 
@@ -262,28 +277,21 @@ def _rekey_records(records, keys):
     block["state"]["has_uint32"] = 0
 
 
-class _FillArguments(NamedTuple):
-    """The arguments of the fill calls of one loop over buffer's rows, built
-    once by _fill_arguments in the process that runs the loop and dropped
-    with it: the Philox records, reused for each block of _RECORD_BLOCK rows,
-    a c_void_p per record and per row of buffer, and the row length as a
-    c_intp.  A call that takes ctypes objects skips the conversion of three
-    Python ints through argtypes: about 0.22 us of each 1.45 us trial on a
-    2-core x86 host."""
-
-    buffer: np.ndarray
-    records: np.ndarray
-    record_pointers: list
-    row_pointers: list
-    count: object
-
-
-def _fill_arguments(functions, buffer):
-    """_FillArguments for buffer, a C-contiguous float array of rows, with
-    records holding the draw functions of a real Philox."""
+def _fill_rows(fill, functions, buffer):
+    """The row filler of buffer, a C-contiguous float64 array, through fill,
+    numpy's random_standard_normal_fill without argtypes: draw(keys) fills
+    row k of buffer's leading len(keys) rows with the standard normals of a
+    fresh Generator(Philox(key=keys[k])), one call per row on a record
+    rekeyed for it, and returns those rows.  Built once per loop, in the
+    process that runs the loop, it holds the Philox records, with the draw
+    functions of a real Philox and reused for each block of _RECORD_BLOCK
+    rows, a c_void_p per record and per row of buffer, and the row length as
+    a c_intp.  A call that takes ctypes objects skips the conversion of
+    three Python ints through argtypes: about 0.22 us of each 1.45 us trial
+    on a 2-core x86 host."""
     # each call writes n_cols doubles from a row pointer
     if buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
-        raise ValueError("the fill arguments need a C-contiguous float64 buffer")
+        raise ValueError("the fill path needs a C-contiguous float64 buffer")
     n_rows, n_cols = buffer.shape
     records = _philox_records(min(n_rows, _RECORD_BLOCK), functions)
 
@@ -292,25 +300,20 @@ def _fill_arguments(functions, buffer):
         first = array.ctypes.data
         return list(map(ctypes.c_void_p, range(first, first + array.nbytes, array.strides[0])))
 
-    return _FillArguments(buffer, records, pointers(records), pointers(buffer),
-                          np.ctypeslib.c_intp(n_cols))
+    record_pointers, row_pointers = pointers(records), pointers(buffer)
+    count = np.ctypeslib.c_intp(n_cols)
 
+    def draw(keys):
+        if len(keys) > n_rows:
+            raise ValueError("more keys than the filler's buffer has rows")
+        for start in range(0, len(keys), _RECORD_BLOCK):
+            block_keys = keys[start:start + _RECORD_BLOCK]
+            _rekey_records(records, block_keys)
+            for record, row in zip(record_pointers, row_pointers[start:start + len(block_keys)]):
+                fill(record, count, row)
+        return buffer[:len(keys)]
 
-def _noise_by_fill(fill, out, keys, arguments):
-    """Fill row k of out, the leading rows of arguments.buffer, with the
-    standard normals of a fresh Generator(Philox(key=keys[k])): one call of
-    fill, numpy's random_standard_normal_fill without argtypes, per row, on a
-    record rekeyed for it, with the ctypes objects of arguments only."""
-    buffer, records, record_pointers, row_pointers, count = arguments
-    # the calls write into buffer's rows: out must be the first of them
-    if not (out.ctypes.data == buffer.ctypes.data and out.strides == buffer.strides
-            and out.shape[1] == buffer.shape[1] and len(out) <= len(buffer)):
-        raise ValueError("out is not the leading rows of the fill arguments' buffer")
-    for start in range(0, len(keys), _RECORD_BLOCK):
-        block_keys = keys[start:start + _RECORD_BLOCK]
-        _rekey_records(records, block_keys)
-        for record, row in zip(record_pointers, row_pointers[start:start + len(block_keys)]):
-            fill(record, count, row)
+    return draw
 
 
 def _inside(obj, address, nbytes):
@@ -359,79 +362,60 @@ def _bitgen_functions(bit_gen):
 
 def _load_fill():
     """numpy's random_standard_normal_fill(bitgen_t *, npy_intp, double *),
-    resolved from the library of numpy.random's Generator, twice: with
-    argtypes, for callers that pass Python ints, and without, for the trial
-    loop, which passes only the ctypes objects of _FillArguments.  None where
-    it does not resolve."""
+    resolved from the library of numpy.random's Generator without argtypes,
+    as _fill_rows passes it only ctypes objects; None where it does not
+    resolve."""
     # PyDLL keeps the interpreter lock through the call: a 64-normal fill is
     # short, and releasing and retaking the lock for each trial costs more
     try:
-        library = ctypes.PyDLL(np.random._generator.__file__)
-        fill, untyped = library[_FILL_SYMBOL], library[_FILL_SYMBOL]
+        fill = ctypes.PyDLL(np.random._generator.__file__)[_FILL_SYMBOL]
     except (OSError, AttributeError):
         return None
-    fill.argtypes = (ctypes.c_void_p, np.ctypeslib.c_intp, ctypes.c_void_p)
-    fill.restype = untyped.restype = None
-    return fill, untyped
-
-
-def _soil(records):
-    """Set every state field of records to its value in _DIRTY_PHILOX."""
-    state = records["state"]
-    records["counter"] = _DIRTY_PHILOX["state"]["counter"]
-    records["key"] = _DIRTY_PHILOX["state"]["key"]
-    state["buffer"] = _DIRTY_PHILOX["buffer"]
-    for name in ("buffer_pos", "has_uint32", "uinteger"):
-        state[name] = _DIRTY_PHILOX[name]
+    fill.restype = None
+    return fill
 
 
 def _choose_noise():
-    """(_noise_by_fill with numpy's untyped random_standard_normal_fill, its
-    _fill_arguments) where three checks on the installed numpy pass, in this
-    order, else (_noise_by_setter, _setter_arguments).  First, read only: on
-    a Philox whose state has no field at its fresh value, _PhiloxState must
-    read what the public state reports, and its bitgen_t must read back its
-    state address and draw functions.  Second, random_standard_normal_fill
-    must resolve.  Third, a record with every state field used, rekeyed to a
-    key below 2**63 and to one above, must give through _noise_by_fill, with
-    arguments built as a trial loop builds them, the 64 normals of a fresh
+    """_fill_rows with numpy's untyped random_standard_normal_fill where
+    three checks on the installed numpy pass, in this order, else
+    _setter_rows.  First, read only: on a Philox whose state has no field at
+    its fresh value, _PhiloxState must read what the public state reports,
+    and its bitgen_t must read back its state address and draw functions.
+    Second, random_standard_normal_fill must resolve.  Third, a filler built
+    as a trial loop builds one, its record with every state field used, must
+    give for a key below 2**63 and for one above the 64 normals of a fresh
     Generator(Philox(key=k)), bit for bit.  No C function sees a record
     before the first two pass."""
     bit_gen = np.random.Philox(key=0)
     bit_gen.state = _DIRTY_PHILOX
     functions = _bitgen_functions(bit_gen) if _layout_matches(bit_gen) else None
-    loaded = _load_fill() if functions else None
-    if loaded is None:
-        return _noise_by_setter, _setter_arguments
-    noise = functools.partial(_noise_by_fill, loaded[1])
-    make_arguments = functools.partial(_fill_arguments, functions)
-    row = np.empty((1, 64))
-    arguments = make_arguments(row)
+    fill = _load_fill() if functions else None
+    if fill is None:
+        return _setter_rows
+    noise_rows = functools.partial(_fill_rows, fill, functions)
     for trial_key in (0x2545F4914F6CDD1D, 2**64 - 59):
-        _soil(arguments.records)
-        noise(row, np.array([trial_key], dtype=np.uint64), arguments)
+        row = noise_rows(np.empty((1, 64)))(np.array([trial_key], dtype=np.uint64))
         fresh = np.random.Generator(np.random.Philox(key=trial_key))
         if row.tobytes() != fresh.standard_normal(row.size).tobytes():
-            return _noise_by_setter, _setter_arguments
-    return noise, make_arguments
+            return _setter_rows
+    return noise_rows
 
 
-# the noise function, of (out, keys, arguments), and the function of a
-# buffer that builds its arguments once per loop over the buffer's rows
-_noise, _noise_arguments = _choose_noise()
+# the factory of a buffer's row filler, built once per loop over the buffer
+_noise_rows = _choose_noise()
 
 
-def _fill_samples(out, scenario, signal, master_seed, start, arguments):
-    """Fill row k of out, a C-contiguous float array, with the observation of
-    trial start + k: the clean signal plus sigma0 times the normals of a
-    fresh Generator(Philox(key=trial_seed(master_seed, start + k))).
-    master_seed is an int; signal is clean_signal(scenario); arguments is
-    _noise_arguments of a buffer whose leading rows out is, built by the
-    caller once per loop over that buffer."""
-    keys = _trial_keys(master_seed, np.arange(start, start + out.shape[0], dtype=np.uint64))
-    _noise(out, keys, arguments)
-    out *= scenario.noise_level
-    out += signal
+def _fill_samples(draw, scenario, signal, master_seed, start, count):
+    """The observations of trials start..start+count-1, one per row, in the
+    leading rows of draw's buffer, which it returns: row k is the clean
+    signal plus sigma0 times the normals of a fresh
+    Generator(Philox(key=trial_seed(master_seed, start + k))).  master_seed
+    is an int; signal is clean_signal(scenario); draw is the _noise_rows
+    filler of a buffer, built by the caller once per loop over it."""
+    rows = draw(_trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64)))
+    rows *= scenario.noise_level
+    rows += signal
+    return rows
 
 
 def batch_samples(scenario, master_seed, start, count):
@@ -440,15 +424,16 @@ def batch_samples(scenario, master_seed, start, count):
     when start + count exceeds 2**64.
 
     Row k equals synthesize(scenario, trial_seed(master_seed, start + k)), the
-    normals of a fresh Generator(Philox(key=trial_seed(...))).  Where the
-    import-time check _choose_noise passes, each row is one call of numpy's
+    normals of a fresh Generator(Philox(key=trial_seed(...))).  Each slice of
+    _block_rows rows of the output gets its own _noise_rows filler, so a
+    filler never holds more than one trial-loop block's worth of ctypes
+    objects (about 140 bytes a row).  Where the import-time check
+    _choose_noise passes, the filler makes one call per row of numpy's
     random_standard_normal_fill, the function behind Generator.standard_normal,
     on a Philox record (key [k, 0], zero counter, empty buffer) written with
-    whole-column array writes for a block of rows at a time.  The call takes
-    ctypes objects built once for each slice of _block_rows rows of the
-    output, a pointer per row and per record and the row length, so they
-    never hold more than one trial-loop block's worth (about 140 bytes a
-    row).  Otherwise one Philox is set for each row through the public state
+    whole-column array writes for a block of rows at a time, through a
+    pointer per row and per record and the row length built with the filler.
+    Otherwise it sets one Philox for each row through the public state
     setter.
     """
     master_seed = nonneg_int(master_seed, "master_seed")
@@ -460,7 +445,7 @@ def batch_samples(scenario, master_seed, start, count):
     signal, step = clean_signal(scenario), _block_rows(scenario)
     for first in range(0, count, step):
         rows = out[first:first + step]
-        _fill_samples(rows, scenario, signal, master_seed, start + first, _noise_arguments(rows))
+        _fill_samples(_noise_rows(rows), scenario, signal, master_seed, start + first, len(rows))
     return out
 
 
@@ -473,16 +458,14 @@ def _trial_blocks(scenario, block_ladders, master_seed, start, stop):
     """The trial loop over trials start..stop-1: (first trial, its block's
     ladders) per block of _block_rows trials in one reused buffer, with
     block_ladders from ladder_function; a degenerate trial's (ML only) is a
-    NaN row.  No row depends on the block size.  The noise's arguments for
-    the buffer, its fill calls' ctypes objects on the fill path, are built
+    NaN row.  No row depends on the block size.  The buffer's _noise_rows
+    filler, with its fill calls' ctypes objects on the fill path, is built
     once, in the process that runs the loop."""
     signal = clean_signal(scenario)
     step = _block_rows(scenario)
-    block = np.empty((min(step, stop - start), scenario.n_samples))
-    arguments = _noise_arguments(block)
+    draw = _noise_rows(np.empty((min(step, stop - start), scenario.n_samples)))
     for first in range(start, stop, step):
-        rows = block[:stop - first]
-        _fill_samples(rows, scenario, signal, master_seed, first, arguments)
+        rows = _fill_samples(draw, scenario, signal, master_seed, first, min(step, stop - first))
         yield first, block_ladders(rows)[0]
 
 
@@ -699,12 +682,12 @@ def estimate(scenario, specs, approach, trials, master_seed):
     trials * k // s, where each shard holds at least _MIN_SHARD_TRIALS
     trials.  The ladder function, with its frequency plan and whitened
     basis, is built before the fork, so no child calls BLAS or LAPACK.  Each
-    shard's process builds its own block buffer and the fill calls' ctypes
-    objects for it and runs the block loop over its shard; each child sends
-    back its trial count, hit counts, histograms and indicator bits, and
-    they are merged in trial order, so every report is the one-shard report
-    bit for bit.  An Ml approach, one usable core or fewer than twice
-    _MIN_SHARD_TRIALS trials run in one shard, in this process.  The
+    shard's process builds its own block buffer and its row filler, with the
+    fill calls' ctypes objects, and runs the block loop over its shard; each
+    child sends back its trial count, hit counts, histograms and indicator
+    bits, and they are merged in trial order, so every report is the
+    one-shard report bit for bit.  An Ml approach, one usable core or fewer
+    than twice _MIN_SHARD_TRIALS trials run in one shard, in this process.  The
     children are forked from a process that may run other threads, numpy's
     BLAS pool among them (Python 3.12 and later warn of it at each fork):
     a child calls no BLAS, but a caller whose own threads hold a lock at the

@@ -325,9 +325,9 @@ def inject_ladders(monkeypatch, ladders):
     runs the block."""
     fill_samples, first = montecarlo._fill_samples, [0]
 
-    def recorded_fill(out, scenario, signal, master_seed, start, arguments):
+    def recorded_fill(draw, scenario, signal, master_seed, start, count):
         first[0] = start
-        fill_samples(out, scenario, signal, master_seed, start, arguments)
+        return fill_samples(draw, scenario, signal, master_seed, start, count)
 
     def ladder_function(scenario, approach):
         def block_ladders(rows):

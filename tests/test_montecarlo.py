@@ -84,12 +84,21 @@ def _record_draws(fill, records):
     return words.tobytes() + normals.tobytes()
 
 
+def _fill_path():
+    """Whether the import check chose the fill path."""
+    return getattr(montecarlo._noise_rows, "func", None) is montecarlo._fill_rows
+
+
 def _fill_in_use():
-    """(the typed fill, functions) of the fill path; a skip where the import
-    check chose the setter, which test_fill_is_the_noise_path_in_use reports."""
-    if getattr(montecarlo._noise, "func", None) is not montecarlo._noise_by_fill:
+    """(numpy's random_standard_normal_fill with argtypes, the draw functions
+    of the fill path); a skip where the import check chose the setter, which
+    test_fill_is_the_noise_path_in_use reports."""
+    if not _fill_path():
         pytest.skip("the import check chose the state setter")
-    return montecarlo._load_fill()[0], montecarlo._noise_arguments.args[0]
+    fill = ctypes.PyDLL(np.random._generator.__file__)[montecarlo._FILL_SYMBOL]
+    fill.argtypes = (ctypes.c_void_p, np.ctypeslib.c_intp, ctypes.c_void_p)
+    fill.restype = None
+    return fill, montecarlo._noise_rows.args[1]
 
 
 @pytest.mark.floor_streams
@@ -137,7 +146,7 @@ def test_records_turn_used_philox_states_into_fresh_ones():
 def test_fill_is_the_noise_path_in_use():
     # numpy's Philox layout is private: on a numpy where the import check
     # fails, the setter keeps the streams and this test reports the fallback
-    assert montecarlo._noise.func is montecarlo._noise_by_fill
+    assert montecarlo._noise_rows.func is montecarlo._fill_rows
 
 
 @pytest.mark.floor_streams
@@ -173,10 +182,9 @@ def test_failed_import_check_falls_back_to_the_setter(scen_m4, monkeypatch, fail
             records["counter"][:len(keys), 0] = 1
 
         monkeypatch.setattr(montecarlo, "_rekey_records", one_block_ahead)
-    noise, arguments = montecarlo._choose_noise()
-    assert (noise, arguments) == (montecarlo._noise_by_setter, montecarlo._setter_arguments)
-    monkeypatch.setattr(montecarlo, "_noise", noise)
-    monkeypatch.setattr(montecarlo, "_noise_arguments", arguments)
+    noise_rows = montecarlo._choose_noise()
+    assert noise_rows is montecarlo._setter_rows
+    monkeypatch.setattr(montecarlo, "_noise_rows", noise_rows)
     np.testing.assert_array_equal(sc.batch_samples(scen_m4, 2**32 + 5, 0, 6), expect)
 
 
@@ -200,7 +208,7 @@ def test_import_check_calls_the_untyped_fill_with_ctypes_objects(monkeypatch, sh
     load_fill, calls = montecarlo._load_fill, []
 
     def spied_load():
-        fill, untyped = load_fill()
+        untyped = load_fill()
 
         def spy(record, count, row):
             calls.append((type(record), type(count), type(row)))
@@ -209,17 +217,16 @@ def test_import_check_calls_the_untyped_fill_with_ctypes_objects(monkeypatch, sh
             untyped(record, np.ctypeslib.c_intp(count.value - shift),
                     ctypes.c_void_p(row.value + 8 * shift))
 
-        return fill, spy
+        return spy
 
     monkeypatch.setattr(montecarlo, "_load_fill", spied_load)
-    noise, arguments = montecarlo._choose_noise()
+    noise_rows = montecarlo._choose_noise()
     assert calls and set(calls) == {(ctypes.c_void_p, np.ctypeslib.c_intp, ctypes.c_void_p)}
     if shift:
-        assert (noise, arguments) == (montecarlo._noise_by_setter, montecarlo._setter_arguments)
+        assert noise_rows is montecarlo._setter_rows
         assert len(calls) == 1
     else:
-        assert noise.func is montecarlo._noise_by_fill
-        assert arguments.func is montecarlo._fill_arguments
+        assert noise_rows.func is montecarlo._fill_rows
         assert len(calls) == 2
 
 
@@ -260,7 +267,7 @@ def test_batch_samples_and_trial_loop_rows_are_fresh_generator_draws(n_samples, 
 @pytest.mark.floor_streams
 def test_interleaved_trial_loops_keep_their_own_streams(monkeypatch):
     # blocks of 100 rows at 64 samples and of 50 at 128, the two loops' blocks
-    # drawn in turn: each fills its own buffer through its own arguments
+    # drawn in turn: each fills its own buffer through its own filler
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 8 * 64 * 100)
     scenarios = [sc.standard_scenario(0.0, n_samples=n) for n in (64, 128)]
     loops = [_loop_rows(scenario, seed, 7, 307) for scenario, seed in zip(scenarios, (3, 4))]
@@ -272,15 +279,28 @@ def test_interleaved_trial_loops_keep_their_own_streams(monkeypatch):
     assert [len(rows) for rows in got] == [3, 6]
     for rows, scenario, seed in zip(got, scenarios, (3, 4)):
         np.testing.assert_array_equal(np.concatenate(rows), _fresh_rows(scenario, seed, 7, 300))
-    # the fill path's arguments fill only the leading rows of their own
-    # buffer, a C-contiguous float64 one
-    if getattr(montecarlo._noise, "func", None) is montecarlo._noise_by_fill:
-        arguments = montecarlo._noise_arguments(np.empty((4, 64)))
-        with pytest.raises(ValueError, match="leading rows"):
-            montecarlo._fill_samples(np.empty((4, 64)), scenarios[0], 0.0, 3, 0, arguments)
+    # the fill path's filler writes through row pointers: only a
+    # C-contiguous float64 buffer has the rows they assume
+    if _fill_path():
         for buffer in (np.empty((4, 64), dtype=np.float32), np.empty((4, 128))[:, ::2]):
             with pytest.raises(ValueError, match="C-contiguous float64"):
-                montecarlo._noise_arguments(buffer)
+                montecarlo._noise_rows(buffer)
+
+
+@pytest.mark.floor_streams
+@pytest.mark.parametrize("factory", ["_noise_rows", "_setter_rows"])
+def test_a_filler_fills_the_leading_rows_of_its_own_buffer(factory):
+    # _noise_rows is the fill path's factory where the import check chose it
+    buffer = np.full((4, 64), np.nan)
+    draw = getattr(montecarlo, factory)(buffer)
+    keys = np.array([sc.trial_seed(3, k) for k in range(5)], dtype=np.uint64)
+    with pytest.raises(ValueError, match="more keys than"):
+        draw(keys)
+    rows = draw(keys[:3])
+    assert rows.base is buffer and rows.shape == (3, 64)
+    np.testing.assert_array_equal(rows, [np.random.Generator(np.random.Philox(
+        key=int(key))).standard_normal(64) for key in keys[:3]])
+    assert np.isnan(buffer[3]).all()
 
 
 def _reference_samples(scenario, master_seed, trials):
