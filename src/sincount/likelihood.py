@@ -481,11 +481,14 @@ def approach_frequencies(scenario, approach):
     """Candidate frequencies of a Bl approach for all slots: its explicit
     frequencies, or the nominal ones offset by delta_omega.  FrequencyPlan.build
     checks them against the bands.  An Ml approach has none, as its search
-    finds each trial's own: a ValidationError."""
+    finds each trial's own, and what is not an approach has none either:
+    a ValidationError."""
     if isinstance(approach, Ml):
         raise ValidationError(
             "the ml approach has no fixed frequencies; use known/bl frequencies, "
             "or Monte Carlo (mc, or the monte_carlo objective of tune)")
+    if not isinstance(approach, Bl):
+        raise ValidationError("approach must be an Ml or Bl instance")
     if approach.frequencies is None:
         return scenario.all_frequencies + float(approach.delta_omega)
     freqs = np.array(approach.frequencies)  # Bl has read them as floats

@@ -11,16 +11,18 @@ shard but the first in a forked child process and merges the shards' counts
 and indicator bits in trial order.
 
 Trial k's noise is the standard normals of a fresh
-Generator(Philox(key=trial_seed(master_seed, k))).  Each loop over a buffer
-of rows, batch_samples' and each shard's trial loop, builds one row filler
-for it with _noise_rows, and _fill_samples draws each block of trials
-through it.  A filler makes one call per trial of numpy's
-random_standard_normal_fill, the C function behind Generator.standard_normal,
-on a record laid out as a fresh Philox, without argtypes, on ctypes objects
-it builds once for its buffer: a pointer per record and per row, and the
-row length.  An import-time check verifies the layout and that call against
-the installed numpy, and where it fails each filler sets one Philox for
-each trial through the public state setter instead, with the same streams.
+Generator(Philox(key=trial_seed(master_seed, k))).  _trial_blocks is the
+one trial loop: batch_samples copies its blocks out, and collect_logliks and
+each of estimate's shards map them to ladders.  Each loop builds one row
+filler with _noise_rows, which allocates the loop's block buffer and draws
+each block of trials into its leading rows.  A filler makes one call per
+trial of numpy's random_standard_normal_fill, the C function behind
+Generator.standard_normal, on a record laid out as a fresh Philox, without
+argtypes, on ctypes objects it builds once with its buffer: a pointer per
+record and per row, and the row length.  An import-time check verifies the
+layout and that call against the installed numpy, and where it fails each
+filler sets one Philox for each trial through the public state setter
+instead, with the same streams.
 """
 
 from __future__ import annotations
@@ -216,16 +218,17 @@ def _rekey_by_setter(bit_gen):
     return rekey
 
 
-def _setter_rows(buffer):
-    """The row filler of buffer through the public state setter: draw(keys)
-    fills row k of buffer's leading len(keys) rows with the standard normals
-    of a fresh Generator(Philox(key=keys[k])), setting one Philox for each
-    row, and returns those rows."""
+def _setter_rows(n_rows, n_cols):
+    """The row filler of its own (n_rows, n_cols) buffer through the public
+    state setter: draw(keys) fills row k of the buffer's leading len(keys)
+    rows with the standard normals of a fresh Generator(Philox(key=keys[k])),
+    setting one Philox for each row, and returns those rows."""
+    buffer = np.empty((n_rows, n_cols))
     bit_gen = np.random.Philox(key=0)
     rng, rekey = np.random.Generator(bit_gen), _rekey_by_setter(bit_gen)
 
     def draw(keys):
-        if len(keys) > len(buffer):
+        if len(keys) > n_rows:
             raise ValueError("more keys than the filler's buffer has rows")
         rows = buffer[:len(keys)]
         for row, trial_key in zip(rows, keys.tolist()):
@@ -277,22 +280,20 @@ def _rekey_records(records, keys):
     block["state"]["has_uint32"] = 0
 
 
-def _fill_rows(fill, functions, buffer):
-    """The row filler of buffer, a C-contiguous float64 array, through fill,
+def _fill_rows(fill, functions, n_rows, n_cols):
+    """The row filler of its own (n_rows, n_cols) buffer through fill,
     numpy's random_standard_normal_fill without argtypes: draw(keys) fills
-    row k of buffer's leading len(keys) rows with the standard normals of a
-    fresh Generator(Philox(key=keys[k])), one call per row on a record
+    row k of the buffer's leading len(keys) rows with the standard normals
+    of a fresh Generator(Philox(key=keys[k])), one call per row on a record
     rekeyed for it, and returns those rows.  Built once per loop, in the
-    process that runs the loop, it holds the Philox records, with the draw
-    functions of a real Philox and reused for each block of _RECORD_BLOCK
-    rows, a c_void_p per record and per row of buffer, and the row length as
-    a c_intp.  A call that takes ctypes objects skips the conversion of
-    three Python ints through argtypes: about 0.22 us of each 1.45 us trial
-    on a 2-core x86 host."""
-    # each call writes n_cols doubles from a row pointer
-    if buffer.dtype != np.float64 or not buffer.flags.c_contiguous:
-        raise ValueError("the fill path needs a C-contiguous float64 buffer")
-    n_rows, n_cols = buffer.shape
+    process that runs the loop, it holds the buffer, C-contiguous float64 as
+    each call writes n_cols doubles from a row pointer; the Philox records,
+    with the draw functions of a real Philox and reused for each block of
+    _RECORD_BLOCK rows; a c_void_p per record and per row of the buffer; and
+    the row length as a c_intp.  n_rows is at least 1.  A call that takes
+    ctypes objects skips the conversion of three Python ints through
+    argtypes: about 0.22 us of each 1.45 us trial on a 2-core x86 host."""
+    buffer = np.empty((n_rows, n_cols))
     records = _philox_records(min(n_rows, _RECORD_BLOCK), functions)
 
     def pointers(array):
@@ -394,28 +395,15 @@ def _choose_noise():
         return _setter_rows
     noise_rows = functools.partial(_fill_rows, fill, functions)
     for trial_key in (0x2545F4914F6CDD1D, 2**64 - 59):
-        row = noise_rows(np.empty((1, 64)))(np.array([trial_key], dtype=np.uint64))
+        row = noise_rows(1, 64)(np.array([trial_key], dtype=np.uint64))
         fresh = np.random.Generator(np.random.Philox(key=trial_key))
         if row.tobytes() != fresh.standard_normal(row.size).tobytes():
             return _setter_rows
     return noise_rows
 
 
-# the factory of a buffer's row filler, built once per loop over the buffer
+# the factory of a row filler and its buffer, built once per trial loop
 _noise_rows = _choose_noise()
-
-
-def _fill_samples(draw, scenario, signal, master_seed, start, count):
-    """The observations of trials start..start+count-1, one per row, in the
-    leading rows of draw's buffer, which it returns: row k is the clean
-    signal plus sigma0 times the normals of a fresh
-    Generator(Philox(key=trial_seed(master_seed, start + k))).  master_seed
-    is an int; signal is clean_signal(scenario); draw is the _noise_rows
-    filler of a buffer, built by the caller once per loop over it."""
-    rows = draw(_trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64)))
-    rows *= scenario.noise_level
-    rows += signal
-    return rows
 
 
 def batch_samples(scenario, master_seed, start, count):
@@ -424,17 +412,12 @@ def batch_samples(scenario, master_seed, start, count):
     when start + count exceeds 2**64.
 
     Row k equals synthesize(scenario, trial_seed(master_seed, start + k)), the
-    normals of a fresh Generator(Philox(key=trial_seed(...))).  Each slice of
-    _block_rows rows of the output gets its own _noise_rows filler, so a
-    filler never holds more than one trial-loop block's worth of ctypes
-    objects (about 140 bytes a row).  Where the import-time check
-    _choose_noise passes, the filler makes one call per row of numpy's
-    random_standard_normal_fill, the function behind Generator.standard_normal,
-    on a Philox record (key [k, 0], zero counter, empty buffer) written with
-    whole-column array writes for a block of rows at a time, through a
-    pointer per row and per record and the row length built with the filler.
-    Otherwise it sets one Philox for each row through the public state
-    setter.
+    normals of a fresh Generator(Philox(key=trial_seed(...))).  The rows are
+    the blocks of one trial loop over those trials, copied out of its block
+    buffer, so one _noise_rows filler draws them all: where the import-time
+    check _choose_noise passes, with one call per row of numpy's
+    random_standard_normal_fill on a fresh Philox record, else by setting one
+    Philox for each row through the public state setter.
     """
     master_seed = nonneg_int(master_seed, "master_seed")
     start, count = nonneg_int(start, "start"), nonneg_int(count, "count")
@@ -442,10 +425,8 @@ def batch_samples(scenario, master_seed, start, count):
         raise ValidationError(
             f"trial indices must be below 2**64, got start {start} and count {count}")
     out = np.empty((count, scenario.n_samples))
-    signal, step = clean_signal(scenario), _block_rows(scenario)
-    for first in range(0, count, step):
-        rows = out[first:first + step]
-        _fill_samples(_noise_rows(rows), scenario, signal, master_seed, start + first, len(rows))
+    for first, rows in _trial_blocks(scenario, master_seed, start, start + count):
+        out[first - start:first - start + len(rows)] = rows
     return out
 
 
@@ -454,19 +435,26 @@ def _block_rows(scenario):
     return max(1, _BLOCK_BYTES // (8 * scenario.n_samples))
 
 
-def _trial_blocks(scenario, block_ladders, master_seed, start, stop):
-    """The trial loop over trials start..stop-1: (first trial, its block's
-    ladders) per block of _block_rows trials in one reused buffer, with
-    block_ladders from ladder_function; a degenerate trial's (ML only) is a
-    NaN row.  No row depends on the block size.  The buffer's _noise_rows
-    filler, with its fill calls' ctypes objects on the fill path, is built
-    once, in the process that runs the loop."""
-    signal = clean_signal(scenario)
+def _trial_blocks(scenario, master_seed, start, stop):
+    """The trial loop over trials start..stop-1 of an int master_seed:
+    (first trial, its block's observations) per block of _block_rows trials,
+    all in one buffer, so each block's rows are overwritten by the next.  Row
+    k of a block is the clean signal plus sigma0 times the normals of a fresh
+    Generator(Philox(key=trial_seed(master_seed, first + k))), and no row
+    depends on the block size.  The _noise_rows filler, with its buffer and,
+    on the fill path, its calls' ctypes objects, is built once, in the
+    process that runs the loop, and not at all for an empty loop."""
+    if stop <= start:
+        return
     step = _block_rows(scenario)
-    draw = _noise_rows(np.empty((min(step, stop - start), scenario.n_samples)))
+    signal = clean_signal(scenario)
+    draw = _noise_rows(min(step, stop - start), scenario.n_samples)
     for first in range(start, stop, step):
-        rows = _fill_samples(draw, scenario, signal, master_seed, first, min(step, stop - first))
-        yield first, block_ladders(rows)[0]
+        rows = draw(_trial_keys(master_seed, np.arange(first, min(first + step, stop),
+                                                       dtype=np.uint64)))
+        rows *= scenario.noise_level
+        rows += signal
+        yield first, rows
 
 
 def collect_logliks(scenario, approach, trials, master_seed):
@@ -476,10 +464,10 @@ def collect_logliks(scenario, approach, trials, master_seed):
     benchmark's traced replay and the tests' oracles read."""
     master_seed = nonneg_int(master_seed, "master_seed")
     trials = nonneg_int(trials, "trials")
-    out = np.empty((trials, scenario.max_order))
     block_ladders = ladder_function(scenario, approach)
-    for first, ladders in _trial_blocks(scenario, block_ladders, master_seed, 0, trials):
-        out[first:first + ladders.shape[0]] = ladders
+    out = np.empty((trials, scenario.max_order))
+    for first, rows in _trial_blocks(scenario, master_seed, 0, trials):
+        out[first:first + len(rows)] = block_ladders(rows)[0]
     return out
 
 
@@ -682,10 +670,10 @@ def estimate(scenario, specs, approach, trials, master_seed):
     trials * k // s, where each shard holds at least _MIN_SHARD_TRIALS
     trials.  The ladder function, with its frequency plan and whitened
     basis, is built before the fork, so no child calls BLAS or LAPACK.  Each
-    shard's process builds its own block buffer and its row filler, with the
+    shard's process builds its own row filler, with its block buffer and the
     fill calls' ctypes objects, and runs the block loop over its shard; each
-    child sends back its trial count, hit counts, histograms and indicator
-    bits, and they are merged in trial order, so every report is the
+    child sends back its trial count, abridged-correct counts, histograms and
+    indicator bits, and they are merged in trial order, so every report is the
     one-shard report bit for bit.  An Ml approach, one usable core or fewer
     than twice _MIN_SHARD_TRIALS trials run in one shard, in this process.  The
     children are forked from a process that may run other threads, numpy's
@@ -697,9 +685,10 @@ def estimate(scenario, specs, approach, trials, master_seed):
     specs = list(specs)
     if not specs:
         raise ValidationError("estimate needs at least one criterion")
+    # built first, it also refuses what is not an approach
+    block_ladders = ladder_function(scenario, approach)
     nu0, n_orders, pps = scenario.nu0, scenario.max_order, approach.params_per_signal
     under, over = abridged_comparisons(nu0, n_orders)
-    block_ladders = ladder_function(scenario, approach)
     step = _block_rows(scenario)
 
     def packed_for(count):
@@ -710,14 +699,16 @@ def estimate(scenario, specs, approach, trials, master_seed):
     packed = packed_for(trials)
 
     def reduce(start, stop):
-        """The trials left of start..stop-1, with its hit counts,
-        histograms and indicator bits; the first shard's bits go to packed."""
+        """The count of trials left of start..stop-1, with each criterion's
+        abridged-correct count, histogram and indicator bits; the first
+        shard's bits go to packed."""
         bits = packed if not start else packed_for(stop - start)
-        hits = np.zeros((len(specs), 2), dtype=np.intp)
+        abridged = np.zeros(len(specs), dtype=np.intp)
         histograms = np.zeros((len(specs), n_orders), dtype=np.intp)
         staging = np.empty((len(specs), 2, min(step, stop - start)), dtype=bool)
         n_eff = 0
-        for _, ladders in _trial_blocks(scenario, block_ladders, master_seed, start, stop):
+        for _, rows in _trial_blocks(scenario, master_seed, start, stop):
+            ladders = block_ladders(rows)[0]
             # a degenerate trial's NaN row is left out, the rest checked
             valid = ~np.isnan(ladders[:, 0])
             ladders = checked_ladders(ladders if valid.all() else ladders[valid])
@@ -730,17 +721,17 @@ def estimate(scenario, specs, approach, trials, master_seed):
                                values[:, nu0 - 1] <= values[:, nu0] if over else True,
                                out=done[j, 1])
                 histograms[j] += np.bincount(nu_hat, minlength=n_orders + 1)[1:]
-            hits += np.count_nonzero(done, axis=-1)
+            abridged += np.count_nonzero(done[:, 1], axis=-1)
             _put_bits(bits, n_eff, np.packbits(done, axis=-1))
             n_eff += ladders.shape[0]
-        return n_eff, hits, histograms, bits[:, :, :-(-n_eff // 8)]
+        return n_eff, abridged, histograms, bits[:, :, :-(-n_eff // 8)]
 
     shards = _run_shards(reduce, _shard_cuts(approach, trials))
-    n_eff, hits, histograms, _ = shards[0]
-    for count, shard_hits, shard_histograms, bits in shards[1:]:
+    n_eff, abridged, histograms, _ = shards[0]
+    for count, shard_abridged, shard_histograms, bits in shards[1:]:
         _put_bits(packed, n_eff, bits)
         n_eff += count
-        hits += shard_hits
+        abridged += shard_abridged
         histograms += shard_histograms
     if not n_eff:
         raise ValidationError("all trials degenerated; scenario is ill-posed")
@@ -749,9 +740,10 @@ def estimate(scenario, specs, approach, trials, master_seed):
     offsets = np.arange(1, n_orders + 1) - nu0
     reports = []
     for j, (spec, counts) in enumerate(zip(specs, histograms)):
-        # bit for bit 1 - np.mean of the bools: their float64 sum is exact
-        # below 2**53, and both divisions are correctly rounded
-        p_e, p_a = (1.0 - hits[j] / n_eff).tolist()
+        # a correct selection is a count of the true order.  Bit for bit
+        # 1 - np.mean of the bools: their float64 sum is exact below 2**53,
+        # and both divisions are correctly rounded
+        p_e, p_a = 1.0 - int(counts[nu0 - 1]) / n_eff, 1.0 - int(abridged[j]) / n_eff
         n_eq1 = int(counts[np.abs(offsets) == 1].sum())
         n_gt1 = int(counts[np.abs(offsets) > 1].sum())
         ratio = n_gt1 / n_eq1 if n_eq1 > 0 else math.nan

@@ -321,13 +321,14 @@ def mc_objective_whole_set(scenario, name, approach, trials, master_seed):
 def inject_ladders(monkeypatch, ladders):
     """Make the trial loop's ladder function hand out the rows of ladders of
     the trials whose observations it is given: a block's rows are those of
-    the trials that _fill_samples last filled, in whichever shard's process
-    runs the block."""
-    fill_samples, first = montecarlo._fill_samples, [0]
+    the trials of the block that _trial_blocks last yielded, in whichever
+    shard's process runs the block."""
+    trial_blocks, first = montecarlo._trial_blocks, [0]
 
-    def recorded_fill(draw, scenario, signal, master_seed, start, count):
-        first[0] = start
-        return fill_samples(draw, scenario, signal, master_seed, start, count)
+    def recorded_blocks(scenario, master_seed, start, stop):
+        for block_first, rows in trial_blocks(scenario, master_seed, start, stop):
+            first[0] = block_first
+            yield block_first, rows
 
     def ladder_function(scenario, approach):
         def block_ladders(rows):
@@ -335,5 +336,5 @@ def inject_ladders(monkeypatch, ladders):
 
         return block_ladders
 
-    monkeypatch.setattr(montecarlo, "_fill_samples", recorded_fill)
+    monkeypatch.setattr(montecarlo, "_trial_blocks", recorded_blocks)
     monkeypatch.setattr(montecarlo, "ladder_function", ladder_function)

@@ -156,6 +156,25 @@ def test_select_order_rejects_bad_approach(scen_0):
         sc.likelihood.ladder_function(scen_0, object())
 
 
+@pytest.mark.parametrize("call", [
+    lambda scen, approach: sc.likelihood.ladder_function(scen, approach),
+    lambda scen, approach: sc.approach_frequencies(scen, approach),
+    lambda scen, approach: sc.select_order(sc.Gic(), sc.synthesize(scen, 3), approach, scen),
+    lambda scen, approach: sc.collect_logliks(scen, approach, 10, 3),
+    lambda scen, approach: sc.estimate(scen, [sc.Gic()], approach, 100, 3),
+    lambda scen, approach: sc.tune("pmep-ir", scen, approach=approach),
+    lambda scen, approach: sc.tune("pmep-ir", scen, "monte_carlo", trials=100,
+                                   approach=approach),
+], ids=["ladder_function", "approach_frequencies", "select_order", "collect_logliks",
+        "estimate", "tune-theory", "tune-monte_carlo"])
+@pytest.mark.parametrize("approach", ["known", object()], ids=["name", "object"])
+def test_every_entry_point_refuses_what_is_not_an_approach(scen_0, call, approach):
+    # a name of an approach is not one: each entry point raises the same
+    # error, where it read an approach attribute off it before
+    with pytest.raises(ValidationError, match="^approach must be an Ml or Bl instance$"):
+        call(scen_0, approach)
+
+
 def test_select_order_wraps_failures(scen_0):
     short = sc.Observation(samples=np.zeros(7), seed=0)
     with pytest.raises(SelectionError) as info:

@@ -242,21 +242,38 @@ def _fresh_rows(scenario, master_seed, start, count):
 def _loop_rows(scenario, master_seed, start, stop):
     """The trial loop over trials start..stop-1, yielding (first trial, a copy
     of its block's observations) for each block."""
-    return montecarlo._trial_blocks(scenario, lambda rows: (rows.copy(),), master_seed,
-                                    start, stop)
+    return ((first, rows.copy())
+            for first, rows in montecarlo._trial_blocks(scenario, master_seed, start, stop))
+
+
+def _count_fillers(monkeypatch, noise_rows):
+    """The shapes of the fillers that noise_rows, made the trial loop's
+    factory, builds from now on."""
+    shapes = []
+
+    def counted(n_rows, n_cols):
+        shapes.append((n_rows, n_cols))
+        return noise_rows(n_rows, n_cols)
+
+    monkeypatch.setattr(montecarlo, "_noise_rows", counted)
+    return shapes
 
 
 @pytest.mark.floor_streams
 @pytest.mark.parametrize("n_samples, start, count", [
     (64, 0, 1000), (64, 35000, 4481), (65, 35000, 1000), (128, 35000, 4481)])
-def test_batch_samples_and_trial_loop_rows_are_fresh_generator_draws(n_samples, start, count):
+def test_batch_samples_and_trial_loop_rows_are_fresh_generator_draws(
+        monkeypatch, n_samples, start, count):
     # 1000 rows end inside the first block of 1024 records, 4481 in a
     # 385-row block of them; at 64 samples 4481 trials are a 4096-row block
     # of the trial loop and a 385-row one, at 128 two of 2048 and one of 385.
     # 35000 is the second shard's first trial in a 70001-trial call
     scenario = sc.standard_scenario(-4.0, n_samples=n_samples)
     expect = _fresh_rows(scenario, 2**32 + 5, start, count)
+    fillers = _count_fillers(monkeypatch, montecarlo._noise_rows)
     np.testing.assert_array_equal(sc.batch_samples(scenario, 2**32 + 5, start, count), expect)
+    # batch_samples copies out the blocks of one trial loop, one filler's
+    assert len(fillers) == 1
     blocks = list(_loop_rows(scenario, 2**32 + 5, start, start + count))
     assert [first for first, _ in blocks] == \
         list(range(start, start + count, montecarlo._block_rows(scenario)))
@@ -279,28 +296,47 @@ def test_interleaved_trial_loops_keep_their_own_streams(monkeypatch):
     assert [len(rows) for rows in got] == [3, 6]
     for rows, scenario, seed in zip(got, scenarios, (3, 4)):
         np.testing.assert_array_equal(np.concatenate(rows), _fresh_rows(scenario, seed, 7, 300))
-    # the fill path's filler writes through row pointers: only a
-    # C-contiguous float64 buffer has the rows they assume
-    if _fill_path():
-        for buffer in (np.empty((4, 64), dtype=np.float32), np.empty((4, 128))[:, ::2]):
-            with pytest.raises(ValueError, match="C-contiguous float64"):
-                montecarlo._noise_rows(buffer)
 
 
 @pytest.mark.floor_streams
 @pytest.mark.parametrize("factory", ["_noise_rows", "_setter_rows"])
 def test_a_filler_fills_the_leading_rows_of_its_own_buffer(factory):
     # _noise_rows is the fill path's factory where the import check chose it
-    buffer = np.full((4, 64), np.nan)
-    draw = getattr(montecarlo, factory)(buffer)
+    draw = getattr(montecarlo, factory)(4, 64)
     keys = np.array([sc.trial_seed(3, k) for k in range(5)], dtype=np.uint64)
     with pytest.raises(ValueError, match="more keys than"):
         draw(keys)
+
+    def fresh(keys):
+        return [np.random.Generator(np.random.Philox(key=int(key))).standard_normal(64)
+                for key in keys]
+
     rows = draw(keys[:3])
-    assert rows.base is buffer and rows.shape == (3, 64)
-    np.testing.assert_array_equal(rows, [np.random.Generator(np.random.Philox(
-        key=int(key))).standard_normal(64) for key in keys[:3]])
-    assert np.isnan(buffer[3]).all()
+    buffer = rows.base
+    # the leading rows of a C-contiguous float64 buffer of the filler's shape
+    assert buffer.shape == (4, 64) and buffer.dtype == np.float64
+    assert buffer.flags.c_contiguous and rows.ctypes.data == buffer.ctypes.data
+    assert rows.shape == (3, 64)
+    np.testing.assert_array_equal(rows, fresh(keys[:3]))
+    # each draw refills the same buffer
+    again = draw(keys[3:4])
+    assert again.base is buffer and again.shape == (1, 64)
+    np.testing.assert_array_equal(rows[0], fresh(keys[3:4])[0])
+    assert draw(keys[:0]).shape == (0, 64)
+
+
+@pytest.mark.floor_streams
+@pytest.mark.parametrize("factory", ["_noise_rows", "_setter_rows"])
+def test_a_zero_trial_loop_builds_no_filler(scen_m4, monkeypatch, factory):
+    # the fill path's filler of zero rows would point at no row and no
+    # record; an empty loop draws nothing, so it builds none
+    fillers = _count_fillers(monkeypatch, getattr(montecarlo, factory))
+    for approach in (sc.KNOWN_FREQ, sc.Ml(grid_points=64)):
+        assert sc.collect_logliks(scen_m4, approach, 0, 5).shape == (0, scen_m4.max_order)
+    assert sc.batch_samples(scen_m4, 5, 7, 0).shape == (0, scen_m4.n_samples)
+    assert not fillers
+    assert sc.collect_logliks(scen_m4, sc.KNOWN_FREQ, 3, 5).shape == (3, scen_m4.max_order)
+    assert fillers == [(3, scen_m4.n_samples)]
 
 
 def _reference_samples(scenario, master_seed, trials):
