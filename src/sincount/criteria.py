@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SelectionError, SincountError, ValidationError, finite_float
-from .likelihood import Bl, Ml, observation_logliks
+from .likelihood import checked_approach, observation_logliks
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,7 @@ def select_order(spec, observation, approach, scenario):
     frequency search per order; BL/known: fixed frequencies) and the
     criterion is applied to it.
     """
-    if not isinstance(approach, (Ml, Bl)):
-        raise ValidationError("approach must be an Ml or Bl instance")
+    checked_approach(approach)
     try:
         logliks, increments, freqs = observation_logliks(observation, scenario, approach)
     except SincountError as exc:

@@ -477,18 +477,24 @@ class Bl:
 KNOWN_FREQ = Bl(delta_omega=0.0)
 
 
+def checked_approach(approach):
+    """approach, unless it is not an Ml or Bl instance: a ValidationError.
+    Every entry point that takes an approach refuses through here."""
+    if not isinstance(approach, (Ml, Bl)):
+        raise ValidationError("approach must be an Ml or Bl instance")
+    return approach
+
+
 def approach_frequencies(scenario, approach):
     """Candidate frequencies of a Bl approach for all slots: its explicit
     frequencies, or the nominal ones offset by delta_omega.  FrequencyPlan.build
     checks them against the bands.  An Ml approach has none, as its search
     finds each trial's own, and what is not an approach has none either:
     a ValidationError."""
-    if isinstance(approach, Ml):
+    if isinstance(checked_approach(approach), Ml):
         raise ValidationError(
             "the ml approach has no fixed frequencies; use known/bl frequencies, "
             "or Monte Carlo (mc, or the monte_carlo objective of tune)")
-    if not isinstance(approach, Bl):
-        raise ValidationError("approach must be an Ml or Bl instance")
     if approach.frequencies is None:
         return scenario.all_frequencies + float(approach.delta_omega)
     freqs = np.array(approach.frequencies)  # Bl has read them as floats
@@ -509,19 +515,18 @@ def ladder_function(scenario, approach):
     independent: a row's ladder does not depend on the others or on how
     many there are, bit for bit.
     """
-    if isinstance(approach, Bl):
+    if isinstance(approach, Ml):
+        def increments(rows):
+            freqs, incs = ml_search_increments(rows, scenario, approach)
+            return incs, freqs
+    else:
+        # approach_frequencies refuses what is not an approach
         freqs = approach_frequencies(scenario, approach)
         plan = FrequencyPlan.build(scenario, freqs)
 
         def increments(rows):
             incs = plan.increments_batch(rows)
             return incs, np.broadcast_to(freqs, incs.shape)
-    elif isinstance(approach, Ml):
-        def increments(rows):
-            freqs, incs = ml_search_increments(rows, scenario, approach)
-            return incs, freqs
-    else:
-        raise ValidationError("approach must be an Ml or Bl instance")
 
     def block_ladders(rows):
         incs, freqs = increments(rows)

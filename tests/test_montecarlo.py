@@ -304,6 +304,11 @@ def test_a_filler_fills_the_leading_rows_of_its_own_buffer(factory):
     # _noise_rows is the fill path's factory where the import check chose it
     draw = getattr(montecarlo, factory)(4, 64)
     keys = np.array([sc.trial_seed(3, k) for k in range(5)], dtype=np.uint64)
+    # a draw of no keys is a view of the filler's buffer: C-contiguous
+    # float64 of the filler's shape, prefilled here so that an untouched row shows
+    buffer = draw(keys[:0]).base
+    assert buffer.shape == (4, 64) and buffer.dtype == np.float64 and buffer.flags.c_contiguous
+    buffer[:] = np.nan
     with pytest.raises(ValueError, match="more keys than"):
         draw(keys)
 
@@ -312,17 +317,14 @@ def test_a_filler_fills_the_leading_rows_of_its_own_buffer(factory):
                 for key in keys]
 
     rows = draw(keys[:3])
-    buffer = rows.base
-    # the leading rows of a C-contiguous float64 buffer of the filler's shape
-    assert buffer.shape == (4, 64) and buffer.dtype == np.float64
-    assert buffer.flags.c_contiguous and rows.ctypes.data == buffer.ctypes.data
-    assert rows.shape == (3, 64)
+    assert rows.base is buffer and rows.shape == (3, 64)
+    assert rows.ctypes.data == buffer.ctypes.data
     np.testing.assert_array_equal(rows, fresh(keys[:3]))
+    assert np.isnan(buffer[3]).all()
     # each draw refills the same buffer
     again = draw(keys[3:4])
     assert again.base is buffer and again.shape == (1, 64)
     np.testing.assert_array_equal(rows[0], fresh(keys[3:4])[0])
-    assert draw(keys[:0]).shape == (0, 64)
 
 
 @pytest.mark.floor_streams
