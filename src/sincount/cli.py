@@ -21,7 +21,7 @@ import sys
 from functools import partial
 
 from . import montecarlo
-from .criteria import CRITERIA, Eef
+from .criteria import CRITERIA, FAMILIES, Eef
 from .errors import (SincountError, ValidationError, checked_keys, finite_float,
                      finite_floats, from_dict, nonneg_int)
 from .likelihood import KNOWN_FREQ, Bl, FrequencyPlan, Ml, approach_frequencies
@@ -108,7 +108,7 @@ def _tune_kwargs(family, objective=None, range=None, grid_points=None, refine=No
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-_tune = partial(from_dict, _tune_kwargs, family=_one_of(("pmep-ir", "pmep-i")),
+_tune = partial(from_dict, _tune_kwargs, family=_one_of(FAMILIES),
                 objective=_one_of(("abridged_theory", "monte_carlo")),
                 range=partial(_numbers, size=2),
                 grid_points=nonneg_int, refine=_bool)

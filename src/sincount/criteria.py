@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SelectionError, SincountError, ValidationError, finite_float
+from .errors import SelectionError, SincountError, ValidationError, finite_float, nonneg_int
 from .likelihood import checked_approach, observation_logliks
 
 
@@ -64,7 +64,7 @@ class Eef:
 @dataclass(frozen=True)
 class PmepIr:
     """Invariant-random penalty: R(nu) = -L_nu + kappa_ir*nu*max_i dL_i, kappa_ir
-    in (0, 1]; from 1 on, R(nu) - R(nu-1) >= 0, so the rule picks order 1."""
+    in (0, 1); from 1 on, R(nu) - R(nu-1) >= 0, so the rule would pick order 1."""
 
     kappa_ir: float = 0.25
 
@@ -72,8 +72,8 @@ class PmepIr:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa_ir", finite_float(self.kappa_ir, "kappa_ir"))
-        if not 0 < self.kappa_ir <= 1:
-            raise ValidationError(f"kappa_ir must be in (0, 1], got {self.kappa_ir}")
+        if not 0 < self.kappa_ir < 1:
+            raise ValidationError(f"kappa_ir must be in (0, 1), got {self.kappa_ir}")
 
     def values(self, logliks, params_per_signal=2):
         logliks = np.asarray(logliks, dtype=float)
@@ -99,7 +99,7 @@ class PmepI:
     def __post_init__(self):
         object.__setattr__(self, "kappa_i", finite_float(self.kappa_i, "kappa_i"))
         if not self.kappa_i > 0:
-            raise ValidationError("kappa_i must be positive")
+            raise ValidationError(f"kappa_i must be positive, got {self.kappa_i}")
 
     def values(self, logliks, params_per_signal=2):
         logliks = np.asarray(logliks, dtype=float)
@@ -112,6 +112,9 @@ class PmepI:
 
 
 CRITERIA = {cls.name: cls for cls in (Gic, Eef, PmepIr, PmepI)}
+
+# each tunable family's criterion, whose one parameter tune searches, and tune's default range
+FAMILIES = {"pmep-ir": (PmepIr, (0.01, 0.99)), "pmep-i": (PmepI, (1.0, 12.0))}
 
 
 def checked_ladders(logliks):
@@ -129,7 +132,8 @@ def checked_ladders(logliks):
 
 def decision_values(spec, logliks, params_per_signal=2):
     """R(1)..R(N) for one criterion; logliks may be batched (last axis)."""
-    return spec.values(checked_ladders(logliks), params_per_signal=params_per_signal)
+    return spec.values(checked_ladders(logliks),
+                       params_per_signal=nonneg_int(params_per_signal, "params_per_signal"))
 
 
 def abridged_comparisons(nu0, n_orders):

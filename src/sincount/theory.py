@@ -270,22 +270,20 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     of their windows, where M is formed once per node.  With one comparison
     only the single integral J(k) = int W_k(x) prod_{i != k} F_i(x/kappa) dx,
     the probability of V_k > kappa max_{i != k} V_i, remains over W_k's
-    window: p_a = J(2) at nu0 = 1 and 1 - J(nu0) at nu0 = N.
+    window: p_a = J(2) at nu0 = 1 and 1 - J(nu0) at nu0 = N.  PmepIr reads
+    kappa_ir, in (0, 1), the range the derivation needs.
     """
-    return _pmep_ir_reports(_single(dist_set), [finite_float(kappa_ir, "kappa_ir")])[0]
+    return _pmep_ir_reports(_single(dist_set), [PmepIr(kappa_ir).kappa_ir])[0]
 
 
 def _pmep_ir_reports(dist_set, kappas):
-    """abridged_pmep_ir's report for each kappa of the vector kappas and
-    each member of dist_set (kappa-major), from one integrate call: one row
-    per kappa and member on shared nodes over the union of all members'
-    windows, so the laws' terms without kappa are evaluated once per node
-    for every member.  Each report carries its row's error and the call's
-    integrand points."""
-    kaps = finite_floats(kappas, "kappa_ir")
-    bad = ~((kaps > 0) & (kaps <= 1))
-    if bad.any():
-        raise ValidationError(f"kappa_ir must be in (0, 1], got {kaps[bad][0]}")
+    """abridged_pmep_ir's report for each kappa of the vector kappas, each
+    one PmepIr accepts, and each member of dist_set (kappa-major), from one
+    integrate call: one row per kappa and member on shared nodes over the
+    union of all members' windows, so the laws' terms without kappa are
+    evaluated once per node for every member.  Each report carries its
+    row's error and the call's integrand points."""
+    kaps = np.asarray(kappas, dtype=float)
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
     if not (under or over):
         return [_report("pmep-ir", dist_set, 0.0)] * (kaps.size * dist_set.members)
@@ -425,19 +423,17 @@ def abridged_pmep_i(dist_set, kappa_i):
     so large that B rounds to 0, V_nu0+1/B - V_nu0 <= S never holds and
     p_a = 1; at nu0 = N, A = 0 makes S < V_nu0/A always hold and p_a = 0.
     """
-    return _pmep_i_reports(_single(dist_set), kappa_i)[0]
+    return _pmep_i_reports(_single(dist_set), PmepI(kappa_i).kappa_i)[0]
 
 
-def _pmep_i_reports(dist_set, kappa_i):
-    """abridged_pmep_i's report for each member of dist_set, from one
-    quadrature for all members: the tilted form where every member's
-    V_nu0+1 is central (lambda_nu0+1 = 0), else the 2-d rule, which holds
-    for any laws and so for a stack that mixes central and offset members
-    (a sweep over zero and nonzero offsets).  Each report carries its
-    member's error and the quadrature's integrand points."""
-    kap = finite_float(kappa_i, "kappa_i")
-    if not kap > 0:
-        raise ValidationError(f"kappa_i must be positive, got {kappa_i}")
+def _pmep_i_reports(dist_set, kap):
+    """abridged_pmep_i's report at kappa_i kap, a value PmepI accepts, for
+    each member of dist_set, from one quadrature for all members: the
+    tilted form where every member's V_nu0+1 is central (lambda_nu0+1 = 0),
+    else the 2-d rule, which holds for any laws and so for a stack that
+    mixes central and offset members (a sweep over zero and nonzero
+    offsets).  Each report carries its member's error and the quadrature's
+    integrand points."""
     under, over = abridged_comparisons(dist_set.nu0, dist_set.n)
 
     def every(p_a):
@@ -475,7 +471,8 @@ def abridged_for(dist_set, spec, params_per_signal=2):
 
     EEF has no closed form (only the Monte Carlo estimate applies).
     """
-    return _member_reports(_single(dist_set), spec, params_per_signal)[0]
+    return _member_reports(_single(dist_set), spec,
+                           nonneg_int(params_per_signal, "params_per_signal"))[0]
 
 
 def _member_reports(dist_set, spec, params_per_signal=2):
@@ -483,7 +480,7 @@ def _member_reports(dist_set, spec, params_per_signal=2):
     if isinstance(spec, Gic):
         return _gic_reports(dist_set, spec.threshold(params_per_signal))
     if isinstance(spec, PmepIr):
-        return _pmep_ir_reports(dist_set, [finite_float(spec.kappa_ir, "kappa_ir")])
+        return _pmep_ir_reports(dist_set, [spec.kappa_ir])
     if isinstance(spec, PmepI):
         return _pmep_i_reports(dist_set, spec.kappa_i)
     raise ValidationError(

@@ -10,20 +10,16 @@ two objectives can be compared on the same grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import PmepI, PmepIr
+from .criteria import FAMILIES
 from .errors import ValidationError, finite_floats, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
 from .montecarlo import checked_trials, estimate
 from .theory import _pmep_ir_reports, abridged_pmep_i, component_dists, scenario_consistency
 
-# each family's name: its criterion, whose one parameter is the one tuned,
-# its default search range and the top of that parameter's domain (0, top]
-_FAMILIES = {"pmep-ir": (PmepIr, (0.01, 1.0), 1.0), "pmep-i": (PmepI, (1.0, 12.0), math.inf)}
 _FLAT_TOL = 1e-12
 
 
@@ -56,13 +52,6 @@ class TuneResult:
         }
 
 
-def _family_name(family):
-    name = family.lower() if isinstance(family, str) else None
-    if name not in _FAMILIES:
-        raise ValidationError(f"family must be the name pmep-ir or pmep-i, got {family!r}")
-    return name
-
-
 def _theory_objective(scenario, name, approach):
     dists = component_dists(scenario, mode="ql",
                             frequencies=approach_frequencies(scenario, approach))
@@ -77,7 +66,7 @@ def _theory_objective(scenario, name, approach):
 
 
 def _mc_objective(scenario, name, approach, trials, master_seed):
-    criterion = _FAMILIES[name][0]
+    criterion = FAMILIES[name][0]
 
     def objective(kappas):
         reports = estimate(scenario, [criterion(float(k)) for k in kappas], approach, trials,
@@ -94,8 +83,9 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
 
     family is the name "pmep-ir" or "pmep-i", not an instance: its parameter
     is the one tuned.  Scans a grid of grid_points values over search_range,
-    a pair of finite numbers (the family's default range when None) inside
-    the parameter's domain, (0, 1] for pmep-ir and (0, inf) for pmep-i, then
+    a pair of finite numbers (the family's default range in
+    criteria.FAMILIES when None) whose ends the family's criterion accepts,
+    so that every value between lies in the parameter's domain, then
     optionally refines the best point in its bracket with the ML search's
     refiner on the negated objective, to (hi - lo) * 1e-4 (3 grid points at
     least); a one-point range is a one-point grid.  Both objectives use the
@@ -110,20 +100,24 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     montecarlo's floor and master_seed a nonnegative integer.  The result is
     flagged against scenario_consistency.
     """
-    name = _family_name(family)
+    name = family.lower() if isinstance(family, str) else None
+    if name not in FAMILIES:
+        raise ValidationError(f"family must be one of the names {', '.join(FAMILIES)}, "
+                              f"got {family!r}")
     if not isinstance(refine, bool):
         raise ValidationError(f"refine must be True or False, got {refine!r}")
     checked_trials(trials)
     nonneg_int(master_seed, "master_seed")
     grid_points = nonneg_int(grid_points, "grid_points")
-    lo, hi = finite_floats(_FAMILIES[name][1] if search_range is None else search_range,
+    criterion, default_range = FAMILIES[name]
+    lo, hi = finite_floats(default_range if search_range is None else search_range,
                            "search_range", 2).tolist()
     if lo > hi:
         raise ValidationError(f"empty search range ({lo}, {hi})")
-    top = _FAMILIES[name][2]
-    if not (lo > 0 and hi <= top):
-        domain = "(0, 1]" if top == 1.0 else "(0, inf)"
-        raise ValidationError(f"search_range ({lo}, {hi}) must lie in {domain} for {name}")
+    try:
+        criterion(lo), criterion(hi)
+    except ValidationError as exc:
+        raise ValidationError(f"search_range ({lo}, {hi}) for {name}: {exc}") from exc
     if lo < hi and grid_points < 2:
         raise ValidationError(f"grid_points must be >= 2 on ({lo}, {hi}), got {grid_points}")
     if refine and lo < hi and grid_points < 3:

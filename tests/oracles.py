@@ -13,8 +13,8 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 import sincount as sc
-from sincount import distributions, montecarlo, theory, tuner
-from sincount.criteria import abridged_comparisons, checked_ladders
+from sincount import distributions, montecarlo, theory
+from sincount.criteria import FAMILIES, abridged_comparisons, checked_ladders
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -306,7 +306,7 @@ def mc_objective_whole_set(scenario, name, approach, trials, master_seed):
     """tuner._mc_objective over the whole trial set at once: the decided
     ladders held, then 1 - mean(argmin == nu0) for each kappa of the array."""
     logliks = _decided_whole_set(scenario, approach, trials, master_seed)
-    criterion, pps = tuner._FAMILIES[name][0], approach.params_per_signal
+    criterion, pps = FAMILIES[name][0], approach.params_per_signal
 
     def p_e(kappa):
         values = criterion(float(kappa)).values(logliks, params_per_signal=pps)

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -565,17 +566,40 @@ def test_tune_pmep_i_from_tiny_kappa_exits_0(config_path, capsys):
     assert fields[0] == "pmep-i" and 1e-4 <= float(fields[1]) <= 1.0
 
 
-@pytest.mark.parametrize("family, search_range, domain", [
-    ("pmep-ir", [0.5, 1.5], "(0, 1]"), ("pmep-i", [0.0, 3.0], "(0, inf)")])
+@pytest.mark.parametrize("family, search_range, message", [
+    ("pmep-ir", [0.5, 1.5], "kappa_ir must be in (0, 1), got 1.5"),
+    ("pmep-i", [0.0, 3.0], "kappa_i must be positive, got 0.0")])
 def test_tune_range_outside_the_domain_exits_2_before_any_objective_call(
-        monkeypatch, config_path, capsys, family, search_range, domain):
+        monkeypatch, config_path, capsys, family, search_range, message):
     calls = []
     monkeypatch.setattr(tuner, "_theory_objective", lambda *args: calls.append(args))
     doc = dict(TUNE_CONFIG, tune={"family": family, "grid_points": 3, "range": search_range})
     rc, out, err = run(["tune", "--config", config_path(doc)], capsys)
     assert (rc, out, calls) == (2, "", [])
     lo, hi = (float(v) for v in search_range)
-    assert f"search_range ({lo}, {hi}) must lie in {domain} for {family}" in err
+    assert f"search_range ({lo}, {hi}) for {family}: {message}" in err
+
+
+@pytest.mark.parametrize("entry", ["PmepIr", "abridged_pmep_ir", "tune", "cli-theory",
+                                   "cli-tune"])
+def test_kappa_ir_of_1_is_refused_at_every_entry_point(config_path, capsys, entry):
+    # at kappa_ir = 1 the rule picks order 1 whatever the data, so p_a is 1 at
+    # 0 dB, where the abridged formula read 0.6201 and 20000 trials 0.9403
+    scenario = sc.standard_scenario(0.0)
+    library = {"PmepIr": lambda: sc.PmepIr(1.0),
+               "abridged_pmep_ir": lambda: sc.abridged_pmep_ir(sc.component_dists(scenario), 1.0),
+               "tune": lambda: sc.tune("pmep-ir", scenario, search_range=(0.5, 1.0))}
+    message = "kappa_ir must be in (0, 1), got 1.0"
+    if entry in library:
+        with pytest.raises(sc.ValidationError, match=re.escape(message)):
+            library[entry]()
+        return
+    command = entry.removeprefix("cli-")
+    doc = (dict(BASE_CONFIG, criteria=[{"name": "pmep-ir", "kappa_ir": 1.0}])
+           if command == "theory" else dict(TUNE_CONFIG, tune=dict(TUNE_CONFIG["tune"],
+                                                                   range=[0.5, 1.0])))
+    rc, out, err = run([command, "--config", config_path(doc)], capsys)
+    assert (rc, out) == (2, "") and message in err
 
 
 @pytest.mark.parametrize("command, doc, key", [

@@ -89,9 +89,9 @@ def test_parameter_validation():
         sc.PmepI(kappa_i=-1.0)
     with pytest.raises(ValidationError):
         sc.Gic(upsilon=float("inf"))
-    # from kappa_ir = 1 on the rule picks order 1 whatever the data; 1 is
-    # the end of tune's default range
-    assert sc.argmin_order(sc.decision_values(sc.PmepIr(kappa_ir=1.0), LOGLIKS)) == 1
+    # 0.99, the end of tune's default range, still picks order 1 here; from
+    # kappa_ir = 1 on the rule picks it whatever the data, and PmepIr refuses 1
+    assert sc.argmin_order(sc.decision_values(sc.PmepIr(kappa_ir=0.99), LOGLIKS)) == 1
     with pytest.raises(ValidationError, match="kappa_ir"):
         sc.PmepIr(kappa_ir=1.5)
     with pytest.raises(ValidationError, match="kappa_ir"):
@@ -104,17 +104,22 @@ def test_parameter_validation():
     lambda: sc.PmepIr(kappa_ir="0.25"),
     lambda: sc.PmepI(kappa_i=float("inf")),
     lambda: sc.PmepI(kappa_i=None),
-], ids=["gic_upsilon_str", "pmep_ir_bool", "pmep_ir_str", "pmep_i_inf", "pmep_i_none"])
+    lambda: sc.decision_values(sc.Gic(), LOGLIKS, params_per_signal="3"),
+    lambda: sc.decision_values(sc.Gic(), LOGLIKS, params_per_signal=True),
+    lambda: sc.decision_values(sc.Gic(), LOGLIKS, params_per_signal=float("nan")),
+], ids=["gic_upsilon_str", "pmep_ir_bool", "pmep_ir_str", "pmep_i_inf", "pmep_i_none",
+        "params_per_signal_str", "params_per_signal_bool", "params_per_signal_nan"])
 def test_penalty_parameters_must_be_finite_numbers(build):
     # a string kappa used to escape as ValueError, an infinite kappa_i to run
-    # (p_e = 1) and a boolean kappa_ir to run as 1.0
+    # (p_e = 1) and a boolean kappa_ir to run as 1.0; a NaN params_per_signal
+    # gave all-NaN decision values, whose argmin is order 1
     with pytest.raises(ValidationError):
         build()
 
 
 def test_penalty_parameters_stored_as_floats():
     assert type(sc.Gic(upsilon=3).upsilon) is float
-    assert sc.PmepIr(kappa_ir=1).kappa_ir == 1.0
+    assert type(sc.PmepIr(kappa_ir=np.float32(0.99)).kappa_ir) is float
     assert sc.PmepI(kappa_i=3) == sc.PmepI(kappa_i=3.0)
 
 

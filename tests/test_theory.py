@@ -88,7 +88,7 @@ def _pmep_ir_interior_cases():
             for delta in (0.0, 0.004):
                 dists = sc.component_dists(scenario, frequencies=sc.approach_frequencies(
                     scenario, sc.Bl(delta_omega=delta)))
-                for kappa in (0.05, 0.25, 0.6, 1.0):
+                for kappa in (0.05, 0.25, 0.6, 0.99):
                     yield (snr, nu0, delta, kappa), dists, kappa
     for snr in (-4.0, 0.0, 4.0):
         dists = sc.component_dists(sc.standard_scenario(snr), mode="ml")
@@ -99,7 +99,7 @@ def _pmep_ir_interior_cases():
 def test_abridged_pmep_ir_interior_within_the_errors_of_two_integrals():
     # the one integral over the union of the windows against the two over
     # each law's own window: the values move by at most 1.2e-9 here, in
-    # 105024 points instead of 184000.  The 1e-14 is rounding: at 15 dB, nu0
+    # 104640 points instead of 182912.  The 1e-14 is rounding: at 15 dB, nu0
     # = 2 of 3 and Bl(0.004), p_a is about 1e-14 and the gap 8.3e-15 passes
     # the summed errors by 2.5e-15
     for case, dists, kappa in _pmep_ir_interior_cases():
@@ -107,6 +107,15 @@ def test_abridged_pmep_ir_interior_within_the_errors_of_two_integrals():
         oracle = pmep_ir_two_integrals(dists, kappa)
         assert abs(rep.p_a - oracle.p_a) <= oracle.error + rep.error + 1e-14, case
         assert rep.evaluations <= oracle.evaluations, case
+
+
+def test_abridged_pmep_ir_at_the_top_of_the_domain_within_the_monte_carlo_interval():
+    # 0.99 tops tune's default range and, at 0 dB, standard_scenario's exact
+    # consistency range (0.990): p_a 0.6078 against [0.6025, 0.6160]
+    scenario = sc.standard_scenario(0.0)
+    rep = sc.abridged_pmep_ir(sc.component_dists(scenario), 0.99)
+    mc, = sc.estimate(scenario, [sc.PmepIr(0.99)], sc.KNOWN_FREQ, 20000, 3)
+    assert mc.p_a_ci[0] <= rep.p_a <= mc.p_a_ci[1]
 
 
 @pytest.mark.parametrize("mode", ["ql", "ml"])
@@ -366,12 +375,17 @@ def test_abridged_kappa_validation(dists_m4):
 
 @pytest.mark.parametrize("formula, name", [
     (sc.abridged_gic, "threshold"), (sc.abridged_pmep_ir, "kappa_ir"),
-    (sc.abridged_pmep_i, "kappa_i")])
-@pytest.mark.parametrize("value", ["1.0", True, math.nan])
+    (sc.abridged_pmep_i, "kappa_i"),
+    pytest.param(lambda dists, value: sc.abridged_for(dists, sc.Gic(), value),
+                 "params_per_signal", id="abridged_for-params_per_signal")])
+@pytest.mark.parametrize("value", ["1.0", "3", True, math.nan])
 def test_abridged_parameter_must_be_a_finite_number(dists_m4, formula, name, value):
     # a numeric string raised TypeError and True computed the value of 1.0;
-    # a NaN threshold keeps its range message, which the test below pins
+    # a NaN threshold keeps its range message, which the test below pins.
+    # params_per_signal "3" gave the p_a of 3 and True that of 1
     match = (f"{name} must be >= 0, got nan" if name == "threshold" and value != value
+             else f"{name} must be a nonnegative integer, got {value!r}"
+             if name == "params_per_signal"
              else f"{name} must be a finite number, got {value!r}")
     with pytest.raises(ValidationError, match=re.escape(match)):
         formula(dists_m4, value)
@@ -452,7 +466,7 @@ def test_boundary_orders_return_probabilities(lowest, snr, where):
     scen = sc.standard_scenario(snr, nu0=nu0, max_order=3)
     dists = sc.component_dists(scen)
     ranges = sc.consistency_range(dists.lambdas[:nu0], 3, nu0)
-    kappa_ir = where * min(ranges.kappa_ir_sup_exact, 1.0) or 1e-3
+    kappa_ir = where * min(ranges.kappa_ir_sup_exact, 0.99) or 1e-3
     kappa_i = ranges.kappa_i_inf_exact + 0.1 + 10.0 * where
     for spec in (sc.Gic(), sc.PmepIr(kappa_ir), sc.PmepI(kappa_i)):
         rep = sc.abridged_for(dists, spec)

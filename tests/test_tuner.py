@@ -68,12 +68,14 @@ def test_non_finite_or_malformed_range_rejected(scen_m4, family, search_range, m
 
 
 @pytest.mark.parametrize("objective", ["abridged_theory", "monte_carlo"])
-@pytest.mark.parametrize("family, search_range, domain", [
-    ("pmep-ir", (0.5, 1.5), r"\(0, 1\]"), ("pmep-ir", (0.0, 0.5), r"\(0, 1\]"),
-    ("pmep-i", (-1.0, 3.0), r"\(0, inf\)"), ("pmep-i", (0.0, 3.0), r"\(0, inf\)")],
+@pytest.mark.parametrize("family, search_range, message", [
+    ("pmep-ir", (0.5, 1.5), r"kappa_ir must be in \(0, 1\), got 1.5"),
+    ("pmep-ir", (0.0, 0.5), r"kappa_ir must be in \(0, 1\), got 0.0"),
+    ("pmep-i", (-1.0, 3.0), "kappa_i must be positive, got -1.0"),
+    ("pmep-i", (0.0, 3.0), "kappa_i must be positive, got 0.0")],
     ids=["ir_above_1", "ir_from_0", "i_negative", "i_from_0"])
 def test_range_outside_the_parameter_domain_rejected_before_any_objective_call(
-        monkeypatch, scen_m4, objective, family, search_range, domain):
+        monkeypatch, scen_m4, objective, family, search_range, message):
     # (0.5, 1.5) used to run the grid's first points and then fail with
     # "kappa_ir must be in (0, 1], got 1.5"
     calls = []
@@ -81,7 +83,7 @@ def test_range_outside_the_parameter_domain_rejected_before_any_objective_call(
         monkeypatch.setattr(tuner, name, lambda *args: calls.append(args))
     lo, hi = search_range
     with pytest.raises(ValidationError,
-                       match=rf"search_range \({lo}, {hi}\) must lie in {domain} for {family}"):
+                       match=rf"search_range \({lo}, {hi}\) for {family}: {message}$"):
         sc.tune(family, scen_m4, objective=objective, search_range=search_range,
                 grid_points=3)
     assert calls == []
