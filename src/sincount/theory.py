@@ -273,7 +273,7 @@ def abridged_pmep_ir(dist_set, kappa_ir):
     window: p_a = J(2) at nu0 = 1 and 1 - J(nu0) at nu0 = N.  PmepIr reads
     kappa_ir, in (0, 1), the range the derivation needs.
     """
-    return _pmep_ir_reports(_single(dist_set), [PmepIr(kappa_ir).kappa_ir])[0]
+    return _member_reports(_single(dist_set), [PmepIr(kappa_ir)])[0]
 
 
 def _pmep_ir_reports(dist_set, kappas):
@@ -423,7 +423,7 @@ def abridged_pmep_i(dist_set, kappa_i):
     so large that B rounds to 0, V_nu0+1/B - V_nu0 <= S never holds and
     p_a = 1; at nu0 = N, A = 0 makes S < V_nu0/A always hold and p_a = 0.
     """
-    return _pmep_i_reports(_single(dist_set), PmepI(kappa_i).kappa_i)[0]
+    return _member_reports(_single(dist_set), [PmepI(kappa_i)])[0]
 
 
 def _pmep_i_reports(dist_set, kap):
@@ -471,20 +471,22 @@ def abridged_for(dist_set, spec, params_per_signal=2):
 
     EEF has no closed form (only the Monte Carlo estimate applies).
     """
-    return _member_reports(_single(dist_set), spec,
+    return _member_reports(_single(dist_set), [spec],
                            nonneg_int(params_per_signal, "params_per_signal"))[0]
 
 
-def _member_reports(dist_set, spec, params_per_signal=2):
-    """abridged_for's report for each member of dist_set, in member order."""
-    if isinstance(spec, Gic):
-        return _gic_reports(dist_set, spec.threshold(params_per_signal))
-    if isinstance(spec, PmepIr):
-        return _pmep_ir_reports(dist_set, [spec.kappa_ir])
-    if isinstance(spec, PmepI):
-        return _pmep_i_reports(dist_set, spec.kappa_i)
+def _member_reports(dist_set, specs, params_per_signal=2):
+    """abridged_for's reports for specs, all of one class, criterion-major
+    over dist_set's members; PMEP-IR's kappas share one quadrature."""
+    if isinstance(specs[0], PmepIr):
+        return _pmep_ir_reports(dist_set, [spec.kappa_ir for spec in specs])
+    if isinstance(specs[0], Gic):
+        return [r for spec in specs
+                for r in _gic_reports(dist_set, spec.threshold(params_per_signal))]
+    if isinstance(specs[0], PmepI):
+        return [r for spec in specs for r in _pmep_i_reports(dist_set, spec.kappa_i)]
     raise ValidationError(
-        f"no abridged formula for criterion {getattr(spec, 'name', spec)!r}")
+        f"no abridged formula for criterion {getattr(specs[0], 'name', specs[0])!r}")
 
 
 @dataclass(frozen=True)
@@ -492,9 +494,9 @@ class ConsistencyRange:
     """Admissible tuning-parameter ranges for SNR-consistency.
 
     Exact ranges come from the per-k inequalities on the normalized
-    noncentralities, and contains_ir/contains_i test them.  The simplified
-    bounds (*_simple) use only rho = d_min^2/d_max^2 and are sufficient but
-    stricter (a subset of the exact ranges).
+    noncentralities, and contains tests a PMEP criterion against them.  The
+    simplified bounds (*_simple) use only rho = d_min^2/d_max^2 and are
+    sufficient but stricter (a subset of the exact ranges).
     """
 
     nu0: int
@@ -505,11 +507,13 @@ class ConsistencyRange:
     kappa_i_inf_exact: float
     kappa_i_inf_simple: float
 
-    def contains_ir(self, kappa_ir):
-        return 0.0 < kappa_ir < self.kappa_ir_sup_exact
-
-    def contains_i(self, kappa_i):
-        return kappa_i > self.kappa_i_inf_exact
+    def contains(self, spec):
+        """Whether spec's parameter is in its exact range; GIC and EEF have none."""
+        if isinstance(spec, PmepIr):
+            return spec.kappa_ir < self.kappa_ir_sup_exact
+        if isinstance(spec, PmepI):
+            return spec.kappa_i > self.kappa_i_inf_exact
+        raise ValidationError(f"no consistency range for {getattr(spec, 'name', spec)!r}")
 
 
 def consistency_range(d_n_sq, n_total, nu0):
@@ -586,9 +590,10 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     offsets' windows, so a point's value is within its reported error of
     the same formula on that offset's own laws (tested from -4 to 30 dB).
     EEF has no closed form, so its sweep falls back to seeded Monte Carlo
-    with the same offsets, one estimate per offset.  Given a loss function, p_aq aggregates the curve
-    through it; given per-offset probabilities, p_waa weights them in (with
-    unit losses when no loss is given).  Each is None without its input.
+    with the same offsets, one estimate per offset.  Given a loss function,
+    p_aq aggregates the curve through it; given per-offset probabilities,
+    p_waa weights them in (with unit losses when no loss is given).  Each
+    is None without its input.
     delta_grid and error_probs (one per grid point) are read by
     errors.finite_floats.  A bad grid or probability, a non-finite loss
     value, trials below montecarlo's floor, a master_seed that is not a
@@ -616,7 +621,7 @@ def ql_sweep(scenario, spec, delta_grid, loss=None, error_probs=None,
     else:
         dists = component_dists(scenario, mode="ql",
                                 frequencies=frequencies if deltas.size > 1 else frequencies[0])
-        reports = _member_reports(dists, spec, params_per_signal=Bl.params_per_signal)
+        reports = _member_reports(dists, [spec], params_per_signal=Bl.params_per_signal)
         p_vals = np.array([report.p_a for report in reports])
         errs = np.array([report.error for report in reports])
     p_aq = None if loss is None else float(np.sum(p_vals * weights))

@@ -18,7 +18,7 @@ from .criteria import FAMILIES
 from .errors import ValidationError, finite_floats, nonneg_int
 from .likelihood import KNOWN_FREQ, approach_frequencies, refine_maxima
 from .montecarlo import checked_trials, estimate
-from .theory import _pmep_ir_reports, abridged_pmep_i, component_dists, scenario_consistency
+from .theory import _member_reports, component_dists, scenario_consistency
 
 _FLAT_TOL = 1e-12
 
@@ -52,22 +52,18 @@ class TuneResult:
         }
 
 
-def _theory_objective(scenario, name, approach):
+def _theory_objective(scenario, criterion, approach):
     dists = component_dists(scenario, mode="ql",
                             frequencies=approach_frequencies(scenario, approach))
-    if name == "pmep-ir":
-        def objective(kappas):
-            return np.array([report.p_a for report in _pmep_ir_reports(dists, kappas)])
-    else:
-        def objective(kappas):
-            return np.array([abridged_pmep_i(dists, float(k)).p_a for k in kappas])
+
+    def objective(kappas):
+        reports = _member_reports(dists, [criterion(float(k)) for k in kappas])
+        return np.array([report.p_a for report in reports])
 
     return objective
 
 
-def _mc_objective(scenario, name, approach, trials, master_seed):
-    criterion = FAMILIES[name][0]
-
+def _mc_objective(scenario, criterion, approach, trials, master_seed):
     def objective(kappas):
         reports = estimate(scenario, [criterion(float(k)) for k in kappas], approach, trials,
                            master_seed)
@@ -94,11 +90,12 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
     once per refinement round and once for a flat grid's midpoint; each
     Monte Carlo call is one estimate of all its values over the same seeded
     trials, so no trial set is held and refine costs one pass of the trial
-    loop per round, and each pmep-ir theory call is one quadrature of all
-    its values.  Every setting is checked under either objective: refine
-    is a bool, grid_points a nonnegative integer, trials at least
-    montecarlo's floor and master_seed a nonnegative integer.  The result is
-    flagged against scenario_consistency.
+    loop per round, and each theory call is one _member_reports call (one
+    quadrature of all its values for pmep-ir).  Every setting is checked
+    under either objective: refine is a bool, grid_points a nonnegative
+    integer, trials at least montecarlo's floor and master_seed a
+    nonnegative integer.  consistency_ok says whether scenario_consistency
+    contains the family's criterion at kappa_opt.
     """
     name = family.lower() if isinstance(family, str) else None
     if name not in FAMILIES:
@@ -124,9 +121,9 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
         raise ValidationError(
             f"grid_points must be >= 3 to refine on ({lo}, {hi}), got {grid_points}")
     if objective == "abridged_theory":
-        fun = _theory_objective(scenario, name, approach)
+        fun = _theory_objective(scenario, criterion, approach)
     elif objective == "monte_carlo":
-        fun = _mc_objective(scenario, name, approach, trials, master_seed)
+        fun = _mc_objective(scenario, criterion, approach, trials, master_seed)
     else:
         raise ValidationError(f"unknown objective {objective!r}")
 
@@ -146,14 +143,12 @@ def tune(family, scenario, objective="abridged_theory", search_range=None,
                                        (hi - lo) * 1e-4)
             best_k, best_v = float(k), -float(v)
 
-    ranges = scenario_consistency(scenario)
-    ok = ranges.contains_ir(best_k) if name == "pmep-ir" else ranges.contains_i(best_k)
     return TuneResult(
         family=name,
         kappa_opt=best_k,
         objective=objective,
         objective_value=best_v,
         search_trace=trace,
-        consistency_ok=bool(ok),
+        consistency_ok=scenario_consistency(scenario).contains(criterion(best_k)),
         flat=bool(flat),
     )

@@ -180,7 +180,7 @@ def test_criterion_07_snr_consistency_split(scen):
     pmep_vanish = rep30[1].p_e < 1e-3 and rep30[2].p_e < 1e-3
     _, lam = sc.residual_means(scen, scen.all_frequencies)
     ranges = sc.consistency_range(lam[:scen.nu0], scen.max_order, scen.nu0)
-    admissible = ranges.contains_ir(0.25) and ranges.contains_i(3.0)
+    admissible = ranges.contains(sc.PmepIr(0.25)) and ranges.contains(sc.PmepI(3.0))
     elapsed = time.time() - start
     verdict(7, "fixed-penalty floor vs vanishing adaptive-penalty error",
             gic_flat and gic_positive and pmep_vanish and admissible,

@@ -728,7 +728,7 @@ def test_counted_sweep_laws_give_the_same_sweep_and_see_every_node(monkeypatch, 
     if isinstance(spec, sc.PmepIr):
         nodes = theory._member_reports(build(scenario, frequencies=np.array(
             [sc.approach_frequencies(scenario, sc.Bl(delta_omega=d)) for d in grid])),
-            spec)[0].evaluations
+            [spec])[0].evaluations
         assert points[nu0 - 1, "pdf"] == points[nu0, "pdf"] == len(grid) * nodes > 0
         assert all(points[i, "cdf"] >= len(grid) * nodes for i in range(scenario.max_order))
     elif isinstance(spec, sc.Gic):
@@ -771,10 +771,16 @@ def test_consistency_range_frozen(scen_m4):
     assert ranges.kappa_i_inf_exact == pytest.approx(0.9677094473, rel=1e-9)
     assert ranges.kappa_i_inf_simple == pytest.approx(9.3636574276, rel=1e-9)
     # the defaults are admissible for the exact conditions
-    assert ranges.contains_ir(0.25)
-    assert ranges.contains_i(3.0)
+    assert ranges.contains(sc.PmepIr(0.25))
+    assert ranges.contains(sc.PmepI(3.0))
     # the simplified inverse-penalty bound deliberately rejects kappa_i = 3
     assert not 3.0 > ranges.kappa_i_inf_simple
+
+
+@pytest.mark.parametrize("spec", [sc.Gic(), sc.Eef()], ids=["gic", "eef"])
+def test_consistency_range_refuses_a_criterion_without_one(scen_m4, spec):
+    with pytest.raises(ValidationError, match=f"no consistency range for '{spec.name}'"):
+        theory.scenario_consistency(scen_m4).contains(spec)
 
 
 def test_consistency_range_equal_snrs():
@@ -813,8 +819,8 @@ def test_scenario_consistency_is_the_range_of_its_true_signals(scen_m4):
 
 def test_consistency_single_signal_vacuous():
     ranges = sc.consistency_range(np.array([2.0]), 5, 1)
-    assert ranges.contains_ir(0.99)
-    assert ranges.contains_i(0.5)
+    assert ranges.contains(sc.PmepIr(0.99))
+    assert ranges.contains(sc.PmepI(0.5))
 
 
 @settings(max_examples=50, deadline=None)
@@ -826,9 +832,9 @@ def test_simplified_range_inside_exact(d_sq, kap_ir, kap_i):
     nu0 = len(d_sq)
     ranges = sc.consistency_range(np.asarray(d_sq), nu0 + 2, nu0)
     if kap_ir < ranges.kappa_ir_sup_simple:
-        assert ranges.contains_ir(kap_ir)
+        assert ranges.contains(sc.PmepIr(kap_ir))
     if kap_i > ranges.kappa_i_inf_simple:
-        assert ranges.contains_i(kap_i)
+        assert ranges.contains(sc.PmepI(kap_i))
 
 
 def test_ml_mode_requires_orthogonal_signals():

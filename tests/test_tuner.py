@@ -6,7 +6,7 @@ import pytest
 import sincount as sc
 from oracles import golden_refine, inject_ladders, mc_objective_whole_set, traced_peak_mb
 from sincount import montecarlo, theory, tuner
-from sincount.criteria import checked_ladders
+from sincount.criteria import FAMILIES, checked_ladders
 from sincount.distributions import integrate
 from sincount.errors import ValidationError
 
@@ -89,17 +89,25 @@ def test_range_outside_the_parameter_domain_rejected_before_any_objective_call(
     assert calls == []
 
 
-def test_theory_objective_batch_is_the_formula_within_its_errors(scen_m4):
-    # one quadrature for every kappa of the call: each value lies within the
-    # batch's and the single call's errors of abridged_pmep_ir
-    kappas = np.linspace(0.05, 0.6, 12)
-    batch = tuner._theory_objective(scen_m4, "pmep-ir", sc.KNOWN_FREQ)(kappas)
-    reports = theory._pmep_ir_reports(sc.component_dists(scen_m4), kappas)
-    assert batch.tolist() == [report.p_a for report in reports]
-    for kappa, report in zip(kappas, reports):
-        single = sc.abridged_pmep_ir(sc.component_dists(scen_m4), kappa)
-        assert abs(report.p_a - single.p_a) <= report.error + single.error
-        assert type(report.p_a) is float and type(report.error) is float
+@pytest.mark.parametrize("family, kappas", [("pmep-ir", np.linspace(0.05, 0.6, 12)),
+                                            ("pmep-i", np.linspace(1.0, 8.0, 12))],
+                         ids=["pmep-ir", "pmep-i"])
+def test_theory_objective_batch_is_the_formula_within_its_errors(scen_m4, family, kappas):
+    # pmep-ir: one quadrature for every kappa of the call, so each value lies
+    # within the batch's and the single call's errors of abridged_pmep_ir;
+    # pmep-i: one quadrature per kappa, so each is abridged_pmep_i's bit for bit
+    dists = sc.component_dists(scen_m4)
+    batch = tuner._theory_objective(scen_m4, FAMILIES[family][0], sc.KNOWN_FREQ)(kappas)
+    if family == "pmep-i":
+        assert [v.hex() for v in batch.tolist()] == [
+            sc.abridged_pmep_i(dists, k).p_a.hex() for k in kappas]
+    else:
+        reports = theory._pmep_ir_reports(dists, kappas)
+        assert batch.tolist() == [report.p_a for report in reports]
+        for kappa, report in zip(kappas, reports):
+            single = sc.abridged_pmep_ir(sc.component_dists(scen_m4), kappa)
+            assert abs(report.p_a - single.p_a) <= report.error + single.error
+            assert type(report.p_a) is float and type(report.error) is float
 
 
 def test_theory_objective_is_one_quadrature_per_call(monkeypatch, scen_m4):
@@ -134,6 +142,18 @@ def test_single_point_range(scen_m4):
     assert not result.flat
 
 
+@pytest.mark.parametrize("objective", ["abridged_theory", "monte_carlo"])
+@pytest.mark.parametrize("family, search_range", [("pmep-ir", (0.991, 0.995)),
+                                                  ("pmep-i", (0.5, 0.9))])
+def test_kappa_outside_the_exact_consistency_range_is_flagged(family, search_range, objective):
+    # at -4 dB the exact ends are kappa_ir < 0.9902 and kappa_i > 0.9677, so
+    # every kappa of these ranges lies outside its family's
+    result = sc.tune(family, sc.standard_scenario(-4.0), objective=objective,
+                     search_range=search_range, grid_points=5, trials=500)
+    assert search_range[0] <= result.kappa_opt <= search_range[1]
+    assert result.consistency_ok is False
+
+
 @pytest.mark.parametrize("grid_points", [0, 1, 4.0])
 def test_grid_needs_two_integer_points(scen_m4, grid_points):
     # 0 used to end in numpy's zero-size argmin ValueError, 1 in a flat "optimum"
@@ -156,7 +176,7 @@ def test_refinement_matches_golden_rule(scen_m4, family, search_range, grid_poin
     lo, hi = search_range
     tol = (hi - lo) * 1e-4
     result = sc.tune(family, scen_m4, search_range=search_range, grid_points=grid_points)
-    objective = tuner._theory_objective(scen_m4, family, sc.KNOWN_FREQ)
+    objective = tuner._theory_objective(scen_m4, FAMILIES[family][0], sc.KNOWN_FREQ)
     grid, vals = result.search_trace.T
 
     def golden(refine_tol):
